@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 from scipy import integrate, optimize
 
-from .geometry import THETA_SPAN, normalize_angle
+from .geometry import THETA_SPAN, theta_breakpoints
 from .protocol import (
     ACCEPTANCE_COEFF,
     NO_FLIP,
@@ -235,18 +235,6 @@ def two_bob_equal_given_theta(
     return out if np.ndim(theta) else float(out)
 
 
-def _theta_breakpoints(nu: float) -> list[float]:
-    # theta values where either party crosses a slot boundary; the per-theta
-    # probabilities jump there, so integration must split on them
-    pts = set()
-    for x in (alice_setting(nu), WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi):
-        for offset in (0.0, 3 * math.pi / 5, 6 * math.pi / 5, math.pi, 8 * math.pi / 5, math.pi / 5):
-            t = normalize_angle(x - offset)
-            if 0.0 < t < THETA_SPAN:
-                pts.add(t)
-    return sorted(pts)
-
-
 def two_bob_equal_quadrature(
     nu: float,
     strategy: Strategy = NO_FLIP,
@@ -265,7 +253,8 @@ def two_bob_equal_quadrature(
         (w1_lo, w1_hi), (w2_lo, w2_hi) = interval_windows(nu)
         segments = [(w1_lo, w1_hi), (w2_lo, w2_hi)]
     else:
-        pts = [0.0] + _theta_breakpoints(nu) + [THETA_SPAN]
+        # the per-theta probabilities jump where a slot test flips, so integration splits there
+        pts = [0.0] + theta_breakpoints(alice_setting(nu), WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi) + [THETA_SPAN]
         segments = list(zip(pts[:-1], pts[1:]))
     total = 0.0
     for lo, hi in segments:

@@ -47,6 +47,7 @@ __all__ = [
     "gamma_slot_of",
     "beta_boundary",
     "gamma_boundary",
+    "theta_breakpoints",
     "alpha_slot_cyclic_difference",
     "boundary_between",
     "cell_index",
@@ -168,6 +169,24 @@ def gamma_boundary(k, theta):
     """Angle of boundary ``gamma_k`` for offset ``theta`` (arrays broadcast)."""
     offs = np.asarray(GAMMA_OFFSETS)[np.asarray(k, dtype=np.int64)]
     return np.mod(np.asarray(theta, dtype=float) + offs, TWO_PI)
+
+
+def theta_breakpoints(*angles: float) -> list[float]:
+    """Shared offsets in ``(0, 3*pi/5)`` where a beta/gamma boundary passes one of ``angles``.
+
+    These are the rounded values ``normalize_angle(x - offset)``; the slot
+    tests of :func:`beta_slot_of`/:func:`gamma_slot_of` flip within a few
+    ulps of ``2*pi`` of them, or just above theta = 0, which is never
+    listed. Everything that depends on theta only through the slot tests is
+    piecewise constant between consecutive breakpoints.
+    """
+    pts = set()
+    for x in angles:
+        for offset in BETA_OFFSETS + GAMMA_OFFSETS:
+            t = normalize_angle(x - offset)
+            if 0.0 < t < THETA_SPAN:
+                pts.add(t)
+    return sorted(pts)
 
 
 def alpha_slot_cyclic_difference(j1: int, j2: int) -> int:

@@ -7,6 +7,20 @@ workers ran the batches. Tallies are integer vectors summed per batch index;
 merging is commutative and associative, so identical configurations produce
 bit-identical tables and output files.
 
+The kernels evaluate Bob through a :class:`~bctsim.protocol.SegmentTable`
+built once per row. For fixed settings and strategy every slot test is
+constant between a handful of theta edges; the table holds those edges and,
+per segment and Bob axis, whether Bob shares Alice's active slot and the
+separating boundary's offset above theta, plus per axis whether the output is
+negated or the round terminated. A batch looks its thetas up with one
+``searchsorted`` shared by all axes and computes only the distance-dependent
+acceptance ``1 - (3*pi/10)*sin(u)``. Each edge is the exact float at which the
+arithmetic slot rule flips, found by bisection over float bit patterns, not a
+rounded breakpoint; so the lookup decides exactly as evaluating Bob per trial
+would, at every theta. Building a table draws no random numbers, and each
+kernel keeps its documented draw order, so the tables consume the same
+streams and emit the same bytes as per-trial evaluation.
+
 Measured anomalies are data, never errors: runs fail only on bad
 configuration or I/O.
 """
@@ -33,7 +47,7 @@ from .analysis import (
     per_theta_consistency_audit,
     visibility_report,
 )
-from .geometry import THETA_SPAN, alpha_slot_of, normalize_angle
+from .geometry import THETA_SPAN, normalize_angle
 from .protocol import (
     NO_FLIP,
     CoinMode,
@@ -42,6 +56,7 @@ from .protocol import (
     Strategy,
     alice_slot_arrays,
     evaluate_bob,
+    segment_table,
 )
 
 __all__ = [
@@ -199,8 +214,41 @@ def _run_batches(
 
 
 # --- batch kernels ---------------------------------------------------------
-# Draw orders are fixed and documented per kernel; changing them changes the
-# stream and therefore every downstream estimate.
+# A kernel factory does the theta-free work once per row: the segment table,
+# or for a conditioned row (fixed theta) the acceptance at that theta, which
+# a batch then only compares with its coins. Draw orders are fixed and
+# documented per kernel; table building draws nothing, so a draw order is the
+# only thing that fixes the stream, and changing it changes every downstream
+# estimate.
+
+
+def _bob_decider(a: float, axes: tuple[float, ...], strategy: Strategy, theta_fixed: float | None):
+    """``decide(theta, coins)``: per axis, whether Bob's output equals ``c`` in each trial.
+
+    ``theta`` is ignored for a conditioned row, whose acceptance is
+    computed once here.
+    """
+    if theta_fixed is None:
+        return segment_table(a, axes, strategy).keeps_c
+    theta = np.array([theta_fixed])
+    alpha, beta_slots, gamma_slots = alice_slot_arrays(a, theta)
+    evs = [evaluate_bob(alpha, beta_slots, gamma_slots, b, theta, strategy) for b in axes]
+    accepts = [(float(ev.accept_prob[0]), ev.negate) for ev in evs]
+
+    def decide(theta, coins):
+        return [(coin < q) ^ negate for coin, (q, negate) in zip(coins, accepts)]
+
+    return decide
+
+
+def _in_windows(theta, windows) -> np.ndarray:
+    """Whether each shared angle lies in one of the two deterministic windows."""
+    (w1_lo, w1_hi), (w2_lo, w2_hi) = windows
+    return ((theta >= w1_lo) & (theta <= w1_hi)) | ((theta > w2_lo) & (theta <= w2_hi))
+
+
+def _count(mask) -> int:
+    return int(np.count_nonzero(mask))
 
 
 def _pair_kernel(a: float, b: float, strategy: Strategy, theta_fixed: float | None = None):
@@ -208,17 +256,15 @@ def _pair_kernel(a: float, b: float, strategy: Strategy, theta_fixed: float | No
 
     Draws per batch: theta (unless conditioned), c, coin.
     """
-    alpha, _, _ = alice_slot_arrays(a, 0.0)  # alpha slot is theta-free
+    decide = _bob_decider(a, (b,), strategy, theta_fixed)
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        theta = np.full(n, theta_fixed) if theta_fixed is not None else rng.uniform(0.0, THETA_SPAN, n)
-        c = rng.integers(0, 2, n, dtype=np.int64) * 2 - 1
+        theta = None if theta_fixed is not None else rng.uniform(0.0, THETA_SPAN, n)
+        c_plus = rng.integers(0, 2, n, dtype=np.int64).astype(bool)
         coin = rng.random(n)
-        _, beta_slots, gamma_slots = alice_slot_arrays(a, theta)
-        ev = evaluate_bob(alpha, beta_slots, gamma_slots, b, theta, strategy)
-        eq = (coin < ev.accept_prob) ^ ev.negate  # output == c
-        c_b = np.where(eq, c, -c)
-        return np.array([n, int(eq.sum()), int((c > 0).sum()), int((c_b > 0).sum())], dtype=np.int64)
+        (eq,) = decide(theta, (coin,))  # output == c
+        # c_b > 0 exactly when eq == (c > 0)
+        return np.array([n, _count(eq), _count(c_plus), _count(eq == c_plus)], dtype=np.int64)
 
     return kernel
 
@@ -235,37 +281,26 @@ def _two_bob_kernel(
     c_b1_plus, c_b2_plus]. Draws per batch: theta (unless conditioned), c,
     coin1, coin2 (independent mode only).
     """
-    a = alice_setting(nu)
-    b1 = WALKTHROUGH_B1
-    b2 = b1 + math.pi
-    (w1_lo, w1_hi), (w2_lo, w2_hi) = interval_windows(nu)
-    alpha = int(alpha_slot_of(a))
+    windows = interval_windows(nu)
+    decide = _bob_decider(alice_setting(nu), (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi), strategy, theta_fixed)
+    fixed_in_win = None if theta_fixed is None else bool(_in_windows(theta_fixed, windows))
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        theta = np.full(n, theta_fixed) if theta_fixed is not None else rng.uniform(0.0, THETA_SPAN, n)
-        c = rng.integers(0, 2, n, dtype=np.int64) * 2 - 1
+        theta = None if theta_fixed is not None else rng.uniform(0.0, THETA_SPAN, n)
+        c_plus = rng.integers(0, 2, n, dtype=np.int64).astype(bool)
         coin1 = rng.random(n)
         coin2 = coin1 if coin_mode is CoinMode.SHARED else rng.random(n)
-        _, beta_slots, gamma_slots = alice_slot_arrays(a, theta)
-        ev1 = evaluate_bob(alpha, beta_slots, gamma_slots, b1, theta, strategy)
-        ev2 = evaluate_bob(alpha, beta_slots, gamma_slots, b2, theta, strategy)
-        b1_eq_c = (coin1 < ev1.accept_prob) ^ ev1.negate
-        b2_eq_c = (coin2 < ev2.accept_prob) ^ ev2.negate
+        b1_eq_c, b2_eq_c = decide(theta, (coin1, coin2))
         eq = b1_eq_c == b2_eq_c
-        in_win = ((theta >= w1_lo) & (theta <= w1_hi)) | ((theta > w2_lo) & (theta <= w2_hi))
-        c_b1 = np.where(b1_eq_c, c, -c)
-        c_b2 = np.where(b2_eq_c, c, -c)
+        n_eq = _count(eq)
+        if theta_fixed is None:
+            in_win = _in_windows(theta, windows)
+            eq_in, n_in = _count(eq & in_win), _count(in_win)
+        else:
+            eq_in, n_in = (n_eq, n) if fixed_in_win else (0, 0)
         return np.array(
-            [
-                n,
-                int(eq.sum()),
-                int((eq & in_win).sum()),
-                int(in_win.sum()),
-                int((eq & ~in_win).sum()),
-                int(b2_eq_c.sum()),
-                int((c_b1 > 0).sum()),
-                int((c_b2 > 0).sum()),
-            ],
+            [n, n_eq, eq_in, n_in, n_eq - eq_in, _count(b2_eq_c),
+             _count(b1_eq_c == c_plus), _count(b2_eq_c == c_plus)],
             dtype=np.int64,
         )
 
@@ -279,29 +314,20 @@ def _visibility_kernel(nu: float, visibility: float, strategy: Strategy, coin_mo
     trial survives only if neither side was erased. Draws per batch: theta,
     c, coin1, coin2 (independent mode only), erase1, erase2.
     """
-    a = alice_setting(nu)
-    b1 = WALKTHROUGH_B1
-    b2 = b1 + math.pi
-    (w1_lo, w1_hi), (w2_lo, w2_hi) = interval_windows(nu)
-    alpha = int(alpha_slot_of(a))
+    windows = interval_windows(nu)
+    decide = _bob_decider(alice_setting(nu), (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi), strategy, None)
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
         theta = rng.uniform(0.0, THETA_SPAN, n)
-        c = rng.integers(0, 2, n, dtype=np.int64) * 2 - 1
+        rng.integers(0, 2, n, dtype=np.int64)  # c: drawn to keep the stream, not tallied
         coin1 = rng.random(n)
         coin2 = coin1 if coin_mode is CoinMode.SHARED else rng.random(n)
         keep1 = rng.random(n) < visibility
         keep2 = rng.random(n) < visibility
-        _, beta_slots, gamma_slots = alice_slot_arrays(a, theta)
-        ev1 = evaluate_bob(alpha, beta_slots, gamma_slots, b1, theta, strategy)
-        ev2 = evaluate_bob(alpha, beta_slots, gamma_slots, b2, theta, strategy)
-        b1_eq_c = (coin1 < ev1.accept_prob) ^ ev1.negate
-        b2_eq_c = (coin2 < ev2.accept_prob) ^ ev2.negate
-        eq = b1_eq_c == b2_eq_c
-        survived = keep1 & keep2
-        in_win = ((theta >= w1_lo) & (theta <= w1_hi)) | ((theta > w2_lo) & (theta <= w2_hi))
+        b1_eq_c, b2_eq_c = decide(theta, (coin1, coin2))
+        survived_eq = (b1_eq_c == b2_eq_c) & keep1 & keep2
         return np.array(
-            [n, int(survived.sum()), int((survived & eq).sum()), int((survived & eq & in_win).sum())],
+            [n, _count(keep1 & keep2), _count(survived_eq), _count(survived_eq & _in_windows(theta, windows))],
             dtype=np.int64,
         )
 
@@ -310,20 +336,16 @@ def _visibility_kernel(nu: float, visibility: float, strategy: Strategy, coin_mo
 
 def _joint_kernel(a: float, b: float, strategy: Strategy):
     """Tallies [n, pp, pm, mp, mm] over the joint outcome cells."""
+    decide = _bob_decider(a, (b,), strategy, None)
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
         theta = rng.uniform(0.0, THETA_SPAN, n)
-        c = rng.integers(0, 2, n, dtype=np.int64) * 2 - 1
+        c_plus = rng.integers(0, 2, n, dtype=np.int64).astype(bool)
         coin = rng.random(n)
-        alpha, beta_slots, gamma_slots = alice_slot_arrays(a, theta)
-        ev = evaluate_bob(alpha, beta_slots, gamma_slots, b, theta, strategy)
-        eq = (coin < ev.accept_prob) ^ ev.negate
-        c_b = np.where(eq, c, -c)
-        pp = int(((c > 0) & (c_b > 0)).sum())
-        pm = int(((c > 0) & (c_b < 0)).sum())
-        mp = int(((c < 0) & (c_b > 0)).sum())
-        mm = int(((c < 0) & (c_b < 0)).sum())
-        return np.array([n, pp, pm, mp, mm], dtype=np.int64)
+        (eq,) = decide(theta, (coin,))
+        n_plus, pp = _count(c_plus), _count(c_plus & eq)  # c_b == c exactly when eq
+        mm = _count(eq) - pp
+        return np.array([n, pp, n_plus - pp, n - n_plus - mm, mm], dtype=np.int64)
 
     return kernel
 

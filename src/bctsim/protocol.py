@@ -33,6 +33,8 @@ import numpy as np
 
 from . import geometry
 from .geometry import (
+    BETA_OFFSETS,
+    GAMMA_OFFSETS,
     THETA_SPAN,
     TWO_PI,
     SlotSystem,
@@ -46,6 +48,7 @@ from .geometry import (
     gamma_slot_of,
     gamma_system,
     normalize_angle,
+    theta_breakpoints,
 )
 
 __all__ = [
@@ -63,11 +66,13 @@ __all__ = [
     "SlotMessage",
     "TrialRecord",
     "BobEvaluation",
+    "SegmentTable",
     "TwoBobResult",
     "draw_hidden",
     "alice_round",
     "alice_slot_arrays",
     "evaluate_bob",
+    "segment_table",
     "bob_round",
     "bct_trial",
     "nbct_trial",
@@ -265,6 +270,33 @@ class BobEvaluation:
     clamped: np.ndarray
 
 
+def _bob_axis(alice_alpha: int, b: float, strategy: Strategy) -> tuple[float, bool, str]:
+    """Bob's effective axis, whether the reflection fired, and his slot system.
+
+    All three are theta-free. The system is ``"none"`` when a fired
+    reflection terminates the round.
+    """
+    b = normalize_angle(b)
+    bob_alpha = int(alpha_slot_of(b))
+    fired = strategy.flip_fires(alice_alpha, bob_alpha)
+    if fired and strategy.flip_semantics is FlipSemantics.TERMINATE:
+        return b, True, "none"
+    if fired:
+        b, bob_alpha = normalize_angle(b + math.pi), (bob_alpha + 5) % 10
+    return b, fired, "gamma" if bob_alpha in GAMMA_ALPHA_SLOTS else "beta"
+
+
+def _acceptance(b_eff: float, boundary):
+    """Distance ``u`` from Bob's axis to the separating boundary, and ``1 - (3*pi/10)*sin(u)``.
+
+    ``u`` is the shorter arc, so it lies in ``[0, pi]`` and the acceptance
+    in ``[1 - 3*pi/10, 1]``: a probability without clipping.
+    """
+    d = np.abs(b_eff - boundary)
+    u = np.minimum(d, TWO_PI - d)
+    return u, 1.0 - ACCEPTANCE_COEFF * np.sin(u)
+
+
 def evaluate_bob(
     alice_alpha: int,
     alice_beta_slot,
@@ -284,13 +316,8 @@ def evaluate_bob(
     a_beta = np.broadcast_to(np.asarray(alice_beta_slot, dtype=np.int64), theta.shape)
     a_gamma = np.broadcast_to(np.asarray(alice_gamma_slot, dtype=np.int64), theta.shape)
 
-    b = normalize_angle(b)
-    bob_alpha = int(alpha_slot_of(b))
-    fired = strategy.flip_fires(alice_alpha, bob_alpha)
-    b_eff = normalize_angle(b + math.pi) if fired else b
-    bob_alpha_eff = (bob_alpha + 5) % 10 if fired else bob_alpha
-
-    if fired and strategy.flip_semantics is FlipSemantics.TERMINATE:
+    b_eff, fired, system = _bob_axis(alice_alpha, b, strategy)
+    if system == "none":
         ones = np.ones_like(theta)
         return BobEvaluation(
             p_equal=np.zeros_like(theta),
@@ -308,7 +335,7 @@ def evaluate_bob(
             clamped=np.zeros(theta.shape, dtype=bool),
         )
 
-    use_gamma = bob_alpha_eff in GAMMA_ALPHA_SLOTS
+    use_gamma = system == "gamma"
     if use_gamma:
         alice_slot = a_gamma
         bob_slot = gamma_slot_of(b_eff, theta)
@@ -326,9 +353,7 @@ def evaluate_bob(
     one_step_ccw = (alice_slot - bob_slot) % 3 == 1
     k = np.where(one_step_ccw, (bob_slot + 1) % 3, bob_slot)
     bnd = boundary_of(k, theta)
-    d = np.abs(b_eff - bnd)
-    u = np.minimum(d, TWO_PI - d)
-    raw = 1.0 - ACCEPTANCE_COEFF * np.sin(u)
+    u, raw = _acceptance(b_eff, bnd)
     clamped = ~same & ((raw < 0.0) | (raw > 1.0))
     accept = np.where(same, 1.0, np.clip(raw, 0.0, 1.0))
 
@@ -338,7 +363,7 @@ def evaluate_bob(
         negate=fired,
         terminated=False,
         flip_fired=fired,
-        system="gamma" if use_gamma else "beta",
+        system=system,
         same_slot=same,
         bob_slot=bob_slot,
         alice_slot=alice_slot,
@@ -347,6 +372,126 @@ def evaluate_bob(
         u=np.where(same, math.nan, u),
         clamped=clamped,
     )
+
+
+#: the largest shared angle a round can draw
+_LAST_THETA = float(np.nextafter(THETA_SPAN, 0.0))
+#: half-width, relative to max(1, |angle|), of the bracket searched around each
+#: rounded breakpoint: far above its rounding error, far below the 3*pi/5
+#: between two flips of one slot test
+_BRACKET = 1e-12
+#: trials per step of a table lookup; small enough for its temporaries to stay in cache
+_CHUNK = 16384
+
+
+def _flip_points(tests) -> np.ndarray:
+    """Exact shared angles at which the slot of ``x`` in ``system`` changes, for each ``(x, system)``.
+
+    Each test is bracketed around both ends of the theta range and around
+    its rounded breakpoints. A bracket whose ends disagree holds exactly one
+    flip. Bisection over the bit patterns of the (non-negative) floats,
+    which order like the floats themselves, narrows all brackets at once to
+    adjacent floats; the upper one is the lowest theta of the new slot.
+    """
+    rows = [(x, system == "gamma", t) for x, system in tests
+            for t in (0.0, *theta_breakpoints(x), _LAST_THETA)]
+    x, gamma, t = (np.array(col) for col in zip(*rows))
+
+    def slot_of(theta):
+        return np.where(gamma, gamma_slot_of(x, theta), beta_slot_of(x, theta))
+
+    half = _BRACKET * np.maximum(1.0, np.abs(x))
+    lo = np.clip(t - half, 0.0, _LAST_THETA)
+    hi = np.clip(t + half, 0.0, _LAST_THETA)
+    s_lo = slot_of(lo)
+    moved = s_lo != slot_of(hi)
+    x, gamma, s_lo = x[moved], gamma[moved], s_lo[moved]
+    lo, hi = lo[moved].view(np.int64), hi[moved].view(np.int64)
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        up = slot_of(mid.view(np.float64)) != s_lo
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    return hi.view(np.float64)
+
+
+@dataclass(frozen=True)
+class SegmentTable:
+    """Bob's branch outcome on several axes against one setting, as a lookup over theta.
+
+    For fixed settings and strategy every slot test that decides Bob's
+    branch is constant between consecutive ``edges``: segment
+    ``i`` is ``[edges[i-1], edges[i])``, from 0 up to 3*pi/5. Each edge is
+    the exact float at which a :func:`~bctsim.geometry.beta_slot_of` or
+    :func:`~bctsim.geometry.gamma_slot_of` test flips, not the rounded
+    breakpoint, so a lookup agrees with :func:`evaluate_bob` at every theta.
+    Per axis ``j`` and segment: ``same[j]`` (Bob shares Alice's active slot)
+    and ``offset[j]``, the separating boundary's offset above theta; per
+    axis: the effective (possibly reflected) axis, ``negate`` and
+    ``terminated``.
+    """
+
+    edges: np.ndarray
+    axes: tuple[float, ...]
+    same: tuple[np.ndarray, ...]
+    offset: tuple[np.ndarray, ...]
+    negate: tuple[bool, ...]
+    terminated: tuple[bool, ...]
+
+    def keeps_c(self, theta: np.ndarray, coins) -> list[np.ndarray]:
+        """Per axis, whether Bob's output equals ``c`` in each trial.
+
+        ``coins[j]`` holds the acceptance draws of axis ``j``. Decides
+        exactly as ``(coin < accept_prob) ^ negate`` from
+        :func:`evaluate_bob` would. The batch is worked through in chunks
+        that keep the temporaries in cache; every step is per trial, so
+        chunking cannot change a result.
+        """
+        kept = [np.zeros(len(theta), dtype=bool) for _ in coins]
+        for lo in range(0, len(theta), _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            seg = np.searchsorted(self.edges, theta[part], side="right")
+            for j, coin in enumerate(coins):
+                if not self.terminated[j]:
+                    kept[j][part] = self._keeps_c(j, theta[part], seg, coin[part])
+        return kept
+
+    def _keeps_c(self, j: int, theta, seg, coin) -> np.ndarray:
+        # theta + offset >= 0, where np.fmod equals the np.mod of
+        # beta_boundary/gamma_boundary bit for bit (np.mod only differs on
+        # negative remainders) at a fraction of its cost
+        boundary = np.fmod(theta + self.offset[j][seg], TWO_PI)
+        _, accept = _acceptance(self.axes[j], boundary)
+        kept = (coin < accept) | self.same[j][seg]
+        return ~kept if self.negate[j] else kept
+
+
+def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
+    """Build the :class:`SegmentTable` of Alice's setting ``a`` against Bob's ``axes``.
+
+    Edges come from bisecting each slot test that matters (Alice's and each
+    Bob's, in that Bob's system) around the breakpoints of
+    :func:`~bctsim.geometry.theta_breakpoints` and around both ends of the
+    theta range. Each segment's entries come from one :func:`evaluate_bob`
+    call at its lowest theta, so the branch logic has a single owner.
+    Draws no random numbers.
+    """
+    alpha = int(alpha_slot_of(a))
+    resolved = [_bob_axis(alpha, b, strategy) for b in axes]
+    tests = {(x, system) for b_eff, _, system in resolved if system != "none" for x in (a, b_eff)}
+    edges = np.unique(_flip_points(tests)) if tests else np.array([])
+    starts = np.concatenate(([0.0], edges))
+    _, beta_slots, gamma_slots = alice_slot_arrays(a, starts)
+    same, offset, negate, terminated = [], [], [], []
+    for b in axes:
+        ev = evaluate_bob(alpha, beta_slots, gamma_slots, b, starts, strategy)
+        offsets = np.asarray(GAMMA_OFFSETS if ev.system == "gamma" else BETA_OFFSETS)
+        same.append(ev.same_slot)
+        offset.append(np.where(ev.boundary_index < 0, 0.0, offsets[ev.boundary_index]))
+        negate.append(ev.negate)
+        terminated.append(ev.terminated)
+    return SegmentTable(edges, tuple(r[0] for r in resolved), tuple(same), tuple(offset),
+                        tuple(negate), tuple(terminated))
 
 
 def _validate_message(msg: SlotMessage, hidden: HiddenState) -> None:

@@ -136,6 +136,26 @@ class TestSlotSystems:
         assert g.slot_index(x, g.gamma_system(th)) == g.slot_index(antipode, g.beta_system(th))
 
 
+class TestThetaBreakpoints:
+    def test_walkthrough_frame_points(self):
+        # the six boundary offsets against Alice at 2*pi/5 + nu and Bob at 0 and pi
+        nu = math.pi / 10
+        offsets = (0.0, 3 * math.pi / 5, 6 * math.pi / 5, math.pi, 8 * math.pi / 5, math.pi / 5)
+        want = sorted({t for x in (2 * math.pi / 5 + nu, 0.0, math.pi) for o in offsets
+                       if 0.0 < (t := g.normalize_angle(x - o)) < g.THETA_SPAN})
+        assert g.theta_breakpoints(2 * math.pi / 5 + nu, 0.0, math.pi) == want
+
+    @given(x=angle_st)
+    def test_each_point_is_a_boundary_crossing(self, x):
+        for t in g.theta_breakpoints(x):
+            assert 0.0 < t < g.THETA_SPAN
+            crossings = [abs(g.normalize_angle(t + o) - x) for o in g.BETA_OFFSETS + g.GAMMA_OFFSETS]
+            assert min(min(c, TAU - c) for c in crossings) < 1e-12
+
+    def test_no_angles_no_points(self):
+        assert g.theta_breakpoints() == []
+
+
 class TestAlphaSlotCyclicDifference:
     @pytest.mark.parametrize("j1,j2,want", [(2, 0, 2), (2, 5, 3), (9, 0, 1), (7, 2, 5)])
     def test_values(self, j1, j2, want):

@@ -1,0 +1,308 @@
+"""The segment-table kernels against a per-trial reference built on ``evaluate_bob``.
+
+The reference kernels below evaluate Alice's slots and Bob's branch logic on
+every trial, with the same draws in the same order; the table kernels look
+each trial's theta segment up instead. Tallies must agree integer for
+integer, and the table's decisions must agree with ``evaluate_bob`` bit for
+bit next to every edge.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bctsim import cli
+from bctsim import geometry as geo
+from bctsim import harness as hn
+from bctsim import protocol as pr
+from bctsim.analysis import WALKTHROUGH_B1, alice_setting, interval_windows
+
+PI = math.pi
+LAST_THETA = float(np.nextafter(geo.THETA_SPAN, 0.0))
+NUS = (0.0, PI / 20, PI / 10, 0.123, PI / 5)
+SETTINGS = tuple(k * PI / 5 for k in range(10))
+AXES = (0.0, PI)
+STRATEGIES = tuple(s for _, s in hn.CALIBRATION_VARIANTS)
+COINS = (pr.CoinMode.INDEPENDENT, pr.CoinMode.SHARED)
+SPECIAL_THETAS = (0.0, 5e-324, 1e-17, 4.4e-16, 4.5e-16, LAST_THETA)
+TRIALS = 3000
+
+
+# --- per-trial reference kernels -----------------------------------------
+
+
+def _accept(a, b, theta, strategy):
+    alpha, beta_slots, gamma_slots = pr.alice_slot_arrays(a, theta)
+    ev = pr.evaluate_bob(alpha, beta_slots, gamma_slots, b, theta, strategy)
+    return ev.accept_prob, ev.negate
+
+
+def _theta(rng, n, theta_fixed):
+    return np.full(n, theta_fixed) if theta_fixed is not None else rng.uniform(0.0, geo.THETA_SPAN, n)
+
+
+def _in_win(theta, nu):
+    (w1_lo, w1_hi), (w2_lo, w2_hi) = interval_windows(nu)
+    return ((theta >= w1_lo) & (theta <= w1_hi)) | ((theta > w2_lo) & (theta <= w2_hi))
+
+
+def ref_pair(a, b, strategy, theta_fixed, rng, n):
+    theta = _theta(rng, n, theta_fixed)
+    c = rng.integers(0, 2, n, dtype=np.int64) * 2 - 1
+    coin = rng.random(n)
+    q, negate = _accept(a, b, theta, strategy)
+    eq = (coin < q) ^ negate
+    c_b = np.where(eq, c, -c)
+    return [n, eq.sum(), (c > 0).sum(), (c_b > 0).sum()]
+
+
+def ref_two_bob(nu, strategy, coin_mode, theta_fixed, rng, n):
+    a = alice_setting(nu)
+    theta = _theta(rng, n, theta_fixed)
+    c = rng.integers(0, 2, n, dtype=np.int64) * 2 - 1
+    coin1 = rng.random(n)
+    coin2 = coin1 if coin_mode is pr.CoinMode.SHARED else rng.random(n)
+    q1, neg1 = _accept(a, WALKTHROUGH_B1, theta, strategy)
+    q2, neg2 = _accept(a, WALKTHROUGH_B1 + PI, theta, strategy)
+    b1_eq_c = (coin1 < q1) ^ neg1
+    b2_eq_c = (coin2 < q2) ^ neg2
+    eq = b1_eq_c == b2_eq_c
+    in_win = _in_win(theta, nu)
+    c_b1 = np.where(b1_eq_c, c, -c)
+    c_b2 = np.where(b2_eq_c, c, -c)
+    return [n, eq.sum(), (eq & in_win).sum(), in_win.sum(), (eq & ~in_win).sum(), b2_eq_c.sum(),
+            (c_b1 > 0).sum(), (c_b2 > 0).sum()]
+
+
+def ref_visibility(nu, visibility, strategy, coin_mode, rng, n):
+    a = alice_setting(nu)
+    theta = rng.uniform(0.0, geo.THETA_SPAN, n)
+    rng.integers(0, 2, n, dtype=np.int64)
+    coin1 = rng.random(n)
+    coin2 = coin1 if coin_mode is pr.CoinMode.SHARED else rng.random(n)
+    keep1 = rng.random(n) < visibility
+    keep2 = rng.random(n) < visibility
+    q1, neg1 = _accept(a, WALKTHROUGH_B1, theta, strategy)
+    q2, neg2 = _accept(a, WALKTHROUGH_B1 + PI, theta, strategy)
+    eq = ((coin1 < q1) ^ neg1) == ((coin2 < q2) ^ neg2)
+    survived = keep1 & keep2
+    return [n, survived.sum(), (survived & eq).sum(), (survived & eq & _in_win(theta, nu)).sum()]
+
+
+def ref_joint(a, b, strategy, rng, n):
+    theta = rng.uniform(0.0, geo.THETA_SPAN, n)
+    c = rng.integers(0, 2, n, dtype=np.int64) * 2 - 1
+    coin = rng.random(n)
+    q, negate = _accept(a, b, theta, strategy)
+    c_b = np.where((coin < q) ^ negate, c, -c)
+    return [n, ((c > 0) & (c_b > 0)).sum(), ((c > 0) & (c_b < 0)).sum(),
+            ((c < 0) & (c_b > 0)).sum(), ((c < 0) & (c_b < 0)).sum()]
+
+
+def _both(kernel, reference, seed, n=TRIALS):
+    got = kernel(np.random.default_rng(seed), n)
+    want = reference(np.random.default_rng(seed), n)
+    assert got.dtype == np.int64
+    assert got.tolist() == [int(v) for v in want]
+
+
+# --- differential tallies ---------------------------------------------------
+
+
+@pytest.mark.parametrize("nu", NUS)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("coin_mode", COINS)
+def test_two_bob_kernel_matches_reference(nu, strategy, coin_mode):
+    w = interval_windows(nu)
+    for theta_fixed in (None, 0.0, 4.4e-16, w[0][0], w[0][1], float(np.nextafter(w[1][1], 9.0)), LAST_THETA):
+        for seed in (1, 2):
+            _both(hn._two_bob_kernel(nu, strategy, coin_mode, theta_fixed),
+                  lambda rng, n: ref_two_bob(nu, strategy, coin_mode, theta_fixed, rng, n), seed)
+
+
+@pytest.mark.parametrize("a", SETTINGS + (0.123, 2 * PI / 5 + PI / 10))
+@pytest.mark.parametrize("b", AXES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_pair_and_joint_kernels_match_reference(a, b, strategy):
+    for theta_fixed in (None,) + SPECIAL_THETAS[:4]:
+        for seed in (3, 4):
+            _both(hn._pair_kernel(a, b, strategy, theta_fixed),
+                  lambda rng, n: ref_pair(a, b, strategy, theta_fixed, rng, n), seed)
+    _both(hn._joint_kernel(a, b, strategy), lambda rng, n: ref_joint(a, b, strategy, rng, n), 5)
+
+
+@pytest.mark.parametrize("nu", NUS)
+@pytest.mark.parametrize("coin_mode", COINS)
+def test_visibility_kernel_matches_reference(nu, coin_mode):
+    for strategy in STRATEGIES:
+        for visibility in (0.5, 1.0):
+            _both(hn._visibility_kernel(nu, visibility, strategy, coin_mode),
+                  lambda rng, n: ref_visibility(nu, visibility, strategy, coin_mode, rng, n), 6)
+
+
+def test_batches_longer_than_a_lookup_chunk():
+    nu, strategy, coin = PI / 10, pr.CYCLIC_FLIP, pr.CoinMode.INDEPENDENT
+    n = 2 * pr._CHUNK + 1234
+    _both(hn._two_bob_kernel(nu, strategy, coin),
+          lambda rng, n: ref_two_bob(nu, strategy, coin, None, rng, n), 7, n)
+    _both(hn._pair_kernel(1.0, PI, pr.ABS_FLIP), lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, None, rng, n), 8, n)
+
+
+# --- the table next to its edges -------------------------------------------
+
+
+def _table_cases():
+    settings_ = SETTINGS + tuple(alice_setting(nu) for nu in NUS)
+    for strategy in STRATEGIES:
+        for a in settings_:
+            yield a, AXES, strategy
+
+
+def _near(values, ulps: int = 64) -> np.ndarray:
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    around = (bits[:, None] + np.arange(-ulps, ulps + 1)).ravel()
+    theta = np.unique(around.clip(0, np.array(LAST_THETA).view(np.int64)).view(np.float64))
+    return theta
+
+
+def _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, theta):
+    """The table's acceptance threshold and negation equal evaluate_bob's bit for bit.
+
+    Probing each theta with coin = q and coin = nextafter(q, 0) (where valid)
+    separates any two thresholds that differ by even one ulp.
+    """
+    for j, b in enumerate(axes):
+        q, negate = _accept(a, b, theta, strategy)
+        for coin in (q, np.nextafter(q, 0.0)):
+            valid = coin < 1.0
+            want = (coin < q) ^ negate
+            got = table.keeps_c(theta, [coin] * len(axes))[j]
+            assert np.array_equal(got[valid], want[valid]), (a, b, strategy)
+
+
+@pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
+def test_table_matches_evaluate_bob_around_every_edge(a, axes, strategy):
+    table = pr.segment_table(a, axes, strategy)
+    assert np.all(np.diff(table.edges) > 0)
+    assert np.all((table.edges > 0.0) & (table.edges <= LAST_THETA))
+    theta = _near(np.concatenate(([0.0, LAST_THETA], table.edges)))
+    theta = np.union1d(theta, SPECIAL_THETAS)
+    _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, theta)
+    # and on a uniform sweep of the whole range
+    _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, np.linspace(0.0, LAST_THETA, 2001))
+
+
+@pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
+def test_every_edge_is_a_slot_flip(a, axes, strategy):
+    """No spurious edges: some axis's branch changes between an edge and the float below it."""
+    table = pr.segment_table(a, axes, strategy)
+    below = np.nextafter(table.edges, 0.0)
+    alpha, beta_lo, gamma_lo = pr.alice_slot_arrays(a, below)
+    _, beta_hi, gamma_hi = pr.alice_slot_arrays(a, table.edges)
+    changed = np.zeros(len(table.edges), dtype=bool)
+    for b in axes:
+        lo = pr.evaluate_bob(alpha, beta_lo, gamma_lo, b, below, strategy)
+        hi = pr.evaluate_bob(alpha, beta_hi, gamma_hi, b, table.edges, strategy)
+        changed |= (lo.alice_slot != hi.alice_slot) | (lo.bob_slot != hi.bob_slot)
+    assert changed.all()
+
+
+def test_coinciding_breakpoints_split_one_float_apart():
+    # at a = 7*pi/5 Alice's gamma test, Bob's gamma test on axis 0 and his
+    # beta test on axis pi all flip next to theta = 2*pi/5, a float apart;
+    # each flip is its own edge
+    a = 7 * PI / 5
+    table = pr.segment_table(a, AXES, pr.NO_FLIP)
+    close = table.edges[:-1][np.diff(table.edges.view(np.int64)) == 1]
+    assert len(close) >= 1
+    assert abs(close[0] - 2 * PI / 5) < 1e-15
+    _assert_table_decides_like_evaluate_bob(table, a, AXES, pr.NO_FLIP, _near(close, 8))
+
+
+def test_tiny_theta_flip_gets_its_own_edge():
+    # Alice at 0, tested in beta, flips at the first float the _mod_tau fold
+    # no longer maps to slot 0 (about 4.4e-16), not at theta = 0
+    table = pr.segment_table(0.0, (PI,), pr.NO_FLIP)
+    edge = table.edges[0]
+    assert 4.4e-16 < edge < 4.5e-16
+    assert int(geo.beta_slot_of(0.0, np.nextafter(edge, 0.0))) == 0
+    assert int(geo.beta_slot_of(0.0, edge)) == 2
+
+
+def test_terminated_axis_never_keeps_c():
+    strategy = pr.Strategy(pr.FlipRule.ABSOLUTE, pr.FlipSemantics.TERMINATE)
+    table = pr.segment_table(2 * PI / 5, (PI,), strategy)  # alpha slots 2 and 5: fires
+    assert table.terminated == (True,)
+    theta = np.linspace(0.0, LAST_THETA, 101)
+    (kept,) = table.keeps_c(theta, [np.zeros_like(theta)])
+    assert not kept.any()
+
+
+def test_building_a_table_draws_no_random_numbers():
+    state = np.random.get_state()[1].copy()
+    pr.segment_table(1.0, AXES, pr.CYCLIC_FLIP)
+    assert np.array_equal(np.random.get_state()[1], state)
+
+
+# --- known arithmetic-rule behaviour -----------------------------------------
+
+
+@pytest.mark.parametrize("theta", [5e-324, 1e-17, 2e-16, 4.4e-16])
+def test_tiny_theta_slot_flip_is_pinned(theta):
+    """Pins ROADMAP item 3's ``_mod_tau`` fold rather than fixing it.
+
+    Just above theta = 0 the arithmetic rule folds ``0 - theta`` (which
+    rounds to 2*pi) back to 0, so Alice at 0 is in beta slot 0, while the
+    interval walk puts her in slot 2. The kernels use the arithmetic rule,
+    and the table reproduces it; item 3 will pick one rule.
+    """
+    assert int(geo.beta_slot_of(0.0, theta)) == 0
+    assert geo.slot_index(0.0, geo.beta_system(theta)) == 2
+    assert int(geo.beta_slot_of(0.0, 4.5e-16)) == 2
+
+
+# --- the acceptance rule needs no clipping ------------------------------------
+
+
+@pytest.mark.parametrize("u", [0.0, float(np.nextafter(0.0, 1.0)), PI / 2, PI, float(np.nextafter(PI, 0.0))])
+def test_acceptance_lies_in_unit_interval(u):
+    dist, accept = pr._acceptance(0.0, u)
+    assert float(dist) == u
+    assert 1.0 - pr.ACCEPTANCE_COEFF <= float(accept) <= 1.0
+
+
+@given(u=st.floats(min_value=0.0, max_value=PI), b=st.floats(min_value=0.0, max_value=2 * PI, exclude_max=True))
+@settings(max_examples=300)
+def test_acceptance_needs_no_clip(u, b):
+    dist, accept = pr._acceptance(0.0, u)
+    assert 0.0 <= float(accept) <= 1.0
+    # any axis against any boundary in [0, 2*pi): the shorter arc stays in [0, pi]
+    boundary = geo.normalize_angle(b + u)
+    dist, accept = pr._acceptance(b, boundary)
+    assert 0.0 <= float(dist) <= PI
+    assert 0.0 <= float(accept) <= 1.0
+
+
+# --- worker invariance through the command line -------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["correlation", "--angle-grid", "0:6.2832:5"],
+    ["opposite-axes", "--nu-grid", "0:0.6283:3", "--strategy", "cyclic-flip"],
+    ["visibility", "--visibility-grid", "0.5:1:2", "--nu-grid", "0.31416:0.31416:1", "--coin", "shared"],
+    ["audit", "--theta-grid", "0.94248:1.5708:3"],
+    ["remedy", "--nu-grid", "0.31416:0.31416:1", "--theta-grid", "1.41372:1.41372:1",
+     "--flip-semantics", "terminate"],
+    ["calibrate", "--angle-grid", "0:6.2832:3"],
+])
+def test_one_and_two_workers_emit_identical_csv(tmp_path, argv):
+    blobs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}.csv"
+        assert cli.main(argv + ["--trials", "30000", "--batch-size", "7000", "--seed", "3",
+                                "--workers", str(workers), "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
