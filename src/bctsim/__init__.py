@@ -42,18 +42,11 @@ from .analysis import (
 from .geometry import (
     ALPHA_WIDTH,
     THETA_SPAN,
-    BoundaryCrossing,
     Cell,
-    SlotSystem,
     alpha_slot_cyclic_difference,
-    alpha_system,
     arc_distance,
-    beta_system,
-    boundary_between,
     cell_index,
-    gamma_system,
     normalize_angle,
-    slot_index,
 )
 from .harness import (
     VERSION,

@@ -37,16 +37,13 @@ from .geometry import (
     GAMMA_OFFSETS,
     THETA_SPAN,
     TWO_PI,
-    SlotSystem,
     alpha_slot_cyclic_difference,
     alpha_slot_of,
     beta_boundary,
     beta_slot_of,
-    beta_system,
     cell_index,
     gamma_boundary,
     gamma_slot_of,
-    gamma_system,
     normalize_angle,
     theta_breakpoints,
 )
@@ -144,12 +141,10 @@ class ProtocolError(ValueError):
 
 @dataclass(frozen=True)
 class HiddenState:
-    """Shared randomness of one round plus the slot systems it induces."""
+    """Shared randomness of one round: the sign and the angle that positions the beta/gamma slots."""
 
     c: int
     theta: float
-    beta: SlotSystem
-    gamma: SlotSystem
 
     @classmethod
     def make(cls, c: int, theta: float) -> "HiddenState":
@@ -157,7 +152,7 @@ class HiddenState:
             raise ProtocolError(f"shared sign must be -1 or +1, got {c!r}")
         if not (0.0 <= theta < THETA_SPAN):
             raise ProtocolError(f"shared angle must lie in [0, 3*pi/5), got {theta!r}")
-        return cls(c=c, theta=theta, beta=beta_system(theta), gamma=gamma_system(theta))
+        return cls(c=c, theta=theta)
 
 
 def draw_hidden(rng: np.random.Generator) -> HiddenState:
@@ -216,7 +211,6 @@ class TrialRecord:
     boundary_index: int  # -1 when no boundary was involved
     u: float  # nan when no boundary was involved
     accept_prob: float  # pre-negation probability of keeping c
-    clamped: bool
     flip_rule: str
     flip_semantics: str
 
@@ -267,7 +261,6 @@ class BobEvaluation:
     boundary_index: np.ndarray
     boundary_angle: np.ndarray
     u: np.ndarray
-    clamped: np.ndarray
 
 
 def _bob_axis(alice_alpha: int, b: float, strategy: Strategy) -> tuple[float, bool, str]:
@@ -332,7 +325,6 @@ def evaluate_bob(
             boundary_index=np.full(theta.shape, -1, dtype=np.int64),
             boundary_angle=np.full(theta.shape, math.nan),
             u=np.full(theta.shape, math.nan),
-            clamped=np.zeros(theta.shape, dtype=bool),
         )
 
     use_gamma = system == "gamma"
@@ -353,9 +345,8 @@ def evaluate_bob(
     one_step_ccw = (alice_slot - bob_slot) % 3 == 1
     k = np.where(one_step_ccw, (bob_slot + 1) % 3, bob_slot)
     bnd = boundary_of(k, theta)
-    u, raw = _acceptance(b_eff, bnd)
-    clamped = ~same & ((raw < 0.0) | (raw > 1.0))
-    accept = np.where(same, 1.0, np.clip(raw, 0.0, 1.0))
+    u, accept = _acceptance(b_eff, bnd)
+    accept = np.where(same, 1.0, accept)
 
     return BobEvaluation(
         p_equal=1.0 - accept if fired else accept,
@@ -370,7 +361,6 @@ def evaluate_bob(
         boundary_index=np.where(same, -1, k),
         boundary_angle=np.where(same, math.nan, bnd),
         u=np.where(same, math.nan, u),
-        clamped=clamped,
     )
 
 
@@ -422,9 +412,11 @@ class SegmentTable:
     For fixed settings and strategy every slot test that decides Bob's
     branch is constant between consecutive ``edges``: segment
     ``i`` is ``[edges[i-1], edges[i])``, from 0 up to 3*pi/5. Each edge is
-    the exact float at which a :func:`~bctsim.geometry.beta_slot_of` or
-    :func:`~bctsim.geometry.gamma_slot_of` test flips, not the rounded
-    breakpoint, so a lookup agrees with :func:`evaluate_bob` at every theta.
+    the lowest theta at which a :func:`~bctsim.geometry.beta_slot_of` or
+    :func:`~bctsim.geometry.gamma_slot_of` test gives a new slot, because a
+    boundary float has moved past the tested angle; it is that exact float,
+    not the rounded breakpoint, so a lookup agrees with :func:`evaluate_bob`
+    at every theta.
     Per axis ``j`` and segment: ``same[j]`` (Bob shares Alice's active slot)
     and ``offset[j]``, the separating boundary's offset above theta; per
     axis: the effective (possibly reflected) axis, ``negate`` and
@@ -472,7 +464,9 @@ def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
     Edges come from bisecting each slot test that matters (Alice's and each
     Bob's, in that Bob's system) around the breakpoints of
     :func:`~bctsim.geometry.theta_breakpoints` and around both ends of the
-    theta range. Each segment's entries come from one :func:`evaluate_bob`
+    theta range; an angle on a boundary at theta = 0 leaves that slot at the
+    first float above 0, which is then the first edge. Each segment's
+    entries come from one :func:`evaluate_bob`
     call at its lowest theta, so the branch logic has a single owner.
     Draws no random numbers.
     """
@@ -561,7 +555,6 @@ def bob_round(
         boundary_index=int(ev.boundary_index),
         u=float(ev.u),
         accept_prob=accept,
-        clamped=bool(ev.clamped),
         flip_rule=strategy.flip_rule.value,
         flip_semantics=strategy.flip_semantics.value,
     )

@@ -47,7 +47,7 @@ def test_criterion_02_walkthrough_slot_geometry():
     hidden = pr.HiddenState.make(1, theta)
     _, msg = pr.alice_round(PI / 2, hidden)
     assert msg.triple == (2, 0, 1)
-    assert g.slot_index(0.0, g.gamma_system(theta)) == 1
+    assert int(g.gamma_slot_of(0.0, theta)) == 1
     # the antipodal axis crosses beta_1 at distance pi/20, bit-exact
     _, rec = pr.bob_round(PI, msg, hidden, strategy=pr.NO_FLIP, coin=0.0)
     assert rec.system == "beta"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bctsim import geometry as g
+from slot_oracle import oracle_triple, slot_triple, systems
 
 TAU = 2.0 * math.pi
 
@@ -59,40 +60,34 @@ class TestArcDistance:
 
 class TestSlotSystems:
     def test_alpha_boundaries(self):
-        sys_a = g.alpha_system()
-        assert len(sys_a) == 10
-        assert sys_a.boundaries == tuple(j * math.pi / 5 for j in range(10))
+        below = [np.nextafter(TAU, 0.0)] + [np.nextafter(j * math.pi / 5, 0.0) for j in range(1, 10)]
+        for j in range(10):
+            assert int(g.alpha_slot_of(j * math.pi / 5)) == j
+            assert int(g.alpha_slot_of(below[j])) == (j - 1) % 10
 
     def test_gamma_is_half_turn_of_beta(self):
         for theta in np.linspace(0.0, g.THETA_SPAN, 37, endpoint=False):
-            beta = g.beta_system(theta)
-            gamma = g.gamma_system(theta)
-            for b_k, g_k in zip(beta.boundaries, gamma.boundaries):
-                assert g.arc_distance(g_k, b_k + math.pi) < 1e-12
-
-    def test_wrong_boundary_count_rejected(self):
-        with pytest.raises(ValueError):
-            g.SlotSystem((0.0, 1.0), "beta")
-        with pytest.raises(ValueError):
-            g.SlotSystem(tuple(float(j) for j in range(3)), "alpha")
+            for k in range(3):
+                b_k, g_k = g.beta_boundary(k, theta), g.gamma_boundary(k, theta)
+                assert g.arc_distance(float(g_k), float(b_k) + math.pi) < 1e-12
 
     def test_slot_index_quarter_turn_in_alpha(self):
-        assert g.slot_index(math.pi / 2, g.alpha_system()) == 2
+        assert int(g.alpha_slot_of(math.pi / 2)) == 2
 
     def test_slot_index_walkthrough_beta_gamma(self):
         theta = 0.35 * math.pi
-        assert g.slot_index(math.pi / 2, g.beta_system(theta)) == 0
-        assert g.slot_index(math.pi / 2, g.gamma_system(theta)) == 1
+        assert int(g.beta_slot_of(math.pi / 2, theta)) == 0
+        assert int(g.gamma_slot_of(math.pi / 2, theta)) == 1
 
     @given(x=angle_st, th=theta_st)
     def test_partition_totality(self, x, th):
         # every angle gets exactly one valid slot in each system, and every
         # boundary is owned by the slot it opens (half-open convention)
-        for system in (g.alpha_system(), g.beta_system(th), g.gamma_system(th)):
-            n = len(system)
-            assert 0 <= g.slot_index(x, system) < n
-            for j, b in enumerate(system.boundaries):
-                assert g.slot_index(b, system) == j
+        slot_fns = (g.alpha_slot_of, lambda v: g.beta_slot_of(v, th), lambda v: g.gamma_slot_of(v, th))
+        for n, bounds, slot_of in zip((10, 3, 3), systems(th), slot_fns):
+            assert 0 <= int(slot_of(x)) < n
+            for j, b in enumerate(bounds):
+                assert int(slot_of(b)) == j
 
     def test_partition_totality_random_intervals(self):
         # on generic inputs the rank rule agrees with direct half-open
@@ -101,15 +96,10 @@ class TestSlotSystems:
         for _ in range(10_000):
             x = float(rng.uniform(0.0, TAU))
             th = float(rng.uniform(0.0, g.THETA_SPAN))
-            for system in (g.alpha_system(), g.beta_system(th), g.gamma_system(th)):
-                n = len(system)
-                hits = [
-                    j
-                    for j in range(n)
-                    if (x - system.boundaries[j]) % TAU
-                    < (system.boundaries[(j + 1) % n] - system.boundaries[j]) % TAU
-                ]
-                assert hits == [g.slot_index(x, system)]
+            for bounds, got in zip(systems(th), slot_triple(x, th)):
+                n = len(bounds)
+                hits = [j for j in range(n) if (x - bounds[j]) % TAU < (bounds[(j + 1) % n] - bounds[j]) % TAU]
+                assert hits == [got]
 
     def test_partition_totality_bulk(self):
         rng = np.random.default_rng(20240)
@@ -118,22 +108,27 @@ class TestSlotSystems:
         for x, th in zip(xs, ths):
             cell = g.cell_index(float(x), float(th))
             assert 0 <= cell.index <= 15
-            assert cell.alpha_slot == g.slot_index(float(x), g.alpha_system())
+            assert cell.triple == oracle_triple(float(x), float(th))
 
     def test_arithmetic_slots_match_interval_walk(self):
+        # vector calls against the sorted-boundary oracle
         rng = np.random.default_rng(99)
-        for _ in range(2_000):
-            x = float(rng.uniform(0.0, TAU))
-            th = float(rng.uniform(0.0, g.THETA_SPAN))
-            assert int(g.alpha_slot_of(x)) == g.slot_index(x, g.alpha_system())
-            assert int(g.beta_slot_of(x, th)) == g.slot_index(x, g.beta_system(th))
-            assert int(g.gamma_slot_of(x, th)) == g.slot_index(x, g.gamma_system(th))
+        xs = rng.uniform(0.0, TAU, 2_000)
+        ths = rng.uniform(0.0, g.THETA_SPAN, 2_000)
+        alpha, beta, gamma = g.alpha_slot_of(xs), g.beta_slot_of(xs, ths), g.gamma_slot_of(xs, ths)
+        for i, (x, th) in enumerate(zip(xs, ths)):
+            assert (alpha[i], beta[i], gamma[i]) == oracle_triple(float(x), float(th))
 
     @given(x=angle_st, th=theta_st)
     def test_gamma_slot_equals_beta_slot_of_antipode(self, x, th):
         # the index permutation between the systems is the identity
         antipode = g.normalize_angle(x + math.pi)
-        assert g.slot_index(x, g.gamma_system(th)) == g.slot_index(antipode, g.beta_system(th))
+        assert int(g.gamma_slot_of(x, th)) == int(g.beta_slot_of(antipode, th))
+
+    @pytest.mark.parametrize("x", [-1e-300, -5e-324, TAU, 3 * TAU + 0.5, -2.0])
+    def test_unnormalized_angles_reduce_first(self, x):
+        th = 0.4
+        assert slot_triple(x, th) == oracle_triple(x, th)
 
 
 class TestThetaBreakpoints:
@@ -171,58 +166,6 @@ class TestAlphaSlotCyclicDifference:
     def test_out_of_range_rejected(self, j1, j2):
         with pytest.raises(ValueError):
             g.alpha_slot_cyclic_difference(j1, j2)
-
-
-class TestBoundaryBetween:
-    def test_walkthrough_crossing(self):
-        # between pi/2 and pi under the beta system at theta = 0.35*pi the
-        # only boundary is beta_1 = 0.95*pi; enumerate all three to confirm
-        theta = 0.35 * math.pi
-        system = g.beta_system(theta)
-        inside = [b for b in system.boundaries if math.pi / 2 < b < math.pi]
-        assert inside == [pytest.approx(0.95 * math.pi)]
-        hit = g.boundary_between(math.pi / 2, math.pi, system)
-        assert hit is not None
-        assert hit.angle == pytest.approx(0.95 * math.pi, abs=1e-12)
-        assert hit.index == 1
-        assert not hit.multiple
-
-    def test_same_angle_gives_none(self):
-        assert g.boundary_between(1.0, 1.0, g.beta_system(0.35 * math.pi)) is None
-
-    def test_same_slot_gives_none(self):
-        system = g.beta_system(0.35 * math.pi)
-        assert g.slot_index(0.0, system) == g.slot_index(math.pi / 10, system) == 2
-        assert g.boundary_between(0.0, math.pi / 10, system) is None
-
-    def test_endpoint_on_boundary_is_returned(self):
-        # y exactly on a boundary still separates the slots, with zero gap
-        theta = 2 * math.pi / 5  # beta_1 lands exactly on pi
-        system = g.beta_system(theta)
-        hit = g.boundary_between(math.pi / 2, math.pi, system)
-        assert hit is not None
-        assert g.arc_distance(hit.angle, math.pi) == 0.0
-
-    def test_multiple_boundaries_flagged(self):
-        # an arc of length pi can hold two boundaries of a three-slot system
-        system = g.beta_system(0.1 * math.pi)
-        hit = g.boundary_between(0.0, math.pi, system)
-        assert hit is not None
-        assert hit.multiple
-        # nearest to the endpoint wins
-        assert hit.angle == pytest.approx(0.7 * math.pi, abs=1e-12)
-
-    def test_alpha_system_rejected(self):
-        with pytest.raises(ValueError):
-            g.boundary_between(0.0, 1.0, g.alpha_system())
-
-    @given(x=angle_st, y=angle_st, th=theta_st)
-    @settings(max_examples=200)
-    def test_crossing_consistent_with_slots(self, x, y, th):
-        system = g.beta_system(th)
-        hit = g.boundary_between(x, y, system)
-        same = g.slot_index(x, system) == g.slot_index(y, system)
-        assert (hit is None) == same
 
 
 class TestCellIndex:

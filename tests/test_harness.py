@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,3 +333,14 @@ class TestCli:
             code = cli.main([sub, "--trials", "500", "--format", "json", "--out", str(out)])
             assert code == 0, sub
             assert json.loads(out.read_text())["rows"], sub
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("line", [ln for ln in README.read_text().splitlines() if ln.startswith("bctsim ")])
+def test_readme_commands_run(tmp_path, line):
+    argv = shlex.split(line)[1:]
+    argv[argv.index("--trials") + 1] = "2000"
+    argv[argv.index("--out") + 1] = str(tmp_path / "out.csv")
+    assert cli.main(argv) == 0

@@ -223,12 +223,12 @@ def test_coinciding_breakpoints_split_one_float_apart():
 
 
 def test_tiny_theta_flip_gets_its_own_edge():
-    # Alice at 0, tested in beta, flips at the first float the _mod_tau fold
-    # no longer maps to slot 0 (about 4.4e-16), not at theta = 0
+    # Alice at 0, tested in beta, owns the boundary theta only at theta = 0:
+    # she leaves slot 0 for slot 2 at the first float above it
     table = pr.segment_table(0.0, (PI,), pr.NO_FLIP)
     edge = table.edges[0]
-    assert 4.4e-16 < edge < 4.5e-16
-    assert int(geo.beta_slot_of(0.0, np.nextafter(edge, 0.0))) == 0
+    assert edge == 5e-324
+    assert int(geo.beta_slot_of(0.0, 0.0)) == 0
     assert int(geo.beta_slot_of(0.0, edge)) == 2
 
 
@@ -247,21 +247,19 @@ def test_building_a_table_draws_no_random_numbers():
     assert np.array_equal(np.random.get_state()[1], state)
 
 
-# --- known arithmetic-rule behaviour -----------------------------------------
+# --- tiny shared angles ------------------------------------------------------
 
 
 @pytest.mark.parametrize("theta", [5e-324, 1e-17, 2e-16, 4.4e-16])
 def test_tiny_theta_slot_flip_is_pinned(theta):
-    """Pins ROADMAP item 3's ``_mod_tau`` fold rather than fixing it.
+    """Alice at 0 lies below beta_0 = theta for every theta > 0: slot 2.
 
-    Just above theta = 0 the arithmetic rule folds ``0 - theta`` (which
-    rounds to 2*pi) back to 0, so Alice at 0 is in beta slot 0, while the
-    interval walk puts her in slot 2. The kernels use the arithmetic rule,
-    and the table reproduces it; item 3 will pick one rule.
+    Reducing ``0 - theta`` mod 2*pi rounds to 2*pi for tiny theta, so a rule
+    that measured ``x - theta`` would fold her back into slot 0; comparing
+    ``x`` with the boundary float cannot.
     """
-    assert int(geo.beta_slot_of(0.0, theta)) == 0
-    assert geo.slot_index(0.0, geo.beta_system(theta)) == 2
-    assert int(geo.beta_slot_of(0.0, 4.5e-16)) == 2
+    assert int(geo.beta_slot_of(0.0, theta)) == 2
+    assert geo.beta_slot_of(0.0, np.array([0.0, theta, 4.5e-16])).tolist() == [0, 2, 2]
 
 
 # --- the acceptance rule needs no clipping ------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bctsim import protocol as pr
-from bctsim.geometry import THETA_SPAN, arc_distance
+from bctsim.geometry import THETA_SPAN, arc_distance, beta_boundary, gamma_boundary
 
 PI = math.pi
 #: acceptance probability of the cross-slot branch at u = pi/20
@@ -39,8 +39,8 @@ class TestHiddenState:
 
     def test_derived_systems_match_theta(self):
         h = pr.HiddenState.make(-1, 1.0)
-        assert h.beta.boundaries[0] == pytest.approx(1.0)
-        assert arc_distance(h.gamma.boundaries[0], h.beta.boundaries[0] + PI) < 1e-12
+        assert beta_boundary(0, h.theta) == pytest.approx(1.0)
+        assert arc_distance(float(gamma_boundary(0, h.theta)), float(beta_boundary(0, h.theta)) + PI) < 1e-12
 
     def test_rejects_bad_sign_and_angle(self):
         with pytest.raises(pr.ProtocolError):
@@ -98,6 +98,15 @@ class TestBobRound:
         assert rec.u == PI / 20  # exact in binary floating point
         assert rec.accept_prob == pytest.approx(P_CROSS_SMALL, abs=1e-15)
         assert c_b == 1  # coin below the acceptance probability keeps c
+
+    def test_axis_on_a_boundary_is_separated_at_zero_distance(self):
+        # at theta = 2*pi/5, beta_1 lands exactly on pi: Bob there opens slot 1
+        h = pr.HiddenState.make(1, 2 * PI / 5)
+        _, msg = pr.alice_round(PI / 2, h)
+        _, rec = pr.bob_round(PI, msg, h, strategy=pr.NO_FLIP, coin=0.5)
+        assert (rec.branch, rec.alice_active_slot, rec.bob_slot) == ("cross-slot", 0, 1)
+        assert (rec.boundary_index, rec.boundary_angle, rec.u) == (1, PI, 0.0)
+        assert rec.accept_prob == 1.0
 
     def test_cross_slot_rejection_flips_sign(self):
         h = pr.HiddenState.make(1, 0.35 * PI)
@@ -294,10 +303,10 @@ class TestPerThetaProbability:
                 assert marginal_plus == pytest.approx(0.5, abs=1e-12)
 
     def test_clamp_never_fires(self):
-        # 1 - (3*pi/10) sin u stays within [0.057, 1] for u in [0, pi]
+        # 1 - (3*pi/10) sin u stays within [0.057, 1] for u in [0, pi], so
+        # the acceptance is a probability without clipping
         rng = np.random.default_rng(32)
         for _ in range(300):
             a, b = rng.uniform(0, 2 * PI, 2)
             _, _, rec = pr.bct_trial(float(a), float(b), rng, pr.NO_FLIP)
-            assert not rec.clamped
-            assert rec.accept_prob >= 1.0 - 3 * PI / 10 - 1e-12
+            assert 1.0 - pr.ACCEPTANCE_COEFF <= rec.accept_prob <= 1.0

@@ -1,0 +1,153 @@
+"""One slot rule at every boundary: slot functions, wire cell, scalar rounds and kernels agree.
+
+The points sit on each of the sixteen boundaries and one float either side
+of it. There the slot functions, the four-bit cell and its decoding, the
+sorted-boundary oracle, the scalar round and the analytic per-theta
+probability must all agree exactly, and a batch replayed round by round
+through Alice's message must reproduce every kernel decision.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bctsim import geometry as g
+from bctsim import harness as hn
+from bctsim import protocol as pr
+from bctsim.analysis import alice_setting
+from slot_oracle import oracle_triple, slot_triple
+
+PI = math.pi
+LAST_THETA = float(np.nextafter(g.THETA_SPAN, 0.0))
+#: degenerate and extreme shared angles, then multiples of pi/5 (boundaries coincide)
+GRID_THETAS = (0.0, 5e-324, LAST_THETA, PI / 5, 2 * PI / 5)
+STRATEGIES = tuple(s for _, s in hn.CALIBRATION_VARIANTS)
+AXES = (0.0, PI)
+
+
+def _neighbours(theta: float) -> list[float]:
+    """Every boundary at ``theta`` and the float either side of it, in [0, 2*pi)."""
+    xs = set()
+    for b in g._cell_bounds(theta):
+        for x in (b, np.nextafter(b, math.inf), np.nextafter(b, -math.inf)):
+            xs.add(g.normalize_angle(float(x)))
+    return sorted(xs)
+
+
+def _grid():
+    rng = np.random.default_rng(2718)
+    thetas = GRID_THETAS + tuple(float(t) for t in rng.uniform(0.0, g.THETA_SPAN, 6))
+    return [(x, theta) for theta in thetas for x in _neighbours(theta)]
+
+
+GRID = _grid()
+
+
+def _check_point(x: float, theta: float) -> None:
+    cell = g.cell_index(x, theta)
+    bounds = g._cell_bounds(theta)
+    hi = bounds[cell.index + 1] if cell.index < 15 else g.TWO_PI
+    assert bounds[cell.index] <= x < hi  # never an empty cell
+    want = oracle_triple(x, theta)
+    assert slot_triple(x, theta) == want
+    assert cell.triple == want
+    assert g.cell_to_triple(cell.index, theta) == want
+
+
+def _scalar_p_equal(a: float, b: float, theta: float, strategy) -> float:
+    hidden = pr.HiddenState.make(1, theta)
+    _, msg = pr.alice_round(a, hidden)
+    _, rec = pr.bob_round(b, msg, hidden, strategy=strategy, coin=0.5)
+    return 1.0 - rec.accept_prob if rec.negated else rec.accept_prob
+
+
+def test_cell_triple_slot_functions_and_oracle_agree_next_to_boundaries():
+    for x, theta in GRID:
+        _check_point(x, theta)
+
+
+def test_vector_slot_functions_match_oracle_next_to_boundaries():
+    x = np.array([p[0] for p in GRID])
+    theta = np.array([p[1] for p in GRID])
+    got = np.stack([g.alpha_slot_of(x), g.beta_slot_of(x, theta), g.gamma_slot_of(x, theta)], axis=1)
+    assert got.tolist() == [list(oracle_triple(*p)) for p in GRID]
+
+
+def test_degenerate_theta_never_emits_an_empty_cell():
+    for theta in (0.0, PI / 5, 2 * PI / 5):
+        bounds = g._cell_bounds(theta)
+        empty = {i for i in range(15) if bounds[i] == bounds[i + 1]}
+        assert empty  # boundaries coincide at multiples of pi/5
+        seen = {g.cell_index(x, theta).index for x in _neighbours(theta)}
+        assert not seen & empty
+        for i in empty:
+            with pytest.raises(ValueError):
+                g.cell_to_triple(i, theta)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_scalar_round_matches_analytic_probability_next_to_boundaries(strategy):
+    """The message path and ``p_equal_given_theta`` agree bit for bit, Alice on or next to a boundary."""
+    for a, theta in GRID:
+        for b in AXES:
+            assert _scalar_p_equal(a, b, theta, strategy) == float(pr.p_equal_given_theta(a, b, theta, strategy))
+
+
+@given(theta=st.one_of(st.sampled_from(GRID_THETAS),
+                       st.floats(min_value=0.0, max_value=g.THETA_SPAN, exclude_max=True)),
+       k=st.integers(min_value=0, max_value=15), step=st.sampled_from((-1, 0, 1)),
+       strategy=st.sampled_from(STRATEGIES), b=st.sampled_from(AXES + (0.9 * PI, 1.3)))
+@settings(max_examples=300, deadline=None)
+def test_boundary_neighbours_agree(theta, k, step, strategy, b):
+    x = g._cell_bounds(theta)[k]
+    if step:
+        x = g.normalize_angle(float(np.nextafter(x, math.copysign(math.inf, step))))
+    _check_point(x, theta)
+    assert _scalar_p_equal(x, b, theta, strategy) == float(pr.p_equal_given_theta(x, b, theta, strategy))
+
+
+# --- message path against the kernels' table path ------------------------------
+
+
+def _replay_cases():
+    settings_ = tuple(k * PI / 5 for k in range(10)) + (alice_setting(PI / 10), 0.123)
+    for strategy in STRATEGIES:
+        for a in settings_:
+            for b in AXES:
+                yield a, b, strategy
+
+
+@pytest.mark.parametrize("a,b,strategy", list(_replay_cases()))
+def test_replayed_rounds_reproduce_every_kernel_bit(a, b, strategy):
+    """``alice_round`` then ``bob_round`` with the kernel's ``c``, theta and coin gives its every bit.
+
+    The batch is drawn in ``_pair_kernel``'s order (theta, c, coin), and the
+    kernel's tallies are checked against it; thetas one float either side of
+    every segment-table edge are appended, so the wire cell and its decoding
+    are compared with the table next to each slot flip.
+    """
+    n = 120
+    rng = np.random.default_rng(11)
+    theta = rng.uniform(0.0, g.THETA_SPAN, n)
+    c_plus = rng.integers(0, 2, n, dtype=np.int64).astype(bool)
+    coin = rng.random(n)
+    table = pr.segment_table(a, (b,), strategy)
+    near = np.concatenate([np.nextafter(table.edges, 0.0), table.edges, np.nextafter(table.edges, 9.0)])
+    near = near[near < g.THETA_SPAN]
+    extra = np.random.default_rng(12)
+    theta = np.concatenate([theta, near])
+    c_plus = np.concatenate([c_plus, extra.integers(0, 2, len(near)).astype(bool)])
+    coin = np.concatenate([coin, extra.random(len(near))])
+
+    (keeps,) = table.keeps_c(theta, [coin])
+    tally = hn._pair_kernel(a, b, strategy)(np.random.default_rng(11), n)
+    assert tally.tolist() == [n, int(keeps[:n].sum()), int(c_plus[:n].sum()), int((keeps[:n] == c_plus[:n]).sum())]
+    for t, cp, u, kept in zip(theta, c_plus, coin, keeps):
+        hidden = pr.HiddenState.make(1 if cp else -1, float(t))
+        c_a, msg = pr.alice_round(a, hidden)
+        c_b, rec = pr.bob_round(b, msg, hidden, strategy=strategy, coin=float(u))
+        assert (c_b == c_a) == kept, (a, b, strategy, float(t))
+        assert pr.replay_bob(rec) == c_b
