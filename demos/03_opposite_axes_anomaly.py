@@ -32,7 +32,7 @@ for theta, label in ((0.35 * PI, "window one"), (0.45 * PI, "window two")):
 
 print("\nMonte Carlo sweep row at one million trials:")
 cfg = hn.ExperimentConfig(experiment="opposite-axes", trials=1_000_000, seed=33, nu_grid=(NU,))
-row = hn.run_opposite_axes_sweep(cfg).rows[0]
+row = hn.run_experiment(cfg).rows[0]
 print(f"  estimate {row['estimate']:.4f} vs closed form {row['closed_form']:.4f}")
 print(f"  flags: {row['flags']}")
 

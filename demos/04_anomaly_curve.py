@@ -32,6 +32,6 @@ print(f"\nendpoint discrepancy record: formula {record.formula_value:.5f} vs rep
 print(f"gap {record.gap:.5f}; agreement: {record.agrees}")
 
 cfg = hn.ExperimentConfig(experiment="opposite-axes", trials=500_000, seed=44, nu_grid=(0.0,))
-row = hn.run_opposite_axes_sweep(cfg).rows[0]
+row = hn.run_experiment(cfg).rows[0]
 in_win = float(row["flags"].split("in-windows-estimate=")[1].split(";")[0])
 print(f"Monte Carlo arbitration at nu = 0: in-window rate {in_win:.4f} (formula wins)")

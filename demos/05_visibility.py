@@ -36,7 +36,7 @@ cfg = hn.ExperimentConfig(
     experiment="visibility", trials=500_000, seed=55,
     visibility_grid=(1.0, 0.99, 0.9), nu_grid=(NU,),
 )
-for row in hn.run_visibility_scan(cfg).rows:
+for row in hn.run_experiment(cfg).rows:
     print(
         f"  V = {row['visibility']:.2f}: surviving equal-output rate {row['estimate']:.5f}"
         f" vs V^2 * ideal = {row['p_effective']:.5f}"

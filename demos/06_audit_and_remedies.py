@@ -39,7 +39,7 @@ print("\nremedy table at nu = pi/10 (200k trials per row):")
 cfg = hn.ExperimentConfig(
     experiment="remedy", trials=200_000, seed=66, nu_grid=(PI / 10,), theta_grid=(0.45 * PI,),
 )
-table = hn.run_remedy_analysis(cfg)
+table = hn.run_experiment(cfg)
 print(f"{'flip rule':20s} {'coins':12s} {'theta':8s} {'P(equal)':>9s} {'corr. damage':>13s}")
 for row in table.rows:
     theta = "sampled" if row["theta"] is None else f"{row['theta']/PI:.2f}*pi"

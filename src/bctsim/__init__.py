@@ -59,13 +59,7 @@ from .harness import (
     emit,
     joint_outcome_table,
     read_csv_table,
-    run_audit,
-    run_calibration,
-    run_correlation_sweep,
     run_experiment,
-    run_opposite_axes_sweep,
-    run_remedy_analysis,
-    run_visibility_scan,
 )
 from .protocol import (
     ABS_FLIP,

@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from .harness import (
+    EXPERIMENTS,
     STRATEGY_TOKENS,
     ConfigError,
     EmitError,
@@ -28,15 +29,6 @@ __all__ = ["main", "build_parser", "parse_grid"]
 _SEMANTICS_TOKENS = {
     "continue": FlipSemantics.CONTINUE,
     "terminate": FlipSemantics.TERMINATE,
-}
-
-_DEFAULT_GRIDS = {
-    "correlation": dict(angle_grid="0:6.283185307179586:25"),
-    "calibrate": dict(angle_grid="0:6.283185307179586:25"),
-    "opposite-axes": dict(nu_grid="0:0.6283185307179586:11"),
-    "remedy": dict(nu_grid="0.3141592653589793:0.3141592653589793:1"),
-    "visibility": dict(visibility_grid="0.5:1:6", nu_grid="0.3141592653589793:0.3141592653589793:1"),
-    "audit": dict(theta_grid="0.9424777960769379:1.5707963267948966:21"),
 }
 
 
@@ -88,18 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--batch-size", type=int, default=250_000, metavar="B")
 
     sub = parser.add_subparsers(dest="experiment", required=True)
-    sub.add_parser("correlation", parents=[common],
-                   help="equal-outcome rate vs the cos^2 law over an angle grid")
-    sub.add_parser("opposite-axes", parents=[common],
-                   help="equal outputs on antipodal axes vs the closed form over a nu grid")
-    sub.add_parser("visibility", parents=[common],
-                   help="visibility arithmetic and its erasure simulation over a (V, nu) grid")
-    sub.add_parser("audit", parents=[common],
-                   help="per-theta conservation-law audit with conditioned replays")
-    sub.add_parser("remedy", parents=[common],
-                   help="reflection remedies: anomaly rate and correlation damage per reading")
-    sub.add_parser("calibrate", parents=[common],
-                   help="score every reflection reading against the cos^2 law")
+    for spec in EXPERIMENTS.values():
+        sub.add_parser(spec.name, parents=[common], help=spec.help)
     return parser
 
 
@@ -108,7 +90,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     for name in ("angle_grid", "nu_grid", "theta_grid", "visibility_grid"):
         spec = getattr(args, name)
         if spec is None:
-            spec = _DEFAULT_GRIDS.get(args.experiment, {}).get(name)
+            spec = EXPERIMENTS[args.experiment].grids.get(name)
         grids[name] = parse_grid(spec) if spec else ()
     return ExperimentConfig(
         experiment=args.experiment,
@@ -128,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args).validate()
+        config = _config_from_args(args)
         table = run_experiment(config)
         if config.out_path:
             emit(table, config.out_format, config.out_path)

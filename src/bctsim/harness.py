@@ -7,7 +7,14 @@ workers ran the batches. Tallies are integer vectors summed per batch index;
 merging is commutative and associative, so identical configurations produce
 bit-identical tables and output files.
 
-The kernels evaluate Bob through a :class:`~bctsim.protocol.SegmentTable`
+Every row samples through one batch kernel: Alice's setting against one or
+two Bob axes, with an optional fixed theta and optional erasure, tallied in
+one fixed layout. Each experiment is one entry of :data:`EXPERIMENTS` (help,
+required grids with their command-line defaults, columns, a row generator
+naming each row's stream keys and kernels, a finishing step), and
+:func:`run_experiment` is the one loop that runs them all.
+
+The batch kernel evaluates Bob through a :class:`~bctsim.protocol.SegmentTable`
 built once per row. For fixed settings and strategy every slot test is
 constant between a handful of theta edges; the table holds those edges and,
 per segment and Bob axis, whether Bob shares Alice's active slot and the
@@ -19,7 +26,7 @@ slot test flips under the package's one slot rule, found by bisection over
 float bit patterns, not a rounded breakpoint; so the lookup decides exactly as
 evaluating Bob per trial, or playing the round through Alice's four-bit
 message, would at every theta. Building a table draws no random numbers, and
-each kernel keeps its documented draw order, so the tables consume the same
+the kernel keeps its documented draw order, so the tables consume the same
 streams and emit the same bytes as per-trial evaluation.
 
 Measured anomalies are data, never errors: runs fail only on bad
@@ -28,10 +35,11 @@ configuration or I/O.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -66,13 +74,8 @@ __all__ = [
     "ConfigError",
     "EmitError",
     "ExperimentConfig",
+    "Experiment",
     "SweepTable",
-    "run_correlation_sweep",
-    "run_opposite_axes_sweep",
-    "run_visibility_scan",
-    "run_audit",
-    "run_remedy_analysis",
-    "run_calibration",
     "run_experiment",
     "conditioned_two_bob_estimate",
     "conditioned_pair_estimate",
@@ -82,7 +85,6 @@ __all__ = [
 ]
 
 VERSION = "0.1.0"
-EXPERIMENTS = ("correlation", "opposite-axes", "visibility", "audit", "remedy", "calibrate")
 
 #: strategy tokens accepted on the command line
 STRATEGY_TOKENS = {
@@ -118,7 +120,7 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
+            raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {tuple(EXPERIMENTS)}")
         if self.trials < 1:
             raise ConfigError(f"trials must be positive, got {self.trials}")
         if not 0 <= self.seed < 2**64:
@@ -129,15 +131,7 @@ class ExperimentConfig:
             raise ConfigError(f"batch size must be positive, got {self.batch_size}")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.out_format!r}")
-        needs = {
-            "correlation": ("angle_grid",),
-            "calibrate": ("angle_grid",),
-            "opposite-axes": ("nu_grid",),
-            "remedy": ("nu_grid",),
-            "visibility": ("visibility_grid", "nu_grid"),
-            "audit": ("theta_grid",),
-        }[self.experiment]
-        for name in needs:
+        for name in EXPERIMENTS[self.experiment].grids:
             if not getattr(self, name):
                 raise ConfigError(f"experiment {self.experiment!r} requires a nonempty {name.replace('_', '-')}")
         for nu in self.nu_grid:
@@ -214,32 +208,19 @@ def _run_batches(
     return np.sum(np.stack(parts), axis=0)
 
 
-# --- batch kernels ---------------------------------------------------------
-# A kernel factory does the theta-free work once per row: the segment table,
-# or for a conditioned row (fixed theta) the acceptance at that theta, which
-# a batch then only compares with its coins. Draw orders are fixed and
-# documented per kernel; table building draws nothing, so a draw order is the
-# only thing that fixes the stream, and changing it changes every downstream
-# estimate.
+# --- the batch kernel -------------------------------------------------------
+# The factory does the theta-free work once per row: the segment table, or
+# for a conditioned row (fixed theta) the acceptance at that theta, which a
+# batch then only compares with its coins. Table building draws nothing, so
+# the draw order is the only thing that fixes the stream, and changing it
+# changes every downstream estimate.
 
-
-def _bob_decider(a: float, axes: tuple[float, ...], strategy: Strategy, theta_fixed: float | None):
-    """``decide(theta, coins)``: per axis, whether Bob's output equals ``c`` in each trial.
-
-    ``theta`` is ignored for a conditioned row, whose acceptance is
-    computed once here.
-    """
-    if theta_fixed is None:
-        return segment_table(a, axes, strategy).keeps_c
-    theta = np.array([theta_fixed])
-    alpha, beta_slots, gamma_slots = alice_slot_arrays(a, theta)
-    evs = [evaluate_bob(alpha, beta_slots, gamma_slots, b, theta, strategy) for b in axes]
-    accepts = [(float(ev.accept_prob[0]), ev.negate) for ev in evs]
-
-    def decide(theta, coins):
-        return [(coin < q) ^ negate for coin, (q, negate) in zip(coins, accepts)]
-
-    return decide
+#: Tally layout. Every row counts trials and c = +1, then per Bob axis the
+#: trials where his output equals c ("kept") and where it is +1. Two-axis
+#: rows append: both Bobs equal (and, under a visibility, neither side
+#: erased), that inside the two windows, theta inside the windows, and
+#: neither side erased.
+N, C_PLUS, KEPT_1, B_PLUS_1, KEPT_2, B_PLUS_2, EQUAL, EQUAL_IN_WINDOWS, IN_WINDOWS, SURVIVED = range(10)
 
 
 def _in_windows(theta, windows) -> np.ndarray:
@@ -252,103 +233,68 @@ def _count(mask) -> int:
     return int(np.count_nonzero(mask))
 
 
-def _pair_kernel(a: float, b: float, strategy: Strategy, theta_fixed: float | None = None):
-    """Tallies [n, equal, c_a_plus, c_b_plus] for one setting pair.
-
-    Draws per batch: theta (unless conditioned), c, coin.
-    """
-    decide = _bob_decider(a, (b,), strategy, theta_fixed)
-
-    def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        theta = None if theta_fixed is not None else rng.uniform(0.0, THETA_SPAN, n)
-        c_plus = rng.integers(0, 2, n, dtype=np.int64).astype(bool)
-        coin = rng.random(n)
-        (eq,) = decide(theta, (coin,))  # output == c
-        # c_b > 0 exactly when eq == (c > 0)
-        return np.array([n, _count(eq), _count(c_plus), _count(eq == c_plus)], dtype=np.int64)
-
-    return kernel
-
-
-def _two_bob_kernel(
-    nu: float,
+def _kernel(
+    a: float,
+    axes: tuple[float, ...],
     strategy: Strategy,
-    coin_mode: CoinMode,
+    coin_mode: CoinMode = CoinMode.INDEPENDENT,
     theta_fixed: float | None = None,
+    visibility: float | None = None,
+    windows=None,
 ):
-    """Tallies for the antipodal-pair experiment in the walkthrough frame.
+    """Batch kernel for Alice at ``a`` against one or two Bob ``axes``; tallies as laid out above.
 
-    [n, equal, equal_in_windows, in_windows, equal_outside, ab2_equal,
-    c_b1_plus, c_b2_plus]. Draws per batch: theta (unless conditioned), c,
-    coin1, coin2 (independent mode only).
+    Draws per batch: theta (unless conditioned), c, one coin per axis (the
+    second reuses the first under ``CoinMode.SHARED``), then, when a
+    ``visibility`` is given, erase1 and erase2: each side's outcome survives
+    with probability ``visibility``. ``windows`` are the two deterministic
+    windows a two-axis row counts.
     """
-    windows = interval_windows(nu)
-    decide = _bob_decider(alice_setting(nu), (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi), strategy, theta_fixed)
-    fixed_in_win = None if theta_fixed is None else bool(_in_windows(theta_fixed, windows))
+    if theta_fixed is None:
+        decide = segment_table(a, axes, strategy).keeps_c
+    else:
+        theta = np.array([theta_fixed])
+        alpha, beta_slots, gamma_slots = alice_slot_arrays(a, theta)
+        evs = [evaluate_bob(alpha, beta_slots, gamma_slots, b, theta, strategy) for b in axes]
+        accepts = [(float(ev.accept_prob[0]), ev.negate) for ev in evs]
+
+        def decide(theta, coins):
+            return [(coin < q) ^ negate for coin, (q, negate) in zip(coins, accepts)]
+
+    two = len(axes) == 2
+    fixed_in_win = two and theta_fixed is not None and bool(_in_windows(theta_fixed, windows))
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
         theta = None if theta_fixed is not None else rng.uniform(0.0, THETA_SPAN, n)
         c_plus = rng.integers(0, 2, n, dtype=np.int64).astype(bool)
-        coin1 = rng.random(n)
-        coin2 = coin1 if coin_mode is CoinMode.SHARED else rng.random(n)
-        b1_eq_c, b2_eq_c = decide(theta, (coin1, coin2))
-        eq = b1_eq_c == b2_eq_c
-        n_eq = _count(eq)
-        if theta_fixed is None:
-            in_win = _in_windows(theta, windows)
-            eq_in, n_in = _count(eq & in_win), _count(in_win)
-        else:
-            eq_in, n_in = (n_eq, n) if fixed_in_win else (0, 0)
-        return np.array(
-            [n, n_eq, eq_in, n_in, n_eq - eq_in, _count(b2_eq_c),
-             _count(b1_eq_c == c_plus), _count(b2_eq_c == c_plus)],
-            dtype=np.int64,
-        )
+        coins = [rng.random(n)]
+        if two:
+            coins.append(coins[0] if coin_mode is CoinMode.SHARED else rng.random(n))
+        survived = None if visibility is None else (rng.random(n) < visibility) & (rng.random(n) < visibility)
+        kept = decide(theta, coins)
+        counts = [n, _count(c_plus)]
+        for k in kept:
+            counts += [_count(k), _count(k == c_plus)]  # c_b > 0 exactly when kept == (c > 0)
+        if two:
+            eq = kept[0] == kept[1]
+            if survived is not None:
+                eq &= survived
+            n_eq = _count(eq)
+            if theta is None:
+                eq_in, n_in = (n_eq, n) if fixed_in_win else (0, 0)
+            else:
+                in_win = _in_windows(theta, windows)
+                eq_in, n_in = _count(eq & in_win), _count(in_win)
+            counts += [n_eq, eq_in, n_in, n if survived is None else _count(survived)]
+        return np.array(counts, dtype=np.int64)
 
     return kernel
 
 
-def _visibility_kernel(nu: float, visibility: float, strategy: Strategy, coin_mode: CoinMode):
-    """Tallies [n, survived, survived_equal, survived_equal_in_windows].
-
-    Each party's outcome is erased independently with probability 1 - V; a
-    trial survives only if neither side was erased. Draws per batch: theta,
-    c, coin1, coin2 (independent mode only), erase1, erase2.
-    """
-    windows = interval_windows(nu)
-    decide = _bob_decider(alice_setting(nu), (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi), strategy, None)
-
-    def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        theta = rng.uniform(0.0, THETA_SPAN, n)
-        rng.integers(0, 2, n, dtype=np.int64)  # c: drawn to keep the stream, not tallied
-        coin1 = rng.random(n)
-        coin2 = coin1 if coin_mode is CoinMode.SHARED else rng.random(n)
-        keep1 = rng.random(n) < visibility
-        keep2 = rng.random(n) < visibility
-        b1_eq_c, b2_eq_c = decide(theta, (coin1, coin2))
-        survived_eq = (b1_eq_c == b2_eq_c) & keep1 & keep2
-        return np.array(
-            [n, _count(keep1 & keep2), _count(survived_eq), _count(survived_eq & _in_windows(theta, windows))],
-            dtype=np.int64,
-        )
-
-    return kernel
-
-
-def _joint_kernel(a: float, b: float, strategy: Strategy):
-    """Tallies [n, pp, pm, mp, mm] over the joint outcome cells."""
-    decide = _bob_decider(a, (b,), strategy, None)
-
-    def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        theta = rng.uniform(0.0, THETA_SPAN, n)
-        c_plus = rng.integers(0, 2, n, dtype=np.int64).astype(bool)
-        coin = rng.random(n)
-        (eq,) = decide(theta, (coin,))
-        n_plus, pp = _count(c_plus), _count(c_plus & eq)  # c_b == c exactly when eq
-        mm = _count(eq) - pp
-        return np.array([n, pp, n_plus - pp, n - n_plus - mm, mm], dtype=np.int64)
-
-    return kernel
+def _antipodal(nu: float, strategy: Strategy, coin_mode: CoinMode, **options):
+    """The kernel of the walkthrough frame: Alice at ``alice_setting(nu)``, Bob on b1 and b1 + pi."""
+    return _kernel(alice_setting(nu), (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi), strategy, coin_mode,
+                   windows=interval_windows(nu), **options)
 
 
 # --- public estimators -----------------------------------------------------
@@ -371,10 +317,10 @@ def conditioned_two_bob_estimate(
     """
     if not (0.0 <= theta < THETA_SPAN):
         raise ConfigError(f"conditioned theta must lie in [0, 3*pi/5), got {theta!r}")
-    tally = _run_batches(_two_bob_kernel(nu, strategy, coin_mode, theta_fixed=theta),
+    tally = _run_batches(_antipodal(nu, strategy, coin_mode, theta_fixed=theta),
                          trials, seed, (0,), workers, batch_size)
-    est = tally[1] / tally[0]
-    return float(est), _stderr(float(est), int(tally[0]))
+    est = tally[EQUAL] / tally[N]
+    return float(est), _stderr(float(est), int(tally[N]))
 
 
 def conditioned_pair_estimate(
@@ -390,10 +336,10 @@ def conditioned_pair_estimate(
     """Monte Carlo P(outputs equal) for one pair with the shared angle fixed."""
     if not (0.0 <= theta < THETA_SPAN):
         raise ConfigError(f"conditioned theta must lie in [0, 3*pi/5), got {theta!r}")
-    tally = _run_batches(_pair_kernel(a, b, strategy, theta_fixed=theta),
+    tally = _run_batches(_kernel(a, (b,), strategy, theta_fixed=theta),
                          trials, seed, (0,), workers, batch_size)
-    est = tally[1] / tally[0]
-    return float(est), _stderr(float(est), int(tally[0]))
+    est = tally[KEPT_1] / tally[N]
+    return float(est), _stderr(float(est), int(tally[N]))
 
 
 def joint_outcome_table(
@@ -407,50 +353,39 @@ def joint_outcome_table(
 ) -> np.ndarray:
     """2x2 joint outcome counts, rows = first party's sign, cols = second's.
 
-    The message-passing round and its black-box repackaging share one
-    computational path, so either is sampled by this table; distributional
-    identity between the two interfaces is checked by comparing tables drawn
-    with different seeds.
+    Sampled through the batch kernel, which looks Bob's branch up in a
+    segment table. The acceptance suite checks it against a table tallied
+    from seeded :func:`~bctsim.protocol.nbct_trial` rounds, which play each
+    round through Alice's message and Bob's scalar procedure.
     """
-    tally = _run_batches(_joint_kernel(a, b, strategy), trials, seed, (0,), workers, batch_size)
-    return np.array([[tally[1], tally[2]], [tally[3], tally[4]]], dtype=np.int64)
+    n, c_plus, kept, b_plus = _run_batches(_kernel(a, (b,), strategy), trials, seed, (0,), workers, batch_size)
+    # b_plus counts kept & c+ plus ~kept & ~c+, so kept & c+ is (b_plus - n + kept + c_plus) / 2
+    pp = (b_plus - n + kept + c_plus) // 2
+    mm = kept - pp
+    return np.array([[pp, c_plus - pp], [n - c_plus - mm, mm]], dtype=np.int64)
 
 
-# --- experiment runners ----------------------------------------------------
+# --- the experiment table ----------------------------------------------------
 
 
-def run_correlation_sweep(config: ExperimentConfig) -> SweepTable:
+def _cos2_finish(cells, tallies, est, se) -> dict:
+    dev = abs(est - cells["oracle"])
+    return dict(deviation=dev, flags=["deviates-from-oracle-4se"] if se > 0 and dev > 4 * se else [])
+
+
+def _correlation_rows(config):
     """Equal-outcome rate versus the exact cos^2 law over an angle grid.
 
     The second setting is pinned at 0 (the frame convention); the grid values
     are the first party's angles, so the separation equals the grid value up
     to the shorter-arc fold.
     """
-    config.validate()
-    if config.experiment != "correlation":
-        raise ConfigError(f"config is for {config.experiment!r}, not correlation")
-    table = SweepTable(
-        columns=["angle", "trials", "estimate", "stderr", "oracle", "deviation", "flags"],
-        manifest=config.manifest(),
-    )
     for i, ang in enumerate(config.angle_grid):
         a = normalize_angle(ang)
-        tally = _run_batches(_pair_kernel(a, 0.0, config.strategy), config.trials,
-                             config.seed, (i,), config.workers, config.batch_size)
-        n = int(tally[0])
-        est = tally[1] / n
-        oracle = qm.prob_equal(a, 0.0)
-        se = _stderr(est, n)
-        dev = abs(est - oracle)
-        flags = []
-        if se > 0 and dev > 4 * se:
-            flags.append("deviates-from-oracle-4se")
-        table.add(angle=a, trials=n, estimate=est, stderr=se, oracle=oracle,
-                  deviation=dev, flags=";".join(flags))
-    return table
+        yield dict(angle=a, oracle=qm.prob_equal(a, 0.0)), {(i,): _kernel(a, (0.0,), config.strategy)}
 
 
-def run_opposite_axes_sweep(config: ExperimentConfig) -> SweepTable:
+def _opposite_axes_rows(config):
     """Antipodal-pair equal-output rate versus the window-only closed form.
 
     The raw estimate includes coincidences from shared angles outside the two
@@ -458,110 +393,64 @@ def run_opposite_axes_sweep(config: ExperimentConfig) -> SweepTable:
     flags column carries the in-window estimate and the outside-window excess
     whenever the gap is significant.
     """
-    config.validate()
-    if config.experiment != "opposite-axes":
-        raise ConfigError(f"config is for {config.experiment!r}, not opposite-axes")
-    table = SweepTable(
-        columns=["nu", "trials", "estimate", "stderr", "closed_form", "deviation", "flags"],
-        manifest=config.manifest(),
-    )
     for i, nu in enumerate(config.nu_grid):
-        tally = _run_batches(_two_bob_kernel(nu, config.strategy, config.coin_mode),
-                             config.trials, config.seed, (i,), config.workers, config.batch_size)
-        n = int(tally[0])
-        est = tally[1] / n
-        in_win = tally[2] / n
-        outside = tally[4] / n
-        closed = p_opposite_equal_closed(nu).p_total
-        se = _stderr(est, n)
-        dev = abs(est - closed)
-        flags = []
-        if se > 0 and est - closed > 4 * se:
-            flags.append("exceeds-closed-form-4se")
-            flags.append(f"in-windows-estimate={in_win:.6g}")
-            flags.append(f"outside-windows-excess={outside:.6g}")
-        if min(abs(nu), abs(nu - NU_MAX)) < 1e-12:
-            flags.append("endpoint-minimum-reported=0.071")
-            flags.append(f"endpoint-formula={closed:.6g}")
-        table.add(nu=nu, trials=n, estimate=est, stderr=se, closed_form=closed,
-                  deviation=dev, flags=";".join(flags))
-    return table
+        yield (dict(nu=nu, closed_form=p_opposite_equal_closed(nu).p_total),
+               {(i,): _antipodal(nu, config.strategy, config.coin_mode)})
 
 
-def run_visibility_scan(config: ExperimentConfig) -> SweepTable:
-    """Visibility arithmetic and its erasure-model simulation over a (V, nu) grid."""
-    config.validate()
-    if config.experiment != "visibility":
-        raise ConfigError(f"config is for {config.experiment!r}, not visibility")
-    table = SweepTable(
-        columns=[
-            "visibility", "nu", "trials", "estimate", "stderr", "p_effective",
-            "p_peff1", "p_peff2", "p_peff_total", "v_threshold", "deviation", "flags",
-        ],
-        manifest=config.manifest(),
-    )
-    i = 0
-    for v in config.visibility_grid:
-        for nu in config.nu_grid:
-            report = visibility_report(v, nu)
-            tally = _run_batches(_visibility_kernel(nu, v, config.strategy, config.coin_mode),
-                                 config.trials, config.seed, (i,), config.workers, config.batch_size)
-            n = int(tally[0])
-            est = tally[3] / n  # surviving, equal, inside the two windows
-            se = _stderr(est, n)
-            dev = abs(est - report.p_effective)
-            flags = []
-            if v < report.v_threshold:
-                flags.append("below-threshold")
-            table.add(visibility=v, nu=nu, trials=n, estimate=est, stderr=se,
-                      p_effective=report.p_effective, p_peff1=report.p_peff1,
-                      p_peff2=report.p_peff2, p_peff_total=report.p_peff_total,
-                      v_threshold=report.v_threshold, deviation=dev, flags=";".join(flags))
-            i += 1
-    return table
+def _opposite_axes_finish(cells, tallies, est, se) -> dict:
+    tally, nu, closed = tallies[0], cells["nu"], cells["closed_form"]
+    flags = []
+    if se > 0 and est - closed > 4 * se:
+        in_win = tally[EQUAL_IN_WINDOWS] / tally[N]
+        outside = (tally[EQUAL] - tally[EQUAL_IN_WINDOWS]) / tally[N]
+        flags += ["exceeds-closed-form-4se", f"in-windows-estimate={in_win:.6g}",
+                  f"outside-windows-excess={outside:.6g}"]
+    if min(abs(nu), abs(nu - NU_MAX)) < 1e-12:
+        flags += ["endpoint-minimum-reported=0.071", f"endpoint-formula={closed:.6g}"]
+    return dict(deviation=abs(est - closed), flags=flags)
 
 
-def run_audit(config: ExperimentConfig) -> SweepTable:
+def _visibility_rows(config):
+    """Visibility arithmetic and its erasure-model simulation over a (V, nu) grid.
+
+    The estimate counts trials that survived erasure with equal outputs
+    inside the two windows.
+    """
+    for i, (v, nu) in enumerate(itertools.product(config.visibility_grid, config.nu_grid)):
+        yield (asdict(visibility_report(v, nu)),
+               {(i,): _antipodal(nu, config.strategy, config.coin_mode, visibility=v)})
+
+
+def _visibility_finish(cells, tallies, est, se) -> dict:
+    return dict(deviation=abs(est - cells["p_effective"]),
+                flags=["below-threshold"] if cells["visibility"] < cells["v_threshold"] else [])
+
+
+def _audit_rows(config):
     """Per-theta conservation-law audit with conditioned Monte Carlo replays.
 
     Analytic conditionals come from the branch logic; each grid point is also
     replayed ``trials`` times at that fixed theta, in both axis directions.
     """
-    config.validate()
-    if config.experiment != "audit":
-        raise ConfigError(f"config is for {config.experiment!r}, not audit")
-    nu_values = config.nu_grid or (math.pi / 10.0,)
-    table = SweepTable(
-        columns=[
-            "nu", "theta", "trials", "p_same_forward", "p_anti_reversed",
-            "mc_forward", "mc_forward_stderr", "mc_anti_reversed",
-            "mc_anti_reversed_stderr", "violation", "flags",
-        ],
-        manifest=config.manifest(),
-    )
-    i = 0
-    for nu in nu_values:
+    b = WALKTHROUGH_B1
+    i = itertools.count()
+    for nu in config.nu_grid or (math.pi / 10.0,):
         a = alice_setting(nu)
-        b = WALKTHROUGH_B1
-        rows = per_theta_consistency_audit(a, b, config.theta_grid, config.strategy)
-        for row in rows:
-            fwd_tally = _run_batches(_pair_kernel(a, b, config.strategy, theta_fixed=row.theta),
-                                     config.trials, config.seed, (i, 0), config.workers, config.batch_size)
-            rev_tally = _run_batches(_pair_kernel(a, b + math.pi, config.strategy, theta_fixed=row.theta),
-                                     config.trials, config.seed, (i, 1), config.workers, config.batch_size)
-            n = int(fwd_tally[0])
-            mc_fwd = fwd_tally[1] / n
-            mc_anti = (rev_tally[0] - rev_tally[1]) / rev_tally[0]
-            table.add(
-                nu=nu, theta=row.theta, trials=n,
-                p_same_forward=row.p_same_forward, p_anti_reversed=row.p_anti_reversed,
-                mc_forward=mc_fwd, mc_forward_stderr=_stderr(mc_fwd, n),
-                mc_anti_reversed=mc_anti, mc_anti_reversed_stderr=_stderr(mc_anti, n),
-                violation="true" if row.violation else "false",
-                flags="law-violated" if row.violation else "",
-            )
-            i += 1
-    return table
+        for law in per_theta_consistency_audit(a, b, config.theta_grid, config.strategy):
+            k = next(i)
+            cells = dict(nu=nu, theta=law.theta, p_same_forward=law.p_same_forward,
+                         p_anti_reversed=law.p_anti_reversed, violation="true" if law.violation else "false")
+            yield cells, {(k, 0): _kernel(a, (b,), config.strategy, theta_fixed=law.theta),
+                          (k, 1): _kernel(a, (b + math.pi,), config.strategy, theta_fixed=law.theta)}
+
+
+def _audit_finish(cells, tallies, est, se) -> dict:
+    forward, reversed_ = tallies
+    mc_anti = (reversed_[N] - reversed_[KEPT_1]) / reversed_[N]
+    return dict(mc_forward=est, mc_forward_stderr=se, mc_anti_reversed=mc_anti,
+                mc_anti_reversed_stderr=_stderr(mc_anti, int(forward[N])),
+                flags=["law-violated"] if cells["violation"] == "true" else [])
 
 
 #: remedy table rows: the no-flip baseline plus every flip rule under both coin modes
@@ -574,7 +463,7 @@ REMEDY_COMBOS = (
 )
 
 
-def run_remedy_analysis(config: ExperimentConfig) -> SweepTable:
+def _remedy_rows(config):
     """Does any reflection reading kill the antipodal anomaly without breaking the correlation?
 
     For every (flip rule x coin mode) combination and each nu, reports the
@@ -582,44 +471,21 @@ def run_remedy_analysis(config: ExperimentConfig) -> SweepTable:
     correlation from the cos^2 law. Conditioned rows (fixed theta) are added
     for every value on the theta grid, if one is configured.
     """
-    config.validate()
-    if config.experiment != "remedy":
-        raise ConfigError(f"config is for {config.experiment!r}, not remedy")
-    table = SweepTable(
-        columns=[
-            "nu", "theta", "flip_rule", "coin_mode", "trials", "estimate", "stderr",
-            "ab2_estimate", "ab2_oracle", "ab2_deviation", "flags",
-        ],
-        manifest=config.manifest(),
-    )
-    i = 0
-    for nu in config.nu_grid:
+    b2 = WALKTHROUGH_B1 + math.pi
+    grid = itertools.product(config.nu_grid, REMEDY_COMBOS, (None, *config.theta_grid))
+    for i, (nu, (rule, coin_mode), theta) in enumerate(grid):
         a = alice_setting(nu)
-        b2 = WALKTHROUGH_B1 + math.pi
-        for rule, coin_mode in REMEDY_COMBOS:
-            strategy = Strategy(rule, config.strategy.flip_semantics)
-            conditions: list[float | None] = [None] + list(config.theta_grid)
-            for theta in conditions:
-                tally = _run_batches(_two_bob_kernel(nu, strategy, coin_mode, theta_fixed=theta),
-                                     config.trials, config.seed, (i,), config.workers, config.batch_size)
-                n = int(tally[0])
-                est = tally[1] / n
-                ab2 = tally[5] / n
-                if theta is None:
-                    ab2_oracle = qm.prob_equal(a, b2)
-                else:
-                    ab2_oracle = float(p_equal_given_theta(a, b2, theta, strategy))
-                flags = []
-                if tally[1] == 0:
-                    flags.append("no-equal-outputs")
-                table.add(
-                    nu=nu, theta=theta, flip_rule=rule.value, coin_mode=coin_mode.value,
-                    trials=n, estimate=est, stderr=_stderr(est, n),
-                    ab2_estimate=ab2, ab2_oracle=ab2_oracle,
-                    ab2_deviation=abs(ab2 - ab2_oracle), flags=";".join(flags),
-                )
-                i += 1
-    return table
+        strategy = Strategy(rule, config.strategy.flip_semantics)
+        oracle = qm.prob_equal(a, b2) if theta is None else float(p_equal_given_theta(a, b2, theta, strategy))
+        cells = dict(nu=nu, theta=theta, flip_rule=rule.value, coin_mode=coin_mode.value, ab2_oracle=oracle)
+        yield cells, {(i,): _antipodal(nu, strategy, coin_mode, theta_fixed=theta)}
+
+
+def _remedy_finish(cells, tallies, est, se) -> dict:
+    tally = tallies[0]
+    ab2 = tally[KEPT_2] / tally[N]
+    return dict(ab2_estimate=ab2, ab2_deviation=abs(ab2 - cells["ab2_oracle"]),
+                flags=["no-equal-outputs"] if tally[EQUAL] == 0 else [])
 
 
 #: calibration candidates: every reading of the ambiguous reflection step
@@ -632,58 +498,106 @@ CALIBRATION_VARIANTS = (
 )
 
 
-def run_calibration(config: ExperimentConfig) -> SweepTable:
+def _calibration_rows(config):
     """Which reading of the reflection step best matches the cos^2 law?
 
-    Sweeps every strategy variant over the angle grid and stamps each row
+    Sweeps every strategy variant over the angle grid; each row is stamped
     with its variant's maximum deviation, so the winner is read off the
     table directly.
     """
-    config.validate()
-    if config.experiment != "calibrate":
-        raise ConfigError(f"config is for {config.experiment!r}, not calibrate")
-    table = SweepTable(
-        columns=[
-            "strategy", "flip_semantics", "angle", "trials", "estimate", "stderr",
-            "oracle", "deviation", "strategy_max_deviation", "flags",
-        ],
-        manifest=config.manifest(),
-    )
-    i = 0
-    for label, strategy in CALIBRATION_VARIANTS:
-        rows = []
-        for ang in config.angle_grid:
-            a = normalize_angle(ang)
-            tally = _run_batches(_pair_kernel(a, 0.0, strategy), config.trials,
-                                 config.seed, (i,), config.workers, config.batch_size)
-            n = int(tally[0])
-            est = tally[1] / n
-            oracle = qm.prob_equal(a, 0.0)
-            rows.append((a, n, est, _stderr(est, n), oracle, abs(est - oracle)))
-            i += 1
-        max_dev = max(r[5] for r in rows)
-        for a, n, est, se, oracle, dev in rows:
-            flags = "deviates-from-oracle-4se" if se > 0 and dev > 4 * se else ""
-            table.add(strategy=label, flip_semantics=strategy.flip_semantics.value,
-                      angle=a, trials=n, estimate=est, stderr=se, oracle=oracle,
-                      deviation=dev, strategy_max_deviation=max_dev, flags=flags)
-    return table
+    for i, ((label, strategy), ang) in enumerate(itertools.product(CALIBRATION_VARIANTS, config.angle_grid)):
+        a = normalize_angle(ang)
+        cells = dict(strategy=label, flip_semantics=strategy.flip_semantics.value, angle=a,
+                     oracle=qm.prob_equal(a, 0.0))
+        yield cells, {(i,): _kernel(a, (0.0,), strategy)}
 
 
-_RUNNERS = {
-    "correlation": run_correlation_sweep,
-    "opposite-axes": run_opposite_axes_sweep,
-    "visibility": run_visibility_scan,
-    "audit": run_audit,
-    "remedy": run_remedy_analysis,
-    "calibrate": run_calibration,
-}
+def _stamp_max_deviation(rows: list[dict]) -> None:
+    worst = {}
+    for r in rows:
+        worst[r["strategy"]] = max(worst.get(r["strategy"], r["deviation"]), r["deviation"])
+    for r in rows:
+        r["strategy_max_deviation"] = worst[r["strategy"]]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its subcommand, grids, table columns and rows.
+
+    ``grids`` maps each grid the experiment requires to the command line's
+    default for it. ``rows(config)`` yields, per table row, the cells known
+    before sampling and the row's streams as ``{stream key: kernel}``; row
+    ``i`` draws on key ``(i,)``, or ``(i, s)`` when it has several streams.
+    The row's estimate is the rate of tally cell ``hits`` in its first
+    stream; ``finish(cells, tallies, estimate, stderr)`` returns the
+    remaining cells, with the flags as a list. Every row gets ``trials``,
+    ``estimate`` and ``stderr`` cells, which a table without those columns
+    drops. ``finish_table`` fills cells that depend on the whole table.
+    """
+
+    name: str
+    help: str
+    grids: dict[str, str]
+    columns: tuple[str, ...]
+    hits: int
+    rows: Callable
+    finish: Callable
+    finish_table: Callable[[list[dict]], None] = lambda rows: None
+
+
+_NU_MID = "0.3141592653589793:0.3141592653589793:1"
+_ANGLES = "0:6.283185307179586:25"
+
+EXPERIMENTS = {spec.name: spec for spec in (
+    Experiment("correlation", "equal-outcome rate vs the cos^2 law over an angle grid",
+               dict(angle_grid=_ANGLES),
+               ("angle", "trials", "estimate", "stderr", "oracle", "deviation", "flags"),
+               KEPT_1, _correlation_rows, _cos2_finish),
+    Experiment("opposite-axes", "equal outputs on antipodal axes vs the closed form over a nu grid",
+               dict(nu_grid="0:0.6283185307179586:11"),
+               ("nu", "trials", "estimate", "stderr", "closed_form", "deviation", "flags"),
+               EQUAL, _opposite_axes_rows, _opposite_axes_finish),
+    Experiment("visibility", "visibility arithmetic and its erasure simulation over a (V, nu) grid",
+               dict(visibility_grid="0.5:1:6", nu_grid=_NU_MID),
+               ("visibility", "nu", "trials", "estimate", "stderr", "p_effective", "p_peff1", "p_peff2",
+                "p_peff_total", "v_threshold", "deviation", "flags"),
+               EQUAL_IN_WINDOWS, _visibility_rows, _visibility_finish),
+    Experiment("audit", "per-theta conservation-law audit with conditioned replays",
+               dict(theta_grid="0.9424777960769379:1.5707963267948966:21"),
+               ("nu", "theta", "trials", "p_same_forward", "p_anti_reversed", "mc_forward", "mc_forward_stderr",
+                "mc_anti_reversed", "mc_anti_reversed_stderr", "violation", "flags"),
+               KEPT_1, _audit_rows, _audit_finish),
+    Experiment("remedy", "reflection remedies: anomaly rate and correlation damage per reading",
+               dict(nu_grid=_NU_MID),
+               ("nu", "theta", "flip_rule", "coin_mode", "trials", "estimate", "stderr",
+                "ab2_estimate", "ab2_oracle", "ab2_deviation", "flags"),
+               EQUAL, _remedy_rows, _remedy_finish),
+    Experiment("calibrate", "score every reflection reading against the cos^2 law",
+               dict(angle_grid=_ANGLES),
+               ("strategy", "flip_semantics", "angle", "trials", "estimate", "stderr",
+                "oracle", "deviation", "strategy_max_deviation", "flags"),
+               KEPT_1, _calibration_rows, _cos2_finish, _stamp_max_deviation),
+)}
 
 
 def run_experiment(config: ExperimentConfig) -> SweepTable:
-    """Validate and dispatch to the experiment's runner."""
-    config.validate()
-    return _RUNNERS[config.experiment](config)
+    """Validate ``config`` once, then sample and finish every row of its experiment's table."""
+    spec = EXPERIMENTS[config.validate().experiment]
+    rows = []
+    for cells, streams in spec.rows(config):
+        tallies = [_run_batches(kernel, config.trials, config.seed, key, config.workers, config.batch_size)
+                   for key, kernel in streams.items()]
+        n = int(tallies[0][N])
+        est = tallies[0][spec.hits] / n
+        se = _stderr(est, n)
+        row = dict(cells, trials=n, estimate=est, stderr=se, **spec.finish(cells, tallies, est, se))
+        row["flags"] = ";".join(row["flags"])
+        rows.append(row)
+    spec.finish_table(rows)
+    table = SweepTable(columns=list(spec.columns), manifest=config.manifest())
+    for row in rows:
+        table.add(**row)
+    return table
 
 
 # --- emission ---------------------------------------------------------------

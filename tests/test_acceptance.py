@@ -73,7 +73,7 @@ def test_criterion_04_headline_anomaly():
         experiment="opposite-axes", trials=1_000_000, seed=104,
         strategy=pr.NO_FLIP, coin_mode=pr.CoinMode.INDEPENDENT, nu_grid=(PI / 10,),
     )
-    row = hn.run_opposite_axes_sweep(cfg).rows[0]
+    row = hn.run_experiment(cfg).rows[0]
     assert row["estimate"] >= 0.284 - 0.005
     # the raw rate runs well above the window-only value; the flags column
     # must attribute the excess to shared angles outside the two windows
@@ -105,7 +105,7 @@ def test_criterion_05_nu_curve():
     cfg = hn.ExperimentConfig(
         experiment="opposite-axes", trials=1_000_000, seed=105, nu_grid=(0.0,),
     )
-    row = hn.run_opposite_axes_sweep(cfg).rows[0]
+    row = hn.run_experiment(cfg).rows[0]
     in_win = float(row["flags"].split("in-windows-estimate=")[1].split(";")[0])
     assert abs(in_win - P_TOTAL_END) <= 0.005
     assert abs(in_win - 0.071) > 0.1
@@ -137,9 +137,25 @@ def test_criterion_07_per_theta_audit():
     _report(7, f"all {len(rows)} grid points flagged; conditioned replays match both conditionals within 4 SE")
 
 
+#: black-box rounds per pair in criterion 8 (the scalar path runs a few thousand rounds per second)
+NBCT_ROUNDS = 2000
+
+
+def _nbct_table(a: float, b: float, rounds: int, seed: int, strategy) -> np.ndarray:
+    """2x2 joint outcome counts of seeded black-box rounds, laid out as ``joint_outcome_table``."""
+    rng = np.random.default_rng(seed)
+    table = np.zeros((2, 2), dtype=np.int64)
+    for _ in range(rounds):
+        c_a, c_b = pr.nbct_trial(a, b, rng, strategy)
+        table[int(c_a < 0), int(c_b < 0)] += 1
+    return table
+
+
 def test_criterion_08_black_box_equivalence():
     # ten fixed pairs covering small, medium, wraparound and reflected
-    # separations; seeds fixed so the 1%-level test is deterministic
+    # separations; the batch kernel's segment-table path against black-box
+    # rounds played through Alice's message and Bob's scalar procedure.
+    # Seeds fixed so the 1%-level test is deterministic.
     pairs = [
         (0.0, 0.3), (0.2, 1.1), (1.0, 2.4), (0.5, 3.0), (2.0, 5.9),
         (PI / 5, 9 * PI / 10), (0.0, PI / 2), (1.9 * PI, 0.1 * PI),
@@ -147,14 +163,15 @@ def test_criterion_08_black_box_equivalence():
     ]
     worst_p = 1.0
     for i, (a, b) in enumerate(pairs):
-        bct = hn.joint_outcome_table(a, b, 1_000_000, 11000 + i, pr.CYCLIC_FLIP)
-        nbct = hn.joint_outcome_table(a, b, 1_000_000, 11500 + i, pr.CYCLIC_FLIP)
-        contingency = np.vstack([bct.ravel(), nbct.ravel()])
+        kernel = hn.joint_outcome_table(a, b, 1_000_000, 11000 + i, pr.CYCLIC_FLIP)
+        nbct = _nbct_table(a, b, NBCT_ROUNDS, 11500 + i, pr.CYCLIC_FLIP)
+        contingency = np.vstack([kernel.ravel(), nbct.ravel()])
         contingency = contingency[:, contingency.sum(axis=0) > 0]  # deterministic pairs empty some cells
         _, p_value, _, _ = stats.chi2_contingency(contingency)
         worst_p = min(worst_p, p_value)
         assert p_value >= 0.01
-    _report(8, f"4-cell joint tables indistinguishable over 10 pairs (smallest p-value {worst_p:.3f})")
+    _report(8, f"kernel joint tables match {NBCT_ROUNDS}-round black-box tables over 10 pairs "
+               f"(smallest p-value {worst_p:.3f})")
 
 
 def test_criterion_09_remedy_analysis():
@@ -169,7 +186,7 @@ def test_criterion_09_remedy_analysis():
         strategy=pr.CYCLIC_FLIP, nu_grid=(PI / 10,),
     )
     shared_row = next(
-        r for r in hn.run_remedy_analysis(cfg).rows
+        r for r in hn.run_experiment(cfg).rows
         if r["flip_rule"] == "cyclic-distance" and r["coin_mode"] == "shared"
     )
     assert shared_row["estimate"] == 0.0
@@ -192,7 +209,7 @@ def test_criterion_09_remedy_analysis():
     base_cfg = hn.ExperimentConfig(
         experiment="opposite-axes", trials=1_000_000, seed=509, nu_grid=(PI / 10,),
     )
-    base = hn.run_opposite_axes_sweep(base_cfg).rows[0]
+    base = hn.run_experiment(base_cfg).rows[0]
     assert base["estimate"] >= 0.284 - 0.005
     _report(9, f"shared coin kills the anomaly (0 events), independent coins give {est_ind:.4f} ~ 0.2514")
 
@@ -206,7 +223,7 @@ def test_criterion_10_reproducibility(tmp_path):
                 experiment="opposite-axes", trials=300_000, seed=110,
                 nu_grid=(0.0, PI / 20, PI / 10), workers=workers, out_format=fmt,
             )
-            table = hn.run_opposite_axes_sweep(cfg)
+            table = hn.run_experiment(cfg)
             path = tmp_path / f"{fmt}-{workers}.{fmt}"
             hn.emit(table, fmt, path)
             outputs.append(path.read_bytes())

@@ -48,10 +48,6 @@ class TestConfigValidation:
         with pytest.raises(hn.ConfigError):
             make_config(experiment="visibility", visibility_grid=(1.2,), nu_grid=(PI / 10,)).validate()
 
-    def test_runner_rejects_mismatched_experiment(self):
-        with pytest.raises(hn.ConfigError):
-            hn.run_correlation_sweep(make_config())
-
     def test_manifest_contents(self):
         m = make_config().manifest()
         assert m["seed"] == 7
@@ -63,17 +59,17 @@ class TestConfigValidation:
 class TestDeterminism:
     def test_same_seed_same_table(self):
         cfg = make_config()
-        t1 = hn.run_opposite_axes_sweep(make_config())
-        t2 = hn.run_opposite_axes_sweep(make_config())
+        t1 = hn.run_experiment(make_config())
+        t2 = hn.run_experiment(make_config())
         assert t1.rows == t2.rows
-        t3 = hn.run_opposite_axes_sweep(make_config(seed=8))
+        t3 = hn.run_experiment(make_config(seed=8))
         assert t3.rows != t1.rows
 
     def test_worker_count_invariance(self, tmp_path):
         paths = []
         for workers in (1, 4):
             cfg = make_config(workers=workers, trials=50_000)
-            table = hn.run_opposite_axes_sweep(cfg)
+            table = hn.run_experiment(cfg)
             p = tmp_path / f"w{workers}.csv"
             hn.emit(table, "csv", p)
             paths.append(p.read_bytes())
@@ -81,7 +77,7 @@ class TestDeterminism:
 
     def test_batch_partition_independent_of_remainder(self):
         # a trailing short batch draws its own substream; totals stay exact
-        t1 = hn.run_opposite_axes_sweep(make_config(trials=10_000, batch_size=3000))
+        t1 = hn.run_experiment(make_config(trials=10_000, batch_size=3000))
         assert t1.rows[0]["trials"] == 10_000
 
 
@@ -95,7 +91,7 @@ class TestKernelsAgainstOracles:
             angle_grid=tuple(np.linspace(0, 2 * PI, 9, endpoint=False)),
             batch_size=30_000,
         )
-        table = hn.run_correlation_sweep(cfg)
+        table = hn.run_experiment(cfg)
         for row in table.rows:
             se = max(row["stderr"], 1e-9)
             assert abs(row["estimate"] - row["oracle"]) < 5 * se
@@ -106,7 +102,7 @@ class TestKernelsAgainstOracles:
 
     def test_opposite_axes_estimate_and_attribution(self):
         cfg = make_config(trials=200_000)
-        table = hn.run_opposite_axes_sweep(cfg)
+        table = hn.run_experiment(cfg)
         row = table.rows[0]
         closed = an.p_opposite_equal_closed(PI / 10).p_total
         assert row["closed_form"] == pytest.approx(closed, abs=1e-12)
@@ -120,7 +116,7 @@ class TestKernelsAgainstOracles:
 
     def test_opposite_axes_endpoint_flags(self):
         cfg = make_config(nu_grid=(0.0,), trials=20_000)
-        table = hn.run_opposite_axes_sweep(cfg)
+        table = hn.run_experiment(cfg)
         assert "endpoint-minimum-reported=0.071" in table.rows[0]["flags"]
 
     def test_conditioned_two_bob_estimates(self):
@@ -152,7 +148,7 @@ class TestKernelsAgainstOracles:
             nu_grid=(PI / 10,),
             batch_size=50_000,
         )
-        table = hn.run_visibility_scan(cfg)
+        table = hn.run_experiment(cfg)
         full = table.rows[0]
         assert full["p_effective"] == pytest.approx(an.p_opposite_equal_closed(PI / 10).p_total, abs=1e-12)
         assert abs(full["estimate"] - full["p_effective"]) < 5 * max(full["stderr"], 1e-9)
@@ -168,7 +164,7 @@ class TestKernelsAgainstOracles:
             theta_grid=(0.35 * PI, 0.45 * PI),
             batch_size=20_000,
         )
-        table = hn.run_audit(cfg)
+        table = hn.run_experiment(cfg)
         assert [r["violation"] for r in table.rows] == ["true", "true"]
         first = table.rows[0]
         assert first["p_same_forward"] == 1.0
@@ -184,7 +180,7 @@ class TestKernelsAgainstOracles:
             theta_grid=(0.45 * PI,),
             batch_size=30_000,
         )
-        table = hn.run_remedy_analysis(cfg)
+        table = hn.run_experiment(cfg)
         combos = {(r["flip_rule"], r["coin_mode"], r["theta"]) for r in table.rows}
         assert len(table.rows) == 10  # 5 combos x (sampled + one conditioned theta)
         shared = next(
@@ -211,7 +207,7 @@ class TestKernelsAgainstOracles:
         for nu in (0.0, PI / 20, PI / 10):
             expected = an.two_bob_equal_quadrature(nu, pr.NO_FLIP, coin_mode)
             cfg = make_config(trials=400_000, seed=77, coin_mode=coin_mode, nu_grid=(nu,))
-            row = hn.run_opposite_axes_sweep(cfg).rows[0]
+            row = hn.run_experiment(cfg).rows[0]
             assert abs(row["estimate"] - expected) < 4 * row["stderr"] + 1e-9
 
     def test_calibration_ranks_cyclic_continue_first(self):
@@ -222,7 +218,7 @@ class TestKernelsAgainstOracles:
             angle_grid=tuple(np.linspace(0, 2 * PI, 13, endpoint=False)),
             batch_size=40_000,
         )
-        table = hn.run_calibration(cfg)
+        table = hn.run_experiment(cfg)
         best = min(table.rows, key=lambda r: r["strategy_max_deviation"])
         assert best["strategy"] == "cyclic-flip"
         assert best["flip_semantics"] == "continue-then-negate"
@@ -234,7 +230,7 @@ class TestKernelsAgainstOracles:
 
 class TestEmission:
     def test_csv_round_trip_six_significant_digits(self, tmp_path):
-        table = hn.run_opposite_axes_sweep(make_config())
+        table = hn.run_experiment(make_config())
         p = tmp_path / "t.csv"
         hn.emit(table, "csv", p)
         manifest, columns, rows = hn.read_csv_table(p)
@@ -248,7 +244,7 @@ class TestEmission:
 
     def test_json_row_count_matches_grid(self, tmp_path):
         cfg = make_config(nu_grid=tuple(np.linspace(0, an.NU_MAX, 5)), trials=2000)
-        table = hn.run_opposite_axes_sweep(cfg)
+        table = hn.run_experiment(cfg)
         p = tmp_path / "t.json"
         hn.emit(table, "json", p)
         blob = json.loads(p.read_text())
@@ -256,18 +252,18 @@ class TestEmission:
         assert blob["manifest"]["version"] == hn.VERSION
 
     def test_emit_failure_reports_path(self, tmp_path):
-        table = hn.run_opposite_axes_sweep(make_config(trials=1000))
+        table = hn.run_experiment(make_config(trials=1000))
         bad = tmp_path / "missing-dir" / "t.csv"
         with pytest.raises(hn.EmitError, match="missing-dir"):
             hn.emit(table, "csv", bad)
 
     def test_replay_from_manifest_reproduces_estimates(self, tmp_path):
-        table = hn.run_opposite_axes_sweep(make_config(trials=5000))
+        table = hn.run_experiment(make_config(trials=5000))
         p = tmp_path / "t.csv"
         hn.emit(table, "csv", p)
         manifest, _, rows = hn.read_csv_table(p)
         replay_cfg = make_config(trials=int(manifest["trials"]), seed=int(manifest["seed"]))
-        replay = hn.run_opposite_axes_sweep(replay_cfg)
+        replay = hn.run_experiment(replay_cfg)
         assert hn._render(replay.rows[0]["estimate"]) == rows[0]["estimate"]
 
 

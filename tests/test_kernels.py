@@ -1,10 +1,11 @@
-"""The segment-table kernels against a per-trial reference built on ``evaluate_bob``.
+"""The segment-table kernel against per-trial references built on ``evaluate_bob``.
 
 The reference kernels below evaluate Alice's slots and Bob's branch logic on
-every trial, with the same draws in the same order; the table kernels look
-each trial's theta segment up instead. Tallies must agree integer for
-integer, and the table's decisions must agree with ``evaluate_bob`` bit for
-bit next to every edge.
+every trial, with the same draws in the same order; the batch kernel looks
+each trial's theta segment up instead. Each reference's tallies must equal
+the counts derived from the kernel's tally layout integer for integer, and
+the table's decisions must agree with ``evaluate_bob`` bit for bit next to
+every edge.
 """
 
 import math
@@ -102,11 +103,32 @@ def ref_joint(a, b, strategy, rng, n):
             ((c < 0) & (c_b > 0)).sum(), ((c < 0) & (c_b < 0)).sum()]
 
 
-def _both(kernel, reference, seed, n=TRIALS):
+# --- the one kernel, and the old tallies derived from its layout ---------------
+
+
+def two_bob_kernel(nu, strategy, coin_mode, theta_fixed=None, visibility=None):
+    return hn._kernel(alice_setting(nu), (WALKTHROUGH_B1, WALKTHROUGH_B1 + PI), strategy, coin_mode,
+                      theta_fixed, visibility, interval_windows(nu))
+
+
+def pair_counts(t):
+    return [t[hn.N], t[hn.KEPT_1], t[hn.C_PLUS], t[hn.B_PLUS_1]]
+
+
+def two_bob_counts(t):
+    return [t[hn.N], t[hn.EQUAL], t[hn.EQUAL_IN_WINDOWS], t[hn.IN_WINDOWS], t[hn.EQUAL] - t[hn.EQUAL_IN_WINDOWS],
+            t[hn.KEPT_2], t[hn.B_PLUS_1], t[hn.B_PLUS_2]]
+
+
+def visibility_counts(t):
+    return [t[hn.N], t[hn.SURVIVED], t[hn.EQUAL], t[hn.EQUAL_IN_WINDOWS]]
+
+
+def _both(kernel, counts, reference, seed, n=TRIALS):
     got = kernel(np.random.default_rng(seed), n)
     want = reference(np.random.default_rng(seed), n)
     assert got.dtype == np.int64
-    assert got.tolist() == [int(v) for v in want]
+    assert [int(v) for v in counts(got)] == [int(v) for v in want]
 
 
 # --- differential tallies ---------------------------------------------------
@@ -119,7 +141,7 @@ def test_two_bob_kernel_matches_reference(nu, strategy, coin_mode):
     w = interval_windows(nu)
     for theta_fixed in (None, 0.0, 4.4e-16, w[0][0], w[0][1], float(np.nextafter(w[1][1], 9.0)), LAST_THETA):
         for seed in (1, 2):
-            _both(hn._two_bob_kernel(nu, strategy, coin_mode, theta_fixed),
+            _both(two_bob_kernel(nu, strategy, coin_mode, theta_fixed), two_bob_counts,
                   lambda rng, n: ref_two_bob(nu, strategy, coin_mode, theta_fixed, rng, n), seed)
 
 
@@ -129,9 +151,13 @@ def test_two_bob_kernel_matches_reference(nu, strategy, coin_mode):
 def test_pair_and_joint_kernels_match_reference(a, b, strategy):
     for theta_fixed in (None,) + SPECIAL_THETAS[:4]:
         for seed in (3, 4):
-            _both(hn._pair_kernel(a, b, strategy, theta_fixed),
+            _both(hn._kernel(a, (b,), strategy, theta_fixed=theta_fixed), pair_counts,
                   lambda rng, n: ref_pair(a, b, strategy, theta_fixed, rng, n), seed)
-    _both(hn._joint_kernel(a, b, strategy), lambda rng, n: ref_joint(a, b, strategy, rng, n), 5)
+    # the joint cells are derived from the pair counts; one batch, so one stream
+    joint = hn.joint_outcome_table(a, b, TRIALS, 5, strategy, batch_size=TRIALS)
+    want = ref_joint(a, b, strategy, hn._batch_rng(5, (0, 0)), TRIALS)
+    assert joint.dtype == np.int64
+    assert [TRIALS] + joint.ravel().tolist() == [int(v) for v in want]
 
 
 @pytest.mark.parametrize("nu", NUS)
@@ -139,16 +165,17 @@ def test_pair_and_joint_kernels_match_reference(a, b, strategy):
 def test_visibility_kernel_matches_reference(nu, coin_mode):
     for strategy in STRATEGIES:
         for visibility in (0.5, 1.0):
-            _both(hn._visibility_kernel(nu, visibility, strategy, coin_mode),
+            _both(two_bob_kernel(nu, strategy, coin_mode, visibility=visibility), visibility_counts,
                   lambda rng, n: ref_visibility(nu, visibility, strategy, coin_mode, rng, n), 6)
 
 
 def test_batches_longer_than_a_lookup_chunk():
     nu, strategy, coin = PI / 10, pr.CYCLIC_FLIP, pr.CoinMode.INDEPENDENT
     n = 2 * pr._CHUNK + 1234
-    _both(hn._two_bob_kernel(nu, strategy, coin),
+    _both(two_bob_kernel(nu, strategy, coin), two_bob_counts,
           lambda rng, n: ref_two_bob(nu, strategy, coin, None, rng, n), 7, n)
-    _both(hn._pair_kernel(1.0, PI, pr.ABS_FLIP), lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, None, rng, n), 8, n)
+    _both(hn._kernel(1.0, (PI,), pr.ABS_FLIP), pair_counts,
+          lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, None, rng, n), 8, n)
 
 
 # --- the table next to its edges -------------------------------------------

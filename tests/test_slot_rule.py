@@ -124,8 +124,8 @@ def _replay_cases():
 def test_replayed_rounds_reproduce_every_kernel_bit(a, b, strategy):
     """``alice_round`` then ``bob_round`` with the kernel's ``c``, theta and coin gives its every bit.
 
-    The batch is drawn in ``_pair_kernel``'s order (theta, c, coin), and the
-    kernel's tallies are checked against it; thetas one float either side of
+    The batch is drawn in the batch kernel's order for one axis (theta, c,
+    coin), and the kernel's tallies are checked against it; thetas one float either side of
     every segment-table edge are appended, so the wire cell and its decoding
     are compared with the table next to each slot flip.
     """
@@ -143,8 +143,8 @@ def test_replayed_rounds_reproduce_every_kernel_bit(a, b, strategy):
     coin = np.concatenate([coin, extra.random(len(near))])
 
     (keeps,) = table.keeps_c(theta, [coin])
-    tally = hn._pair_kernel(a, b, strategy)(np.random.default_rng(11), n)
-    assert tally.tolist() == [n, int(keeps[:n].sum()), int(c_plus[:n].sum()), int((keeps[:n] == c_plus[:n]).sum())]
+    tally = hn._kernel(a, (b,), strategy)(np.random.default_rng(11), n)
+    assert tally.tolist() == [n, int(c_plus[:n].sum()), int(keeps[:n].sum()), int((keeps[:n] == c_plus[:n]).sum())]
     for t, cp, u, kept in zip(theta, c_plus, coin, keeps):
         hidden = pr.HiddenState.make(1 if cp else -1, float(t))
         c_a, msg = pr.alice_round(a, hidden)
