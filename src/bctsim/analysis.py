@@ -222,8 +222,9 @@ def two_bob_equal_given_theta(
     shared coin they are maximally coupled and the probability reduces to
     ``1 - |q1 - q2|`` (same negation parity) or ``|q1 - q2|`` (opposite).
     """
-    theta_arr = np.asarray(theta, dtype=float)
-    ev1, ev2 = _sides_given_theta(nu, theta_arr, strategy)
+    vector = np.ndim(theta) > 0
+    theta = np.asarray(theta, dtype=float) if vector else theta
+    ev1, ev2 = _sides_given_theta(nu, theta, strategy)
     q1, q2 = ev1.accept_prob, ev2.accept_prob
     same_parity = ev1.negate == ev2.negate
     if coin_mode is CoinMode.INDEPENDENT:
@@ -232,7 +233,7 @@ def two_bob_equal_given_theta(
     else:
         coupled = 1.0 - np.abs(q1 - q2)
         out = coupled if same_parity else 1.0 - coupled
-    return out if np.ndim(theta) else float(out)
+    return out if vector else float(out)
 
 
 def two_bob_equal_quadrature(

@@ -14,6 +14,7 @@ import sys
 
 from .harness import (
     EXPERIMENTS,
+    GRIDS,
     STRATEGY_TOKENS,
     ConfigError,
     EmitError,
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     grids = {}
-    for name in ("angle_grid", "nu_grid", "theta_grid", "visibility_grid"):
+    for name in GRIDS:
         spec = getattr(args, name)
         if spec is None:
             spec = EXPERIMENTS[args.experiment].grids.get(name)

@@ -16,8 +16,10 @@ boundary of a system lies in the slot of that system's largest boundary.
 Slots are therefore half-open ``[lo, hi)``, every angle lies in exactly one
 slot of each system, and a boundary belongs to the slot it opens.
 :func:`alpha_slot_of`, :func:`beta_slot_of` and :func:`gamma_slot_of` apply
-the rule to numpy arrays; :func:`cell_index` reads the four-bit cell off the
-same sixteen floats, sorted, and takes its slot triple from those functions.
+the rule with the same expressions to Python floats, which give Python ints,
+and to numpy arrays, which broadcast; :func:`cell_index` reads the four-bit
+cell off the same sixteen floats, sorted, and takes its slot triple from
+those functions.
 """
 
 from __future__ import annotations
@@ -79,25 +81,25 @@ def arc_distance(x: float, y: float) -> float:
 
 
 def _normalize(x):
-    """:func:`normalize_angle` for numpy arrays (no finiteness check)."""
-    y = np.mod(x, TWO_PI)
-    # np.mod, like Python's %, rounds a tiny negative x up to exactly 2*pi,
-    # which belongs at 0
+    """:func:`normalize_angle` for floats or numpy arrays (no finiteness check)."""
+    # % on arrays is np.mod, bit for bit the same as Python's float %; both
+    # round a tiny negative x up to exactly 2*pi, which belongs at 0
+    y = x % TWO_PI
     return y - TWO_PI * (y >= TWO_PI)
 
 
 #: the alpha boundaries j*pi/5, the same floats the cell partition sorts
-_ALPHA_BOUNDS = np.array([j * ALPHA_WIDTH for j in range(10)])
-
-
-def alpha_slot_of(x):
-    """Alpha slot index of ``x`` (scalar or array): its rank among the ``j*pi/5``."""
-    return np.searchsorted(_ALPHA_BOUNDS, _normalize(x), side="right") - 1
+_ALPHA_BOUNDS = tuple(j * ALPHA_WIDTH for j in range(10))
 
 
 def _rank(x, bounds):
     """How many of ``bounds`` lie at or below ``x`` (arrays broadcast)."""
     return sum(x >= b for b in bounds)
+
+
+def alpha_slot_of(x):
+    """Alpha slot index of ``x`` (float or array): its rank among the ``j*pi/5``, less one."""
+    return _rank(_normalize(x), _ALPHA_BOUNDS) - 1
 
 
 def beta_slot_of(x, theta):
@@ -108,7 +110,6 @@ def beta_slot_of(x, theta):
     cyclically: an angle below ``theta`` is in slot 2.
     """
     x = _normalize(x)
-    theta = np.asarray(theta, dtype=float)
     return (2 + _rank(x, (theta, theta + BETA_OFFSETS[1], theta + BETA_OFFSETS[2]))) % 3
 
 
@@ -123,21 +124,22 @@ def gamma_slot_of(x, theta):
     Either way the rank of ``x`` among the four values, mod 3, is its slot.
     """
     x = _normalize(x)
-    theta = np.asarray(theta, dtype=float)
     s = theta + GAMMA_OFFSETS[1]
     return _rank(x, (s - TWO_PI, theta + GAMMA_OFFSETS[2], theta + GAMMA_OFFSETS[0], s)) % 3
 
 
+_BETA_OFFSETS = np.array(BETA_OFFSETS)
+_GAMMA_OFFSETS = np.array(GAMMA_OFFSETS)
+
+
 def beta_boundary(k, theta):
     """Angle of boundary ``beta_k`` for offset ``theta`` (arrays broadcast)."""
-    offs = np.asarray(BETA_OFFSETS)[np.asarray(k, dtype=np.int64)]
-    return np.mod(np.asarray(theta, dtype=float) + offs, TWO_PI)
+    return (theta + _BETA_OFFSETS[k]) % TWO_PI
 
 
 def gamma_boundary(k, theta):
     """Angle of boundary ``gamma_k`` for offset ``theta`` (arrays broadcast)."""
-    offs = np.asarray(GAMMA_OFFSETS)[np.asarray(k, dtype=np.int64)]
-    return np.mod(np.asarray(theta, dtype=float) + offs, TWO_PI)
+    return (theta + _GAMMA_OFFSETS[k]) % TWO_PI
 
 
 def theta_breakpoints(*angles: float) -> list[float]:

@@ -35,6 +35,7 @@ configuration or I/O.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -94,6 +95,10 @@ STRATEGY_TOKENS = {
 }
 
 
+#: the grid fields of a config; each is one ``--*-grid`` command-line flag
+GRIDS = ("angle_grid", "nu_grid", "theta_grid", "visibility_grid")
+
+
 class ConfigError(ValueError):
     """A configuration problem detected before any trial runs."""
 
@@ -131,9 +136,13 @@ class ExperimentConfig:
             raise ConfigError(f"batch size must be positive, got {self.batch_size}")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.out_format!r}")
-        for name in EXPERIMENTS[self.experiment].grids:
-            if not getattr(self, name):
-                raise ConfigError(f"experiment {self.experiment!r} requires a nonempty {name.replace('_', '-')}")
+        spec = EXPERIMENTS[self.experiment]
+        for name in GRIDS:
+            flag = name.replace("_", "-")
+            if name in spec.grids and not getattr(self, name):
+                raise ConfigError(f"experiment {self.experiment!r} requires a nonempty {flag}")
+            if getattr(self, name) and name not in spec.grids and name not in spec.optional_grids:
+                raise ConfigError(f"experiment {self.experiment!r} does not use {flag}")
         for nu in self.nu_grid:
             if not (0.0 <= nu <= NU_MAX):
                 raise ConfigError(f"nu grid value {nu!r} outside [0, pi/5]")
@@ -184,27 +193,27 @@ def _batch_rng(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def _pool(workers: int):
+    """A thread pool for ``workers > 1``, else a context yielding None: batches then run in turn."""
+    return ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+
+
 def _run_batches(
     kernel: Callable[[np.random.Generator, int], np.ndarray],
     trials: int,
     seed: int,
     key: tuple[int, ...],
-    workers: int,
     batch_size: int,
+    pool: ThreadPoolExecutor | None,
 ) -> np.ndarray:
     sizes = [batch_size] * (trials // batch_size)
     if trials % batch_size:
         sizes.append(trials % batch_size)
 
-    def one(item: tuple[int, int]) -> np.ndarray:
-        idx, n = item
+    def one(idx: int, n: int) -> np.ndarray:
         return kernel(_batch_rng(seed, key + (idx,)), n)
 
-    if workers <= 1:
-        parts = [one(item) for item in enumerate(sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, enumerate(sizes)))
+    parts = list((pool.map if pool else map)(one, range(len(sizes)), sizes))
     return np.sum(np.stack(parts), axis=0)
 
 
@@ -253,10 +262,9 @@ def _kernel(
     if theta_fixed is None:
         decide = segment_table(a, axes, strategy).keeps_c
     else:
-        theta = np.array([theta_fixed])
-        alpha, beta_slots, gamma_slots = alice_slot_arrays(a, theta)
-        evs = [evaluate_bob(alpha, beta_slots, gamma_slots, b, theta, strategy) for b in axes]
-        accepts = [(float(ev.accept_prob[0]), ev.negate) for ev in evs]
+        alpha, beta_slots, gamma_slots = alice_slot_arrays(a, theta_fixed)
+        evs = [evaluate_bob(alpha, beta_slots, gamma_slots, b, theta_fixed, strategy) for b in axes]
+        accepts = [(float(ev.accept_prob), ev.negate) for ev in evs]
 
         def decide(theta, coins):
             return [(coin < q) ^ negate for coin, (q, negate) in zip(coins, accepts)]
@@ -317,8 +325,9 @@ def conditioned_two_bob_estimate(
     """
     if not (0.0 <= theta < THETA_SPAN):
         raise ConfigError(f"conditioned theta must lie in [0, 3*pi/5), got {theta!r}")
-    tally = _run_batches(_antipodal(nu, strategy, coin_mode, theta_fixed=theta),
-                         trials, seed, (0,), workers, batch_size)
+    with _pool(workers) as pool:
+        tally = _run_batches(_antipodal(nu, strategy, coin_mode, theta_fixed=theta),
+                             trials, seed, (0,), batch_size, pool)
     est = tally[EQUAL] / tally[N]
     return float(est), _stderr(float(est), int(tally[N]))
 
@@ -336,8 +345,8 @@ def conditioned_pair_estimate(
     """Monte Carlo P(outputs equal) for one pair with the shared angle fixed."""
     if not (0.0 <= theta < THETA_SPAN):
         raise ConfigError(f"conditioned theta must lie in [0, 3*pi/5), got {theta!r}")
-    tally = _run_batches(_kernel(a, (b,), strategy, theta_fixed=theta),
-                         trials, seed, (0,), workers, batch_size)
+    with _pool(workers) as pool:
+        tally = _run_batches(_kernel(a, (b,), strategy, theta_fixed=theta), trials, seed, (0,), batch_size, pool)
     est = tally[KEPT_1] / tally[N]
     return float(est), _stderr(float(est), int(tally[N]))
 
@@ -358,7 +367,8 @@ def joint_outcome_table(
     from seeded :func:`~bctsim.protocol.nbct_trial` rounds, which play each
     round through Alice's message and Bob's scalar procedure.
     """
-    n, c_plus, kept, b_plus = _run_batches(_kernel(a, (b,), strategy), trials, seed, (0,), workers, batch_size)
+    with _pool(workers) as pool:
+        n, c_plus, kept, b_plus = _run_batches(_kernel(a, (b,), strategy), trials, seed, (0,), batch_size, pool)
     # b_plus counts kept & c+ plus ~kept & ~c+, so kept & c+ is (b_plus - n + kept + c_plus) / 2
     pp = (b_plus - n + kept + c_plus) // 2
     mm = kept - pp
@@ -525,14 +535,15 @@ class Experiment:
     """One experiment: its subcommand, grids, table columns and rows.
 
     ``grids`` maps each grid the experiment requires to the command line's
-    default for it. ``rows(config)`` yields, per table row, the cells known
-    before sampling and the row's streams as ``{stream key: kernel}``; row
-    ``i`` draws on key ``(i,)``, or ``(i, s)`` when it has several streams.
-    The row's estimate is the rate of tally cell ``hits`` in its first
-    stream; ``finish(cells, tallies, estimate, stderr)`` returns the
-    remaining cells, with the flags as a list. Every row gets ``trials``,
-    ``estimate`` and ``stderr`` cells, which a table without those columns
-    drops. ``finish_table`` fills cells that depend on the whole table.
+    default for it; ``optional_grids`` names the grids it reads when given,
+    and validation rejects any other nonempty grid. ``rows(config)`` yields,
+    per table row, the cells known before sampling and the row's streams as
+    ``{stream key: kernel}``; row ``i`` draws on key ``(i,)``, or ``(i, s)``
+    when it has several streams. The row's estimate is the rate of tally cell
+    ``hits`` in its first stream; ``finish(cells, tallies, estimate, stderr)``
+    returns the remaining cells, with the flags as a list. Every row gets
+    ``trials``, ``estimate`` and ``stderr`` cells, which a table without those
+    columns drops. ``finish_table`` fills cells that depend on the whole table.
     """
 
     name: str
@@ -543,6 +554,7 @@ class Experiment:
     rows: Callable
     finish: Callable
     finish_table: Callable[[list[dict]], None] = lambda rows: None
+    optional_grids: tuple[str, ...] = ()
 
 
 _NU_MID = "0.3141592653589793:0.3141592653589793:1"
@@ -566,12 +578,12 @@ EXPERIMENTS = {spec.name: spec for spec in (
                dict(theta_grid="0.9424777960769379:1.5707963267948966:21"),
                ("nu", "theta", "trials", "p_same_forward", "p_anti_reversed", "mc_forward", "mc_forward_stderr",
                 "mc_anti_reversed", "mc_anti_reversed_stderr", "violation", "flags"),
-               KEPT_1, _audit_rows, _audit_finish),
+               KEPT_1, _audit_rows, _audit_finish, optional_grids=("nu_grid",)),
     Experiment("remedy", "reflection remedies: anomaly rate and correlation damage per reading",
                dict(nu_grid=_NU_MID),
                ("nu", "theta", "flip_rule", "coin_mode", "trials", "estimate", "stderr",
                 "ab2_estimate", "ab2_oracle", "ab2_deviation", "flags"),
-               EQUAL, _remedy_rows, _remedy_finish),
+               EQUAL, _remedy_rows, _remedy_finish, optional_grids=("theta_grid",)),
     Experiment("calibrate", "score every reflection reading against the cos^2 law",
                dict(angle_grid=_ANGLES),
                ("strategy", "flip_semantics", "angle", "trials", "estimate", "stderr",
@@ -584,15 +596,16 @@ def run_experiment(config: ExperimentConfig) -> SweepTable:
     """Validate ``config`` once, then sample and finish every row of its experiment's table."""
     spec = EXPERIMENTS[config.validate().experiment]
     rows = []
-    for cells, streams in spec.rows(config):
-        tallies = [_run_batches(kernel, config.trials, config.seed, key, config.workers, config.batch_size)
-                   for key, kernel in streams.items()]
-        n = int(tallies[0][N])
-        est = tallies[0][spec.hits] / n
-        se = _stderr(est, n)
-        row = dict(cells, trials=n, estimate=est, stderr=se, **spec.finish(cells, tallies, est, se))
-        row["flags"] = ";".join(row["flags"])
-        rows.append(row)
+    with _pool(config.workers) as pool:
+        for cells, streams in spec.rows(config):
+            tallies = [_run_batches(kernel, config.trials, config.seed, key, config.batch_size, pool)
+                       for key, kernel in streams.items()]
+            n = int(tallies[0][N])
+            est = tallies[0][spec.hits] / n
+            se = _stderr(est, n)
+            row = dict(cells, trials=n, estimate=est, stderr=se, **spec.finish(cells, tallies, est, se))
+            row["flags"] = ";".join(row["flags"])
+            rows.append(row)
     spec.finish_table(rows)
     table = SweepTable(columns=list(spec.columns), manifest=config.manifest())
     for row in rows:

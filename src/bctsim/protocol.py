@@ -215,7 +215,7 @@ class TrialRecord:
     flip_semantics: str
 
     def to_json_dict(self) -> dict:
-        d = dataclasses.asdict(self)
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         d["message"] = self.message.to_debug()
         return d
 
@@ -234,19 +234,19 @@ def alice_slot_arrays(a: float, theta) -> tuple[int, np.ndarray, np.ndarray]:
     """Alice's alpha slot and per-theta beta/gamma slots for a fixed setting.
 
     Vector counterpart of :func:`alice_round` used by sweep kernels and the
-    analytic per-theta probabilities: ``theta`` may be an array.
+    analytic per-theta probabilities: ``theta`` may be a float or an array.
     """
-    alpha = int(alpha_slot_of(a))
-    return alpha, beta_slot_of(a, theta), gamma_slot_of(a, theta)
+    return int(alpha_slot_of(a)), beta_slot_of(a, theta), gamma_slot_of(a, theta)
 
 
 @dataclass
 class BobEvaluation:
-    """Branch outcome of Bob's procedure, array-valued over theta.
+    """Branch outcome of Bob's procedure, per theta.
 
-    ``accept_prob`` is the pre-negation probability of keeping ``c``;
-    ``p_equal`` folds in the negation: the probability that the final output
-    equals ``c``.
+    Per-theta fields have the broadcast shape of theta and Alice's slots;
+    ``alice_slot`` keeps the shape it was given. ``accept_prob`` is the
+    pre-negation probability of keeping ``c``; ``p_equal`` folds in the
+    negation: the probability that the final output equals ``c``.
     """
 
     p_equal: np.ndarray
@@ -300,42 +300,33 @@ def evaluate_bob(
 ) -> BobEvaluation:
     """Run Bob's branch logic against a slot message, vectorized over theta.
 
-    ``alice_beta_slot``/``alice_gamma_slot`` must match ``theta``'s shape
-    (constants from a single message, or per-theta arrays from
-    :func:`alice_slot_arrays`). Only slot information about Alice's setting
-    enters; her angle never does.
+    ``theta`` is a float or an array; ``alice_beta_slot``/``alice_gamma_slot``
+    are ints from a single message or per-theta arrays from
+    :func:`alice_slot_arrays`, and broadcasting gives the shape. Only slot
+    information about Alice's setting enters; her angle never does.
     """
-    theta = np.asarray(theta, dtype=float)
-    a_beta = np.broadcast_to(np.asarray(alice_beta_slot, dtype=np.int64), theta.shape)
-    a_gamma = np.broadcast_to(np.asarray(alice_gamma_slot, dtype=np.int64), theta.shape)
-
     b_eff, fired, system = _bob_axis(alice_alpha, b, strategy)
     if system == "none":
-        ones = np.ones_like(theta)
+        shape = np.shape(theta)
         return BobEvaluation(
-            p_equal=np.zeros_like(theta),
-            accept_prob=ones,  # inner outcome is c with certainty, then negated
+            p_equal=np.zeros(shape),
+            accept_prob=np.ones(shape),  # inner outcome is c with certainty, then negated
             negate=True,
             terminated=True,
             flip_fired=True,
             system="none",
-            same_slot=np.zeros(theta.shape, dtype=bool),
-            bob_slot=np.full(theta.shape, -1, dtype=np.int64),
-            alice_slot=np.full(theta.shape, -1, dtype=np.int64),
-            boundary_index=np.full(theta.shape, -1, dtype=np.int64),
-            boundary_angle=np.full(theta.shape, math.nan),
-            u=np.full(theta.shape, math.nan),
+            same_slot=np.zeros(shape, dtype=bool),
+            bob_slot=np.full(shape, -1, dtype=np.int64),
+            alice_slot=np.full(shape, -1, dtype=np.int64),
+            boundary_index=np.full(shape, -1, dtype=np.int64),
+            boundary_angle=np.full(shape, math.nan),
+            u=np.full(shape, math.nan),
         )
 
-    use_gamma = system == "gamma"
-    if use_gamma:
-        alice_slot = a_gamma
-        bob_slot = gamma_slot_of(b_eff, theta)
-        boundary_of = gamma_boundary
-    else:
-        alice_slot = a_beta
-        bob_slot = beta_slot_of(b_eff, theta)
-        boundary_of = beta_boundary
+    gamma = system == "gamma"
+    alice_slot = alice_gamma_slot if gamma else alice_beta_slot
+    slot_of, boundary_of = (gamma_slot_of, gamma_boundary) if gamma else (beta_slot_of, beta_boundary)
+    bob_slot = slot_of(b_eff, theta)
 
     same = alice_slot == bob_slot
     # Different slots in a three-slot ring are adjacent; one traversal
@@ -343,7 +334,7 @@ def evaluate_bob(
     # the upper edge of Bob's slot when Alice sits one step counterclockwise,
     # else the lower edge.
     one_step_ccw = (alice_slot - bob_slot) % 3 == 1
-    k = np.where(one_step_ccw, (bob_slot + 1) % 3, bob_slot)
+    k = (bob_slot + one_step_ccw) % 3
     bnd = boundary_of(k, theta)
     u, accept = _acceptance(b_eff, bnd)
     accept = np.where(same, 1.0, accept)
@@ -634,12 +625,14 @@ def p_equal_given_theta(a: float, b: float, theta, strategy: Strategy = NO_FLIP)
     ``theta`` may be a scalar or an array. This is the per-round conditional
     the consistency audit and the sweep oracles are built on.
     """
-    theta_arr = np.asarray(theta, dtype=float)
-    if np.any(theta_arr < 0.0) or np.any(theta_arr >= THETA_SPAN):
+    vector = np.ndim(theta) > 0
+    theta = np.asarray(theta, dtype=float) if vector else theta
+    inside = (theta >= 0.0) & (theta < THETA_SPAN)
+    if not (inside.all() if vector else inside):
         raise ProtocolError("theta values must lie in [0, 3*pi/5)")
-    alpha, beta_slots, gamma_slots = alice_slot_arrays(a, theta_arr)
-    ev = evaluate_bob(alpha, beta_slots, gamma_slots, b, theta_arr, strategy)
-    return ev.p_equal if np.ndim(theta) else float(ev.p_equal)
+    alpha, beta_slots, gamma_slots = alice_slot_arrays(a, theta)
+    ev = evaluate_bob(alpha, beta_slots, gamma_slots, b, theta, strategy)
+    return ev.p_equal if vector else float(ev.p_equal)
 
 
 def replay_bob(record: TrialRecord) -> int:

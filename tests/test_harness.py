@@ -1,6 +1,7 @@
 import json
 import math
 import shlex
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,19 @@ class TestConfigValidation:
         with pytest.raises(hn.ConfigError):
             make_config(experiment="visibility", visibility_grid=(1.2,), nu_grid=(PI / 10,)).validate()
 
+    @pytest.mark.parametrize("name", list(hn.EXPERIMENTS))
+    def test_grids_outside_the_experiment_rejected(self, name):
+        spec = hn.EXPERIMENTS[name]
+        required = {grid: cli.parse_grid(default) for grid, default in spec.grids.items()}
+        hn.ExperimentConfig(experiment=name, **required).validate()
+        for grid in hn.GRIDS:
+            config = hn.ExperimentConfig(experiment=name, **{**required, grid: (0.1,)})  # 0.1 is in every domain
+            if grid in spec.grids or grid in spec.optional_grids:
+                config.validate()
+            else:
+                with pytest.raises(hn.ConfigError, match="does not use"):
+                    config.validate()
+
     def test_manifest_contents(self):
         m = make_config().manifest()
         assert m["seed"] == 7
@@ -74,6 +88,21 @@ class TestDeterminism:
             hn.emit(table, "csv", p)
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
+
+    def test_one_thread_pool_per_run(self, monkeypatch):
+        pools = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(hn, "ThreadPoolExecutor", CountingPool)
+        audit = dict(experiment="audit", nu_grid=(), theta_grid=(0.35 * PI, 0.45 * PI), trials=2000, batch_size=500)
+        hn.run_experiment(make_config(**audit, workers=2))  # two rows, two streams each
+        assert len(pools) == 1
+        hn.run_experiment(make_config(**audit, workers=1))
+        assert len(pools) == 1
 
     def test_batch_partition_independent_of_remainder(self):
         # a trailing short batch draws its own substream; totals stay exact
@@ -306,6 +335,14 @@ class TestCli:
         code = cli.main(["opposite-axes", "--trials", "0", "--nu-grid", "0.1:0.1:1"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unused_grid_flags_exit_2(self, capsys):
+        code = cli.main(["correlation", "--trials", "2000", "--angle-grid", "0:1:2",
+                         "--theta-grid", "0.1:0.2:2", "--visibility-grid", "0.5:0.6:2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not use theta-grid" in captured.err
 
     def test_bad_output_path_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "x.csv"

@@ -4,9 +4,14 @@ The points sit on each of the sixteen boundaries and one float either side
 of it. There the slot functions, the four-bit cell and its decoding, the
 sorted-boundary oracle, the scalar round and the analytic per-theta
 probability must all agree exactly, and a batch replayed round by round
-through Alice's message must reproduce every kernel decision.
+through Alice's message must reproduce every kernel decision. Floats and
+one-element arrays take the same path through the slot functions and
+``evaluate_bob`` and must give the same values, and a round's JSON record
+must keep its bytes.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -55,13 +60,42 @@ def _check_point(x: float, theta: float) -> None:
     assert slot_triple(x, theta) == want
     assert cell.triple == want
     assert g.cell_to_triple(cell.index, theta) == want
+    scalar = (g.alpha_slot_of(x), g.beta_slot_of(x, theta), g.gamma_slot_of(x, theta))
+    xs, thetas = np.array([x]), np.array([theta])
+    vector = (g.alpha_slot_of(xs), g.beta_slot_of(xs, thetas), g.gamma_slot_of(xs, thetas))
+    assert all(type(s) is int for s in scalar)
+    assert scalar == tuple(int(v[0]) for v in vector) == want
 
 
-def _scalar_p_equal(a: float, b: float, theta: float, strategy) -> float:
+def _round(a: float, b: float, theta: float, strategy) -> pr.TrialRecord:
     hidden = pr.HiddenState.make(1, theta)
     _, msg = pr.alice_round(a, hidden)
     _, rec = pr.bob_round(b, msg, hidden, strategy=strategy, coin=0.5)
+    return rec
+
+
+def _scalar_p_equal(a: float, b: float, theta: float, strategy) -> float:
+    rec = _round(a, b, theta, strategy)
     return 1.0 - rec.accept_prob if rec.negated else rec.accept_prob
+
+
+def _check_evaluation_float_vs_array(a: float, b: float, theta: float, strategy) -> None:
+    """``evaluate_bob`` at a float theta equals the call at ``[theta]`` in every field."""
+    _, msg = pr.alice_round(a, pr.HiddenState.make(1, theta))
+    slots = (msg.alpha_slot, msg.beta_slot, msg.gamma_slot)
+    at_float = pr.evaluate_bob(*slots, b, theta, strategy)
+    at_array = pr.evaluate_bob(*slots, b, np.array([theta]), strategy)
+    for field in dataclasses.fields(pr.BobEvaluation):
+        got, want = getattr(at_float, field.name), getattr(at_array, field.name)
+        assert np.ndim(got) == 0, field.name
+        np.testing.assert_array_equal(got, np.ravel(want)[0], err_msg=field.name)
+
+
+def _asdict_json(rec: pr.TrialRecord) -> str:
+    """The record's JSON as built by ``dataclasses.asdict``, the reference for ``to_json``."""
+    d = dataclasses.asdict(rec)
+    d["message"] = rec.message.to_debug()
+    return json.dumps(d, allow_nan=True)
 
 
 def test_cell_triple_slot_functions_and_oracle_agree_next_to_boundaries():
@@ -94,6 +128,20 @@ def test_scalar_round_matches_analytic_probability_next_to_boundaries(strategy):
     for a, theta in GRID:
         for b in AXES:
             assert _scalar_p_equal(a, b, theta, strategy) == float(pr.p_equal_given_theta(a, b, theta, strategy))
+            _check_evaluation_float_vs_array(a, b, theta, strategy)
+
+
+def test_record_json_keeps_its_bytes_on_every_branch():
+    """``TrialRecord.to_json`` writes what the ``asdict``-built dict did, on all five branches."""
+    branches = set()
+    for a, theta in GRID:
+        for b in AXES:
+            for strategy in STRATEGIES:
+                rec = dataclasses.replace(_round(a, b, theta, strategy), a=g.normalize_angle(a))
+                assert rec.to_json() == _asdict_json(rec)
+                branches.add(rec.branch)
+    assert branches == {"same-slot", "cross-slot", "flipped-then-same-slot",
+                        "flipped-then-cross-slot", "flipped-terminated"}
 
 
 @given(theta=st.one_of(st.sampled_from(GRID_THETAS),
@@ -107,6 +155,9 @@ def test_boundary_neighbours_agree(theta, k, step, strategy, b):
         x = g.normalize_angle(float(np.nextafter(x, math.copysign(math.inf, step))))
     _check_point(x, theta)
     assert _scalar_p_equal(x, b, theta, strategy) == float(pr.p_equal_given_theta(x, b, theta, strategy))
+    _check_evaluation_float_vs_array(x, b, theta, strategy)
+    rec = _round(x, b, theta, strategy)
+    assert rec.to_json() == _asdict_json(rec)
 
 
 # --- message path against the kernels' table path ------------------------------
