@@ -17,11 +17,11 @@ from bctsim import harness as hn
 
 PI = math.pi
 
-print("nu/pi     p1        p2        total     quadrature")
+print("nu/pi     p1        p2        total     compact")
 for nu in np.linspace(0.0, an.NU_MAX, 9):
     closed = an.p_opposite_equal_closed(float(nu))
-    quad = an.p_opposite_equal_quadrature(float(nu))
-    print(f"{nu/PI:5.3f}   {closed.p1:.6f}  {closed.p2:.6f}  {closed.p_total:.6f}  {quad.p_total:.6f}")
+    compact = an.p_opposite_equal_compact(float(nu))
+    print(f"{nu/PI:5.3f}   {closed.p1:.6f}  {closed.p2:.6f}  {closed.p_total:.6f}  {compact:.6f}")
 
 extrema = an.find_extrema_of_nu_curve()
 print(f"\nmaximum {extrema.p_max:.5f} at nu = {extrema.nu_max/PI:.6f}*pi (exactly 1/10)")

@@ -24,7 +24,7 @@ for v in (1.0, 0.99, 0.9, 0.7, 0.5396160327593464, 0.5):
     print(f"{v:.4f}  {rep.p_effective:11.5f}  {rep.p_peff_total:13.6f}  {rep.v_threshold:.5f}")
 
 vth = an.visibility_threshold(NU)
-print(f"\nthreshold at nu = pi/10: {vth:.5f} (closed form; root-finder gives {an.visibility_threshold_by_rootfind(NU):.5f})")
+print(f"\nthreshold at nu = pi/10: {vth:.5f} (closed form)")
 print(f"overlap exactly at the threshold: {an.visibility_report(vth, NU).p_peff_total}")
 
 print("\nthreshold curve across the slot:")

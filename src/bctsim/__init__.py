@@ -10,9 +10,9 @@ The package splits into five layers:
   four-bit message, Bob's branch procedure with selectable readings of its
   ambiguous reflection step, the black-box repackaging, and the two-Bob probe
   that evaluates antipodal axes against one message;
-* :mod:`bctsim.analysis` -- closed forms for the equal-output anomaly, the
-  per-theta conservation-law audit, and the visibility arithmetic, each with
-  an independent numerical cross-check;
+* :mod:`bctsim.analysis` -- closed forms for the equal-output anomaly and
+  its exact full-range rate, the per-theta conservation-law audit, and the
+  visibility arithmetic;
 * :mod:`bctsim.harness` -- seeded, worker-count-invariant Monte Carlo sweeps
   with CSV/JSON emission, driven programmatically or through the ``bctsim``
   command line (:mod:`bctsim.cli`).
@@ -31,13 +31,11 @@ from .analysis import (
     p_equal_interval,
     p_opposite_equal_closed,
     p_opposite_equal_compact,
-    p_opposite_equal_quadrature,
     per_theta_consistency_audit,
     two_bob_equal_given_theta,
     two_bob_equal_quadrature,
     visibility_report,
     visibility_threshold,
-    visibility_threshold_by_rootfind,
 )
 from .geometry import (
     ALPHA_WIDTH,

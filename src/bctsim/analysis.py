@@ -11,7 +11,9 @@ acceptance probability over each window gives the two components
 
 whose sum collapses to ``-2/3 + (cos(nu) + cos(pi/5 - nu))/2``. The components
 are primary here; the compact form is asserted as their sum so a transcription
-slip in either is caught. Adaptive quadrature provides the independent route.
+slip in either is caught. The full-range rate a sweep estimates, coincidences
+outside the windows included, is summed exactly over the segments of the
+same :class:`~bctsim.protocol.SegmentTable` the sampler looks trials up in.
 
 The module also hosts the per-theta conservation-law audit (the probability of
 equal outcomes along ``b`` must match the probability of opposite outcomes
@@ -26,9 +28,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy import integrate, optimize
 
-from .geometry import THETA_SPAN, theta_breakpoints
+from .geometry import THETA_SPAN
 from .protocol import (
     ACCEPTANCE_COEFF,
     NO_FLIP,
@@ -37,6 +38,7 @@ from .protocol import (
     alice_slot_arrays,
     evaluate_bob,
     p_equal_given_theta,
+    segment_table,
 )
 
 __all__ = [
@@ -55,14 +57,12 @@ __all__ = [
     "p_equal_interval",
     "p_opposite_equal_closed",
     "p_opposite_equal_compact",
-    "p_opposite_equal_quadrature",
     "find_extrema_of_nu_curve",
     "two_bob_equal_given_theta",
     "two_bob_equal_quadrature",
     "per_theta_consistency_audit",
     "visibility_report",
     "visibility_threshold",
-    "visibility_threshold_by_rootfind",
     "curve_minimum_discrepancy",
 ]
 
@@ -148,27 +148,6 @@ def p_opposite_equal_compact(nu: float) -> float:
     return -2.0 / 3.0 + 0.5 * (math.cos(nu) + math.cos(NU_MAX - nu))
 
 
-def p_opposite_equal_quadrature(nu: float, tol: float = 1e-9) -> NuCurvePoint:
-    """Window components by adaptive quadrature; the independent route.
-
-    Raises ``RuntimeError`` if the integrator's error estimate exceeds
-    ``tol`` (the integrands are smooth, so this should not happen).
-    """
-    _check_nu(nu)
-
-    def integrand(u: float) -> float:
-        return 1.0 - ACCEPTANCE_COEFF * math.sin(u)
-
-    parts = []
-    for upper in (NU_MAX - nu, nu):
-        val, err = integrate.quad(integrand, 0.0, upper, epsabs=tol / 10.0)
-        if err > tol:
-            raise RuntimeError(f"quadrature error {err} exceeds tolerance {tol}")
-        parts.append(THETA_DENSITY * val)
-    p1, p2 = parts
-    return NuCurvePoint(nu=nu, p1=p1, p2=p2, p_total=p1 + p2)
-
-
 @dataclass(frozen=True)
 class ExtremaResult:
     nu_max: float
@@ -177,28 +156,21 @@ class ExtremaResult:
     p_min: float
 
 
-def find_extrema_of_nu_curve(resolution: int = 2001) -> ExtremaResult:
-    """Grid scan plus local refinement of the total over ``[0, pi/5]``."""
-    if resolution < 100:
-        raise ValueError(f"resolution must be at least 100, got {resolution}")
-    grid = np.linspace(0.0, NU_MAX, resolution)
-    totals = np.array([p_opposite_equal_closed(float(v)).p_total for v in grid])
+def find_extrema_of_nu_curve() -> ExtremaResult:
+    """Extrema of the total over ``[0, pi/5]``, from its derivative.
 
-    i_max = int(np.argmax(totals))
-    lo = grid[max(i_max - 1, 0)]
-    hi = grid[min(i_max + 1, resolution - 1)]
-    res = optimize.minimize_scalar(
-        lambda v: -p_opposite_equal_closed(float(v)).p_total,
-        bounds=(float(lo), float(hi)),
-        method="bounded",
-        options={"xatol": 1e-10},
+    The derivative of the compact form, ``(sin(pi/5 - nu) - sin(nu))/2``, is
+    positive below ``nu = pi/10`` and negative above it: the maximum sits at
+    ``pi/10`` and the minima at both endpoints.
+    """
+    nu_max = NU_MAX / 2.0
+    ends = (0.0, NU_MAX)
+    return ExtremaResult(
+        nu_max=nu_max,
+        p_max=p_opposite_equal_closed(nu_max).p_total,
+        nu_min_candidates=ends,
+        p_min=min(p_opposite_equal_closed(v).p_total for v in ends),
     )
-    nu_max = float(res.x)
-    p_max = p_opposite_equal_closed(nu_max).p_total
-
-    p_min = float(np.min(totals))
-    mins = tuple(float(v) for v, t in zip(grid, totals) if t <= p_min + 1e-12)
-    return ExtremaResult(nu_max=nu_max, p_max=p_max, nu_min_candidates=mins, p_min=p_min)
 
 
 def _sides_given_theta(nu: float, theta, strategy: Strategy):
@@ -240,36 +212,16 @@ def two_bob_equal_quadrature(
     nu: float,
     strategy: Strategy = NO_FLIP,
     coin_mode: CoinMode = CoinMode.INDEPENDENT,
-    restrict_to_windows: bool = False,
 ) -> float:
-    """Expected equal-output rate over the full shared-angle range.
+    """Expected equal-output rate over the full shared-angle range, exactly.
 
     This is the quantity a Monte Carlo sweep actually estimates; it exceeds
     the window-only closed form whenever both axes roll coins at the same
-    theta. ``restrict_to_windows`` integrates over the two deterministic
-    windows only, reproducing the closed form.
+    theta. It is :meth:`~bctsim.protocol.SegmentTable.expectation` of the
+    walkthrough frame's table, exact to rounding.
     """
-    _check_nu(nu)
-    if restrict_to_windows:
-        (w1_lo, w1_hi), (w2_lo, w2_hi) = interval_windows(nu)
-        segments = [(w1_lo, w1_hi), (w2_lo, w2_hi)]
-    else:
-        # the per-theta probabilities jump where a slot test flips, so integration splits there
-        pts = [0.0] + theta_breakpoints(alice_setting(nu), WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi) + [THETA_SPAN]
-        segments = list(zip(pts[:-1], pts[1:]))
-    total = 0.0
-    for lo, hi in segments:
-        if hi <= lo:
-            continue
-        val, _ = integrate.quad(
-            lambda t: float(two_bob_equal_given_theta(nu, t, strategy, coin_mode)),
-            lo,
-            hi,
-            epsabs=1e-11,
-            limit=200,
-        )
-        total += val
-    return THETA_DENSITY * total
+    table = segment_table(alice_setting(nu), (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi), strategy)
+    return table.expectation(coin_mode)
 
 
 @dataclass(frozen=True)
@@ -359,12 +311,6 @@ def visibility_threshold(nu: float) -> float:
     """
     point = p_opposite_equal_closed(nu)
     return (1.0 / 3.0) / (point.p_total + 1.0 / 3.0)
-
-
-def visibility_threshold_by_rootfind(nu: float) -> float:
-    """Iterative cross-check of :func:`visibility_threshold` via bracketing."""
-    point = p_opposite_equal_closed(nu)
-    return float(optimize.brentq(lambda v: v * point.p_total - (1.0 - v) / 3.0, 0.0, 1.0, xtol=1e-15))
 
 
 @dataclass(frozen=True)

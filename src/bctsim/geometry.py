@@ -18,14 +18,13 @@ slot of each system, and a boundary belongs to the slot it opens.
 :func:`alpha_slot_of`, :func:`beta_slot_of` and :func:`gamma_slot_of` apply
 the rule with the same expressions to Python floats, which give Python ints,
 and to numpy arrays, which broadcast; :func:`cell_index` reads the four-bit
-cell off the same sixteen floats, sorted, and takes its slot triple from
-those functions.
+cell off the same rule over all sixteen floats and takes its slot triple
+from those functions.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +87,7 @@ def _normalize(x):
     return y - TWO_PI * (y >= TWO_PI)
 
 
-#: the alpha boundaries j*pi/5, the same floats the cell partition sorts
+#: the alpha boundaries j*pi/5, the same floats that cut the combined cells
 _ALPHA_BOUNDS = tuple(j * ALPHA_WIDTH for j in range(10))
 
 
@@ -183,11 +182,13 @@ class Cell:
         return (self.alpha_slot, self.beta_slot, self.gamma_slot)
 
 
+def _boundary_floats(theta: float) -> tuple[float, ...]:
+    """The sixteen boundary floats of the combined partition, unsorted."""
+    return _ALPHA_BOUNDS + tuple(normalize_angle(theta + o) for o in BETA_OFFSETS + GAMMA_OFFSETS)
+
+
 def _cell_bounds(theta: float) -> list[float]:
-    bounds = [j * ALPHA_WIDTH for j in range(10)]
-    bounds += [normalize_angle(theta + o) for o in BETA_OFFSETS + GAMMA_OFFSETS]
-    bounds.sort()
-    return bounds
+    return sorted(_boundary_floats(theta))
 
 
 def _check_theta(theta: float) -> float:
@@ -203,14 +204,15 @@ def _triple(x: float, theta: float) -> tuple[int, int, int]:
 def cell_index(x: float, theta: float) -> Cell:
     """Rank of the combined-partition cell holding ``x``, with its slot triple.
 
-    The sixteen boundaries (ten alpha, three beta, three gamma) are sorted
-    ascending from 0; the index is the rank of the cell containing ``x``
+    Sorted ascending from 0, the sixteen boundaries (ten alpha, three beta,
+    three gamma) cut the cells; the index is the number of boundaries at or
+    below ``x``, less one, which is the rank of the cell containing ``x``
     under the half-open convention. Coinciding boundaries (``theta`` a
     multiple of ``pi/5``) produce empty cells, which no ``x`` lands in.
     """
     _check_theta(theta)
     x = normalize_angle(x)
-    idx = bisect_right(_cell_bounds(theta), x) - 1  # bounds[0] == 0.0, so idx >= 0
+    idx = _rank(x, _boundary_floats(theta)) - 1  # 0.0 is a boundary, so idx >= 0
     return Cell(idx, *_triple(x, theta))
 
 

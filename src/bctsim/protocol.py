@@ -448,6 +448,50 @@ class SegmentTable:
         kept = (coin < accept) | self.same[j][seg]
         return ~kept if self.negate[j] else kept
 
+    def expectation(self, coin_mode: CoinMode = CoinMode.INDEPENDENT) -> float:
+        """Exact P(both outputs equal) of a two-axis table, averaged over theta.
+
+        In a segment, Bob's acceptance on a cross-slot axis ``j`` is
+        ``q_j = 1 - (3*pi/10)*s_j*sin(phi_j - theta)`` with
+        ``phi_j = axes[j] - offset[j]``. The separator is an edge of Bob's
+        slot and slots are at most 4*pi/5 wide, so the sign ``s_j`` of the
+        sine changes only at a table edge; it is read at the segment
+        midpoint. On a same-slot or terminated axis ``q_j = 1``. Each
+        segment then integrates in closed form: independent coins agree with
+        ``1 - c1*S1 - c2*S2 + 2*c1*c2*S1*S2`` (``c_j = (3*pi/10)*s_j``,
+        ``S_j = sin(phi_j - theta)``), by product-to-sum; a shared coin with
+        ``1 - |q1 - q2|``, where ``q1 - q2 = P*cos(theta) + Q*sin(theta)``
+        keeps its sign between its zeros ``atan2(-P, Q) + k*pi``. Opposite
+        negations turn a segment's value into its length less that value.
+        """
+        lo = np.concatenate(([0.0], self.edges))
+        hi = np.concatenate((self.edges, [THETA_SPAN]))
+        length = hi - lo
+        mid = (lo + hi) / 2.0
+        phi = [b - off for b, off in zip(self.axes, self.offset)]
+        coeff = [np.where(same | dead, 0.0, ACCEPTANCE_COEFF * np.sign(np.sin(f - mid)))
+                 for f, same, dead in zip(phi, self.same, self.terminated)]
+        (p1, p2), (c1, c2) = phi, coeff
+        if coin_mode is CoinMode.INDEPENDENT:
+            int_s1 = np.cos(p1 - hi) - np.cos(p1 - lo)
+            int_s2 = np.cos(p2 - hi) - np.cos(p2 - lo)
+            int_s1s2 = 0.5 * length * np.cos(p1 - p2) - 0.25 * (np.sin(p1 + p2 - 2.0 * lo)
+                                                                  - np.sin(p1 + p2 - 2.0 * hi))
+            equal = length - c1 * int_s1 - c2 * int_s2 + 2.0 * c1 * c2 * int_s1s2
+        else:
+            p = c2 * np.sin(p2) - c1 * np.sin(p1)
+            q = c1 * np.cos(p1) - c2 * np.cos(p2)
+            zero = np.arctan2(-p, q)
+            cut = np.clip(zero + math.pi * np.ceil((lo - zero) / math.pi), lo, hi)  # segments are < pi long
+
+            def gap(t0, t1):
+                return np.abs(p * (np.sin(t1) - np.sin(t0)) - q * (np.cos(t1) - np.cos(t0)))
+
+            equal = length - gap(lo, cut) - gap(cut, hi)
+        if self.negate[0] != self.negate[1]:
+            equal = length - equal
+        return float(np.sum(equal)) / THETA_SPAN
+
 
 def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
     """Build the :class:`SegmentTable` of Alice's setting ``a`` against Bob's ``axes``.

@@ -15,6 +15,7 @@ from bctsim import geometry as g
 from bctsim import harness as hn
 from bctsim import protocol as pr
 from bctsim import qm
+from quad_oracle import p_opposite_equal_quadrature
 
 PI = math.pi
 
@@ -62,7 +63,7 @@ def test_criterion_03_window_probability():
     assert abs(value - P_WINDOW) <= 1e-6
     assert abs(an.p_equal_interval("two") - P_WINDOW) <= 1e-6
     assert round(value, 3) == 0.142
-    quad = an.p_opposite_equal_quadrature(PI / 10)
+    quad = p_opposite_equal_quadrature(PI / 10)
     assert abs(value - quad.p1) <= 1e-8
     assert abs(2 * value - (quad.p1 + quad.p2)) <= 1e-8
     _report(3, f"window probability {value:.6f} (rounds to 0.142), quadrature agrees to 1e-8")
@@ -90,7 +91,7 @@ def test_criterion_04_headline_anomaly():
 def test_criterion_05_nu_curve():
     point = an.p_opposite_equal_closed(PI / 10)
     assert abs(point.p_total - P_TOTAL_MAX) <= 1e-6
-    extrema = an.find_extrema_of_nu_curve(2001)
+    extrema = an.find_extrema_of_nu_curve()
     assert abs(extrema.nu_max - PI / 10) <= 1e-6
     for nu in np.linspace(0.0, an.NU_MAX, 200):
         left = an.p_opposite_equal_closed(float(nu)).p_total

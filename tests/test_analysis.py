@@ -1,17 +1,27 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from bctsim import analysis as an
+from bctsim import harness as hn
 from bctsim import protocol as pr
+from quad_oracle import (
+    p_opposite_equal_quadrature,
+    two_bob_equal_reference,
+    visibility_threshold_by_rootfind,
+    window_integral,
+)
 
 PI = math.pi
 
 # Frozen expected values, computed once with the independent quadrature
-# oracle below (and 30-digit arithmetic as a tie-breaker); the closed forms
-# must land on them.
+# oracles of tests/quad_oracle.py (and 30-digit arithmetic as a tie-breaker);
+# the closed forms must land on them.
 P_WINDOW = 0.1421949248142434  # (5/3pi) * int_0^{pi/10} (1 - (3pi/10) sin u) du
 P_TOTAL_MAX = 0.2843898496284869  # total at nu = pi/10
 P_TOTAL_END = 0.2378418305208070  # total at nu in {0, pi/5}
@@ -22,19 +32,13 @@ P_CROSS_SMALL = 0.8525639901584084  # 1 - (3pi/10) sin(pi/20)
 TWO_BOB_TOTAL_MAX = 0.6311673539730198  # full-range equal rate at nu = pi/10
 
 
-def quad_oracle(upper: float) -> float:
-    """Independent route to the window integral, used to freeze expectations."""
-    val, _ = integrate.quad(lambda u: 1.0 - (3 * PI / 10) * math.sin(u), 0.0, upper, epsabs=1e-13)
-    return val / (3 * PI / 5)
-
-
 class TestWindowProbability:
     def test_both_windows_give_frozen_value(self):
         assert an.p_equal_interval("one") == pytest.approx(P_WINDOW, abs=1e-12)
         assert an.p_equal_interval("two") == pytest.approx(P_WINDOW, abs=1e-12)
 
     def test_against_independent_quadrature(self):
-        assert abs(an.p_equal_interval() - quad_oracle(PI / 10)) < 1e-10
+        assert abs(an.p_equal_interval() - window_integral(PI / 10)) < 1e-10
 
     def test_rounds_to_published_three_decimals(self):
         assert round(an.p_equal_interval(), 3) == 0.142
@@ -74,19 +78,19 @@ class TestNuCurve:
         assert an.p_opposite_equal_closed(0.0).p_total == pytest.approx(P_TOTAL_END, abs=1e-12)
 
     def test_first_window_vanishes_at_endpoint(self):
-        assert an.p_opposite_equal_quadrature(an.NU_MAX).p1 == pytest.approx(0.0, abs=1e-12)
+        assert p_opposite_equal_quadrature(an.NU_MAX).p1 == pytest.approx(0.0, abs=1e-12)
 
     def test_out_of_range_rejected(self):
         for bad in (-0.01, an.NU_MAX + 0.01):
             with pytest.raises(ValueError):
                 an.p_opposite_equal_closed(bad)
             with pytest.raises(ValueError):
-                an.p_opposite_equal_quadrature(bad)
+                p_opposite_equal_quadrature(bad)
 
     def test_quadrature_agrees_with_closed_form(self):
         for nu in np.linspace(0, an.NU_MAX, 200):
             closed = an.p_opposite_equal_closed(float(nu))
-            quad = an.p_opposite_equal_quadrature(float(nu))
+            quad = p_opposite_equal_quadrature(float(nu))
             assert abs(closed.p1 - quad.p1) < 1e-8
             assert abs(closed.p2 - quad.p2) < 1e-8
             assert abs(closed.p_total - quad.p_total) < 1e-8
@@ -98,15 +102,12 @@ class TestNuCurve:
             assert abs(left - right) < 1e-12
 
     def test_extrema(self):
-        res = an.find_extrema_of_nu_curve(2001)
+        res = an.find_extrema_of_nu_curve()
+        assert res.nu_max == an.NU_MAX / 2
         assert res.nu_max == pytest.approx(PI / 10, abs=1e-6)
         assert res.p_max == pytest.approx(P_TOTAL_MAX, abs=1e-12)
         assert res.p_min == pytest.approx(P_TOTAL_END, abs=1e-12)
         assert {round(v, 9) for v in res.nu_min_candidates} == {0.0, round(an.NU_MAX, 9)}
-
-    def test_extrema_resolution_floor(self):
-        with pytest.raises(ValueError):
-            an.find_extrema_of_nu_curve(50)
 
     def test_reported_minimum_disagrees_with_formula(self):
         rec = an.curve_minimum_discrepancy()
@@ -120,8 +121,16 @@ class TestTwoBobTotals:
     def test_window_restricted_quadrature_reproduces_closed_form(self):
         for nu in (0.0, PI / 20, PI / 10, an.NU_MAX):
             closed = an.p_opposite_equal_closed(nu).p_total
-            restricted = an.two_bob_equal_quadrature(nu, restrict_to_windows=True)
+            restricted = two_bob_equal_reference(nu, windows_only=True)
             assert abs(closed - restricted) < 1e-9
+
+    @pytest.mark.parametrize("coin_mode", list(pr.CoinMode))
+    @pytest.mark.parametrize("label, strategy", hn.CALIBRATION_VARIANTS)
+    def test_exact_sum_matches_adaptive_quadrature(self, label, strategy, coin_mode):
+        for nu in np.linspace(0.0, an.NU_MAX, 21):
+            exact = an.two_bob_equal_quadrature(float(nu), strategy, coin_mode)
+            reference = two_bob_equal_reference(float(nu), strategy, coin_mode)
+            assert abs(exact - reference) < 1e-12, (label, coin_mode, float(nu))
 
     def test_full_range_exceeds_window_value(self):
         total = an.two_bob_equal_quadrature(PI / 10)
@@ -230,7 +239,7 @@ class TestVisibility:
 
     def test_threshold_matches_rootfind(self):
         for nu in np.linspace(0, an.NU_MAX, 25):
-            assert abs(an.visibility_threshold(float(nu)) - an.visibility_threshold_by_rootfind(float(nu))) < 1e-12
+            assert abs(an.visibility_threshold(float(nu)) - visibility_threshold_by_rootfind(float(nu))) < 1e-12
 
     def test_threshold_zeroes_the_overlap_exactly(self):
         rep = an.visibility_report(an.visibility_threshold(PI / 10), PI / 10)
@@ -242,3 +251,24 @@ class TestVisibility:
         thresholds = [an.visibility_threshold(float(v)) for v in nus]
         assert all(t2 > t1 for t1, t2 in zip(totals, totals[1:]))
         assert all(v2 < v1 for v1, v2 in zip(thresholds, thresholds[1:]))
+
+
+NO_SCIPY_RUN = """
+import math, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import bctsim
+import bctsim.cli
+from bctsim import analysis
+assert bctsim.cli.main(["opposite-axes", "--trials", "2000"]) == 0
+analysis.two_bob_equal_quadrature(math.pi / 10)
+analysis.find_extrema_of_nu_curve()
+"""
+
+
+def test_package_runs_without_scipy():
+    # SciPy is a test dependency only: nothing in the package may import it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
