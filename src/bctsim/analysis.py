@@ -47,6 +47,7 @@ __all__ = [
     "WALKTHROUGH_B1",
     "AUDIT_TOL",
     "REPORTED_CURVE_MINIMUM",
+    "DISCREPANCY_TOL",
     "NuCurvePoint",
     "ExtremaResult",
     "ConsistencyRow",
@@ -77,6 +78,8 @@ AUDIT_TOL = 1e-9
 #: previously reported curve minimum at the endpoints; the formulas above give
 #: ~0.2378 there. Kept as a comparison record, never asserted as truth.
 REPORTED_CURVE_MINIMUM = 0.071
+#: largest gap at which the formula would agree with the reported minimum
+DISCREPANCY_TOL = 1e-3
 
 
 def _check_nu(nu: float) -> float:
@@ -109,14 +112,12 @@ def _window_integral(upper: float) -> float:
     return upper - ACCEPTANCE_COEFF * (1.0 - math.cos(upper))
 
 
-def p_equal_interval(which: str = "one") -> float:
+def p_equal_interval() -> float:
     """Equal-output probability contributed by either deterministic window.
 
     Both windows give the same value (~0.14219) at the orthogonal setting
-    ``nu = pi/10``; ``which`` selects only for the caller's bookkeeping.
+    ``nu = pi/10``.
     """
-    if which not in ("one", "two"):
-        raise ValueError(f"which must be 'one' or 'two', got {which!r}")
     return THETA_DENSITY * _window_integral(math.pi / 10.0)
 
 
@@ -244,7 +245,6 @@ def per_theta_consistency_audit(
     b: float,
     thetas: Iterable[float],
     strategy: Strategy = NO_FLIP,
-    tol: float = AUDIT_TOL,
 ) -> list[ConsistencyRow]:
     """Evaluate the conservation law on a grid of shared angles."""
     grid = np.asarray(list(thetas), dtype=float)
@@ -261,7 +261,7 @@ def per_theta_consistency_audit(
                 p_same_forward=float(pf),
                 p_same_reversed=float(pr),
                 p_anti_reversed=float(anti),
-                violation=bool(abs(pf - anti) > tol),
+                violation=bool(abs(pf - anti) > AUDIT_TOL),
             )
         )
     return rows
@@ -324,7 +324,7 @@ class MinimumDiscrepancy:
     agrees: bool
 
 
-def curve_minimum_discrepancy(tol: float = 1e-3) -> MinimumDiscrepancy:
+def curve_minimum_discrepancy() -> MinimumDiscrepancy:
     """The endpoint-value discrepancy record (formula ~0.2378 vs reported 0.071)."""
     formula = p_opposite_equal_closed(0.0).p_total
     gap = abs(formula - REPORTED_CURVE_MINIMUM)
@@ -333,5 +333,5 @@ def curve_minimum_discrepancy(tol: float = 1e-3) -> MinimumDiscrepancy:
         formula_value=formula,
         reported_value=REPORTED_CURVE_MINIMUM,
         gap=gap,
-        agrees=gap <= tol,
+        agrees=gap <= DISCREPANCY_TOL,
     )

@@ -212,7 +212,7 @@ def cell_index(x: float, theta: float) -> Cell:
     """
     _check_theta(theta)
     x = normalize_angle(x)
-    idx = _rank(x, _boundary_floats(theta)) - 1  # 0.0 is a boundary, so idx >= 0
+    idx = int(_rank(x, _boundary_floats(theta))) - 1  # 0.0 is a boundary, so idx >= 0
     return Cell(idx, *_triple(x, theta))
 
 

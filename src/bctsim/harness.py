@@ -193,11 +193,6 @@ def _batch_rng(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _pool(workers: int):
-    """A thread pool for ``workers > 1``, else a context yielding None: batches then run in turn."""
-    return ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
-
-
 def _run_batches(
     kernel: Callable[[np.random.Generator, int], np.ndarray],
     trials: int,
@@ -315,7 +310,6 @@ def conditioned_two_bob_estimate(
     seed: int,
     strategy: Strategy = NO_FLIP,
     coin_mode: CoinMode = CoinMode.INDEPENDENT,
-    workers: int = 1,
     batch_size: int = 250_000,
 ) -> tuple[float, float]:
     """Monte Carlo P(both Bob outputs equal) with the shared angle held fixed.
@@ -325,9 +319,8 @@ def conditioned_two_bob_estimate(
     """
     if not (0.0 <= theta < THETA_SPAN):
         raise ConfigError(f"conditioned theta must lie in [0, 3*pi/5), got {theta!r}")
-    with _pool(workers) as pool:
-        tally = _run_batches(_antipodal(nu, strategy, coin_mode, theta_fixed=theta),
-                             trials, seed, (0,), batch_size, pool)
+    tally = _run_batches(_antipodal(nu, strategy, coin_mode, theta_fixed=theta),
+                         trials, seed, (0,), batch_size, None)
     est = tally[EQUAL] / tally[N]
     return float(est), _stderr(float(est), int(tally[N]))
 
@@ -339,14 +332,12 @@ def conditioned_pair_estimate(
     trials: int,
     seed: int,
     strategy: Strategy = NO_FLIP,
-    workers: int = 1,
     batch_size: int = 250_000,
 ) -> tuple[float, float]:
     """Monte Carlo P(outputs equal) for one pair with the shared angle fixed."""
     if not (0.0 <= theta < THETA_SPAN):
         raise ConfigError(f"conditioned theta must lie in [0, 3*pi/5), got {theta!r}")
-    with _pool(workers) as pool:
-        tally = _run_batches(_kernel(a, (b,), strategy, theta_fixed=theta), trials, seed, (0,), batch_size, pool)
+    tally = _run_batches(_kernel(a, (b,), strategy, theta_fixed=theta), trials, seed, (0,), batch_size, None)
     est = tally[KEPT_1] / tally[N]
     return float(est), _stderr(float(est), int(tally[N]))
 
@@ -357,7 +348,6 @@ def joint_outcome_table(
     trials: int,
     seed: int,
     strategy: Strategy = NO_FLIP,
-    workers: int = 1,
     batch_size: int = 250_000,
 ) -> np.ndarray:
     """2x2 joint outcome counts, rows = first party's sign, cols = second's.
@@ -367,8 +357,7 @@ def joint_outcome_table(
     from seeded :func:`~bctsim.protocol.nbct_trial` rounds, which play each
     round through Alice's message and Bob's scalar procedure.
     """
-    with _pool(workers) as pool:
-        n, c_plus, kept, b_plus = _run_batches(_kernel(a, (b,), strategy), trials, seed, (0,), batch_size, pool)
+    n, c_plus, kept, b_plus = _run_batches(_kernel(a, (b,), strategy), trials, seed, (0,), batch_size, None)
     # b_plus counts kept & c+ plus ~kept & ~c+, so kept & c+ is (b_plus - n + kept + c_plus) / 2
     pp = (b_plus - n + kept + c_plus) // 2
     mm = kept - pp
@@ -596,7 +585,9 @@ def run_experiment(config: ExperimentConfig) -> SweepTable:
     """Validate ``config`` once, then sample and finish every row of its experiment's table."""
     spec = EXPERIMENTS[config.validate().experiment]
     rows = []
-    with _pool(config.workers) as pool:
+    # a thread pool for more than one worker, else None: batches then run in turn
+    workers = config.workers
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
         for cells, streams in spec.rows(config):
             tallies = [_run_batches(kernel, config.trials, config.seed, key, config.batch_size, pool)
                        for key, kernel in streams.items()]

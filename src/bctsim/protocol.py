@@ -245,15 +245,13 @@ class BobEvaluation:
 
     Per-theta fields have the broadcast shape of theta and Alice's slots;
     ``alice_slot`` keeps the shape it was given. ``accept_prob`` is the
-    pre-negation probability of keeping ``c``; ``p_equal`` folds in the
-    negation: the probability that the final output equals ``c``.
+    pre-negation probability of keeping ``c``; the final output is negated
+    when ``negate`` (a fired reflection). ``system`` is ``"none"`` when the
+    reflection terminated the round.
     """
 
-    p_equal: np.ndarray
     accept_prob: np.ndarray
     negate: bool
-    terminated: bool
-    flip_fired: bool
     system: str
     same_slot: np.ndarray
     bob_slot: np.ndarray
@@ -309,11 +307,8 @@ def evaluate_bob(
     if system == "none":
         shape = np.shape(theta)
         return BobEvaluation(
-            p_equal=np.zeros(shape),
             accept_prob=np.ones(shape),  # inner outcome is c with certainty, then negated
             negate=True,
-            terminated=True,
-            flip_fired=True,
             system="none",
             same_slot=np.zeros(shape, dtype=bool),
             bob_slot=np.full(shape, -1, dtype=np.int64),
@@ -340,11 +335,8 @@ def evaluate_bob(
     accept = np.where(same, 1.0, accept)
 
     return BobEvaluation(
-        p_equal=1.0 - accept if fired else accept,
         accept_prob=accept,
         negate=fired,
-        terminated=False,
-        flip_fired=fired,
         system=system,
         same_slot=same,
         bob_slot=bob_slot,
@@ -518,12 +510,13 @@ def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
         same.append(ev.same_slot)
         offset.append(np.where(ev.boundary_index < 0, 0.0, offsets[ev.boundary_index]))
         negate.append(ev.negate)
-        terminated.append(ev.terminated)
+        terminated.append(ev.system == "none")
     return SegmentTable(edges, tuple(r[0] for r in resolved), tuple(same), tuple(offset),
                         tuple(negate), tuple(terminated))
 
 
-def _validate_message(msg: SlotMessage, hidden: HiddenState) -> None:
+def _decode(msg: SlotMessage, hidden: HiddenState) -> tuple[int, int, int]:
+    """The slot triple Bob reads off the wire cell, checked against the triple the message carries."""
     if not 0 <= msg.cell <= 15:
         raise ProtocolError(f"cell index must lie in 0..15, got {msg.cell}")
     try:
@@ -535,44 +528,26 @@ def _validate_message(msg: SlotMessage, hidden: HiddenState) -> None:
             f"message triple {msg.triple} does not decode from cell {msg.cell} "
             f"at theta={hidden.theta!r} (expected {triple})"
         )
+    return triple
 
 
-def bob_round(
-    b: float,
-    msg: SlotMessage,
-    hidden: HiddenState,
-    rng: np.random.Generator | None = None,
-    strategy: Strategy = NO_FLIP,
-    coin: float | None = None,
-) -> tuple[int, TrialRecord]:
-    """Bob's output for one round, with a full replayable record.
-
-    ``coin`` is the unit-interval draw compared against the acceptance
-    probability; it is drawn from ``rng`` when not supplied, which lets
-    two-Bob rounds share or split coins.
-    """
-    _validate_message(msg, hidden)
-    if coin is None:
-        if rng is None:
-            raise ProtocolError("bob_round needs either a random generator or an explicit coin")
-        coin = float(rng.random())
-    if not 0.0 <= coin < 1.0:
-        raise ProtocolError(f"coin must lie in [0, 1), got {coin!r}")
-
-    ev = evaluate_bob(msg.alpha_slot, msg.beta_slot, msg.gamma_slot, b, hidden.theta, strategy)
+def _bob_step(a: float, b: float, msg: SlotMessage, triple: tuple[int, int, int], hidden: HiddenState,
+              coin: float, strategy: Strategy) -> tuple[int, TrialRecord]:
+    """Bob's output on axis ``b`` against the decoded ``triple``, and the round's record for setting ``a``."""
+    ev = evaluate_bob(*triple, b, hidden.theta, strategy)
     accept = float(ev.accept_prob)
     inner = hidden.c if coin < accept else -hidden.c
     c_b = -inner if ev.negate else inner
 
-    if ev.terminated:
+    if ev.system == "none":
         branch = "flipped-terminated"
     elif bool(ev.same_slot):
-        branch = "flipped-then-same-slot" if ev.flip_fired else "same-slot"
+        branch = "flipped-then-same-slot" if ev.negate else "same-slot"
     else:
-        branch = "flipped-then-cross-slot" if ev.flip_fired else "cross-slot"
+        branch = "flipped-then-cross-slot" if ev.negate else "cross-slot"
 
-    record = TrialRecord(
-        a=math.nan,
+    return c_b, TrialRecord(
+        a=a,
         b=normalize_angle(b),
         c=hidden.c,
         theta=hidden.theta,
@@ -581,7 +556,7 @@ def bob_round(
         c_a=hidden.c,
         c_b=c_b,
         branch=branch,
-        flip_fired=ev.flip_fired,
+        flip_fired=ev.negate,
         negated=ev.negate,
         system=ev.system,
         bob_slot=int(ev.bob_slot),
@@ -593,7 +568,47 @@ def bob_round(
         flip_rule=strategy.flip_rule.value,
         flip_semantics=strategy.flip_semantics.value,
     )
-    return c_b, record
+
+
+def bob_round(
+    b: float,
+    msg: SlotMessage,
+    hidden: HiddenState,
+    rng: np.random.Generator | None = None,
+    strategy: Strategy = NO_FLIP,
+    coin: float | None = None,
+) -> tuple[int, TrialRecord]:
+    """Bob's output for one round, with a full replayable record (``a`` is nan: Bob never sees it).
+
+    ``coin`` is the unit-interval draw compared against the acceptance
+    probability; it is drawn from ``rng`` when not supplied.
+    """
+    triple = _decode(msg, hidden)
+    if coin is None:
+        if rng is None:
+            raise ProtocolError("bob_round needs either a random generator or an explicit coin")
+        coin = float(rng.random())
+    if not 0.0 <= coin < 1.0:
+        raise ProtocolError(f"coin must lie in [0, 1), got {coin!r}")
+    return _bob_step(math.nan, b, msg, triple, hidden, coin, strategy)
+
+
+def _round(a: float, axes: tuple[float, ...], rng: np.random.Generator, strategy: Strategy,
+           coin_mode: CoinMode = CoinMode.INDEPENDENT) -> tuple[int, list[tuple[int, TrialRecord]]]:
+    """One round for Alice at ``a`` against one or two Bob ``axes``: her output, then Bob's per axis.
+
+    Draws the sign, then the angle, then one coin per axis; the second axis
+    reuses the first coin under ``CoinMode.SHARED``. Bob decodes the wire
+    cell once for all his axes.
+    """
+    hidden = draw_hidden(rng)
+    c_a, msg = alice_round(a, hidden)
+    triple = _decode(msg, hidden)
+    coins = [float(rng.random())]
+    if len(axes) == 2:
+        coins.append(coins[0] if coin_mode is CoinMode.SHARED else float(rng.random()))
+    a = normalize_angle(a)
+    return c_a, [_bob_step(a, b, msg, triple, hidden, coin, strategy) for b, coin in zip(axes, coins)]
 
 
 def bct_trial(
@@ -603,10 +618,8 @@ def bct_trial(
     strategy: Strategy = NO_FLIP,
 ) -> tuple[int, int, TrialRecord]:
     """One full round: draw shared randomness, run Alice, then Bob."""
-    hidden = draw_hidden(rng)
-    c_a, msg = alice_round(a, hidden)
-    c_b, record = bob_round(b, msg, hidden, rng, strategy)
-    return c_a, c_b, dataclasses.replace(record, a=normalize_angle(a))
+    c_a, [(c_b, record)] = _round(a, (b,), rng, strategy)
+    return c_a, c_b, record
 
 
 def nbct_trial(
@@ -647,20 +660,8 @@ def two_bob_trial(
     the two outputs is what an axis reversal should guarantee; this trial is
     the probe for its failure.
     """
-    hidden = draw_hidden(rng)
-    c_a, msg = alice_round(a, hidden)
-    coin1 = float(rng.random())
-    coin2 = coin1 if coin_mode is CoinMode.SHARED else float(rng.random())
-    c_b1, rec1 = bob_round(b1, msg, hidden, strategy=strategy, coin=coin1)
-    c_b2, rec2 = bob_round(b1 + math.pi, msg, hidden, strategy=strategy, coin=coin2)
-    a_norm = normalize_angle(a)
-    return TwoBobResult(
-        c_a=c_a,
-        c_b1=c_b1,
-        c_b2=c_b2,
-        record_b1=dataclasses.replace(rec1, a=a_norm),
-        record_b2=dataclasses.replace(rec2, a=a_norm),
-    )
+    c_a, [(c_b1, rec1), (c_b2, rec2)] = _round(a, (b1, b1 + math.pi), rng, strategy, coin_mode)
+    return TwoBobResult(c_a, c_b1, c_b2, rec1, rec2)
 
 
 def p_equal_given_theta(a: float, b: float, theta, strategy: Strategy = NO_FLIP):
@@ -676,7 +677,8 @@ def p_equal_given_theta(a: float, b: float, theta, strategy: Strategy = NO_FLIP)
         raise ProtocolError("theta values must lie in [0, 3*pi/5)")
     alpha, beta_slots, gamma_slots = alice_slot_arrays(a, theta)
     ev = evaluate_bob(alpha, beta_slots, gamma_slots, b, theta, strategy)
-    return ev.p_equal if vector else float(ev.p_equal)
+    p_equal = 1.0 - ev.accept_prob if ev.negate else ev.accept_prob
+    return p_equal if vector else float(p_equal)
 
 
 def replay_bob(record: TrialRecord) -> int:

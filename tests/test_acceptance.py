@@ -59,9 +59,9 @@ def test_criterion_02_walkthrough_slot_geometry():
 
 
 def test_criterion_03_window_probability():
-    value = an.p_equal_interval("one")
+    value = an.p_equal_interval()
     assert abs(value - P_WINDOW) <= 1e-6
-    assert abs(an.p_equal_interval("two") - P_WINDOW) <= 1e-6
+    assert abs(an.p_opposite_equal_closed(PI / 10).p2 - P_WINDOW) <= 1e-6
     assert round(value, 3) == 0.142
     quad = p_opposite_equal_quadrature(PI / 10)
     assert abs(value - quad.p1) <= 1e-8

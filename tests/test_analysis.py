@@ -34,8 +34,8 @@ TWO_BOB_TOTAL_MAX = 0.6311673539730198  # full-range equal rate at nu = pi/10
 
 class TestWindowProbability:
     def test_both_windows_give_frozen_value(self):
-        assert an.p_equal_interval("one") == pytest.approx(P_WINDOW, abs=1e-12)
-        assert an.p_equal_interval("two") == pytest.approx(P_WINDOW, abs=1e-12)
+        assert an.p_equal_interval() == pytest.approx(P_WINDOW, abs=1e-12)
+        assert an.p_opposite_equal_closed(PI / 10).p2 == pytest.approx(P_WINDOW, abs=1e-12)
 
     def test_against_independent_quadrature(self):
         assert abs(an.p_equal_interval() - window_integral(PI / 10)) < 1e-10
@@ -44,13 +44,9 @@ class TestWindowProbability:
         assert round(an.p_equal_interval(), 3) == 0.142
         assert round(2 * an.p_equal_interval(), 3) == 0.284
 
-    def test_bad_selector_rejected(self):
-        with pytest.raises(ValueError):
-            an.p_equal_interval("three")
-
     def test_identity_with_curve_component(self):
         # the same integral appears as the first window component at nu = pi/10
-        assert an.p_equal_interval("one") == an.p_opposite_equal_closed(PI / 10).p1
+        assert an.p_equal_interval() == an.p_opposite_equal_closed(PI / 10).p1
 
 
 class TestNuCurve:

@@ -6,6 +6,9 @@ remainder batch per row. The estimators' integer tallies are compared too.
 Any change to a draw order, a stream key, a tally or the rendering shows up
 here as a byte difference.
 
+Scalar rounds are pinned the same way: ``rounds.jsonl`` holds, per round,
+the outputs, every record's JSON and ``replay_bob``'s result.
+
 Regenerate the fixtures only for a change that is meant to alter the random
 stream (and bumps ``VERSION``)::
 
@@ -14,10 +17,12 @@ stream (and bumps ``VERSION``)::
 
 import contextlib
 import io
+import itertools
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bctsim import cli
@@ -79,6 +84,42 @@ def estimator_tallies() -> bytes:
     return (json.dumps(out, indent=1) + "\n").encode("utf-8")
 
 
+ROUNDS_SEED = 7
+ROUND_KINDS = (("bct", None), ("nbct", None),
+               ("two-bob", pr.CoinMode.INDEPENDENT), ("two-bob", pr.CoinMode.SHARED))
+
+
+def _setting(rng: np.random.Generator, i: int) -> float:
+    """A setting in [-2*pi, 4*pi); every fourth one sits one ulp off a multiple of pi/5."""
+    if i % 4 == 3:
+        k = int(rng.integers(-10, 20))
+        return float(np.nextafter(k * PI / 5, np.inf if rng.random() < 0.5 else -np.inf))
+    return float(rng.uniform(-2 * PI, 4 * PI))
+
+
+def scalar_rounds() -> bytes:
+    """400 seeded scalar rounds over every round kind, coin mode and calibration variant."""
+    settings_seq, rounds_seq = np.random.SeedSequence(ROUNDS_SEED).spawn(2)
+    settings, rng = np.random.default_rng(settings_seq), np.random.default_rng(rounds_seq)
+    lines = []
+    for i in range(20):
+        for (kind, coin), (label, strategy) in itertools.product(ROUND_KINDS, hn.CALIBRATION_VARIANTS):
+            a, b = _setting(settings, i), _setting(settings, i + 1)
+            if kind == "bct":
+                c_a, c_b, rec = pr.bct_trial(a, b, rng, strategy)
+                outputs, records = [c_a, c_b], [rec]
+            elif kind == "nbct":
+                outputs, records = list(pr.nbct_trial(a, b, rng, strategy)), []
+            else:
+                r = pr.two_bob_trial(a, b, rng, strategy, coin)
+                outputs, records = [r.c_a, r.c_b1, r.c_b2], [r.record_b1, r.record_b2]
+            line = {"kind": kind, "coin": coin.value if coin else None, "variant": label, "a": a, "b": b,
+                    "outputs": outputs, "records": [rec.to_json() for rec in records],
+                    "replay": [pr.replay_bob(rec) for rec in records]}
+            lines.append(json.dumps(line) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     assert cli_output(CASES[name]) == (GOLDEN / name).read_bytes()
@@ -88,8 +129,13 @@ def test_estimator_tallies_match_golden():
     assert estimator_tallies() == (GOLDEN / "estimators.json").read_bytes()
 
 
+def test_scalar_rounds_match_golden():
+    assert scalar_rounds() == (GOLDEN / "rounds.jsonl").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         (GOLDEN / name).write_bytes(cli_output(argv))
     (GOLDEN / "estimators.json").write_bytes(estimator_tallies())
+    (GOLDEN / "rounds.jsonl").write_bytes(scalar_rounds())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bctsim import geometry
 from bctsim import protocol as pr
 from bctsim.geometry import THETA_SPAN, arc_distance, beta_boundary, gamma_boundary
 
@@ -21,6 +22,12 @@ strategy_st = st.builds(
     flip_rule=st.sampled_from(list(pr.FlipRule)),
     flip_semantics=st.sampled_from(list(pr.FlipSemantics)),
 )
+
+
+def _record_from_json(text: str) -> pr.TrialRecord:
+    d = json.loads(text)
+    d["message"] = pr.SlotMessage(**d["message"])
+    return pr.TrialRecord(**d)
 
 
 class TestHiddenState:
@@ -204,6 +211,19 @@ class TestTrials:
         assert blob["message"]["cell"] == rec.message.cell
         assert blob["c_b"] in (-1, 1)
 
+    @pytest.mark.parametrize("a_type", [float, np.float64])
+    @pytest.mark.parametrize("theta_type", [float, np.float64])
+    def test_numpy_float_inputs_give_a_replayable_json_record(self, a_type, theta_type):
+        # a NumPy scalar setting or shared angle still yields a Python int cell
+        hidden = pr.HiddenState.make(-1, theta_type(0.4))
+        _, msg = pr.alice_round(a_type(1.0), hidden)
+        assert type(msg.cell) is int
+        c_b, rec = pr.bob_round(2.0, msg, hidden, coin=0.3)
+        assert pr.replay_bob(_record_from_json(rec.to_json())) == c_b
+        _, c_b, rec = pr.bct_trial(a_type(1.0), 2.0, np.random.default_rng(14))
+        assert type(rec.message.cell) is int
+        assert pr.replay_bob(_record_from_json(rec.to_json())) == c_b
+
     def test_black_box_interface_hides_everything(self):
         rng = np.random.default_rng(15)
         out = pr.nbct_trial(0.0, PI / 2, rng)
@@ -255,6 +275,18 @@ class TestTwoBob:
         rng = np.random.default_rng(23)
         res = pr.two_bob_trial(PI / 2, 0.0, rng, pr.NO_FLIP, pr.CoinMode.SHARED)
         assert res.record_b1.coin == res.record_b2.coin
+
+    @pytest.mark.parametrize("coin_mode", list(pr.CoinMode))
+    def test_bob_decodes_the_wire_cell_once_per_round(self, monkeypatch, coin_mode):
+        calls = []
+        decode = geometry.cell_to_triple
+        monkeypatch.setattr(geometry, "cell_to_triple", lambda *args: calls.append(args) or decode(*args))
+        rng = np.random.default_rng(24)
+        res = pr.two_bob_trial(PI / 2, 0.0, rng, pr.CYCLIC_FLIP, coin_mode)
+        assert len(calls) == 1
+        assert res.record_b1.message.triple == res.record_b2.message.triple == decode(*calls[0])
+        pr.bct_trial(PI / 2, 0.0, rng, pr.CYCLIC_FLIP)
+        assert len(calls) == 2
 
 
 class TestPerThetaProbability:
