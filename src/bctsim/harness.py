@@ -19,15 +19,16 @@ built once per row. For fixed settings and strategy every slot test is
 constant between a handful of theta edges; the table holds those edges and,
 per segment and Bob axis, whether Bob shares Alice's active slot and the
 separating boundary's offset above theta, plus per axis whether the output is
-negated or the round terminated. A batch looks its thetas up with one
-``searchsorted`` shared by all axes and computes only the distance-dependent
-acceptance ``1 - (3*pi/10)*sin(u)``. Each edge is the exact float at which a
-slot test flips under the package's one slot rule, found by bisection over
-float bit patterns, not a rounded breakpoint; so the lookup decides exactly as
-evaluating Bob per trial, or playing the round through Alice's four-bit
-message, would at every theta. Building a table draws no random numbers, and
-the kernel keeps its documented draw order, so the tables consume the same
-streams and emit the same bytes as per-trial evaluation.
+negated or the round terminated. A batch finds each theta's segment once for
+all axes, as its rank among the edges (the slot rule's count), and computes
+only the distance-dependent acceptance ``1 - (3*pi/10)*sin(u)``. Each edge is
+the exact float at which a slot test flips under the package's one slot rule,
+found by bisection over float bit patterns, not a rounded breakpoint; so the
+lookup decides exactly as evaluating Bob per trial, or playing the round
+through Alice's four-bit message, would at every theta. Building a table
+draws no random numbers, and the kernel keeps its documented draw order, so
+the tables consume the same streams and emit the same bytes as per-trial
+evaluation.
 
 Measured anomalies are data, never errors: runs fail only on bad
 configuration or I/O.

@@ -416,29 +416,29 @@ class SegmentTable:
     def keeps_c(self, theta: np.ndarray, coins) -> list[np.ndarray]:
         """Per axis, whether Bob's output equals ``c`` in each trial.
 
-        ``coins[j]`` holds the acceptance draws of axis ``j``. Decides
-        exactly as ``(coin < accept_prob) ^ negate`` from
-        :func:`evaluate_bob` would. The batch is worked through in chunks
-        that keep the temporaries in cache; every step is per trial, so
-        chunking cannot change a result.
+        ``coins[j]`` holds the acceptance draws of axis ``j``. A trial's
+        segment is the number of edges at or below its theta, by the rank
+        rule of the slot functions: a compare-sum, cheaper than a binary
+        search over a handful of edges. Decides exactly as
+        ``(coin < accept_prob) ^ negate`` from :func:`evaluate_bob` would.
+        The batch is worked through in chunks that keep the temporaries in
+        cache; every step is per trial, so chunking cannot change a result.
         """
         kept = [np.zeros(len(theta), dtype=bool) for _ in coins]
         for lo in range(0, len(theta), _CHUNK):
             part = slice(lo, lo + _CHUNK)
-            seg = np.searchsorted(self.edges, theta[part], side="right")
+            seg = geometry._rank(theta[part], self.edges)
             for j, coin in enumerate(coins):
-                if not self.terminated[j]:
-                    kept[j][part] = self._keeps_c(j, theta[part], seg, coin[part])
+                if self.terminated[j]:
+                    continue
+                # theta + offset < 3*pi/5 + 8*pi/5 < 4*pi, so subtracting 2*pi
+                # once at or above it is exact (Sterbenz) and equals the % of
+                # beta_boundary/gamma_boundary bit for bit
+                boundary = theta[part] + self.offset[j][seg]
+                boundary -= TWO_PI * (boundary >= TWO_PI)
+                _, accept = _acceptance(self.axes[j], boundary)
+                kept[j][part] = ((coin[part] < accept) | self.same[j][seg]) ^ self.negate[j]
         return kept
-
-    def _keeps_c(self, j: int, theta, seg, coin) -> np.ndarray:
-        # theta + offset >= 0, where np.fmod equals the np.mod of
-        # beta_boundary/gamma_boundary bit for bit (np.mod only differs on
-        # negative remainders) at a fraction of its cost
-        boundary = np.fmod(theta + self.offset[j][seg], TWO_PI)
-        _, accept = _acceptance(self.axes[j], boundary)
-        kept = (coin < accept) | self.same[j][seg]
-        return ~kept if self.negate[j] else kept
 
     def expectation(self, coin_mode: CoinMode = CoinMode.INDEPENDENT) -> float:
         """Exact P(both outputs equal) of a two-axis table, averaged over theta.
@@ -532,20 +532,16 @@ def _decode(msg: SlotMessage, hidden: HiddenState) -> tuple[int, int, int]:
 
 
 def _bob_step(a: float, b: float, msg: SlotMessage, triple: tuple[int, int, int], hidden: HiddenState,
-              coin: float, strategy: Strategy) -> tuple[int, TrialRecord]:
-    """Bob's output on axis ``b`` against the decoded ``triple``, and the round's record for setting ``a``."""
+              coin: float, strategy: Strategy, record: bool = True) -> tuple[int, TrialRecord | None]:
+    """Bob's output on axis ``b`` against the decoded ``triple``, and the round's record for ``a`` or None."""
     ev = evaluate_bob(*triple, b, hidden.theta, strategy)
     accept = float(ev.accept_prob)
     inner = hidden.c if coin < accept else -hidden.c
     c_b = -inner if ev.negate else inner
-
-    if ev.system == "none":
-        branch = "flipped-terminated"
-    elif bool(ev.same_slot):
-        branch = "flipped-then-same-slot" if ev.negate else "same-slot"
-    else:
-        branch = "flipped-then-cross-slot" if ev.negate else "cross-slot"
-
+    if not record:
+        return c_b, None
+    slot = "same-slot" if ev.same_slot else "cross-slot"
+    branch = "flipped-terminated" if ev.system == "none" else ("flipped-then-" if ev.negate else "") + slot
     return c_b, TrialRecord(
         a=a,
         b=normalize_angle(b),
@@ -594,12 +590,13 @@ def bob_round(
 
 
 def _round(a: float, axes: tuple[float, ...], rng: np.random.Generator, strategy: Strategy,
-           coin_mode: CoinMode = CoinMode.INDEPENDENT) -> tuple[int, list[tuple[int, TrialRecord]]]:
+           coin_mode: CoinMode = CoinMode.INDEPENDENT, record: bool = True) -> tuple[int, list]:
     """One round for Alice at ``a`` against one or two Bob ``axes``: her output, then Bob's per axis.
 
     Draws the sign, then the angle, then one coin per axis; the second axis
     reuses the first coin under ``CoinMode.SHARED``. Bob decodes the wire
-    cell once for all his axes.
+    cell once for all his axes. Each axis gives ``(c_b, record)``, where
+    the record is None without ``record``.
     """
     hidden = draw_hidden(rng)
     c_a, msg = alice_round(a, hidden)
@@ -608,7 +605,7 @@ def _round(a: float, axes: tuple[float, ...], rng: np.random.Generator, strategy
     if len(axes) == 2:
         coins.append(coins[0] if coin_mode is CoinMode.SHARED else float(rng.random()))
     a = normalize_angle(a)
-    return c_a, [_bob_step(a, b, msg, triple, hidden, coin, strategy) for b, coin in zip(axes, coins)]
+    return c_a, [_bob_step(a, b, msg, triple, hidden, coin, strategy, record) for b, coin in zip(axes, coins)]
 
 
 def bct_trial(
@@ -632,8 +629,9 @@ def nbct_trial(
 
     The interface carries only the two settings in and the two outcomes out,
     as if the correlation arrived through a shared box rather than a message.
+    It plays :func:`bct_trial`'s round on the same draws but builds no record.
     """
-    c_a, c_b, _ = bct_trial(a, b, rng, strategy)
+    c_a, [(c_b, _)] = _round(a, (b,), rng, strategy, record=False)
     return c_a, c_b
 
 

@@ -210,13 +210,32 @@ def _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, theta):
             assert np.array_equal(got[valid], want[valid]), (a, b, strategy)
 
 
+def _wrap_point() -> float:
+    """The lowest theta at which ``theta + 8*pi/5`` reaches 2*pi, so that gamma_1 wraps to the bottom."""
+    offset = geo.GAMMA_OFFSETS[1]
+    theta = geo.TWO_PI - offset
+    while theta + offset >= geo.TWO_PI:
+        theta = math.nextafter(theta, 0.0)
+    while theta + offset < geo.TWO_PI:
+        theta = math.nextafter(theta, math.inf)
+    return theta
+
+
+WRAP_THETA = _wrap_point()
+
+
 @pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
 def test_table_matches_evaluate_bob_around_every_edge(a, axes, strategy):
     table = pr.segment_table(a, axes, strategy)
     assert np.all(np.diff(table.edges) > 0)
     assert np.all((table.edges > 0.0) & (table.edges <= LAST_THETA))
-    theta = _near(np.concatenate(([0.0, LAST_THETA], table.edges)))
-    theta = np.union1d(theta, SPECIAL_THETAS)
+    probes = [0.0, LAST_THETA, *table.edges]
+    alpha = int(geo.alpha_slot_of(a))
+    probes += [WRAP_THETA for b in axes if pr._bob_axis(alpha, b, strategy)[2] == "gamma"]
+    theta = np.union1d(_near(probes), SPECIAL_THETAS)
+    # the lookup counts the edges at or below theta, as a binary search would
+    # (without edges the count is a plain 0, which broadcasts)
+    assert np.all(geo._rank(theta, table.edges) == np.searchsorted(table.edges, theta, side="right"))
     _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, theta)
     # and on a uniform sweep of the whole range
     _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, np.linspace(0.0, LAST_THETA, 2001))
@@ -235,6 +254,25 @@ def test_every_edge_is_a_slot_flip(a, axes, strategy):
         hi = pr.evaluate_bob(alpha, beta_hi, gamma_hi, b, table.edges, strategy)
         changed |= (lo.alice_slot != hi.alice_slot) | (lo.bob_slot != hi.bob_slot)
     assert changed.all()
+
+
+@pytest.mark.parametrize("b", [0.3, 1.1, 4.5, 5.1, 6.2])
+def test_table_matches_evaluate_bob_at_the_gamma_wrap(b):
+    """At WRAP_THETA gamma_1 = theta + 8*pi/5 wraps from 2*pi to 0.
+
+    Gamma-system axes whose ``2*pi - b`` rounds give a distance that depends
+    on which side of the wrap the boundary is put, so these cases separate
+    a wrap at the wrong float. Some setting must put the separator there.
+    """
+    offset = geo.GAMMA_OFFSETS[1]
+    assert WRAP_THETA + offset == geo.TWO_PI > math.nextafter(WRAP_THETA, 0.0) + offset
+    separated = 0
+    for a in np.linspace(0.0, 2 * PI, 40, endpoint=False):
+        table = pr.segment_table(a, (b,), pr.NO_FLIP)
+        seg = int(np.searchsorted(table.edges, WRAP_THETA, side="right"))
+        separated += not table.same[0][seg] and table.offset[0][seg] == offset
+        _assert_table_decides_like_evaluate_bob(table, a, (b,), pr.NO_FLIP, _near([WRAP_THETA]))
+    assert separated
 
 
 def test_coinciding_breakpoints_split_one_float_apart():

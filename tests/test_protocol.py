@@ -230,14 +230,26 @@ class TestTrials:
         assert isinstance(out, tuple) and len(out) == 2
         assert out[0] in (-1, 1) and out[1] in (-1, 1)
 
-    def test_black_box_matches_message_protocol_distribution(self):
-        n = 30_000
-        rng1 = np.random.default_rng(16)
-        rng2 = np.random.default_rng(17)
-        eq_bct = sum(a == b for a, b, _ in (pr.bct_trial(0.0, PI / 2, rng1) for _ in range(n)))
-        eq_nbct = sum(a == b for a, b in (pr.nbct_trial(0.0, PI / 2, rng2) for _ in range(n)))
-        se = math.sqrt(2 * 0.25 / n)
-        assert abs(eq_bct - eq_nbct) / n < 5 * se
+    @pytest.mark.parametrize("strategy", [pr.Strategy(r, s) for r in pr.FlipRule for s in pr.FlipSemantics])
+    def test_black_box_plays_the_message_round_on_the_same_draws(self, strategy):
+        settings = np.random.default_rng(16).uniform(-2 * PI, 4 * PI, (300, 2))
+        rng_box, rng_msg = np.random.default_rng(17), np.random.default_rng(17)
+        for a, b in settings:
+            assert pr.nbct_trial(float(a), float(b), rng_box, strategy) == pr.bct_trial(
+                float(a), float(b), rng_msg, strategy)[:2]
+        assert rng_box.bit_generator.state == rng_msg.bit_generator.state
+
+    def test_black_box_builds_no_record(self, monkeypatch):
+        built = []
+        record = pr.TrialRecord
+        monkeypatch.setattr(pr, "TrialRecord", lambda **fields: built.append(1) or record(**fields))
+        rng = np.random.default_rng(18)
+        for strategy in (pr.NO_FLIP, pr.CYCLIC_FLIP):
+            for _ in range(50):
+                pr.nbct_trial(*rng.uniform(0, 2 * PI, 2), rng, strategy)
+        assert built == []
+        pr.bct_trial(1.0, 2.0, rng)
+        assert built == [1]
 
 
 class TestTwoBob:
