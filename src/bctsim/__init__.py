@@ -40,7 +40,6 @@ from .analysis import (
 from .geometry import (
     ALPHA_WIDTH,
     THETA_SPAN,
-    Cell,
     alpha_slot_cyclic_difference,
     arc_distance,
     cell_index,

@@ -15,7 +15,6 @@ import sys
 from .harness import (
     EXPERIMENTS,
     GRIDS,
-    STRATEGY_TOKENS,
     ConfigError,
     EmitError,
     ExperimentConfig,
@@ -23,9 +22,16 @@ from .harness import (
     render_text,
     run_experiment,
 )
-from .protocol import CoinMode, FlipSemantics, Strategy
+from .protocol import CoinMode, FlipRule, FlipSemantics, Strategy
 
 __all__ = ["main", "build_parser", "parse_grid"]
+
+#: strategy tokens accepted on the command line
+STRATEGY_TOKENS = {
+    "paper-iic": FlipRule.DISABLED,
+    "cyclic-flip": FlipRule.CYCLIC,
+    "abs-flip": FlipRule.ABSOLUTE,
+}
 
 _SEMANTICS_TOKENS = {
     "continue": FlipSemantics.CONTINUE,
@@ -99,8 +105,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         seed=args.seed,
         strategy=Strategy(STRATEGY_TOKENS[args.strategy], _SEMANTICS_TOKENS[args.flip_semantics]),
         coin_mode=CoinMode(args.coin),
-        out_format=args.format,
-        out_path=args.out,
         workers=args.workers,
         batch_size=args.batch_size,
         **grids,
@@ -113,11 +117,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         table = run_experiment(config)
-        if config.out_path:
-            emit(table, config.out_format, config.out_path)
-            print(f"wrote {len(table.rows)} rows to {config.out_path}", file=sys.stderr)
+        if args.out:
+            emit(table, args.format, args.out)
+            print(f"wrote {len(table.rows)} rows to {args.out}", file=sys.stderr)
         else:
-            sys.stdout.write(render_text(table, config.out_format))
+            sys.stdout.write(render_text(table, args.format))
         if args.experiment == "calibrate" and table.rows:
             best = min(table.rows, key=lambda r: r["strategy_max_deviation"])
             print(

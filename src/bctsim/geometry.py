@@ -17,15 +17,14 @@ Slots are therefore half-open ``[lo, hi)``, every angle lies in exactly one
 slot of each system, and a boundary belongs to the slot it opens.
 :func:`alpha_slot_of`, :func:`beta_slot_of` and :func:`gamma_slot_of` apply
 the rule with the same expressions to Python floats, which give Python ints,
-and to numpy arrays, which broadcast; :func:`cell_index` reads the four-bit
-cell off the same rule over all sixteen floats and takes its slot triple
-from those functions.
+and to numpy arrays, which broadcast, and :func:`slot_triple` reads all three
+at one point. :func:`cell_index` returns the four-bit cell, the rank of an
+angle under the same rule over all sixteen floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "THETA_SPAN",
     "BETA_OFFSETS",
     "GAMMA_OFFSETS",
-    "Cell",
     "normalize_angle",
     "arc_distance",
     "alpha_slot_of",
@@ -45,6 +43,7 @@ __all__ = [
     "gamma_boundary",
     "theta_breakpoints",
     "alpha_slot_cyclic_difference",
+    "slot_triple",
     "cell_index",
     "cell_to_triple",
 ]
@@ -59,6 +58,14 @@ BETA_OFFSETS = (0.0, 3.0 * math.pi / 5.0, 6.0 * math.pi / 5.0)
 GAMMA_OFFSETS = (math.pi, 8.0 * math.pi / 5.0, math.pi / 5.0)
 
 
+def _normalize(x):
+    """Reduce a float or numpy array modulo ``2*pi`` into ``[0, 2*pi)``, with no finiteness check."""
+    # % on arrays is np.mod, bit for bit the same as Python's float %; both
+    # round a tiny negative x up to exactly 2*pi, which belongs at 0
+    y = x % TWO_PI
+    return y - TWO_PI * (y >= TWO_PI)
+
+
 def normalize_angle(x: float) -> float:
     """Reduce ``x`` modulo ``2*pi`` into ``[0, 2*pi)``.
 
@@ -67,24 +74,13 @@ def normalize_angle(x: float) -> float:
     """
     if not math.isfinite(x):
         raise ValueError(f"angle must be a finite real number, got {x!r}")
-    y = x % TWO_PI
-    if y >= TWO_PI:  # x % TWO_PI can round up to TWO_PI for tiny negative x
-        y -= TWO_PI
-    return y
+    return _normalize(x)
 
 
 def arc_distance(x: float, y: float) -> float:
     """Shorter angular separation between two directions, in ``[0, pi]``."""
     d = abs(normalize_angle(x) - normalize_angle(y))
     return min(d, TWO_PI - d)
-
-
-def _normalize(x):
-    """:func:`normalize_angle` for floats or numpy arrays (no finiteness check)."""
-    # % on arrays is np.mod, bit for bit the same as Python's float %; both
-    # round a tiny negative x up to exactly 2*pi, which belongs at 0
-    y = x % TWO_PI
-    return y - TWO_PI * (y >= TWO_PI)
 
 
 #: the alpha boundaries j*pi/5, the same floats that cut the combined cells
@@ -168,20 +164,6 @@ def alpha_slot_cyclic_difference(j1: int, j2: int) -> int:
     return min(d, 10 - d)
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One of the sixteen intervals cut by the combined alpha/beta/gamma boundaries."""
-
-    index: int
-    alpha_slot: int
-    beta_slot: int
-    gamma_slot: int
-
-    @property
-    def triple(self) -> tuple[int, int, int]:
-        return (self.alpha_slot, self.beta_slot, self.gamma_slot)
-
-
 def _boundary_floats(theta: float) -> tuple[float, ...]:
     """The sixteen boundary floats of the combined partition, unsorted."""
     return _ALPHA_BOUNDS + tuple(normalize_angle(theta + o) for o in BETA_OFFSETS + GAMMA_OFFSETS)
@@ -197,23 +179,24 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-def _triple(x: float, theta: float) -> tuple[int, int, int]:
+def slot_triple(x: float, theta: float) -> tuple[int, int, int]:
+    """Alpha, beta and gamma slot of ``x`` under offset ``theta`` in ``[0, 3*pi/5)``, as Python ints."""
     return int(alpha_slot_of(x)), int(beta_slot_of(x, theta)), int(gamma_slot_of(x, theta))
 
 
-def cell_index(x: float, theta: float) -> Cell:
-    """Rank of the combined-partition cell holding ``x``, with its slot triple.
+def cell_index(x: float, theta: float) -> int:
+    """Rank of the combined-partition cell holding ``x``: Alice's four bits, as a Python int.
 
     Sorted ascending from 0, the sixteen boundaries (ten alpha, three beta,
-    three gamma) cut the cells; the index is the number of boundaries at or
-    below ``x``, less one, which is the rank of the cell containing ``x``
-    under the half-open convention. Coinciding boundaries (``theta`` a
-    multiple of ``pi/5``) produce empty cells, which no ``x`` lands in.
+    three gamma) cut the cells; the rank is the number of boundaries at or
+    below ``x``, less one, which is the cell containing ``x`` under the
+    half-open convention. Coinciding boundaries (``theta`` a multiple of
+    ``pi/5``) produce empty cells, which no ``x`` lands in. The cell's slot
+    triple is :func:`slot_triple` of ``x``, or :func:`cell_to_triple` of the
+    rank.
     """
     _check_theta(theta)
-    x = normalize_angle(x)
-    idx = int(_rank(x, _boundary_floats(theta))) - 1  # 0.0 is a boundary, so idx >= 0
-    return Cell(idx, *_triple(x, theta))
+    return int(_rank(normalize_angle(x), _boundary_floats(theta))) - 1  # 0.0 is a boundary, so >= 0
 
 
 def cell_to_triple(index: int, theta: float) -> tuple[int, int, int]:
@@ -232,4 +215,4 @@ def cell_to_triple(index: int, theta: float) -> tuple[int, int, int]:
     hi = bounds[index + 1] if index < 15 else TWO_PI
     if not lo < hi:
         raise ValueError(f"cell {index} is empty for theta={theta!r}")
-    return _triple(lo, theta)
+    return slot_triple(lo, theta)

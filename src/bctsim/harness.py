@@ -88,14 +88,6 @@ __all__ = [
 
 VERSION = "0.1.0"
 
-#: strategy tokens accepted on the command line
-STRATEGY_TOKENS = {
-    "paper-iic": FlipRule.DISABLED,
-    "cyclic-flip": FlipRule.CYCLIC,
-    "abs-flip": FlipRule.ABSOLUTE,
-}
-
-
 #: the grid fields of a config; each is one ``--*-grid`` command-line flag
 GRIDS = ("angle_grid", "nu_grid", "theta_grid", "visibility_grid")
 
@@ -119,8 +111,6 @@ class ExperimentConfig:
     nu_grid: tuple[float, ...] = ()
     theta_grid: tuple[float, ...] = ()
     visibility_grid: tuple[float, ...] = ()
-    out_format: str = "csv"
-    out_path: str | None = None
     workers: int = 1
     batch_size: int = 250_000
 
@@ -135,8 +125,6 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be positive, got {self.workers}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be positive, got {self.batch_size}")
-        if self.out_format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.out_format!r}")
         spec = EXPERIMENTS[self.experiment]
         for name in GRIDS:
             flag = name.replace("_", "-")
@@ -628,24 +616,24 @@ def _json_value(value):
     return value
 
 
-def emit(table: SweepTable, out_format: str, path: str | Path) -> None:
+def emit(table: SweepTable, fmt: str, path: str | Path) -> None:
     """Write a table as CSV (manifest as '#' header comments) or JSON.
 
     Numbers are rendered with six significant digits. The JSON form is an
     object holding the manifest and the array of row objects.
     """
-    if out_format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {out_format!r}")
-    text = render_text(table, out_format)
+    text = render_text(table, fmt)
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise EmitError(f"cannot write table to {path}: {exc}") from exc
 
 
-def render_text(table: SweepTable, out_format: str) -> str:
-    """The exact file content :func:`emit` would write."""
-    if out_format == "json":
+def render_text(table: SweepTable, fmt: str) -> str:
+    """The exact file content :func:`emit` would write; raises ``ConfigError`` for another format."""
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {fmt!r}")
+    if fmt == "json":
         payload = {
             "manifest": table.manifest,
             "rows": [{c: _json_value(r[c]) for c in table.columns} for r in table.rows],

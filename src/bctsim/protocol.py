@@ -45,6 +45,7 @@ from .geometry import (
     gamma_boundary,
     gamma_slot_of,
     normalize_angle,
+    slot_triple,
     theta_breakpoints,
 )
 
@@ -225,9 +226,7 @@ class TrialRecord:
 
 def alice_round(a: float, hidden: HiddenState) -> tuple[int, SlotMessage]:
     """Alice's output (always the shared sign) and her four-bit slot message."""
-    cell = cell_index(a, hidden.theta)
-    msg = SlotMessage(cell.index, cell.alpha_slot, cell.beta_slot, cell.gamma_slot)
-    return hidden.c, msg
+    return hidden.c, SlotMessage(cell_index(a, hidden.theta), *slot_triple(a, hidden.theta))
 
 
 def alice_slot_arrays(a: float, theta) -> tuple[int, np.ndarray, np.ndarray]:

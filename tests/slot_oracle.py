@@ -22,8 +22,3 @@ def systems(theta: float) -> tuple[list[float], list[float], list[float]]:
 
 def oracle_triple(x: float, theta: float) -> tuple[int, int, int]:
     return tuple(rank_slot(x, bounds) for bounds in systems(theta))
-
-
-def slot_triple(x: float, theta: float) -> tuple[int, int, int]:
-    """The package's slot functions at one point."""
-    return int(g.alpha_slot_of(x)), int(g.beta_slot_of(x, theta)), int(g.gamma_slot_of(x, theta))

@@ -222,7 +222,7 @@ def test_criterion_10_reproducibility(tmp_path):
         for workers in (1, 3):
             cfg = hn.ExperimentConfig(
                 experiment="opposite-axes", trials=300_000, seed=110,
-                nu_grid=(0.0, PI / 20, PI / 10), workers=workers, out_format=fmt,
+                nu_grid=(0.0, PI / 20, PI / 10), workers=workers,
             )
             table = hn.run_experiment(cfg)
             path = tmp_path / f"{fmt}-{workers}.{fmt}"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bctsim import geometry as g
-from slot_oracle import oracle_triple, slot_triple, systems
+from slot_oracle import oracle_triple, systems
 
 TAU = 2.0 * math.pi
 
@@ -28,6 +28,21 @@ class TestNormalizeAngle:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
             g.normalize_angle(bad)
+
+    @pytest.mark.parametrize("x", [-5e-324, -1e-300, -1e-17, TAU])
+    def test_rounding_onto_a_full_turn_wraps_to_zero(self, x):
+        y = g.normalize_angle(x)
+        assert y == 0.0 and math.copysign(1.0, y) == 1.0
+
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    def test_matches_array_reduction_bit_for_bit(self, cast):
+        grid = [0.0, -0.0, 5e-324, -5e-324, -1e-300, -1e-17, 1.0, math.pi, float(np.nextafter(TAU, 0.0)),
+                TAU, -TAU, float(np.nextafter(-TAU, 0.0)), 3 * TAU + 0.5, -2.0, 1e6, -1e6]
+        for x in map(cast, grid):
+            y = g.normalize_angle(x)
+            assert type(y) is type(x)
+            assert float(y).hex() == float(g._normalize(x)).hex()
+            assert float(y).hex() == float(g._normalize(np.array([x]))[0]).hex()
 
     @given(x=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
     def test_result_in_range_and_congruent(self, x):
@@ -96,7 +111,7 @@ class TestSlotSystems:
         for _ in range(10_000):
             x = float(rng.uniform(0.0, TAU))
             th = float(rng.uniform(0.0, g.THETA_SPAN))
-            for bounds, got in zip(systems(th), slot_triple(x, th)):
+            for bounds, got in zip(systems(th), g.slot_triple(x, th)):
                 n = len(bounds)
                 hits = [j for j in range(n) if (x - bounds[j]) % TAU < (bounds[(j + 1) % n] - bounds[j]) % TAU]
                 assert hits == [got]
@@ -106,9 +121,8 @@ class TestSlotSystems:
         xs = rng.uniform(0.0, TAU, 10_000)
         ths = rng.uniform(0.0, g.THETA_SPAN, 10_000)
         for x, th in zip(xs, ths):
-            cell = g.cell_index(float(x), float(th))
-            assert 0 <= cell.index <= 15
-            assert cell.triple == oracle_triple(float(x), float(th))
+            assert 0 <= g.cell_index(float(x), float(th)) <= 15
+            assert g.slot_triple(float(x), float(th)) == oracle_triple(float(x), float(th))
 
     def test_arithmetic_slots_match_interval_walk(self):
         # vector calls against the sorted-boundary oracle
@@ -128,7 +142,7 @@ class TestSlotSystems:
     @pytest.mark.parametrize("x", [-1e-300, -5e-324, TAU, 3 * TAU + 0.5, -2.0])
     def test_unnormalized_angles_reduce_first(self, x):
         th = 0.4
-        assert slot_triple(x, th) == oracle_triple(x, th)
+        assert g.slot_triple(x, th) == oracle_triple(x, th)
 
 
 class TestThetaBreakpoints:
@@ -170,16 +184,24 @@ class TestAlphaSlotCyclicDifference:
 
 class TestCellIndex:
     def test_walkthrough_triple(self):
-        cell = g.cell_index(math.pi / 2, 0.35 * math.pi)
-        assert cell.triple == (2, 0, 1)
+        x, th = math.pi / 2, 0.35 * math.pi
+        assert g.slot_triple(x, th) == g.cell_to_triple(g.cell_index(x, th), th) == (2, 0, 1)
 
     def test_last_alpha_slot(self):
-        cell = g.cell_index(TAU - 1e-9, 0.123)
-        assert cell.alpha_slot == 9
+        x, th = TAU - 1e-9, 0.123
+        assert g.slot_triple(x, th)[0] == g.cell_to_triple(g.cell_index(x, th), th)[0] == 9
 
     def test_origin_triple_in_walkthrough_frame(self):
-        cell = g.cell_index(0.0, 0.35 * math.pi)
-        assert cell.triple == (0, 2, 1)
+        th = 0.35 * math.pi
+        assert g.slot_triple(0.0, th) == g.cell_to_triple(g.cell_index(0.0, th), th) == (0, 2, 1)
+
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    def test_returns_python_ints(self, cast):
+        # the JSON round record carries these values as they are
+        x, th = cast(math.pi / 2), cast(0.35 * math.pi)
+        assert type(g.cell_index(x, th)) is int
+        assert all(type(s) is int for s in g.slot_triple(x, th))
+        assert all(type(s) is int for s in g.cell_to_triple(g.cell_index(x, th), th))
 
     def test_rejects_theta_out_of_range(self):
         with pytest.raises(ValueError):
@@ -190,7 +212,7 @@ class TestCellIndex:
     def test_degenerate_theta_collapses_cells(self):
         # at theta = 0 all six beta/gamma boundaries coincide with alpha
         # ones, leaving ten nonempty cells; empty cells are allowed
-        seen = {g.cell_index(float(x), 0.0).index for x in np.linspace(0, TAU, 5000, endpoint=False)}
+        seen = {g.cell_index(float(x), 0.0) for x in np.linspace(0, TAU, 5000, endpoint=False)}
         assert len(seen) == 10
         assert all(0 <= i <= 15 for i in seen)
 
@@ -199,8 +221,7 @@ class TestCellIndex:
         for _ in range(10_000):
             x = float(rng.uniform(0.0, TAU))
             th = float(rng.uniform(0.0, g.THETA_SPAN))
-            cell = g.cell_index(x, th)
-            assert g.cell_to_triple(cell.index, th) == cell.triple
+            assert g.cell_to_triple(g.cell_index(x, th), th) == g.slot_triple(x, th)
 
     def test_decode_empty_cell_rejected(self):
         # at theta = 0 the beta boundaries coincide with alpha ones

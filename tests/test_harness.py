@@ -34,7 +34,6 @@ class TestConfigValidation:
             dict(seed=2**64),
             dict(workers=0),
             dict(batch_size=0),
-            dict(out_format="xml"),
             dict(nu_grid=()),
             dict(nu_grid=(PI,)),  # outside [0, pi/5]
         ],
@@ -285,6 +284,15 @@ class TestEmission:
         bad = tmp_path / "missing-dir" / "t.csv"
         with pytest.raises(hn.EmitError, match="missing-dir"):
             hn.emit(table, "csv", bad)
+
+    def test_unknown_format_rejected_by_both_output_paths(self, tmp_path):
+        table = hn.run_experiment(make_config(trials=1000))
+        with pytest.raises(hn.ConfigError, match="csv or json"):
+            hn.render_text(table, "xml")
+        p = tmp_path / "t.xml"
+        with pytest.raises(hn.ConfigError, match="csv or json"):
+            hn.emit(table, "xml", p)
+        assert not p.exists()
 
     def test_replay_from_manifest_reproduces_estimates(self, tmp_path):
         table = hn.run_experiment(make_config(trials=5000))

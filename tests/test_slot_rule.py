@@ -23,7 +23,7 @@ from bctsim import geometry as g
 from bctsim import harness as hn
 from bctsim import protocol as pr
 from bctsim.analysis import alice_setting
-from slot_oracle import oracle_triple, slot_triple
+from slot_oracle import oracle_triple
 
 PI = math.pi
 LAST_THETA = float(np.nextafter(g.THETA_SPAN, 0.0))
@@ -54,12 +54,12 @@ GRID = _grid()
 def _check_point(x: float, theta: float) -> None:
     cell = g.cell_index(x, theta)
     bounds = g._cell_bounds(theta)
-    hi = bounds[cell.index + 1] if cell.index < 15 else g.TWO_PI
-    assert bounds[cell.index] <= x < hi  # never an empty cell
+    hi = bounds[cell + 1] if cell < 15 else g.TWO_PI
+    assert bounds[cell] <= x < hi  # never an empty cell
     want = oracle_triple(x, theta)
-    assert slot_triple(x, theta) == want
-    assert cell.triple == want
-    assert g.cell_to_triple(cell.index, theta) == want
+    assert g.slot_triple(x, theta) == want
+    assert g.cell_to_triple(cell, theta) == want
+    assert pr.alice_round(x, pr.HiddenState.make(1, theta))[1] == pr.SlotMessage(cell, *want)
     scalar = (g.alpha_slot_of(x), g.beta_slot_of(x, theta), g.gamma_slot_of(x, theta))
     xs, thetas = np.array([x]), np.array([theta])
     vector = (g.alpha_slot_of(xs), g.beta_slot_of(xs, thetas), g.gamma_slot_of(xs, thetas))
@@ -115,7 +115,7 @@ def test_degenerate_theta_never_emits_an_empty_cell():
         bounds = g._cell_bounds(theta)
         empty = {i for i in range(15) if bounds[i] == bounds[i + 1]}
         assert empty  # boundaries coincide at multiples of pi/5
-        seen = {g.cell_index(x, theta).index for x in _neighbours(theta)}
+        seen = {g.cell_index(x, theta) for x in _neighbours(theta)}
         assert not seen & empty
         for i in empty:
             with pytest.raises(ValueError):
