@@ -180,7 +180,11 @@ def _check_theta(theta: float) -> float:
 
 
 def slot_triple(x: float, theta: float) -> tuple[int, int, int]:
-    """Alpha, beta and gamma slot of ``x`` under offset ``theta`` in ``[0, 3*pi/5)``, as Python ints."""
+    """Alpha, beta and gamma slot of ``x`` under offset ``theta`` in ``[0, 3*pi/5)``, as Python ints.
+
+    Raises ``ValueError`` for a ``theta`` outside that range, as :func:`cell_index` does.
+    """
+    _check_theta(theta)
     return int(alpha_slot_of(x)), int(beta_slot_of(x, theta)), int(gamma_slot_of(x, theta))
 
 

@@ -19,16 +19,19 @@ built once per row. For fixed settings and strategy every slot test is
 constant between a handful of theta edges; the table holds those edges and,
 per segment and Bob axis, whether Bob shares Alice's active slot and the
 separating boundary's offset above theta, plus per axis whether the output is
-negated or the round terminated. A batch finds each theta's segment once for
-all axes, as its rank among the edges (the slot rule's count), and computes
-only the distance-dependent acceptance ``1 - (3*pi/10)*sin(u)``. Each edge is
-the exact float at which a slot test flips under the package's one slot rule,
-found by bisection over float bit patterns, not a rounded breakpoint; so the
-lookup decides exactly as evaluating Bob per trial, or playing the round
-through Alice's four-bit message, would at every theta. Building a table
-draws no random numbers, and the kernel keeps its documented draw order, so
-the tables consume the same streams and emit the same bytes as per-trial
-evaluation.
+negated or the round terminated. Each edge is the exact float at which a
+slot test flips under the package's one slot rule, found by bisection over
+float bit patterns, not a rounded breakpoint. A batch decides most trials
+without evaluating the acceptance ``1 - (3*pi/10)*sin(u)`` at all: the table's
+screen brackets that acceptance over equal theta bins, and a coin below its
+bin's bracket is kept, one at or above it is not. Only the trials whose coin
+falls inside the bracket, a fraction of a percent, are looked up by segment,
+as their rank among the edges (the slot rule's count), and evaluated there.
+The brackets are bounds, not approximations, so the kernel decides exactly
+as evaluating Bob per trial, or playing the round through Alice's four-bit
+message, would at every theta. Building a table or its screen draws no
+random numbers, and the kernel keeps its documented draw order, so the tables
+consume the same streams and emit the same bytes as per-trial evaluation.
 
 Measured anomalies are data, never errors: runs fail only on bad
 configuration or I/O.
@@ -257,7 +260,11 @@ def _kernel(
     fixed_in_win = two and theta_fixed is not None and bool(_in_windows(theta_fixed, windows))
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        theta = None if theta_fixed is not None else rng.uniform(0.0, THETA_SPAN, n)
+        theta = None
+        if theta_fixed is None:
+            # bit for bit rng.uniform(0.0, THETA_SPAN, n), which computes 0.0 + THETA_SPAN * draw
+            theta = rng.random(n)
+            theta *= THETA_SPAN
         c_plus = rng.integers(0, 2, n, dtype=np.int64).astype(bool)
         coins = [rng.random(n)]
         if two:

@@ -24,6 +24,7 @@ hidden draw, the coin, and the branch taken.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -354,6 +355,15 @@ _LAST_THETA = float(np.nextafter(THETA_SPAN, 0.0))
 _BRACKET = 1e-12
 #: trials per step of a table lookup; small enough for its temporaries to stay in cache
 _CHUNK = 16384
+#: equal theta bins of a table's acceptance screen
+_BINS = 4096
+#: ``int(theta * _BIN_SCALE)`` is the bin of a shared angle, or ``_BINS`` when it rounds up at the top
+_BIN_SCALE = _BINS / THETA_SPAN
+#: reach of a bin's bracket around its centre, two bin widths: the bin and a one-bin rounding of its index
+_REACH = 2.0 * THETA_SPAN / _BINS
+#: half-width of a cross-slot bracket: the acceptance moves at most K*_REACH over the reach, and
+#: 1e-9 covers the rounding of both exact evaluations
+_SLACK = ACCEPTANCE_COEFF * _REACH + 1e-9
 
 
 def _flip_points(tests) -> np.ndarray:
@@ -403,6 +413,22 @@ class SegmentTable:
     and ``offset[j]``, the separating boundary's offset above theta; per
     axis: the effective (possibly reflected) axis, ``negate`` and
     ``terminated``.
+
+    A table sampled by :meth:`keeps_c` also carries a screen: per live axis,
+    brackets ``lo[k] <= q <= hi[k]`` of the exact acceptance ``q`` at every
+    float theta of each of ``_BINS`` equal theta bins. Inside a segment
+    ``same`` and ``offset`` are constant and the distance ``u`` from Bob's
+    axis to the separator is 1-Lipschitz in theta, so ``1 - K*sin(u)`` is
+    K-Lipschitz (K = 3*pi/10). A bin's bracket is therefore the exact
+    acceptance at its centre, less or plus ``K*r + 1e-9``, where the reach
+    ``r`` of two bin widths covers every theta the bin index
+    ``int(theta * _BINS / (3*pi/5))`` can send there, rounding included, and
+    1e-9 covers the rounding of both exact evaluations. A same-slot bin
+    gets ``[1, 1]``. A bin within ``r`` of an edge gets ``[0, 2]``, which
+    decides nothing, and so does the index ``_BINS``, a guard against the
+    index rounding up at the top. The screen is built on the first lookup, never by
+    :func:`segment_table` or :meth:`expectation`, so tables that are only
+    summed never pay for it.
     """
 
     edges: np.ndarray
@@ -412,31 +438,64 @@ class SegmentTable:
     negate: tuple[bool, ...]
     terminated: tuple[bool, ...]
 
+    def _accept(self, j: int, theta: np.ndarray, seg) -> np.ndarray:
+        """Bob's acceptance on axis ``j`` at each ``theta`` in segment ``seg``, as :func:`evaluate_bob` gives it."""
+        # theta + offset < 3*pi/5 + 8*pi/5 < 4*pi, so subtracting 2*pi once at
+        # or above it is exact (Sterbenz) and equals the % of
+        # beta_boundary/gamma_boundary bit for bit
+        boundary = theta + self.offset[j][seg]
+        boundary -= TWO_PI * (boundary >= TWO_PI)
+        return np.where(self.same[j][seg], 1.0, _acceptance(self.axes[j], boundary)[1])
+
+    @functools.cached_property
+    def _screen(self) -> tuple[tuple[np.ndarray, np.ndarray] | None, ...]:
+        """Per axis, the acceptance brackets ``(lo, hi)`` over the ``_BINS + 1`` bin indices; None when terminated.
+
+        Two threads that build it at once build the same arrays.
+        """
+        centre = (np.arange(_BINS) + 0.5) * (THETA_SPAN / _BINS)
+        rank = functools.partial(np.searchsorted, self.edges, side="right")  # the rank rule, as arrays
+        seg = rank(centre)
+        near = rank(centre - _REACH) != rank(centre + _REACH)
+        screen = []
+        for j, dead in enumerate(self.terminated):
+            if dead:
+                screen.append(None)
+                continue
+            q = self._accept(j, centre, seg)
+            slack = np.where(self.same[j][seg], 0.0, _SLACK)
+            screen.append((np.append(np.where(near, 0.0, q - slack), 0.0),
+                           np.append(np.where(near, 2.0, q + slack), 2.0)))
+        return tuple(screen)
+
     def keeps_c(self, theta: np.ndarray, coins) -> list[np.ndarray]:
         """Per axis, whether Bob's output equals ``c`` in each trial.
 
-        ``coins[j]`` holds the acceptance draws of axis ``j``. A trial's
-        segment is the number of edges at or below its theta, by the rank
-        rule of the slot functions: a compare-sum, cheaper than a binary
-        search over a handful of edges. Decides exactly as
-        ``(coin < accept_prob) ^ negate`` from :func:`evaluate_bob` would.
-        The batch is worked through in chunks that keep the temporaries in
-        cache; every step is per trial, so chunking cannot change a result.
+        ``coins[j]`` holds the acceptance draws of axis ``j``. Decides exactly
+        as ``(coin < accept_prob) ^ negate`` from :func:`evaluate_bob` would,
+        for every coin below 1. The screen decides a trial whose coin lies
+        below its bin's ``lo`` (kept) or at or above its ``hi`` (not kept).
+        Only the rest take the exact route: every trial in a bin next to an
+        edge, and elsewhere a fraction of a percent. That route finds the
+        trial's segment as the number of edges at or below its theta, by the
+        rank rule of the slot functions, and evaluates the acceptance there.
+        A fired reflection negates the decision afterwards. The batch is
+        worked through in chunks that keep the temporaries in cache; every
+        step is per trial, so chunking cannot change a result.
         """
         kept = [np.zeros(len(theta), dtype=bool) for _ in coins]
-        for lo in range(0, len(theta), _CHUNK):
-            part = slice(lo, lo + _CHUNK)
-            seg = geometry._rank(theta[part], self.edges)
-            for j, coin in enumerate(coins):
-                if self.terminated[j]:
-                    continue
-                # theta + offset < 3*pi/5 + 8*pi/5 < 4*pi, so subtracting 2*pi
-                # once at or above it is exact (Sterbenz) and equals the % of
-                # beta_boundary/gamma_boundary bit for bit
-                boundary = theta[part] + self.offset[j][seg]
-                boundary -= TWO_PI * (boundary >= TWO_PI)
-                _, accept = _acceptance(self.axes[j], boundary)
-                kept[j][part] = ((coin[part] < accept) | self.same[j][seg]) ^ self.negate[j]
+        live = [(j, coin, *self._screen[j]) for j, coin in enumerate(coins) if not self.terminated[j]]
+        for start in range(0, len(theta), _CHUNK):
+            part = slice(start, start + _CHUNK)
+            t = theta[part]
+            k = (t * _BIN_SCALE).astype(np.intp)
+            for j, coin, lo, hi in live:
+                c = coin[part]
+                keep = c < lo.take(k)
+                exact = np.flatnonzero(~keep & (c < hi.take(k)))
+                t_exact = t[exact]
+                keep[exact] = c[exact] < self._accept(j, t_exact, geometry._rank(t_exact, self.edges))
+                kept[j][part] = keep ^ self.negate[j]
         return kept
 
     def expectation(self, coin_mode: CoinMode = CoinMode.INDEPENDENT) -> float:

@@ -209,6 +209,12 @@ class TestCellIndex:
         with pytest.raises(ValueError):
             g.cell_index(1.0, -0.1)
 
+    @pytest.mark.parametrize("theta", [2.0, -1.0, math.nan, g.THETA_SPAN])
+    def test_slot_triple_rejects_theta_out_of_range(self, theta):
+        # cell_index rejects the same thetas; a triple read there would be a plausible wrong answer
+        with pytest.raises(ValueError):
+            g.slot_triple(1.0, theta)
+
     def test_degenerate_theta_collapses_cells(self):
         # at theta = 0 all six beta/gamma boundaries coincide with alpha
         # ones, leaving ten nonempty cells; empty cells are allowed

@@ -1,14 +1,17 @@
 """The segment-table kernel against per-trial references built on ``evaluate_bob``.
 
 The reference kernels below evaluate Alice's slots and Bob's branch logic on
-every trial, with the same draws in the same order; the batch kernel looks
-each trial's theta segment up instead. Each reference's tallies must equal
-the counts derived from the kernel's tally layout integer for integer, and
-the table's decisions must agree with ``evaluate_bob`` bit for bit next to
-every edge.
+every trial, with the same draws in the same order; the batch kernel decides
+most trials from its table's acceptance screen and looks only the rest up by
+theta segment. Each reference's tallies must equal the counts derived from
+the kernel's tally layout integer for integer, and the table's decisions must
+agree with ``evaluate_bob`` bit for bit next to every edge, at every screen
+bin boundary and at both ends of every bin's bracket.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from bctsim import cli
 from bctsim import geometry as geo
 from bctsim import harness as hn
 from bctsim import protocol as pr
-from bctsim.analysis import WALKTHROUGH_B1, alice_setting, interval_windows
+from bctsim.analysis import WALKTHROUGH_B1, alice_setting, interval_windows, two_bob_equal_quadrature
 
 PI = math.pi
 LAST_THETA = float(np.nextafter(geo.THETA_SPAN, 0.0))
@@ -210,6 +213,11 @@ def _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, theta):
             assert np.array_equal(got[valid], want[valid]), (a, b, strategy)
 
 
+def _bin_index(theta) -> np.ndarray:
+    """The screen bin of each theta, computed as the kernel computes it."""
+    return (np.asarray(theta) * pr._BIN_SCALE).astype(np.intp)
+
+
 def _wrap_point() -> float:
     """The lowest theta at which ``theta + 8*pi/5`` reaches 2*pi, so that gamma_1 wraps to the bottom."""
     offset = geo.GAMMA_OFFSETS[1]
@@ -239,6 +247,94 @@ def test_table_matches_evaluate_bob_around_every_edge(a, axes, strategy):
     _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, theta)
     # and on a uniform sweep of the whole range
     _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, np.linspace(0.0, LAST_THETA, 2001))
+
+
+@pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
+def test_screen_decides_like_evaluate_bob_at_every_bin_boundary(a, axes, strategy):
+    """Thetas a rounded bin index can send to either neighbouring bin, or past the last one."""
+    table = pr.segment_table(a, axes, strategy)
+    bounds = np.arange(pr._BINS + 1) * (geo.THETA_SPAN / pr._BINS)
+    theta = _near(np.clip(bounds, 0.0, LAST_THETA), ulps=2)
+    assert np.any(_bin_index(bounds) != np.arange(pr._BINS + 1))  # the index rounds across some boundaries
+    _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, theta)
+
+
+@pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
+def test_screen_decides_like_evaluate_bob_at_its_bracket_ends(a, axes, strategy):
+    """Uniform thetas, with coins on the exact acceptance, one ulp either side and at each bracket end.
+
+    A coin just below ``lo`` is decided by the screen as kept and a coin at
+    ``hi`` as not kept; a bracket that misses the acceptance by one ulp
+    decides one of the two wrongly.
+    """
+    table = pr.segment_table(a, axes, strategy)
+    theta = np.random.default_rng(1010).random(200_000) * geo.THETA_SPAN
+    k = _bin_index(theta)
+    alice = pr.alice_slot_arrays(a, theta)
+    accepts = [(ev.accept_prob, ev.negate) for ev in (pr.evaluate_bob(*alice, b, theta, strategy) for b in axes)]
+    probes = [[q, np.nextafter(q, 0.0), np.nextafter(q, 2.0)] for q, _ in accepts]
+    for j, screen in enumerate(table._screen):
+        if screen is not None:
+            lo, hi = screen
+            probes[j] += [np.nextafter(lo[k], -1.0), hi[k]]
+        else:  # a terminated axis has no screen; probe it at q again
+            probes[j] += probes[j][:2]
+    for coins in zip(*probes):
+        got = table.keeps_c(theta, list(coins))
+        for j, (coin, (q, negate)) in enumerate(zip(coins, accepts)):
+            below_one = coin < 1.0  # a terminated axis is decided for coins in [0, 1) only
+            want = (coin < q) ^ negate
+            assert np.array_equal(got[j][below_one], want[below_one]), (a, axes[j], strategy)
+
+
+def test_summing_a_table_never_builds_its_screen(monkeypatch):
+    """The screen is for sampling; the exact theta averages build tables per call and must not pay for it."""
+    def build(table):
+        raise AssertionError("screen built")
+
+    monkeypatch.setattr(pr.SegmentTable, "_screen", property(build))
+    table = pr.segment_table(alice_setting(PI / 10), (WALKTHROUGH_B1, WALKTHROUGH_B1 + PI), pr.CYCLIC_FLIP)
+    for coin_mode in COINS:
+        table.expectation(coin_mode)
+        for strategy in (pr.NO_FLIP, pr.ABS_FLIP):
+            two_bob_equal_quadrature(PI / 10, strategy, coin_mode)
+    with pytest.raises(AssertionError, match="screen built"):
+        table.keeps_c(np.zeros(1), [np.zeros(1), np.zeros(1)])
+
+
+def test_threads_that_build_one_screen_at_once_decide_alike():
+    """The worker pool calls keeps_c on one table from several threads; the first calls build its screen."""
+    theta = np.random.default_rng(3).random(50_000) * geo.THETA_SPAN
+    coins = [np.random.default_rng(4).random(50_000), np.random.default_rng(5).random(50_000)]
+    want = pr.segment_table(1.0, AXES, pr.CYCLIC_FLIP).keeps_c(theta, coins)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            table = pr.segment_table(1.0, AXES, pr.CYCLIC_FLIP)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(table.keeps_c, theta, coins) for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+            assert all(np.array_equal(g, w) for got in results for g, w in zip(got, want))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n", [1, 7, 7_000, 250_000])
+def test_kernel_theta_draw_equals_uniform_draw(n):
+    """The kernel scales ``rng.random(n)`` by 3*pi/5; NumPy's ``uniform(0, 3*pi/5, n)`` gives the same bits.
+
+    ``uniform`` computes ``low + (high - low) * draw``, and ``0.0 + x == x``
+    for ``x >= 0``. Both consume the same draws, so the generators end in
+    the same state. A NumPy that computes ``uniform`` otherwise fails here.
+    """
+    for seed in range(20):
+        uniform, scaled = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = uniform.uniform(0.0, geo.THETA_SPAN, n)
+        got = scaled.random(n)
+        got *= geo.THETA_SPAN
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert scaled.bit_generator.state == uniform.bit_generator.state
 
 
 @pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
