@@ -454,9 +454,8 @@ class SegmentTable:
         Two threads that build it at once build the same arrays.
         """
         centre = (np.arange(_BINS) + 0.5) * (THETA_SPAN / _BINS)
-        rank = functools.partial(np.searchsorted, self.edges, side="right")  # the rank rule, as arrays
-        seg = rank(centre)
-        near = rank(centre - _REACH) != rank(centre + _REACH)
+        seg = geometry._rank(centre, self.edges)
+        near = geometry._rank(centre - _REACH, self.edges) != geometry._rank(centre + _REACH, self.edges)
         screen = []
         for j, dead in enumerate(self.terminated):
             if dead:

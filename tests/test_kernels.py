@@ -268,7 +268,7 @@ def test_screen_decides_like_evaluate_bob_at_its_bracket_ends(a, axes, strategy)
     decides one of the two wrongly.
     """
     table = pr.segment_table(a, axes, strategy)
-    theta = np.random.default_rng(1010).random(200_000) * geo.THETA_SPAN
+    theta = np.random.default_rng(1010).random(20_000) * geo.THETA_SPAN  # about five per bin
     k = _bin_index(theta)
     alice = pr.alice_slot_arrays(a, theta)
     accepts = [(ev.accept_prob, ev.negate) for ev in (pr.evaluate_bob(*alice, b, theta, strategy) for b in axes)]
