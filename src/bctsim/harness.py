@@ -30,8 +30,10 @@ as their rank among the edges (the slot rule's count), and evaluated there.
 The brackets are bounds, not approximations, so the kernel decides exactly
 as evaluating Bob per trial, or playing the round through Alice's four-bit
 message, would at every theta. Building a table or its screen draws no
-random numbers, and the kernel keeps its documented draw order, so the tables
-consume the same streams and emit the same bytes as per-trial evaluation.
+random numbers. A batch runs in cache-sized chunks, yet each draw reads a
+PCG64 substream advanced to the output where that draw starts in the batch's
+stream, so a batch consumes its stream in the documented draw order and emits
+the same bytes as drawing whole arrays and evaluating Bob per trial.
 
 Measured anomalies are data, never errors: runs fail only on bad
 configuration or I/O.
@@ -193,9 +195,7 @@ def _run_batches(
     batch_size: int,
     pool: ThreadPoolExecutor | None,
 ) -> np.ndarray:
-    sizes = [batch_size] * (trials // batch_size)
-    if trials % batch_size:
-        sizes.append(trials % batch_size)
+    sizes = [min(batch_size, trials - start) for start in range(0, trials, batch_size)]
 
     def one(idx: int, n: int) -> np.ndarray:
         return kernel(_batch_rng(seed, key + (idx,)), n)
@@ -225,8 +225,27 @@ def _in_windows(theta, windows) -> np.ndarray:
     return ((theta >= w1_lo) & (theta <= w1_hi)) | ((theta > w2_lo) & (theta <= w2_hi))
 
 
+#: trials per chunk of a batch: small enough for a chunk's arrays to stay in cache, and even
+_CHUNK = 16384
+
+
 def _count(mask) -> int:
     return int(np.count_nonzero(mask))
+
+
+def _substreams(rng: np.random.Generator, sizes) -> list[np.random.Generator]:
+    """One generator per draw, each at the output where its draw starts in ``rng``'s stream.
+
+    ``sizes`` are the 64-bit outputs the draws take, in order. The first draw
+    is ``rng`` itself; each later one is a ``PCG64`` holding ``rng``'s state,
+    advanced (one step per output) past the outputs of the draws before it.
+    """
+    streams = [rng]
+    for offset in itertools.accumulate(sizes[:-1]):
+        bits = np.random.PCG64(0)
+        bits.state = rng.bit_generator.state
+        streams.append(np.random.Generator(bits.advance(offset)))
+    return streams
 
 
 def _kernel(
@@ -245,6 +264,14 @@ def _kernel(
     ``visibility`` is given, erase1 and erase2: each side's outcome survives
     with probability ``visibility``. ``windows`` are the two deterministic
     windows a two-axis row counts.
+
+    A batch is drawn, decided and tallied in chunks of ``_CHUNK`` trials, so
+    its arrays stay in cache, from one substream per draw: each float draw
+    takes ``n`` outputs of the batch stream (one per double), and c takes
+    ``(n + 1) // 2``. NumPy's ``integers(0, 2, n, dtype=np.int64)`` is the top
+    bit of each 32-bit half of an output, low half first, which the kernel
+    reads from the raw outputs; ``_CHUNK`` is even, so no output straddles two
+    chunks. The tallies are those of drawing each whole draw in turn.
     """
     if theta_fixed is None:
         decide = segment_table(a, axes, strategy).keeps_c
@@ -258,34 +285,35 @@ def _kernel(
 
     two = len(axes) == 2
     fixed_in_win = two and theta_fixed is not None and bool(_in_windows(theta_fixed, windows))
+    shared = two and coin_mode is CoinMode.SHARED
+    floats = (1 if shared else len(axes)) + (0 if visibility is None else 2)
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        theta = None
-        if theta_fixed is None:
-            # bit for bit rng.uniform(0.0, THETA_SPAN, n), which computes 0.0 + THETA_SPAN * draw
-            theta = rng.random(n)
-            theta *= THETA_SPAN
-        c_plus = rng.integers(0, 2, n, dtype=np.int64).astype(bool)
-        coins = [rng.random(n)]
-        if two:
-            coins.append(coins[0] if coin_mode is CoinMode.SHARED else rng.random(n))
-        survived = None if visibility is None else (rng.random(n) < visibility) & (rng.random(n) < visibility)
-        kept = decide(theta, coins)
-        counts = [n, _count(c_plus)]
-        for k in kept:
-            counts += [_count(k), _count(k == c_plus)]  # c_b > 0 exactly when kept == (c > 0)
-        if two:
-            eq = kept[0] == kept[1]
-            if survived is not None:
-                eq &= survived
-            n_eq = _count(eq)
-            if theta is None:
-                eq_in, n_in = (n_eq, n) if fixed_in_win else (0, 0)
-            else:
-                in_win = _in_windows(theta, windows)
-                eq_in, n_in = _count(eq & in_win), _count(in_win)
-            counts += [n_eq, eq_in, n_in, n if survived is None else _count(survived)]
-        return np.array(counts, dtype=np.int64)
+        draws = _substreams(rng, [n] * (theta_fixed is None) + [(n + 1) // 2] + [n] * floats)
+        theta_draw = draws.pop(0) if theta_fixed is None else None
+        signs, *uniform = draws  # the coins, then the erasures
+        parts = []
+        for m in [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]:
+            # bit for bit rng.uniform(0.0, THETA_SPAN, m), which computes 0.0 + THETA_SPAN * draw
+            theta = None if theta_draw is None else theta_draw.random(m) * THETA_SPAN
+            c_plus = signs.bit_generator.random_raw((m + 1) // 2).view(np.uint32)[:m] >= 2**31
+            u = [draw.random(m) for draw in uniform]
+            kept = decide(theta, [u[0], u[0]] if shared else u[:len(axes)])
+            counts = [m, _count(c_plus)]
+            for k in kept:
+                counts += [_count(k), _count(k == c_plus)]  # c_b > 0 exactly when kept == (c > 0)
+            if two:
+                survived = True if visibility is None else (u[-2] < visibility) & (u[-1] < visibility)
+                eq = (kept[0] == kept[1]) & survived
+                n_eq = _count(eq)
+                if theta is None:
+                    eq_in, n_in = (n_eq, m) if fixed_in_win else (0, 0)
+                else:
+                    in_win = _in_windows(theta, windows)
+                    eq_in, n_in = _count(eq & in_win), _count(in_win)
+                counts += [n_eq, eq_in, n_in, m if visibility is None else _count(survived)]
+            parts.append(counts)
+        return np.array(parts, dtype=np.int64).sum(axis=0)
 
     return kernel
 

@@ -353,8 +353,6 @@ _LAST_THETA = float(np.nextafter(THETA_SPAN, 0.0))
 #: rounded breakpoint: far above its rounding error, far below the 3*pi/5
 #: between two flips of one slot test
 _BRACKET = 1e-12
-#: trials per step of a table lookup; small enough for its temporaries to stay in cache
-_CHUNK = 16384
 #: equal theta bins of a table's acceptance screen
 _BINS = 4096
 #: ``int(theta * _BIN_SCALE)`` is the bin of a shared angle, or ``_BINS`` when it rounds up at the top
@@ -397,7 +395,7 @@ def _flip_points(tests) -> np.ndarray:
     return hi.view(np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentTable:
     """Bob's branch outcome on several axes against one setting, as a lookup over theta.
 
@@ -478,23 +476,22 @@ class SegmentTable:
         edge, and elsewhere a fraction of a percent. That route finds the
         trial's segment as the number of edges at or below its theta, by the
         rank rule of the slot functions, and evaluates the acceptance there.
-        A fired reflection negates the decision afterwards. The batch is
-        worked through in chunks that keep the temporaries in cache; every
-        step is per trial, so chunking cannot change a result.
+        A fired reflection negates the decision afterwards. Every step is per
+        trial, so the batch kernel calls this on one cache-sized chunk of a
+        batch at a time.
         """
-        kept = [np.zeros(len(theta), dtype=bool) for _ in coins]
-        live = [(j, coin, *self._screen[j]) for j, coin in enumerate(coins) if not self.terminated[j]]
-        for start in range(0, len(theta), _CHUNK):
-            part = slice(start, start + _CHUNK)
-            t = theta[part]
-            k = (t * _BIN_SCALE).astype(np.intp)
-            for j, coin, lo, hi in live:
-                c = coin[part]
-                keep = c < lo.take(k)
-                exact = np.flatnonzero(~keep & (c < hi.take(k)))
-                t_exact = t[exact]
-                keep[exact] = c[exact] < self._accept(j, t_exact, geometry._rank(t_exact, self.edges))
-                kept[j][part] = keep ^ self.negate[j]
+        k = (theta * _BIN_SCALE).astype(np.intp)
+        kept = []
+        for j, coin in enumerate(coins):
+            if self.terminated[j]:
+                kept.append(np.zeros(len(theta), dtype=bool))
+                continue
+            lo, hi = self._screen[j]
+            keep = coin < lo.take(k)
+            exact = np.flatnonzero(~keep & (coin < hi.take(k)))
+            t = theta[exact]
+            keep[exact] = coin[exact] < self._accept(j, t, geometry._rank(t, self.edges))
+            kept.append(keep ^ self.negate[j])
         return kept
 
     def expectation(self, coin_mode: CoinMode = CoinMode.INDEPENDENT) -> float:

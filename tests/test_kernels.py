@@ -174,11 +174,79 @@ def test_visibility_kernel_matches_reference(nu, coin_mode):
 
 def test_batches_longer_than_a_lookup_chunk():
     nu, strategy, coin = PI / 10, pr.CYCLIC_FLIP, pr.CoinMode.INDEPENDENT
-    n = 2 * pr._CHUNK + 1234
+    n = 2 * hn._CHUNK + 1234
     _both(two_bob_kernel(nu, strategy, coin), two_bob_counts,
           lambda rng, n: ref_two_bob(nu, strategy, coin, None, rng, n), 7, n)
     _both(hn._kernel(1.0, (PI,), pr.ABS_FLIP), pair_counts,
           lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, None, rng, n), 8, n)
+
+
+SEAM_SIZES = (1, 7, hn._CHUNK - 1, hn._CHUNK, hn._CHUNK + 1, 3 * hn._CHUNK + 5)
+
+
+def _row_shapes():
+    """Every row shape the kernel runs, as (kernel, tally reader, whole-batch reference)."""
+    nu, strategy, fixed = PI / 10, pr.CYCLIC_FLIP, 1.2
+    yield "one-axis", (hn._kernel(1.0, (PI,), pr.ABS_FLIP), pair_counts,
+                       lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, None, rng, n))
+    yield "one-axis-conditioned", (hn._kernel(1.0, (PI,), pr.ABS_FLIP, theta_fixed=fixed), pair_counts,
+                                   lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, fixed, rng, n))
+    for coin in COINS:
+        yield f"two-axis-{coin.value}", (two_bob_kernel(nu, strategy, coin), two_bob_counts,
+                                         lambda rng, n, coin=coin: ref_two_bob(nu, strategy, coin, None, rng, n))
+        yield f"two-axis-{coin.value}-conditioned", (
+            two_bob_kernel(nu, strategy, coin, fixed), two_bob_counts,
+            lambda rng, n, coin=coin: ref_two_bob(nu, strategy, coin, fixed, rng, n))
+        yield f"visibility-{coin.value}", (
+            two_bob_kernel(nu, strategy, coin, visibility=0.7), visibility_counts,
+            lambda rng, n, coin=coin: ref_visibility(nu, 0.7, strategy, coin, rng, n))
+
+
+ROW_SHAPES = dict(_row_shapes())
+
+
+@pytest.mark.parametrize("n", SEAM_SIZES)
+@pytest.mark.parametrize("shape", list(ROW_SHAPES))
+def test_chunk_seams_match_the_whole_batch_reference(shape, n):
+    """Batches ending before, at and after a chunk seam tally as the whole-batch draws do.
+
+    The references draw each whole array in the documented order from one
+    generator; the kernel draws chunk by chunk from one substream per draw.
+    Odd sizes leave half of the last output of the sign draw unused.
+    """
+    kernel, counts, reference = ROW_SHAPES[shape]
+    for seed in (21, 22):
+        _both(kernel, counts, reference, seed, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 7_001, hn._CHUNK + 1, 3 * hn._CHUNK + 5])
+def test_kernel_sign_draw_equals_integer_draw(n):
+    """The kernel's raw-bits c is NumPy's ``integers(0, 2, n, dtype=np.int64)`` cast to bool.
+
+    NumPy draws a 0/1 integer from the top bit of a 32-bit draw, and takes
+    two 32-bit draws from each 64-bit output, low half first. The kernel
+    reads those bits chunk by chunk from the raw outputs, so a NumPy that
+    consumes its draws otherwise fails here.
+    """
+    for seed in range(20):
+        want = np.random.default_rng(seed).integers(0, 2, n, dtype=np.int64).astype(bool)
+        signs = hn._substreams(np.random.default_rng(seed), [(n + 1) // 2])[0].bit_generator
+        got = np.concatenate([signs.random_raw((m + 1) // 2).view(np.uint32)[:m] >= 2**31
+                              for m in [min(hn._CHUNK, n - s) for s in range(0, n, hn._CHUNK)]])
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("sizes", [[1], [3, 2, 3], [7, 4, 7, 7, 7, 7], [250_000, 125_000, 250_000, 250_000],
+                                   [hn._CHUNK + 1, hn._CHUNK // 2 + 1, hn._CHUNK + 1]])
+def test_each_substream_starts_at_its_offset_in_the_batch_stream(sizes):
+    """Each substream's first output, raw and as a double, is the batch stream's output at its offset."""
+    offsets = np.cumsum([0, *sizes[:-1]])
+    for seed in range(20):
+        whole = np.random.default_rng(seed).bit_generator.random_raw(sum(sizes))
+        first_raw = [int(g.bit_generator.random_raw()) for g in hn._substreams(np.random.default_rng(seed), sizes)]
+        assert first_raw == whole[offsets].tolist()
+        first_double = [g.random() for g in hn._substreams(np.random.default_rng(seed), sizes)]
+        assert first_double == [float(x >> 11) * 2.0**-53 for x in whole[offsets].tolist()]
 
 
 # --- the table next to its edges -------------------------------------------
@@ -400,6 +468,15 @@ def test_terminated_axis_never_keeps_c():
     theta = np.linspace(0.0, LAST_THETA, 101)
     (kept,) = table.keeps_c(theta, [np.zeros_like(theta)])
     assert not kept.any()
+
+
+def test_tables_compare_and_hash_by_identity():
+    """A table holds NumPy arrays, so it compares and hashes as an object, never field by field."""
+    first, second = (pr.segment_table(1.0, AXES, pr.CYCLIC_FLIP) for _ in range(2))
+    assert np.array_equal(first.edges, second.edges)
+    assert first == first and first != second
+    assert hash(first) == hash(first) != hash(second)
+    assert len({first, second, first}) == 2
 
 
 def test_building_a_table_draws_no_random_numbers():
