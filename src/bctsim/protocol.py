@@ -477,8 +477,8 @@ class SegmentTable:
         trial's segment as the number of edges at or below its theta, by the
         rank rule of the slot functions, and evaluates the acceptance there.
         A fired reflection negates the decision afterwards. Every step is per
-        trial, so the batch kernel calls this on one cache-sized chunk of a
-        batch at a time.
+        trial, so any split of a batch decides alike; the batch kernel passes
+        one cache-sized chunk at a time.
         """
         k = (theta * _BIN_SCALE).astype(np.intp)
         kept = []
