@@ -19,12 +19,15 @@ slot of each system, and a boundary belongs to the slot it opens.
 the rule with the same expressions to Python floats, which give Python ints,
 and to numpy arrays, which broadcast, and :func:`slot_triple` reads all three
 at one point. :func:`cell_index` returns the four-bit cell, the rank of an
-angle under the same rule over all sixteen floats.
+angle under the same rule over all sixteen floats: the sum of its ranks in
+the three systems, which also give the triple.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from itertools import repeat
 
 import numpy as np
 
@@ -89,7 +92,7 @@ _ALPHA_BOUNDS = tuple(j * ALPHA_WIDTH for j in range(10))
 
 def _rank(x, bounds):
     """How many of ``bounds`` lie at or below ``x`` (arrays broadcast)."""
-    return sum(x >= b for b in bounds)
+    return sum(map(operator.le, bounds, repeat(x)))
 
 
 def alpha_slot_of(x):
@@ -104,8 +107,7 @@ def beta_slot_of(x, theta):
     ascending in ``k``, so the slot is the rank of ``x`` among them less one,
     cyclically: an angle below ``theta`` is in slot 2.
     """
-    x = _normalize(x)
-    return (2 + _rank(x, (theta, theta + BETA_OFFSETS[1], theta + BETA_OFFSETS[2]))) % 3
+    return (2 + _rank(_normalize(x), _beta_bounds(theta))) % 3
 
 
 def gamma_slot_of(x, theta):
@@ -118,9 +120,16 @@ def gamma_slot_of(x, theta):
     ``normalize_angle(s)``) is the smallest and ``x >= s`` never holds.
     Either way the rank of ``x`` among the four values, mod 3, is its slot.
     """
-    x = _normalize(x)
+    return _rank(_normalize(x), _gamma_bounds(theta)) % 3
+
+
+def _beta_bounds(theta):
+    return theta, theta + BETA_OFFSETS[1], theta + BETA_OFFSETS[2]
+
+
+def _gamma_bounds(theta):  # the four values of gamma_slot_of; the three in [0, 2*pi) are the boundaries
     s = theta + GAMMA_OFFSETS[1]
-    return _rank(x, (s - TWO_PI, theta + GAMMA_OFFSETS[2], theta + GAMMA_OFFSETS[0], s)) % 3
+    return s - TWO_PI, theta + GAMMA_OFFSETS[2], theta + GAMMA_OFFSETS[0], s
 
 
 _BETA_OFFSETS = np.array(BETA_OFFSETS)
@@ -164,19 +173,25 @@ def alpha_slot_cyclic_difference(j1: int, j2: int) -> int:
     return min(d, 10 - d)
 
 
-def _boundary_floats(theta: float) -> tuple[float, ...]:
-    """The sixteen boundary floats of the combined partition, unsorted."""
-    return _ALPHA_BOUNDS + tuple(normalize_angle(theta + o) for o in BETA_OFFSETS + GAMMA_OFFSETS)
-
-
 def _cell_bounds(theta: float) -> list[float]:
-    return sorted(_boundary_floats(theta))
+    """The sixteen boundary floats, ascending; the slot functions' sums, so ``normalize_angle(theta + offset)``."""
+    gamma = _gamma_bounds(theta)
+    return sorted(_ALPHA_BOUNDS + _beta_bounds(theta) + (gamma[1:] if gamma[3] < TWO_PI else gamma[:3]))
 
 
-def _check_theta(theta: float) -> float:
+def _check_theta(theta: float) -> None:
     if not (0.0 <= theta < THETA_SPAN):
         raise ValueError(f"shared offset theta must lie in [0, 3*pi/5), got {theta!r}")
-    return theta
+
+
+def _cell_and_triple(x: float, theta: float) -> tuple[int, tuple[int, int, int]]:
+    """Cell index and slot triple of ``x``, as Python ints; the gamma rank counts ``s - 2*pi`` while it is < 0."""
+    _check_theta(theta)
+    x = normalize_angle(x)
+    gamma = _gamma_bounds(theta)
+    r_alpha, r_beta, r_gamma = _rank(x, _ALPHA_BOUNDS), _rank(x, _beta_bounds(theta)), _rank(x, gamma)
+    cell = r_alpha + r_beta + r_gamma - (gamma[3] < TWO_PI) - 1  # 0.0 is a boundary, so >= 0
+    return int(cell), (int(r_alpha) - 1, (2 + int(r_beta)) % 3, int(r_gamma) % 3)
 
 
 def slot_triple(x: float, theta: float) -> tuple[int, int, int]:
@@ -184,8 +199,7 @@ def slot_triple(x: float, theta: float) -> tuple[int, int, int]:
 
     Raises ``ValueError`` for a ``theta`` outside that range, as :func:`cell_index` does.
     """
-    _check_theta(theta)
-    return int(alpha_slot_of(x)), int(beta_slot_of(x, theta)), int(gamma_slot_of(x, theta))
+    return _cell_and_triple(x, theta)[1]
 
 
 def cell_index(x: float, theta: float) -> int:
@@ -199,8 +213,7 @@ def cell_index(x: float, theta: float) -> int:
     triple is :func:`slot_triple` of ``x``, or :func:`cell_to_triple` of the
     rank.
     """
-    _check_theta(theta)
-    return int(_rank(normalize_angle(x), _boundary_floats(theta))) - 1  # 0.0 is a boundary, so >= 0
+    return _cell_and_triple(x, theta)[0]
 
 
 def cell_to_triple(index: int, theta: float) -> tuple[int, int, int]:
@@ -214,9 +227,7 @@ def cell_to_triple(index: int, theta: float) -> tuple[int, int, int]:
     _check_theta(theta)
     if not 0 <= index <= 15:
         raise ValueError(f"cell index must lie in 0..15, got {index}")
-    bounds = _cell_bounds(theta)
-    lo = bounds[index]
-    hi = bounds[index + 1] if index < 15 else TWO_PI
+    lo, hi = (_cell_bounds(theta) + [TWO_PI])[index:index + 2]
     if not lo < hi:
         raise ValueError(f"cell {index} is empty for theta={theta!r}")
     return slot_triple(lo, theta)

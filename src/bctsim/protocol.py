@@ -23,7 +23,6 @@ hidden draw, the coin, and the branch taken.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -42,11 +41,9 @@ from .geometry import (
     alpha_slot_of,
     beta_boundary,
     beta_slot_of,
-    cell_index,
     gamma_boundary,
     gamma_slot_of,
     normalize_angle,
-    slot_triple,
     theta_breakpoints,
 )
 
@@ -150,11 +147,12 @@ class HiddenState:
 
     @classmethod
     def make(cls, c: int, theta: float) -> "HiddenState":
-        if c not in (-1, 1):
-            raise ProtocolError(f"shared sign must be -1 or +1, got {c!r}")
+        """Check and build a state; ``c`` is stored as a Python int, and a bool or a float is rejected."""
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c not in (-1, 1):
+            raise ProtocolError(f"shared sign must be the integer -1 or +1, got {c!r}")
         if not (0.0 <= theta < THETA_SPAN):
             raise ProtocolError(f"shared angle must lie in [0, 3*pi/5), got {theta!r}")
-        return cls(c=c, theta=theta)
+        return cls(c=int(c), theta=theta)
 
 
 def draw_hidden(rng: np.random.Generator) -> HiddenState:
@@ -179,12 +177,7 @@ class SlotMessage:
 
     def to_debug(self) -> dict:
         """Diagnostic serialization carrying the decoded slot triple."""
-        return {
-            "cell": self.cell,
-            "alpha_slot": self.alpha_slot,
-            "beta_slot": self.beta_slot,
-            "gamma_slot": self.gamma_slot,
-        }
+        return dict(vars(self))  # fields in declaration order
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -217,9 +210,7 @@ class TrialRecord:
     flip_semantics: str
 
     def to_json_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        d["message"] = self.message.to_debug()
-        return d
+        return {**vars(self), "message": self.message.to_debug()}  # fields in declaration order
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), allow_nan=True)
@@ -227,7 +218,8 @@ class TrialRecord:
 
 def alice_round(a: float, hidden: HiddenState) -> tuple[int, SlotMessage]:
     """Alice's output (always the shared sign) and her four-bit slot message."""
-    return hidden.c, SlotMessage(cell_index(a, hidden.theta), *slot_triple(a, hidden.theta))
+    cell, triple = geometry._cell_and_triple(a, hidden.theta)
+    return hidden.c, SlotMessage(cell, *triple)
 
 
 def alice_slot_arrays(a: float, theta) -> tuple[int, np.ndarray, np.ndarray]:
@@ -246,8 +238,10 @@ class BobEvaluation:
     Per-theta fields have the broadcast shape of theta and Alice's slots;
     ``alice_slot`` keeps the shape it was given. ``accept_prob`` is the
     pre-negation probability of keeping ``c``; the final output is negated
-    when ``negate`` (a fired reflection). ``system`` is ``"none"`` when the
-    reflection terminated the round.
+    when ``negate`` (a fired reflection). ``boundary_index``,
+    ``boundary_angle`` and ``u`` (the separator) mean something only where
+    ``same_slot`` is False. ``system`` is ``"none"`` when the reflection
+    terminated the round; they are then -1, nan and nan.
     """
 
     accept_prob: np.ndarray
@@ -332,18 +326,17 @@ def evaluate_bob(
     k = (bob_slot + one_step_ccw) % 3
     bnd = boundary_of(k, theta)
     u, accept = _acceptance(b_eff, bnd)
-    accept = np.where(same, 1.0, accept)
 
     return BobEvaluation(
-        accept_prob=accept,
+        accept_prob=np.where(same, 1.0, accept),
         negate=fired,
         system=system,
         same_slot=same,
         bob_slot=bob_slot,
         alice_slot=alice_slot,
-        boundary_index=np.where(same, -1, k),
-        boundary_angle=np.where(same, math.nan, bnd),
-        u=np.where(same, math.nan, u),
+        boundary_index=k,
+        boundary_angle=bnd,
+        u=u,
     )
 
 
@@ -562,7 +555,7 @@ def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
         ev = evaluate_bob(alpha, beta_slots, gamma_slots, b, starts, strategy)
         offsets = np.asarray(GAMMA_OFFSETS if ev.system == "gamma" else BETA_OFFSETS)
         same.append(ev.same_slot)
-        offset.append(np.where(ev.boundary_index < 0, 0.0, offsets[ev.boundary_index]))
+        offset.append(np.where(ev.same_slot | (ev.system == "none"), 0.0, offsets[ev.boundary_index]))
         negate.append(ev.negate)
         terminated.append(ev.system == "none")
     return SegmentTable(edges, tuple(r[0] for r in resolved), tuple(same), tuple(offset),
@@ -588,13 +581,17 @@ def _decode(msg: SlotMessage, hidden: HiddenState) -> tuple[int, int, int]:
 def _bob_step(a: float, b: float, msg: SlotMessage, triple: tuple[int, int, int], hidden: HiddenState,
               coin: float, strategy: Strategy, record: bool = True) -> tuple[int, TrialRecord | None]:
     """Bob's output on axis ``b`` against the decoded ``triple``, and the round's record for ``a`` or None."""
+    if coin is None or not 0.0 <= coin < 1.0:
+        raise ProtocolError(f"coin must lie in [0, 1), got {coin!r}")
+    coin = float(coin)
     ev = evaluate_bob(*triple, b, hidden.theta, strategy)
     accept = float(ev.accept_prob)
     inner = hidden.c if coin < accept else -hidden.c
     c_b = -inner if ev.negate else inner
     if not record:
         return c_b, None
-    slot = "same-slot" if ev.same_slot else "cross-slot"
+    same = bool(ev.same_slot)  # no separator: the record holds -1 and nan
+    slot = "same-slot" if same else "cross-slot"
     branch = "flipped-terminated" if ev.system == "none" else ("flipped-then-" if ev.negate else "") + slot
     return c_b, TrialRecord(
         a=a,
@@ -611,9 +608,9 @@ def _bob_step(a: float, b: float, msg: SlotMessage, triple: tuple[int, int, int]
         system=ev.system,
         bob_slot=int(ev.bob_slot),
         alice_active_slot=int(ev.alice_slot),
-        boundary_angle=float(ev.boundary_angle),
-        boundary_index=int(ev.boundary_index),
-        u=float(ev.u),
+        boundary_angle=math.nan if same else float(ev.boundary_angle),
+        boundary_index=-1 if same else int(ev.boundary_index),
+        u=math.nan if same else float(ev.u),
         accept_prob=accept,
         flip_rule=strategy.flip_rule.value,
         flip_semantics=strategy.flip_semantics.value,
@@ -637,9 +634,7 @@ def bob_round(
     if coin is None:
         if rng is None:
             raise ProtocolError("bob_round needs either a random generator or an explicit coin")
-        coin = float(rng.random())
-    if not 0.0 <= coin < 1.0:
-        raise ProtocolError(f"coin must lie in [0, 1), got {coin!r}")
+        coin = rng.random()
     return _bob_step(math.nan, b, msg, triple, hidden, coin, strategy)
 
 
@@ -734,8 +729,8 @@ def p_equal_given_theta(a: float, b: float, theta, strategy: Strategy = NO_FLIP)
 
 
 def replay_bob(record: TrialRecord) -> int:
-    """Recompute Bob's output from a stored record; equals ``record.c_b``."""
+    """Recompute Bob's output from a stored record, as :func:`bob_round` would; equals ``record.c_b``."""
     hidden = HiddenState.make(record.c, record.theta)
     strategy = Strategy(FlipRule(record.flip_rule), FlipSemantics(record.flip_semantics))
-    c_b, _ = bob_round(record.b, record.message, hidden, strategy=strategy, coin=record.coin)
-    return c_b
+    triple = _decode(record.message, hidden)
+    return _bob_step(record.a, record.b, record.message, triple, hidden, record.coin, strategy, record=False)[0]

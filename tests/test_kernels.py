@@ -23,6 +23,7 @@ from bctsim import geometry as geo
 from bctsim import harness as hn
 from bctsim import protocol as pr
 from bctsim.analysis import WALKTHROUGH_B1, alice_setting, interval_windows, two_bob_equal_quadrature
+from slot_oracle import WRAP_THETA
 
 PI = math.pi
 LAST_THETA = float(np.nextafter(geo.THETA_SPAN, 0.0))
@@ -286,18 +287,18 @@ def _bin_index(theta) -> np.ndarray:
     return (np.asarray(theta) * pr._BIN_SCALE).astype(np.intp)
 
 
-def _wrap_point() -> float:
-    """The lowest theta at which ``theta + 8*pi/5`` reaches 2*pi, so that gamma_1 wraps to the bottom."""
-    offset = geo.GAMMA_OFFSETS[1]
-    theta = geo.TWO_PI - offset
-    while theta + offset >= geo.TWO_PI:
-        theta = math.nextafter(theta, 0.0)
-    while theta + offset < geo.TWO_PI:
-        theta = math.nextafter(theta, math.inf)
-    return theta
-
-
-WRAP_THETA = _wrap_point()
+@pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
+def test_table_offsets_equal_the_masked_separator(a, axes, strategy):
+    """Each segment's offset is that of ``evaluate_bob``'s separator, masked to -1 where Bob needs none, else 0.0."""
+    table = pr.segment_table(a, axes, strategy)
+    starts = np.concatenate(([0.0], table.edges))
+    alpha, beta_slots, gamma_slots = pr.alice_slot_arrays(a, starts)
+    for j, b in enumerate(axes):
+        ev = pr.evaluate_bob(alpha, beta_slots, gamma_slots, b, starts, strategy)
+        index = np.where(ev.same_slot, -1, ev.boundary_index)
+        offsets = np.asarray(geo.GAMMA_OFFSETS if ev.system == "gamma" else geo.BETA_OFFSETS)
+        want = np.where(index < 0, 0.0, offsets[index])
+        assert table.offset[j].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))

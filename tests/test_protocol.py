@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -54,6 +55,20 @@ class TestHiddenState:
             pr.HiddenState.make(0, 1.0)
         with pytest.raises(pr.ProtocolError):
             pr.HiddenState.make(1, THETA_SPAN)
+
+    @pytest.mark.parametrize("c", [True, False, np.True_, 1.0, -1.0, np.float64(1.0), "1", None])
+    def test_rejects_a_sign_that_is_not_an_integer(self, c):
+        with pytest.raises(pr.ProtocolError):
+            pr.HiddenState.make(c, 1.0)
+
+    @pytest.mark.parametrize("c", [np.int64(1), np.int32(-1), np.int8(1)])
+    def test_numpy_integer_sign_is_stored_as_an_int_and_serializes(self, c):
+        h = pr.HiddenState.make(c, 0.35 * PI)
+        assert type(h.c) is int and h.c == c
+        _, msg = pr.alice_round(PI / 2, h)
+        c_b, rec = pr.bob_round(0.0, msg, h, coin=0.5)
+        assert json.loads(rec.to_json())["c"] == c
+        assert pr.replay_bob(_record_from_json(rec.to_json())) == c_b
 
 
 class TestAliceRound:
@@ -157,6 +172,24 @@ class TestBobRound:
         with pytest.raises(pr.ProtocolError):
             pr.bob_round(0.0, msg, h, strategy=pr.NO_FLIP, coin=1.5)
 
+    @pytest.mark.parametrize("coin", [np.float32(0.3), np.float64(0.7), np.float32(0.999), 0.25])
+    def test_coin_is_stored_as_a_float_and_serializes(self, coin):
+        h = pr.HiddenState.make(1, 0.35 * PI)
+        _, msg = pr.alice_round(PI / 2, h)
+        c_b, rec = pr.bob_round(0.0, msg, h, coin=coin)
+        assert type(rec.coin) is float and rec.coin == float(coin)
+        assert json.loads(rec.to_json())["coin"] == float(coin)
+        assert pr.replay_bob(_record_from_json(rec.to_json())) == c_b
+        assert pr.bob_round(0.0, msg, h, coin=float(coin))[1].to_json() == rec.to_json()
+
+    def test_replay_checks_the_stored_coin(self):
+        h = pr.HiddenState.make(1, 0.35 * PI)
+        _, msg = pr.alice_round(PI / 2, h)
+        _, rec = pr.bob_round(0.0, msg, h, coin=0.5)
+        for coin in (None, 1.0, -0.1, math.nan):
+            with pytest.raises(pr.ProtocolError):
+                pr.replay_bob(dataclasses.replace(rec, coin=coin))
+
     def test_needs_rng_or_coin(self):
         h = pr.HiddenState.make(1, 0.35 * PI)
         _, msg = pr.alice_round(PI / 2, h)
@@ -238,6 +271,14 @@ class TestTrials:
             assert pr.nbct_trial(float(a), float(b), rng_box, strategy) == pr.bct_trial(
                 float(a), float(b), rng_msg, strategy)[:2]
         assert rng_box.bit_generator.state == rng_msg.bit_generator.state
+
+    def test_replay_builds_no_record(self, monkeypatch):
+        _, c_b, rec = pr.bct_trial(1.0, 2.0, np.random.default_rng(19), pr.CYCLIC_FLIP)
+        built = []
+        record = pr.TrialRecord
+        monkeypatch.setattr(pr, "TrialRecord", lambda **fields: built.append(1) or record(**fields))
+        assert pr.replay_bob(rec) == c_b
+        assert built == []
 
     def test_black_box_builds_no_record(self, monkeypatch):
         built = []

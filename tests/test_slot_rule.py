@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from bctsim import geometry as g
 from bctsim import harness as hn
 from bctsim import protocol as pr
-from bctsim.analysis import alice_setting
-from slot_oracle import oracle_triple
+from bctsim.analysis import WALKTHROUGH_B1, alice_setting, interval_windows
+from slot_oracle import WRAP_THETA, boundary_floats, oracle_cell, oracle_triple
 
 PI = math.pi
 LAST_THETA = float(np.nextafter(g.THETA_SPAN, 0.0))
@@ -92,10 +92,8 @@ def _check_evaluation_float_vs_array(a: float, b: float, theta: float, strategy)
 
 
 def _asdict_json(rec: pr.TrialRecord) -> str:
-    """The record's JSON as built by ``dataclasses.asdict``, the reference for ``to_json``."""
-    d = dataclasses.asdict(rec)
-    d["message"] = rec.message.to_debug()
-    return json.dumps(d, allow_nan=True)
+    """The record's JSON as built by ``dataclasses.asdict``, message included: the reference for ``to_json``."""
+    return json.dumps(dataclasses.asdict(rec), allow_nan=True)
 
 
 def test_cell_triple_slot_functions_and_oracle_agree_next_to_boundaries():
@@ -108,6 +106,32 @@ def test_vector_slot_functions_match_oracle_next_to_boundaries():
     theta = np.array([p[1] for p in GRID])
     got = np.stack([g.alpha_slot_of(x), g.beta_slot_of(x, theta), g.gamma_slot_of(x, theta)], axis=1)
     assert got.tolist() == [list(oracle_triple(*p)) for p in GRID]
+
+
+#: degenerate thetas, the largest one, and every float within 64 ulps of the gamma_1 wrap
+FUSED_THETAS = (0.0, PI / 5, 2 * PI / 5, LAST_THETA) + tuple(
+    float(t) for t in (np.array(WRAP_THETA).view(np.int64) + np.arange(-64, 65)).view(np.float64))
+
+
+def test_fused_alice_route_matches_the_sort_oracle():
+    """``alice_round``'s cell is the rank over the sorted ``normalize_angle`` floats, its triple the oracle's.
+
+    The cell comes from one pass of the three system ranks, corrected by one
+    while ``theta + 8*pi/5`` is below 2*pi; at ``WRAP_THETA`` that sum is
+    exactly 2*pi, where the correction must not apply.
+    """
+    assert WRAP_THETA + g.GAMMA_OFFSETS[1] == g.TWO_PI
+    rng = np.random.default_rng(31)
+    for theta in FUSED_THETAS:
+        assert g._cell_bounds(theta) == sorted(boundary_floats(theta))
+        hidden = pr.HiddenState.make(-1, theta)
+        xs = {float(x) for b in boundary_floats(theta) for x in (b, np.nextafter(b, 9.0), np.nextafter(b, -9.0))}
+        for x in sorted(xs) + rng.uniform(-2 * PI, 4 * PI, 8).tolist():
+            c_a, msg = pr.alice_round(x, hidden)
+            cell, triple = oracle_cell(x, theta), oracle_triple(x, theta)
+            assert (c_a, msg) == (-1, pr.SlotMessage(cell, *triple)), (x, theta)
+            assert (g.cell_index(x, theta), g.slot_triple(x, theta)) == (cell, triple)
+            assert type(msg.cell) is int and all(type(s) is int for s in msg.triple)
 
 
 def test_degenerate_theta_never_emits_an_empty_cell():
@@ -129,6 +153,23 @@ def test_scalar_round_matches_analytic_probability_next_to_boundaries(strategy):
         for b in AXES:
             assert _scalar_p_equal(a, b, theta, strategy) == float(pr.p_equal_given_theta(a, b, theta, strategy))
             _check_evaluation_float_vs_array(a, b, theta, strategy)
+
+
+def test_records_mask_the_separator_off_cross_slot_branches():
+    """A record holds -1 and nan for the separator exactly when Bob needed none."""
+    seen = set()
+    for a, theta in GRID:
+        for b in AXES + (0.9 * PI,):
+            for strategy in STRATEGIES:
+                rec = _round(a, b, theta, strategy)
+                seen.add(rec.branch)
+                if rec.branch.endswith("cross-slot"):
+                    assert rec.boundary_index in (0, 1, 2) and 0.0 <= rec.u <= PI
+                    assert 0.0 <= rec.boundary_angle < g.TWO_PI
+                else:
+                    assert rec.boundary_index == -1 and math.isnan(rec.boundary_angle) and math.isnan(rec.u)
+                    assert rec.accept_prob == 1.0
+    assert {"same-slot", "flipped-then-same-slot", "flipped-terminated"} < seen
 
 
 def test_record_json_keeps_its_bytes_on_every_branch():
@@ -202,3 +243,50 @@ def test_replayed_rounds_reproduce_every_kernel_bit(a, b, strategy):
         c_b, rec = pr.bob_round(b, msg, hidden, strategy=strategy, coin=float(u))
         assert (c_b == c_a) == kept, (a, b, strategy, float(t))
         assert pr.replay_bob(rec) == c_b
+
+
+def _two_axis_cases():
+    for coin_mode in (pr.CoinMode.INDEPENDENT, pr.CoinMode.SHARED):
+        for strategy in STRATEGIES:
+            for nu in (0.0, PI / 10, PI / 5):
+                yield nu, strategy, coin_mode
+
+
+@pytest.mark.parametrize("nu,strategy,coin_mode", list(_two_axis_cases()))
+def test_replayed_two_axis_rounds_reproduce_every_kernel_bit(nu, strategy, coin_mode):
+    """The two-axis kernel's every decision and its ``EQUAL`` tally, replayed round by round.
+
+    The batch is drawn in the two-axis kernel's order (theta, c, then the
+    coin of each axis, one coin under ``CoinMode.SHARED``); thetas one float
+    either side of every table edge are appended. Each trial goes through
+    ``alice_round`` and ``bob_round`` on ``b1`` and ``b1 + pi`` with its own
+    coins, and must match ``keeps_c`` trial for trial.
+    """
+    n = 120
+    a, axes = alice_setting(nu), (WALKTHROUGH_B1, WALKTHROUGH_B1 + PI)
+    rng = np.random.default_rng(17)
+    theta = rng.uniform(0.0, g.THETA_SPAN, n)
+    c_plus = rng.integers(0, 2, n, dtype=np.int64).astype(bool)
+    coins = [rng.random(n)]
+    coins.append(coins[0] if coin_mode is pr.CoinMode.SHARED else rng.random(n))
+    table = pr.segment_table(a, axes, strategy)
+    near = np.concatenate([np.nextafter(table.edges, 0.0), table.edges, np.nextafter(table.edges, 9.0)])
+    near = near[near < g.THETA_SPAN]
+    extra = np.random.default_rng(18)
+    theta = np.concatenate([theta, near])
+    c_plus = np.concatenate([c_plus, extra.integers(0, 2, len(near)).astype(bool)])
+    coins = [np.concatenate([u, extra.random(len(near))]) for u in coins]
+    if coin_mode is pr.CoinMode.SHARED:
+        coins[1] = coins[0]
+
+    keeps = table.keeps_c(theta, coins)
+    tally = hn._kernel(a, axes, strategy, coin_mode, windows=interval_windows(nu))(np.random.default_rng(17), n)
+    equal = 0
+    for i, (t, cp) in enumerate(zip(theta.tolist(), c_plus.tolist())):
+        hidden = pr.HiddenState.make(1 if cp else -1, t)
+        c_a, msg = pr.alice_round(a, hidden)
+        c_b = [pr.bob_round(b, msg, hidden, strategy=strategy, coin=float(u[i]))[0] for b, u in zip(axes, coins)]
+        assert [c == c_a for c in c_b] == [bool(k[i]) for k in keeps], (nu, strategy, coin_mode, t)
+        equal += i < n and c_b[0] == c_b[1]
+    assert tally[hn.EQUAL] == equal
+    assert [tally[hn.KEPT_1], tally[hn.KEPT_2]] == [int(k[:n].sum()) for k in keeps]
