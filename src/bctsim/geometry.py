@@ -187,7 +187,7 @@ def _check_theta(theta: float) -> None:
 def _cell_and_triple(x: float, theta: float) -> tuple[int, tuple[int, int, int]]:
     """Cell index and slot triple of ``x``, as Python ints; the gamma rank counts ``s - 2*pi`` while it is < 0."""
     _check_theta(theta)
-    x = normalize_angle(x)
+    x = normalize_angle(float(x))
     gamma = _gamma_bounds(theta)
     r_alpha, r_beta, r_gamma = _rank(x, _ALPHA_BOUNDS), _rank(x, _beta_bounds(theta)), _rank(x, gamma)
     cell = r_alpha + r_beta + r_gamma - (gamma[3] < TWO_PI) - 1  # 0.0 is a boundary, so >= 0

@@ -20,11 +20,12 @@ constant between a handful of theta edges; the table holds those edges and,
 per segment and Bob axis, whether Bob shares Alice's active slot and the
 separating boundary's offset above theta, plus per axis whether the output is
 negated or the round terminated. Each edge is the exact float at which a
-slot test flips under the package's one slot rule, found by bisection over
-float bit patterns, not a rounded breakpoint. A batch decides most trials
-without evaluating the acceptance ``1 - (3*pi/10)*sin(u)`` at all: the table's
-screen brackets that acceptance over equal theta bins, and a coin below its
-bin's bracket is kept, one at or above it is not. Only the trials whose coin
+slot test flips under the package's one slot rule, computed in closed form
+for each slot bound and certified by that rule, not a rounded breakpoint. A
+batch decides most trials without evaluating the acceptance
+``1 - (3*pi/10)*sin(u)`` at all: the table's screen brackets that acceptance
+over equal theta bins, and a coin below its bin's bracket is kept, one at or
+above it is not. Only the trials whose coin
 falls inside the bracket, a fraction of a percent, are looked up by segment,
 as their rank among the edges (the slot rule's count), and evaluated there.
 The brackets are bounds, not approximations, so the kernel decides exactly

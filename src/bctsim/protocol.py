@@ -44,7 +44,6 @@ from .geometry import (
     gamma_boundary,
     gamma_slot_of,
     normalize_angle,
-    theta_breakpoints,
 )
 
 __all__ = [
@@ -147,12 +146,15 @@ class HiddenState:
 
     @classmethod
     def make(cls, c: int, theta: float) -> "HiddenState":
-        """Check and build a state; ``c`` is stored as a Python int, and a bool or a float is rejected."""
+        """Check and build a state; ``c`` is stored as a Python int and ``theta`` as a Python float.
+
+        A bool or a float ``c`` is rejected.
+        """
         if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c not in (-1, 1):
             raise ProtocolError(f"shared sign must be the integer -1 or +1, got {c!r}")
         if not (0.0 <= theta < THETA_SPAN):
             raise ProtocolError(f"shared angle must lie in [0, 3*pi/5), got {theta!r}")
-        return cls(c=int(c), theta=theta)
+        return cls(c=int(c), theta=float(theta))
 
 
 def draw_hidden(rng: np.random.Generator) -> HiddenState:
@@ -342,10 +344,6 @@ def evaluate_bob(
 
 #: the largest shared angle a round can draw
 _LAST_THETA = float(np.nextafter(THETA_SPAN, 0.0))
-#: half-width, relative to max(1, |angle|), of the bracket searched around each
-#: rounded breakpoint: far above its rounding error, far below the 3*pi/5
-#: between two flips of one slot test
-_BRACKET = 1e-12
 #: equal theta bins of a table's acceptance screen
 _BINS = 4096
 #: ``int(theta * _BIN_SCALE)`` is the bin of a shared angle, or ``_BINS`` when it rounds up at the top
@@ -355,37 +353,54 @@ _REACH = 2.0 * THETA_SPAN / _BINS
 #: half-width of a cross-slot bracket: the acceptance moves at most K*_REACH over the reach, and
 #: 1e-9 covers the rounding of both exact evaluations
 _SLACK = ACCEPTANCE_COEFF * _REACH + 1e-9
+#: per system, each bound of its slot function as ``(offset, shift)``: the bound
+#: ``theta + offset - shift``, where the shift 2*pi makes gamma's wrapped ``s - 2*pi``
+_SLOT_BOUNDS = {
+    "beta": ((0.0, 0.0), (BETA_OFFSETS[1], 0.0), (BETA_OFFSETS[2], 0.0)),
+    "gamma": ((GAMMA_OFFSETS[1], TWO_PI), (GAMMA_OFFSETS[2], 0.0), (GAMMA_OFFSETS[0], 0.0), (GAMMA_OFFSETS[1], 0.0)),
+}
+
+
+def _two_sum(a, b):
+    """``(s, e)`` with ``s = fl(a + b)`` and ``s + e == a + b`` exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
 
 
 def _flip_points(tests) -> np.ndarray:
-    """Exact shared angles at which the slot of ``x`` in ``system`` changes, for each ``(x, system)``.
+    """Exact shared angles in ``(0, 3*pi/5)`` where the slot of ``x`` in ``system`` changes, per ``(x, system)``.
 
-    Each test is bracketed around both ends of the theta range and around
-    its rounded breakpoints. A bracket whose ends disagree holds exactly one
-    flip. Bisection over the bit patterns of the (non-negative) floats,
-    which order like the floats themselves, narrows all brackets at once to
-    adjacent floats; the upper one is the lowest theta of the new slot.
+    The slot is the rank of the normalized ``x`` among the system's bound
+    floats, each nondecreasing in theta, so it changes exactly where one
+    bound ``fl(theta + o)`` first exceeds ``X``: ``X = x``, or the real
+    ``x + 2*pi`` for the wrapped ``s - 2*pi`` (exact by Sterbenz). With ``Y``
+    the least double above ``X`` and ``M`` the midpoint below ``Y``, that
+    happens at the least double ``t >= M - o``, found by TwoSum, or at the
+    next float when ``theta + o = M`` rounds to even below. Each crossing is
+    certified by the slot rule itself: it is the first float whose slot
+    differs from the float below it.
     """
-    rows = [(x, system == "gamma", t) for x, system in tests
-            for t in (0.0, *theta_breakpoints(x), _LAST_THETA)]
-    x, gamma, t = (np.array(col) for col in zip(*rows))
-
-    def slot_of(theta):
-        return np.where(gamma, gamma_slot_of(x, theta), beta_slot_of(x, theta))
-
-    half = _BRACKET * np.maximum(1.0, np.abs(x))
-    lo = np.clip(t - half, 0.0, _LAST_THETA)
-    hi = np.clip(t + half, 0.0, _LAST_THETA)
-    s_lo = slot_of(lo)
-    moved = s_lo != slot_of(hi)
-    x, gamma, s_lo = x[moved], gamma[moved], s_lo[moved]
-    lo, hi = lo[moved].view(np.int64), hi[moved].view(np.int64)
-    while np.any(hi - lo > 1):
-        mid = lo + (hi - lo) // 2
-        up = slot_of(mid.view(np.float64)) != s_lo
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
-    return hi.view(np.float64)
+    rows = [(normalize_angle(x), system == "gamma", o, shift)
+            for x, system in tests for o, shift in _SLOT_BOUNDS[system]]
+    x, gamma, o, shift = (np.array(col) for col in zip(*rows))
+    big, low = _two_sum(x, shift)  # X = big + low
+    y = np.where(low < 0.0, big, np.nextafter(big, np.inf))
+    half = (y - np.nextafter(y, 0.0)) / 2.0  # M = y - half
+    h, low = _two_sum(y, -o)
+    t, err = _two_sum(h, low - half)
+    t = np.where(err > 0.0, np.nextafter(t, np.inf), t)
+    above = np.nextafter(t, np.inf)
+    probes = np.concatenate((np.nextafter(t, -np.inf), t, above))
+    x3, gamma3 = np.tile(x, 3), np.tile(gamma, 3)
+    below_slot, t_slot, above_slot = np.split(
+        np.where(gamma3, gamma_slot_of(x3, probes), beta_slot_of(x3, probes)), 3)
+    flip = np.where(t_slot != below_slot, t, above)
+    live = (flip > 0.0) & (flip <= _LAST_THETA)
+    certified = (t_slot != below_slot) | (above_slot != t_slot)
+    if not np.all(certified[live]):
+        raise RuntimeError(f"slot crossing fails its certificate at theta={flip[live & ~certified]!r}")
+    return flip[live]
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,8 +413,9 @@ class SegmentTable:
     the lowest theta at which a :func:`~bctsim.geometry.beta_slot_of` or
     :func:`~bctsim.geometry.gamma_slot_of` test gives a new slot, because a
     boundary float has moved past the tested angle; it is that exact float,
-    not the rounded breakpoint, so a lookup agrees with :func:`evaluate_bob`
-    at every theta.
+    computed in closed form for its bound and certified by the slot rule, not
+    the rounded breakpoint, so a lookup agrees with :func:`evaluate_bob` at
+    every theta.
     Per axis ``j`` and segment: ``same[j]`` (Bob shares Alice's active slot)
     and ``offset[j]``, the separating boundary's offset above theta; per
     axis: the effective (possibly reflected) axis, ``negate`` and
@@ -535,11 +551,11 @@ class SegmentTable:
 def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
     """Build the :class:`SegmentTable` of Alice's setting ``a`` against Bob's ``axes``.
 
-    Edges come from bisecting each slot test that matters (Alice's and each
-    Bob's, in that Bob's system) around the breakpoints of
-    :func:`~bctsim.geometry.theta_breakpoints` and around both ends of the
-    theta range; an angle on a boundary at theta = 0 leaves that slot at the
-    first float above 0, which is then the first edge. Each segment's
+    Edges are the exact crossings of :func:`_flip_points` for each slot test
+    that matters (Alice's and each Bob's, in that Bob's system): one closed
+    form per slot bound, certified by the slot rule; an angle on a boundary
+    at theta = 0 leaves that slot at the first float above 0, which is then
+    the first edge. Each segment's
     entries come from one :func:`evaluate_bob`
     call at its lowest theta, so the branch logic has a single owner.
     Draws no random numbers.
@@ -583,7 +599,7 @@ def _bob_step(a: float, b: float, msg: SlotMessage, triple: tuple[int, int, int]
     """Bob's output on axis ``b`` against the decoded ``triple``, and the round's record for ``a`` or None."""
     if coin is None or not 0.0 <= coin < 1.0:
         raise ProtocolError(f"coin must lie in [0, 1), got {coin!r}")
-    coin = float(coin)
+    coin, b = float(coin), float(b)
     ev = evaluate_bob(*triple, b, hidden.theta, strategy)
     accept = float(ev.accept_prob)
     inner = hidden.c if coin < accept else -hidden.c
@@ -653,7 +669,7 @@ def _round(a: float, axes: tuple[float, ...], rng: np.random.Generator, strategy
     coins = [float(rng.random())]
     if len(axes) == 2:
         coins.append(coins[0] if coin_mode is CoinMode.SHARED else float(rng.random()))
-    a = normalize_angle(a)
+    a = normalize_angle(float(a))
     return c_a, [_bob_step(a, b, msg, triple, hidden, coin, strategy, record) for b, coin in zip(axes, coins)]
 
 

@@ -1,7 +1,9 @@
-"""Test-only oracle for slot membership: the rank rule, by sorting the boundary floats."""
+"""Test-only oracles for slot membership: the rank rule by sorting the boundary floats, and slot flips by bisection."""
 
 import math
 from bisect import bisect_right
+
+import numpy as np
 
 from bctsim import geometry as g
 
@@ -48,3 +50,41 @@ def _wrap_point() -> float:
 
 
 WRAP_THETA = _wrap_point()
+
+
+#: half-width, relative to max(1, |angle|), of the bracket searched around each
+#: rounded breakpoint: far above its rounding error, far below the 3*pi/5
+#: between two flips of one slot test
+_BRACKET = 1e-12
+
+
+def bisect_flip_points(tests) -> np.ndarray:
+    """Shared angles at which the slot of ``x`` in ``system`` changes, for each ``(x, system)``, by bisection.
+
+    Each test is bracketed around both ends of the theta range and around
+    its rounded breakpoints. A bracket whose ends disagree holds exactly one
+    flip. Bisection over the bit patterns of the (non-negative) floats,
+    which order like the floats themselves, narrows all brackets at once to
+    adjacent floats; the upper one is the lowest theta of the new slot.
+    """
+    last = float(np.nextafter(g.THETA_SPAN, 0.0))
+    rows = [(x, system == "gamma", t) for x, system in tests
+            for t in (0.0, *g.theta_breakpoints(x), last)]
+    x, gamma, t = (np.array(col) for col in zip(*rows))
+
+    def slot_of(theta):
+        return np.where(gamma, g.gamma_slot_of(x, theta), g.beta_slot_of(x, theta))
+
+    half = _BRACKET * np.maximum(1.0, np.abs(x))
+    lo = np.clip(t - half, 0.0, last)
+    hi = np.clip(t + half, 0.0, last)
+    s_lo = slot_of(lo)
+    moved = s_lo != slot_of(hi)
+    x, gamma, s_lo = x[moved], gamma[moved], s_lo[moved]
+    lo, hi = lo[moved].view(np.int64), hi[moved].view(np.int64)
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        up = slot_of(mid.view(np.float64)) != s_lo
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    return hi.view(np.float64)

@@ -23,7 +23,7 @@ from bctsim import geometry as geo
 from bctsim import harness as hn
 from bctsim import protocol as pr
 from bctsim.analysis import WALKTHROUGH_B1, alice_setting, interval_windows, two_bob_equal_quadrature
-from slot_oracle import WRAP_THETA
+from slot_oracle import WRAP_THETA, bisect_flip_points
 
 PI = math.pi
 LAST_THETA = float(np.nextafter(geo.THETA_SPAN, 0.0))
@@ -419,6 +419,71 @@ def test_every_edge_is_a_slot_flip(a, axes, strategy):
         hi = pr.evaluate_bob(alpha, beta_hi, gamma_hi, b, table.edges, strategy)
         changed |= (lo.alice_slot != hi.alice_slot) | (lo.bob_slot != hi.bob_slot)
     assert changed.all()
+
+
+def _bisected_edges(a, axes, strategy) -> np.ndarray:
+    """The table edges that bisection finds for the slot tests that ``segment_table`` makes."""
+    alpha = int(geo.alpha_slot_of(a))
+    resolved = [pr._bob_axis(alpha, b, strategy) for b in axes]
+    tests = {(x, system) for b_eff, _, system in resolved if system != "none" for x in (a, b_eff)}
+    return np.unique(bisect_flip_points(tests)) if tests else np.array([])
+
+
+def _ulps_around(v: float, ulps: int = 4) -> list[float]:
+    out, lo, hi = [v], v, v
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def _bound_values(theta: float) -> list[float]:
+    """The values of every slot bound at ``theta``, the wrapped ``s - 2*pi`` of gamma included."""
+    return [theta + o for o in geo.BETA_OFFSETS + geo.GAMMA_OFFSETS] + [theta + geo.GAMMA_OFFSETS[1] - geo.TWO_PI]
+
+
+#: every setting within 4 ulps of a slot bound at theta = 0 or at the last theta, as the slot rule normalizes it
+BOUND_SETTINGS = sorted({geo.normalize_angle(x) for theta in (0.0, LAST_THETA)
+                         for v in _bound_values(theta) for x in _ulps_around(v)})
+
+
+@pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
+def test_table_edges_equal_the_bisection_oracle(a, axes, strategy):
+    assert pr.segment_table(a, axes, strategy).edges.tobytes() == _bisected_edges(a, axes, strategy).tobytes()
+
+
+@pytest.mark.parametrize("system", ["beta", "gamma"])
+def test_flip_points_equal_the_bisection_oracle(system):
+    """Each closed-form crossing is the float bisection finds, next to every bound at both ends and elsewhere."""
+    random = np.random.default_rng(13).uniform(0.0, 2 * PI, 300).tolist()
+    settings_ = BOUND_SETTINGS + [0.0, math.nextafter(geo.TWO_PI, 0.0)] + random
+    for x in settings_:
+        got, want = np.unique(pr._flip_points({(x, system)})), np.unique(bisect_flip_points({(x, system)}))
+        assert got.tobytes() == want.tobytes(), (x, system, got, want)
+    tests = {(x, s) for x in settings_ for s in ("beta", "gamma")}
+    assert np.unique(pr._flip_points(tests)).tobytes() == np.unique(bisect_flip_points(tests)).tobytes()
+
+
+def test_table_build_calls_the_slot_rule_a_fixed_number_of_times(monkeypatch):
+    """The flips cost one slot-rule call per system however near a bound the setting sits: no search loop.
+
+    Axis 0 is tested in gamma and axis pi in beta, so a table also makes one
+    call of each for Alice's slots and one per axis in its system.
+    """
+    calls = {}
+
+    def counting(name, slot_of):
+        def counted(x, theta):
+            calls[name] += 1
+            return slot_of(x, theta)
+        return counted
+
+    monkeypatch.setattr(pr, "beta_slot_of", counting("beta", geo.beta_slot_of))
+    monkeypatch.setattr(pr, "gamma_slot_of", counting("gamma", geo.gamma_slot_of))
+    for a in _bound_values(0.0)[:-1] + [1.0, 0.123, LAST_THETA]:
+        calls.update(beta=0, gamma=0)
+        pr.segment_table(a, AXES, pr.NO_FLIP)
+        assert calls == {"beta": 3, "gamma": 3}, a
 
 
 @pytest.mark.parametrize("b", [0.3, 1.1, 4.5, 5.1, 6.2])

@@ -257,6 +257,24 @@ class TestTrials:
         assert type(rec.message.cell) is int
         assert pr.replay_bob(_record_from_json(rec.to_json())) == c_b
 
+    @pytest.mark.parametrize("a,b,theta", [(1.0, 2.0, 0.4), (0.0, PI, 0.0), (6.2, 4.5, 1.8)])
+    def test_float32_angles_give_the_float64_record(self, a, b, theta):
+        """A float32 angle enters a round as the double it rounds to, so its record serializes and replays."""
+        a32, b32, theta32 = np.float32(a), np.float32(b), np.float32(theta)
+        hidden = pr.HiddenState.make(1, theta32)
+        assert type(hidden.theta) is float
+        _, msg = pr.alice_round(a32, hidden)
+        assert msg == pr.alice_round(float(a32), hidden)[1]
+        c_b, rec = pr.bob_round(b32, msg, hidden, coin=0.3)
+        assert (type(rec.theta), type(rec.b)) == (float, float)
+        assert rec.to_json() == pr.bob_round(float(b32), msg, hidden, coin=0.3)[1].to_json()
+        assert pr.replay_bob(_record_from_json(rec.to_json())) == c_b
+        for seed in range(20):
+            _, c_b, rec = pr.bct_trial(a32, b32, np.random.default_rng(seed))
+            assert (type(rec.a), type(rec.b)) == (float, float)
+            assert rec.to_json() == pr.bct_trial(float(a32), float(b32), np.random.default_rng(seed))[2].to_json()
+            assert pr.replay_bob(_record_from_json(rec.to_json())) == c_b
+
     def test_black_box_interface_hides_everything(self):
         rng = np.random.default_rng(15)
         out = pr.nbct_trial(0.0, PI / 2, rng)
