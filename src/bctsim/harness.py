@@ -34,7 +34,13 @@ message, would at every theta. Building a table or its screen draws no
 random numbers. A batch runs in cache-sized chunks, yet each draw reads a
 PCG64 substream advanced to the output where that draw starts in the batch's
 stream, so a batch consumes its stream in the documented draw order and emits
-the same bytes as drawing whole arrays and evaluating Bob per trial.
+the same bytes as drawing whole arrays and evaluating Bob per trial. A draw
+that nothing reads is not generated: an axis whose decision no theta or coin
+can change (terminated, sharing Alice's slot at every theta, or conditioned
+where its acceptance is exactly 1) reads no coin, and a row with no other
+axis reads no theta unless it counts the windows. Every draw that is
+generated still starts at its own offset, so stream positions, tallies and
+emitted bytes are unchanged.
 
 Measured anomalies are data, never errors: runs fail only on bad
 configuration or I/O.
@@ -71,6 +77,7 @@ from .protocol import (
     FlipRule,
     FlipSemantics,
     Strategy,
+    _constant_decision,
     alice_slot_arrays,
     evaluate_bob,
     segment_table,
@@ -273,33 +280,49 @@ def _kernel(
     bit of each 32-bit half of an output, low half first, which the kernel
     reads from the raw outputs; ``_CHUNK`` is even, so no output straddles two
     chunks. The tallies are those of drawing each whole draw in turn.
+
+    A draw that no decision or tally reads is not generated. An axis with a
+    constant decision (:func:`~bctsim.protocol._constant_decision`) reads no
+    coin, so a coin is drawn only for a live axis, and the shared coin for
+    either; theta is drawn only when a live axis or the window tally reads
+    it, which a two-axis row always does; c and the erasures are always
+    drawn. Every other draw still starts at its own offset in the batch
+    stream, so skipping one moves no other draw and the tallies are
+    unchanged.
     """
     if theta_fixed is None:
-        decide = segment_table(a, axes, strategy).keeps_c
+        table = segment_table(a, axes, strategy)
+        decide, constant = table.keeps_c, table.constant
     else:
         alpha, beta_slots, gamma_slots = alice_slot_arrays(a, theta_fixed)
         evs = [evaluate_bob(alpha, beta_slots, gamma_slots, b, theta_fixed, strategy) for b in axes]
         accepts = [(float(ev.accept_prob), ev.negate) for ev in evs]
+        constant = tuple(_constant_decision(q == 1.0, negate) for q, negate in accepts)
 
         def decide(theta, coins):
-            return [(coin < q) ^ negate for coin, (q, negate) in zip(coins, accepts)]
+            return [(coin < q) ^ negate if k is None else np.bool_(k)
+                    for coin, (q, negate), k in zip(coins, accepts, constant)]
 
     two = len(axes) == 2
     fixed_in_win = two and theta_fixed is not None and bool(_in_windows(theta_fixed, windows))
     shared = two and coin_mode is CoinMode.SHARED
-    floats = (1 if shared else len(axes)) + (0 if visibility is None else 2)
+    live = [k is None for k in constant]
+    # per float draw after c, whether it is generated: the coins, then the erasures
+    reads = ([any(live)] if shared else live) + [True] * (0 if visibility is None else 2)
+    reads_theta = theta_fixed is None and (two or any(live))
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        draws = _substreams(rng, [n] * (theta_fixed is None) + [(n + 1) // 2] + [n] * floats)
+        draws = _substreams(rng, [n] * (theta_fixed is None) + [(n + 1) // 2] + [n] * len(reads))
         theta_draw = draws.pop(0) if theta_fixed is None else None
         signs, *uniform = draws  # the coins, then the erasures
         parts = []
         for m in [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]:
             # bit for bit rng.uniform(0.0, THETA_SPAN, m), which computes 0.0 + THETA_SPAN * draw
-            theta = None if theta_draw is None else theta_draw.random(m) * THETA_SPAN
+            theta = theta_draw.random(m) * THETA_SPAN if reads_theta else None
             c_plus = signs.bit_generator.random_raw((m + 1) // 2).view(np.uint32)[:m] >= 2**31
-            u = [draw.random(m) for draw in uniform]
-            kept = decide(theta, [u[0], u[0]] if shared else u[:len(axes)])
+            u = [draw.random(m) if read else None for draw, read in zip(uniform, reads)]
+            kept = [np.full(m, k) if k.ndim == 0 else k  # a constant decision may come back 0-d
+                    for k in decide(theta, [u[0], u[0]] if shared else u[:len(axes)])]
             counts = [m, _count(c_plus)]
             for k in kept:
                 counts += [_count(k), _count(k == c_plus)]  # c_b > 0 exactly when kept == (c > 0)

@@ -419,7 +419,10 @@ class SegmentTable:
     Per axis ``j`` and segment: ``same[j]`` (Bob shares Alice's active slot)
     and ``offset[j]``, the separating boundary's offset above theta; per
     axis: the effective (possibly reflected) axis, ``negate`` and
-    ``terminated``.
+    ``constant``, the decision of an axis that no theta or coin can change
+    (see :func:`_constant_decision`: a terminated axis, or one where ``same``
+    holds in every segment), else None. An axis whose constant is None is
+    live.
 
     A table sampled by :meth:`keeps_c` also carries a screen: per live axis,
     brackets ``lo[k] <= q <= hi[k]`` of the exact acceptance ``q`` at every
@@ -443,7 +446,7 @@ class SegmentTable:
     same: tuple[np.ndarray, ...]
     offset: tuple[np.ndarray, ...]
     negate: tuple[bool, ...]
-    terminated: tuple[bool, ...]
+    constant: tuple[bool | None, ...]
 
     def _accept(self, j: int, theta: np.ndarray, seg) -> np.ndarray:
         """Bob's acceptance on axis ``j`` at each ``theta`` in segment ``seg``, as :func:`evaluate_bob` gives it."""
@@ -456,7 +459,7 @@ class SegmentTable:
 
     @functools.cached_property
     def _screen(self) -> tuple[tuple[np.ndarray, np.ndarray] | None, ...]:
-        """Per axis, the acceptance brackets ``(lo, hi)`` over the ``_BINS + 1`` bin indices; None when terminated.
+        """Per axis, the acceptance brackets ``(lo, hi)`` over the ``_BINS + 1`` bin indices; None when constant.
 
         Two threads that build it at once build the same arrays.
         """
@@ -464,8 +467,8 @@ class SegmentTable:
         seg = geometry._rank(centre, self.edges)
         near = geometry._rank(centre - _REACH, self.edges) != geometry._rank(centre + _REACH, self.edges)
         screen = []
-        for j, dead in enumerate(self.terminated):
-            if dead:
+        for j, constant in enumerate(self.constant):
+            if constant is not None:
                 screen.append(None)
                 continue
             q = self._accept(j, centre, seg)
@@ -474,26 +477,30 @@ class SegmentTable:
                            np.append(np.where(near, 2.0, q + slack), 2.0)))
         return tuple(screen)
 
-    def keeps_c(self, theta: np.ndarray, coins) -> list[np.ndarray]:
+    def keeps_c(self, theta: np.ndarray | None, coins) -> list[np.ndarray]:
         """Per axis, whether Bob's output equals ``c`` in each trial.
 
         ``coins[j]`` holds the acceptance draws of axis ``j``. Decides exactly
         as ``(coin < accept_prob) ^ negate`` from :func:`evaluate_bob` would,
-        for every coin below 1. The screen decides a trial whose coin lies
-        below its bin's ``lo`` (kept) or at or above its ``hi`` (not kept).
-        Only the rest take the exact route: every trial in a bin next to an
-        edge, and elsewhere a fraction of a percent. That route finds the
-        trial's segment as the number of edges at or below its theta, by the
-        rank rule of the slot functions, and evaluates the acceptance there.
-        A fired reflection negates the decision afterwards. Every step is per
-        trial, so any split of a batch decides alike; the batch kernel passes
-        one cache-sized chunk at a time.
+        for every coin below 1. A constant axis gets its constant, shaped like
+        ``theta``, and its coin is never read, so the batch kernel does not
+        draw it; with no live axis ``theta`` is not read either and may be
+        None (the decisions are then 0-d), and the screen is not built. On a
+        live axis the screen decides a trial whose coin lies below its bin's
+        ``lo`` (kept) or at or above its ``hi`` (not kept). Only the rest take
+        the exact route: every trial in a bin next to an edge, and elsewhere
+        a fraction of a percent. That route finds the trial's segment as the
+        number of edges at or below its theta, by the rank rule of the slot
+        functions, and evaluates the acceptance there. A fired reflection
+        negates the decision afterwards. Every step is per trial, so any
+        split of a batch decides alike; the batch kernel passes one
+        cache-sized chunk at a time.
         """
-        k = (theta * _BIN_SCALE).astype(np.intp)
+        k = (theta * _BIN_SCALE).astype(np.intp) if None in self.constant else None  # some axis is live
         kept = []
         for j, coin in enumerate(coins):
-            if self.terminated[j]:
-                kept.append(np.zeros(len(theta), dtype=bool))
+            if self.constant[j] is not None:
+                kept.append(np.full(np.shape(theta), self.constant[j]))
                 continue
             lo, hi = self._screen[j]
             keep = coin < lo.take(k)
@@ -511,7 +518,7 @@ class SegmentTable:
         ``phi_j = axes[j] - offset[j]``. The separator is an edge of Bob's
         slot and slots are at most 4*pi/5 wide, so the sign ``s_j`` of the
         sine changes only at a table edge; it is read at the segment
-        midpoint. On a same-slot or terminated axis ``q_j = 1``. Each
+        midpoint. On a same-slot segment or a constant axis ``q_j = 1``. Each
         segment then integrates in closed form: independent coins agree with
         ``1 - c1*S1 - c2*S2 + 2*c1*c2*S1*S2`` (``c_j = (3*pi/10)*s_j``,
         ``S_j = sin(phi_j - theta)``), by product-to-sum; a shared coin with
@@ -524,8 +531,8 @@ class SegmentTable:
         length = hi - lo
         mid = (lo + hi) / 2.0
         phi = [b - off for b, off in zip(self.axes, self.offset)]
-        coeff = [np.where(same | dead, 0.0, ACCEPTANCE_COEFF * np.sign(np.sin(f - mid)))
-                 for f, same, dead in zip(phi, self.same, self.terminated)]
+        coeff = [np.where(same | (constant is not None), 0.0, ACCEPTANCE_COEFF * np.sign(np.sin(f - mid)))
+                 for f, same, constant in zip(phi, self.same, self.constant)]
         (p1, p2), (c1, c2) = phi, coeff
         if coin_mode is CoinMode.INDEPENDENT:
             int_s1 = np.cos(p1 - hi) - np.cos(p1 - lo)
@@ -548,6 +555,20 @@ class SegmentTable:
         return float(np.sum(equal)) / THETA_SPAN
 
 
+def _constant_decision(always_one: bool, negate: bool) -> bool | None:
+    """Whether Bob's output equals ``c`` on an axis whose acceptance is exactly 1 wherever a row samples it, else None.
+
+    An acceptance of exactly 1 keeps ``c`` for every coin in [0, 1), so the
+    decision is ``not negate``, whatever theta and the coin are. That holds
+    on a terminated axis (never kept), on a table axis where Bob shares
+    Alice's slot in every segment, and on a conditioned axis whose
+    acceptance at its theta is exactly 1 (same slot, terminated, or on the
+    separator). An acceptance is never 0, its least value being
+    ``1 - 3*pi/10``, so no other axis has a constant decision.
+    """
+    return not negate if always_one else None
+
+
 def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
     """Build the :class:`SegmentTable` of Alice's setting ``a`` against Bob's ``axes``.
 
@@ -555,7 +576,7 @@ def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
     that matters (Alice's and each Bob's, in that Bob's system): one closed
     form per slot bound, certified by the slot rule; an angle on a boundary
     at theta = 0 leaves that slot at the first float above 0, which is then
-    the first edge. Each segment's
+    the first edge. Crossings that coincide give one edge. Each segment's
     entries come from one :func:`evaluate_bob`
     call at its lowest theta, so the branch logic has a single owner.
     Draws no random numbers.
@@ -563,19 +584,20 @@ def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
     alpha = int(alpha_slot_of(a))
     resolved = [_bob_axis(alpha, b, strategy) for b in axes]
     tests = {(x, system) for b_eff, _, system in resolved if system != "none" for x in (a, b_eff)}
-    edges = np.unique(_flip_points(tests)) if tests else np.array([])
+    edges = np.sort(_flip_points(tests)) if tests else np.array([])
+    edges = edges[np.diff(edges, prepend=-np.inf) > 0]  # drop repeats; np.unique would import numpy.ma
     starts = np.concatenate(([0.0], edges))
     _, beta_slots, gamma_slots = alice_slot_arrays(a, starts)
-    same, offset, negate, terminated = [], [], [], []
+    same, offset, negate, constant = [], [], [], []
     for b in axes:
         ev = evaluate_bob(alpha, beta_slots, gamma_slots, b, starts, strategy)
         offsets = np.asarray(GAMMA_OFFSETS if ev.system == "gamma" else BETA_OFFSETS)
         same.append(ev.same_slot)
         offset.append(np.where(ev.same_slot | (ev.system == "none"), 0.0, offsets[ev.boundary_index]))
         negate.append(ev.negate)
-        terminated.append(ev.system == "none")
+        constant.append(_constant_decision(ev.system == "none" or bool(ev.same_slot.all()), ev.negate))
     return SegmentTable(edges, tuple(r[0] for r in resolved), tuple(same), tuple(offset),
-                        tuple(negate), tuple(terminated))
+                        tuple(negate), tuple(constant))
 
 
 def _decode(msg: SlotMessage, hidden: HiddenState) -> tuple[int, int, int]:

@@ -10,8 +10,11 @@ bin boundary and at both ends of every bin's bracket.
 """
 
 import math
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,8 +67,8 @@ def ref_pair(a, b, strategy, theta_fixed, rng, n):
     return [n, eq.sum(), (c > 0).sum(), (c_b > 0).sum()]
 
 
-def ref_two_bob(nu, strategy, coin_mode, theta_fixed, rng, n):
-    a = alice_setting(nu)
+def ref_two_bob(nu, strategy, coin_mode, theta_fixed, rng, n, a=None):
+    a = alice_setting(nu) if a is None else a
     theta = _theta(rng, n, theta_fixed)
     c = rng.integers(0, 2, n, dtype=np.int64) * 2 - 1
     coin1 = rng.random(n)
@@ -110,9 +113,9 @@ def ref_joint(a, b, strategy, rng, n):
 # --- the one kernel, and the old tallies derived from its layout ---------------
 
 
-def two_bob_kernel(nu, strategy, coin_mode, theta_fixed=None, visibility=None):
-    return hn._kernel(alice_setting(nu), (WALKTHROUGH_B1, WALKTHROUGH_B1 + PI), strategy, coin_mode,
-                      theta_fixed, visibility, interval_windows(nu))
+def two_bob_kernel(nu, strategy, coin_mode, theta_fixed=None, visibility=None, a=None):
+    return hn._kernel(alice_setting(nu) if a is None else a, (WALKTHROUGH_B1, WALKTHROUGH_B1 + PI), strategy,
+                      coin_mode, theta_fixed, visibility, interval_windows(nu))
 
 
 def pair_counts(t):
@@ -185,22 +188,57 @@ def test_batches_longer_than_a_lookup_chunk():
 SEAM_SIZES = (1, 7, hn._CHUNK - 1, hn._CHUNK, hn._CHUNK + 1, 3 * hn._CHUNK + 5)
 
 
+#: the cyclic reading that ends the round when the reflection fires
+CYCLIC_TERMINATE = pr.Strategy(pr.FlipRule.CYCLIC, pr.FlipSemantics.TERMINATE)
+#: at theta = 1.2, Bob's axis sits on the boundary that separates him from Alice at 2.0: acceptance 1, cross slot
+SEPARATOR_THETA = 1.2
+SEPARATOR_B = SEPARATOR_THETA + geo.BETA_OFFSETS[1]
+
+
 def _row_shapes():
-    """Every row shape the kernel runs, as (kernel, tally reader, whole-batch reference)."""
+    """Every row shape the kernel runs, as its id and a builder of (kernel, tally reader, whole-batch reference).
+
+    Each case builds its own shape, so a shape that fails to build fails its
+    cases alone. The shapes named ``constant`` or ``terminated`` have axes
+    whose decision no draw can change: Bob on Alice's setting, a fired
+    terminating reflection, a conditioned Bob on the separator. At
+    ``nu = pi/10`` the cyclic reading fires on the axis ``b1 + pi`` only.
+    """
     nu, strategy, fixed = PI / 10, pr.CYCLIC_FLIP, 1.2
-    yield "one-axis", (hn._kernel(1.0, (PI,), pr.ABS_FLIP), pair_counts,
-                       lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, None, rng, n))
-    yield "one-axis-conditioned", (hn._kernel(1.0, (PI,), pr.ABS_FLIP, theta_fixed=fixed), pair_counts,
-                                   lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, fixed, rng, n))
+    yield "one-axis", lambda: (hn._kernel(1.0, (PI,), pr.ABS_FLIP), pair_counts,
+                               lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, None, rng, n))
+    yield "one-axis-conditioned", lambda: (hn._kernel(1.0, (PI,), pr.ABS_FLIP, theta_fixed=fixed), pair_counts,
+                                           lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, fixed, rng, n))
     for coin in COINS:
-        yield f"two-axis-{coin.value}", (two_bob_kernel(nu, strategy, coin), two_bob_counts,
-                                         lambda rng, n, coin=coin: ref_two_bob(nu, strategy, coin, None, rng, n))
-        yield f"two-axis-{coin.value}-conditioned", (
+        yield f"two-axis-{coin.value}", lambda coin=coin: (
+            two_bob_kernel(nu, strategy, coin), two_bob_counts,
+            lambda rng, n: ref_two_bob(nu, strategy, coin, None, rng, n))
+        yield f"two-axis-{coin.value}-conditioned", lambda coin=coin: (
             two_bob_kernel(nu, strategy, coin, fixed), two_bob_counts,
-            lambda rng, n, coin=coin: ref_two_bob(nu, strategy, coin, fixed, rng, n))
-        yield f"visibility-{coin.value}", (
+            lambda rng, n: ref_two_bob(nu, strategy, coin, fixed, rng, n))
+        yield f"visibility-{coin.value}", lambda coin=coin: (
             two_bob_kernel(nu, strategy, coin, visibility=0.7), visibility_counts,
-            lambda rng, n, coin=coin: ref_visibility(nu, 0.7, strategy, coin, rng, n))
+            lambda rng, n: ref_visibility(nu, 0.7, strategy, coin, rng, n))
+    yield "one-axis-constant-same-setting", lambda: (
+        hn._kernel(1.0, (1.0,), pr.ABS_FLIP), pair_counts,
+        lambda rng, n: ref_pair(1.0, 1.0, pr.ABS_FLIP, None, rng, n))
+    yield "one-axis-constant-terminated", lambda: (
+        hn._kernel(1.0, (PI,), CYCLIC_TERMINATE), pair_counts,
+        lambda rng, n: ref_pair(1.0, PI, CYCLIC_TERMINATE, None, rng, n))
+    yield "one-axis-constant-conditioned-on-the-separator", lambda: (
+        hn._kernel(2.0, (SEPARATOR_B,), pr.NO_FLIP, theta_fixed=SEPARATOR_THETA), pair_counts,
+        lambda rng, n: ref_pair(2.0, SEPARATOR_B, pr.NO_FLIP, SEPARATOR_THETA, rng, n))
+    for coin in COINS:
+        yield f"two-axis-{coin.value}-one-terminated", lambda coin=coin: (
+            two_bob_kernel(nu, CYCLIC_TERMINATE, coin), two_bob_counts,
+            lambda rng, n: ref_two_bob(nu, CYCLIC_TERMINATE, coin, None, rng, n))
+        yield f"visibility-{coin.value}-one-terminated", lambda coin=coin: (
+            two_bob_kernel(nu, CYCLIC_TERMINATE, coin, visibility=0.7), visibility_counts,
+            lambda rng, n: ref_visibility(nu, 0.7, CYCLIC_TERMINATE, coin, rng, n))
+        # Alice on b1 shares its slot, and the reflection ends the round on b1 + pi: no axis is live
+        yield f"two-axis-{coin.value}-constant", lambda coin=coin: (
+            two_bob_kernel(nu, CYCLIC_TERMINATE, coin, a=WALKTHROUGH_B1), two_bob_counts,
+            lambda rng, n: ref_two_bob(nu, CYCLIC_TERMINATE, coin, None, rng, n, a=WALKTHROUGH_B1))
 
 
 ROW_SHAPES = dict(_row_shapes())
@@ -215,9 +253,52 @@ def test_chunk_seams_match_the_whole_batch_reference(shape, n):
     generator; the kernel draws chunk by chunk from one substream per draw.
     Odd sizes leave half of the last output of the sign draw unused.
     """
-    kernel, counts, reference = ROW_SHAPES[shape]
+    kernel, counts, reference = ROW_SHAPES[shape]()
     for seed in (21, 22):
         _both(kernel, counts, reference, seed, n)
+
+
+class _SpiedGenerator:
+    """A substream that records each ``random`` call under its draw's index."""
+
+    def __init__(self, generator, index, calls):
+        self._generator, self._index, self._calls = generator, index, calls
+        self.bit_generator = generator.bit_generator
+
+    def random(self, size):
+        self._calls.add(self._index)
+        return self._generator.random(size)
+
+
+#: per row shape with no live axis: its draws in order, and the float draws a batch generates
+CONSTANT_ROWS = {
+    "one-axis-constant-same-setting": (("theta", "c", "coin"), set()),
+    "one-axis-constant-terminated": (("theta", "c", "coin"), set()),
+    "one-axis-constant-conditioned-on-the-separator": (("c", "coin"), set()),
+    "two-axis-independent-constant": (("theta", "c", "coin1", "coin2"), {"theta"}),
+    "two-axis-shared-constant": (("theta", "c", "coin"), {"theta"}),
+}
+
+
+@pytest.mark.parametrize("shape", list(CONSTANT_ROWS))
+def test_rows_without_a_live_axis_generate_no_coin(shape, monkeypatch):
+    """No coin of a row whose every decision is constant is drawn, nor theta unless the window tally reads it.
+
+    Every float draw goes through ``random``; the sign c, read from raw
+    outputs, does not. Skipping a draw moves no other draw, so the tallies
+    still equal the whole-batch reference.
+    """
+    names, generated = CONSTANT_ROWS[shape]
+    calls = set()
+    substreams = hn._substreams
+
+    def spied(rng, sizes):
+        return [_SpiedGenerator(g, i, calls) for i, g in enumerate(substreams(rng, sizes))]
+
+    monkeypatch.setattr(hn, "_substreams", spied)
+    kernel, counts, reference = ROW_SHAPES[shape]()
+    _both(kernel, counts, reference, 23, hn._CHUNK + 7)
+    assert {names[i] for i in calls} == generated
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 7_001, hn._CHUNK + 1, 3 * hn._CHUNK + 5])
@@ -521,10 +602,57 @@ def test_tiny_theta_flip_gets_its_own_edge():
     assert int(geo.beta_slot_of(0.0, edge)) == 2
 
 
+@pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
+def test_table_constants_equal_a_dense_evaluate_bob_scan(a, axes, strategy):
+    """An axis is constant exactly when its acceptance is 1 at and next to every edge and across the range.
+
+    Its constant is then ``not negate``; a live axis has some theta where
+    the acceptance is below 1, so some coin changes its decision.
+    """
+    table = pr.segment_table(a, axes, strategy)
+    theta = np.union1d(_near([0.0, LAST_THETA, *table.edges]), np.linspace(0.0, LAST_THETA, 2001))
+    for j, b in enumerate(axes):
+        q, negate = _accept(a, b, theta, strategy)
+        want = (not negate) if np.all(q == 1.0) else None
+        assert table.constant[j] == want, (a, b, strategy)
+
+
+def test_table_cases_hold_every_kind_of_axis():
+    """The table cases include live axes and both constants, one of them from a fired terminating reflection."""
+    kinds = set()
+    for a, axes, strategy in _table_cases():
+        table = pr.segment_table(a, axes, strategy)
+        kinds.update(zip(table.constant, (strategy.flip_semantics is pr.FlipSemantics.TERMINATE,) * len(axes)))
+    assert {None, True} <= {k for k, _ in kinds} and (False, True) in kinds
+
+
+def test_conditioned_separator_row_accepts_surely_across_slots():
+    """The separator shape is cross-slot with acceptance exactly 1, the case a table's ``same`` cannot show."""
+    alpha, beta_slots, gamma_slots = pr.alice_slot_arrays(2.0, SEPARATOR_THETA)
+    ev = pr.evaluate_bob(alpha, beta_slots, gamma_slots, SEPARATOR_B, SEPARATOR_THETA, pr.NO_FLIP)
+    assert not ev.same_slot and float(ev.u) == 0.0 and float(ev.accept_prob) == 1.0
+
+
+def test_building_a_table_leaves_numpy_ma_unimported():
+    """The first table in a process costs no import of ``numpy.ma``, which ``np.unique`` pulls in on NumPy 2."""
+    code = ("import sys, numpy\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "from bctsim import protocol\n"
+            "protocol.segment_table(1.0, (0.0, 3.14159), protocol.CYCLIC_FLIP)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(pr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60)
+    with_numpy, after_table = out.stdout.split()
+    if with_numpy == "True":
+        pytest.skip("this NumPy imports numpy.ma with numpy itself")
+    assert after_table == "False"
+
+
 def test_terminated_axis_never_keeps_c():
     strategy = pr.Strategy(pr.FlipRule.ABSOLUTE, pr.FlipSemantics.TERMINATE)
     table = pr.segment_table(2 * PI / 5, (PI,), strategy)  # alpha slots 2 and 5: fires
-    assert table.terminated == (True,)
+    assert table.constant == (False,)
     theta = np.linspace(0.0, LAST_THETA, 101)
     (kept,) = table.keeps_c(theta, [np.zeros_like(theta)])
     assert not kept.any()
