@@ -37,10 +37,10 @@ stream, so a batch consumes its stream in the documented draw order and emits
 the same bytes as drawing whole arrays and evaluating Bob per trial. A draw
 that nothing reads is not generated: an axis whose decision no theta or coin
 can change (terminated, sharing Alice's slot at every theta, or conditioned
-where its acceptance is exactly 1) reads no coin, and a row with no other
-axis reads no theta unless it counts the windows. Every draw that is
-generated still starts at its own offset, so stream positions, tallies and
-emitted bytes are unchanged.
+where its acceptance is exactly 1) reads no coin, and theta is drawn only
+when a live axis or a two-axis row's window tally reads it. Every draw that
+is generated still starts at its own offset, so stream positions, tallies
+and emitted bytes are unchanged.
 
 Measured anomalies are data, never errors: runs fail only on bad
 configuration or I/O.
