@@ -427,7 +427,7 @@ def test_screen_decides_like_evaluate_bob_at_its_bracket_ends(a, axes, strategy)
         if screen is not None:
             lo, hi = screen
             probes[j] += [np.nextafter(lo[k], -1.0), hi[k]]
-        else:  # a terminated axis has no screen; probe it at q again
+        else:  # a constant axis has no screen; probe it at q again
             probes[j] += probes[j][:2]
     for coins in zip(*probes):
         got = table.keeps_c(theta, list(coins))
