@@ -22,25 +22,30 @@ separating boundary's offset above theta, plus per axis whether the output is
 negated or the round terminated. Each edge is the exact float at which a
 slot test flips under the package's one slot rule, computed in closed form
 for each slot bound and certified by that rule, not a rounded breakpoint. A
-batch decides most trials without evaluating the acceptance
-``1 - (3*pi/10)*sin(u)`` at all: the table's screen brackets that acceptance
-over equal theta bins, and a coin below its bin's bracket is kept, one at or
-above it is not. Only the trials whose coin
-falls inside the bracket, a fraction of a percent, are looked up by segment,
-as their rank among the edges (the slot rule's count), and evaluated there.
-The brackets are bounds, not approximations, so the kernel decides exactly
-as evaluating Bob per trial, or playing the round through Alice's four-bit
-message, would at every theta. Building a table or its screen draws no
-random numbers. A batch runs in cache-sized chunks, yet each draw reads a
-PCG64 substream advanced to the output where that draw starts in the batch's
-stream, so a batch consumes its stream in the documented draw order and emits
-the same bytes as drawing whole arrays and evaluating Bob per trial. A draw
-that nothing reads is not generated: an axis whose decision no theta or coin
+batch runs in cache-sized chunks: it screens each chunk, then resolves and
+tallies once. Screening decides most trials without evaluating the
+acceptance ``1 - (3*pi/10)*sin(u)`` at all: one lookup per live axis in the
+table's screen array gives the lower end of a bracket of that acceptance
+over equal theta bins, and a coin below the bracket is kept, one at or
+above it is not. The chunk's decisions, window flags and erasure survivals
+go into batch-sized bool arrays; of the trials whose coin falls inside the
+bracket, a fraction of a percent, only the index, theta and coin are kept.
+After the last chunk each live axis resolves all its undecided trials at
+once, looked up by segment as their rank among the edges (the slot rule's
+count) and evaluated there, and applies its negation; then the batch is
+tallied. The brackets are bounds, not approximations, so the kernel decides
+exactly as evaluating Bob per trial, or playing the round through Alice's
+four-bit message, would at every theta. Building a table or its screen
+draws no random numbers. Each draw reads a PCG64 substream advanced to the
+output where that draw starts in the batch's stream, so a batch consumes
+its stream in the documented draw order and emits the same bytes as drawing
+whole arrays and evaluating Bob per trial. A draw that nothing reads is not
+generated, and gets no substream: an axis whose decision no theta or coin
 can change (terminated, sharing Alice's slot at every theta, or conditioned
-where its acceptance is exactly 1) reads no coin, and theta is drawn only
-when a live axis or a two-axis row's window tally reads it. Every draw that
-is generated still starts at its own offset, so stream positions, tallies
-and emitted bytes are unchanged.
+where its acceptance is exactly 1) reads no coin and is tallied from the
+count of c, and theta is drawn only when a live axis or a two-axis row's
+window tally reads it. Every draw that is generated still starts at its own
+offset, so stream positions, tallies and emitted bytes are unchanged.
 
 Measured anomalies are data, never errors: runs fail only on bad
 configuration or I/O.
@@ -241,15 +246,20 @@ def _count(mask) -> int:
     return int(np.count_nonzero(mask))
 
 
-def _substreams(rng: np.random.Generator, sizes) -> list[np.random.Generator]:
+def _substreams(rng: np.random.Generator, sizes, reads) -> list[np.random.Generator | None]:
     """One generator per draw, each at the output where its draw starts in ``rng``'s stream.
 
     ``sizes`` are the 64-bit outputs the draws take, in order. The first draw
     is ``rng`` itself; each later one is a ``PCG64`` holding ``rng``'s state,
     advanced (one step per output) past the outputs of the draws before it.
+    A draw whose entry in ``reads`` is False is not generated and gets None,
+    though its outputs still count toward the offsets of the draws after it.
     """
-    streams = [rng]
-    for offset in itertools.accumulate(sizes[:-1]):
+    streams = [rng if reads[0] else None]
+    for offset, read in zip(itertools.accumulate(sizes[:-1]), reads[1:]):
+        if not read:
+            streams.append(None)
+            continue
         bits = np.random.PCG64(0)
         bits.state = rng.bit_generator.state
         streams.append(np.random.Generator(bits.advance(offset)))
@@ -273,71 +283,111 @@ def _kernel(
     with probability ``visibility``. ``windows`` are the two deterministic
     windows a two-axis row counts.
 
-    A batch is drawn, decided and tallied in chunks of ``_CHUNK`` trials, so
-    its arrays stay in cache, from one substream per draw: each float draw
+    A batch is drawn and screened in chunks of ``_CHUNK`` trials, so its
+    float arrays stay in cache, from one substream per draw: each float draw
     takes ``n`` outputs of the batch stream (one per double), and c takes
     ``(n + 1) // 2``. NumPy's ``integers(0, 2, n, dtype=np.int64)`` is the top
     bit of each 32-bit half of an output, low half first, which the kernel
     reads from the raw outputs; ``_CHUNK`` is even, so no output straddles two
-    chunks. The tallies are those of drawing each whole draw in turn.
+    chunks. Each chunk writes c, each live axis's screened decision
+    (:meth:`~bctsim.protocol.SegmentTable._sift`), the window flag and the
+    erasure survival into batch-sized bool arrays, and keeps the index,
+    theta and coin of each undecided trial. After the last chunk each live
+    axis resolves its undecided trials in one exact evaluation and applies
+    its negation (:meth:`~bctsim.protocol.SegmentTable._resolve`), and the
+    batch is tallied once. The tallies are those of drawing each whole draw
+    in turn and deciding every trial by :func:`~bctsim.protocol.evaluate_bob`.
 
     A draw that no decision or tally reads is not generated. An axis with a
     constant decision (:func:`~bctsim.protocol._constant_decision`) reads no
-    coin, so a coin is drawn only for a live axis, and the shared coin for
-    either; theta is drawn only when a live axis or the window tally reads
-    it, which a two-axis row always does; c and the erasures are always
-    drawn. Every other draw still starts at its own offset in the batch
-    stream, so skipping one moves no other draw and the tallies are
-    unchanged.
+    coin and is tallied from the count of c, so a coin is drawn only for a
+    live axis, and the shared coin for either; theta is drawn only when a
+    live axis or the window tally reads it, which a two-axis row always
+    does; c and the erasures are always drawn. A draw that is not generated
+    gets no substream, and every other draw still starts at its own offset
+    in the batch stream, so skipping one moves no other draw and the tallies
+    are unchanged. A conditioned row compares each coin with the acceptance
+    at its fixed theta, which leaves no trial undecided.
     """
     if theta_fixed is None:
         table = segment_table(a, axes, strategy)
-        decide, constant = table.keeps_c, table.constant
+        constant, sift, resolve = table.constant, table._sift, table._resolve
     else:
         alpha, beta_slots, gamma_slots = alice_slot_arrays(a, theta_fixed)
         evs = [evaluate_bob(alpha, beta_slots, gamma_slots, b, theta_fixed, strategy) for b in axes]
-        accepts = [(float(ev.accept_prob), ev.negate) for ev in evs]
-        constant = tuple(_constant_decision(q == 1.0, negate) for q, negate in accepts)
+        accepts = [float(ev.accept_prob) for ev in evs]
+        constant = tuple(_constant_decision(q == 1.0, ev.negate) for q, ev in zip(accepts, evs))
 
-        def decide(theta, coins):
-            return [(coin < q) ^ negate if k is None else np.bool_(k)
-                    for coin, (q, negate), k in zip(coins, accepts, constant)]
+        def sift(theta, coins, kept):
+            for coin, q, out in zip(coins, accepts, kept):
+                if out is not None:
+                    np.less(coin, q, out=out)
+            return ()  # the acceptance at the fixed theta decides every coin
+
+        def resolve(j, keep, held):
+            return np.logical_xor(keep, evs[j].negate, out=keep)
 
     two = len(axes) == 2
     fixed_in_win = two and theta_fixed is not None and bool(_in_windows(theta_fixed, windows))
     shared = two and coin_mode is CoinMode.SHARED
     live = [k is None for k in constant]
-    # per float draw after c, whether it is generated: the coins, then the erasures
+    # per draw, whether it is generated: theta unless conditioned, c, the coins, then the erasures
+    reads_theta = [two or any(live)] * (theta_fixed is None)
     reads = ([any(live)] if shared else live) + [True] * (0 if visibility is None else 2)
-    reads_theta = theta_fixed is None and (two or any(live))
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        draws = _substreams(rng, [n] * (theta_fixed is None) + [(n + 1) // 2] + [n] * len(reads))
-        theta_draw = draws.pop(0) if theta_fixed is None else None
+        draws = _substreams(rng, [n] * len(reads_theta) + [(n + 1) // 2] + [n] * len(reads),
+                            reads_theta + [True] + reads)
+        theta_draw = draws.pop(0) if reads_theta else None
         signs, *uniform = draws  # the coins, then the erasures
-        parts = []
-        for m in [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]:
-            # bit for bit rng.uniform(0.0, THETA_SPAN, m), which computes 0.0 + THETA_SPAN * draw
-            theta = theta_draw.random(m) * THETA_SPAN if reads_theta else None
-            c_plus = signs.bit_generator.random_raw((m + 1) // 2).view(np.uint32)[:m] >= 2**31
-            u = [draw.random(m) if read else None for draw, read in zip(uniform, reads)]
-            kept = [np.full(m, k) if k.ndim == 0 else k  # a constant decision may come back 0-d
-                    for k in decide(theta, [u[0], u[0]] if shared else u[:len(axes)])]
-            counts = [m, _count(c_plus)]
-            for k in kept:
-                counts += [_count(k), _count(k == c_plus)]  # c_b > 0 exactly when kept == (c > 0)
-            if two:
-                survived = True if visibility is None else (u[-2] < visibility) & (u[-1] < visibility)
-                eq = (kept[0] == kept[1]) & survived
-                n_eq = _count(eq)
-                if theta is None:
-                    eq_in, n_in = (n_eq, m) if fixed_in_win else (0, 0)
-                else:
-                    in_win = _in_windows(theta, windows)
-                    eq_in, n_in = _count(eq & in_win), _count(in_win)
-                counts += [n_eq, eq_in, n_in, m if visibility is None else _count(survived)]
-            parts.append(counts)
-        return np.array(parts, dtype=np.int64).sum(axis=0)
+        c_plus = np.empty(n, dtype=bool)
+        # per axis: the decisions of a live axis, or the constant of one that has no coin
+        kept = [np.empty(n, dtype=bool) if is_live else k for is_live, k in zip(live, constant)]
+        held = [[] for _ in axes]  # per axis, each chunk's undecided trials as (indices, theta, coin)
+        in_win = np.empty(n, dtype=bool) if two and theta_draw is not None else None
+        survived = None if visibility is None else np.empty(n, dtype=bool)
+        for start in range(0, n, _CHUNK):
+            rows = slice(start, min(start + _CHUNK, n))
+            m = rows.stop - start
+            theta = None
+            if theta_draw is not None:
+                # bit for bit rng.uniform(0.0, THETA_SPAN, m), which computes 0.0 + THETA_SPAN * draw
+                theta = theta_draw.random(m)
+                theta *= THETA_SPAN
+            np.greater_equal(signs.bit_generator.random_raw((m + 1) // 2).view(np.uint32)[:m], 2**31,
+                             out=c_plus[rows])
+            u = [None if draw is None else draw.random(m) for draw in uniform]
+            coins = [u[0], u[0]] if shared else u[:len(axes)]
+            if any(live):
+                outs = [k[rows] if is_live else None for k, is_live in zip(kept, live)]
+                for j, at in enumerate(sift(theta, coins, outs)):
+                    if at is not None:
+                        held[j].append((at + start, theta[at], coins[j][at]))
+            if in_win is not None:
+                in_win[rows] = _in_windows(theta, windows)
+            if survived is not None:
+                survived[rows] = (u[-2] < visibility) & (u[-1] < visibility)
+        for j, is_live in enumerate(live):
+            if is_live:
+                resolve(j, kept[j], held[j])
+        n_c = _count(c_plus)
+        counts = [n, n_c]
+        for k, is_live in zip(kept, live):
+            if is_live:  # c_b > 0 exactly when kept == (c > 0)
+                counts += [_count(k), _count(k == c_plus)]
+            else:  # a constant axis keeps every c or none
+                counts += [n, n_c] if k else [0, n - n_c]
+        if two:
+            eq = np.broadcast_to(np.equal(*kept), n)  # np.equal gives a 0-d result when neither axis is live
+            if survived is not None:
+                eq = eq & survived
+            n_eq = _count(eq)
+            if in_win is None:
+                eq_in, n_in = (n_eq, n) if fixed_in_win else (0, 0)
+            else:
+                eq_in, n_in = _count(eq & in_win), _count(in_win)
+            counts += [n_eq, eq_in, n_in, n if survived is None else _count(survived)]
+        return np.array(counts, dtype=np.int64)
 
     return kernel
 

@@ -158,9 +158,13 @@ class HiddenState:
 
 
 def draw_hidden(rng: np.random.Generator) -> HiddenState:
-    """Draw one round's shared randomness: sign first, then angle."""
+    """Draw one round's shared randomness: sign first, then angle.
+
+    The angle is bit for bit ``rng.uniform(0.0, THETA_SPAN)``, which
+    computes ``0.0 + THETA_SPAN * rng.random()``, without a ``uniform`` call.
+    """
     c = 1 if rng.random() < 0.5 else -1
-    theta = rng.uniform(0.0, THETA_SPAN)
+    theta = rng.random() * THETA_SPAN
     return HiddenState.make(c, theta)
 
 
@@ -353,6 +357,10 @@ _REACH = 2.0 * THETA_SPAN / _BINS
 #: half-width of a cross-slot bracket: the acceptance moves at most K*_REACH over the reach, and
 #: 1e-9 covers the rounding of both exact evaluations
 _SLACK = ACCEPTANCE_COEFF * _REACH + 1e-9
+#: width of a cross-slot bracket from its lower end ``fl(q - _SLACK)``: both slacks, plus 1e-12, some
+#: thousand ulps, so the upper end ``fl(lo + _WIDTH)`` lies at or above ``fl(q + _SLACK)`` despite
+#: rounding twice
+_WIDTH = 2.0 * _SLACK + 1e-12
 #: per system, each bound of its slot function as ``(offset, shift)``: the bound
 #: ``theta + offset - shift``, where the shift 2*pi makes gamma's wrapped ``s - 2*pi``
 _SLOT_BOUNDS = {
@@ -425,20 +433,22 @@ class SegmentTable:
     live.
 
     A table sampled by :meth:`keeps_c` also carries a screen: per live axis,
-    brackets ``lo[k] <= q <= hi[k]`` of the exact acceptance ``q`` at every
+    one array ``lo`` over the bin indices, the lower end of a bracket
+    ``lo[k] <= q <= lo[k] + _WIDTH`` of the exact acceptance ``q`` at every
     float theta of each of ``_BINS`` equal theta bins. Inside a segment
     ``same`` and ``offset`` are constant and the distance ``u`` from Bob's
     axis to the separator is 1-Lipschitz in theta, so ``1 - K*sin(u)`` is
-    K-Lipschitz (K = 3*pi/10). A bin's bracket is therefore the exact
-    acceptance at its centre, less or plus ``K*r + 1e-9``, where the reach
+    K-Lipschitz (K = 3*pi/10). A cross-slot bin's ``lo`` is therefore the
+    exact acceptance at its centre less ``K*r + 1e-9``, where the reach
     ``r`` of two bin widths covers every theta the bin index
     ``int(theta * _BINS / (3*pi/5))`` can send there, rounding included, and
-    1e-9 covers the rounding of both exact evaluations. A same-slot bin
-    gets ``[1, 1]``. A bin within ``r`` of an edge gets ``[0, 2]``, which
-    decides nothing, and so does the index ``_BINS``, a guard against the
-    index rounding up at the top. The screen is built on the first lookup, never by
-    :func:`segment_table` or :meth:`expectation`, so tables that are only
-    summed never pay for it.
+    1e-9 covers the rounding of both exact evaluations; ``_WIDTH`` is twice
+    that slack and a margin for rounding ``lo + _WIDTH``. A same-slot bin
+    holds 1.0, so every coin is kept. A bin within ``r`` of an edge holds
+    NaN, which fails both comparisons and so decides nothing, and so does
+    the index ``_BINS``, a guard against the index rounding up at the top.
+    The screen is built on the first lookup, never by :func:`segment_table`
+    or :meth:`expectation`, so tables that are only summed never pay for it.
     """
 
     edges: np.ndarray
@@ -458,8 +468,8 @@ class SegmentTable:
         return np.where(self.same[j][seg], 1.0, _acceptance(self.axes[j], boundary)[1])
 
     @functools.cached_property
-    def _screen(self) -> tuple[tuple[np.ndarray, np.ndarray] | None, ...]:
-        """Per axis, the acceptance brackets ``(lo, hi)`` over the ``_BINS + 1`` bin indices; None when constant.
+    def _screen(self) -> tuple[np.ndarray | None, ...]:
+        """Per axis, the bracket's lower end ``lo`` over the ``_BINS + 1`` bin indices; None when constant.
 
         Two threads that build it at once build the same arrays.
         """
@@ -471,11 +481,49 @@ class SegmentTable:
             if constant is not None:
                 screen.append(None)
                 continue
-            q = self._accept(j, centre, seg)
+            q = self._accept(j, centre, seg)  # exactly 1.0 on a same-slot bin
             slack = np.where(self.same[j][seg], 0.0, _SLACK)
-            screen.append((np.append(np.where(near, 0.0, q - slack), 0.0),
-                           np.append(np.where(near, 2.0, q + slack), 2.0)))
+            screen.append(np.append(np.where(near, np.nan, q - slack), np.nan))
         return tuple(screen)
+
+    def _sift(self, theta: np.ndarray, coins, kept) -> list[np.ndarray | None]:
+        """The screen step: per live axis ``j``, the screened decision into ``kept[j]`` and the undecided trials.
+
+        A trial is kept when its coin lies below its bin's ``lo``, and
+        decided (kept or not) when it lies below ``lo`` or at or above
+        ``lo + _WIDTH``; a NaN bin decides nothing. Returns per axis the
+        indices of the undecided trials, or None for a constant axis, whose
+        coin and ``kept[j]`` are not read.
+        """
+        k = (theta * _BIN_SCALE).astype(np.intp)
+        undecided = []
+        with np.errstate(invalid="ignore"):  # some NumPy builds flag a comparison with NaN
+            for j, coin in enumerate(coins):
+                if self.constant[j] is not None:
+                    undecided.append(None)
+                    continue
+                lo = self._screen[j].take(k)
+                np.less(coin, lo, out=kept[j])
+                lo += _WIDTH
+                decided = coin >= lo
+                decided |= kept[j]
+                undecided.append(np.flatnonzero(~decided))
+        return undecided
+
+    def _resolve(self, j: int, keep: np.ndarray, held) -> np.ndarray:
+        """The resolve step of live axis ``j``: decide its undecided trials exactly, then negate ``keep`` in place.
+
+        ``held`` lists the undecided trials as ``(indices, theta, coin)``
+        arrays, in any number of parts. The exact route finds each trial's
+        segment as the number of edges at or below its theta, by the rank
+        rule of the slot functions, and evaluates the acceptance there.
+        """
+        if held:
+            at, theta, coin = (np.concatenate(part) for part in zip(*held))
+            keep[at] = coin < self._accept(j, theta, geometry._rank(theta, self.edges))
+        if self.negate[j]:
+            np.logical_not(keep, out=keep)
+        return keep
 
     def keeps_c(self, theta: np.ndarray | None, coins) -> list[np.ndarray]:
         """Per axis, whether Bob's output equals ``c`` in each trial.
@@ -485,29 +533,22 @@ class SegmentTable:
         for every coin below 1. A constant axis gets its constant, shaped like
         ``theta``, and its coin is never read, so the batch kernel does not
         draw it; with no live axis ``theta`` is not read either and may be
-        None (the decisions are then 0-d), and the screen is not built. On a
-        live axis the screen decides a trial whose coin lies below its bin's
-        ``lo`` (kept) or at or above its ``hi`` (not kept). Only the rest take
-        the exact route: every trial in a bin next to an edge, and elsewhere
-        a fraction of a percent. That route finds the trial's segment as the
-        number of edges at or below its theta, by the rank rule of the slot
-        functions, and evaluates the acceptance there. A fired reflection
-        negates the decision afterwards. Every step is per trial, so any
-        split of a batch decides alike; the batch kernel passes one
-        cache-sized chunk at a time.
+        None (the decisions are then 0-d), and the screen is not built. A
+        live axis takes the two steps the batch kernel takes: the screen
+        step (:meth:`_sift`) decides every trial whose coin lies outside its
+        bin's bracket with one lookup in the axis's screen array; the
+        resolve step (:meth:`_resolve`) decides the rest exactly, every trial
+        in a bin next to an edge and elsewhere a fraction of a percent, then
+        negates the axis's decisions if its reflection fired. Every step is
+        per trial, so any split of a batch decides alike: the kernel screens
+        each cache-sized chunk and resolves once per batch.
         """
-        k = (theta * _BIN_SCALE).astype(np.intp) if None in self.constant else None  # some axis is live
-        kept = []
-        for j, coin in enumerate(coins):
-            if self.constant[j] is not None:
-                kept.append(np.full(np.shape(theta), self.constant[j]))
-                continue
-            lo, hi = self._screen[j]
-            keep = coin < lo.take(k)
-            exact = np.flatnonzero(~keep & (coin < hi.take(k)))
-            t = theta[exact]
-            keep[exact] = coin[exact] < self._accept(j, t, geometry._rank(t, self.edges))
-            kept.append(keep ^ self.negate[j])
+        shape = np.shape(theta)
+        kept = [np.empty(shape, dtype=bool) if k is None else np.full(shape, k) for k in self.constant]
+        if None in self.constant:  # some axis is live
+            for j, at in enumerate(self._sift(theta, coins, kept)):
+                if at is not None:
+                    self._resolve(j, kept[j], [(at, theta[at], coins[j][at])])
         return kept
 
     def expectation(self, coin_mode: CoinMode = CoinMode.INDEPENDENT) -> float:

@@ -9,10 +9,13 @@ agree with ``evaluate_bob`` bit for bit next to every edge, at every screen
 bin boundary and at both ends of every bin's bracket.
 """
 
+import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -258,6 +261,35 @@ def test_chunk_seams_match_the_whole_batch_reference(shape, n):
         _both(kernel, counts, reference, seed, n)
 
 
+@pytest.mark.parametrize("shape", list(ROW_SHAPES))
+def test_every_row_shape_runs_one_batch_without_a_warning(shape):
+    """A batch under warnings as errors: a NumPy that flags comparing a coin with a NaN screen bin fails here.
+
+    The batch spans a chunk seam and still tallies as the whole-batch
+    reference does.
+    """
+    kernel, counts, reference = ROW_SHAPES[shape]()
+    n = hn._CHUNK + 7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernel(np.random.default_rng(24), n)
+    assert [int(v) for v in counts(got)] == [int(v) for v in reference(np.random.default_rng(24), n)]
+
+
+def test_a_two_axis_visibility_batch_peaks_under_four_megabytes():
+    """A 250k batch holds bool arrays of the batch and float arrays of one chunk; a float batch array is 2 MB."""
+    for coin_mode in COINS:
+        kernel = two_bob_kernel(PI / 10, pr.CYCLIC_FLIP, coin_mode, visibility=0.7)
+        kernel(np.random.default_rng(25), 1000)  # builds the table's screen
+        tracemalloc.start()
+        try:
+            kernel(np.random.default_rng(26), 250_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, (coin_mode, peak)
+
+
 class _SpiedGenerator:
     """A substream that records each ``random`` call under its draw's index."""
 
@@ -292,8 +324,8 @@ def test_rows_without_a_live_axis_generate_no_coin(shape, monkeypatch):
     calls = set()
     substreams = hn._substreams
 
-    def spied(rng, sizes):
-        return [_SpiedGenerator(g, i, calls) for i, g in enumerate(substreams(rng, sizes))]
+    def spied(rng, sizes, reads):
+        return [g and _SpiedGenerator(g, i, calls) for i, g in enumerate(substreams(rng, sizes, reads))]
 
     monkeypatch.setattr(hn, "_substreams", spied)
     kernel, counts, reference = ROW_SHAPES[shape]()
@@ -312,7 +344,7 @@ def test_kernel_sign_draw_equals_integer_draw(n):
     """
     for seed in range(20):
         want = np.random.default_rng(seed).integers(0, 2, n, dtype=np.int64).astype(bool)
-        signs = hn._substreams(np.random.default_rng(seed), [(n + 1) // 2])[0].bit_generator
+        signs = hn._substreams(np.random.default_rng(seed), [(n + 1) // 2], [True])[0].bit_generator
         got = np.concatenate([signs.random_raw((m + 1) // 2).view(np.uint32)[:m] >= 2**31
                               for m in [min(hn._CHUNK, n - s) for s in range(0, n, hn._CHUNK)]])
         assert np.array_equal(got, want)
@@ -325,10 +357,24 @@ def test_each_substream_starts_at_its_offset_in_the_batch_stream(sizes):
     offsets = np.cumsum([0, *sizes[:-1]])
     for seed in range(20):
         whole = np.random.default_rng(seed).bit_generator.random_raw(sum(sizes))
-        first_raw = [int(g.bit_generator.random_raw()) for g in hn._substreams(np.random.default_rng(seed), sizes)]
+        reads = [True] * len(sizes)
+        first_raw = [int(g.bit_generator.random_raw())
+                     for g in hn._substreams(np.random.default_rng(seed), sizes, reads)]
         assert first_raw == whole[offsets].tolist()
-        first_double = [g.random() for g in hn._substreams(np.random.default_rng(seed), sizes)]
+        first_double = [g.random() for g in hn._substreams(np.random.default_rng(seed), sizes, reads)]
         assert first_double == [float(x >> 11) * 2.0**-53 for x in whole[offsets].tolist()]
+
+
+@pytest.mark.parametrize("sizes", [[3, 2, 3], [7, 4, 7, 7, 7, 7]])
+def test_an_unread_draw_gets_no_substream_and_moves_no_other(sizes):
+    """Under every choice of unread draws, those get None and each read one starts at its own offset."""
+    offsets = np.cumsum([0, *sizes[:-1]])
+    whole = np.random.default_rng(9).bit_generator.random_raw(sum(sizes))
+    for reads in itertools.product([False, True], repeat=len(sizes)):
+        streams = hn._substreams(np.random.default_rng(9), sizes, list(reads))
+        assert [g is not None for g in streams] == list(reads)
+        first_raw = [int(g.bit_generator.random_raw()) for g in streams if g is not None]
+        assert first_raw == whole[offsets[list(reads)]].tolist()
 
 
 # --- the table next to its edges -------------------------------------------
@@ -414,8 +460,9 @@ def test_screen_decides_like_evaluate_bob_at_its_bracket_ends(a, axes, strategy)
     """Uniform thetas, with coins on the exact acceptance, one ulp either side and at each bracket end.
 
     A coin just below ``lo`` is decided by the screen as kept and a coin at
-    ``hi`` as not kept; a bracket that misses the acceptance by one ulp
-    decides one of the two wrongly.
+    ``lo + _WIDTH`` as not kept; a bracket that misses the acceptance by one
+    ulp decides one of the two wrongly. A NaN bin's probes are NaN and test
+    nothing; the coins on the acceptance test those bins.
     """
     table = pr.segment_table(a, axes, strategy)
     theta = np.random.default_rng(1010).random(20_000) * geo.THETA_SPAN  # about five per bin
@@ -423,10 +470,9 @@ def test_screen_decides_like_evaluate_bob_at_its_bracket_ends(a, axes, strategy)
     alice = pr.alice_slot_arrays(a, theta)
     accepts = [(ev.accept_prob, ev.negate) for ev in (pr.evaluate_bob(*alice, b, theta, strategy) for b in axes)]
     probes = [[q, np.nextafter(q, 0.0), np.nextafter(q, 2.0)] for q, _ in accepts]
-    for j, screen in enumerate(table._screen):
-        if screen is not None:
-            lo, hi = screen
-            probes[j] += [np.nextafter(lo[k], -1.0), hi[k]]
+    for j, lo in enumerate(table._screen):
+        if lo is not None:
+            probes[j] += [np.nextafter(lo[k], -1.0), lo[k] + pr._WIDTH]
         else:  # a constant axis has no screen; probe it at q again
             probes[j] += probes[j][:2]
     for coins in zip(*probes):
@@ -435,6 +481,45 @@ def test_screen_decides_like_evaluate_bob_at_its_bracket_ends(a, axes, strategy)
             below_one = coin < 1.0  # a terminated axis is decided for coins in [0, 1) only
             want = (coin < q) ^ negate
             assert np.array_equal(got[j][below_one], want[below_one]), (a, axes[j], strategy)
+
+
+def _two_array_brackets(table, j):
+    """Axis ``j``'s brackets ``(lo, hi)`` as the screen held them in two arrays, and the bins near an edge.
+
+    A near bin held ``[0, 2]``, a same-slot bin ``[1, 1]``, a cross-slot bin
+    the centre's acceptance less and plus the slack, and the guard index
+    ``[0, 2]``.
+    """
+    centre = (np.arange(pr._BINS) + 0.5) * (geo.THETA_SPAN / pr._BINS)
+    seg = geo._rank(centre, table.edges)
+    near = geo._rank(centre - pr._REACH, table.edges) != geo._rank(centre + pr._REACH, table.edges)
+    q = table._accept(j, centre, seg)
+    slack = np.where(table.same[j][seg], 0.0, pr._SLACK)
+    lo = np.append(np.where(near, 0.0, q - slack), 0.0)
+    hi = np.append(np.where(near, 2.0, q + slack), 2.0)
+    return lo, hi, np.append(near, True), np.append(table.same[j][seg], False)
+
+
+@pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
+def test_one_array_screen_keeps_the_two_array_brackets(a, axes, strategy):
+    """NaN where the two arrays decided nothing, 1.0 on same-slot bins, and cross bins at least as wide.
+
+    A cross-slot bin keeps the old lower end bit for bit, and its upper end
+    ``lo + _WIDTH``, rounded, lies at or above the old ``hi``, which bounds
+    the acceptance.
+    """
+    table = pr.segment_table(a, axes, strategy)
+    for j, lo in enumerate(table._screen):
+        if lo is None:
+            assert table.constant[j] is not None
+            continue
+        old_lo, old_hi, undecided, same = _two_array_brackets(table, j)
+        cross = ~undecided & ~same
+        assert lo.shape == (pr._BINS + 1,)
+        assert np.array_equal(np.isnan(lo), undecided)
+        assert np.all(lo[same & ~undecided] == 1.0)
+        assert lo[cross].tobytes() == old_lo[cross].tobytes()
+        assert np.all(lo[cross] + pr._WIDTH >= old_hi[cross])
 
 
 def test_summing_a_table_never_builds_its_screen(monkeypatch):

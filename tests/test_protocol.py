@@ -45,6 +45,18 @@ class TestHiddenState:
         assert thetas.mean() == pytest.approx(3 * PI / 10, abs=0.005)
         assert np.mean(signs == 1) == pytest.approx(0.5, abs=0.005)
 
+    def test_angle_draw_equals_the_uniform_draw(self):
+        """``draw_hidden`` scales ``random()``; ``uniform(0, 3*pi/5)`` gives the same bits and the same stream."""
+        for seed in range(500):
+            drawn, uniform = np.random.default_rng(seed), np.random.default_rng(seed)
+            hidden = [pr.draw_hidden(drawn) for _ in range(4)]
+            want = []
+            for _ in range(4):
+                uniform.random()  # the sign
+                want.append(uniform.uniform(0.0, THETA_SPAN))
+            assert [h.theta.hex() for h in hidden] == [w.hex() for w in want]
+            assert drawn.bit_generator.state == uniform.bit_generator.state
+
     def test_derived_systems_match_theta(self):
         h = pr.HiddenState.make(-1, 1.0)
         assert beta_boundary(0, h.theta) == pytest.approx(1.0)
