@@ -7,45 +7,13 @@ workers ran the batches. Tallies are integer vectors summed per batch index;
 merging is commutative and associative, so identical configurations produce
 bit-identical tables and output files.
 
-Every row samples through one batch kernel: Alice's setting against one or
-two Bob axes, with an optional fixed theta and optional erasure, tallied in
-one fixed layout. Each experiment is one entry of :data:`EXPERIMENTS` (help,
-required grids with their command-line defaults, columns, a row generator
-naming each row's stream keys and kernels, a finishing step), and
-:func:`run_experiment` is the one loop that runs them all.
-
-The batch kernel evaluates Bob through a :class:`~bctsim.protocol.SegmentTable`
-built once per row. For fixed settings and strategy every slot test is
-constant between a handful of theta edges; the table holds those edges and,
-per segment and Bob axis, whether Bob shares Alice's active slot and the
-separating boundary's offset above theta, plus per axis whether the output is
-negated or the round terminated. Each edge is the exact float at which a
-slot test flips under the package's one slot rule, computed in closed form
-for each slot bound and certified by that rule, not a rounded breakpoint. A
-batch runs in cache-sized chunks: it screens each chunk, then resolves and
-tallies once. Screening decides most trials without evaluating the
-acceptance ``1 - (3*pi/10)*sin(u)`` at all: one lookup per live axis in the
-table's screen array gives the lower end of a bracket of that acceptance
-over equal theta bins, and a coin below the bracket is kept, one at or
-above it is not. The chunk's decisions, window flags and erasure survivals
-go into batch-sized bool arrays; of the trials whose coin falls inside the
-bracket, a fraction of a percent, only the index, theta and coin are kept.
-After the last chunk each live axis resolves all its undecided trials at
-once, looked up by segment as their rank among the edges (the slot rule's
-count) and evaluated there, and applies its negation; then the batch is
-tallied. The brackets are bounds, not approximations, so the kernel decides
-exactly as evaluating Bob per trial, or playing the round through Alice's
-four-bit message, would at every theta. Building a table or its screen
-draws no random numbers. Each draw reads a PCG64 substream advanced to the
-output where that draw starts in the batch's stream, so a batch consumes
-its stream in the documented draw order and emits the same bytes as drawing
-whole arrays and evaluating Bob per trial. A draw that nothing reads is not
-generated, and gets no substream: an axis whose decision no theta or coin
-can change (terminated, sharing Alice's slot at every theta, or conditioned
-where its acceptance is exactly 1) reads no coin and is tallied from the
-count of c, and theta is drawn only when a live axis or a two-axis row's
-window tally reads it. Every draw that is generated still starts at its own
-offset, so stream positions, tallies and emitted bytes are unchanged.
+Every row samples through one batch kernel, :func:`_kernel`, which decides
+each trial through the row's :class:`~bctsim.protocol.SegmentTable`; its
+docstring is the account of the draws, the decisions and the tally. Each
+experiment is one entry of :data:`EXPERIMENTS` (help, required grids with
+their command-line defaults, columns, a row generator naming each row's
+stream keys and kernels, a finishing step), and :func:`run_experiment` is
+the one loop that runs them all.
 
 Measured anomalies are data, never errors: runs fail only on bad
 configuration or I/O.
@@ -75,16 +43,15 @@ from .analysis import (
     per_theta_consistency_audit,
     visibility_report,
 )
-from .geometry import THETA_SPAN, normalize_angle
+from .geometry import THETA_SPAN, _rank, normalize_angle
 from .protocol import (
     NO_FLIP,
     CoinMode,
     FlipRule,
     FlipSemantics,
+    SegmentTable,
     Strategy,
     _constant_decision,
-    alice_slot_arrays,
-    evaluate_bob,
     segment_table,
 )
 
@@ -218,11 +185,6 @@ def _run_batches(
 
 
 # --- the batch kernel -------------------------------------------------------
-# The factory does the theta-free work once per row: the segment table, or
-# for a conditioned row (fixed theta) the acceptance at that theta, which a
-# batch then only compares with its coins. Table building draws nothing, so
-# the draw order is the only thing that fixes the stream, and changing it
-# changes every downstream estimate.
 
 #: Tally layout. Every row counts trials and c = +1, then per Bob axis the
 #: trials where his output equals c ("kept") and where it is +1. Two-axis
@@ -267,21 +229,21 @@ def _substreams(rng: np.random.Generator, sizes, reads) -> list[np.random.Genera
 
 
 def _kernel(
-    a: float,
-    axes: tuple[float, ...],
-    strategy: Strategy,
+    table: SegmentTable,
     coin_mode: CoinMode = CoinMode.INDEPENDENT,
     theta_fixed: float | None = None,
     visibility: float | None = None,
     windows=None,
 ):
-    """Batch kernel for Alice at ``a`` against one or two Bob ``axes``; tallies as laid out above.
+    """Batch kernel for Alice against the one or two Bob axes of ``table``; tallies as laid out above.
 
     Draws per batch: theta (unless conditioned), c, one coin per axis (the
     second reuses the first under ``CoinMode.SHARED``), then, when a
     ``visibility`` is given, erase1 and erase2: each side's outcome survives
     with probability ``visibility``. ``windows`` are the two deterministic
-    windows a two-axis row counts.
+    windows a two-axis row counts. Building the table or its screen draws
+    nothing, so the draw order alone fixes the stream; changing it changes
+    every downstream estimate.
 
     A batch is drawn and screened in chunks of ``_CHUNK`` trials, so its
     float arrays stay in cache, from one substream per draw: each float draw
@@ -289,45 +251,45 @@ def _kernel(
     ``(n + 1) // 2``. NumPy's ``integers(0, 2, n, dtype=np.int64)`` is the top
     bit of each 32-bit half of an output, low half first, which the kernel
     reads from the raw outputs; ``_CHUNK`` is even, so no output straddles two
-    chunks. Each chunk writes c, each live axis's screened decision
-    (:meth:`~bctsim.protocol.SegmentTable._sift`), the window flag and the
-    erasure survival into batch-sized bool arrays, and keeps the index,
-    theta and coin of each undecided trial. After the last chunk each live
-    axis resolves its undecided trials in one exact evaluation and applies
-    its negation (:meth:`~bctsim.protocol.SegmentTable._resolve`), and the
-    batch is tallied once. The tallies are those of drawing each whole draw
-    in turn and deciding every trial by :func:`~bctsim.protocol.evaluate_bob`.
+    chunks. Each chunk writes c, each live axis's decision, the window flag
+    and the erasure survival into batch-sized bool arrays. An unconditioned
+    row decides by the table's screen
+    (:meth:`~bctsim.protocol.SegmentTable._sift`), one lookup per live axis,
+    and keeps the index, theta and coin of each trial whose coin falls
+    inside its bin's bracket, a fraction of a percent. A conditioned row
+    reads each axis's acceptance at ``theta_fixed`` from the table once per
+    row, in the segment that theta ranks into, and compares every coin with
+    it, which leaves no trial undecided. After the last chunk each live axis
+    resolves its undecided trials in one exact evaluation and applies its
+    negation (:meth:`~bctsim.protocol.SegmentTable._resolve`), and the batch
+    is tallied once. Every step is per trial, so any split of a batch into
+    chunks decides alike, and the screen's brackets are bounds, not
+    approximations: the tallies are those of drawing each whole draw in turn
+    and deciding every trial by :func:`~bctsim.protocol.evaluate_bob`, or by
+    playing the round through Alice's four-bit message.
 
     A draw that no decision or tally reads is not generated. An axis with a
-    constant decision (:func:`~bctsim.protocol._constant_decision`) reads no
-    coin and is tallied from the count of c, so a coin is drawn only for a
-    live axis, and the shared coin for either; theta is drawn only when a
-    live axis or the window tally reads it, which a two-axis row always
-    does; c and the erasures are always drawn. A draw that is not generated
-    gets no substream, and every other draw still starts at its own offset
-    in the batch stream, so skipping one moves no other draw and the tallies
-    are unchanged. A conditioned row compares each coin with the acceptance
-    at its fixed theta, which leaves no trial undecided.
+    constant decision (:func:`~bctsim.protocol._constant_decision`: the
+    table's constant, or an acceptance of exactly 1 at a conditioned row's
+    theta) reads no coin and is tallied from the count of c, so a coin is
+    drawn only for a live axis, and the shared coin for either; theta is
+    drawn only when a live axis or the window tally reads it, which a
+    two-axis row always does; c and the erasures are always drawn. A draw
+    that is not generated gets no substream, and every other draw still
+    starts at its own offset in the batch stream, so skipping one moves no
+    other draw and the tallies are unchanged. A ``theta_fixed`` outside
+    [0, 3*pi/5), which no round draws, raises ``ConfigError``.
     """
-    if theta_fixed is None:
-        table = segment_table(a, axes, strategy)
-        constant, sift, resolve = table.constant, table._sift, table._resolve
-    else:
-        alpha, beta_slots, gamma_slots = alice_slot_arrays(a, theta_fixed)
-        evs = [evaluate_bob(alpha, beta_slots, gamma_slots, b, theta_fixed, strategy) for b in axes]
-        accepts = [float(ev.accept_prob) for ev in evs]
-        constant = tuple(_constant_decision(q == 1.0, ev.negate) for q, ev in zip(accepts, evs))
+    constant = table.constant
+    if theta_fixed is not None:
+        if not (0.0 <= theta_fixed < THETA_SPAN):
+            raise ConfigError(f"conditioned theta must lie in [0, 3*pi/5), got {theta_fixed!r}")
+        seg = _rank(theta_fixed, table.edges)
+        accepts = [1.0 if k is not None else float(table._accept(j, theta_fixed, seg))
+                   for j, k in enumerate(constant)]
+        constant = tuple(_constant_decision(q == 1.0, negate) for q, negate in zip(accepts, table.negate))
 
-        def sift(theta, coins, kept):
-            for coin, q, out in zip(coins, accepts, kept):
-                if out is not None:
-                    np.less(coin, q, out=out)
-            return ()  # the acceptance at the fixed theta decides every coin
-
-        def resolve(j, keep, held):
-            return np.logical_xor(keep, evs[j].negate, out=keep)
-
-    two = len(axes) == 2
+    two = len(table.axes) == 2
     fixed_in_win = two and theta_fixed is not None and bool(_in_windows(theta_fixed, windows))
     shared = two and coin_mode is CoinMode.SHARED
     live = [k is None for k in constant]
@@ -343,7 +305,7 @@ def _kernel(
         c_plus = np.empty(n, dtype=bool)
         # per axis: the decisions of a live axis, or the constant of one that has no coin
         kept = [np.empty(n, dtype=bool) if is_live else k for is_live, k in zip(live, constant)]
-        held = [[] for _ in axes]  # per axis, each chunk's undecided trials as (indices, theta, coin)
+        held = [[] for _ in live]  # per axis, each chunk's undecided trials as (indices, theta, coin)
         in_win = np.empty(n, dtype=bool) if two and theta_draw is not None else None
         survived = None if visibility is None else np.empty(n, dtype=bool)
         for start in range(0, n, _CHUNK):
@@ -357,10 +319,14 @@ def _kernel(
             np.greater_equal(signs.bit_generator.random_raw((m + 1) // 2).view(np.uint32)[:m], 2**31,
                              out=c_plus[rows])
             u = [None if draw is None else draw.random(m) for draw in uniform]
-            coins = [u[0], u[0]] if shared else u[:len(axes)]
-            if any(live):
-                outs = [k[rows] if is_live else None for k, is_live in zip(kept, live)]
-                for j, at in enumerate(sift(theta, coins, outs)):
+            coins = [u[0], u[0]] if shared else u[:len(live)]
+            outs = [k[rows] if is_live else None for k, is_live in zip(kept, live)]
+            if theta_fixed is not None:
+                for coin, q, out in zip(coins, accepts, outs):
+                    if out is not None:
+                        np.less(coin, q, out=out)
+            elif any(live):
+                for j, at in enumerate(table._sift(theta, coins, outs)):
                     if at is not None:
                         held[j].append((at + start, theta[at], coins[j][at]))
             if in_win is not None:
@@ -369,7 +335,7 @@ def _kernel(
                 survived[rows] = (u[-2] < visibility) & (u[-1] < visibility)
         for j, is_live in enumerate(live):
             if is_live:
-                resolve(j, kept[j], held[j])
+                table._resolve(j, kept[j], held[j])
         n_c = _count(c_plus)
         counts = [n, n_c]
         for k, is_live in zip(kept, live):
@@ -394,8 +360,8 @@ def _kernel(
 
 def _antipodal(nu: float, strategy: Strategy, coin_mode: CoinMode, **options):
     """The kernel of the walkthrough frame: Alice at ``alice_setting(nu)``, Bob on b1 and b1 + pi."""
-    return _kernel(alice_setting(nu), (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi), strategy, coin_mode,
-                   windows=interval_windows(nu), **options)
+    table = segment_table(alice_setting(nu), (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi), strategy)
+    return _kernel(table, coin_mode, windows=interval_windows(nu), **options)
 
 
 # --- public estimators -----------------------------------------------------
@@ -415,8 +381,6 @@ def conditioned_two_bob_estimate(
     Returns (estimate, standard error). Rejection-free: theta is an input,
     not a sample.
     """
-    if not (0.0 <= theta < THETA_SPAN):
-        raise ConfigError(f"conditioned theta must lie in [0, 3*pi/5), got {theta!r}")
     tally = _run_batches(_antipodal(nu, strategy, coin_mode, theta_fixed=theta),
                          trials, seed, (0,), batch_size, None)
     est = tally[EQUAL] / tally[N]
@@ -433,9 +397,8 @@ def conditioned_pair_estimate(
     batch_size: int = 250_000,
 ) -> tuple[float, float]:
     """Monte Carlo P(outputs equal) for one pair with the shared angle fixed."""
-    if not (0.0 <= theta < THETA_SPAN):
-        raise ConfigError(f"conditioned theta must lie in [0, 3*pi/5), got {theta!r}")
-    tally = _run_batches(_kernel(a, (b,), strategy, theta_fixed=theta), trials, seed, (0,), batch_size, None)
+    kernel = _kernel(segment_table(a, (b,), strategy), theta_fixed=theta)
+    tally = _run_batches(kernel, trials, seed, (0,), batch_size, None)
     est = tally[KEPT_1] / tally[N]
     return float(est), _stderr(float(est), int(tally[N]))
 
@@ -455,7 +418,8 @@ def joint_outcome_table(
     from seeded :func:`~bctsim.protocol.nbct_trial` rounds, which play each
     round through Alice's message and Bob's scalar procedure.
     """
-    n, c_plus, kept, b_plus = _run_batches(_kernel(a, (b,), strategy), trials, seed, (0,), batch_size, None)
+    kernel = _kernel(segment_table(a, (b,), strategy))
+    n, c_plus, kept, b_plus = _run_batches(kernel, trials, seed, (0,), batch_size, None)
     # b_plus counts kept & c+ plus ~kept & ~c+, so kept & c+ is (b_plus - n + kept + c_plus) / 2
     pp = (b_plus - n + kept + c_plus) // 2
     mm = kept - pp
@@ -479,7 +443,8 @@ def _correlation_rows(config):
     """
     for i, ang in enumerate(config.angle_grid):
         a = normalize_angle(ang)
-        yield dict(angle=a, oracle=qm.prob_equal(a, 0.0)), {(i,): _kernel(a, (0.0,), config.strategy)}
+        yield (dict(angle=a, oracle=qm.prob_equal(a, 0.0)),
+               {(i,): _kernel(segment_table(a, (0.0,), config.strategy))})
 
 
 def _opposite_axes_rows(config):
@@ -528,18 +493,20 @@ def _audit_rows(config):
     """Per-theta conservation-law audit with conditioned Monte Carlo replays.
 
     Analytic conditionals come from the branch logic; each grid point is also
-    replayed ``trials`` times at that fixed theta, in both axis directions.
+    replayed ``trials`` times at that fixed theta, in both axis directions,
+    each through one table per direction that every grid point reuses.
     """
     b = WALKTHROUGH_B1
     i = itertools.count()
     for nu in config.nu_grid or (math.pi / 10.0,):
         a = alice_setting(nu)
+        forward, reversed_ = (segment_table(a, (axis,), config.strategy) for axis in (b, b + math.pi))
         for law in per_theta_consistency_audit(a, b, config.theta_grid, config.strategy):
             k = next(i)
             cells = dict(nu=nu, theta=law.theta, p_same_forward=law.p_same_forward,
                          p_anti_reversed=law.p_anti_reversed, violation="true" if law.violation else "false")
-            yield cells, {(k, 0): _kernel(a, (b,), config.strategy, theta_fixed=law.theta),
-                          (k, 1): _kernel(a, (b + math.pi,), config.strategy, theta_fixed=law.theta)}
+            yield cells, {(k, 0): _kernel(forward, theta_fixed=law.theta),
+                          (k, 1): _kernel(reversed_, theta_fixed=law.theta)}
 
 
 def _audit_finish(cells, tallies, est, se) -> dict:
@@ -566,16 +533,19 @@ def _remedy_rows(config):
     For every (flip rule x coin mode) combination and each nu, reports the
     equal-output rate and the induced deviation of the second-axis
     correlation from the cos^2 law. Conditioned rows (fixed theta) are added
-    for every value on the theta grid, if one is configured.
+    for every value on the theta grid, if one is configured; they reuse the
+    table of their combination's sampled row.
     """
     b2 = WALKTHROUGH_B1 + math.pi
-    grid = itertools.product(config.nu_grid, REMEDY_COMBOS, (None, *config.theta_grid))
-    for i, (nu, (rule, coin_mode), theta) in enumerate(grid):
+    i = itertools.count()
+    for nu, (rule, coin_mode) in itertools.product(config.nu_grid, REMEDY_COMBOS):
         a = alice_setting(nu)
         strategy = Strategy(rule, config.strategy.flip_semantics)
-        oracle = qm.prob_equal(a, b2) if theta is None else float(p_equal_given_theta(a, b2, theta, strategy))
-        cells = dict(nu=nu, theta=theta, flip_rule=rule.value, coin_mode=coin_mode.value, ab2_oracle=oracle)
-        yield cells, {(i,): _antipodal(nu, strategy, coin_mode, theta_fixed=theta)}
+        table = segment_table(a, (WALKTHROUGH_B1, b2), strategy)
+        for theta in (None, *config.theta_grid):
+            oracle = qm.prob_equal(a, b2) if theta is None else float(p_equal_given_theta(a, b2, theta, strategy))
+            cells = dict(nu=nu, theta=theta, flip_rule=rule.value, coin_mode=coin_mode.value, ab2_oracle=oracle)
+            yield cells, {(next(i),): _kernel(table, coin_mode, theta, windows=interval_windows(nu))}
 
 
 def _remedy_finish(cells, tallies, est, se) -> dict:
@@ -606,7 +576,7 @@ def _calibration_rows(config):
         a = normalize_angle(ang)
         cells = dict(strategy=label, flip_semantics=strategy.flip_semantics.value, angle=a,
                      oracle=qm.prob_equal(a, 0.0))
-        yield cells, {(i,): _kernel(a, (0.0,), strategy)}
+        yield cells, {(i,): _kernel(segment_table(a, (0.0,), strategy))}
 
 
 def _stamp_max_deviation(rows: list[dict]) -> None:

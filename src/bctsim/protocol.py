@@ -432,8 +432,8 @@ class SegmentTable:
     holds in every segment), else None. An axis whose constant is None is
     live.
 
-    A table sampled by :meth:`keeps_c` also carries a screen: per live axis,
-    one array ``lo`` over the bin indices, the lower end of a bracket
+    A table sampled over theta also carries a screen: per live axis, one
+    array ``lo`` over the bin indices, the lower end of a bracket
     ``lo[k] <= q <= lo[k] + _WIDTH`` of the exact acceptance ``q`` at every
     float theta of each of ``_BINS`` equal theta bins. Inside a segment
     ``same`` and ``offset`` are constant and the distance ``u`` from Bob's
@@ -447,8 +447,9 @@ class SegmentTable:
     holds 1.0, so every coin is kept. A bin within ``r`` of an edge holds
     NaN, which fails both comparisons and so decides nothing, and so does
     the index ``_BINS``, a guard against the index rounding up at the top.
-    The screen is built on the first lookup, never by :func:`segment_table`
-    or :meth:`expectation`, so tables that are only summed never pay for it.
+    The screen is built on the first lookup, never by :func:`segment_table`,
+    :meth:`expectation` or a row conditioned on one theta, so tables that
+    are only summed or read at one theta never pay for it.
     """
 
     edges: np.ndarray
@@ -530,18 +531,12 @@ class SegmentTable:
 
         ``coins[j]`` holds the acceptance draws of axis ``j``. Decides exactly
         as ``(coin < accept_prob) ^ negate`` from :func:`evaluate_bob` would,
-        for every coin below 1. A constant axis gets its constant, shaped like
-        ``theta``, and its coin is never read, so the batch kernel does not
-        draw it; with no live axis ``theta`` is not read either and may be
-        None (the decisions are then 0-d), and the screen is not built. A
-        live axis takes the two steps the batch kernel takes: the screen
-        step (:meth:`_sift`) decides every trial whose coin lies outside its
-        bin's bracket with one lookup in the axis's screen array; the
-        resolve step (:meth:`_resolve`) decides the rest exactly, every trial
-        in a bin next to an edge and elsewhere a fraction of a percent, then
-        negates the axis's decisions if its reflection fired. Every step is
-        per trial, so any split of a batch decides alike: the kernel screens
-        each cache-sized chunk and resolves once per batch.
+        for every coin below 1, by the batch kernel's two steps over the whole
+        array: :meth:`_sift`, then :meth:`_resolve` (``harness._kernel``
+        gives the account). A constant axis gets its constant, shaped like
+        ``theta``, and its coin is never read; with no live axis ``theta`` is
+        not read either and may be None (the decisions are then 0-d), and the
+        screen is not built.
         """
         shape = np.shape(theta)
         kept = [np.empty(shape, dtype=bool) if k is None else np.full(shape, k) for k in self.constant]

@@ -156,7 +156,8 @@ def test_criterion_08_black_box_equivalence():
     # ten fixed pairs covering small, medium, wraparound and reflected
     # separations; the batch kernel's segment-table path against black-box
     # rounds played through Alice's message and Bob's scalar procedure.
-    # Seeds fixed so the 1%-level test is deterministic.
+    # Seeds fixed so the 1%-level test is deterministic. The same pairs are
+    # replayed draw for draw, bit for bit, in tests/test_slot_rule.py.
     pairs = [
         (0.0, 0.3), (0.2, 1.1), (1.0, 2.4), (0.5, 3.0), (2.0, 5.9),
         (PI / 5, 9 * PI / 10), (0.0, PI / 2), (1.9 * PI, 0.1 * PI),

@@ -11,6 +11,7 @@ from bctsim import analysis as an
 from bctsim import cli
 from bctsim import harness as hn
 from bctsim import protocol as pr
+from bctsim.geometry import THETA_SPAN
 
 PI = math.pi
 
@@ -159,6 +160,12 @@ class TestKernelsAgainstOracles:
         p = float(pr.p_equal_given_theta(PI / 2, PI, 0.35 * PI))
         est, se = hn.conditioned_pair_estimate(PI / 2, PI, 0.35 * PI, 100_000, 13)
         assert abs(est - p) < 4 * se
+
+    def test_conditioned_estimates_reject_theta_at_the_end_of_the_range(self):
+        with pytest.raises(hn.ConfigError, match="conditioned theta"):
+            hn.conditioned_two_bob_estimate(PI / 10, THETA_SPAN, 10, 11)
+        with pytest.raises(hn.ConfigError, match="conditioned theta"):
+            hn.conditioned_pair_estimate(PI / 2, PI, THETA_SPAN, 10, 13)
 
     def test_joint_outcome_table_margins(self):
         table = hn.joint_outcome_table(0.0, PI / 2, 100_000, 21)

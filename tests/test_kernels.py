@@ -116,9 +116,13 @@ def ref_joint(a, b, strategy, rng, n):
 # --- the one kernel, and the old tallies derived from its layout ---------------
 
 
+def pair_kernel(a, b, strategy, theta_fixed=None):
+    return hn._kernel(pr.segment_table(a, (b,), strategy), theta_fixed=theta_fixed)
+
+
 def two_bob_kernel(nu, strategy, coin_mode, theta_fixed=None, visibility=None, a=None):
-    return hn._kernel(alice_setting(nu) if a is None else a, (WALKTHROUGH_B1, WALKTHROUGH_B1 + PI), strategy,
-                      coin_mode, theta_fixed, visibility, interval_windows(nu))
+    table = pr.segment_table(alice_setting(nu) if a is None else a, (WALKTHROUGH_B1, WALKTHROUGH_B1 + PI), strategy)
+    return hn._kernel(table, coin_mode, theta_fixed, visibility, interval_windows(nu))
 
 
 def pair_counts(t):
@@ -150,9 +154,30 @@ def _both(kernel, counts, reference, seed, n=TRIALS):
 def test_two_bob_kernel_matches_reference(nu, strategy, coin_mode):
     w = interval_windows(nu)
     for theta_fixed in (None, 0.0, 4.4e-16, w[0][0], w[0][1], float(np.nextafter(w[1][1], 9.0)), LAST_THETA):
+        if theta_fixed is not None and theta_fixed >= geo.THETA_SPAN:  # past the second window at nu = pi/5
+            with pytest.raises(hn.ConfigError, match="conditioned theta"):
+                two_bob_kernel(nu, strategy, coin_mode, theta_fixed)
+            continue
         for seed in (1, 2):
             _both(two_bob_kernel(nu, strategy, coin_mode, theta_fixed), two_bob_counts,
                   lambda rng, n: ref_two_bob(nu, strategy, coin_mode, theta_fixed, rng, n), seed)
+
+
+def test_kernel_rejects_a_conditioned_theta_no_round_draws():
+    """A fixed theta outside [0, 3*pi/5) fails when the kernel is built, on one axis and on two.
+
+    ``evaluate_bob`` extrapolates past 3*pi/5 and the table does not, so a
+    kernel that accepted such a theta would tally a point no round reaches.
+    At nu = pi/5 the second window ends at 3*pi/5, and the float above its
+    end is such a point.
+    """
+    past_window = float(np.nextafter(interval_windows(PI / 5)[1][1], 9.0))
+    assert past_window >= geo.THETA_SPAN
+    for theta_fixed in (past_window, geo.THETA_SPAN, -5e-324, math.nan):
+        with pytest.raises(hn.ConfigError, match="conditioned theta"):
+            two_bob_kernel(PI / 5, pr.NO_FLIP, pr.CoinMode.INDEPENDENT, theta_fixed)
+        with pytest.raises(hn.ConfigError, match="conditioned theta"):
+            pair_kernel(1.0, PI, pr.NO_FLIP, theta_fixed)
 
 
 @pytest.mark.parametrize("a", SETTINGS + (0.123, 2 * PI / 5 + PI / 10))
@@ -161,7 +186,7 @@ def test_two_bob_kernel_matches_reference(nu, strategy, coin_mode):
 def test_pair_and_joint_kernels_match_reference(a, b, strategy):
     for theta_fixed in (None,) + SPECIAL_THETAS[:4]:
         for seed in (3, 4):
-            _both(hn._kernel(a, (b,), strategy, theta_fixed=theta_fixed), pair_counts,
+            _both(pair_kernel(a, b, strategy, theta_fixed), pair_counts,
                   lambda rng, n: ref_pair(a, b, strategy, theta_fixed, rng, n), seed)
     # the joint cells are derived from the pair counts; one batch, so one stream
     joint = hn.joint_outcome_table(a, b, TRIALS, 5, strategy, batch_size=TRIALS)
@@ -184,7 +209,7 @@ def test_batches_longer_than_a_lookup_chunk():
     n = 2 * hn._CHUNK + 1234
     _both(two_bob_kernel(nu, strategy, coin), two_bob_counts,
           lambda rng, n: ref_two_bob(nu, strategy, coin, None, rng, n), 7, n)
-    _both(hn._kernel(1.0, (PI,), pr.ABS_FLIP), pair_counts,
+    _both(pair_kernel(1.0, PI, pr.ABS_FLIP), pair_counts,
           lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, None, rng, n), 8, n)
 
 
@@ -208,9 +233,9 @@ def _row_shapes():
     ``nu = pi/10`` the cyclic reading fires on the axis ``b1 + pi`` only.
     """
     nu, strategy, fixed = PI / 10, pr.CYCLIC_FLIP, 1.2
-    yield "one-axis", lambda: (hn._kernel(1.0, (PI,), pr.ABS_FLIP), pair_counts,
+    yield "one-axis", lambda: (pair_kernel(1.0, PI, pr.ABS_FLIP), pair_counts,
                                lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, None, rng, n))
-    yield "one-axis-conditioned", lambda: (hn._kernel(1.0, (PI,), pr.ABS_FLIP, theta_fixed=fixed), pair_counts,
+    yield "one-axis-conditioned", lambda: (pair_kernel(1.0, PI, pr.ABS_FLIP, fixed), pair_counts,
                                            lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, fixed, rng, n))
     for coin in COINS:
         yield f"two-axis-{coin.value}", lambda coin=coin: (
@@ -223,13 +248,13 @@ def _row_shapes():
             two_bob_kernel(nu, strategy, coin, visibility=0.7), visibility_counts,
             lambda rng, n: ref_visibility(nu, 0.7, strategy, coin, rng, n))
     yield "one-axis-constant-same-setting", lambda: (
-        hn._kernel(1.0, (1.0,), pr.ABS_FLIP), pair_counts,
+        pair_kernel(1.0, 1.0, pr.ABS_FLIP), pair_counts,
         lambda rng, n: ref_pair(1.0, 1.0, pr.ABS_FLIP, None, rng, n))
     yield "one-axis-constant-terminated", lambda: (
-        hn._kernel(1.0, (PI,), CYCLIC_TERMINATE), pair_counts,
+        pair_kernel(1.0, PI, CYCLIC_TERMINATE), pair_counts,
         lambda rng, n: ref_pair(1.0, PI, CYCLIC_TERMINATE, None, rng, n))
     yield "one-axis-constant-conditioned-on-the-separator", lambda: (
-        hn._kernel(2.0, (SEPARATOR_B,), pr.NO_FLIP, theta_fixed=SEPARATOR_THETA), pair_counts,
+        pair_kernel(2.0, SEPARATOR_B, pr.NO_FLIP, SEPARATOR_THETA), pair_counts,
         lambda rng, n: ref_pair(2.0, SEPARATOR_B, pr.NO_FLIP, SEPARATOR_THETA, rng, n))
     for coin in COINS:
         yield f"two-axis-{coin.value}-one-terminated", lambda coin=coin: (

@@ -25,6 +25,39 @@ strategy_st = st.builds(
 )
 
 
+#: the cyclic reading that ends the round when the reflection fires
+CYCLIC_TERMINATE = pr.Strategy(pr.FlipRule.CYCLIC, pr.FlipSemantics.TERMINATE)
+#: (a, b, theta) points; the cyclic reflection fires at the second (same slot) and the last (cross slot)
+CONDITIONED_POINTS = (
+    (1.4815675858486133, 2.6961587892249548, 0.17393053855703514),
+    (5.5157053967157825, 2.036448497919676, 0.009229272929779908),
+    (4.182310686370843, 3.3655317612521847, 0.5979594544257567),
+    (3.2924036521111955, 3.6965991606173296, 0.4814267516190455),
+    (5.534006359206727, 3.6838068085220317, 0.8138423204448779),
+)
+
+
+def _decides_at_the_acceptance(a, b, theta, strategy) -> pr.BobEvaluation:
+    """Bob's round keeps c exactly for coins below ``evaluate_bob``'s acceptance q, then applies the negation.
+
+    ``bob_round`` with the coin one ulp below q keeps c, and with the coin
+    at q (where q < 1) does not, for either sign. ``p_equal_given_theta`` is
+    q, or 1 - q under a negation, bit for bit. Returns the evaluation.
+    """
+    ev = pr.evaluate_bob(*pr.alice_slot_arrays(a, theta), b, theta, strategy)
+    q = float(ev.accept_prob)
+    for c in (1, -1):
+        hidden = pr.HiddenState.make(c, theta)
+        _, msg = pr.alice_round(a, hidden)
+        c_b, _ = pr.bob_round(b, msg, hidden, strategy=strategy, coin=math.nextafter(q, 0.0))
+        assert c_b == (-c if ev.negate else c), (a, b, theta, strategy)
+        if q < 1.0:
+            c_b, _ = pr.bob_round(b, msg, hidden, strategy=strategy, coin=q)
+            assert c_b == (c if ev.negate else -c), (a, b, theta, strategy)
+    assert pr.p_equal_given_theta(a, b, theta, strategy) == (1.0 - q if ev.negate else q)
+    return ev
+
+
 def _record_from_json(text: str) -> pr.TrialRecord:
     d = json.loads(text)
     d["message"] = pr.SlotMessage(**d["message"])
@@ -324,19 +357,13 @@ class TestTrials:
 
 
 class TestTwoBob:
-    def test_conditioned_walkthrough_rate(self):
+    def test_conditioned_walkthrough_decisions(self):
         # at theta = 0.35*pi the b1 evaluation is certain, so the equal rate
         # equals the antipodal acceptance probability
-        rng = np.random.default_rng(20)
-        n = 20_000
-        eq = 0
-        for _ in range(n):
-            h = pr.HiddenState.make(1 if rng.random() < 0.5 else -1, 0.35 * PI)
-            _, msg = pr.alice_round(PI / 2, h)
-            c1, _ = pr.bob_round(0.0, msg, h, rng, pr.NO_FLIP)
-            c2, _ = pr.bob_round(PI, msg, h, rng, pr.NO_FLIP)
-            eq += c1 == c2
-        assert eq / n == pytest.approx(P_CROSS_SMALL, abs=0.01)
+        first = _decides_at_the_acceptance(PI / 2, 0.0, 0.35 * PI, pr.NO_FLIP)
+        assert float(first.accept_prob) == 1.0 and not first.negate
+        second = _decides_at_the_acceptance(PI / 2, PI, 0.35 * PI, pr.NO_FLIP)
+        assert float(second.accept_prob) == pytest.approx(P_CROSS_SMALL, abs=1e-15) and not second.negate
 
     def test_shared_coin_with_cyclic_flip_is_exact_negation(self):
         rng = np.random.default_rng(21)
@@ -389,22 +416,15 @@ class TestPerThetaProbability:
         p = pr.p_equal_given_theta(a, b, th, strategy)
         assert 0.0 <= p <= 1.0
 
-    def test_matches_conditioned_frequency(self):
-        rng = np.random.default_rng(30)
-        for _ in range(5):
-            a = float(rng.uniform(0, 2 * PI))
-            b = float(rng.uniform(0, 2 * PI))
-            th = float(rng.uniform(0, THETA_SPAN))
-            p = pr.p_equal_given_theta(a, b, th, pr.CYCLIC_FLIP)
-            n = 20_000
-            eq = 0
-            for _ in range(n):
-                h = pr.HiddenState.make(1 if rng.random() < 0.5 else -1, th)
-                _, msg = pr.alice_round(a, h)
-                c_b, _ = pr.bob_round(b, msg, h, rng, pr.CYCLIC_FLIP)
-                eq += c_b == h.c
-            se = math.sqrt(max(p * (1 - p), 1e-9) / n)
-            assert abs(eq / n - p) < 5 * se + 1e-9
+    def test_coins_either_side_of_the_acceptance_decide_exactly(self):
+        """Each point under the cyclic reading and its terminating variant: cross slot, negated and terminated."""
+        seen = set()
+        for strategy in (pr.CYCLIC_FLIP, CYCLIC_TERMINATE):
+            for a, b, th in CONDITIONED_POINTS:
+                ev = _decides_at_the_acceptance(a, b, th, strategy)
+                slot = "same" if ev.same_slot else "cross"
+                seen.add("terminated" if ev.system == "none" else ("negated-" if ev.negate else "") + slot)
+        assert seen == {"cross", "same", "negated-same", "negated-cross", "terminated"}
 
     def test_marginal_sign_is_uniform_under_every_strategy(self):
         rng = np.random.default_rng(31)

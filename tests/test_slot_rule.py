@@ -204,12 +204,22 @@ def test_boundary_neighbours_agree(theta, k, step, strategy, b):
 # --- message path against the kernels' table path ------------------------------
 
 
+#: the ten (a, b) pairs of acceptance criterion 8, whose chi-square test compares joint tables under CYCLIC_FLIP
+CRITERION_8_PAIRS = (
+    (0.0, 0.3), (0.2, 1.1), (1.0, 2.4), (0.5, 3.0), (2.0, 5.9),
+    (PI / 5, 9 * PI / 10), (0.0, PI / 2), (1.9 * PI, 0.1 * PI),
+    (0.7 * PI, 1.6 * PI), (0.3, 4.4),
+)
+
+
 def _replay_cases():
     settings_ = tuple(k * PI / 5 for k in range(10)) + (alice_setting(PI / 10), 0.123)
     for strategy in STRATEGIES:
         for a in settings_:
             for b in AXES:
                 yield a, b, strategy
+    for a, b in CRITERION_8_PAIRS:
+        yield a, b, pr.CYCLIC_FLIP
 
 
 @pytest.mark.parametrize("a,b,strategy", list(_replay_cases()))
@@ -235,7 +245,7 @@ def test_replayed_rounds_reproduce_every_kernel_bit(a, b, strategy):
     coin = np.concatenate([coin, extra.random(len(near))])
 
     (keeps,) = table.keeps_c(theta, [coin])
-    tally = hn._kernel(a, (b,), strategy)(np.random.default_rng(11), n)
+    tally = hn._kernel(table)(np.random.default_rng(11), n)
     assert tally.tolist() == [n, int(c_plus[:n].sum()), int(keeps[:n].sum()), int((keeps[:n] == c_plus[:n]).sum())]
     for t, cp, u, kept in zip(theta, c_plus, coin, keeps):
         hidden = pr.HiddenState.make(1 if cp else -1, float(t))
@@ -280,7 +290,7 @@ def test_replayed_two_axis_rounds_reproduce_every_kernel_bit(nu, strategy, coin_
         coins[1] = coins[0]
 
     keeps = table.keeps_c(theta, coins)
-    tally = hn._kernel(a, axes, strategy, coin_mode, windows=interval_windows(nu))(np.random.default_rng(17), n)
+    tally = hn._kernel(table, coin_mode, windows=interval_windows(nu))(np.random.default_rng(17), n)
     equal = 0
     for i, (t, cp) in enumerate(zip(theta.tolist(), c_plus.tolist())):
         hidden = pr.HiddenState.make(1 if cp else -1, t)
