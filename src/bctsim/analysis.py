@@ -35,6 +35,7 @@ from .protocol import (
     NO_FLIP,
     CoinMode,
     Strategy,
+    _theta_arg,
     alice_slot_arrays,
     evaluate_bob,
     p_equal_given_theta,
@@ -174,15 +175,6 @@ def find_extrema_of_nu_curve() -> ExtremaResult:
     )
 
 
-def _sides_given_theta(nu: float, theta, strategy: Strategy):
-    """Acceptance probability and negation flag for both Bob axes, per theta."""
-    a = alice_setting(nu)
-    alpha, beta_slots, gamma_slots = alice_slot_arrays(a, theta)
-    ev1 = evaluate_bob(alpha, beta_slots, gamma_slots, WALKTHROUGH_B1, theta, strategy)
-    ev2 = evaluate_bob(alpha, beta_slots, gamma_slots, WALKTHROUGH_B1 + math.pi, theta, strategy)
-    return ev1, ev2
-
-
 def two_bob_equal_given_theta(
     nu: float,
     theta,
@@ -194,10 +186,12 @@ def two_bob_equal_given_theta(
     With independent coins the two acceptance events are independent; with a
     shared coin they are maximally coupled and the probability reduces to
     ``1 - |q1 - q2|`` (same negation parity) or ``|q1 - q2|`` (opposite).
+    ``theta`` must lie in [0, 3*pi/5), else ``ProtocolError``.
     """
-    vector = np.ndim(theta) > 0
-    theta = np.asarray(theta, dtype=float) if vector else theta
-    ev1, ev2 = _sides_given_theta(nu, theta, strategy)
+    theta, vector = _theta_arg(theta)
+    alpha, beta_slots, gamma_slots = alice_slot_arrays(alice_setting(nu), theta)
+    ev1, ev2 = (evaluate_bob(alpha, beta_slots, gamma_slots, b, theta, strategy)
+                for b in (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi))
     q1, q2 = ev1.accept_prob, ev2.accept_prob
     same_parity = ev1.negate == ev2.negate
     if coin_mode is CoinMode.INDEPENDENT:
@@ -246,10 +240,8 @@ def per_theta_consistency_audit(
     thetas: Iterable[float],
     strategy: Strategy = NO_FLIP,
 ) -> list[ConsistencyRow]:
-    """Evaluate the conservation law on a grid of shared angles."""
+    """Evaluate the conservation law on a grid of shared angles; ``ProtocolError`` outside [0, 3*pi/5)."""
     grid = np.asarray(list(thetas), dtype=float)
-    if np.any(grid < 0.0) or np.any(grid >= THETA_SPAN):
-        raise ValueError("audit grid must lie within [0, 3*pi/5)")
     fwd = np.atleast_1d(p_equal_given_theta(a, b, grid, strategy))
     rev = np.atleast_1d(p_equal_given_theta(a, b + math.pi, grid, strategy))
     rows = []

@@ -43,7 +43,7 @@ from .analysis import (
     per_theta_consistency_audit,
     visibility_report,
 )
-from .geometry import THETA_SPAN, _rank, normalize_angle
+from .geometry import THETA_SPAN, normalize_angle
 from .protocol import (
     NO_FLIP,
     CoinMode,
@@ -51,7 +51,6 @@ from .protocol import (
     FlipSemantics,
     SegmentTable,
     Strategy,
-    _constant_decision,
     segment_table,
 )
 
@@ -208,17 +207,16 @@ def _count(mask) -> int:
     return int(np.count_nonzero(mask))
 
 
-def _substreams(rng: np.random.Generator, sizes, reads) -> list[np.random.Generator | None]:
+def _substreams(rng: np.random.Generator, draws) -> list[np.random.Generator | None]:
     """One generator per draw, each at the output where its draw starts in ``rng``'s stream.
 
-    ``sizes`` are the 64-bit outputs the draws take, in order. The first draw
-    is ``rng`` itself; each later one is a ``PCG64`` holding ``rng``'s state,
-    advanced (one step per output) past the outputs of the draws before it.
-    A draw whose entry in ``reads`` is False is not generated and gets None,
-    though its outputs still count toward the offsets of the draws after it.
+    ``draws`` lists each draw, in order, as ``(outputs, read)``: the 64-bit
+    outputs it takes, and whether it is generated. The first is ``rng``
+    itself; each later one is a ``PCG64`` at ``rng``'s state advanced past
+    the draws before it, read or not. One not read gets None.
     """
-    streams = [rng if reads[0] else None]
-    for offset, read in zip(itertools.accumulate(sizes[:-1]), reads[1:]):
+    streams = [rng if draws[0][1] else None]
+    for offset, (_, read) in zip(itertools.accumulate(outputs for outputs, _ in draws[:-1]), draws[1:]):
         if not read:
             streams.append(None)
             continue
@@ -237,75 +235,57 @@ def _kernel(
 ):
     """Batch kernel for Alice against the one or two Bob axes of ``table``; tallies as laid out above.
 
-    Draws per batch: theta (unless conditioned), c, one coin per axis (the
-    second reuses the first under ``CoinMode.SHARED``), then, when a
-    ``visibility`` is given, erase1 and erase2: each side's outcome survives
-    with probability ``visibility``. ``windows`` are the two deterministic
-    windows a two-axis row counts. Building the table or its screen draws
-    nothing, so the draw order alone fixes the stream; changing it changes
-    every downstream estimate.
+    The draw plan, in stream order: theta (unless conditioned), c, one coin
+    per axis (one for both under ``CoinMode.SHARED``), then, given a
+    ``visibility``, erase1 and erase2: each side survives with probability
+    ``visibility``. Nothing else draws, the table included, so the plan
+    fixes the stream. ``windows`` are the two windows a two-axis row counts.
 
-    A batch is drawn and screened in chunks of ``_CHUNK`` trials, so its
-    float arrays stay in cache, from one substream per draw: each float draw
-    takes ``n`` outputs of the batch stream (one per double), and c takes
-    ``(n + 1) // 2``. NumPy's ``integers(0, 2, n, dtype=np.int64)`` is the top
-    bit of each 32-bit half of an output, low half first, which the kernel
-    reads from the raw outputs; ``_CHUNK`` is even, so no output straddles two
-    chunks. Each chunk writes c, each live axis's decision, the window flag
-    and the erasure survival into batch-sized bool arrays. An unconditioned
-    row decides by the table's screen
-    (:meth:`~bctsim.protocol.SegmentTable._sift`), one lookup per live axis,
-    and keeps the index, theta and coin of each trial whose coin falls
-    inside its bin's bracket, a fraction of a percent. A conditioned row
-    reads each axis's acceptance at ``theta_fixed`` from the table once per
-    row, in the segment that theta ranks into, and compares every coin with
-    it, which leaves no trial undecided. After the last chunk each live axis
-    resolves its undecided trials in one exact evaluation and applies its
-    negation (:meth:`~bctsim.protocol.SegmentTable._resolve`), and the batch
-    is tallied once. Every step is per trial, so any split of a batch into
-    chunks decides alike, and the screen's brackets are bounds, not
-    approximations: the tallies are those of drawing each whole draw in turn
-    and deciding every trial by :func:`~bctsim.protocol.evaluate_bob`, or by
-    playing the round through Alice's four-bit message.
+    A batch is drawn in chunks of ``_CHUNK`` trials, from one substream per
+    draw (:func:`_substreams`): a float draw takes ``n`` outputs of the
+    batch stream and c ``(n + 1) // 2``, read off the raw outputs as NumPy's
+    ``integers(0, 2, n, dtype=np.int64)`` reads them (the top bit of each
+    32-bit half, low half first; ``_CHUNK`` is even). An unconditioned row
+    decides each chunk by the table's screen
+    (:meth:`~bctsim.protocol.SegmentTable._sift`), a conditioned one by the
+    acceptance at ``theta_fixed`` (:meth:`~bctsim.protocol.SegmentTable.at`).
+    After the last chunk each live axis resolves its held trials
+    (:meth:`~bctsim.protocol.SegmentTable._resolve`) and the batch is
+    tallied once. Every step is per trial, so the tallies are those of
+    drawing each draw whole and deciding each trial by
+    :func:`~bctsim.protocol.evaluate_bob`.
 
-    A draw that no decision or tally reads is not generated. An axis with a
-    constant decision (:func:`~bctsim.protocol._constant_decision`: the
-    table's constant, or an acceptance of exactly 1 at a conditioned row's
-    theta) reads no coin and is tallied from the count of c, so a coin is
-    drawn only for a live axis, and the shared coin for either; theta is
-    drawn only when a live axis or the window tally reads it, which a
-    two-axis row always does; c and the erasures are always drawn. A draw
-    that is not generated gets no substream, and every other draw still
-    starts at its own offset in the batch stream, so skipping one moves no
-    other draw and the tallies are unchanged. A ``theta_fixed`` outside
-    [0, 3*pi/5), which no round draws, raises ``ConfigError``.
+    A draw that nothing reads gets no substream and every other keeps its
+    offset, so skipping one changes no tally: an axis with a constant
+    decision draws no coin and is tallied from the count of c, and theta is
+    drawn only when a live axis or the window tally reads it. A
+    ``theta_fixed`` outside [0, 3*pi/5), which no round draws, raises
+    ``ConfigError``.
     """
     constant = table.constant
     if theta_fixed is not None:
         if not (0.0 <= theta_fixed < THETA_SPAN):
             raise ConfigError(f"conditioned theta must lie in [0, 3*pi/5), got {theta_fixed!r}")
-        seg = _rank(theta_fixed, table.edges)
-        accepts = [1.0 if k is not None else float(table._accept(j, theta_fixed, seg))
-                   for j, k in enumerate(constant)]
-        constant = tuple(_constant_decision(q == 1.0, negate) for q, negate in zip(accepts, table.negate))
+        accepts, constant = table.at(theta_fixed)
 
     two = len(table.axes) == 2
     fixed_in_win = two and theta_fixed is not None and bool(_in_windows(theta_fixed, windows))
     shared = two and coin_mode is CoinMode.SHARED
     live = [k is None for k in constant]
-    # per draw, whether it is generated: theta unless conditioned, c, the coins, then the erasures
-    reads_theta = [two or any(live)] * (theta_fixed is None)
-    reads = ([any(live)] if shared else live) + [True] * (0 if visibility is None else 2)
+    # the draw plan, in stream order: per draw, its name and whether it is generated
+    plan = [("theta", two or any(live))] if theta_fixed is None else []
+    plan += [("c", True)] + ([("coin", any(live))] if shared else [("coin", is_live) for is_live in live])
+    plan += [] if visibility is None else [("erase1", True), ("erase2", True)]
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        draws = _substreams(rng, [n] * len(reads_theta) + [(n + 1) // 2] + [n] * len(reads),
-                            reads_theta + [True] + reads)
-        theta_draw = draws.pop(0) if reads_theta else None
+        # c takes one output per two trials, every other draw one per trial
+        draws = _substreams(rng, [((n + 1) // 2 if name == "c" else n, read) for name, read in plan])
+        theta_draw = draws.pop(0) if theta_fixed is None else None
         signs, *uniform = draws  # the coins, then the erasures
         c_plus = np.empty(n, dtype=bool)
         # per axis: the decisions of a live axis, or the constant of one that has no coin
         kept = [np.empty(n, dtype=bool) if is_live else k for is_live, k in zip(live, constant)]
-        held = [[] for _ in live]  # per axis, each chunk's undecided trials as (indices, theta, coin)
+        held = [[] for _ in live]  # per axis, each chunk's held trials
         in_win = np.empty(n, dtype=bool) if two and theta_draw is not None else None
         survived = None if visibility is None else np.empty(n, dtype=bool)
         for start in range(0, n, _CHUNK):
@@ -326,9 +306,9 @@ def _kernel(
                     if out is not None:
                         np.less(coin, q, out=out)
             elif any(live):
-                for j, at in enumerate(table._sift(theta, coins, outs)):
-                    if at is not None:
-                        held[j].append((at + start, theta[at], coins[j][at]))
+                for j, part in enumerate(table._sift(theta, coins, outs, start)):
+                    if part is not None:
+                        held[j].append(part)
             if in_win is not None:
                 in_win[rows] = _in_windows(theta, windows)
             if survived is not None:
@@ -532,20 +512,21 @@ def _remedy_rows(config):
 
     For every (flip rule x coin mode) combination and each nu, reports the
     equal-output rate and the induced deviation of the second-axis
-    correlation from the cos^2 law. Conditioned rows (fixed theta) are added
-    for every value on the theta grid, if one is configured; they reuse the
-    table of their combination's sampled row.
+    correlation from the cos^2 law, plus a conditioned row (fixed theta) per
+    theta grid value. A table does not depend on the coin mode, so each nu
+    builds one per flip rule.
     """
     b2 = WALKTHROUGH_B1 + math.pi
     i = itertools.count()
-    for nu, (rule, coin_mode) in itertools.product(config.nu_grid, REMEDY_COMBOS):
+    strategies = {rule: Strategy(rule, config.strategy.flip_semantics) for rule, _ in REMEDY_COMBOS}
+    for nu in config.nu_grid:
         a = alice_setting(nu)
-        strategy = Strategy(rule, config.strategy.flip_semantics)
-        table = segment_table(a, (WALKTHROUGH_B1, b2), strategy)
-        for theta in (None, *config.theta_grid):
-            oracle = qm.prob_equal(a, b2) if theta is None else float(p_equal_given_theta(a, b2, theta, strategy))
+        tables = {rule: segment_table(a, (WALKTHROUGH_B1, b2), s) for rule, s in strategies.items()}
+        for (rule, coin_mode), theta in itertools.product(REMEDY_COMBOS, (None, *config.theta_grid)):
+            oracle = (qm.prob_equal(a, b2) if theta is None
+                      else float(p_equal_given_theta(a, b2, theta, strategies[rule])))
             cells = dict(nu=nu, theta=theta, flip_rule=rule.value, coin_mode=coin_mode.value, ab2_oracle=oracle)
-            yield cells, {(next(i),): _kernel(table, coin_mode, theta, windows=interval_windows(nu))}
+            yield cells, {(next(i),): _kernel(tables[rule], coin_mode, theta, windows=interval_windows(nu))}
 
 
 def _remedy_finish(cells, tallies, est, se) -> dict:

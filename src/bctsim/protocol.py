@@ -233,7 +233,9 @@ def alice_slot_arrays(a: float, theta) -> tuple[int, np.ndarray, np.ndarray]:
 
     Vector counterpart of :func:`alice_round` used by sweep kernels and the
     analytic per-theta probabilities: ``theta`` may be a float or an array.
+    Raises ``ValueError`` for a non-finite ``a``.
     """
+    normalize_angle(a)
     return int(alpha_slot_of(a)), beta_slot_of(a, theta), gamma_slot_of(a, theta)
 
 
@@ -348,18 +350,16 @@ def evaluate_bob(
 
 #: the largest shared angle a round can draw
 _LAST_THETA = float(np.nextafter(THETA_SPAN, 0.0))
-#: equal theta bins of a table's acceptance screen
+# the acceptance screen's constants; SegmentTable's docstring gives the bound they keep
+#: equal theta bins of the screen
 _BINS = 4096
 #: ``int(theta * _BIN_SCALE)`` is the bin of a shared angle, or ``_BINS`` when it rounds up at the top
 _BIN_SCALE = _BINS / THETA_SPAN
-#: reach of a bin's bracket around its centre, two bin widths: the bin and a one-bin rounding of its index
+#: reach of a bin's bracket around its centre
 _REACH = 2.0 * THETA_SPAN / _BINS
-#: half-width of a cross-slot bracket: the acceptance moves at most K*_REACH over the reach, and
-#: 1e-9 covers the rounding of both exact evaluations
+#: half-width of a cross-slot bracket
 _SLACK = ACCEPTANCE_COEFF * _REACH + 1e-9
-#: width of a cross-slot bracket from its lower end ``fl(q - _SLACK)``: both slacks, plus 1e-12, some
-#: thousand ulps, so the upper end ``fl(lo + _WIDTH)`` lies at or above ``fl(q + _SLACK)`` despite
-#: rounding twice
+#: width of a cross-slot bracket from its lower end
 _WIDTH = 2.0 * _SLACK + 1e-12
 #: per system, each bound of its slot function as ``(offset, shift)``: the bound
 #: ``theta + offset - shift``, where the shift 2*pi makes gamma's wrapped ``s - 2*pi``
@@ -416,40 +416,40 @@ class SegmentTable:
     """Bob's branch outcome on several axes against one setting, as a lookup over theta.
 
     For fixed settings and strategy every slot test that decides Bob's
-    branch is constant between consecutive ``edges``: segment
-    ``i`` is ``[edges[i-1], edges[i])``, from 0 up to 3*pi/5. Each edge is
-    the lowest theta at which a :func:`~bctsim.geometry.beta_slot_of` or
-    :func:`~bctsim.geometry.gamma_slot_of` test gives a new slot, because a
-    boundary float has moved past the tested angle; it is that exact float,
-    computed in closed form for its bound and certified by the slot rule, not
-    the rounded breakpoint, so a lookup agrees with :func:`evaluate_bob` at
-    every theta.
-    Per axis ``j`` and segment: ``same[j]`` (Bob shares Alice's active slot)
-    and ``offset[j]``, the separating boundary's offset above theta; per
-    axis: the effective (possibly reflected) axis, ``negate`` and
-    ``constant``, the decision of an axis that no theta or coin can change
-    (see :func:`_constant_decision`: a terminated axis, or one where ``same``
-    holds in every segment), else None. An axis whose constant is None is
-    live.
+    branch is constant between consecutive ``edges``: segment ``i`` is
+    ``[edges[i-1], edges[i])``, from 0 up to 3*pi/5. Each edge is the exact
+    lowest float theta at which a beta or gamma slot test gives a new slot,
+    in closed form and certified by the slot rule (:func:`_flip_points`), so
+    a lookup agrees with :func:`evaluate_bob` at every theta. Per axis ``j``
+    and segment: ``same[j]`` (Bob shares Alice's active slot) and
+    ``offset[j]``, the separator's offset above theta; per axis: the
+    effective (possibly reflected) axis, ``negate`` and ``constant``, the
+    decision that no theta or coin can change, else None (the axis is live).
+    An acceptance of exactly 1 keeps ``c`` for every coin in [0, 1), so it
+    decides ``not negate``: on a terminated axis, on one where ``same`` holds
+    in every segment, and at one theta (:meth:`at`) wherever the acceptance
+    is 1. An acceptance is never 0 (its least value is ``1 - 3*pi/10``), so
+    no other decision is constant.
 
-    A table sampled over theta also carries a screen: per live axis, one
-    array ``lo`` over the bin indices, the lower end of a bracket
-    ``lo[k] <= q <= lo[k] + _WIDTH`` of the exact acceptance ``q`` at every
-    float theta of each of ``_BINS`` equal theta bins. Inside a segment
-    ``same`` and ``offset`` are constant and the distance ``u`` from Bob's
-    axis to the separator is 1-Lipschitz in theta, so ``1 - K*sin(u)`` is
-    K-Lipschitz (K = 3*pi/10). A cross-slot bin's ``lo`` is therefore the
-    exact acceptance at its centre less ``K*r + 1e-9``, where the reach
-    ``r`` of two bin widths covers every theta the bin index
-    ``int(theta * _BINS / (3*pi/5))`` can send there, rounding included, and
-    1e-9 covers the rounding of both exact evaluations; ``_WIDTH`` is twice
-    that slack and a margin for rounding ``lo + _WIDTH``. A same-slot bin
-    holds 1.0, so every coin is kept. A bin within ``r`` of an edge holds
-    NaN, which fails both comparisons and so decides nothing, and so does
-    the index ``_BINS``, a guard against the index rounding up at the top.
+    The screen: per live axis, an array ``lo`` over the bin indices with
+    ``lo[k] <= q <= lo[k] + _WIDTH`` for the exact acceptance ``q`` at every
+    float theta of bin ``k`` of ``_BINS``. Inside a segment the distance
+    ``u`` from Bob's axis to the separator is 1-Lipschitz in theta, so
+    ``1 - K*sin(u)`` is K-Lipschitz (K = 3*pi/10). A cross-slot bin's ``lo``
+    is therefore the exact acceptance at its centre less
+    ``_SLACK = K*_REACH + 1e-9``: the reach of two bin widths covers every
+    theta the index ``int(theta * _BIN_SCALE)`` sends there, rounding
+    included, and 1e-9 covers the rounding of both exact evaluations.
+    ``_WIDTH`` is twice that slack plus 1e-12, some thousand ulps, so
+    ``fl(lo + _WIDTH)`` lies at or above ``fl(q + _SLACK)``. A same-slot bin
+    holds 1.0. A bin within ``_REACH`` of an edge holds NaN, which fails both
+    comparisons, and so does the index ``_BINS``, a guard against the index
+    rounding up at the top. A coin below ``lo`` keeps ``c``, one at or above
+    ``lo + _WIDTH`` does not, and any other is held and decided exactly
+    (:meth:`_sift`, :meth:`_resolve`): the brackets are bounds, so every
+    decision is ``(coin < accept_prob) ^ negate`` of :func:`evaluate_bob`.
     The screen is built on the first lookup, never by :func:`segment_table`,
-    :meth:`expectation` or a row conditioned on one theta, so tables that
-    are only summed or read at one theta never pay for it.
+    :meth:`expectation` or :meth:`at`.
     """
 
     edges: np.ndarray
@@ -487,37 +487,34 @@ class SegmentTable:
             screen.append(np.append(np.where(near, np.nan, q - slack), np.nan))
         return tuple(screen)
 
-    def _sift(self, theta: np.ndarray, coins, kept) -> list[np.ndarray | None]:
-        """The screen step: per live axis ``j``, the screened decision into ``kept[j]`` and the undecided trials.
+    def _sift(self, theta: np.ndarray, coins, kept, start: int) -> list[tuple | None]:
+        """The screen step: per live axis ``j``, the screened decision into ``kept[j]`` and the held trials.
 
-        A trial is kept when its coin lies below its bin's ``lo``, and
-        decided (kept or not) when it lies below ``lo`` or at or above
-        ``lo + _WIDTH``; a NaN bin decides nothing. Returns per axis the
-        indices of the undecided trials, or None for a constant axis, whose
-        coin and ``kept[j]`` are not read.
+        The held trials are ``(index + start, theta, coin)`` arrays, as :meth:`_resolve` reads
+        them; a constant axis gets None, and its coin and ``kept[j]`` are not read.
         """
         k = (theta * _BIN_SCALE).astype(np.intp)
-        undecided = []
+        held = []
         with np.errstate(invalid="ignore"):  # some NumPy builds flag a comparison with NaN
             for j, coin in enumerate(coins):
                 if self.constant[j] is not None:
-                    undecided.append(None)
+                    held.append(None)
                     continue
                 lo = self._screen[j].take(k)
                 np.less(coin, lo, out=kept[j])
                 lo += _WIDTH
                 decided = coin >= lo
                 decided |= kept[j]
-                undecided.append(np.flatnonzero(~decided))
-        return undecided
+                at = np.flatnonzero(~decided)
+                held.append((at + start, theta[at], coin[at]))
+        return held
 
     def _resolve(self, j: int, keep: np.ndarray, held) -> np.ndarray:
-        """The resolve step of live axis ``j``: decide its undecided trials exactly, then negate ``keep`` in place.
+        """The resolve step of live axis ``j``: decide its held trials exactly, then negate ``keep`` in place.
 
-        ``held`` lists the undecided trials as ``(indices, theta, coin)``
-        arrays, in any number of parts. The exact route finds each trial's
-        segment as the number of edges at or below its theta, by the rank
-        rule of the slot functions, and evaluates the acceptance there.
+        ``held`` lists parts as :meth:`_sift` returns them; each trial's
+        segment is the number of edges at or below its theta, by the slot
+        functions' rank rule.
         """
         if held:
             at, theta, coin = (np.concatenate(part) for part in zip(*held))
@@ -527,24 +524,25 @@ class SegmentTable:
         return keep
 
     def keeps_c(self, theta: np.ndarray | None, coins) -> list[np.ndarray]:
-        """Per axis, whether Bob's output equals ``c`` in each trial.
+        """Per axis, whether Bob's output equals ``c`` in each trial, by the screen over the whole array.
 
-        ``coins[j]`` holds the acceptance draws of axis ``j``. Decides exactly
-        as ``(coin < accept_prob) ^ negate`` from :func:`evaluate_bob` would,
-        for every coin below 1, by the batch kernel's two steps over the whole
-        array: :meth:`_sift`, then :meth:`_resolve` (``harness._kernel``
-        gives the account). A constant axis gets its constant, shaped like
-        ``theta``, and its coin is never read; with no live axis ``theta`` is
-        not read either and may be None (the decisions are then 0-d), and the
-        screen is not built.
+        ``coins[j]`` holds axis ``j``'s acceptance draws. A constant axis gets
+        its constant, shaped like ``theta``, and reads no coin; with no live
+        axis ``theta`` may be None (the decisions are then 0-d).
         """
         shape = np.shape(theta)
         kept = [np.empty(shape, dtype=bool) if k is None else np.full(shape, k) for k in self.constant]
         if None in self.constant:  # some axis is live
-            for j, at in enumerate(self._sift(theta, coins, kept)):
-                if at is not None:
-                    self._resolve(j, kept[j], [(at, theta[at], coins[j][at])])
+            for j, part in enumerate(self._sift(theta, coins, kept, 0)):
+                if part is not None:
+                    self._resolve(j, kept[j], [part])
         return kept
+
+    def at(self, theta: float) -> tuple[list[float], tuple[bool | None, ...]]:
+        """Per axis, the acceptance at one ``theta`` (1.0 if constant) and the decision constant there, else None."""
+        seg = geometry._rank(theta, self.edges)
+        accepts = [1.0 if k is not None else float(self._accept(j, theta, seg)) for j, k in enumerate(self.constant)]
+        return accepts, tuple(not negate if q == 1.0 else None for q, negate in zip(accepts, self.negate))
 
     def expectation(self, coin_mode: CoinMode = CoinMode.INDEPENDENT) -> float:
         """Exact P(both outputs equal) of a two-axis table, averaged over theta.
@@ -591,31 +589,15 @@ class SegmentTable:
         return float(np.sum(equal)) / THETA_SPAN
 
 
-def _constant_decision(always_one: bool, negate: bool) -> bool | None:
-    """Whether Bob's output equals ``c`` on an axis whose acceptance is exactly 1 wherever a row samples it, else None.
-
-    An acceptance of exactly 1 keeps ``c`` for every coin in [0, 1), so the
-    decision is ``not negate``, whatever theta and the coin are. That holds
-    on a terminated axis (never kept), on a table axis where Bob shares
-    Alice's slot in every segment, and on a conditioned axis whose
-    acceptance at its theta is exactly 1 (same slot, terminated, or on the
-    separator). An acceptance is never 0, its least value being
-    ``1 - 3*pi/10``, so no other axis has a constant decision.
-    """
-    return not negate if always_one else None
-
-
 def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
-    """Build the :class:`SegmentTable` of Alice's setting ``a`` against Bob's ``axes``.
+    """Build the :class:`SegmentTable` of Alice's setting ``a`` against Bob's ``axes``; draws no random numbers.
 
-    Edges are the exact crossings of :func:`_flip_points` for each slot test
-    that matters (Alice's and each Bob's, in that Bob's system): one closed
-    form per slot bound, certified by the slot rule; an angle on a boundary
-    at theta = 0 leaves that slot at the first float above 0, which is then
-    the first edge. Crossings that coincide give one edge. Each segment's
-    entries come from one :func:`evaluate_bob`
-    call at its lowest theta, so the branch logic has a single owner.
-    Draws no random numbers.
+    Edges are the crossings of :func:`_flip_points` for each slot test that
+    matters (Alice's and each Bob's, in that Bob's system), coinciding ones
+    merged; an angle on a boundary at theta = 0 leaves that slot at the
+    first float above 0, the first edge. Each segment's entries come from
+    one :func:`evaluate_bob` call at its lowest theta, so the branch logic
+    has a single owner.
     """
     alpha = int(alpha_slot_of(a))
     resolved = [_bob_axis(alpha, b, strategy) for b in axes]
@@ -631,7 +613,7 @@ def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
         same.append(ev.same_slot)
         offset.append(np.where(ev.same_slot | (ev.system == "none"), 0.0, offsets[ev.boundary_index]))
         negate.append(ev.negate)
-        constant.append(_constant_decision(ev.system == "none" or bool(ev.same_slot.all()), ev.negate))
+        constant.append(not ev.negate if ev.system == "none" or ev.same_slot.all() else None)
     return SegmentTable(edges, tuple(r[0] for r in resolved), tuple(same), tuple(offset),
                         tuple(negate), tuple(constant))
 
@@ -785,17 +767,23 @@ def two_bob_trial(
     return TwoBobResult(c_a, c_b1, c_b2, rec1, rec2)
 
 
+def _theta_arg(theta):
+    """``theta`` as a float or float array, and whether an array; ``ProtocolError`` if NaN or outside [0, 3*pi/5)."""
+    vector = np.ndim(theta) > 0
+    theta = np.asarray(theta, dtype=float) if vector else theta
+    inside = (theta >= 0.0) & (theta < THETA_SPAN)
+    if not (inside.all() if vector else inside):
+        raise ProtocolError("theta values must lie in [0, 3*pi/5)")
+    return theta, vector
+
+
 def p_equal_given_theta(a: float, b: float, theta, strategy: Strategy = NO_FLIP):
     """Analytic P(Bob's output equals the shared sign | theta), no sampling.
 
     ``theta`` may be a scalar or an array. This is the per-round conditional
     the consistency audit and the sweep oracles are built on.
     """
-    vector = np.ndim(theta) > 0
-    theta = np.asarray(theta, dtype=float) if vector else theta
-    inside = (theta >= 0.0) & (theta < THETA_SPAN)
-    if not (inside.all() if vector else inside):
-        raise ProtocolError("theta values must lie in [0, 3*pi/5)")
+    theta, vector = _theta_arg(theta)
     alpha, beta_slots, gamma_slots = alice_slot_arrays(a, theta)
     ev = evaluate_bob(alpha, beta_slots, gamma_slots, b, theta, strategy)
     p_equal = 1.0 - ev.accept_prob if ev.negate else ev.accept_prob

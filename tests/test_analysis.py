@@ -10,6 +10,7 @@ import pytest
 from bctsim import analysis as an
 from bctsim import harness as hn
 from bctsim import protocol as pr
+from bctsim.geometry import THETA_SPAN
 from quad_oracle import (
     p_opposite_equal_quadrature,
     two_bob_equal_reference,
@@ -160,6 +161,14 @@ class TestTwoBobTotals:
         # coins cannot produce equal outputs either
         got = an.two_bob_equal_given_theta(PI / 10, 0.35 * PI, pr.CYCLIC_FLIP, pr.CoinMode.INDEPENDENT)
         assert got == 0.0
+
+    @pytest.mark.parametrize("theta", [math.nan, -0.1, THETA_SPAN, np.array([0.1, 7.0, 0.2])])
+    def test_conditioned_value_rejects_theta_outside_the_range(self, theta):
+        """Like ``p_equal_given_theta``, a NaN or out-of-range theta raises, alone or inside an array."""
+        with pytest.raises(pr.ProtocolError):
+            an.two_bob_equal_given_theta(PI / 10, theta)
+        with pytest.raises(pr.ProtocolError):
+            pr.p_equal_given_theta(an.alice_setting(PI / 10), PI, theta)
 
 
 class TestConsistencyAudit:

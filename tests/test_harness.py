@@ -235,6 +235,21 @@ class TestKernelsAgainstOracles:
             if row["theta"] is None:
                 assert row["ab2_deviation"] < 5 * max(row["stderr"], 1e-3)
 
+    def test_remedy_builds_one_table_per_nu_and_flip_rule(self, monkeypatch):
+        """A table does not depend on the coin mode: each nu builds one per flip rule, conditioned rows included."""
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return pr.segment_table(*args, **kwargs)
+
+        monkeypatch.setattr(hn, "segment_table", counted)
+        cfg = hn.ExperimentConfig(experiment="remedy", trials=100, seed=3, nu_grid=(0.0, PI / 10),
+                                  theta_grid=(0.35 * PI, 0.45 * PI), batch_size=100)
+        table = hn.run_experiment(cfg)
+        assert len(table.rows) == 2 * len(hn.REMEDY_COMBOS) * 3
+        assert len(built) == 2 * 3  # per nu: the disabled, cyclic and absolute rules
+
     @pytest.mark.parametrize("coin_mode", [pr.CoinMode.INDEPENDENT, pr.CoinMode.SHARED])
     def test_two_bob_sampler_matches_quadrature(self, coin_mode):
         # dual route: the per-theta coupling formulas integrate to what the

@@ -349,8 +349,8 @@ def test_rows_without_a_live_axis_generate_no_coin(shape, monkeypatch):
     calls = set()
     substreams = hn._substreams
 
-    def spied(rng, sizes, reads):
-        return [g and _SpiedGenerator(g, i, calls) for i, g in enumerate(substreams(rng, sizes, reads))]
+    def spied(rng, draws):
+        return [g and _SpiedGenerator(g, i, calls) for i, g in enumerate(substreams(rng, draws))]
 
     monkeypatch.setattr(hn, "_substreams", spied)
     kernel, counts, reference = ROW_SHAPES[shape]()
@@ -369,7 +369,7 @@ def test_kernel_sign_draw_equals_integer_draw(n):
     """
     for seed in range(20):
         want = np.random.default_rng(seed).integers(0, 2, n, dtype=np.int64).astype(bool)
-        signs = hn._substreams(np.random.default_rng(seed), [(n + 1) // 2], [True])[0].bit_generator
+        signs = hn._substreams(np.random.default_rng(seed), [((n + 1) // 2, True)])[0].bit_generator
         got = np.concatenate([signs.random_raw((m + 1) // 2).view(np.uint32)[:m] >= 2**31
                               for m in [min(hn._CHUNK, n - s) for s in range(0, n, hn._CHUNK)]])
         assert np.array_equal(got, want)
@@ -382,11 +382,11 @@ def test_each_substream_starts_at_its_offset_in_the_batch_stream(sizes):
     offsets = np.cumsum([0, *sizes[:-1]])
     for seed in range(20):
         whole = np.random.default_rng(seed).bit_generator.random_raw(sum(sizes))
-        reads = [True] * len(sizes)
+        draws = [(size, True) for size in sizes]
         first_raw = [int(g.bit_generator.random_raw())
-                     for g in hn._substreams(np.random.default_rng(seed), sizes, reads)]
+                     for g in hn._substreams(np.random.default_rng(seed), draws)]
         assert first_raw == whole[offsets].tolist()
-        first_double = [g.random() for g in hn._substreams(np.random.default_rng(seed), sizes, reads)]
+        first_double = [g.random() for g in hn._substreams(np.random.default_rng(seed), draws)]
         assert first_double == [float(x >> 11) * 2.0**-53 for x in whole[offsets].tolist()]
 
 
@@ -396,7 +396,7 @@ def test_an_unread_draw_gets_no_substream_and_moves_no_other(sizes):
     offsets = np.cumsum([0, *sizes[:-1]])
     whole = np.random.default_rng(9).bit_generator.random_raw(sum(sizes))
     for reads in itertools.product([False, True], repeat=len(sizes)):
-        streams = hn._substreams(np.random.default_rng(9), sizes, list(reads))
+        streams = hn._substreams(np.random.default_rng(9), list(zip(sizes, reads)))
         assert [g is not None for g in streams] == list(reads)
         first_raw = [int(g.bit_generator.random_raw()) for g in streams if g is not None]
         assert first_raw == whole[offsets[list(reads)]].tolist()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bctsim import geometry
+from bctsim import analysis, geometry
 from bctsim import protocol as pr
 from bctsim.geometry import THETA_SPAN, arc_distance, beta_boundary, gamma_boundary
 
@@ -409,6 +409,18 @@ class TestPerThetaProbability:
     def test_rejects_theta_out_of_range(self):
         with pytest.raises(pr.ProtocolError):
             pr.p_equal_given_theta(0.0, 1.0, THETA_SPAN)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_alice_setting(self, a):
+        """No per-theta oracle reads a slot off a non-finite setting; each raises ``normalize_angle``'s ValueError."""
+        with pytest.raises(ValueError, match="finite"):
+            pr.alice_slot_arrays(a, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            pr.p_equal_given_theta(a, 0.0, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            pr.p_equal_given_theta(a, 0.0, np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            analysis.per_theta_consistency_audit(a, 0.0, [0.5])
 
     @given(a=angle_st, b=angle_st, th=theta_st, strategy=strategy_st)
     @settings(max_examples=200)
