@@ -1,0 +1,102 @@
+"""Segment tables, bit for bit against committed digests.
+
+The CSV goldens round to six digits, so an edge that moves by one ulp can
+pass them. ``golden/table_digests.json`` holds, per table, a sha256 over
+every field a table carries: ``edges``, ``same``, ``offset``, ``axes``,
+``negate`` and ``constant``. It covers the ten tables of the exact anomaly
+curve, the kernel tests' table cases, and seeded settings that include the
+one-ulp neighbours of every slot bound, under all five strategies, with one
+and two axes.
+
+Regenerate the fixture only for a change that is meant to alter a table::
+
+    PYTHONPATH=src python tests/test_table_digests.py
+"""
+
+import hashlib
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bctsim import geometry as geo
+from bctsim import harness as hn
+from bctsim import protocol as pr
+from bctsim.analysis import WALKTHROUGH_B1, alice_setting
+from test_kernels import _table_cases
+
+FIXTURE = Path(__file__).resolve().parent / "golden" / "table_digests.json"
+PI = math.pi
+STRATEGIES = dict(hn.CALIBRATION_VARIANTS)
+SEEDED = 200
+
+
+def _label(strategy: pr.Strategy) -> str:
+    return next(label for label, s in STRATEGIES.items() if s == strategy)
+
+
+def _bound_neighbours() -> list[float]:
+    """Every alpha bound and every beta/gamma bound at both ends of the theta range, with one ulp each side."""
+    last = math.nextafter(geo.THETA_SPAN, 0.0)
+    bounds = [j * geo.ALPHA_WIDTH for j in range(10)]
+    for theta in (0.0, last):
+        bounds += [theta + o for o in geo.BETA_OFFSETS + geo.GAMMA_OFFSETS]
+        bounds.append(theta + geo.GAMMA_OFFSETS[1] - geo.TWO_PI)
+    near = {math.nextafter(v, d) for v in bounds for d in (-math.inf, math.inf)} | set(bounds)
+    return sorted({geo.normalize_angle(v) for v in near} | {math.nextafter(geo.TWO_PI, 0.0)})
+
+
+def cases() -> dict[str, list[tuple[float, tuple[float, ...], str]]]:
+    """The pinned tables as ``(a, axes, strategy label)``, by group."""
+    curve = [(alice_setting(float(nu)), (WALKTHROUGH_B1, WALKTHROUGH_B1 + PI), _label(strategy))
+             for strategy in (pr.NO_FLIP, pr.CYCLIC_FLIP) for nu in np.linspace(0.0, PI / 5, 5)]
+    kernel = [(a, tuple(axes), _label(strategy)) for a, axes, strategy in _table_cases()]
+    rng = np.random.default_rng(1874)
+    near = _bound_neighbours()
+    settings = near + rng.uniform(-2 * PI, 4 * PI, SEEDED - len(near)).tolist()
+    seeded = []
+    for i, a in enumerate(settings):
+        b = near[int(rng.integers(len(near)))] if i % 3 else float(rng.uniform(0.0, 2 * PI))
+        axes = (b,) if i % 2 else (b, b + PI)
+        seeded += [(a, axes, label) for label in STRATEGIES]
+    return {"curve": curve, "table_cases": kernel, "seeded": seeded}
+
+
+def digest(table: pr.SegmentTable) -> str:
+    """sha256 over every field of ``table``; floats by their bit patterns, flags by their text."""
+    h = hashlib.sha256()
+    h.update(np.asarray(table.edges, dtype=np.float64).tobytes())
+    for same, offset in zip(table.same, table.offset):
+        h.update(np.asarray(same, dtype=bool).tobytes())
+        h.update(np.asarray(offset, dtype=np.float64).tobytes())
+    h.update(repr([float(b).hex() for b in table.axes]).encode())
+    h.update(repr([(bool(n), None if k is None else bool(k)) for n, k in zip(table.negate, table.constant)]).encode())
+    return h.hexdigest()
+
+
+def digests(group: list) -> list[str]:
+    return [digest(pr.segment_table(a, axes, STRATEGIES[label])) for a, axes, label in group]
+
+
+def test_cases_cover_every_bound_and_both_row_shapes():
+    seeded = cases()["seeded"]
+    settings = {a for a, _, _ in seeded}
+    assert len(settings) == SEEDED and set(_bound_neighbours()) <= settings
+    assert {len(axes) for _, axes, _ in seeded} == {1, 2}
+    assert {label for _, _, label in seeded} == set(STRATEGIES)
+
+
+@pytest.mark.parametrize("name", ["curve", "table_cases", "seeded"])
+def test_tables_match_their_digests(name):
+    group = cases()[name]
+    want = json.loads(FIXTURE.read_text(encoding="utf-8"))[name]
+    assert len(want) == len(group)
+    for case, got, pinned in zip(group, digests(group), want):
+        assert got == pinned, case
+
+
+if __name__ == "__main__":
+    pins = {name: digests(group) for name, group in cases().items()}
+    FIXTURE.write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")
