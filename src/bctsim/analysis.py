@@ -244,19 +244,9 @@ def per_theta_consistency_audit(
     grid = np.asarray(list(thetas), dtype=float)
     fwd = np.atleast_1d(p_equal_given_theta(a, b, grid, strategy))
     rev = np.atleast_1d(p_equal_given_theta(a, b + math.pi, grid, strategy))
-    rows = []
-    for t, pf, pr in zip(grid, fwd, rev):
-        anti = 1.0 - pr
-        rows.append(
-            ConsistencyRow(
-                theta=float(t),
-                p_same_forward=float(pf),
-                p_same_reversed=float(pr),
-                p_anti_reversed=float(anti),
-                violation=bool(abs(pf - anti) > AUDIT_TOL),
-            )
-        )
-    return rows
+    anti = 1.0 - rev
+    violation = np.abs(fwd - anti) > AUDIT_TOL
+    return list(map(ConsistencyRow, grid.tolist(), fwd.tolist(), rev.tolist(), anti.tolist(), violation.tolist()))
 
 
 @dataclass(frozen=True)

@@ -513,8 +513,9 @@ def _remedy_rows(config):
     For every (flip rule x coin mode) combination and each nu, reports the
     equal-output rate and the induced deviation of the second-axis
     correlation from the cos^2 law, plus a conditioned row (fixed theta) per
-    theta grid value. A table does not depend on the coin mode, so each nu
-    builds one per flip rule.
+    theta grid value. Neither a table nor a conditioned oracle depends on the
+    coin mode, so each nu builds one table per flip rule and one oracle per
+    (flip rule, theta).
     """
     b2 = WALKTHROUGH_B1 + math.pi
     i = itertools.count()
@@ -522,9 +523,10 @@ def _remedy_rows(config):
     for nu in config.nu_grid:
         a = alice_setting(nu)
         tables = {rule: segment_table(a, (WALKTHROUGH_B1, b2), s) for rule, s in strategies.items()}
+        given = {(rule, theta): float(p_equal_given_theta(a, b2, theta, s))
+                 for (rule, s), theta in itertools.product(strategies.items(), config.theta_grid)}
         for (rule, coin_mode), theta in itertools.product(REMEDY_COMBOS, (None, *config.theta_grid)):
-            oracle = (qm.prob_equal(a, b2) if theta is None
-                      else float(p_equal_given_theta(a, b2, theta, strategies[rule])))
+            oracle = qm.prob_equal(a, b2) if theta is None else given[rule, theta]
             cells = dict(nu=nu, theta=theta, flip_rule=rule.value, coin_mode=coin_mode.value, ab2_oracle=oracle)
             yield cells, {(next(i),): _kernel(tables[rule], coin_mode, theta, windows=interval_windows(nu))}
 

@@ -290,6 +290,30 @@ def _acceptance(b_eff: float, boundary):
     return u, 1.0 - ACCEPTANCE_COEFF * np.sin(u)
 
 
+def _branch(alice_alpha: int, alice_beta_slot, alice_gamma_slot, b: float, theta, strategy: Strategy):
+    """Bob's branch step on :func:`evaluate_bob`'s arguments, with no acceptance.
+
+    Returns his effective axis, whether the reflection fired and his system,
+    then per theta Alice's active slot, his slot, same-slot and the
+    separator's index; after a terminating reflection these are -1, -1,
+    False and -1, shaped like ``theta``.
+    """
+    b_eff, fired, system = _bob_axis(alice_alpha, b, strategy)
+    if system == "none":
+        shape = np.shape(theta)
+        return (b_eff, fired, system, np.full(shape, -1, dtype=np.int64), np.full(shape, -1, dtype=np.int64),
+                np.zeros(shape, dtype=bool), np.full(shape, -1, dtype=np.int64))
+    gamma = system == "gamma"
+    alice_slot = alice_gamma_slot if gamma else alice_beta_slot
+    bob_slot = (gamma_slot_of if gamma else beta_slot_of)(b_eff, theta)
+    # Different slots in a three-slot ring are adjacent; one traversal
+    # direction crosses a single boundary, the other two. The separator is
+    # the upper edge of Bob's slot when Alice sits one step counterclockwise,
+    # else the lower edge.
+    one_step_ccw = (alice_slot - bob_slot) % 3 == 1
+    return b_eff, fired, system, alice_slot, bob_slot, alice_slot == bob_slot, (bob_slot + one_step_ccw) % 3
+
+
 def evaluate_bob(
     alice_alpha: int,
     alice_beta_slot,
@@ -303,38 +327,26 @@ def evaluate_bob(
     ``theta`` is a float or an array; ``alice_beta_slot``/``alice_gamma_slot``
     are ints from a single message or per-theta arrays from
     :func:`alice_slot_arrays`, and broadcasting gives the shape. Only slot
-    information about Alice's setting enters; her angle never does.
+    information about Alice's setting enters; her angle never does. The
+    branch step is :func:`_branch`, the acceptance :func:`_acceptance`.
     """
-    b_eff, fired, system = _bob_axis(alice_alpha, b, strategy)
+    b_eff, fired, system, alice_slot, bob_slot, same, k = _branch(
+        alice_alpha, alice_beta_slot, alice_gamma_slot, b, theta, strategy)
     if system == "none":
         shape = np.shape(theta)
         return BobEvaluation(
             accept_prob=np.ones(shape),  # inner outcome is c with certainty, then negated
             negate=True,
-            system="none",
-            same_slot=np.zeros(shape, dtype=bool),
-            bob_slot=np.full(shape, -1, dtype=np.int64),
-            alice_slot=np.full(shape, -1, dtype=np.int64),
-            boundary_index=np.full(shape, -1, dtype=np.int64),
+            system=system,
+            same_slot=same,
+            bob_slot=bob_slot,
+            alice_slot=alice_slot,
+            boundary_index=k,
             boundary_angle=np.full(shape, math.nan),
             u=np.full(shape, math.nan),
         )
-
-    gamma = system == "gamma"
-    alice_slot = alice_gamma_slot if gamma else alice_beta_slot
-    slot_of, boundary_of = (gamma_slot_of, gamma_boundary) if gamma else (beta_slot_of, beta_boundary)
-    bob_slot = slot_of(b_eff, theta)
-
-    same = alice_slot == bob_slot
-    # Different slots in a three-slot ring are adjacent; one traversal
-    # direction crosses a single boundary, the other two. The separator is
-    # the upper edge of Bob's slot when Alice sits one step counterclockwise,
-    # else the lower edge.
-    one_step_ccw = (alice_slot - bob_slot) % 3 == 1
-    k = (bob_slot + one_step_ccw) % 3
-    bnd = boundary_of(k, theta)
+    bnd = (gamma_boundary if system == "gamma" else beta_boundary)(k, theta)
     u, accept = _acceptance(b_eff, bnd)
-
     return BobEvaluation(
         accept_prob=np.where(same, 1.0, accept),
         negate=fired,
@@ -376,7 +388,7 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _flip_points(tests) -> np.ndarray:
+def _flip_points(tests) -> list[float]:
     """Exact shared angles in ``(0, 3*pi/5)`` where the slot of ``x`` in ``system`` changes, per ``(x, system)``.
 
     The slot is the rank of the normalized ``x`` among the system's bound
@@ -384,31 +396,37 @@ def _flip_points(tests) -> np.ndarray:
     bound ``fl(theta + o)`` first exceeds ``X``: ``X = x``, or the real
     ``x + 2*pi`` for the wrapped ``s - 2*pi`` (exact by Sterbenz). With ``Y``
     the least double above ``X`` and ``M`` the midpoint below ``Y``, that
-    happens at the least double ``t >= M - o``, found by TwoSum, or at the
-    next float when ``theta + o = M`` rounds to even below. Each crossing is
-    certified by the slot rule itself: it is the first float whose slot
-    differs from the float below it.
+    happens at the least double ``t >= M - o``, found by TwoSum on Python
+    floats, or at the next float when ``theta + o = M`` rounds to even
+    below. The slot rule itself certifies every crossing, in one call per
+    system over the floats below, at and above each: it is the first float
+    whose slot differs from the float below it.
     """
-    rows = [(normalize_angle(x), system == "gamma", o, shift)
-            for x, system in tests for o, shift in _SLOT_BOUNDS[system]]
-    x, gamma, o, shift = (np.array(col) for col in zip(*rows))
-    big, low = _two_sum(x, shift)  # X = big + low
-    y = np.where(low < 0.0, big, np.nextafter(big, np.inf))
-    half = (y - np.nextafter(y, 0.0)) / 2.0  # M = y - half
-    h, low = _two_sum(y, -o)
-    t, err = _two_sum(h, low - half)
-    t = np.where(err > 0.0, np.nextafter(t, np.inf), t)
-    above = np.nextafter(t, np.inf)
-    probes = np.concatenate((np.nextafter(t, -np.inf), t, above))
-    x3, gamma3 = np.tile(x, 3), np.tile(gamma, 3)
-    below_slot, t_slot, above_slot = np.split(
-        np.where(gamma3, gamma_slot_of(x3, probes), beta_slot_of(x3, probes)), 3)
-    flip = np.where(t_slot != below_slot, t, above)
-    live = (flip > 0.0) & (flip <= _LAST_THETA)
-    certified = (t_slot != below_slot) | (above_slot != t_slot)
-    if not np.all(certified[live]):
-        raise RuntimeError(f"slot crossing fails its certificate at theta={flip[live & ~certified]!r}")
-    return flip[live]
+    flips = []
+    for system, slot_of in (("beta", beta_slot_of), ("gamma", gamma_slot_of)):
+        xs, ts = [], []
+        for x in {normalize_angle(x) for x, s in tests if s == system}:
+            for o, shift in _SLOT_BOUNDS[system]:
+                big, low = _two_sum(x, shift)  # X = big + low
+                y = big if low < 0.0 else math.nextafter(big, math.inf)
+                h, low = _two_sum(y, -o)
+                t, err = _two_sum(h, low - (y - math.nextafter(y, 0.0)) / 2.0)  # M = y - half an ulp
+                t = math.nextafter(t, math.inf) if err > 0.0 else t
+                if 0.0 <= t <= _LAST_THETA:  # else the flip, t or the float above it, is outside (0, 3*pi/5)
+                    xs.append(x)
+                    ts.append(t)
+        if not ts:
+            continue
+        above = [math.nextafter(t, math.inf) for t in ts]
+        probes = np.array([math.nextafter(t, -math.inf) for t in ts] + ts + above)
+        below_slot, t_slot, above_slot = slot_of(np.array(xs * 3), probes).reshape(3, -1).tolist()
+        for t, up, lo, at, hi in zip(ts, above, below_slot, t_slot, above_slot):
+            flip = t if at != lo else up
+            if 0.0 < flip <= _LAST_THETA:
+                if at == lo and hi == at:
+                    raise RuntimeError(f"slot crossing fails its certificate at theta={flip!r}")
+                flips.append(flip)
+    return flips
 
 
 @dataclass(frozen=True, eq=False)
@@ -593,29 +611,31 @@ def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
     """Build the :class:`SegmentTable` of Alice's setting ``a`` against Bob's ``axes``; draws no random numbers.
 
     Edges are the crossings of :func:`_flip_points` for each slot test that
-    matters (Alice's and each Bob's, in that Bob's system), coinciding ones
-    merged; an angle on a boundary at theta = 0 leaves that slot at the
-    first float above 0, the first edge. Each segment's entries come from
-    one :func:`evaluate_bob` call at its lowest theta, so the branch logic
-    has a single owner.
+    matters (Alice's and each Bob's, in that Bob's system), sorted and
+    merged as Python floats; an angle on a boundary at theta = 0 leaves
+    that slot at the first float above 0, the first edge. Each segment's
+    entries come from one call of Bob's branch step (:func:`_branch`) at its
+    lowest theta, so the branch logic has a single owner; no acceptance is
+    computed.
     """
     alpha = int(alpha_slot_of(a))
-    resolved = [_bob_axis(alpha, b, strategy) for b in axes]
-    tests = {(x, system) for b_eff, _, system in resolved if system != "none" for x in (a, b_eff)}
-    edges = np.sort(_flip_points(tests)) if tests else np.array([])
-    edges = edges[np.diff(edges, prepend=-np.inf) > 0]  # drop repeats; np.unique would import numpy.ma
-    starts = np.concatenate(([0.0], edges))
-    _, beta_slots, gamma_slots = alice_slot_arrays(a, starts)
-    same, offset, negate, constant = [], [], [], []
+    tests = set()
     for b in axes:
-        ev = evaluate_bob(alpha, beta_slots, gamma_slots, b, starts, strategy)
-        offsets = np.asarray(GAMMA_OFFSETS if ev.system == "gamma" else BETA_OFFSETS)
-        same.append(ev.same_slot)
-        offset.append(np.where(ev.same_slot | (ev.system == "none"), 0.0, offsets[ev.boundary_index]))
-        negate.append(ev.negate)
-        constant.append(not ev.negate if ev.system == "none" or ev.same_slot.all() else None)
-    return SegmentTable(edges, tuple(r[0] for r in resolved), tuple(same), tuple(offset),
-                        tuple(negate), tuple(constant))
+        b_eff, _, system = _bob_axis(alpha, b, strategy)
+        if system != "none":
+            tests.update(((a, system), (b_eff, system)))
+    starts = np.array([0.0, *sorted(set(_flip_points(tests) if tests else ()))])
+    _, beta_slots, gamma_slots = alice_slot_arrays(a, starts)
+    resolved, same, offset, negate, constant = [], [], [], [], []
+    for b in axes:
+        b_eff, fired, system, _, _, same_slot, k = _branch(alpha, beta_slots, gamma_slots, b, starts, strategy)
+        offsets = np.asarray(GAMMA_OFFSETS if system == "gamma" else BETA_OFFSETS)
+        resolved.append(b_eff)
+        same.append(same_slot)
+        offset.append(np.where(same_slot | (system == "none"), 0.0, offsets[k]))
+        negate.append(fired)
+        constant.append(not fired if system == "none" or same_slot.all() else None)
+    return SegmentTable(starts[1:], tuple(resolved), tuple(same), tuple(offset), tuple(negate), tuple(constant))
 
 
 def _decode(msg: SlotMessage, hidden: HiddenState) -> tuple[int, int, int]:

@@ -209,6 +209,22 @@ class TestConsistencyAudit:
         with pytest.raises(ValueError):
             an.per_theta_consistency_audit(0.0, 0.0, [3 * PI / 5], pr.NO_FLIP)
 
+    @pytest.mark.parametrize("strategy", [pr.NO_FLIP, pr.CYCLIC_FLIP])
+    def test_rows_equal_a_loop_reference_field_for_field_and_type_for_type(self, strategy):
+        """Rows built from whole arrays equal rows built one NumPy scalar at a time, on a 2,048-point grid."""
+        grid = np.linspace(0.0, THETA_SPAN, 2048, endpoint=False)
+        for nu in (0.0, 0.0571, PI / 10, PI / 5):
+            a = an.alice_setting(nu)
+            fwd = pr.p_equal_given_theta(a, an.WALKTHROUGH_B1, grid, strategy)
+            rev = pr.p_equal_given_theta(a, an.WALKTHROUGH_B1 + PI, grid, strategy)
+            want = [an.ConsistencyRow(float(t), float(f), float(r), float(1.0 - r),
+                                      bool(abs(f - (1.0 - r)) > an.AUDIT_TOL)) for t, f, r in zip(grid, fwd, rev)]
+            rows = an.per_theta_consistency_audit(a, an.WALKTHROUGH_B1, grid, strategy)
+            assert rows == want
+            for row, ref in zip(rows, want):
+                assert [type(v) for v in vars(row).values()] == [type(v) for v in vars(ref).values()]
+            assert {type(v) for row in rows for v in vars(row).values()} == {float, bool}
+
 
 class TestVisibility:
     def test_report_near_unit_visibility(self):

@@ -250,6 +250,26 @@ class TestKernelsAgainstOracles:
         assert len(table.rows) == 2 * len(hn.REMEDY_COMBOS) * 3
         assert len(built) == 2 * 3  # per nu: the disabled, cyclic and absolute rules
 
+    def test_remedy_computes_each_conditioned_oracle_once_per_flip_rule_and_theta(self, monkeypatch):
+        """The conditioned ``ab2_oracle`` does not depend on the coin mode: one nu, two thetas, three rules."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return pr.p_equal_given_theta(*args, **kwargs)
+
+        monkeypatch.setattr(hn, "p_equal_given_theta", counted)
+        cfg = hn.ExperimentConfig(experiment="remedy", trials=100, seed=3, nu_grid=(PI / 10,),
+                                  theta_grid=(0.35 * PI, 0.45 * PI), batch_size=100)
+        table = hn.run_experiment(cfg)
+        assert len(table.rows) == len(hn.REMEDY_COMBOS) * 3
+        assert len(calls) == 3 * 2  # the disabled, cyclic and absolute rules, at each theta
+        for row in table.rows:
+            if row["theta"] is not None:
+                strategy = pr.Strategy(pr.FlipRule(row["flip_rule"]), cfg.strategy.flip_semantics)
+                a, b2 = an.alice_setting(PI / 10), an.WALKTHROUGH_B1 + PI
+                assert row["ab2_oracle"] == pr.p_equal_given_theta(a, b2, row["theta"], strategy)
+
     @pytest.mark.parametrize("coin_mode", [pr.CoinMode.INDEPENDENT, pr.CoinMode.SHARED])
     def test_two_bob_sampler_matches_quadrature(self, coin_mode):
         # dual route: the per-theta coupling formulas integrate to what the

@@ -671,6 +671,15 @@ def test_table_build_calls_the_slot_rule_a_fixed_number_of_times(monkeypatch):
         assert calls == {"beta": 3, "gamma": 3}, a
 
 
+def test_table_build_computes_no_acceptance(monkeypatch):
+    """A table reads only Bob's branch step: building one never calls ``_acceptance``."""
+    calls = []
+    monkeypatch.setattr(pr, "_acceptance", lambda *args: calls.append(args))
+    for a, axes, strategy in _table_cases():
+        pr.segment_table(a, axes, strategy)
+    assert calls == []
+
+
 @pytest.mark.parametrize("b", [0.3, 1.1, 4.5, 5.1, 6.2])
 def test_table_matches_evaluate_bob_at_the_gamma_wrap(b):
     """At WRAP_THETA gamma_1 = theta + 8*pi/5 wraps from 2*pi to 0.

@@ -457,3 +457,52 @@ class TestPerThetaProbability:
             a, b = rng.uniform(0, 2 * PI, 2)
             _, _, rec = pr.bct_trial(float(a), float(b), rng, pr.NO_FLIP)
             assert 1.0 - pr.ACCEPTANCE_COEFF <= rec.accept_prob <= 1.0
+
+
+def _unsplit_evaluate_bob(alice_alpha, alice_beta_slot, alice_gamma_slot, b, theta, strategy):
+    """Bob's evaluation as one function, branch and acceptance together: the reference for the split."""
+    b_eff, fired, system = pr._bob_axis(alice_alpha, b, strategy)
+    if system == "none":
+        shape = np.shape(theta)
+        minus = np.full(shape, -1, dtype=np.int64)
+        return pr.BobEvaluation(np.ones(shape), True, "none", np.zeros(shape, dtype=bool), minus, minus.copy(),
+                                minus.copy(), np.full(shape, math.nan), np.full(shape, math.nan))
+    gamma = system == "gamma"
+    alice_slot = alice_gamma_slot if gamma else alice_beta_slot
+    bob_slot = (geometry.gamma_slot_of if gamma else geometry.beta_slot_of)(b_eff, theta)
+    same = alice_slot == bob_slot
+    k = (bob_slot + ((alice_slot - bob_slot) % 3 == 1)) % 3
+    bnd = (gamma_boundary if gamma else beta_boundary)(k, theta)
+    d = np.abs(b_eff - bnd)
+    u = np.minimum(d, geometry.TWO_PI - d)
+    accept = np.where(same, 1.0, 1.0 - pr.ACCEPTANCE_COEFF * np.sin(u))
+    return pr.BobEvaluation(accept, fired, system, same, bob_slot, alice_slot, k, bnd, u)
+
+
+@pytest.mark.parametrize("strategy", [pr.NO_FLIP, pr.CYCLIC_FLIP, pr.ABS_FLIP, CYCLIC_TERMINATE,
+                                      pr.Strategy(pr.FlipRule.ABSOLUTE, pr.FlipSemantics.TERMINATE)])
+def test_evaluate_bob_equals_the_unsplit_reference(strategy):
+    """Split into its branch step and its acceptance, ``evaluate_bob`` returns every field as before.
+
+    Each field has the reference's type, and its dtype and bytes where it is
+    an array, at an array of thetas and at float thetas, where the fields are
+    Python ints and bools, NumPy floats or 0-d arrays.
+    """
+    rng = np.random.default_rng(31)
+    thetas = np.concatenate(([0.0, 5e-324, PI / 5, 2 * PI / 5, math.nextafter(THETA_SPAN, 0.0)],
+                             rng.uniform(0.0, THETA_SPAN, 60)))
+    settings_ = [k * PI / 5 for k in range(10)] + rng.uniform(0.0, 2 * PI, 10).tolist()
+    for a, b in zip(settings_, settings_[3:] + settings_[:3]):
+        slots = pr.alice_slot_arrays(a, thetas)
+        calls = [(slots, thetas)]
+        for theta in thetas[::7].tolist():
+            _, msg = pr.alice_round(a, pr.HiddenState.make(1, theta))
+            calls.append(((msg.alpha_slot, msg.beta_slot, msg.gamma_slot), theta))
+        for alice, theta in calls:
+            got = pr.evaluate_bob(*alice, b, theta, strategy)
+            want = _unsplit_evaluate_bob(*alice, b, theta, strategy)
+            for field in dataclasses.fields(pr.BobEvaluation):
+                g, w = getattr(got, field.name), getattr(want, field.name)
+                assert type(g) is type(w), (field.name, a, b, theta)
+                assert np.asarray(g).dtype == np.asarray(w).dtype, field.name
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), (field.name, a, b, theta)
