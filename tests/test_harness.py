@@ -264,10 +264,10 @@ class TestKernelsAgainstOracles:
         table = hn.run_experiment(cfg)
         assert len(table.rows) == len(hn.REMEDY_COMBOS) * 3
         assert len(calls) == 3 * 2  # the disabled, cyclic and absolute rules, at each theta
+        a, b2 = an.alice_setting(PI / 10), an.WALKTHROUGH_B1 + PI
         for row in table.rows:
             if row["theta"] is not None:
                 strategy = pr.Strategy(pr.FlipRule(row["flip_rule"]), cfg.strategy.flip_semantics)
-                a, b2 = an.alice_setting(PI / 10), an.WALKTHROUGH_B1 + PI
                 assert row["ab2_oracle"] == pr.p_equal_given_theta(a, b2, row["theta"], strategy)
 
     @pytest.mark.parametrize("coin_mode", [pr.CoinMode.INDEPENDENT, pr.CoinMode.SHARED])
