@@ -185,9 +185,13 @@ def _check_theta(theta: float) -> None:
 
 
 def _cell_and_triple(x: float, theta: float) -> tuple[int, tuple[int, int, int]]:
-    """Cell index and slot triple of ``x``, as Python ints; the gamma rank counts ``s - 2*pi`` while it is < 0."""
+    """Cell index and slot triple of ``x``, as Python ints."""
     _check_theta(theta)
-    x = normalize_angle(float(x))
+    return _ranked(normalize_angle(float(x)), theta)
+
+
+def _ranked(x: float, theta: float) -> tuple[int, tuple[int, int, int]]:
+    """:func:`_cell_and_triple` of an ``x`` in ``[0, 2*pi)``; the gamma rank counts ``s - 2*pi`` while it is < 0."""
     gamma = _gamma_bounds(theta)
     r_alpha, r_beta, r_gamma = _rank(x, _ALPHA_BOUNDS), _rank(x, _beta_bounds(theta)), _rank(x, gamma)
     cell = r_alpha + r_beta + r_gamma - (gamma[3] < TWO_PI) - 1  # 0.0 is a boundary, so >= 0
@@ -217,12 +221,13 @@ def cell_index(x: float, theta: float) -> int:
 
 
 def cell_to_triple(index: int, theta: float) -> tuple[int, int, int]:
-    """Slot triple of the cell with rank ``index``, decoded at its lower edge.
+    """Slot triple of the cell with rank ``index``, as Python ints, decoded at its lower edge.
 
     Every boundary at or below the lower edge is at or below each angle of
-    the half-open cell, so the edge has the cell's triple. Raises
-    ``ValueError`` for an empty cell (possible at degenerate ``theta``): no
-    setting can originate from it.
+    the half-open cell, so the edge has the cell's triple: its ranks among
+    the three systems' bounds, read directly, since the edge is one of the
+    sixteen floats in ``[0, 2*pi)``. Raises ``ValueError`` for an empty cell
+    (possible at degenerate ``theta``): no setting can originate from it.
     """
     _check_theta(theta)
     if not 0 <= index <= 15:
@@ -230,4 +235,4 @@ def cell_to_triple(index: int, theta: float) -> tuple[int, int, int]:
     lo, hi = (_cell_bounds(theta) + [TWO_PI])[index:index + 2]
     if not lo < hi:
         raise ValueError(f"cell {index} is empty for theta={theta!r}")
-    return slot_triple(lo, theta)
+    return _ranked(lo, theta)[1]

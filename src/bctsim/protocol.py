@@ -283,25 +283,31 @@ def _acceptance(b_eff: float, boundary):
     """Distance ``u`` from Bob's axis to the separating boundary, and ``1 - (3*pi/10)*sin(u)``.
 
     ``u`` is the shorter arc, so it lies in ``[0, pi]`` and the acceptance
-    in ``[1 - 3*pi/10, 1]``: a probability without clipping.
+    in ``[1 - 3*pi/10, 1]``: a probability without clipping. A Python float
+    ``boundary`` gives Python floats through ``min`` and ``math.sin``, which
+    equal ``np.minimum`` and ``np.sin`` bit for bit; arrays and NumPy
+    scalars take those ufuncs.
     """
-    d = np.abs(b_eff - boundary)
+    d = abs(b_eff - boundary)
+    if type(d) is float:
+        u = min(d, TWO_PI - d)
+        return u, 1.0 - ACCEPTANCE_COEFF * math.sin(u)
     u = np.minimum(d, TWO_PI - d)
     return u, 1.0 - ACCEPTANCE_COEFF * np.sin(u)
 
 
-def _branch(alice_alpha: int, alice_beta_slot, alice_gamma_slot, b: float, theta, strategy: Strategy):
-    """Bob's branch step on :func:`evaluate_bob`'s arguments, with no acceptance.
+def _branch(axis: tuple[float, bool, str], alice_beta_slot, alice_gamma_slot, theta):
+    """Bob's branch step on an ``axis`` already resolved by :func:`_bob_axis`, with no acceptance.
 
-    Returns his effective axis, whether the reflection fired and his system,
-    then per theta Alice's active slot, his slot, same-slot and the
-    separator's index; after a terminating reflection these are -1, -1,
-    False and -1, shaped like ``theta``.
+    Returns per theta Alice's active slot, his slot, same-slot and the
+    separator's index: Python ints and a bool at a float ``theta`` and
+    Alice's slots as ints, else arrays. After a terminating reflection these
+    are -1, -1, False and -1, as arrays shaped like ``theta``.
     """
-    b_eff, fired, system = _bob_axis(alice_alpha, b, strategy)
+    b_eff, _, system = axis
     if system == "none":
         shape = np.shape(theta)
-        return (b_eff, fired, system, np.full(shape, -1, dtype=np.int64), np.full(shape, -1, dtype=np.int64),
+        return (np.full(shape, -1, dtype=np.int64), np.full(shape, -1, dtype=np.int64),
                 np.zeros(shape, dtype=bool), np.full(shape, -1, dtype=np.int64))
     gamma = system == "gamma"
     alice_slot = alice_gamma_slot if gamma else alice_beta_slot
@@ -311,7 +317,7 @@ def _branch(alice_alpha: int, alice_beta_slot, alice_gamma_slot, b: float, theta
     # the upper edge of Bob's slot when Alice sits one step counterclockwise,
     # else the lower edge.
     one_step_ccw = (alice_slot - bob_slot) % 3 == 1
-    return b_eff, fired, system, alice_slot, bob_slot, alice_slot == bob_slot, (bob_slot + one_step_ccw) % 3
+    return alice_slot, bob_slot, alice_slot == bob_slot, (bob_slot + one_step_ccw) % 3
 
 
 def evaluate_bob(
@@ -322,16 +328,20 @@ def evaluate_bob(
     theta,
     strategy: Strategy = NO_FLIP,
 ) -> BobEvaluation:
-    """Run Bob's branch logic against a slot message, vectorized over theta.
+    """Run Bob's branch logic against a slot message: the array form, vectorized over theta.
 
     ``theta`` is a float or an array; ``alice_beta_slot``/``alice_gamma_slot``
     are ints from a single message or per-theta arrays from
     :func:`alice_slot_arrays`, and broadcasting gives the shape. Only slot
     information about Alice's setting enters; her angle never does. The
-    branch step is :func:`_branch`, the acceptance :func:`_acceptance`.
+    axis is resolved once (:func:`_bob_axis`), then come the branch step
+    :func:`_branch` and the acceptance :func:`_acceptance` on NumPy values.
+    This is the form of :func:`p_equal_given_theta` and the oracles; a
+    round's Bob step (:func:`_bob_step`) runs the same two steps on Python
+    floats.
     """
-    b_eff, fired, system, alice_slot, bob_slot, same, k = _branch(
-        alice_alpha, alice_beta_slot, alice_gamma_slot, b, theta, strategy)
+    axis = b_eff, fired, system = _bob_axis(alice_alpha, b, strategy)
+    alice_slot, bob_slot, same, k = _branch(axis, alice_beta_slot, alice_gamma_slot, theta)
     if system == "none":
         shape = np.shape(theta)
         return BobEvaluation(
@@ -616,19 +626,17 @@ def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
     that slot at the first float above 0, the first edge. Each segment's
     entries come from one call of Bob's branch step (:func:`_branch`) at its
     lowest theta, so the branch logic has a single owner; no acceptance is
-    computed.
+    computed. Each axis is resolved (:func:`_bob_axis`) once.
     """
     alpha = int(alpha_slot_of(a))
-    tests = set()
-    for b in axes:
-        b_eff, _, system = _bob_axis(alpha, b, strategy)
-        if system != "none":
-            tests.update(((a, system), (b_eff, system)))
+    bob_axes = [_bob_axis(alpha, b, strategy) for b in axes]
+    tests = {(x, system) for b_eff, _, system in bob_axes if system != "none" for x in (a, b_eff)}
     starts = np.array([0.0, *sorted(set(_flip_points(tests) if tests else ()))])
     _, beta_slots, gamma_slots = alice_slot_arrays(a, starts)
     resolved, same, offset, negate, constant = [], [], [], [], []
-    for b in axes:
-        b_eff, fired, system, _, _, same_slot, k = _branch(alpha, beta_slots, gamma_slots, b, starts, strategy)
+    for axis in bob_axes:
+        b_eff, fired, system = axis
+        _, _, same_slot, k = _branch(axis, beta_slots, gamma_slots, starts)
         offsets = np.asarray(GAMMA_OFFSETS if system == "gamma" else BETA_OFFSETS)
         resolved.append(b_eff)
         same.append(same_slot)
@@ -656,19 +664,31 @@ def _decode(msg: SlotMessage, hidden: HiddenState) -> tuple[int, int, int]:
 
 def _bob_step(a: float, b: float, msg: SlotMessage, triple: tuple[int, int, int], hidden: HiddenState,
               coin: float, strategy: Strategy, record: bool = True) -> tuple[int, TrialRecord | None]:
-    """Bob's output on axis ``b`` against the decoded ``triple``, and the round's record for ``a`` or None."""
+    """Bob's output on axis ``b`` against the decoded ``triple``, and the round's record for ``a`` or None.
+
+    The branch step :func:`_branch`, then the acceptance :func:`_acceptance`,
+    on Python floats and ints: the values :func:`evaluate_bob` gives at
+    ``[theta]``, bit for bit, with no :class:`BobEvaluation` built.
+    """
     if coin is None or not 0.0 <= coin < 1.0:
         raise ProtocolError(f"coin must lie in [0, 1), got {coin!r}")
     coin, b = float(coin), float(b)
-    ev = evaluate_bob(*triple, b, hidden.theta, strategy)
-    accept = float(ev.accept_prob)
+    alpha, beta_slot, gamma_slot = triple
+    axis = b_eff, fired, system = _bob_axis(alpha, b, strategy)
+    alice_slot, bob_slot, same, k = _branch(axis, beta_slot, gamma_slot, hidden.theta)
+    cross = system != "none" and not same
+    if cross:
+        # beta_boundary/gamma_boundary on a Python float
+        boundary = (hidden.theta + (GAMMA_OFFSETS if system == "gamma" else BETA_OFFSETS)[k]) % TWO_PI
+        u, accept = _acceptance(b_eff, boundary)
+    else:  # no separator: the record holds -1 and nan
+        k, boundary, u, accept = -1, math.nan, math.nan, 1.0
     inner = hidden.c if coin < accept else -hidden.c
-    c_b = -inner if ev.negate else inner
+    c_b = -inner if fired else inner
     if not record:
         return c_b, None
-    same = bool(ev.same_slot)  # no separator: the record holds -1 and nan
-    slot = "same-slot" if same else "cross-slot"
-    branch = "flipped-terminated" if ev.system == "none" else ("flipped-then-" if ev.negate else "") + slot
+    slot = "cross-slot" if cross else "same-slot"
+    branch = "flipped-terminated" if system == "none" else ("flipped-then-" if fired else "") + slot
     return c_b, TrialRecord(
         a=a,
         b=normalize_angle(b),
@@ -679,14 +699,14 @@ def _bob_step(a: float, b: float, msg: SlotMessage, triple: tuple[int, int, int]
         c_a=hidden.c,
         c_b=c_b,
         branch=branch,
-        flip_fired=ev.negate,
-        negated=ev.negate,
-        system=ev.system,
-        bob_slot=int(ev.bob_slot),
-        alice_active_slot=int(ev.alice_slot),
-        boundary_angle=math.nan if same else float(ev.boundary_angle),
-        boundary_index=-1 if same else int(ev.boundary_index),
-        u=math.nan if same else float(ev.u),
+        flip_fired=fired,
+        negated=fired,
+        system=system,
+        bob_slot=int(bob_slot),
+        alice_active_slot=int(alice_slot),
+        boundary_angle=boundary,
+        boundary_index=k,
+        u=u,
         accept_prob=accept,
         flip_rule=strategy.flip_rule.value,
         flip_semantics=strategy.flip_semantics.value,
@@ -810,9 +830,15 @@ def p_equal_given_theta(a: float, b: float, theta, strategy: Strategy = NO_FLIP)
     return p_equal if vector else float(p_equal)
 
 
+@functools.lru_cache(maxsize=None)
+def _strategy(flip_rule: str, flip_semantics: str) -> Strategy:
+    """The :class:`Strategy` a record's two strings name; ``ValueError`` for an unknown one, which is not cached."""
+    return Strategy(FlipRule(flip_rule), FlipSemantics(flip_semantics))
+
+
 def replay_bob(record: TrialRecord) -> int:
     """Recompute Bob's output from a stored record, as :func:`bob_round` would; equals ``record.c_b``."""
     hidden = HiddenState.make(record.c, record.theta)
-    strategy = Strategy(FlipRule(record.flip_rule), FlipSemantics(record.flip_semantics))
+    strategy = _strategy(record.flip_rule, record.flip_semantics)
     triple = _decode(record.message, hidden)
     return _bob_step(record.a, record.b, record.message, triple, hidden, record.coin, strategy, record=False)[0]

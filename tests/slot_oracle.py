@@ -38,6 +38,21 @@ def oracle_cell(x: float, theta: float) -> int:
     return bisect_right(sorted(boundary_floats(theta)), g.normalize_angle(x)) - 1
 
 
+def sorted_decode(index: int, theta: float) -> tuple[int, int, int]:
+    """Slot triple of cell ``index``: the sixteen floats sorted, then ``slot_triple`` of the cell's lower edge.
+
+    Bob's decode before it ranked the edge directly; the same ``ValueError``
+    for an index outside 0..15, a theta outside [0, 3*pi/5) or an empty cell.
+    """
+    g._check_theta(theta)
+    if not 0 <= index <= 15:
+        raise ValueError(f"cell index must lie in 0..15, got {index}")
+    lo, hi = (sorted(boundary_floats(theta)) + [g.TWO_PI])[index:index + 2]
+    if not lo < hi:
+        raise ValueError(f"cell {index} is empty for theta={theta!r}")
+    return g.slot_triple(lo, theta)
+
+
 def _wrap_point() -> float:
     """The lowest theta at which ``theta + 8*pi/5`` reaches 2*pi, so that gamma_1 wraps to the bottom."""
     offset = g.GAMMA_OFFSETS[1]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bctsim import geometry as g
-from slot_oracle import oracle_triple, systems
+from slot_oracle import WRAP_THETA, oracle_triple, sorted_decode, systems
 
 TAU = 2.0 * math.pi
 
@@ -235,3 +235,49 @@ class TestCellIndex:
         empty = next(i for i in range(15) if bounds[i] == bounds[i + 1])
         with pytest.raises(ValueError):
             g.cell_to_triple(empty, 0.0)
+
+
+def _decode_thetas() -> list[float]:
+    """Seeded thetas, each k*pi/5 (boundaries coincide), the gamma_1 wrap, and the float either side of each."""
+    rng = np.random.default_rng(1919)
+    centres = [k * math.pi / 5 for k in range(4)] + [WRAP_THETA] + rng.uniform(0.0, g.THETA_SPAN, 40).tolist()
+    near = {x for t in centres for x in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))}
+    return sorted(t for t in near if 0.0 <= t < g.THETA_SPAN)
+
+
+DECODE_THETAS = _decode_thetas()
+
+
+def _decode_or_error(decode, index, theta):
+    try:
+        return decode(index, theta)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("cast", [float, np.float64])
+def test_decode_matches_the_sorted_decode_on_every_cell(cast):
+    """``cell_to_triple`` ranks the lower edge directly; it equals sorting then ``slot_triple``, errors included.
+
+    All sixteen cells at every theta of :data:`DECODE_THETAS`: the same
+    triple of Python ints, or the same ``ValueError`` on an empty cell.
+    """
+    empty = 0
+    for theta in map(cast, DECODE_THETAS):
+        for index in range(16):
+            got = _decode_or_error(g.cell_to_triple, index, theta)
+            assert got == _decode_or_error(sorted_decode, index, theta), (index, theta)
+            if isinstance(got, str):
+                empty += 1
+            else:
+                assert all(type(s) is int for s in got)
+    assert empty  # the multiples of pi/5 empty some cells
+
+
+@pytest.mark.parametrize("index,theta", [(-1, 0.5), (16, 0.5), (3, g.THETA_SPAN), (3, -5e-324), (3, math.nan)])
+def test_decode_rejects_what_the_sorted_decode_rejects(index, theta):
+    with pytest.raises(ValueError) as got:
+        g.cell_to_triple(index, theta)
+    with pytest.raises(ValueError) as want:
+        sorted_decode(index, theta)
+    assert str(got.value) == str(want.value)

@@ -343,6 +343,15 @@ class TestTrials:
         assert pr.replay_bob(rec) == c_b
         assert built == []
 
+    @pytest.mark.parametrize("field,value", [("flip_rule", "cyclic"), ("flip_semantics", "negate")])
+    def test_replay_rejects_an_unknown_strategy_string(self, field, value):
+        _, c_b, rec = pr.bct_trial(1.0, 2.0, np.random.default_rng(20), pr.CYCLIC_FLIP)
+        bad = dataclasses.replace(rec, **{field: value})
+        for _ in range(2):  # a failed lookup is not remembered
+            with pytest.raises(ValueError, match=value):
+                pr.replay_bob(bad)
+        assert pr.replay_bob(rec) == c_b
+
     def test_black_box_builds_no_record(self, monkeypatch):
         built = []
         record = pr.TrialRecord
@@ -397,6 +406,26 @@ class TestTwoBob:
         assert res.record_b1.message.triple == res.record_b2.message.triple == decode(*calls[0])
         pr.bct_trial(PI / 2, 0.0, rng, pr.CYCLIC_FLIP)
         assert len(calls) == 2
+
+
+def test_scalar_round_builds_no_bob_evaluation(monkeypatch):
+    """A round's Bob step is the branch step and the acceptance on Python floats, with no ``BobEvaluation``."""
+    calls = []
+    monkeypatch.setattr(pr, "evaluate_bob", lambda *args: calls.append(args))
+    monkeypatch.setattr(pr, "BobEvaluation", lambda *args, **kwargs: calls.append(args))
+    rng = np.random.default_rng(25)
+    for strategy in (pr.NO_FLIP, pr.CYCLIC_FLIP, pr.ABS_FLIP, CYCLIC_TERMINATE):
+        for _ in range(20):
+            a, b = rng.uniform(0, 2 * PI, 2)
+            _, c_b, rec = pr.bct_trial(a, b, rng, strategy)
+            assert pr.replay_bob(rec) == c_b
+            pr.nbct_trial(a, b, rng, strategy)
+            for coin_mode in pr.CoinMode:
+                pr.two_bob_trial(a, b, rng, strategy, coin_mode)
+            hidden = pr.HiddenState.make(rec.c, rec.theta)
+            _, msg = pr.alice_round(a, hidden)
+            pr.bob_round(b, msg, hidden, strategy=strategy, coin=0.5)
+    assert calls == []
 
 
 class TestPerThetaProbability:

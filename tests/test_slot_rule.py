@@ -79,8 +79,17 @@ def _scalar_p_equal(a: float, b: float, theta: float, strategy) -> float:
     return 1.0 - rec.accept_prob if rec.negated else rec.accept_prob
 
 
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
 def _check_evaluation_float_vs_array(a: float, b: float, theta: float, strategy) -> None:
-    """``evaluate_bob`` at a float theta equals the call at ``[theta]`` in every field."""
+    """``evaluate_bob`` at a float theta equals the call at ``[theta]`` in every field, and so does the record.
+
+    The scalar round's record, built on Python floats, holds the array
+    call's values bit for bit, with -1 and nan for the separator wherever
+    Bob shares Alice's slot or the round terminated.
+    """
     _, msg = pr.alice_round(a, pr.HiddenState.make(1, theta))
     slots = (msg.alpha_slot, msg.beta_slot, msg.gamma_slot)
     at_float = pr.evaluate_bob(*slots, b, theta, strategy)
@@ -89,6 +98,17 @@ def _check_evaluation_float_vs_array(a: float, b: float, theta: float, strategy)
         got, want = getattr(at_float, field.name), getattr(at_array, field.name)
         assert np.ndim(got) == 0, field.name
         np.testing.assert_array_equal(got, np.ravel(want)[0], err_msg=field.name)
+    ev = {field.name: np.ravel(getattr(at_array, field.name))[0] for field in dataclasses.fields(pr.BobEvaluation)}
+    rec = _round(a, b, theta, strategy)
+    cross = not ev["same_slot"] and ev["system"] != "none"
+    assert (rec.system, rec.negated) == (ev["system"], ev["negate"])
+    assert (rec.bob_slot, rec.alice_active_slot) == (ev["bob_slot"], ev["alice_slot"])
+    assert rec.boundary_index == (ev["boundary_index"] if cross else -1)
+    for name, want in (("accept_prob", ev["accept_prob"]), ("u", ev["u"] if cross else math.nan),
+                       ("boundary_angle", ev["boundary_angle"] if cross else math.nan)):
+        assert _bits(getattr(rec, name)) == _bits(want), (name, a, b, theta, strategy)
+    assert all(type(getattr(rec, name)) is float for name in ("accept_prob", "u", "boundary_angle"))
+    assert all(type(getattr(rec, name)) is int for name in ("bob_slot", "alice_active_slot", "boundary_index"))
 
 
 def _asdict_json(rec: pr.TrialRecord) -> str:
@@ -148,11 +168,41 @@ def test_degenerate_theta_never_emits_an_empty_cell():
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_scalar_round_matches_analytic_probability_next_to_boundaries(strategy):
-    """The message path and ``p_equal_given_theta`` agree bit for bit, Alice on or next to a boundary."""
+    """The message path and ``p_equal_given_theta`` agree bit for bit, Alice on or next to a boundary.
+
+    So do the round's record and ``evaluate_bob``; over the five strategies
+    these points take all five branches (see the JSON test below).
+    """
     for a, theta in GRID:
         for b in AXES:
             assert _scalar_p_equal(a, b, theta, strategy) == float(pr.p_equal_given_theta(a, b, theta, strategy))
             _check_evaluation_float_vs_array(a, b, theta, strategy)
+
+
+def _acceptance_inputs() -> tuple[np.ndarray, np.ndarray]:
+    """Over a million seeded (axis, boundary) pairs, then 0, pi/2, pi and the floats either side as distances."""
+    rng = np.random.default_rng(1874)
+    n = 1_000_000
+    axis, boundary = rng.uniform(0.0, g.TWO_PI, n), rng.uniform(0.0, g.TWO_PI, n)
+    special = [x for u in (0.0, PI / 2, PI) for x in (math.nextafter(u, -math.inf), u, math.nextafter(u, math.inf))]
+    special = [u for u in special if u >= 0.0]
+    # each distance as a boundary against the axis 0, and against the axis 2*pi less one ulp
+    top = math.nextafter(g.TWO_PI, 0.0)
+    axis = np.concatenate([axis, np.zeros(len(special)), np.full(len(special), top)])
+    boundary = np.concatenate([boundary, special, [top - u for u in special]])
+    return axis, boundary
+
+
+def test_acceptance_on_floats_equals_acceptance_on_arrays():
+    """``_acceptance`` on Python floats (``min``, ``math.sin``) gives the bits of its array form (``np.sin``)."""
+    axis, boundary = _acceptance_inputs()
+    assert len(axis) > 1_000_000
+    u_arr, q_arr = pr._acceptance(axis, boundary)
+    pairs = [pr._acceptance(b, x) for b, x in zip(axis.tolist(), boundary.tolist())]
+    assert all(type(u) is float and type(q) is float for u, q in pairs[:100])
+    u_float, q_float = (np.array(col) for col in zip(*pairs))
+    assert u_float.tobytes() == u_arr.tobytes()
+    assert q_float.tobytes() == q_arr.tobytes()
 
 
 def test_records_mask_the_separator_off_cross_slot_branches():
