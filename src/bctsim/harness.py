@@ -193,10 +193,22 @@ def _run_batches(
 N, C_PLUS, KEPT_1, B_PLUS_1, KEPT_2, B_PLUS_2, EQUAL, EQUAL_IN_WINDOWS, IN_WINDOWS, SURVIVED = range(10)
 
 
+def _rate(tally: np.ndarray, hits: int) -> tuple[float, float]:
+    """The rate of tally cell ``hits`` over the tally's trials, and its binomial standard error."""
+    est = float(tally[hits] / tally[N])
+    return est, _stderr(est, int(tally[N]))
+
+
 def _in_windows(theta, windows) -> np.ndarray:
-    """Whether each shared angle lies in one of the two deterministic windows."""
-    (w1_lo, w1_hi), (w2_lo, w2_hi) = windows
-    return ((theta >= w1_lo) & (theta <= w1_hi)) | ((theta > w2_lo) & (theta <= w2_hi))
+    """Whether each shared angle lies in one of the two deterministic windows.
+
+    Window one is closed, window two open below, and window one ends where
+    window two starts (:func:`~bctsim.analysis.interval_windows` gives
+    ``w1_hi == w2_lo == 2*pi/5`` and ``w1_lo <= 2*pi/5`` for every nu), so
+    their union is the closed interval ``[w1_lo, w2_hi]``.
+    """
+    (lo, _), (_, hi) = windows
+    return (theta >= lo) & (theta <= hi)
 
 
 #: trials per chunk of a batch: small enough for a chunk's arrays to stay in cache, and even
@@ -363,8 +375,7 @@ def conditioned_two_bob_estimate(
     """
     tally = _run_batches(_antipodal(nu, strategy, coin_mode, theta_fixed=theta),
                          trials, seed, (0,), batch_size, None)
-    est = tally[EQUAL] / tally[N]
-    return float(est), _stderr(float(est), int(tally[N]))
+    return _rate(tally, EQUAL)
 
 
 def conditioned_pair_estimate(
@@ -378,9 +389,7 @@ def conditioned_pair_estimate(
 ) -> tuple[float, float]:
     """Monte Carlo P(outputs equal) for one pair with the shared angle fixed."""
     kernel = _kernel(segment_table(a, (b,), strategy), theta_fixed=theta)
-    tally = _run_batches(kernel, trials, seed, (0,), batch_size, None)
-    est = tally[KEPT_1] / tally[N]
-    return float(est), _stderr(float(est), int(tally[N]))
+    return _rate(_run_batches(kernel, trials, seed, (0,), batch_size, None), KEPT_1)
 
 
 def joint_outcome_table(
@@ -579,11 +588,11 @@ class Experiment:
     and validation rejects any other nonempty grid. ``rows(config)`` yields,
     per table row, the cells known before sampling and the row's streams as
     ``{stream key: kernel}``; row ``i`` draws on key ``(i,)``, or ``(i, s)``
-    when it has several streams. The row's estimate is the rate of tally cell
-    ``hits`` in its first stream; ``finish(cells, tallies, estimate, stderr)``
-    returns the remaining cells, with the flags as a list. Every row gets
-    ``trials``, ``estimate`` and ``stderr`` cells, which a table without those
-    columns drops. ``finish_table`` fills cells that depend on the whole table.
+    when it has several streams. The row's estimate and its standard error
+    come from tally cell ``hits`` of its first stream (:func:`_rate`);
+    ``finish(cells, tallies, estimate, stderr)`` returns the remaining
+    cells, with the flags as a list. Every row gets ``trials``, ``estimate``
+    and ``stderr`` cells, which a table without those columns drops. ``finish_table`` fills cells that depend on the whole table.
     """
 
     name: str
@@ -642,10 +651,9 @@ def run_experiment(config: ExperimentConfig) -> SweepTable:
         for cells, streams in spec.rows(config):
             tallies = [_run_batches(kernel, config.trials, config.seed, key, config.batch_size, pool)
                        for key, kernel in streams.items()]
-            n = int(tallies[0][N])
-            est = tallies[0][spec.hits] / n
-            se = _stderr(est, n)
-            row = dict(cells, trials=n, estimate=est, stderr=se, **spec.finish(cells, tallies, est, se))
+            est, se = _rate(tallies[0], spec.hits)
+            row = dict(cells, trials=int(tallies[0][N]), estimate=est, stderr=se,
+                       **spec.finish(cells, tallies, est, se))
             row["flags"] = ";".join(row["flags"])
             rows.append(row)
     spec.finish_table(rows)

@@ -249,7 +249,10 @@ class BobEvaluation:
     when ``negate`` (a fired reflection). ``boundary_index``,
     ``boundary_angle`` and ``u`` (the separator) mean something only where
     ``same_slot`` is False. ``system`` is ``"none"`` when the reflection
-    terminated the round; they are then -1, nan and nan.
+    terminated the round; :func:`evaluate_bob` then builds the evaluation in
+    its own block, without the branch step: ``accept_prob`` is 1,
+    ``same_slot`` False, the two slots and the index -1 and the two angles
+    nan, all shaped like theta.
     """
 
     accept_prob: np.ndarray
@@ -297,18 +300,15 @@ def _acceptance(b_eff: float, boundary):
 
 
 def _branch(axis: tuple[float, bool, str], alice_beta_slot, alice_gamma_slot, theta):
-    """Bob's branch step on an ``axis`` already resolved by :func:`_bob_axis`, with no acceptance.
+    """Bob's branch step on a live ``axis`` already resolved by :func:`_bob_axis`, with no acceptance.
 
     Returns per theta Alice's active slot, his slot, same-slot and the
     separator's index: Python ints and a bool at a float ``theta`` and
-    Alice's slots as ints, else arrays. After a terminating reflection these
-    are -1, -1, False and -1, as arrays shaped like ``theta``.
+    Alice's slots as ints, else arrays. A terminated axis (system
+    ``"none"``) has no slot test and never comes here: :func:`evaluate_bob`,
+    :func:`segment_table` and :func:`_bob_step` each handle it themselves.
     """
     b_eff, _, system = axis
-    if system == "none":
-        shape = np.shape(theta)
-        return (np.full(shape, -1, dtype=np.int64), np.full(shape, -1, dtype=np.int64),
-                np.zeros(shape, dtype=bool), np.full(shape, -1, dtype=np.int64))
     gamma = system == "gamma"
     alice_slot = alice_gamma_slot if gamma else alice_beta_slot
     bob_slot = (gamma_slot_of if gamma else beta_slot_of)(b_eff, theta)
@@ -335,26 +335,27 @@ def evaluate_bob(
     :func:`alice_slot_arrays`, and broadcasting gives the shape. Only slot
     information about Alice's setting enters; her angle never does. The
     axis is resolved once (:func:`_bob_axis`), then come the branch step
-    :func:`_branch` and the acceptance :func:`_acceptance` on NumPy values.
+    :func:`_branch` and the acceptance :func:`_acceptance` on NumPy values;
+    a terminated axis skips both and gets its evaluation from its own block.
     This is the form of :func:`p_equal_given_theta` and the oracles; a
     round's Bob step (:func:`_bob_step`) runs the same two steps on Python
     floats.
     """
     axis = b_eff, fired, system = _bob_axis(alice_alpha, b, strategy)
-    alice_slot, bob_slot, same, k = _branch(axis, alice_beta_slot, alice_gamma_slot, theta)
-    if system == "none":
+    if system == "none":  # the reflection ended the round before any slot test
         shape = np.shape(theta)
         return BobEvaluation(
             accept_prob=np.ones(shape),  # inner outcome is c with certainty, then negated
             negate=True,
             system=system,
-            same_slot=same,
-            bob_slot=bob_slot,
-            alice_slot=alice_slot,
-            boundary_index=k,
+            same_slot=np.zeros(shape, dtype=bool),
+            bob_slot=np.full(shape, -1, dtype=np.int64),
+            alice_slot=np.full(shape, -1, dtype=np.int64),
+            boundary_index=np.full(shape, -1, dtype=np.int64),
             boundary_angle=np.full(shape, math.nan),
             u=np.full(shape, math.nan),
         )
+    alice_slot, bob_slot, same, k = _branch(axis, alice_beta_slot, alice_gamma_slot, theta)
     bnd = (gamma_boundary if system == "gamma" else beta_boundary)(k, theta)
     u, accept = _acceptance(b_eff, bnd)
     return BobEvaluation(
@@ -626,24 +627,25 @@ def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
     that slot at the first float above 0, the first edge. Each segment's
     entries come from one call of Bob's branch step (:func:`_branch`) at its
     lowest theta, so the branch logic has a single owner; no acceptance is
-    computed. Each axis is resolved (:func:`_bob_axis`) once.
+    computed. Each axis is resolved (:func:`_bob_axis`) once; a terminated
+    axis skips the branch step and gets no same-slot segment, zero offsets
+    and the constant decision ``False`` (``-c``).
     """
     alpha = int(alpha_slot_of(a))
     bob_axes = [_bob_axis(alpha, b, strategy) for b in axes]
     tests = {(x, system) for b_eff, _, system in bob_axes if system != "none" for x in (a, b_eff)}
     starts = np.array([0.0, *sorted(set(_flip_points(tests) if tests else ()))])
     _, beta_slots, gamma_slots = alice_slot_arrays(a, starts)
-    resolved, same, offset, negate, constant = [], [], [], [], []
+    fields = []  # per axis: its SegmentTable fields after edges, in order
     for axis in bob_axes:
         b_eff, fired, system = axis
-        _, _, same_slot, k = _branch(axis, beta_slots, gamma_slots, starts)
-        offsets = np.asarray(GAMMA_OFFSETS if system == "gamma" else BETA_OFFSETS)
-        resolved.append(b_eff)
-        same.append(same_slot)
-        offset.append(np.where(same_slot | (system == "none"), 0.0, offsets[k]))
-        negate.append(fired)
-        constant.append(not fired if system == "none" or same_slot.all() else None)
-    return SegmentTable(starts[1:], tuple(resolved), tuple(same), tuple(offset), tuple(negate), tuple(constant))
+        if system == "none":  # terminated: no slot test, so no segment is same-slot or has a separator
+            same, offset = np.zeros(starts.shape, dtype=bool), np.zeros(starts.shape)
+        else:
+            _, _, same, k = _branch(axis, beta_slots, gamma_slots, starts)
+            offset = np.where(same, 0.0, np.asarray(GAMMA_OFFSETS if system == "gamma" else BETA_OFFSETS)[k])
+        fields.append((b_eff, same, offset, fired, not fired if system == "none" or same.all() else None))
+    return SegmentTable(starts[1:], *map(tuple, zip(*fields)))
 
 
 def _decode(msg: SlotMessage, hidden: HiddenState) -> tuple[int, int, int]:
@@ -668,14 +670,17 @@ def _bob_step(a: float, b: float, msg: SlotMessage, triple: tuple[int, int, int]
 
     The branch step :func:`_branch`, then the acceptance :func:`_acceptance`,
     on Python floats and ints: the values :func:`evaluate_bob` gives at
-    ``[theta]``, bit for bit, with no :class:`BobEvaluation` built.
+    ``[theta]``, bit for bit, with no :class:`BobEvaluation` built. A
+    terminated axis skips both; its record holds the Python int -1 for the
+    slots and the separator's index.
     """
     if coin is None or not 0.0 <= coin < 1.0:
         raise ProtocolError(f"coin must lie in [0, 1), got {coin!r}")
     coin, b = float(coin), float(b)
     alpha, beta_slot, gamma_slot = triple
     axis = b_eff, fired, system = _bob_axis(alpha, b, strategy)
-    alice_slot, bob_slot, same, k = _branch(axis, beta_slot, gamma_slot, hidden.theta)
+    alice_slot, bob_slot, same, k = ((-1, -1, False, -1) if system == "none"
+                                     else _branch(axis, beta_slot, gamma_slot, hidden.theta))
     cross = system != "none" and not same
     if cross:
         # beta_boundary/gamma_boundary on a Python float
@@ -702,8 +707,8 @@ def _bob_step(a: float, b: float, msg: SlotMessage, triple: tuple[int, int, int]
         flip_fired=fired,
         negated=fired,
         system=system,
-        bob_slot=int(bob_slot),
-        alice_active_slot=int(alice_slot),
+        bob_slot=bob_slot,
+        alice_active_slot=alice_slot,
         boundary_angle=boundary,
         boundary_index=k,
         u=u,

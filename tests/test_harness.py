@@ -427,3 +427,48 @@ def test_readme_commands_run(tmp_path, line):
     argv[argv.index("--trials") + 1] = "2000"
     argv[argv.index("--out") + 1] = str(tmp_path / "out.csv")
     assert cli.main(argv) == 0
+
+
+#: nu at both ends of [0, pi/5], its smallest positive float, the orthogonal setting and the float below pi/5
+WINDOW_NUS = [0.0, 5e-324, PI / 10, math.nextafter(PI / 5, 0.0), PI / 5]
+
+
+def _two_windows(theta, windows):
+    """The window test as two windows: the first closed, the second open below."""
+    (w1_lo, w1_hi), (w2_lo, w2_hi) = windows
+    return ((theta >= w1_lo) & (theta <= w1_hi)) | ((theta > w2_lo) & (theta <= w2_hi))
+
+
+@pytest.mark.parametrize("nu", WINDOW_NUS + np.random.default_rng(41).uniform(0.0, PI / 5, 20).tolist())
+def test_window_test_is_the_union_of_the_two_windows(nu):
+    """``_in_windows`` tests one closed interval; it equals the two-window test at and beside every window end.
+
+    The ends are checked at an array theta, at a float theta, and through a
+    conditioned kernel, which tallies ``IN_WINDOWS`` from its fixed theta.
+    """
+    windows = an.interval_windows(nu)
+    (w1_lo, w1_hi), (w2_lo, w2_hi) = windows
+    assert w1_hi == w2_lo and w1_lo <= w1_hi <= w2_hi
+    ends = {x for end in (w1_lo, w1_hi, w2_lo, w2_hi)
+            for x in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf))}
+    thetas = np.array(sorted(ends))
+    assert hn._in_windows(thetas, windows).tolist() == _two_windows(thetas, windows).tolist()
+    table = pr.segment_table(an.alice_setting(nu), (an.WALKTHROUGH_B1, an.WALKTHROUGH_B1 + PI))
+    for theta in thetas.tolist():
+        want = bool(_two_windows(theta, windows))
+        assert bool(hn._in_windows(theta, windows)) is want, theta
+        if 0.0 <= theta < THETA_SPAN:
+            tally = hn._kernel(table, theta_fixed=theta, windows=windows)(np.random.default_rng(0), 4)
+            assert tally[hn.IN_WINDOWS] == (4 if want else 0), theta
+
+
+def test_every_estimate_is_a_tally_rate(monkeypatch):
+    """``run_experiment`` and both conditioned estimators read each estimate and its error off ``_rate``."""
+    rate = hn._rate
+    assert rate(np.array([8, 5, 2]), hn.KEPT_1) == (0.25, math.sqrt(0.25 * 0.75 / 8))
+    calls = []
+    monkeypatch.setattr(hn, "_rate", lambda tally, hits: calls.append(hits) or rate(tally, hits))
+    hn.run_experiment(make_config(trials=2_000, nu_grid=(0.0, PI / 10)))
+    hn.conditioned_two_bob_estimate(PI / 10, 0.35 * PI, 2_000, 11)
+    hn.conditioned_pair_estimate(PI / 2, PI, 0.35 * PI, 2_000, 13)
+    assert calls == [hn.EQUAL, hn.EQUAL, hn.EQUAL, hn.KEPT_1]

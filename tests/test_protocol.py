@@ -535,3 +535,42 @@ def test_evaluate_bob_equals_the_unsplit_reference(strategy):
                 assert type(g) is type(w), (field.name, a, b, theta)
                 assert np.asarray(g).dtype == np.asarray(w).dtype, field.name
                 assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), (field.name, a, b, theta)
+
+
+@pytest.mark.parametrize("rule", [pr.FlipRule.CYCLIC, pr.FlipRule.ABSOLUTE])
+def test_no_terminated_axis_reaches_the_branch_step(monkeypatch, rule):
+    """A terminating reflection ends Bob's round before any slot test, so ``_branch`` only sees live axes.
+
+    Every caller is run where the reflection fires: the scalar rounds and
+    replay, ``evaluate_bob`` at an array and at a float theta, and
+    ``segment_table``. A terminated record holds the Python int -1 for both
+    slots and the separator's index.
+    """
+    strategy = pr.Strategy(rule, pr.FlipSemantics.TERMINATE)
+    systems = []
+    branch = pr._branch
+    monkeypatch.setattr(pr, "_branch", lambda axis, *args: systems.append(axis[2]) or branch(axis, *args))
+    rng = np.random.default_rng(26)
+    # Alice in alpha slot 0 and Bob in slot 5 (or 3): the reflection fires under both gap rules
+    pairs = [(0.1, PI + 0.1), (0.1, 0.7 * PI)] + rng.uniform(0.0, 2 * PI, (20, 2)).tolist()
+    terminated = evaluated = tables = 0
+    for a, b in pairs:
+        _, _, rec = pr.bct_trial(a, b, rng, strategy)
+        res = pr.two_bob_trial(a, b, rng, strategy)
+        for record in (rec, res.record_b1, res.record_b2):
+            assert pr.replay_bob(record) == record.c_b
+            if record.branch == "flipped-terminated":
+                terminated += 1
+                for name in ("bob_slot", "alice_active_slot", "boundary_index"):
+                    value = getattr(record, name)
+                    assert type(value) is int and value == -1, (name, value)
+        thetas = rng.uniform(0.0, THETA_SPAN, 5)
+        _, msg = pr.alice_round(a, pr.HiddenState.make(1, float(thetas[0])))
+        for alice, theta in ((pr.alice_slot_arrays(a, thetas), thetas), (msg.triple, float(thetas[0]))):
+            ev = pr.evaluate_bob(*alice, b, theta, strategy)
+            evaluated += ev.system == "none"
+        table = pr.segment_table(a, (b, b + PI), strategy)
+        tables += False in table.constant
+    assert terminated > 0 and evaluated > 0 and tables > 0
+    assert "none" not in systems
+    assert systems  # the live axes still take the branch step
