@@ -35,6 +35,7 @@ from .protocol import (
     NO_FLIP,
     CoinMode,
     Strategy,
+    _record,
     _theta_arg,
     alice_slot_arrays,
     evaluate_bob,
@@ -219,6 +220,7 @@ def two_bob_equal_quadrature(
     return table.expectation(coin_mode)
 
 
+@_record
 @dataclass(frozen=True)
 class ConsistencyRow:
     """Per-theta audit of the axis-reversal conservation law.

@@ -16,17 +16,20 @@ boundary of a system lies in the slot of that system's largest boundary.
 Slots are therefore half-open ``[lo, hi)``, every angle lies in exactly one
 slot of each system, and a boundary belongs to the slot it opens.
 :func:`alpha_slot_of`, :func:`beta_slot_of` and :func:`gamma_slot_of` apply
-the rule with the same expressions to Python floats, which give Python ints,
-and to numpy arrays, which broadcast, and :func:`slot_triple` reads all three
-at one point. :func:`cell_index` returns the four-bit cell, the rank of an
-angle under the same rule over all sixteen floats: the sum of its ranks in
-the three systems, which also give the triple.
+the rule to Python floats, which give Python ints, and to numpy arrays, which
+broadcast, and :func:`slot_triple` reads all three at one point. One helper
+counts the ranks: by bisection of the ascending bound tuple for Python
+floats, by a sum of comparisons for arrays; the counts are the same.
+:func:`cell_index` returns the four-bit cell, the rank of an angle under the
+same rule over all sixteen floats: the sum of its ranks in the three
+systems, which also give the triple.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from itertools import repeat
 
 import numpy as np
@@ -91,7 +94,21 @@ _ALPHA_BOUNDS = tuple(j * ALPHA_WIDTH for j in range(10))
 
 
 def _rank(x, bounds):
-    """How many of ``bounds`` lie at or below ``x`` (arrays broadcast)."""
+    """How many of ``bounds`` lie at or below ``x`` (arrays broadcast).
+
+    A Python float ``x`` that is not NaN, against a tuple of Python floats
+    whose first is not NaN, is counted by ``bisect_right``: the rule's count
+    when the tuple ascends, as every scalar caller's does (the alpha bounds,
+    the beta bounds and gamma's four values
+    ``s - 2*pi < theta + pi/5 < theta + pi < s``; the floats of one theta's
+    tuple are NaN together or not at all). Arrays, NumPy scalars and
+    anything else sum ``operator.le`` over the bounds. The split is the one
+    of ``_acceptance`` in :mod:`bctsim.protocol` between ``math.sin`` and
+    ``np.sin``.
+    """
+    if (type(x) is float and x == x and type(bounds) is tuple
+            and type(bounds[0]) is float and bounds[0] == bounds[0]):
+        return bisect_right(bounds, x)
     return sum(map(operator.le, bounds, repeat(x)))
 
 
@@ -226,10 +243,14 @@ def cell_to_triple(index: int, theta: float) -> tuple[int, int, int]:
     Every boundary at or below the lower edge is at or below each angle of
     the half-open cell, so the edge has the cell's triple: its ranks among
     the three systems' bounds, read directly, since the edge is one of the
-    sixteen floats in ``[0, 2*pi)``. Raises ``ValueError`` for an empty cell
+    sixteen floats in ``[0, 2*pi)``. Raises ``ValueError`` for an index that
+    is a bool or not an integer, as :meth:`~bctsim.protocol.HiddenState.make`
+    rejects such a sign, for one outside 0..15, and for an empty cell
     (possible at degenerate ``theta``): no setting can originate from it.
     """
     _check_theta(theta)
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise ValueError(f"cell index must be an integer, got {index!r}")
     if not 0 <= index <= 15:
         raise ValueError(f"cell index must lie in 0..15, got {index}")
     lo, hi = (_cell_bounds(theta) + [TWO_PI])[index:index + 2]

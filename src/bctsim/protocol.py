@@ -23,6 +23,7 @@ hidden draw, the coin, and the branch taken.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -137,6 +138,41 @@ class ProtocolError(ValueError):
     """An inconsistent message/hidden-state pair or malformed round input."""
 
 
+def _record(cls):
+    """Class decorator: give frozen dataclass ``cls`` an ``__init__`` that stores its fields straight into ``__dict__``.
+
+    The stock frozen ``__init__`` sets each field with its own
+    ``object.__setattr__`` call; this one binds the instance dict once and
+    stores each field by subscript, in declaration order, so the dict keeps
+    the keys shared across the class (one ``update`` would build each
+    instance its own key table, twice the memory). It has the same
+    signature, so a missing, unknown or duplicate argument raises the same
+    ``TypeError``; assignment and deletion still raise
+    ``FrozenInstanceError``, and equality, hashing, ``repr``, ``replace``,
+    ``asdict``, pickling and copying read the same fields. Only for a class
+    whose fields all come from ``__init__`` without defaults and that has
+    no ``__post_init__``.
+    """
+    fields = dataclasses.fields(cls)
+    required = all(f.init and f.default is f.default_factory is dataclasses.MISSING for f in fields)
+    if not (cls.__dataclass_params__.frozen and required) or hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__} is not a frozen dataclass of required fields only")
+    names = [f.name for f in fields]
+    # one instance through the stock __init__ grows the key table the class's instance
+    # dicts share; Python 3.10 grows it on attribute assignment only, not on a dict store
+    cls.__init__(object.__new__(cls), *[None] * len(names))
+    namespace = {}
+    # the one local is named __dict__, which a field could not be without hiding the instance dict
+    source = f"def __init__(self, {', '.join(names)}):\n    __dict__ = self.__dict__\n"
+    exec(source + "".join(f"    __dict__[{n!r}] = {n}\n" for n in names), namespace)
+    init = namespace["__init__"]
+    for name in ("__module__", "__qualname__", "__annotations__"):
+        setattr(init, name, getattr(cls.__init__, name))
+    cls.__init__ = init
+    return cls
+
+
+@_record
 @dataclass(frozen=True)
 class HiddenState:
     """Shared randomness of one round: the sign and the angle that positions the beta/gamma slots."""
@@ -168,6 +204,7 @@ def draw_hidden(rng: np.random.Generator) -> HiddenState:
     return HiddenState.make(c, theta)
 
 
+@_record
 @dataclass(frozen=True)
 class SlotMessage:
     """Alice's four transmitted bits: the cell of her setting, plus the decoded slots."""
@@ -190,9 +227,15 @@ class SlotMessage:
         return (self.alpha_slot, self.beta_slot, self.gamma_slot)
 
 
+@_record
 @dataclass(frozen=True)
 class TrialRecord:
-    """Everything needed to replay one round deterministically."""
+    """Everything needed to replay one round deterministically.
+
+    A frozen dataclass whose ``__init__`` comes from :func:`_record`, which
+    stores the twenty fields straight into the instance dict; it compares,
+    hashes, prints, replaces, pickles and serializes as the stock one does.
+    """
 
     a: float  # Alice's setting; nan in a bare Bob evaluation
     b: float
@@ -649,13 +692,14 @@ def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
 
 
 def _decode(msg: SlotMessage, hidden: HiddenState) -> tuple[int, int, int]:
-    """The slot triple Bob reads off the wire cell, checked against the triple the message carries."""
-    if not 0 <= msg.cell <= 15:
-        raise ProtocolError(f"cell index must lie in 0..15, got {msg.cell}")
+    """The slot triple Bob reads off the wire cell, checked against the triple the message carries.
+
+    A cell that is not an integer in 0..15, or is empty at this theta, is a ``ProtocolError``.
+    """
     try:
         triple = geometry.cell_to_triple(msg.cell, hidden.theta)
     except ValueError as exc:
-        raise ProtocolError(f"message cell {msg.cell} is impossible for this round: {exc}") from exc
+        raise ProtocolError(f"message cell {msg.cell!r} is impossible for this round: {exc}") from exc
     if triple != msg.triple:
         raise ProtocolError(
             f"message triple {msg.triple} does not decode from cell {msg.cell} "
@@ -785,6 +829,7 @@ def nbct_trial(
     return c_a, c_b
 
 
+@_record
 @dataclass(frozen=True)
 class TwoBobResult:
     c_a: int

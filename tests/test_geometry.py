@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -281,3 +282,68 @@ def test_decode_rejects_what_the_sorted_decode_rejects(index, theta):
     with pytest.raises(ValueError) as want:
         sorted_decode(index, theta)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("index", [True, False, 2.0, np.float64(3.0), "3", None])
+def test_decode_rejects_a_cell_that_is_not_an_integer(index):
+    # a bool would otherwise decode as cell 0 or 1, a float fail as a slice index
+    with pytest.raises(ValueError, match="must be an integer"):
+        g.cell_to_triple(index, 0.5)
+
+
+def test_decode_takes_a_numpy_integer_cell():
+    assert g.cell_to_triple(np.int64(5), 0.5) == g.cell_to_triple(5, 0.5)
+
+
+#: the shared angles at which _rank's float path is checked: both ends of
+#: the range, the first float above 0, the alpha bounds inside it, the gamma
+#: wrap and the floats either side, and seeded draws
+RANK_THETAS = [0.0, 5e-324, math.pi / 5, 2 * math.pi / 5, math.nextafter(WRAP_THETA, 0.0), WRAP_THETA,
+               math.nextafter(WRAP_THETA, math.inf), math.nextafter(3 * math.pi / 5, 0.0),
+               *np.random.default_rng(2101).uniform(0.0, g.THETA_SPAN, 40).tolist()]
+
+
+def _scalar_bound_tuples(theta: float) -> list[tuple[float, ...]]:
+    """Every bound tuple a scalar caller of ``_rank`` passes at ``theta``."""
+    return [g._ALPHA_BOUNDS, g._beta_bounds(theta), g._gamma_bounds(theta)]
+
+
+def _compare_sum(x, bounds) -> int:
+    """The rank rule as written: how many bounds lie at or below ``x``."""
+    return sum(1 for bound in bounds if bound <= x)
+
+
+@pytest.mark.parametrize("theta", RANK_THETAS)
+def test_scalar_bound_tuples_ascend(theta):
+    for bounds in _scalar_bound_tuples(theta):
+        assert all(type(bound) is float for bound in bounds)
+        assert all(lo < hi for lo, hi in zip(bounds, bounds[1:])), (theta, bounds)
+
+
+@pytest.mark.parametrize("theta", RANK_THETAS)
+def test_rank_float_path_counts_as_the_compare_sum(theta, monkeypatch):
+    """At every bound and the floats either side, bisection gives the rule's count; NumPy scalars skip it."""
+    bisections = []
+
+    def counted(bounds, x):
+        bisections.append(x)
+        return bisect.bisect_right(bounds, x)
+
+    monkeypatch.setattr(g, "bisect_right", counted)
+    for bounds in _scalar_bound_tuples(theta):
+        xs = [y for bound in bounds for y in (math.nextafter(bound, -math.inf), bound,
+                                              math.nextafter(bound, math.inf))]
+        xs += [0.0, math.nextafter(TAU, 0.0)]
+        for x in xs:
+            want = _compare_sum(x, bounds)
+            before = len(bisections)
+            assert g._rank(x, bounds) == want, (theta, bounds, x)
+            assert len(bisections) == before + 1  # the float path ran
+            wide = tuple(map(np.float64, bounds))
+            for args in ((np.float64(x), bounds), (x, wide), (np.float64(x), wide)):
+                got = g._rank(*args)
+                assert got == want and len(bisections) == before + 1, (theta, args)
+        assert np.array_equal(g._rank(np.array(xs), bounds), [_compare_sum(x, bounds) for x in xs])
+        # no bound lies at or below NaN, and a NaN bound lies at or below nothing
+        assert g._rank(math.nan, bounds) == 0
+        assert g._rank(1.0, (math.nan,) * len(bounds)) == 0

@@ -211,6 +211,19 @@ class TestBobRound:
         with pytest.raises(pr.ProtocolError):
             pr.bob_round(0.0, msg, h2, strategy=pr.NO_FLIP, coin=0.5)
 
+    @pytest.mark.parametrize("a,cast", [(0.3, bool), (0.65, float), (0.65, np.float64)])
+    def test_wire_cell_that_is_not_an_integer_rejected(self, a, cast):
+        # True would decode as cell 1, and a float cell fail as a slice index with a bare TypeError
+        h = pr.HiddenState.make(1, 0.3)
+        _, msg = pr.alice_round(a, h)
+        forged = pr.SlotMessage(cast(msg.cell), *msg.triple)
+        assert forged.cell == msg.cell
+        with pytest.raises(pr.ProtocolError, match="must be an integer"):
+            pr.bob_round(0.0, forged, h, coin=0.3)
+        _, rec = pr.bob_round(0.0, msg, h, coin=0.3)
+        with pytest.raises(pr.ProtocolError, match="must be an integer"):
+            pr.replay_bob(dataclasses.replace(rec, message=forged))
+
     def test_bad_coin_rejected(self):
         h = pr.HiddenState.make(1, 0.35 * PI)
         _, msg = pr.alice_round(PI / 2, h)
