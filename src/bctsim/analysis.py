@@ -242,8 +242,11 @@ def per_theta_consistency_audit(
     thetas: Iterable[float],
     strategy: Strategy = NO_FLIP,
 ) -> list[ConsistencyRow]:
-    """Evaluate the conservation law on a grid of shared angles; ``ProtocolError`` outside [0, 3*pi/5)."""
-    grid = np.asarray(list(thetas), dtype=float)
+    """Evaluate the conservation law on a grid of shared angles; ``ProtocolError`` outside [0, 3*pi/5).
+
+    An ndarray grid is read as it is; any other iterable is listed first.
+    """
+    grid = np.asarray(thetas if isinstance(thetas, np.ndarray) else list(thetas), dtype=float)
     fwd = np.atleast_1d(p_equal_given_theta(a, b, grid, strategy))
     rev = np.atleast_1d(p_equal_given_theta(a, b + math.pi, grid, strategy))
     anti = 1.0 - rev

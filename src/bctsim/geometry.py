@@ -98,10 +98,14 @@ def _rank(x, bounds):
 
     A Python float ``x`` that is not NaN, against a tuple of Python floats
     whose first is not NaN, is counted by ``bisect_right``: the rule's count
-    when the tuple ascends, as every scalar caller's does (the alpha bounds,
-    the beta bounds and gamma's four values
-    ``s - 2*pi < theta + pi/5 < theta + pi < s``; the floats of one theta's
-    tuple are NaN together or not at all). Arrays, NumPy scalars and
+    when the tuple ascends, as every scalar caller's does. Those are a
+    round's slots and decode, and a segment table's build: the slots at each
+    segment start and the certification probes around each crossing, down
+    to the negative subnormal below theta = 0. Their tuples (the alpha
+    bounds, the beta bounds and gamma's four values
+    ``s - 2*pi < theta + pi/5 < theta + pi < s``) ascend at every theta
+    from that probe up to 3*pi/5, and the floats of one theta's tuple are
+    NaN together or not at all. Arrays, NumPy scalars and
     anything else sum ``operator.le`` over the bounds. The split is the one
     of ``_acceptance`` in :mod:`bctsim.protocol` between ``math.sin`` and
     ``np.sin``.

@@ -452,34 +452,29 @@ def _flip_points(tests) -> list[float]:
     the least double above ``X`` and ``M`` the midpoint below ``Y``, that
     happens at the least double ``t >= M - o``, found by TwoSum on Python
     floats, or at the next float when ``theta + o = M`` rounds to even
-    below. The slot rule itself certifies every crossing, in one call per
-    system over the floats below, at and above each: it is the first float
-    whose slot differs from the float below it.
+    below. The slot rule itself certifies every crossing, in three calls on
+    Python floats, below, at and above ``t``: the crossing is the first of
+    the floats whose slot differs from the float below it. The probe below
+    ``t = 0`` is the negative subnormal, whose bounds still ascend.
     """
     flips = []
     for system, slot_of in (("beta", beta_slot_of), ("gamma", gamma_slot_of)):
-        xs, ts = [], []
-        for x in {normalize_angle(x) for x, s in tests if s == system}:
+        for x in {normalize_angle(float(x)) for x, s in tests if s == system}:
             for o, shift in _SLOT_BOUNDS[system]:
                 big, low = _two_sum(x, shift)  # X = big + low
                 y = big if low < 0.0 else math.nextafter(big, math.inf)
                 h, low = _two_sum(y, -o)
                 t, err = _two_sum(h, low - (y - math.nextafter(y, 0.0)) / 2.0)  # M = y - half an ulp
                 t = math.nextafter(t, math.inf) if err > 0.0 else t
-                if 0.0 <= t <= _LAST_THETA:  # else the flip, t or the float above it, is outside (0, 3*pi/5)
-                    xs.append(x)
-                    ts.append(t)
-        if not ts:
-            continue
-        above = [math.nextafter(t, math.inf) for t in ts]
-        probes = np.array([math.nextafter(t, -math.inf) for t in ts] + ts + above)
-        below_slot, t_slot, above_slot = slot_of(np.array(xs * 3), probes).reshape(3, -1).tolist()
-        for t, up, lo, at, hi in zip(ts, above, below_slot, t_slot, above_slot):
-            flip = t if at != lo else up
-            if 0.0 < flip <= _LAST_THETA:
-                if at == lo and hi == at:
-                    raise RuntimeError(f"slot crossing fails its certificate at theta={flip!r}")
-                flips.append(flip)
+                if not 0.0 <= t <= _LAST_THETA:  # the flip, t or the float above it, is outside (0, 3*pi/5)
+                    continue
+                up = math.nextafter(t, math.inf)
+                lo, at, hi = (slot_of(x, p) for p in (math.nextafter(t, -math.inf), t, up))
+                flip = t if at != lo else up
+                if 0.0 < flip <= _LAST_THETA:
+                    if at == lo and hi == at:
+                        raise RuntimeError(f"slot crossing fails its certificate at theta={flip!r}")
+                    flips.append(flip)
     return flips
 
 
@@ -667,28 +662,34 @@ def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
     Edges are the crossings of :func:`_flip_points` for each slot test that
     matters (Alice's and each Bob's, in that Bob's system), sorted and
     merged as Python floats; an angle on a boundary at theta = 0 leaves
-    that slot at the first float above 0, the first edge. Each segment's
-    entries come from one call of Bob's branch step (:func:`_branch`) at its
-    lowest theta, so the branch logic has a single owner; no acceptance is
-    computed. Each axis is resolved (:func:`_bob_axis`) once; a terminated
-    axis skips the branch step and gets no same-slot segment, zero offsets
-    and the constant decision ``False`` (``-c``).
+    that slot at the first float above 0, the first edge. The build runs on
+    Python floats, ``a`` made one first: at each segment's lowest theta,
+    Alice's beta and gamma slots come from the slot rule and each live
+    axis's entries from one call of Bob's branch step (:func:`_branch`), so
+    the branch logic has a single owner; no acceptance is computed. The
+    entries become arrays once, at the end. Each axis is resolved
+    (:func:`_bob_axis`) once; a terminated axis skips the branch step and
+    gets no same-slot segment, zero offsets and the constant decision
+    ``False`` (``-c``).
     """
-    alpha = int(alpha_slot_of(a))
+    a = normalize_angle(float(a))
+    alpha = alpha_slot_of(a)
     bob_axes = [_bob_axis(alpha, b, strategy) for b in axes]
     tests = {(x, system) for b_eff, _, system in bob_axes if system != "none" for x in (a, b_eff)}
-    starts = np.array([0.0, *sorted(set(_flip_points(tests) if tests else ()))])
-    _, beta_slots, gamma_slots = alice_slot_arrays(a, starts)
+    starts = [0.0, *sorted(set(_flip_points(tests) if tests else ()))]
+    alice = [(beta_slot_of(a, t), gamma_slot_of(a, t)) for t in starts]
     fields = []  # per axis: its SegmentTable fields after edges, in order
     for axis in bob_axes:
         b_eff, fired, system = axis
         if system == "none":  # terminated: no slot test, so no segment is same-slot or has a separator
-            same, offset = np.zeros(starts.shape, dtype=bool), np.zeros(starts.shape)
+            same, offset = [False] * len(starts), [0.0] * len(starts)
         else:
-            _, _, same, k = _branch(axis, beta_slots, gamma_slots, starts)
-            offset = np.where(same, 0.0, np.asarray(GAMMA_OFFSETS if system == "gamma" else BETA_OFFSETS)[k])
-        fields.append((b_eff, same, offset, fired, not fired if system == "none" or same.all() else None))
-    return SegmentTable(starts[1:], *map(tuple, zip(*fields)))
+            offsets = GAMMA_OFFSETS if system == "gamma" else BETA_OFFSETS
+            same, k = zip(*(_branch(axis, beta, gamma, t)[2:] for t, (beta, gamma) in zip(starts, alice)))
+            offset = [0.0 if s else offsets[i] for s, i in zip(same, k)]
+        constant = not fired if system == "none" or all(same) else None
+        fields.append((b_eff, np.array(same), np.array(offset), fired, constant))
+    return SegmentTable(np.array(starts[1:]), *map(tuple, zip(*fields)))
 
 
 def _decode(msg: SlotMessage, hidden: HiddenState) -> tuple[int, int, int]:

@@ -209,6 +209,23 @@ class TestConsistencyAudit:
         with pytest.raises(ValueError):
             an.per_theta_consistency_audit(0.0, 0.0, [3 * PI / 5], pr.NO_FLIP)
 
+    def test_an_array_a_list_a_tuple_and_a_generator_give_equal_rows_and_the_same_error(self):
+        grid = np.random.default_rng(2293).uniform(0.0, THETA_SPAN, 64)
+
+        def forms(g):
+            return [g, g.tolist(), tuple(g.tolist()), (t for t in g.tolist())]
+
+        rows = [an.per_theta_consistency_audit(PI / 2, 0.0, g, pr.NO_FLIP) for g in forms(grid)]
+        assert len(rows[0]) == len(grid) and all(r == rows[0] for r in rows)
+        assert [[type(v) for v in vars(row).values()] for r in rows for row in r] == \
+            [[float, float, float, float, bool]] * (4 * len(grid))
+        errors = set()
+        for g in forms(np.append(grid, THETA_SPAN)):
+            with pytest.raises(pr.ProtocolError) as info:
+                an.per_theta_consistency_audit(PI / 2, 0.0, g, pr.NO_FLIP)
+            errors.add(str(info.value))
+        assert len(errors) == 1
+
     @pytest.mark.parametrize("strategy", [pr.NO_FLIP, pr.CYCLIC_FLIP])
     def test_rows_equal_a_loop_reference_field_for_field_and_type_for_type(self, strategy):
         """Rows built from whole arrays equal rows built one NumPy scalar at a time, on a 2,048-point grid."""

@@ -297,9 +297,10 @@ def test_decode_takes_a_numpy_integer_cell():
 
 #: the shared angles at which _rank's float path is checked: both ends of
 #: the range, the first float above 0, the alpha bounds inside it, the gamma
-#: wrap and the floats either side, and seeded draws
-RANK_THETAS = [0.0, 5e-324, math.pi / 5, 2 * math.pi / 5, math.nextafter(WRAP_THETA, 0.0), WRAP_THETA,
-               math.nextafter(WRAP_THETA, math.inf), math.nextafter(3 * math.pi / 5, 0.0),
+#: wrap and the floats either side, the table certificate's probes outside
+#: the range (the negative subnormal below 0 and 3*pi/5), and seeded draws
+RANK_THETAS = [-5e-324, 0.0, 5e-324, math.pi / 5, 2 * math.pi / 5, math.nextafter(WRAP_THETA, 0.0), WRAP_THETA,
+               math.nextafter(WRAP_THETA, math.inf), math.nextafter(3 * math.pi / 5, 0.0), g.THETA_SPAN,
                *np.random.default_rng(2101).uniform(0.0, g.THETA_SPAN, 40).tolist()]
 
 

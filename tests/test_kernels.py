@@ -17,6 +17,7 @@ import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -649,11 +650,37 @@ def test_flip_points_equal_the_bisection_oracle(system):
     assert np.unique(pr._flip_points(tests)).tobytes() == np.unique(bisect_flip_points(tests)).tobytes()
 
 
-def test_table_build_calls_the_slot_rule_a_fixed_number_of_times(monkeypatch):
-    """The flips cost one slot-rule call per system however near a bound the setting sits: no search loop.
+def _double_above(r: Fraction, strict: bool) -> float:
+    """The least double above the rational ``r``, or at or above it when not ``strict``."""
+    f = float(r)  # the nearest double, so at most one step below
+    return math.nextafter(f, math.inf) if Fraction(f) < r or (strict and Fraction(f) == r) else f
 
-    Axis 0 is tested in gamma and axis pi in beta, so a table also makes one
-    call of each for Alice's slots and one per axis in its system.
+
+def _probed_crossings(xs, system: str) -> int:
+    """How many crossings of the normalized settings ``xs`` in ``system`` have a float ``t`` in ``[0, LAST_THETA]``.
+
+    Worked in exact rationals: a bound ``theta + o``, less ``shift`` for
+    gamma's wrapped ``s - 2*pi``, first exceeds ``X = x + shift`` near the
+    least double ``t`` at or above ``M - o``, where ``Y`` is the least double
+    above ``X`` and ``M`` the midpoint between ``Y`` and the double below it.
+    """
+    offsets = geo.BETA_OFFSETS if system == "beta" else geo.GAMMA_OFFSETS
+    bounds = [(o, 0.0) for o in offsets] + ([(geo.GAMMA_OFFSETS[1], geo.TWO_PI)] if system == "gamma" else [])
+    count = 0
+    for x in xs:
+        for o, shift in bounds:
+            y = _double_above(Fraction(x) + Fraction(shift), strict=True)
+            t = _double_above((Fraction(y) + Fraction(math.nextafter(y, 0.0))) / 2 - Fraction(o), strict=False)
+            count += 0.0 <= t <= LAST_THETA
+    return count
+
+
+def test_table_build_calls_the_slot_rule_a_fixed_number_of_times(monkeypatch):
+    """The slot rule runs three times per probed crossing (below, at, above) however near a bound the setting sits.
+
+    Axis 0 is tested in gamma and axis pi in beta, so each segment start
+    also costs one call of each system for Alice's slots and one in each
+    axis's system: no search loop, and no probe beyond the three.
     """
     calls = {}
 
@@ -665,10 +692,13 @@ def test_table_build_calls_the_slot_rule_a_fixed_number_of_times(monkeypatch):
 
     monkeypatch.setattr(pr, "beta_slot_of", counting("beta", geo.beta_slot_of))
     monkeypatch.setattr(pr, "gamma_slot_of", counting("gamma", geo.gamma_slot_of))
-    for a in _bound_values(0.0)[:-1] + [1.0, 0.123, LAST_THETA]:
+    for a in _bound_values(0.0)[:-1] + [1.0, 0.123, LAST_THETA] + BOUND_SETTINGS:
         calls.update(beta=0, gamma=0)
-        pr.segment_table(a, AXES, pr.NO_FLIP)
-        assert calls == {"beta": 3, "gamma": 3}, a
+        starts = len(pr.segment_table(a, AXES, pr.NO_FLIP).edges) + 1
+        x = geo.normalize_angle(a)
+        want = {system: 3 * _probed_crossings({x, axis}, system) + starts * (1 + 1)
+                for system, axis in (("beta", PI), ("gamma", 0.0))}
+        assert calls == want, a
 
 
 def test_table_build_computes_no_acceptance(monkeypatch):

@@ -25,12 +25,15 @@ from bctsim import geometry as geo
 from bctsim import harness as hn
 from bctsim import protocol as pr
 from bctsim.analysis import WALKTHROUGH_B1, alice_setting
+from table_oracle import array_segment_table
 from test_kernels import _table_cases
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "table_digests.json"
 PI = math.pi
 STRATEGIES = dict(hn.CALIBRATION_VARIANTS)
 SEEDED = 200
+#: seed of the settings pinned to the array build; the fixture's cases use 1874
+ORACLE_SEED = 2291
 
 
 def _label(strategy: pr.Strategy) -> str:
@@ -95,6 +98,41 @@ def test_tables_match_their_digests(name):
     assert len(want) == len(group)
     for case, got, pinned in zip(group, digests(group), want):
         assert got == pinned, case
+
+
+def oracle_cases() -> list[tuple[object, tuple, pr.Strategy]]:
+    """Fresh settings for the array-build pin: every bound neighbour, seeded floats, ``np.float64`` and ``int``."""
+    rng = np.random.default_rng(ORACLE_SEED)
+    near = _bound_neighbours()
+    settings = near + rng.uniform(-2 * PI, 4 * PI, 60).tolist()
+    settings += [np.float64(v) for v in rng.uniform(-2 * PI, 4 * PI, 12)] + list(range(-7, 8))
+    out = []
+    for i, a in enumerate(settings):
+        b = near[int(rng.integers(len(near)))] if i % 3 else float(rng.uniform(0.0, 2 * PI))
+        b = type(a)(round(b)) if isinstance(a, int) else type(a)(b)  # the first axis takes the setting's type
+        axes = (b,) if i % 2 else (b, b + PI)
+        out += [(a, axes, strategy) for strategy in STRATEGIES.values()]
+    return out
+
+
+def test_oracle_cases_cover_every_bound_type_and_row_shape():
+    group = oracle_cases()
+    assert set(_bound_neighbours()) <= {a for a, _, _ in group}
+    assert {type(a) for a, _, _ in group} == {float, np.float64, int}
+    assert {len(axes) for _, axes, _ in group} == {1, 2}
+    assert {strategy for _, _, strategy in group} == set(STRATEGIES.values())
+
+
+def test_tables_equal_the_array_build_field_by_field():
+    """The float build against the array build it replaced: every array's dtype and bytes, every flag."""
+    for a, axes, strategy in oracle_cases():
+        got, want = pr.segment_table(a, axes, strategy), array_segment_table(a, axes, strategy)
+        arrays = [(got.edges, want.edges)] + list(zip(got.same + got.offset, want.same + want.offset))
+        assert len(got.same) == len(want.same) == len(axes), (a, axes, strategy)
+        for g, w in arrays:
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), (a, axes, strategy)
+        assert [(type(b), float(b).hex()) for b in got.axes] == [(type(b), float(b).hex()) for b in want.axes]
+        assert (got.negate, got.constant) == (want.negate, want.constant), (a, axes, strategy)
 
 
 if __name__ == "__main__":
