@@ -244,11 +244,11 @@ def per_theta_consistency_audit(
 ) -> list[ConsistencyRow]:
     """Evaluate the conservation law on a grid of shared angles; ``ProtocolError`` outside [0, 3*pi/5).
 
-    An ndarray grid is read as it is; any other iterable is listed first.
+    An ndarray grid is read as it is, a 0-d one as one theta; any other iterable is listed first.
     """
-    grid = np.asarray(thetas if isinstance(thetas, np.ndarray) else list(thetas), dtype=float)
-    fwd = np.atleast_1d(p_equal_given_theta(a, b, grid, strategy))
-    rev = np.atleast_1d(p_equal_given_theta(a, b + math.pi, grid, strategy))
+    grid = np.atleast_1d(np.asarray(thetas if isinstance(thetas, np.ndarray) else list(thetas), dtype=float))
+    fwd = p_equal_given_theta(a, b, grid, strategy)
+    rev = p_equal_given_theta(a, b + math.pi, grid, strategy)
     anti = 1.0 - rev
     violation = np.abs(fwd - anti) > AUDIT_TOL
     return list(map(ConsistencyRow, grid.tolist(), fwd.tolist(), rev.tolist(), anti.tolist(), violation.tolist()))

@@ -17,9 +17,7 @@ Slots are therefore half-open ``[lo, hi)``, every angle lies in exactly one
 slot of each system, and a boundary belongs to the slot it opens.
 :func:`alpha_slot_of`, :func:`beta_slot_of` and :func:`gamma_slot_of` apply
 the rule to Python floats, which give Python ints, and to numpy arrays, which
-broadcast, and :func:`slot_triple` reads all three at one point. One helper
-counts the ranks: by bisection of the ascending bound tuple for Python
-floats, by a sum of comparisons for arrays; the counts are the same.
+broadcast, and :func:`slot_triple` reads all three at one point.
 :func:`cell_index` returns the four-bit cell, the rank of an angle under the
 same rule over all sixteen floats: the sum of its ranks in the three
 systems, which also give the triple.
@@ -47,7 +45,6 @@ __all__ = [
     "gamma_slot_of",
     "beta_boundary",
     "gamma_boundary",
-    "theta_breakpoints",
     "alpha_slot_cyclic_difference",
     "slot_triple",
     "cell_index",
@@ -98,17 +95,8 @@ def _rank(x, bounds):
 
     A Python float ``x`` that is not NaN, against a tuple of Python floats
     whose first is not NaN, is counted by ``bisect_right``: the rule's count
-    when the tuple ascends, as every scalar caller's does. Those are a
-    round's slots and decode, and a segment table's build: the slots at each
-    segment start and the certification probes around each crossing, down
-    to the negative subnormal below theta = 0. Their tuples (the alpha
-    bounds, the beta bounds and gamma's four values
-    ``s - 2*pi < theta + pi/5 < theta + pi < s``) ascend at every theta
-    from that probe up to 3*pi/5, and the floats of one theta's tuple are
-    NaN together or not at all. Arrays, NumPy scalars and
-    anything else sum ``operator.le`` over the bounds. The split is the one
-    of ``_acceptance`` in :mod:`bctsim.protocol` between ``math.sin`` and
-    ``np.sin``.
+    only if the tuple ascends and holds no NaN, which a scalar caller must
+    ensure. Anything else sums ``operator.le`` over the bounds.
     """
     if (type(x) is float and x == x and type(bounds) is tuple
             and type(bounds[0]) is float and bounds[0] == bounds[0]):
@@ -157,33 +145,24 @@ _BETA_OFFSETS = np.array(BETA_OFFSETS)
 _GAMMA_OFFSETS = np.array(GAMMA_OFFSETS)
 
 
+def _separator(theta, offset):
+    """The boundary ``normalize_angle(theta + offset)`` for ``theta`` in ``[0, 3*pi/5)``, floats or arrays.
+
+    ``theta + offset < 4*pi``, so subtracting ``2*pi`` once at or above it
+    is exact (Sterbenz) and equals ``(theta + offset) % TWO_PI`` bit for bit.
+    """
+    b = theta + offset
+    return b - TWO_PI * (b >= TWO_PI)
+
+
 def beta_boundary(k, theta):
     """Angle of boundary ``beta_k`` for offset ``theta`` (arrays broadcast)."""
-    return (theta + _BETA_OFFSETS[k]) % TWO_PI
+    return _separator(theta, _BETA_OFFSETS[k])
 
 
 def gamma_boundary(k, theta):
     """Angle of boundary ``gamma_k`` for offset ``theta`` (arrays broadcast)."""
-    return (theta + _GAMMA_OFFSETS[k]) % TWO_PI
-
-
-def theta_breakpoints(*angles: float) -> list[float]:
-    """Shared offsets in ``(0, 3*pi/5)`` where a beta/gamma boundary passes one of ``angles``.
-
-    These are the rounded values ``normalize_angle(x - offset)``. A slot test
-    of ``x`` flips at the lowest theta whose boundary float reaches ``x``,
-    within a few ulps of one of these points, or, for an ``x`` on a boundary
-    at theta = 0 (never listed), at the first float above 0. Everything that
-    depends on theta only through the slot tests is piecewise constant
-    between consecutive flips.
-    """
-    pts = set()
-    for x in angles:
-        for offset in BETA_OFFSETS + GAMMA_OFFSETS:
-            t = normalize_angle(x - offset)
-            if 0.0 < t < THETA_SPAN:
-                pts.add(t)
-    return sorted(pts)
+    return _separator(theta, _GAMMA_OFFSETS[k])
 
 
 def alpha_slot_cyclic_difference(j1: int, j2: int) -> int:

@@ -84,6 +84,16 @@ class EmitError(OSError):
     """An output file could not be written."""
 
 
+def _check_run(trials: int, seed: int, batch_size: int) -> None:
+    """``ConfigError`` unless a run has positive trials and batch size and a non-negative 64-bit seed."""
+    if trials < 1:
+        raise ConfigError(f"trials must be positive, got {trials}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be a non-negative 64-bit integer, got {seed}")
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be positive, got {batch_size}")
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -101,14 +111,9 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {tuple(EXPERIMENTS)}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be positive, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be a non-negative 64-bit integer, got {self.seed}")
+        _check_run(self.trials, self.seed, self.batch_size)
         if self.workers < 1:
             raise ConfigError(f"workers must be positive, got {self.workers}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be positive, got {self.batch_size}")
         spec = EXPERIMENTS[self.experiment]
         for name in GRIDS:
             flag = name.replace("_", "-")
@@ -257,15 +262,12 @@ def _kernel(
     draw (:func:`_substreams`): a float draw takes ``n`` outputs of the
     batch stream and c ``(n + 1) // 2``, read off the raw outputs as NumPy's
     ``integers(0, 2, n, dtype=np.int64)`` reads them (the top bit of each
-    32-bit half, low half first; ``_CHUNK`` is even). An unconditioned row
-    decides each chunk by the table's screen
-    (:meth:`~bctsim.protocol.SegmentTable._sift`), a conditioned one by the
-    acceptance at ``theta_fixed`` (:meth:`~bctsim.protocol.SegmentTable.at`).
-    After the last chunk each live axis resolves its held trials
-    (:meth:`~bctsim.protocol.SegmentTable._resolve`) and the batch is
-    tallied once. Every step is per trial, so the tallies are those of
-    drawing each draw whole and deciding each trial by
-    :func:`~bctsim.protocol.evaluate_bob`.
+    32-bit half, low half first; ``_CHUNK`` is even). A conditioned row
+    decides by the acceptance at ``theta_fixed``
+    (:meth:`~bctsim.protocol.SegmentTable.at`), any other by the table's
+    screen, each live axis resolving its held trials after the last chunk
+    (:class:`~bctsim.protocol.SegmentTable` gives the screen's bound). Every
+    step is per trial, so the chunks change no tally.
 
     A draw that nothing reads gets no substream and every other keeps its
     offset, so skipping one changes no tally: an axis with a constant
@@ -373,6 +375,7 @@ def conditioned_two_bob_estimate(
     Returns (estimate, standard error). Rejection-free: theta is an input,
     not a sample.
     """
+    _check_run(trials, seed, batch_size)
     tally = _run_batches(_antipodal(nu, strategy, coin_mode, theta_fixed=theta),
                          trials, seed, (0,), batch_size, None)
     return _rate(tally, EQUAL)
@@ -388,6 +391,7 @@ def conditioned_pair_estimate(
     batch_size: int = 250_000,
 ) -> tuple[float, float]:
     """Monte Carlo P(outputs equal) for one pair with the shared angle fixed."""
+    _check_run(trials, seed, batch_size)
     kernel = _kernel(segment_table(a, (b,), strategy), theta_fixed=theta)
     return _rate(_run_batches(kernel, trials, seed, (0,), batch_size, None), KEPT_1)
 
@@ -402,11 +406,11 @@ def joint_outcome_table(
 ) -> np.ndarray:
     """2x2 joint outcome counts, rows = first party's sign, cols = second's.
 
-    Sampled through the batch kernel, which looks Bob's branch up in a
-    segment table. The acceptance suite checks it against a table tallied
-    from seeded :func:`~bctsim.protocol.nbct_trial` rounds, which play each
-    round through Alice's message and Bob's scalar procedure.
+    The acceptance suite checks it against a table tallied from seeded
+    :func:`~bctsim.protocol.nbct_trial` rounds, which play each round
+    through Alice's message and Bob's scalar procedure.
     """
+    _check_run(trials, seed, batch_size)
     kernel = _kernel(segment_table(a, (b,), strategy))
     n, c_plus, kept, b_plus = _run_batches(kernel, trials, seed, (0,), batch_size, None)
     # b_plus counts kept & c+ plus ~kept & ~c+, so kept & c+ is (b_plus - n + kept + c_plus) / 2

@@ -230,12 +230,7 @@ class SlotMessage:
 @_record
 @dataclass(frozen=True)
 class TrialRecord:
-    """Everything needed to replay one round deterministically.
-
-    A frozen dataclass whose ``__init__`` comes from :func:`_record`, which
-    stores the twenty fields straight into the instance dict; it compares,
-    hashes, prints, replaces, pickles and serializes as the stock one does.
-    """
+    """Everything needed to replay one round deterministically."""
 
     a: float  # Alice's setting; nan in a bare Bob evaluation
     b: float
@@ -272,12 +267,7 @@ def alice_round(a: float, hidden: HiddenState) -> tuple[int, SlotMessage]:
 
 
 def alice_slot_arrays(a: float, theta) -> tuple[int, np.ndarray, np.ndarray]:
-    """Alice's alpha slot and per-theta beta/gamma slots for a fixed setting.
-
-    Vector counterpart of :func:`alice_round` used by sweep kernels and the
-    analytic per-theta probabilities: ``theta`` may be a float or an array.
-    Raises ``ValueError`` for a non-finite ``a``.
-    """
+    """Alice's alpha slot and beta/gamma slots at ``theta`` (float or array); ``ValueError`` for a non-finite ``a``."""
     normalize_angle(a)
     return int(alpha_slot_of(a)), beta_slot_of(a, theta), gamma_slot_of(a, theta)
 
@@ -291,11 +281,7 @@ class BobEvaluation:
     pre-negation probability of keeping ``c``; the final output is negated
     when ``negate`` (a fired reflection). ``boundary_index``,
     ``boundary_angle`` and ``u`` (the separator) mean something only where
-    ``same_slot`` is False. ``system`` is ``"none"`` when the reflection
-    terminated the round; :func:`evaluate_bob` then builds the evaluation in
-    its own block, without the branch step: ``accept_prob`` is 1,
-    ``same_slot`` False, the two slots and the index -1 and the two angles
-    nan, all shaped like theta.
+    ``same_slot`` is False.
     """
 
     accept_prob: np.ndarray
@@ -313,7 +299,12 @@ def _bob_axis(alice_alpha: int, b: float, strategy: Strategy) -> tuple[float, bo
     """Bob's effective axis, whether the reflection fired, and his slot system.
 
     All three are theta-free. The system is ``"none"`` when a fired
-    reflection terminates the round.
+    reflection terminates the round: Bob outputs ``-c`` with no slot test,
+    so neither the branch step (:func:`_branch`) nor the acceptance runs.
+    Each form reads such an axis as an acceptance of 1, negated, with -1 for
+    the slots and the separator's index and nan for its angle and ``u``; a
+    :class:`SegmentTable` gives it no same-slot segment, zero offsets and
+    the constant decision ``False``.
     """
     b = normalize_angle(b)
     bob_alpha = int(alpha_slot_of(b))
@@ -347,9 +338,7 @@ def _branch(axis: tuple[float, bool, str], alice_beta_slot, alice_gamma_slot, th
 
     Returns per theta Alice's active slot, his slot, same-slot and the
     separator's index: Python ints and a bool at a float ``theta`` and
-    Alice's slots as ints, else arrays. A terminated axis (system
-    ``"none"``) has no slot test and never comes here: :func:`evaluate_bob`,
-    :func:`segment_table` and :func:`_bob_step` each handle it themselves.
+    Alice's slots as ints, else arrays.
     """
     b_eff, _, system = axis
     gamma = system == "gamma"
@@ -373,22 +362,17 @@ def evaluate_bob(
 ) -> BobEvaluation:
     """Run Bob's branch logic against a slot message: the array form, vectorized over theta.
 
-    ``theta`` is a float or an array; ``alice_beta_slot``/``alice_gamma_slot``
-    are ints from a single message or per-theta arrays from
-    :func:`alice_slot_arrays`, and broadcasting gives the shape. Only slot
-    information about Alice's setting enters; her angle never does. The
-    axis is resolved once (:func:`_bob_axis`), then come the branch step
-    :func:`_branch` and the acceptance :func:`_acceptance` on NumPy values;
-    a terminated axis skips both and gets its evaluation from its own block.
-    This is the form of :func:`p_equal_given_theta` and the oracles; a
-    round's Bob step (:func:`_bob_step`) runs the same two steps on Python
-    floats.
+    ``alice_beta_slot``/``alice_gamma_slot`` are ints from one message or
+    per-theta arrays from :func:`alice_slot_arrays`; only slot information
+    about Alice's setting enters, never her angle. The axis is resolved once
+    (:func:`_bob_axis`), then come the branch step :func:`_branch` and the
+    acceptance :func:`_acceptance` on NumPy values.
     """
     axis = b_eff, fired, system = _bob_axis(alice_alpha, b, strategy)
-    if system == "none":  # the reflection ended the round before any slot test
+    if system == "none":
         shape = np.shape(theta)
         return BobEvaluation(
-            accept_prob=np.ones(shape),  # inner outcome is c with certainty, then negated
+            accept_prob=np.ones(shape),
             negate=True,
             system=system,
             same_slot=np.zeros(shape, dtype=bool),
@@ -483,20 +467,18 @@ class SegmentTable:
     """Bob's branch outcome on several axes against one setting, as a lookup over theta.
 
     For fixed settings and strategy every slot test that decides Bob's
-    branch is constant between consecutive ``edges``: segment ``i`` is
-    ``[edges[i-1], edges[i])``, from 0 up to 3*pi/5. Each edge is the exact
-    lowest float theta at which a beta or gamma slot test gives a new slot,
-    in closed form and certified by the slot rule (:func:`_flip_points`), so
-    a lookup agrees with :func:`evaluate_bob` at every theta. Per axis ``j``
-    and segment: ``same[j]`` (Bob shares Alice's active slot) and
-    ``offset[j]``, the separator's offset above theta; per axis: the
-    effective (possibly reflected) axis, ``negate`` and ``constant``, the
-    decision that no theta or coin can change, else None (the axis is live).
-    An acceptance of exactly 1 keeps ``c`` for every coin in [0, 1), so it
-    decides ``not negate``: on a terminated axis, on one where ``same`` holds
-    in every segment, and at one theta (:meth:`at`) wherever the acceptance
-    is 1. An acceptance is never 0 (its least value is ``1 - 3*pi/10``), so
-    no other decision is constant.
+    branch is constant between consecutive ``edges``, the crossings of
+    :func:`_flip_points`: segment ``i`` is ``[edges[i-1], edges[i])``, from
+    0 up to 3*pi/5, so a lookup agrees with :func:`evaluate_bob` at every
+    theta. Per axis ``j`` and segment: ``same[j]`` (Bob shares Alice's
+    active slot) and ``offset[j]``, the separator's offset above theta; per
+    axis: the effective (possibly reflected) axis, ``negate`` and
+    ``constant``, the decision that no theta or coin can change, else None
+    (the axis is live). An acceptance of exactly 1 keeps ``c`` for every
+    coin in [0, 1), so it decides ``not negate``: on a terminated axis, on
+    one where ``same`` holds in every segment, and at one theta (:meth:`at`)
+    wherever the acceptance is 1. An acceptance is never 0 (its least value
+    is ``1 - 3*pi/10``), so no other decision is constant.
 
     The screen: per live axis, an array ``lo`` over the bin indices with
     ``lo[k] <= q <= lo[k] + _WIDTH`` for the exact acceptance ``q`` at every
@@ -528,11 +510,7 @@ class SegmentTable:
 
     def _accept(self, j: int, theta: np.ndarray, seg) -> np.ndarray:
         """Bob's acceptance on axis ``j`` at each ``theta`` in segment ``seg``, as :func:`evaluate_bob` gives it."""
-        # theta + offset < 3*pi/5 + 8*pi/5 < 4*pi, so subtracting 2*pi once at
-        # or above it is exact (Sterbenz) and equals the % of
-        # beta_boundary/gamma_boundary bit for bit
-        boundary = theta + self.offset[j][seg]
-        boundary -= TWO_PI * (boundary >= TWO_PI)
+        boundary = geometry._separator(theta, self.offset[j][seg])
         return np.where(self.same[j][seg], 1.0, _acceptance(self.axes[j], boundary)[1])
 
     @functools.cached_property
@@ -579,9 +557,7 @@ class SegmentTable:
     def _resolve(self, j: int, keep: np.ndarray, held) -> np.ndarray:
         """The resolve step of live axis ``j``: decide its held trials exactly, then negate ``keep`` in place.
 
-        ``held`` lists parts as :meth:`_sift` returns them; each trial's
-        segment is the number of edges at or below its theta, by the slot
-        functions' rank rule.
+        ``held`` lists parts as :meth:`_sift` returns them.
         """
         if held:
             at, theta, coin = (np.concatenate(part) for part in zip(*held))
@@ -589,21 +565,6 @@ class SegmentTable:
         if self.negate[j]:
             np.logical_not(keep, out=keep)
         return keep
-
-    def keeps_c(self, theta: np.ndarray | None, coins) -> list[np.ndarray]:
-        """Per axis, whether Bob's output equals ``c`` in each trial, by the screen over the whole array.
-
-        ``coins[j]`` holds axis ``j``'s acceptance draws. A constant axis gets
-        its constant, shaped like ``theta``, and reads no coin; with no live
-        axis ``theta`` may be None (the decisions are then 0-d).
-        """
-        shape = np.shape(theta)
-        kept = [np.empty(shape, dtype=bool) if k is None else np.full(shape, k) for k in self.constant]
-        if None in self.constant:  # some axis is live
-            for j, part in enumerate(self._sift(theta, coins, kept, 0)):
-                if part is not None:
-                    self._resolve(j, kept[j], [part])
-        return kept
 
     def at(self, theta: float) -> tuple[list[float], tuple[bool | None, ...]]:
         """Per axis, the acceptance at one ``theta`` (1.0 if constant) and the decision constant there, else None."""
@@ -668,9 +629,7 @@ def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
     axis's entries from one call of Bob's branch step (:func:`_branch`), so
     the branch logic has a single owner; no acceptance is computed. The
     entries become arrays once, at the end. Each axis is resolved
-    (:func:`_bob_axis`) once; a terminated axis skips the branch step and
-    gets no same-slot segment, zero offsets and the constant decision
-    ``False`` (``-c``).
+    (:func:`_bob_axis`) once.
     """
     a = normalize_angle(float(a))
     alpha = alpha_slot_of(a)
@@ -681,7 +640,7 @@ def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
     fields = []  # per axis: its SegmentTable fields after edges, in order
     for axis in bob_axes:
         b_eff, fired, system = axis
-        if system == "none":  # terminated: no slot test, so no segment is same-slot or has a separator
+        if system == "none":
             same, offset = [False] * len(starts), [0.0] * len(starts)
         else:
             offsets = GAMMA_OFFSETS if system == "gamma" else BETA_OFFSETS
@@ -715,9 +674,7 @@ def _bob_step(a: float, b: float, msg: SlotMessage, triple: tuple[int, int, int]
 
     The branch step :func:`_branch`, then the acceptance :func:`_acceptance`,
     on Python floats and ints: the values :func:`evaluate_bob` gives at
-    ``[theta]``, bit for bit, with no :class:`BobEvaluation` built. A
-    terminated axis skips both; its record holds the Python int -1 for the
-    slots and the separator's index.
+    ``[theta]``, bit for bit, with no :class:`BobEvaluation` built.
     """
     if coin is None or not 0.0 <= coin < 1.0:
         raise ProtocolError(f"coin must lie in [0, 1), got {coin!r}")
@@ -728,8 +685,7 @@ def _bob_step(a: float, b: float, msg: SlotMessage, triple: tuple[int, int, int]
                                      else _branch(axis, beta_slot, gamma_slot, hidden.theta))
     cross = system != "none" and not same
     if cross:
-        # beta_boundary/gamma_boundary on a Python float
-        boundary = (hidden.theta + (GAMMA_OFFSETS if system == "gamma" else BETA_OFFSETS)[k]) % TWO_PI
+        boundary = geometry._separator(hidden.theta, (GAMMA_OFFSETS if system == "gamma" else BETA_OFFSETS)[k])
         u, accept = _acceptance(b_eff, boundary)
     else:  # no separator: the record holds -1 and nan
         k, boundary, u, accept = -1, math.nan, math.nan, 1.0
@@ -847,12 +803,10 @@ def two_bob_trial(
     strategy: Strategy = NO_FLIP,
     coin_mode: CoinMode = CoinMode.INDEPENDENT,
 ) -> TwoBobResult:
-    """Evaluate Bob's procedure at ``b1`` and ``b1 + pi`` against one message.
+    """Evaluate Bob's procedure at ``b1`` and ``b1 + pi`` against one message, coins as ``coin_mode`` says.
 
-    One hidden draw, one message; the two evaluations either share a single
-    acceptance coin or draw independent ones. Perfect anti-correlation between
-    the two outputs is what an axis reversal should guarantee; this trial is
-    the probe for its failure.
+    Perfect anti-correlation between the two outputs is what an axis
+    reversal should guarantee; this trial is the probe for its failure.
     """
     c_a, [(c_b1, rec1), (c_b2, rec2)] = _round(a, (b1, b1 + math.pi), rng, strategy, coin_mode)
     return TwoBobResult(c_a, c_b1, c_b2, rec1, rec2)

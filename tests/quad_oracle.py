@@ -20,8 +20,9 @@ from bctsim.analysis import (
     p_opposite_equal_closed,
     two_bob_equal_given_theta,
 )
-from bctsim.geometry import THETA_SPAN, theta_breakpoints
+from bctsim.geometry import THETA_SPAN
 from bctsim.protocol import ACCEPTANCE_COEFF, NO_FLIP, CoinMode
+from slot_oracle import theta_breakpoints
 
 #: absolute and relative tolerance of the reference two-Bob quadrature
 REFERENCE_TOL = 1e-13

@@ -1,4 +1,8 @@
-"""Test-only oracles for slot membership: the rank rule by sorting the boundary floats, and slot flips by bisection."""
+"""Test-only oracles for slot membership: the rank rule by sorting the boundary floats, and slot flips by bisection.
+
+:func:`theta_breakpoints` gives the rounded shared angles near which a slot
+test flips; the bisection and the quadrature oracle start from them.
+"""
 
 import math
 from bisect import bisect_right
@@ -53,6 +57,25 @@ def sorted_decode(index: int, theta: float) -> tuple[int, int, int]:
     return g.slot_triple(lo, theta)
 
 
+def theta_breakpoints(*angles: float) -> list[float]:
+    """Shared offsets in ``(0, 3*pi/5)`` where a beta/gamma boundary passes one of ``angles``.
+
+    These are the rounded values ``normalize_angle(x - offset)``. A slot test
+    of ``x`` flips at the lowest theta whose boundary float reaches ``x``,
+    within a few ulps of one of these points, or, for an ``x`` on a boundary
+    at theta = 0 (never listed), at the first float above 0. Everything that
+    depends on theta only through the slot tests is piecewise constant
+    between consecutive flips.
+    """
+    pts = set()
+    for x in angles:
+        for offset in g.BETA_OFFSETS + g.GAMMA_OFFSETS:
+            t = g.normalize_angle(x - offset)
+            if 0.0 < t < g.THETA_SPAN:
+                pts.add(t)
+    return sorted(pts)
+
+
 def _wrap_point() -> float:
     """The lowest theta at which ``theta + 8*pi/5`` reaches 2*pi, so that gamma_1 wraps to the bottom."""
     offset = g.GAMMA_OFFSETS[1]
@@ -84,7 +107,7 @@ def bisect_flip_points(tests) -> np.ndarray:
     """
     last = float(np.nextafter(g.THETA_SPAN, 0.0))
     rows = [(x, system == "gamma", t) for x, system in tests
-            for t in (0.0, *g.theta_breakpoints(x), last)]
+            for t in (0.0, *theta_breakpoints(x), last)]
     x, gamma, t = (np.array(col) for col in zip(*rows))
 
     def slot_of(theta):

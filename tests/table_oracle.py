@@ -1,4 +1,4 @@
-"""Test-only oracle for segment tables: the array build, every segment and every certificate in one NumPy call.
+"""Test-only oracles for segment tables: the array build, and the screen's decisions over a whole array.
 
 Before tables were built on Python floats, :func:`bctsim.protocol.segment_table`
 read Alice's slots at all segment starts through ``alice_slot_arrays`` and ran
@@ -6,6 +6,8 @@ Bob's branch step once per axis over the start array, and
 :func:`bctsim.protocol._flip_points` certified every crossing of a system in one
 slot-rule call over the stacked probes below, at and above. Both are kept here,
 unchanged, so the float build can be pinned to them field by field.
+:func:`keeps_c` runs a table's screen and resolve steps over one array, as the
+batch kernel runs them chunk by chunk.
 """
 
 import math
@@ -62,3 +64,19 @@ def array_segment_table(a: float, axes, strategy: pr.Strategy = pr.NO_FLIP) -> p
             offset = np.where(same, 0.0, np.asarray(GAMMA_OFFSETS if system == "gamma" else BETA_OFFSETS)[k])
         fields.append((b_eff, same, offset, fired, not fired if system == "none" or same.all() else None))
     return pr.SegmentTable(starts[1:], *map(tuple, zip(*fields)))
+
+
+def keeps_c(table: pr.SegmentTable, theta: np.ndarray | None, coins) -> list[np.ndarray]:
+    """Per axis, whether Bob's output equals ``c`` in each trial, by the screen over the whole array.
+
+    ``coins[j]`` holds axis ``j``'s acceptance draws. A constant axis gets
+    its constant, shaped like ``theta``, and reads no coin; with no live
+    axis ``theta`` may be None (the decisions are then 0-d).
+    """
+    shape = np.shape(theta)
+    kept = [np.empty(shape, dtype=bool) if k is None else np.full(shape, k) for k in table.constant]
+    if None in table.constant:  # some axis is live
+        for j, part in enumerate(table._sift(theta, coins, kept, 0)):
+            if part is not None:
+                table._resolve(j, kept[j], [part])
+    return kept

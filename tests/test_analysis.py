@@ -226,6 +226,12 @@ class TestConsistencyAudit:
             errors.add(str(info.value))
         assert len(errors) == 1
 
+    def test_a_0d_grid_is_one_theta(self):
+        """A 0-d array grid gives the one row that a one-element list gives."""
+        rows = an.per_theta_consistency_audit(PI / 2, 0.0, np.array(0.5), pr.NO_FLIP)
+        assert rows == an.per_theta_consistency_audit(PI / 2, 0.0, [0.5], pr.NO_FLIP)
+        assert len(rows) == 1 and type(rows[0].theta) is float
+
     @pytest.mark.parametrize("strategy", [pr.NO_FLIP, pr.CYCLIC_FLIP])
     def test_rows_equal_a_loop_reference_field_for_field_and_type_for_type(self, strategy):
         """Rows built from whole arrays equal rows built one NumPy scalar at a time, on a 2,048-point grid."""

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bctsim import geometry as g
-from slot_oracle import WRAP_THETA, oracle_triple, sorted_decode, systems
+from slot_oracle import WRAP_THETA, oracle_triple, sorted_decode, systems, theta_breakpoints
 
 TAU = 2.0 * math.pi
 
@@ -153,17 +153,45 @@ class TestThetaBreakpoints:
         offsets = (0.0, 3 * math.pi / 5, 6 * math.pi / 5, math.pi, 8 * math.pi / 5, math.pi / 5)
         want = sorted({t for x in (2 * math.pi / 5 + nu, 0.0, math.pi) for o in offsets
                        if 0.0 < (t := g.normalize_angle(x - o)) < g.THETA_SPAN})
-        assert g.theta_breakpoints(2 * math.pi / 5 + nu, 0.0, math.pi) == want
+        assert theta_breakpoints(2 * math.pi / 5 + nu, 0.0, math.pi) == want
 
     @given(x=angle_st)
     def test_each_point_is_a_boundary_crossing(self, x):
-        for t in g.theta_breakpoints(x):
+        for t in theta_breakpoints(x):
             assert 0.0 < t < g.THETA_SPAN
             crossings = [abs(g.normalize_angle(t + o) - x) for o in g.BETA_OFFSETS + g.GAMMA_OFFSETS]
             assert min(min(c, TAU - c) for c in crossings) < 1e-12
 
     def test_no_angles_no_points(self):
-        assert g.theta_breakpoints() == []
+        assert theta_breakpoints() == []
+
+
+class TestSeparator:
+    """``_separator`` equals ``(theta + offset) % TWO_PI`` bit for bit, on floats and on arrays."""
+
+    @pytest.fixture(scope="class")
+    def thetas(self) -> np.ndarray:
+        """0, the least subnormal, the last theta, the 100 floats around the one wrap inside the range, 2M seeded."""
+        last = math.nextafter(g.THETA_SPAN, 0.0)
+        wraps = [np.array(TAU - o).view(np.int64) + np.arange(-50, 50)
+                 for o in g.BETA_OFFSETS + g.GAMMA_OFFSETS if 0.0 < TAU - o < g.THETA_SPAN]
+        wraps = np.concatenate(wraps).view(np.float64)
+        assert len(wraps) == 100 and np.any(wraps + g.GAMMA_OFFSETS[1] >= TAU)
+        seeded = np.random.default_rng(2317).random(2_000_000) * g.THETA_SPAN
+        return np.concatenate([[0.0, 5e-324, last], wraps, seeded])
+
+    @pytest.mark.parametrize("offset", g.BETA_OFFSETS + g.GAMMA_OFFSETS)
+    def test_arrays(self, thetas, offset):
+        want = ((thetas + offset) % TAU).tobytes()
+        assert g._separator(thetas, offset).tobytes() == want
+        assert g._separator(thetas, np.full(thetas.shape, offset)).tobytes() == want
+
+    @pytest.mark.parametrize("offset", g.BETA_OFFSETS + g.GAMMA_OFFSETS)
+    def test_floats(self, thetas, offset):
+        """The special points, the wrap neighbours and 20,000 of the seeded thetas, one Python float at a time."""
+        for t in thetas[:20_103].tolist():
+            got = g._separator(t, offset)
+            assert type(got) is float and got.hex() == ((t + offset) % TAU).hex()
 
 
 class TestAlphaSlotCyclicDifference:

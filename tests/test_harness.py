@@ -167,6 +167,26 @@ class TestKernelsAgainstOracles:
         with pytest.raises(hn.ConfigError, match="conditioned theta"):
             hn.conditioned_pair_estimate(PI / 2, PI, THETA_SPAN, 10, 13)
 
+    @pytest.mark.parametrize("estimator", ["conditioned_two_bob_estimate", "conditioned_pair_estimate",
+                                           "joint_outcome_table"])
+    @pytest.mark.parametrize("bad,message", [
+        (dict(trials=0), "trials must be positive"),
+        (dict(trials=-5), "trials must be positive"),
+        (dict(batch_size=0), "batch size must be positive"),
+        (dict(batch_size=-4096), "batch size must be positive"),
+        (dict(seed=-1), "seed must be a non-negative 64-bit integer"),
+        (dict(seed=2**64), "seed must be a non-negative 64-bit integer"),
+    ])
+    def test_estimators_check_their_run_sizes_as_validate_does(self, estimator, bad, message):
+        """Each public estimator raises ``validate``'s ``ConfigError`` for a run it cannot draw."""
+        args = dict(conditioned_two_bob_estimate=dict(nu=PI / 10, theta=0.35 * PI),
+                    conditioned_pair_estimate=dict(a=PI / 2, b=PI, theta=0.35 * PI),
+                    joint_outcome_table=dict(a=0.0, b=PI / 2))[estimator]
+        with pytest.raises(hn.ConfigError, match=message):
+            getattr(hn, estimator)(**args, **{"trials": 1000, "seed": 3, "batch_size": 256, **bad})
+        with pytest.raises(hn.ConfigError, match=message):
+            make_config(**bad).validate()
+
     def test_joint_outcome_table_margins(self):
         table = hn.joint_outcome_table(0.0, PI / 2, 100_000, 21)
         assert table.sum() == 100_000

@@ -31,6 +31,7 @@ from bctsim import harness as hn
 from bctsim import protocol as pr
 from bctsim.analysis import WALKTHROUGH_B1, alice_setting, interval_windows, two_bob_equal_quadrature
 from slot_oracle import WRAP_THETA, bisect_flip_points
+from table_oracle import keeps_c
 
 PI = math.pi
 LAST_THETA = float(np.nextafter(geo.THETA_SPAN, 0.0))
@@ -431,7 +432,7 @@ def _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, theta):
         for coin in (q, np.nextafter(q, 0.0)):
             valid = coin < 1.0
             want = (coin < q) ^ negate
-            got = table.keeps_c(theta, [coin] * len(axes))[j]
+            got = keeps_c(table, theta, [coin] * len(axes))[j]
             assert np.array_equal(got[valid], want[valid]), (a, b, strategy)
 
 
@@ -502,7 +503,7 @@ def test_screen_decides_like_evaluate_bob_at_its_bracket_ends(a, axes, strategy)
         else:  # a constant axis has no screen; probe it at q again
             probes[j] += probes[j][:2]
     for coins in zip(*probes):
-        got = table.keeps_c(theta, list(coins))
+        got = keeps_c(table, theta, list(coins))
         for j, (coin, (q, negate)) in enumerate(zip(coins, accepts)):
             below_one = coin < 1.0  # a terminated axis is decided for coins in [0, 1) only
             want = (coin < q) ^ negate
@@ -560,21 +561,24 @@ def test_summing_a_table_never_builds_its_screen(monkeypatch):
         for strategy in (pr.NO_FLIP, pr.ABS_FLIP):
             two_bob_equal_quadrature(PI / 10, strategy, coin_mode)
     with pytest.raises(AssertionError, match="screen built"):
-        table.keeps_c(np.zeros(1), [np.zeros(1), np.zeros(1)])
+        keeps_c(table, np.zeros(1), [np.zeros(1), np.zeros(1)])
 
 
 def test_threads_that_build_one_screen_at_once_decide_alike():
-    """The worker pool calls keeps_c on one table from several threads; the first calls build its screen."""
+    """The worker pool runs kernels on one table from several threads; the first ``_sift`` calls build its screen.
+
+    ``keeps_c`` calls ``_sift`` as a kernel does.
+    """
     theta = np.random.default_rng(3).random(50_000) * geo.THETA_SPAN
     coins = [np.random.default_rng(4).random(50_000), np.random.default_rng(5).random(50_000)]
-    want = pr.segment_table(1.0, AXES, pr.CYCLIC_FLIP).keeps_c(theta, coins)
+    want = keeps_c(pr.segment_table(1.0, AXES, pr.CYCLIC_FLIP), theta, coins)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             table = pr.segment_table(1.0, AXES, pr.CYCLIC_FLIP)
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(table.keeps_c, theta, coins) for _ in range(8)]
+                futures = [pool.submit(keeps_c, table, theta, coins) for _ in range(8)]
                 results = [f.result(timeout=60) for f in futures]
             assert all(np.array_equal(g, w) for got in results for g, w in zip(got, want))
     finally:
@@ -803,7 +807,7 @@ def test_terminated_axis_never_keeps_c():
     table = pr.segment_table(2 * PI / 5, (PI,), strategy)  # alpha slots 2 and 5: fires
     assert table.constant == (False,)
     theta = np.linspace(0.0, LAST_THETA, 101)
-    (kept,) = table.keeps_c(theta, [np.zeros_like(theta)])
+    (kept,) = keeps_c(table, theta, [np.zeros_like(theta)])
     assert not kept.any()
 
 

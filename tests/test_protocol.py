@@ -587,3 +587,18 @@ def test_no_terminated_axis_reaches_the_branch_step(monkeypatch, rule):
     assert terminated > 0 and evaluated > 0 and tables > 0
     assert "none" not in systems
     assert systems  # the live axes still take the branch step
+
+
+def test_every_separator_angle_comes_from_one_formula(monkeypatch):
+    """Both boundary functions, a round's cross-slot Bob step and a table's acceptance call ``geometry._separator``."""
+    calls = []
+    separator = geometry._separator
+    monkeypatch.setattr(geometry, "_separator", lambda *args: calls.append(args) or separator(*args))
+    theta = 0.45 * PI  # Bob at 0 is cross-slot to Alice at pi/2 here
+    for reach in (lambda: beta_boundary(1, theta), lambda: gamma_boundary(1, np.array([theta])),
+                  lambda: pr.bob_round(0.0, pr.alice_round(PI / 2, pr.HiddenState.make(1, theta))[1],
+                                       pr.HiddenState.make(1, theta), coin=0.5),
+                  lambda: pr.segment_table(PI / 2, (0.0,)).at(theta)):
+        before = len(calls)
+        reach()
+        assert len(calls) == before + 1

@@ -24,6 +24,7 @@ from bctsim import harness as hn
 from bctsim import protocol as pr
 from bctsim.analysis import WALKTHROUGH_B1, alice_setting, interval_windows
 from slot_oracle import WRAP_THETA, boundary_floats, oracle_cell, oracle_triple
+from table_oracle import keeps_c
 
 PI = math.pi
 LAST_THETA = float(np.nextafter(g.THETA_SPAN, 0.0))
@@ -294,7 +295,7 @@ def test_replayed_rounds_reproduce_every_kernel_bit(a, b, strategy):
     c_plus = np.concatenate([c_plus, extra.integers(0, 2, len(near)).astype(bool)])
     coin = np.concatenate([coin, extra.random(len(near))])
 
-    (keeps,) = table.keeps_c(theta, [coin])
+    (keeps,) = keeps_c(table, theta, [coin])
     tally = hn._kernel(table)(np.random.default_rng(11), n)
     assert tally.tolist() == [n, int(c_plus[:n].sum()), int(keeps[:n].sum()), int((keeps[:n] == c_plus[:n]).sum())]
     for t, cp, u, kept in zip(theta, c_plus, coin, keeps):
@@ -339,7 +340,7 @@ def test_replayed_two_axis_rounds_reproduce_every_kernel_bit(nu, strategy, coin_
     if coin_mode is pr.CoinMode.SHARED:
         coins[1] = coins[0]
 
-    keeps = table.keeps_c(theta, coins)
+    keeps = keeps_c(table, theta, coins)
     tally = hn._kernel(table, coin_mode, windows=interval_windows(nu))(np.random.default_rng(17), n)
     equal = 0
     for i, (t, cp) in enumerate(zip(theta.tolist(), c_plus.tolist())):
