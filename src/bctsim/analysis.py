@@ -34,6 +34,7 @@ from .protocol import (
     ACCEPTANCE_COEFF,
     NO_FLIP,
     CoinMode,
+    ProtocolError,
     Strategy,
     _record,
     _theta_arg,
@@ -244,9 +245,11 @@ def per_theta_consistency_audit(
 ) -> list[ConsistencyRow]:
     """Evaluate the conservation law on a grid of shared angles; ``ProtocolError`` outside [0, 3*pi/5).
 
-    An ndarray grid is read as it is, a 0-d one as one theta; any other iterable is listed first.
+    An ndarray grid is read as it is, a 0-d one as one theta; any other iterable is listed first; more than one dimension raises.
     """
     grid = np.atleast_1d(np.asarray(thetas if isinstance(thetas, np.ndarray) else list(thetas), dtype=float))
+    if grid.ndim > 1:
+        raise ProtocolError(f"a theta grid must have at most one dimension, got shape {grid.shape}")
     fwd = p_equal_given_theta(a, b, grid, strategy)
     rev = p_equal_given_theta(a, b + math.pi, grid, strategy)
     anti = 1.0 - rev

@@ -190,12 +190,14 @@ def _run_batches(
 
 # --- the batch kernel -------------------------------------------------------
 
-#: Tally layout. Every row counts trials and c = +1, then per Bob axis the
-#: trials where his output equals c ("kept") and where it is +1. Two-axis
-#: rows append: both Bobs equal (and, under a visibility, neither side
-#: erased), that inside the two windows, theta inside the windows, and
-#: neither side erased.
-N, C_PLUS, KEPT_1, B_PLUS_1, KEPT_2, B_PLUS_2, EQUAL, EQUAL_IN_WINDOWS, IN_WINDOWS, SURVIVED = range(10)
+#: Tally layout: a prefix of these cells. Every row counts trials, then per
+#: Bob axis the trials where his output equals c ("kept"). Two-axis rows add
+#: both Bobs equal (and, under a visibility, neither side erased); given
+#: windows, that inside the windows and theta inside them; under a visibility
+#: (always with windows), neither side erased. A kernel built with signs ends
+#: with, counted from the end, c = +1 and per axis his output +1.
+N, KEPT_1, KEPT_2, EQUAL, EQUAL_IN_WINDOWS, IN_WINDOWS, SURVIVED = range(7)
+C_PLUS, B_PLUS_1, B_PLUS_2 = -1, -2, -3
 
 
 def _rate(tally: np.ndarray, hits: int) -> tuple[float, float]:
@@ -249,6 +251,8 @@ def _kernel(
     theta_fixed: float | None = None,
     visibility: float | None = None,
     windows=None,
+    *,
+    signs: bool = False,
 ):
     """Batch kernel for Alice against the one or two Bob axes of ``table``; tallies as laid out above.
 
@@ -256,7 +260,8 @@ def _kernel(
     per axis (one for both under ``CoinMode.SHARED``), then, given a
     ``visibility``, erase1 and erase2: each side survives with probability
     ``visibility``. Nothing else draws, the table included, so the plan
-    fixes the stream. ``windows`` are the two windows a two-axis row counts.
+    fixes the stream. ``windows`` are the two windows a two-axis row counts;
+    a row without them counts none.
 
     A batch is drawn in chunks of ``_CHUNK`` trials, from one substream per
     draw (:func:`_substreams`): a float draw takes ``n`` outputs of the
@@ -270,8 +275,9 @@ def _kernel(
     step is per trial, so the chunks change no tally.
 
     A draw that nothing reads gets no substream and every other keeps its
-    offset, so skipping one changes no tally: an axis with a constant
-    decision draws no coin and is tallied from the count of c, and theta is
+    offset, so skipping one changes no tally. c is drawn only with
+    ``signs``, which only :func:`joint_outcome_table` reads; an axis with a
+    constant decision draws no coin and is tallied from ``n``; theta is
     drawn only when a live axis or the window tally reads it. A
     ``theta_fixed`` outside [0, 3*pi/5), which no round draws, raises
     ``ConfigError``.
@@ -283,24 +289,25 @@ def _kernel(
         accepts, constant = table.at(theta_fixed)
 
     two = len(table.axes) == 2
-    fixed_in_win = two and theta_fixed is not None and bool(_in_windows(theta_fixed, windows))
+    windowed = two and windows is not None
+    fixed_in_win = windowed and theta_fixed is not None and bool(_in_windows(theta_fixed, windows))
     shared = two and coin_mode is CoinMode.SHARED
     live = [k is None for k in constant]
     # the draw plan, in stream order: per draw, its name and whether it is generated
-    plan = [("theta", two or any(live))] if theta_fixed is None else []
-    plan += [("c", True)] + ([("coin", any(live))] if shared else [("coin", is_live) for is_live in live])
+    plan = [("theta", windowed or any(live))] if theta_fixed is None else []
+    plan += [("c", signs)] + ([("coin", any(live))] if shared else [("coin", is_live) for is_live in live])
     plan += [] if visibility is None else [("erase1", True), ("erase2", True)]
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
         # c takes one output per two trials, every other draw one per trial
         draws = _substreams(rng, [((n + 1) // 2 if name == "c" else n, read) for name, read in plan])
         theta_draw = draws.pop(0) if theta_fixed is None else None
-        signs, *uniform = draws  # the coins, then the erasures
-        c_plus = np.empty(n, dtype=bool)
+        sign_draw, *uniform = draws  # the coins, then the erasures
+        c_plus = None if sign_draw is None else np.empty(n, dtype=bool)
         # per axis: the decisions of a live axis, or the constant of one that has no coin
         kept = [np.empty(n, dtype=bool) if is_live else k for is_live, k in zip(live, constant)]
         held = [[] for _ in live]  # per axis, each chunk's held trials
-        in_win = np.empty(n, dtype=bool) if two and theta_draw is not None else None
+        in_win = np.empty(n, dtype=bool) if windowed and theta_draw is not None else None
         survived = None if visibility is None else np.empty(n, dtype=bool)
         for start in range(0, n, _CHUNK):
             rows = slice(start, min(start + _CHUNK, n))
@@ -310,8 +317,9 @@ def _kernel(
                 # bit for bit rng.uniform(0.0, THETA_SPAN, m), which computes 0.0 + THETA_SPAN * draw
                 theta = theta_draw.random(m)
                 theta *= THETA_SPAN
-            np.greater_equal(signs.bit_generator.random_raw((m + 1) // 2).view(np.uint32)[:m], 2**31,
-                             out=c_plus[rows])
+            if c_plus is not None:
+                np.greater_equal(sign_draw.bit_generator.random_raw((m + 1) // 2).view(np.uint32)[:m], 2**31,
+                                 out=c_plus[rows])
             u = [None if draw is None else draw.random(m) for draw in uniform]
             coins = [u[0], u[0]] if shared else u[:len(live)]
             outs = [k[rows] if is_live else None for k, is_live in zip(kept, live)]
@@ -330,23 +338,20 @@ def _kernel(
         for j, is_live in enumerate(live):
             if is_live:
                 table._resolve(j, kept[j], held[j])
-        n_c = _count(c_plus)
-        counts = [n, n_c]
-        for k, is_live in zip(kept, live):
-            if is_live:  # c_b > 0 exactly when kept == (c > 0)
-                counts += [_count(k), _count(k == c_plus)]
-            else:  # a constant axis keeps every c or none
-                counts += [n, n_c] if k else [0, n - n_c]
+        counts = [n] + [_count(k) if is_live else (n if k else 0) for k, is_live in zip(kept, live)]
         if two:
             eq = np.broadcast_to(np.equal(*kept), n)  # np.equal gives a 0-d result when neither axis is live
             if survived is not None:
                 eq = eq & survived
-            n_eq = _count(eq)
-            if in_win is None:
-                eq_in, n_in = (n_eq, n) if fixed_in_win else (0, 0)
-            else:
-                eq_in, n_in = _count(eq & in_win), _count(in_win)
-            counts += [n_eq, eq_in, n_in, n if survived is None else _count(survived)]
+            counts.append(_count(eq))
+            if in_win is not None:
+                counts += [_count(eq & in_win), _count(in_win)]
+            elif windowed:
+                counts += [counts[EQUAL], n] if fixed_in_win else [0, 0]
+            if survived is not None:
+                counts.append(_count(survived))
+        if c_plus is not None:  # c_b > 0 exactly when kept == (c > 0), for a constant axis too
+            counts += [_count(np.equal(k, c_plus)) for k in reversed(kept)] + [_count(c_plus)]
         return np.array(counts, dtype=np.int64)
 
     return kernel
@@ -411,8 +416,8 @@ def joint_outcome_table(
     through Alice's message and Bob's scalar procedure.
     """
     _check_run(trials, seed, batch_size)
-    kernel = _kernel(segment_table(a, (b,), strategy))
-    n, c_plus, kept, b_plus = _run_batches(kernel, trials, seed, (0,), batch_size, None)
+    kernel = _kernel(segment_table(a, (b,), strategy), signs=True)
+    n, kept, b_plus, c_plus = _run_batches(kernel, trials, seed, (0,), batch_size, None)
     # b_plus counts kept & c+ plus ~kept & ~c+, so kept & c+ is (b_plus - n + kept + c_plus) / 2
     pp = (b_plus - n + kept + c_plus) // 2
     mm = kept - pp
@@ -541,7 +546,7 @@ def _remedy_rows(config):
         for (rule, coin_mode), theta in itertools.product(REMEDY_COMBOS, (None, *config.theta_grid)):
             oracle = qm.prob_equal(a, b2) if theta is None else given[rule, theta]
             cells = dict(nu=nu, theta=theta, flip_rule=rule.value, coin_mode=coin_mode.value, ab2_oracle=oracle)
-            yield cells, {(next(i),): _kernel(tables[rule], coin_mode, theta, windows=interval_windows(nu))}
+            yield cells, {(next(i),): _kernel(tables[rule], coin_mode, theta)}
 
 
 def _remedy_finish(cells, tallies, est, se) -> dict:

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +232,13 @@ class TestConsistencyAudit:
         rows = an.per_theta_consistency_audit(PI / 2, 0.0, np.array(0.5), pr.NO_FLIP)
         assert rows == an.per_theta_consistency_audit(PI / 2, 0.0, [0.5], pr.NO_FLIP)
         assert len(rows) == 1 and type(rows[0].theta) is float
+
+    @pytest.mark.parametrize("grid", [np.full((2, 2), 0.5), [[0.5, 0.5], [0.5, 0.5]], np.full((1, 1, 3), 0.5)])
+    def test_a_grid_of_two_or_more_dimensions_raises_with_its_shape(self, grid):
+        """One row per theta has no reading for a grid of grids, so it raises and names the shape."""
+        shape = np.shape(grid)
+        with pytest.raises(pr.ProtocolError, match=re.escape(str(shape))):
+            an.per_theta_consistency_audit(PI / 2, 0.0, grid, pr.NO_FLIP)
 
     @pytest.mark.parametrize("strategy", [pr.NO_FLIP, pr.CYCLIC_FLIP])
     def test_rows_equal_a_loop_reference_field_for_field_and_type_for_type(self, strategy):

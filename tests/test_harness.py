@@ -449,6 +449,39 @@ def test_readme_commands_run(tmp_path, line):
     assert cli.main(argv) == 0
 
 
+#: each experiment over small grids; remedy with a theta grid, so that it runs conditioned rows too
+SMALL_RUNS = {
+    "correlation": ["--angle-grid", "0:3.14:3"],
+    "opposite-axes": ["--nu-grid", "0:0.628:3"],
+    "visibility": ["--visibility-grid", "0.9:1:2", "--nu-grid", "0.3141:0.3141:1"],
+    "audit": ["--theta-grid", "0.95:1.5:3"],
+    "remedy": ["--nu-grid", "0.3141:0.3141:1", "--theta-grid", "0.95:1.5:3"],
+    "calibrate": ["--angle-grid", "0:6.28:4"],
+}
+
+
+@pytest.mark.parametrize("experiment", list(SMALL_RUNS))
+def test_no_experiment_row_reads_a_draw_it_does_not_use(experiment, tmp_path, monkeypatch):
+    """No experiment row generates the sign c, which none reads, and ``remedy`` never tests the windows.
+
+    Every plan still lists c, so each later draw keeps its offset: with
+    1,000 trials a batch, c is the one draw of 500 outputs, every other one
+    of 1,000. ``remedy`` reads only ``EQUAL`` and ``KEPT_2``, so neither its
+    unconditioned nor its conditioned rows call ``_in_windows``.
+    """
+    plans, window_tests = [], []
+    substreams, in_windows = hn._substreams, hn._in_windows
+    monkeypatch.setattr(hn, "_substreams", lambda rng, draws: plans.append(draws) or substreams(rng, draws))
+    monkeypatch.setattr(hn, "_in_windows", lambda *args: window_tests.append(args) or in_windows(*args))
+    argv = [experiment, "--trials", "1000", *SMALL_RUNS[experiment], "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 0
+    assert plans
+    for draws in plans:
+        assert [read for outputs, read in draws if outputs == 500] == [False]
+        assert {outputs for outputs, _ in draws} <= {500, 1000}
+    assert (window_tests == []) is (experiment in ("correlation", "audit", "remedy", "calibrate"))
+
+
 #: nu at both ends of [0, pi/5], its smallest positive float, the orthogonal setting and the float below pi/5
 WINDOW_NUS = [0.0, 5e-324, PI / 10, math.nextafter(PI / 5, 0.0), PI / 5]
 
@@ -485,7 +518,7 @@ def test_window_test_is_the_union_of_the_two_windows(nu):
 def test_every_estimate_is_a_tally_rate(monkeypatch):
     """``run_experiment`` and both conditioned estimators read each estimate and its error off ``_rate``."""
     rate = hn._rate
-    assert rate(np.array([8, 5, 2]), hn.KEPT_1) == (0.25, math.sqrt(0.25 * 0.75 / 8))
+    assert rate(np.array([8, 2, 5]), hn.KEPT_1) == (0.25, math.sqrt(0.25 * 0.75 / 8))
     calls = []
     monkeypatch.setattr(hn, "_rate", lambda tally, hits: calls.append(hits) or rate(tally, hits))
     hn.run_experiment(make_config(trials=2_000, nu_grid=(0.0, PI / 10)))

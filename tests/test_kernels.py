@@ -3,8 +3,9 @@
 The reference kernels below evaluate Alice's slots and Bob's branch logic on
 every trial, with the same draws in the same order; the batch kernel decides
 most trials from its table's acceptance screen and looks only the rest up by
-theta segment. Each reference's tallies must equal the counts derived from
-the kernel's tally layout integer for integer, and the table's decisions must
+theta segment. Each reference names the cells of the kernel's tally; the
+kernel must carry those cells and no other, each integer for integer, with
+the sign cells and without them, and the table's decisions must
 agree with ``evaluate_bob`` bit for bit next to every edge, at every screen
 bin boundary and at both ends of every bin's bracket.
 """
@@ -69,7 +70,21 @@ def ref_pair(a, b, strategy, theta_fixed, rng, n):
     q, negate = _accept(a, b, theta, strategy)
     eq = (coin < q) ^ negate
     c_b = np.where(eq, c, -c)
-    return [n, eq.sum(), (c > 0).sum(), (c_b > 0).sum()]
+    return dict(N=n, KEPT_1=eq.sum(), C_PLUS=(c > 0).sum(), B_PLUS_1=(c_b > 0).sum())
+
+
+def _two_bob_cells(nu, theta, c, b1_eq_c, b2_eq_c, survived=None):
+    """The tally cells of a two-axis row with its windows, and with ``SURVIVED`` under a visibility."""
+    eq = b1_eq_c == b2_eq_c
+    if survived is not None:
+        eq &= survived
+    in_win = _in_win(theta, nu)
+    cells = dict(N=len(theta), KEPT_1=b1_eq_c.sum(), KEPT_2=b2_eq_c.sum(), EQUAL=eq.sum(),
+                 EQUAL_IN_WINDOWS=(eq & in_win).sum(), IN_WINDOWS=in_win.sum())
+    if survived is not None:
+        cells["SURVIVED"] = survived.sum()
+    return cells | dict(C_PLUS=(c > 0).sum(), B_PLUS_1=(np.where(b1_eq_c, c, -c) > 0).sum(),
+                        B_PLUS_2=(np.where(b2_eq_c, c, -c) > 0).sum())
 
 
 def ref_two_bob(nu, strategy, coin_mode, theta_fixed, rng, n, a=None):
@@ -80,29 +95,20 @@ def ref_two_bob(nu, strategy, coin_mode, theta_fixed, rng, n, a=None):
     coin2 = coin1 if coin_mode is pr.CoinMode.SHARED else rng.random(n)
     q1, neg1 = _accept(a, WALKTHROUGH_B1, theta, strategy)
     q2, neg2 = _accept(a, WALKTHROUGH_B1 + PI, theta, strategy)
-    b1_eq_c = (coin1 < q1) ^ neg1
-    b2_eq_c = (coin2 < q2) ^ neg2
-    eq = b1_eq_c == b2_eq_c
-    in_win = _in_win(theta, nu)
-    c_b1 = np.where(b1_eq_c, c, -c)
-    c_b2 = np.where(b2_eq_c, c, -c)
-    return [n, eq.sum(), (eq & in_win).sum(), in_win.sum(), (eq & ~in_win).sum(), b2_eq_c.sum(),
-            (c_b1 > 0).sum(), (c_b2 > 0).sum()]
+    return _two_bob_cells(nu, theta, c, (coin1 < q1) ^ neg1, (coin2 < q2) ^ neg2)
 
 
 def ref_visibility(nu, visibility, strategy, coin_mode, rng, n):
     a = alice_setting(nu)
     theta = rng.uniform(0.0, geo.THETA_SPAN, n)
-    rng.integers(0, 2, n, dtype=np.int64)
+    c = rng.integers(0, 2, n, dtype=np.int64) * 2 - 1
     coin1 = rng.random(n)
     coin2 = coin1 if coin_mode is pr.CoinMode.SHARED else rng.random(n)
     keep1 = rng.random(n) < visibility
     keep2 = rng.random(n) < visibility
     q1, neg1 = _accept(a, WALKTHROUGH_B1, theta, strategy)
     q2, neg2 = _accept(a, WALKTHROUGH_B1 + PI, theta, strategy)
-    eq = ((coin1 < q1) ^ neg1) == ((coin2 < q2) ^ neg2)
-    survived = keep1 & keep2
-    return [n, survived.sum(), (survived & eq).sum(), (survived & eq & _in_win(theta, nu)).sum()]
+    return _two_bob_cells(nu, theta, c, (coin1 < q1) ^ neg1, (coin2 < q2) ^ neg2, keep1 & keep2)
 
 
 def ref_joint(a, b, strategy, rng, n):
@@ -115,36 +121,37 @@ def ref_joint(a, b, strategy, rng, n):
             ((c < 0) & (c_b > 0)).sum(), ((c < 0) & (c_b < 0)).sum()]
 
 
-# --- the one kernel, and the old tallies derived from its layout ---------------
+# --- the one kernel, and its tally against the references' cells ---------------
+
+#: the cells only a kernel built with signs carries
+SIGN_CELLS = ("C_PLUS", "B_PLUS_1", "B_PLUS_2")
+#: the cells only a two-axis kernel built with windows carries
+WINDOW_CELLS = ("EQUAL_IN_WINDOWS", "IN_WINDOWS")
 
 
-def pair_kernel(a, b, strategy, theta_fixed=None):
-    return hn._kernel(pr.segment_table(a, (b,), strategy), theta_fixed=theta_fixed)
+def pair_kernel(a, b, strategy, theta_fixed=None, signs=True):
+    return hn._kernel(pr.segment_table(a, (b,), strategy), theta_fixed=theta_fixed, signs=signs)
 
 
-def two_bob_kernel(nu, strategy, coin_mode, theta_fixed=None, visibility=None, a=None):
+def two_bob_kernel(nu, strategy, coin_mode, theta_fixed=None, visibility=None, a=None, signs=True, windows=True):
     table = pr.segment_table(alice_setting(nu) if a is None else a, (WALKTHROUGH_B1, WALKTHROUGH_B1 + PI), strategy)
-    return hn._kernel(table, coin_mode, theta_fixed, visibility, interval_windows(nu))
+    return hn._kernel(table, coin_mode, theta_fixed, visibility, interval_windows(nu) if windows else None,
+                      signs=signs)
 
 
-def pair_counts(t):
-    return [t[hn.N], t[hn.KEPT_1], t[hn.C_PLUS], t[hn.B_PLUS_1]]
+def carried(reference, signs=True, windows=True):
+    """``reference`` without the cells a kernel built without signs, or without windows, does not carry."""
+    dropped = (() if signs else SIGN_CELLS) + (() if windows else WINDOW_CELLS)
+    return lambda rng, n: {cell: v for cell, v in reference(rng, n).items() if cell not in dropped}
 
 
-def two_bob_counts(t):
-    return [t[hn.N], t[hn.EQUAL], t[hn.EQUAL_IN_WINDOWS], t[hn.IN_WINDOWS], t[hn.EQUAL] - t[hn.EQUAL_IN_WINDOWS],
-            t[hn.KEPT_2], t[hn.B_PLUS_1], t[hn.B_PLUS_2]]
-
-
-def visibility_counts(t):
-    return [t[hn.N], t[hn.SURVIVED], t[hn.EQUAL], t[hn.EQUAL_IN_WINDOWS]]
-
-
-def _both(kernel, counts, reference, seed, n=TRIALS):
+def _both(kernel, reference, seed, n=TRIALS):
+    """The kernel's tally carries the reference's cells and no other, each at its index, with equal counts."""
     got = kernel(np.random.default_rng(seed), n)
     want = reference(np.random.default_rng(seed), n)
     assert got.dtype == np.int64
-    assert [int(v) for v in counts(got)] == [int(v) for v in want]
+    assert len(got) == len(want)
+    assert {cell: int(got[getattr(hn, cell)]) for cell in want} == {cell: int(v) for cell, v in want.items()}
 
 
 # --- differential tallies ---------------------------------------------------
@@ -161,7 +168,7 @@ def test_two_bob_kernel_matches_reference(nu, strategy, coin_mode):
                 two_bob_kernel(nu, strategy, coin_mode, theta_fixed)
             continue
         for seed in (1, 2):
-            _both(two_bob_kernel(nu, strategy, coin_mode, theta_fixed), two_bob_counts,
+            _both(two_bob_kernel(nu, strategy, coin_mode, theta_fixed),
                   lambda rng, n: ref_two_bob(nu, strategy, coin_mode, theta_fixed, rng, n), seed)
 
 
@@ -188,7 +195,7 @@ def test_kernel_rejects_a_conditioned_theta_no_round_draws():
 def test_pair_and_joint_kernels_match_reference(a, b, strategy):
     for theta_fixed in (None,) + SPECIAL_THETAS[:4]:
         for seed in (3, 4):
-            _both(pair_kernel(a, b, strategy, theta_fixed), pair_counts,
+            _both(pair_kernel(a, b, strategy, theta_fixed),
                   lambda rng, n: ref_pair(a, b, strategy, theta_fixed, rng, n), seed)
     # the joint cells are derived from the pair counts; one batch, so one stream
     joint = hn.joint_outcome_table(a, b, TRIALS, 5, strategy, batch_size=TRIALS)
@@ -202,16 +209,16 @@ def test_pair_and_joint_kernels_match_reference(a, b, strategy):
 def test_visibility_kernel_matches_reference(nu, coin_mode):
     for strategy in STRATEGIES:
         for visibility in (0.5, 1.0):
-            _both(two_bob_kernel(nu, strategy, coin_mode, visibility=visibility), visibility_counts,
+            _both(two_bob_kernel(nu, strategy, coin_mode, visibility=visibility),
                   lambda rng, n: ref_visibility(nu, visibility, strategy, coin_mode, rng, n), 6)
 
 
 def test_batches_longer_than_a_lookup_chunk():
     nu, strategy, coin = PI / 10, pr.CYCLIC_FLIP, pr.CoinMode.INDEPENDENT
     n = 2 * hn._CHUNK + 1234
-    _both(two_bob_kernel(nu, strategy, coin), two_bob_counts,
+    _both(two_bob_kernel(nu, strategy, coin),
           lambda rng, n: ref_two_bob(nu, strategy, coin, None, rng, n), 7, n)
-    _both(pair_kernel(1.0, PI, pr.ABS_FLIP), pair_counts,
+    _both(pair_kernel(1.0, PI, pr.ABS_FLIP),
           lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, None, rng, n), 8, n)
 
 
@@ -226,49 +233,51 @@ SEPARATOR_B = SEPARATOR_THETA + geo.BETA_OFFSETS[1]
 
 
 def _row_shapes():
-    """Every row shape the kernel runs, as its id and a builder of (kernel, tally reader, whole-batch reference).
+    """Every row shape the kernel runs, as its id and a builder of (kernel, whole-batch reference).
 
-    Each case builds its own shape, so a shape that fails to build fails its
-    cases alone. The shapes named ``constant`` or ``terminated`` have axes
-    whose decision no draw can change: Bob on Alice's setting, a fired
-    terminating reflection, a conditioned Bob on the separator. At
+    A builder takes ``signs``: whether the kernel draws c and tallies the
+    sign cells; the reference then carries just the cells that kernel
+    carries. Each case builds its own shape, so a shape that fails to build
+    fails its cases alone. The shapes named ``constant`` or ``terminated``
+    have axes whose decision no draw can change: Bob on Alice's setting, a
+    fired terminating reflection, a conditioned Bob on the separator. At
     ``nu = pi/10`` the cyclic reading fires on the axis ``b1 + pi`` only.
+    The shapes named ``no-windows`` are those of ``remedy`` rows.
     """
     nu, strategy, fixed = PI / 10, pr.CYCLIC_FLIP, 1.2
-    yield "one-axis", lambda: (pair_kernel(1.0, PI, pr.ABS_FLIP), pair_counts,
-                               lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, None, rng, n))
-    yield "one-axis-conditioned", lambda: (pair_kernel(1.0, PI, pr.ABS_FLIP, fixed), pair_counts,
-                                           lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, fixed, rng, n))
+
+    def pair(a, b, strategy, theta_fixed=None):
+        return lambda signs: (pair_kernel(a, b, strategy, theta_fixed, signs),
+                              carried(lambda rng, n: ref_pair(a, b, strategy, theta_fixed, rng, n), signs))
+
+    def two_bob(strategy, coin, theta_fixed=None, visibility=None, a=None, windows=True):
+        def reference(rng, n):
+            if visibility is None:
+                return ref_two_bob(nu, strategy, coin, theta_fixed, rng, n, a=a)
+            return ref_visibility(nu, visibility, strategy, coin, rng, n)
+
+        return lambda signs: (two_bob_kernel(nu, strategy, coin, theta_fixed, visibility, a, signs, windows),
+                              carried(reference, signs, windows))
+
+    yield "one-axis", pair(1.0, PI, pr.ABS_FLIP)
+    yield "one-axis-conditioned", pair(1.0, PI, pr.ABS_FLIP, fixed)
+    # the one-axis conditioned shape above is constant at theta = 1.2; this one accepts with 1 - (3pi/10) sin(pi/20)
+    yield "one-axis-conditioned-live", pair(PI / 2, PI, pr.NO_FLIP, 0.35 * PI)
     for coin in COINS:
-        yield f"two-axis-{coin.value}", lambda coin=coin: (
-            two_bob_kernel(nu, strategy, coin), two_bob_counts,
-            lambda rng, n: ref_two_bob(nu, strategy, coin, None, rng, n))
-        yield f"two-axis-{coin.value}-conditioned", lambda coin=coin: (
-            two_bob_kernel(nu, strategy, coin, fixed), two_bob_counts,
-            lambda rng, n: ref_two_bob(nu, strategy, coin, fixed, rng, n))
-        yield f"visibility-{coin.value}", lambda coin=coin: (
-            two_bob_kernel(nu, strategy, coin, visibility=0.7), visibility_counts,
-            lambda rng, n: ref_visibility(nu, 0.7, strategy, coin, rng, n))
-    yield "one-axis-constant-same-setting", lambda: (
-        pair_kernel(1.0, 1.0, pr.ABS_FLIP), pair_counts,
-        lambda rng, n: ref_pair(1.0, 1.0, pr.ABS_FLIP, None, rng, n))
-    yield "one-axis-constant-terminated", lambda: (
-        pair_kernel(1.0, PI, CYCLIC_TERMINATE), pair_counts,
-        lambda rng, n: ref_pair(1.0, PI, CYCLIC_TERMINATE, None, rng, n))
-    yield "one-axis-constant-conditioned-on-the-separator", lambda: (
-        pair_kernel(2.0, SEPARATOR_B, pr.NO_FLIP, SEPARATOR_THETA), pair_counts,
-        lambda rng, n: ref_pair(2.0, SEPARATOR_B, pr.NO_FLIP, SEPARATOR_THETA, rng, n))
+        yield f"two-axis-{coin.value}", two_bob(strategy, coin)
+        yield f"two-axis-{coin.value}-conditioned", two_bob(strategy, coin, fixed)
+        yield f"visibility-{coin.value}", two_bob(strategy, coin, visibility=0.7)
+    yield "one-axis-constant-same-setting", pair(1.0, 1.0, pr.ABS_FLIP)
+    yield "one-axis-constant-terminated", pair(1.0, PI, CYCLIC_TERMINATE)
+    yield "one-axis-constant-conditioned-on-the-separator", pair(2.0, SEPARATOR_B, pr.NO_FLIP, SEPARATOR_THETA)
     for coin in COINS:
-        yield f"two-axis-{coin.value}-one-terminated", lambda coin=coin: (
-            two_bob_kernel(nu, CYCLIC_TERMINATE, coin), two_bob_counts,
-            lambda rng, n: ref_two_bob(nu, CYCLIC_TERMINATE, coin, None, rng, n))
-        yield f"visibility-{coin.value}-one-terminated", lambda coin=coin: (
-            two_bob_kernel(nu, CYCLIC_TERMINATE, coin, visibility=0.7), visibility_counts,
-            lambda rng, n: ref_visibility(nu, 0.7, CYCLIC_TERMINATE, coin, rng, n))
+        yield f"two-axis-{coin.value}-one-terminated", two_bob(CYCLIC_TERMINATE, coin)
+        yield f"visibility-{coin.value}-one-terminated", two_bob(CYCLIC_TERMINATE, coin, visibility=0.7)
         # Alice on b1 shares its slot, and the reflection ends the round on b1 + pi: no axis is live
-        yield f"two-axis-{coin.value}-constant", lambda coin=coin: (
-            two_bob_kernel(nu, CYCLIC_TERMINATE, coin, a=WALKTHROUGH_B1), two_bob_counts,
-            lambda rng, n: ref_two_bob(nu, CYCLIC_TERMINATE, coin, None, rng, n, a=WALKTHROUGH_B1))
+        yield f"two-axis-{coin.value}-constant", two_bob(CYCLIC_TERMINATE, coin, a=WALKTHROUGH_B1)
+    for coin in COINS:
+        yield f"two-axis-{coin.value}-no-windows", two_bob(strategy, coin, windows=False)
+        yield f"two-axis-{coin.value}-conditioned-no-windows", two_bob(strategy, coin, fixed, windows=False)
 
 
 ROW_SHAPES = dict(_row_shapes())
@@ -277,15 +286,28 @@ ROW_SHAPES = dict(_row_shapes())
 @pytest.mark.parametrize("n", SEAM_SIZES)
 @pytest.mark.parametrize("shape", list(ROW_SHAPES))
 def test_chunk_seams_match_the_whole_batch_reference(shape, n):
-    """Batches ending before, at and after a chunk seam tally as the whole-batch draws do.
+    """Batches ending before, at and after a chunk seam tally as the whole-batch draws do, sign cells included.
 
     The references draw each whole array in the documented order from one
     generator; the kernel draws chunk by chunk from one substream per draw.
     Odd sizes leave half of the last output of the sign draw unused.
     """
-    kernel, counts, reference = ROW_SHAPES[shape]()
+    kernel, reference = ROW_SHAPES[shape](signs=True)
     for seed in (21, 22):
-        _both(kernel, counts, reference, seed, n)
+        _both(kernel, reference, seed, n)
+
+
+@pytest.mark.parametrize("n", SEAM_SIZES)
+@pytest.mark.parametrize("shape", list(ROW_SHAPES))
+def test_default_path_chunk_seams_match_the_whole_batch_reference(shape, n):
+    """Without signs, a kernel carries every other cell of its shape and tallies each as the whole-batch draws do.
+
+    It draws no c, so every later draw must still start at its own offset
+    of the batch stream for the counts to match.
+    """
+    kernel, reference = ROW_SHAPES[shape](signs=False)
+    for seed in (21, 22):
+        _both(kernel, reference, seed, n)
 
 
 @pytest.mark.parametrize("shape", list(ROW_SHAPES))
@@ -293,14 +315,15 @@ def test_every_row_shape_runs_one_batch_without_a_warning(shape):
     """A batch under warnings as errors: a NumPy that flags comparing a coin with a NaN screen bin fails here.
 
     The batch spans a chunk seam and still tallies as the whole-batch
-    reference does.
+    reference does, with signs and without.
     """
-    kernel, counts, reference = ROW_SHAPES[shape]()
     n = hn._CHUNK + 7
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = kernel(np.random.default_rng(24), n)
-    assert [int(v) for v in counts(got)] == [int(v) for v in reference(np.random.default_rng(24), n)]
+    for signs in (True, False):
+        kernel, reference = ROW_SHAPES[shape](signs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel(np.random.default_rng(24), n)
+        _both(lambda rng, n: got, reference, 24, n)
 
 
 def test_a_two_axis_visibility_batch_peaks_under_four_megabytes():
@@ -355,8 +378,8 @@ def test_rows_without_a_live_axis_generate_no_coin(shape, monkeypatch):
         return [g and _SpiedGenerator(g, i, calls) for i, g in enumerate(substreams(rng, draws))]
 
     monkeypatch.setattr(hn, "_substreams", spied)
-    kernel, counts, reference = ROW_SHAPES[shape]()
-    _both(kernel, counts, reference, 23, hn._CHUNK + 7)
+    kernel, reference = ROW_SHAPES[shape](signs=True)
+    _both(kernel, reference, 23, hn._CHUNK + 7)
     assert {names[i] for i in calls} == generated
 
 

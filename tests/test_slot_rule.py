@@ -278,7 +278,7 @@ def test_replayed_rounds_reproduce_every_kernel_bit(a, b, strategy):
     """``alice_round`` then ``bob_round`` with the kernel's ``c``, theta and coin gives its every bit.
 
     The batch is drawn in the batch kernel's order for one axis (theta, c,
-    coin), and the kernel's tallies are checked against it; thetas one float either side of
+    coin), and the tallies of a kernel built with signs are checked against it; thetas one float either side of
     every segment-table edge are appended, so the wire cell and its decoding
     are compared with the table next to each slot flip.
     """
@@ -296,8 +296,10 @@ def test_replayed_rounds_reproduce_every_kernel_bit(a, b, strategy):
     coin = np.concatenate([coin, extra.random(len(near))])
 
     (keeps,) = keeps_c(table, theta, [coin])
-    tally = hn._kernel(table)(np.random.default_rng(11), n)
-    assert tally.tolist() == [n, int(c_plus[:n].sum()), int(keeps[:n].sum()), int((keeps[:n] == c_plus[:n]).sum())]
+    tally = hn._kernel(table, signs=True)(np.random.default_rng(11), n)
+    assert len(tally) == 4
+    assert [tally[hn.N], tally[hn.C_PLUS], tally[hn.KEPT_1], tally[hn.B_PLUS_1]] == \
+        [n, int(c_plus[:n].sum()), int(keeps[:n].sum()), int((keeps[:n] == c_plus[:n]).sum())]
     for t, cp, u, kept in zip(theta, c_plus, coin, keeps):
         hidden = pr.HiddenState.make(1 if cp else -1, float(t))
         c_a, msg = pr.alice_round(a, hidden)
