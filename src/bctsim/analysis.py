@@ -196,7 +196,7 @@ def two_bob_equal_given_theta(
                 for b in (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi))
     q1, q2 = ev1.accept_prob, ev2.accept_prob
     same_parity = ev1.negate == ev2.negate
-    if coin_mode is CoinMode.INDEPENDENT:
+    if CoinMode(coin_mode) is CoinMode.INDEPENDENT:
         agree = q1 * q2 + (1.0 - q1) * (1.0 - q2)
         out = agree if same_parity else 1.0 - agree
     else:

@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from .harness import (
+    CALIBRATION_VARIANTS,
     EXPERIMENTS,
     GRIDS,
     ConfigError,
@@ -22,16 +23,13 @@ from .harness import (
     render_text,
     run_experiment,
 )
-from .protocol import CoinMode, FlipRule, FlipSemantics, Strategy
+from .protocol import CoinMode, FlipSemantics, Strategy
 
 __all__ = ["main", "build_parser", "parse_grid"]
 
-#: strategy tokens accepted on the command line
-STRATEGY_TOKENS = {
-    "paper-iic": FlipRule.DISABLED,
-    "cyclic-flip": FlipRule.CYCLIC,
-    "abs-flip": FlipRule.ABSOLUTE,
-}
+#: strategy tokens accepted on the command line: the calibration variants that continue after a reflection
+STRATEGY_TOKENS = {label: strategy.flip_rule for label, strategy in CALIBRATION_VARIANTS
+                   if strategy.flip_semantics is FlipSemantics.CONTINUE}
 
 _SEMANTICS_TOKENS = {
     "continue": FlipSemantics.CONTINUE,

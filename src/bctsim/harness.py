@@ -114,6 +114,12 @@ class ExperimentConfig:
         _check_run(self.trials, self.seed, self.batch_size)
         if self.workers < 1:
             raise ConfigError(f"workers must be positive, got {self.workers}")
+        if not isinstance(self.strategy, Strategy):
+            raise ConfigError(f"strategy must be a Strategy, got {self.strategy!r}")
+        try:
+            self.coin_mode = CoinMode(self.coin_mode)
+        except ValueError:
+            raise ConfigError(f"unknown coin mode {self.coin_mode!r}") from None
         spec = EXPERIMENTS[self.experiment]
         for name in GRIDS:
             flag = name.replace("_", "-")
@@ -192,11 +198,11 @@ def _run_batches(
 
 #: Tally layout: a prefix of these cells. Every row counts trials, then per
 #: Bob axis the trials where his output equals c ("kept"). Two-axis rows add
-#: both Bobs equal (and, under a visibility, neither side erased); given
-#: windows, that inside the windows and theta inside them; under a visibility
-#: (always with windows), neither side erased. A kernel built with signs ends
-#: with, counted from the end, c = +1 and per axis his output +1.
-N, KEPT_1, KEPT_2, EQUAL, EQUAL_IN_WINDOWS, IN_WINDOWS, SURVIVED = range(7)
+#: both Bobs equal (and, under a visibility, neither side erased); a row that
+#: draws theta and is given windows adds that with theta inside them. A
+#: kernel built with signs ends with, counted from the end, c = +1 and per
+#: axis his output +1.
+N, KEPT_1, KEPT_2, EQUAL, EQUAL_IN_WINDOWS = range(5)
 C_PLUS, B_PLUS_1, B_PLUS_2 = -1, -2, -3
 
 
@@ -260,8 +266,8 @@ def _kernel(
     per axis (one for both under ``CoinMode.SHARED``), then, given a
     ``visibility``, erase1 and erase2: each side survives with probability
     ``visibility``. Nothing else draws, the table included, so the plan
-    fixes the stream. ``windows`` are the two windows a two-axis row counts;
-    a row without them counts none.
+    fixes the stream. ``windows`` are the two windows a two-axis row that
+    draws theta counts; a conditioned row, or one without them, counts none.
 
     A batch is drawn in chunks of ``_CHUNK`` trials, from one substream per
     draw (:func:`_substreams`): a float draw takes ``n`` outputs of the
@@ -289,9 +295,8 @@ def _kernel(
         accepts, constant = table.at(theta_fixed)
 
     two = len(table.axes) == 2
-    windowed = two and windows is not None
-    fixed_in_win = windowed and theta_fixed is not None and bool(_in_windows(theta_fixed, windows))
-    shared = two and coin_mode is CoinMode.SHARED
+    windowed = two and windows is not None and theta_fixed is None
+    shared = two and CoinMode(coin_mode) is CoinMode.SHARED
     live = [k is None for k in constant]
     # the draw plan, in stream order: per draw, its name and whether it is generated
     plan = [("theta", windowed or any(live))] if theta_fixed is None else []
@@ -307,7 +312,7 @@ def _kernel(
         # per axis: the decisions of a live axis, or the constant of one that has no coin
         kept = [np.empty(n, dtype=bool) if is_live else k for is_live, k in zip(live, constant)]
         held = [[] for _ in live]  # per axis, each chunk's held trials
-        in_win = np.empty(n, dtype=bool) if windowed and theta_draw is not None else None
+        in_win = np.empty(n, dtype=bool) if windowed else None
         survived = None if visibility is None else np.empty(n, dtype=bool)
         for start in range(0, n, _CHUNK):
             rows = slice(start, min(start + _CHUNK, n))
@@ -345,11 +350,7 @@ def _kernel(
                 eq = eq & survived
             counts.append(_count(eq))
             if in_win is not None:
-                counts += [_count(eq & in_win), _count(in_win)]
-            elif windowed:
-                counts += [counts[EQUAL], n] if fixed_in_win else [0, 0]
-            if survived is not None:
-                counts.append(_count(survived))
+                counts.append(_count(eq & in_win))
         if c_plus is not None:  # c_b > 0 exactly when kept == (c > 0), for a constant axis too
             counts += [_count(np.equal(k, c_plus)) for k in reversed(kept)] + [_count(c_plus)]
         return np.array(counts, dtype=np.int64)
@@ -360,7 +361,7 @@ def _kernel(
 def _antipodal(nu: float, strategy: Strategy, coin_mode: CoinMode, **options):
     """The kernel of the walkthrough frame: Alice at ``alice_setting(nu)``, Bob on b1 and b1 + pi."""
     table = segment_table(alice_setting(nu), (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi), strategy)
-    return _kernel(table, coin_mode, windows=interval_windows(nu), **options)
+    return _kernel(table, coin_mode, **options)
 
 
 # --- public estimators -----------------------------------------------------
@@ -455,14 +456,14 @@ def _opposite_axes_rows(config):
     """
     for i, nu in enumerate(config.nu_grid):
         yield (dict(nu=nu, closed_form=p_opposite_equal_closed(nu).p_total),
-               {(i,): _antipodal(nu, config.strategy, config.coin_mode)})
+               {(i,): _antipodal(nu, config.strategy, config.coin_mode, windows=interval_windows(nu))})
 
 
 def _opposite_axes_finish(cells, tallies, est, se) -> dict:
     tally, nu, closed = tallies[0], cells["nu"], cells["closed_form"]
     flags = []
     if se > 0 and est - closed > 4 * se:
-        in_win = tally[EQUAL_IN_WINDOWS] / tally[N]
+        in_win = _rate(tally, EQUAL_IN_WINDOWS)[0]
         outside = (tally[EQUAL] - tally[EQUAL_IN_WINDOWS]) / tally[N]
         flags += ["exceeds-closed-form-4se", f"in-windows-estimate={in_win:.6g}",
                   f"outside-windows-excess={outside:.6g}"]
@@ -478,8 +479,8 @@ def _visibility_rows(config):
     inside the two windows.
     """
     for i, (v, nu) in enumerate(itertools.product(config.visibility_grid, config.nu_grid)):
-        yield (asdict(visibility_report(v, nu)),
-               {(i,): _antipodal(nu, config.strategy, config.coin_mode, visibility=v)})
+        kernel = _antipodal(nu, config.strategy, config.coin_mode, visibility=v, windows=interval_windows(nu))
+        yield asdict(visibility_report(v, nu)), {(i,): kernel}
 
 
 def _visibility_finish(cells, tallies, est, se) -> dict:
@@ -551,7 +552,7 @@ def _remedy_rows(config):
 
 def _remedy_finish(cells, tallies, est, se) -> dict:
     tally = tallies[0]
-    ab2 = tally[KEPT_2] / tally[N]
+    ab2 = _rate(tally, KEPT_2)[0]
     return dict(ab2_estimate=ab2, ab2_deviation=abs(ab2 - cells["ab2_oracle"]),
                 flags=["no-equal-outputs"] if tally[EQUAL] == 0 else [])
 

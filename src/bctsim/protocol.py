@@ -116,6 +116,11 @@ class Strategy:
     flip_rule: FlipRule = FlipRule.DISABLED
     flip_semantics: FlipSemantics = FlipSemantics.CONTINUE
 
+    def __post_init__(self):
+        # a field given as its value string becomes its member, so the ``is`` tests below hold; else ValueError
+        object.__setattr__(self, "flip_rule", FlipRule(self.flip_rule))
+        object.__setattr__(self, "flip_semantics", FlipSemantics(self.flip_semantics))
+
     def flip_fires(self, alice_alpha: int, bob_alpha: int) -> bool:
         """Whether the reflection fires for the given alpha slot indices."""
         if self.flip_rule is FlipRule.DISABLED:
@@ -596,7 +601,7 @@ class SegmentTable:
         coeff = [np.where(same | (constant is not None), 0.0, ACCEPTANCE_COEFF * np.sign(np.sin(f - mid)))
                  for f, same, constant in zip(phi, self.same, self.constant)]
         (p1, p2), (c1, c2) = phi, coeff
-        if coin_mode is CoinMode.INDEPENDENT:
+        if CoinMode(coin_mode) is CoinMode.INDEPENDENT:
             int_s1 = np.cos(p1 - hi) - np.cos(p1 - lo)
             int_s2 = np.cos(p2 - hi) - np.cos(p2 - lo)
             int_s1s2 = 0.5 * length * np.cos(p1 - p2) - 0.25 * (np.sin(p1 + p2 - 2.0 * lo)
@@ -754,7 +759,7 @@ def _round(a: float, axes: tuple[float, ...], rng: np.random.Generator, strategy
     triple = _decode(msg, hidden)
     coins = [float(rng.random())]
     if len(axes) == 2:
-        coins.append(coins[0] if coin_mode is CoinMode.SHARED else float(rng.random()))
+        coins.append(coins[0] if CoinMode(coin_mode) is CoinMode.SHARED else float(rng.random()))
     a = normalize_angle(float(a))
     return c_a, [_bob_step(a, b, msg, triple, hidden, coin, strategy, record) for b, coin in zip(axes, coins)]
 
@@ -838,7 +843,7 @@ def p_equal_given_theta(a: float, b: float, theta, strategy: Strategy = NO_FLIP)
 @functools.lru_cache(maxsize=None)
 def _strategy(flip_rule: str, flip_semantics: str) -> Strategy:
     """The :class:`Strategy` a record's two strings name; ``ValueError`` for an unknown one, which is not cached."""
-    return Strategy(FlipRule(flip_rule), FlipSemantics(flip_semantics))
+    return Strategy(flip_rule, flip_semantics)
 
 
 def replay_bob(record: TrialRecord) -> int:

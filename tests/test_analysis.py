@@ -130,6 +130,22 @@ class TestTwoBobTotals:
             reference = two_bob_equal_reference(float(nu), strategy, coin_mode)
             assert abs(exact - reference) < 1e-12, (label, coin_mode, float(nu))
 
+    def test_a_coin_mode_string_gives_its_members_values(self):
+        """``"independent"`` is read as ``CoinMode.INDEPENDENT``, not taken for the shared coin; a bad one raises."""
+        theta = np.linspace(0.0, 1.8, 7)
+        for coin_mode in pr.CoinMode:
+            exact = an.two_bob_equal_quadrature(PI / 10, pr.NO_FLIP, coin_mode)
+            assert an.two_bob_equal_quadrature(PI / 10, pr.NO_FLIP, coin_mode.value) == exact
+            member, string = (an.two_bob_equal_given_theta(PI / 10, theta, pr.CYCLIC_FLIP, mode)
+                              for mode in (coin_mode, coin_mode.value))
+            assert string.tolist() == member.tolist()
+        assert an.two_bob_equal_quadrature(PI / 10, pr.NO_FLIP, "independent") == pytest.approx(0.63117, abs=1e-5)
+        assert an.two_bob_equal_quadrature(PI / 10, pr.NO_FLIP, "shared") == pytest.approx(0.72654, abs=1e-5)
+        with pytest.raises(ValueError, match="bogus"):
+            an.two_bob_equal_quadrature(PI / 10, pr.NO_FLIP, "bogus")
+        with pytest.raises(ValueError, match="bogus"):
+            an.two_bob_equal_given_theta(PI / 10, theta, pr.NO_FLIP, "bogus")
+
     def test_full_range_exceeds_window_value(self):
         total = an.two_bob_equal_quadrature(PI / 10)
         assert total == pytest.approx(TWO_BOB_TOTAL_MAX, abs=1e-8)

@@ -37,6 +37,9 @@ class TestConfigValidation:
             dict(batch_size=0),
             dict(nu_grid=()),
             dict(nu_grid=(PI,)),  # outside [0, pi/5]
+            dict(coin_mode="bogus"),
+            dict(strategy="cyclic-flip"),
+            dict(strategy=None),
         ],
     )
     def test_bad_configs_rejected(self, kw):
@@ -61,6 +64,11 @@ class TestConfigValidation:
             else:
                 with pytest.raises(hn.ConfigError, match="does not use"):
                     config.validate()
+
+    def test_a_coin_mode_string_runs_as_its_member(self):
+        table = hn.run_experiment(make_config(trials=2_000, coin_mode="shared"))
+        assert table.manifest["coin_mode"] == "shared"
+        assert table.rows == hn.run_experiment(make_config(trials=2_000, coin_mode=pr.CoinMode.SHARED)).rows
 
     def test_manifest_contents(self):
         m = make_config().manifest()
@@ -449,6 +457,17 @@ def test_readme_commands_run(tmp_path, line):
     assert cli.main(argv) == 0
 
 
+def test_strategy_tokens_are_the_calibration_variants_that_continue(capsys):
+    """``--strategy`` takes each calibration variant that continues after a reflection, by its label."""
+    continuing = [(label, strategy.flip_rule) for label, strategy in hn.CALIBRATION_VARIANTS
+                  if strategy.flip_semantics is pr.FlipSemantics.CONTINUE]
+    assert list(cli.STRATEGY_TOKENS.items()) == continuing
+    assert list(cli.STRATEGY_TOKENS) == ["paper-iic", "cyclic-flip", "abs-flip"]
+    with pytest.raises(SystemExit):
+        cli.main(["correlation", "--help"])
+    assert "  --strategy {abs-flip,cyclic-flip,paper-iic}\n" in capsys.readouterr().out
+
+
 #: each experiment over small grids; remedy with a theta grid, so that it runs conditioned rows too
 SMALL_RUNS = {
     "correlation": ["--angle-grid", "0:3.14:3"],
@@ -460,26 +479,45 @@ SMALL_RUNS = {
 }
 
 
-@pytest.mark.parametrize("experiment", list(SMALL_RUNS))
+#: per experiment, the cells of each stream's tally: those its rows read
+TALLY_CELLS = {"correlation": 2, "opposite-axes": 5, "visibility": 5, "audit": 2, "remedy": 4, "calibrate": 2,
+               "conditioned_two_bob_estimate": 4}
+
+
+@pytest.mark.parametrize("experiment", list(TALLY_CELLS))
 def test_no_experiment_row_reads_a_draw_it_does_not_use(experiment, tmp_path, monkeypatch):
-    """No experiment row generates the sign c, which none reads, and ``remedy`` never tests the windows.
+    """No row generates the sign c, which none reads, tests the windows unless it reads them, or tallies a spare cell.
 
     Every plan still lists c, so each later draw keeps its offset: with
     1,000 trials a batch, c is the one draw of 500 outputs, every other one
-    of 1,000. ``remedy`` reads only ``EQUAL`` and ``KEPT_2``, so neither its
-    unconditioned nor its conditioned rows call ``_in_windows``.
+    of 1,000. The one-axis experiments tally ``N`` and ``KEPT_1``;
+    ``remedy`` reads ``EQUAL`` and ``KEPT_2``, and
+    :func:`~bctsim.harness.conditioned_two_bob_estimate` ``EQUAL``, so
+    neither calls ``_in_windows`` and both tally up to ``EQUAL``. Only
+    ``opposite-axes`` and ``visibility`` read ``EQUAL_IN_WINDOWS``.
     """
-    plans, window_tests = [], []
-    substreams, in_windows = hn._substreams, hn._in_windows
+    plans, window_tests, lengths = [], [], set()
+    substreams, in_windows, run_batches = hn._substreams, hn._in_windows, hn._run_batches
+
+    def tallied(*args):
+        tally = run_batches(*args)
+        lengths.add(len(tally))
+        return tally
+
     monkeypatch.setattr(hn, "_substreams", lambda rng, draws: plans.append(draws) or substreams(rng, draws))
     monkeypatch.setattr(hn, "_in_windows", lambda *args: window_tests.append(args) or in_windows(*args))
-    argv = [experiment, "--trials", "1000", *SMALL_RUNS[experiment], "--out", str(tmp_path / "out.csv")]
-    assert cli.main(argv) == 0
+    monkeypatch.setattr(hn, "_run_batches", tallied)
+    if experiment == "conditioned_two_bob_estimate":
+        hn.conditioned_two_bob_estimate(PI / 10, 1.1, 1000, 0)
+    else:
+        argv = [experiment, "--trials", "1000", *SMALL_RUNS[experiment], "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 0
     assert plans
     for draws in plans:
         assert [read for outputs, read in draws if outputs == 500] == [False]
         assert {outputs for outputs, _ in draws} <= {500, 1000}
-    assert (window_tests == []) is (experiment in ("correlation", "audit", "remedy", "calibrate"))
+    assert (window_tests == []) is (experiment not in ("opposite-axes", "visibility"))
+    assert lengths == {TALLY_CELLS[experiment]}
 
 
 #: nu at both ends of [0, pi/5], its smallest positive float, the orthogonal setting and the float below pi/5
@@ -496,8 +534,7 @@ def _two_windows(theta, windows):
 def test_window_test_is_the_union_of_the_two_windows(nu):
     """``_in_windows`` tests one closed interval; it equals the two-window test at and beside every window end.
 
-    The ends are checked at an array theta, at a float theta, and through a
-    conditioned kernel, which tallies ``IN_WINDOWS`` from its fixed theta.
+    The ends are checked at an array theta and at a float theta.
     """
     windows = an.interval_windows(nu)
     (w1_lo, w1_hi), (w2_lo, w2_hi) = windows
@@ -506,22 +543,22 @@ def test_window_test_is_the_union_of_the_two_windows(nu):
             for x in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf))}
     thetas = np.array(sorted(ends))
     assert hn._in_windows(thetas, windows).tolist() == _two_windows(thetas, windows).tolist()
-    table = pr.segment_table(an.alice_setting(nu), (an.WALKTHROUGH_B1, an.WALKTHROUGH_B1 + PI))
     for theta in thetas.tolist():
-        want = bool(_two_windows(theta, windows))
-        assert bool(hn._in_windows(theta, windows)) is want, theta
-        if 0.0 <= theta < THETA_SPAN:
-            tally = hn._kernel(table, theta_fixed=theta, windows=windows)(np.random.default_rng(0), 4)
-            assert tally[hn.IN_WINDOWS] == (4 if want else 0), theta
+        assert bool(hn._in_windows(theta, windows)) is bool(_two_windows(theta, windows)), theta
 
 
 def test_every_estimate_is_a_tally_rate(monkeypatch):
-    """``run_experiment`` and both conditioned estimators read each estimate and its error off ``_rate``."""
+    """``run_experiment``, both conditioned estimators and the finish steps read each rate off ``_rate``.
+
+    Both ``opposite-axes`` rows exceed the closed form, so each reads its
+    in-window rate there too; each ``remedy`` row reads its ``ab2`` there.
+    """
     rate = hn._rate
     assert rate(np.array([8, 2, 5]), hn.KEPT_1) == (0.25, math.sqrt(0.25 * 0.75 / 8))
     calls = []
     monkeypatch.setattr(hn, "_rate", lambda tally, hits: calls.append(hits) or rate(tally, hits))
     hn.run_experiment(make_config(trials=2_000, nu_grid=(0.0, PI / 10)))
+    hn.run_experiment(make_config(experiment="remedy", trials=2_000))
     hn.conditioned_two_bob_estimate(PI / 10, 0.35 * PI, 2_000, 11)
     hn.conditioned_pair_estimate(PI / 2, PI, 0.35 * PI, 2_000, 13)
-    assert calls == [hn.EQUAL, hn.EQUAL, hn.EQUAL, hn.KEPT_1]
+    assert calls == [hn.EQUAL, hn.EQUAL_IN_WINDOWS] * 2 + [hn.EQUAL, hn.KEPT_2] * 5 + [hn.EQUAL, hn.KEPT_1]

@@ -73,16 +73,17 @@ def ref_pair(a, b, strategy, theta_fixed, rng, n):
     return dict(N=n, KEPT_1=eq.sum(), C_PLUS=(c > 0).sum(), B_PLUS_1=(c_b > 0).sum())
 
 
-def _two_bob_cells(nu, theta, c, b1_eq_c, b2_eq_c, survived=None):
-    """The tally cells of a two-axis row with its windows, and with ``SURVIVED`` under a visibility."""
+def _two_bob_cells(nu, theta, c, b1_eq_c, b2_eq_c, survived=None, conditioned=False):
+    """The tally cells of a two-axis row given its windows, which count only where theta is drawn.
+
+    Under a visibility, ``EQUAL`` counts equal outputs with neither side erased.
+    """
     eq = b1_eq_c == b2_eq_c
     if survived is not None:
         eq &= survived
-    in_win = _in_win(theta, nu)
-    cells = dict(N=len(theta), KEPT_1=b1_eq_c.sum(), KEPT_2=b2_eq_c.sum(), EQUAL=eq.sum(),
-                 EQUAL_IN_WINDOWS=(eq & in_win).sum(), IN_WINDOWS=in_win.sum())
-    if survived is not None:
-        cells["SURVIVED"] = survived.sum()
+    cells = dict(N=len(theta), KEPT_1=b1_eq_c.sum(), KEPT_2=b2_eq_c.sum(), EQUAL=eq.sum())
+    if not conditioned:
+        cells["EQUAL_IN_WINDOWS"] = (eq & _in_win(theta, nu)).sum()
     return cells | dict(C_PLUS=(c > 0).sum(), B_PLUS_1=(np.where(b1_eq_c, c, -c) > 0).sum(),
                         B_PLUS_2=(np.where(b2_eq_c, c, -c) > 0).sum())
 
@@ -95,7 +96,7 @@ def ref_two_bob(nu, strategy, coin_mode, theta_fixed, rng, n, a=None):
     coin2 = coin1 if coin_mode is pr.CoinMode.SHARED else rng.random(n)
     q1, neg1 = _accept(a, WALKTHROUGH_B1, theta, strategy)
     q2, neg2 = _accept(a, WALKTHROUGH_B1 + PI, theta, strategy)
-    return _two_bob_cells(nu, theta, c, (coin1 < q1) ^ neg1, (coin2 < q2) ^ neg2)
+    return _two_bob_cells(nu, theta, c, (coin1 < q1) ^ neg1, (coin2 < q2) ^ neg2, conditioned=theta_fixed is not None)
 
 
 def ref_visibility(nu, visibility, strategy, coin_mode, rng, n):
@@ -125,8 +126,8 @@ def ref_joint(a, b, strategy, rng, n):
 
 #: the cells only a kernel built with signs carries
 SIGN_CELLS = ("C_PLUS", "B_PLUS_1", "B_PLUS_2")
-#: the cells only a two-axis kernel built with windows carries
-WINDOW_CELLS = ("EQUAL_IN_WINDOWS", "IN_WINDOWS")
+#: the cell only a two-axis kernel built with windows, and drawing theta, carries
+WINDOW_CELLS = ("EQUAL_IN_WINDOWS",)
 
 
 def pair_kernel(a, b, strategy, theta_fixed=None, signs=True):
@@ -242,7 +243,8 @@ def _row_shapes():
     have axes whose decision no draw can change: Bob on Alice's setting, a
     fired terminating reflection, a conditioned Bob on the separator. At
     ``nu = pi/10`` the cyclic reading fires on the axis ``b1 + pi`` only.
-    The shapes named ``no-windows`` are those of ``remedy`` rows.
+    The shapes named ``no-windows`` are those of ``remedy`` rows; a
+    conditioned shape counts no windows, given them or not.
     """
     nu, strategy, fixed = PI / 10, pr.CYCLIC_FLIP, 1.2
 
@@ -324,6 +326,18 @@ def test_every_row_shape_runs_one_batch_without_a_warning(shape):
             warnings.simplefilter("error")
             got = kernel(np.random.default_rng(24), n)
         _both(lambda rng, n: got, reference, 24, n)
+
+
+def test_a_coin_mode_string_samples_and_sums_as_its_member():
+    """A two-axis kernel and ``SegmentTable.expectation`` read ``"shared"`` as the shared coin; a bad mode raises."""
+    table = pr.segment_table(alice_setting(PI / 10), (WALKTHROUGH_B1, WALKTHROUGH_B1 + PI), pr.CYCLIC_FLIP)
+    for coin_mode in COINS:
+        assert table.expectation(coin_mode.value) == table.expectation(coin_mode)
+        got, want = (hn._kernel(table, mode)(np.random.default_rng(27), 1000) for mode in (coin_mode.value, coin_mode))
+        assert got.tolist() == want.tolist()
+    for call in (table.expectation, lambda mode: hn._kernel(table, mode)):
+        with pytest.raises(ValueError, match="bogus"):
+            call("bogus")
 
 
 def test_a_two_axis_visibility_batch_peaks_under_four_megabytes():

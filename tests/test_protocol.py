@@ -421,6 +421,31 @@ class TestTwoBob:
         assert len(calls) == 2
 
 
+class TestValueStrings:
+    """A reflection reading or a coin mode given as its value string acts as its member; an unknown one raises."""
+
+    def test_strategy_fields_become_their_members(self):
+        assert pr.Strategy("absolute-difference").flip_fires(0, 9)
+        assert not pr.Strategy("disabled").flip_fires(0, 5)
+        strategy = pr.Strategy("cyclic-distance", "terminate-with-negated-c")
+        assert strategy == CYCLIC_TERMINATE and hash(strategy) == hash(CYCLIC_TERMINATE)
+        assert strategy.flip_rule is pr.FlipRule.CYCLIC and strategy.flip_semantics is pr.FlipSemantics.TERMINATE
+        for fields in (("cyclic",), ("disabled", "negate")):
+            with pytest.raises(ValueError, match=fields[-1]):
+                pr.Strategy(*fields)
+
+    def test_bct_trial_plays_a_strategy_of_value_strings(self):
+        played = pr.bct_trial(1.0, 2.0, np.random.default_rng(30), pr.Strategy("disabled"))
+        assert played == pr.bct_trial(1.0, 2.0, np.random.default_rng(30), pr.NO_FLIP)
+
+    def test_two_bob_trial_shares_the_coin_of_the_shared_string(self):
+        res = pr.two_bob_trial(PI / 2, 0.0, np.random.default_rng(31), pr.NO_FLIP, "shared")
+        assert res.record_b1.coin == res.record_b2.coin
+        assert res == pr.two_bob_trial(PI / 2, 0.0, np.random.default_rng(31), pr.NO_FLIP, pr.CoinMode.SHARED)
+        with pytest.raises(ValueError, match="bogus"):
+            pr.two_bob_trial(PI / 2, 0.0, np.random.default_rng(31), pr.NO_FLIP, "bogus")
+
+
 def test_scalar_round_builds_no_bob_evaluation(monkeypatch):
     """A round's Bob step is the branch step and the acceptance on Python floats, with no ``BobEvaluation``."""
     calls = []
