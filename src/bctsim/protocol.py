@@ -111,7 +111,15 @@ class CoinMode(str, Enum):
 
 @dataclass(frozen=True)
 class Strategy:
-    """Resolution of the reflection rule's ambiguous reading."""
+    """Resolution of the reflection rule's ambiguous reading.
+
+    Each strategy carries its rule's fire table ``_fires``, built once per
+    rule when the module loads (a strategy is built in microseconds), and
+    ``_terminate``, whether a fired reflection ends the round: what
+    :func:`_bob_axis` reads. Neither is a field, so equality, hashing,
+    ``repr`` and ``replace`` read only the rule and its semantics, and
+    ``replace`` gives the new strategy its own rule's table.
+    """
 
     flip_rule: FlipRule = FlipRule.DISABLED
     flip_semantics: FlipSemantics = FlipSemantics.CONTINUE
@@ -120,17 +128,24 @@ class Strategy:
         # a field given as its value string becomes its member, so the ``is`` tests below hold; else ValueError
         object.__setattr__(self, "flip_rule", FlipRule(self.flip_rule))
         object.__setattr__(self, "flip_semantics", FlipSemantics(self.flip_semantics))
+        object.__setattr__(self, "_fires", _FIRES[self.flip_rule])
+        object.__setattr__(self, "_terminate", self.flip_semantics is FlipSemantics.TERMINATE)
 
     def flip_fires(self, alice_alpha: int, bob_alpha: int) -> bool:
         """Whether the reflection fires for the given alpha slot indices."""
-        if self.flip_rule is FlipRule.DISABLED:
-            return False
-        d = abs(alice_alpha - bob_alpha)
-        if self.flip_rule is FlipRule.ABSOLUTE:
-            return d > 2
-        return alpha_slot_cyclic_difference(alice_alpha, bob_alpha) > 2
+        return _flip_fires(self.flip_rule, alice_alpha, bob_alpha)
 
 
+def _flip_fires(rule: FlipRule, alice_alpha: int, bob_alpha: int) -> bool:
+    """:meth:`Strategy.flip_fires` under ``rule``."""
+    if rule is FlipRule.DISABLED:
+        return False
+    d = abs(alice_alpha - bob_alpha)
+    return d > 2 if rule is FlipRule.ABSOLUTE else alpha_slot_cyclic_difference(alice_alpha, bob_alpha) > 2
+
+
+#: per rule, its fire table: :func:`_flip_fires` for Alice's alpha slot ``i`` and Bob's ``j``, both in 0..9
+_FIRES = {rule: tuple(tuple(_flip_fires(rule, i, j) for j in range(10)) for i in range(10)) for rule in FlipRule}
 #: no reflection; reproduces the two-Bob walkthrough geometry
 NO_FLIP = Strategy(FlipRule.DISABLED, FlipSemantics.CONTINUE)
 #: reflection on cyclic slot distance > 2, continuing on the reflected axis
@@ -262,7 +277,36 @@ class TrialRecord:
         return {**vars(self), "message": self.message.to_debug()}  # fields in declaration order
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), allow_nan=True)
+        """The record as JSON: byte for byte ``json.dumps(dataclasses.asdict(self), allow_nan=True)``.
+
+        One fixed template holds the keys in declaration order, the message
+        nested, and ``json.dumps``'s separators; each value's JSON text fills
+        its place. A float (Python or NumPy) writes its ``float.__repr__``, or
+        ``NaN``, ``Infinity`` and ``-Infinity``; the coin's None writes
+        ``null``; the two bools ``true`` and ``false``; an int (not a bool)
+        its digits; a string its quoted text through ``json``'s own escaper,
+        non-ASCII escaped as ``json.dumps`` escapes it. The contract covers
+        every record whose fields hold these, their annotated types.
+        """
+        m, f, s = self.message, _json_float, json.encoder.encode_basestring_ascii
+        return _RECORD_JSON % (
+            f(self.a), f(self.b), self.c, f(self.theta), m.cell, m.alpha_slot, m.beta_slot, m.gamma_slot,
+            "null" if self.coin is None else f(self.coin), self.c_a, self.c_b, s(self.branch),
+            ("false", "true")[self.flip_fired], ("false", "true")[self.negated], s(self.system), self.bob_slot,
+            self.alice_active_slot, f(self.boundary_angle), self.boundary_index, f(self.u), f(self.accept_prob),
+            s(self.flip_rule), s(self.flip_semantics))
+
+
+#: ``TrialRecord.to_json``'s template: ``%d`` an int's place, ``%s`` the JSON text of any other value
+_RECORD_JSON = ('{"a": %s, "b": %s, "c": %d, "theta": %s, "message": {"cell": %d, "alpha_slot": %d, "beta_slot": %d, '
+                '"gamma_slot": %d}, "coin": %s, "c_a": %d, "c_b": %d, "branch": %s, "flip_fired": %s, "negated": %s, '
+                '"system": %s, "bob_slot": %d, "alice_active_slot": %d, "boundary_angle": %s, "boundary_index": %d, '
+                '"u": %s, "accept_prob": %s, "flip_rule": %s, "flip_semantics": %s}')
+
+
+def _json_float(x: float) -> str:
+    """A float's JSON text as ``json.dumps(..., allow_nan=True)`` writes it: its repr if finite (``x - x == 0``)."""
+    return float.__repr__(x) if x - x == 0.0 else "NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity"
 
 
 def alice_round(a: float, hidden: HiddenState) -> tuple[int, SlotMessage]:
@@ -310,11 +354,17 @@ def _bob_axis(alice_alpha: int, b: float, strategy: Strategy) -> tuple[float, bo
     the slots and the separator's index and nan for its angle and ``u``; a
     :class:`SegmentTable` gives it no same-slot segment, zero offsets and
     the constant decision ``False``.
+
+    Whether the reflection fires, and whether it terminates, come from the
+    strategy's fire table. An ``alice_alpha`` that is not an int in 0..9
+    takes :meth:`Strategy.flip_fires` itself, with its results and errors:
+    the cyclic rule raises ``ValueError`` there, the others do not.
     """
     b = normalize_angle(b)
     bob_alpha = int(alpha_slot_of(b))
-    fired = strategy.flip_fires(alice_alpha, bob_alpha)
-    if fired and strategy.flip_semantics is FlipSemantics.TERMINATE:
+    fired = (strategy._fires[alice_alpha][bob_alpha] if type(alice_alpha) is int and 0 <= alice_alpha <= 9
+             else strategy.flip_fires(alice_alpha, bob_alpha))
+    if fired and strategy._terminate:
         return b, True, "none"
     if fired:
         b, bob_alpha = normalize_angle(b + math.pi), (bob_alpha + 5) % 10

@@ -244,7 +244,8 @@ def _row_shapes():
     fired terminating reflection, a conditioned Bob on the separator. At
     ``nu = pi/10`` the cyclic reading fires on the axis ``b1 + pi`` only.
     The shapes named ``no-windows`` are those of ``remedy`` rows; a
-    conditioned shape counts no windows, given them or not.
+    conditioned shape counts no windows, given them or not
+    (:func:`test_windows_change_no_cell_of_a_conditioned_two_axis_kernel`).
     """
     nu, strategy, fixed = PI / 10, pr.CYCLIC_FLIP, 1.2
 
@@ -279,7 +280,6 @@ def _row_shapes():
         yield f"two-axis-{coin.value}-constant", two_bob(CYCLIC_TERMINATE, coin, a=WALKTHROUGH_B1)
     for coin in COINS:
         yield f"two-axis-{coin.value}-no-windows", two_bob(strategy, coin, windows=False)
-        yield f"two-axis-{coin.value}-conditioned-no-windows", two_bob(strategy, coin, fixed, windows=False)
 
 
 ROW_SHAPES = dict(_row_shapes())
@@ -326,6 +326,24 @@ def test_every_row_shape_runs_one_batch_without_a_warning(shape):
             warnings.simplefilter("error")
             got = kernel(np.random.default_rng(24), n)
         _both(lambda rng, n: got, reference, 24, n)
+
+
+@pytest.mark.parametrize("n", SEAM_SIZES)
+@pytest.mark.parametrize("coin", COINS, ids=lambda coin: coin.value)
+def test_windows_change_no_cell_of_a_conditioned_two_axis_kernel(coin, n):
+    """A conditioned two-axis kernel given windows tallies as one given none, cell for cell, signs or not.
+
+    Its batches run under warnings as errors, across the chunk seams.
+    """
+    for signs in (True, False):
+        given, without = (two_bob_kernel(PI / 10, pr.CYCLIC_FLIP, coin, 1.2, signs=signs, windows=windows)
+                          for windows in (True, False))
+        for seed in (21, 22):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, want = (kernel(np.random.default_rng(seed), n) for kernel in (given, without))
+            assert got.dtype == want.dtype == np.int64
+            assert got.tolist() == want.tolist()
 
 
 def test_a_coin_mode_string_samples_and_sums_as_its_member():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bctsim import analysis, geometry
+from bctsim import harness as hn
 from bctsim import protocol as pr
 from bctsim.geometry import THETA_SPAN, arc_distance, beta_boundary, gamma_boundary
 
@@ -444,6 +445,61 @@ class TestValueStrings:
         assert res == pr.two_bob_trial(PI / 2, 0.0, np.random.default_rng(31), pr.NO_FLIP, pr.CoinMode.SHARED)
         with pytest.raises(ValueError, match="bogus"):
             pr.two_bob_trial(PI / 2, 0.0, np.random.default_rng(31), pr.NO_FLIP, "bogus")
+
+
+#: every reading of the reflection step: the three rules under both semantics
+ALL_STRATEGIES = tuple(pr.Strategy(rule, semantics) for rule in pr.FlipRule for semantics in pr.FlipSemantics)
+#: an axis at the centre of each alpha slot
+SLOT_CENTRES = tuple(j * PI / 5 + PI / 10 for j in range(10))
+
+
+def _fires_by_rule(strategy, i, j) -> bool:
+    """The reflection rule written out: disabled, absolute difference > 2, or cyclic distance > 2."""
+    if strategy.flip_rule is pr.FlipRule.DISABLED:
+        return False
+    if strategy.flip_rule is pr.FlipRule.ABSOLUTE:
+        return abs(i - j) > 2
+    return min(abs(i - j), 10 - abs(i - j)) > 2
+
+
+class TestFireTable:
+    """Each strategy tabulates its reflection rule over the 100 alpha slot pairs; ``_bob_axis`` reads the table."""
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: f"{s.flip_rule.value}/{s.flip_semantics.value}")
+    def test_the_table_equals_the_rule_however_the_strategy_is_built(self, strategy):
+        assert {s for _, s in hn.CALIBRATION_VARIANTS} < set(ALL_STRATEGIES)
+        want = tuple(tuple(_fires_by_rule(strategy, i, j) for j in range(10)) for i in range(10))
+        terminate = strategy.flip_semantics is pr.FlipSemantics.TERMINATE
+        built = (strategy, pr.Strategy(strategy.flip_rule.value, strategy.flip_semantics.value),
+                 dataclasses.replace(strategy), dataclasses.replace(pr.NO_FLIP, flip_rule=strategy.flip_rule,
+                                                                    flip_semantics=strategy.flip_semantics.value))
+        for s in built:
+            assert s == strategy and s._fires == want and s._terminate is terminate
+            for i in range(10):
+                for j, b in enumerate(SLOT_CENTRES):
+                    assert s.flip_fires(i, j) is want[i][j]
+                    _, fired, system = pr._bob_axis(i, b, s)
+                    assert (fired, system == "none") == (want[i][j], want[i][j] and terminate)
+                    # an alpha slot that is not an int takes the rule itself, to the same axis
+                    assert pr._bob_axis(np.int64(i), b, s) == pr._bob_axis(i, b, s)
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: f"{s.flip_rule.value}/{s.flip_semantics.value}")
+    @pytest.mark.parametrize("alice_alpha", (-1, 10))
+    def test_an_alpha_slot_off_the_table_keeps_the_rule_and_its_errors(self, strategy, alice_alpha):
+        """The cyclic rule raises for a slot outside 0..9; the absolute and disabled rules answer."""
+        for j, b in enumerate(SLOT_CENTRES):
+            calls = (lambda: strategy.flip_fires(alice_alpha, j),
+                     lambda: pr.evaluate_bob(alice_alpha, 0, 0, b, 0.3, strategy))
+            if strategy.flip_rule is pr.FlipRule.CYCLIC:
+                for call in calls:
+                    with pytest.raises(ValueError, match=rf"must lie in 0\.\.9, got \({alice_alpha}, {j}\)"):
+                        call()
+                continue
+            fired = _fires_by_rule(strategy, alice_alpha, j)
+            ev = calls[1]()
+            assert calls[0]() is fired and ev.negate is fired
+            assert ev.system == ("none" if fired and strategy.flip_semantics is pr.FlipSemantics.TERMINATE
+                                 else "gamma" if (j + 5 * fired) % 10 in pr.GAMMA_ALPHA_SLOTS else "beta")
 
 
 def test_scalar_round_builds_no_bob_evaluation(monkeypatch):

@@ -5,13 +5,15 @@
 compared here with a twin that ``dataclasses`` builds from the same fields
 with ``frozen=True``: signature, construction errors, equality, hashing,
 ``repr``, immutability, ``replace``, ``asdict``, pickling, copying and the
-JSON bytes of the golden rounds.
+JSON bytes of the golden rounds. ``TrialRecord.to_json`` is also held to
+``json.dumps`` of ``asdict`` on every value ``json`` spells or escapes.
 """
 
 import copy
 import dataclasses
 import inspect
 import json
+import math
 import pickle
 import tracemalloc
 from pathlib import Path
@@ -179,3 +181,39 @@ def test_golden_round_records_serialize_to_the_same_bytes():
             assert pr.replay_bob(record) == record.c_b
             count += 1
     assert count >= 400
+
+
+def _spelled_records() -> list:
+    """Records whose values ``json`` spells or escapes.
+
+    That is NaN, the infinities, a None coin, NumPy floats, and strings with
+    quotes, backslashes, control characters and non-ASCII text.
+    """
+    rng = np.random.default_rng(2603)
+    records = []
+    for strategy in (pr.NO_FLIP, pr.CYCLIC_FLIP, pr.Strategy("cyclic-distance", "terminate-with-negated-c")):
+        for a, b in rng.uniform(0.0, 7.0, (12, 2)).tolist():
+            _, _, record = pr.bct_trial(a, b, rng, strategy)
+            hidden = pr.HiddenState.make(record.c, record.theta)
+            records += [record, pr.bob_round(b, record.message, hidden, rng, strategy)[1]]
+    assert sum(math.isnan(record.a) for record in records) == len(records) // 2  # bob_round's records
+    assert {record.branch for record in records} == {"same-slot", "cross-slot", "flipped-then-same-slot",
+                                                     "flipped-then-cross-slot", "flipped-terminated"}
+    record = records[1]
+    inf = float("inf")
+    records += [
+        dataclasses.replace(record, coin=None),
+        dataclasses.replace(record, a=inf, b=-inf, theta=-inf, coin=inf, boundary_angle=-inf, u=inf, accept_prob=-inf),
+        dataclasses.replace(record, a=np.float64(0.1), u=np.float64(-0.0), accept_prob=np.float64(1e16), coin=5e-324),
+        dataclasses.replace(record, branch='say "cross"', system="back\\slash", flip_rule="tab\there\x00\x1f\x7f",
+                            flip_semantics="r\u00e9/\u00df \u221e \U0001d11e \u2028"),
+    ]
+    return records
+
+
+def test_to_json_spells_and_escapes_every_value_as_json_dumps_does():
+    """``to_json`` and the dict view both write ``json.dumps`` of ``asdict``, byte for byte."""
+    for record in _spelled_records():
+        text = json.dumps(dataclasses.asdict(record), allow_nan=True)
+        assert record.to_json() == text, record
+        assert json.dumps(record.to_json_dict(), allow_nan=True) == text, record
