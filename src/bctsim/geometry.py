@@ -173,12 +173,6 @@ def alpha_slot_cyclic_difference(j1: int, j2: int) -> int:
     return min(d, 10 - d)
 
 
-def _cell_bounds(theta: float) -> list[float]:
-    """The sixteen boundary floats, ascending; the slot functions' sums, so ``normalize_angle(theta + offset)``."""
-    gamma = _gamma_bounds(theta)
-    return sorted(_ALPHA_BOUNDS + _beta_bounds(theta) + (gamma[1:] if gamma[3] < TWO_PI else gamma[:3]))
-
-
 def _check_theta(theta: float) -> None:
     if not (0.0 <= theta < THETA_SPAN):
         raise ValueError(f"shared offset theta must lie in [0, 3*pi/5), got {theta!r}")
@@ -191,11 +185,15 @@ def _cell_and_triple(x: float, theta: float) -> tuple[int, tuple[int, int, int]]
 
 
 def _ranked(x: float, theta: float) -> tuple[int, tuple[int, int, int]]:
-    """:func:`_cell_and_triple` of an ``x`` in ``[0, 2*pi)``; the gamma rank counts ``s - 2*pi`` while it is < 0."""
-    gamma = _gamma_bounds(theta)
-    r_alpha, r_beta, r_gamma = _rank(x, _ALPHA_BOUNDS), _rank(x, _beta_bounds(theta)), _rank(x, gamma)
-    cell = r_alpha + r_beta + r_gamma - (gamma[3] < TWO_PI) - 1  # 0.0 is a boundary, so >= 0
-    return int(cell), (int(r_alpha) - 1, (2 + int(r_beta)) % 3, int(r_gamma) % 3)
+    """:func:`_cell_and_triple` of a Python float ``x`` in ``[0, 2*pi)``; the gamma rank counts ``s - 2*pi`` while < 0.
+
+    ``theta`` has passed ``_check_theta``, so the three bound tuples ascend
+    and hold no NaN, and ``bisect_right`` counts as :func:`_rank` does.
+    """
+    beta, gamma = _beta_bounds(theta), _gamma_bounds(theta)
+    r_alpha, r_beta, r_gamma = bisect_right(_ALPHA_BOUNDS, x), bisect_right(beta, x), bisect_right(gamma, x)
+    cell = r_alpha + r_beta + r_gamma - (2 if gamma[3] < TWO_PI else 1)  # 0.0 is a boundary, so >= 0
+    return cell, (r_alpha - 1, (2 + r_beta) % 3, r_gamma % 3)
 
 
 def slot_triple(x: float, theta: float) -> tuple[int, int, int]:
@@ -226,17 +224,22 @@ def cell_to_triple(index: int, theta: float) -> tuple[int, int, int]:
     Every boundary at or below the lower edge is at or below each angle of
     the half-open cell, so the edge has the cell's triple: its ranks among
     the three systems' bounds, read directly, since the edge is one of the
-    sixteen floats in ``[0, 2*pi)``. Raises ``ValueError`` for an index that
-    is a bool or not an integer, as :meth:`~bctsim.protocol.HiddenState.make`
-    rejects such a sign, for one outside 0..15, and for an empty cell
-    (possible at degenerate ``theta``): no setting can originate from it.
+    sixteen floats in ``[0, 2*pi)``. The beta and gamma bound tuples are
+    built once: sorted with the alpha bounds they give the edge, and
+    ``bisect_right`` ranks it in each. Raises ``ValueError`` for an index
+    that is a bool or not an integer, as
+    :meth:`~bctsim.protocol.HiddenState.make` rejects such a sign, for one
+    outside 0..15, and for an empty cell (possible at degenerate
+    ``theta``): no setting can originate from it.
     """
     _check_theta(theta)
     if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
         raise ValueError(f"cell index must be an integer, got {index!r}")
     if not 0 <= index <= 15:
         raise ValueError(f"cell index must lie in 0..15, got {index}")
-    lo, hi = (_cell_bounds(theta) + [TWO_PI])[index:index + 2]
+    beta, gamma = _beta_bounds(theta), _gamma_bounds(theta)
+    bounds = sorted(_ALPHA_BOUNDS + beta + (gamma[1:] if gamma[3] < TWO_PI else gamma[:3]))
+    lo, hi = (bounds + [TWO_PI])[index:index + 2]
     if not lo < hi:
         raise ValueError(f"cell {index} is empty for theta={theta!r}")
-    return _ranked(lo, theta)[1]
+    return bisect_right(_ALPHA_BOUNDS, lo) - 1, (2 + bisect_right(beta, lo)) % 3, bisect_right(gamma, lo) % 3

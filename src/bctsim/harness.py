@@ -228,8 +228,9 @@ def _in_windows(theta, windows) -> np.ndarray:
 _CHUNK = 16384
 
 
-def _count(mask) -> int:
-    return int(np.count_nonzero(mask))
+def _count(mask, n: int) -> int:
+    """How many of a batch's ``n`` trials ``mask`` holds; a 0-d mask, a decision no draw changes, holds all or none."""
+    return int(np.count_nonzero(mask)) if np.ndim(mask) else n * bool(mask)
 
 
 def _substreams(rng: np.random.Generator, draws) -> list[np.random.Generator | None]:
@@ -284,7 +285,8 @@ def _kernel(
     offset, so skipping one changes no tally. c is drawn only with
     ``signs``, which only :func:`joint_outcome_table` reads; an axis with a
     constant decision draws no coin and is tallied from ``n``; theta is
-    drawn only when a live axis or the window tally reads it. A
+    drawn only when a live axis or the window tally reads it. A plan that
+    reads nothing takes no substream and walks no chunk. A
     ``theta_fixed`` outside [0, 3*pi/5), which no round draws, raises
     ``ConfigError``.
     """
@@ -302,10 +304,12 @@ def _kernel(
     plan = [("theta", windowed or any(live))] if theta_fixed is None else []
     plan += [("c", signs)] + ([("coin", any(live))] if shared else [("coin", is_live) for is_live in live])
     plan += [] if visibility is None else [("erase1", True), ("erase2", True)]
+    walks = any(read for _, read in plan)  # else every axis is constant, and a batch takes no substream
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
         # c takes one output per two trials, every other draw one per trial
-        draws = _substreams(rng, [((n + 1) // 2 if name == "c" else n, read) for name, read in plan])
+        draws = (_substreams(rng, [((n + 1) // 2 if name == "c" else n, read) for name, read in plan]) if walks
+                 else [None] * len(plan))
         theta_draw = draws.pop(0) if theta_fixed is None else None
         sign_draw, *uniform = draws  # the coins, then the erasures
         c_plus = None if sign_draw is None else np.empty(n, dtype=bool)
@@ -314,7 +318,7 @@ def _kernel(
         held = [[] for _ in live]  # per axis, each chunk's held trials
         in_win = np.empty(n, dtype=bool) if windowed else None
         survived = None if visibility is None else np.empty(n, dtype=bool)
-        for start in range(0, n, _CHUNK):
+        for start in range(0, n if walks else 0, _CHUNK):
             rows = slice(start, min(start + _CHUNK, n))
             m = rows.stop - start
             theta = None
@@ -343,16 +347,16 @@ def _kernel(
         for j, is_live in enumerate(live):
             if is_live:
                 table._resolve(j, kept[j], held[j])
-        counts = [n] + [_count(k) if is_live else (n if k else 0) for k, is_live in zip(kept, live)]
+        counts = [n] + [_count(k, n) for k in kept]
         if two:
-            eq = np.broadcast_to(np.equal(*kept), n)  # np.equal gives a 0-d result when neither axis is live
+            eq = np.equal(*kept)  # 0-d when neither axis is live
             if survived is not None:
                 eq = eq & survived
-            counts.append(_count(eq))
+            counts.append(_count(eq, n))
             if in_win is not None:
-                counts.append(_count(eq & in_win))
+                counts.append(_count(eq & in_win, n))
         if c_plus is not None:  # c_b > 0 exactly when kept == (c > 0), for a constant axis too
-            counts += [_count(np.equal(k, c_plus)) for k in reversed(kept)] + [_count(c_plus)]
+            counts += [_count(np.equal(k, c_plus), n) for k in reversed(kept)] + [_count(c_plus, n)]
         return np.array(counts, dtype=np.int64)
 
     return kernel

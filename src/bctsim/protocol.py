@@ -116,7 +116,8 @@ class Strategy:
     Each strategy carries its rule's fire table ``_fires``, built once per
     rule when the module loads (a strategy is built in microseconds), and
     ``_terminate``, whether a fired reflection ends the round: what
-    :func:`_bob_axis` reads. Neither is a field, so equality, hashing,
+    :func:`_bob_axis` reads. ``_values`` holds the two value strings a
+    :class:`TrialRecord` ends with. None is a field, so equality, hashing,
     ``repr`` and ``replace`` read only the rule and its semantics, and
     ``replace`` gives the new strategy its own rule's table.
     """
@@ -130,6 +131,7 @@ class Strategy:
         object.__setattr__(self, "flip_semantics", FlipSemantics(self.flip_semantics))
         object.__setattr__(self, "_fires", _FIRES[self.flip_rule])
         object.__setattr__(self, "_terminate", self.flip_semantics is FlipSemantics.TERMINATE)
+        object.__setattr__(self, "_values", (self.flip_rule.value, self.flip_semantics.value))
 
     def flip_fires(self, alice_alpha: int, bob_alpha: int) -> bool:
         """Whether the reflection fires for the given alpha slot indices."""
@@ -210,7 +212,7 @@ class HiddenState:
             raise ProtocolError(f"shared sign must be the integer -1 or +1, got {c!r}")
         if not (0.0 <= theta < THETA_SPAN):
             raise ProtocolError(f"shared angle must lie in [0, 3*pi/5), got {theta!r}")
-        return cls(c=int(c), theta=float(theta))
+        return cls(int(c), float(theta))
 
 
 def draw_hidden(rng: np.random.Generator) -> HiddenState:
@@ -750,28 +752,8 @@ def _bob_step(a: float, b: float, msg: SlotMessage, triple: tuple[int, int, int]
         return c_b, None
     slot = "cross-slot" if cross else "same-slot"
     branch = "flipped-terminated" if system == "none" else ("flipped-then-" if fired else "") + slot
-    return c_b, TrialRecord(
-        a=a,
-        b=normalize_angle(b),
-        c=hidden.c,
-        theta=hidden.theta,
-        message=msg,
-        coin=coin,
-        c_a=hidden.c,
-        c_b=c_b,
-        branch=branch,
-        flip_fired=fired,
-        negated=fired,
-        system=system,
-        bob_slot=bob_slot,
-        alice_active_slot=alice_slot,
-        boundary_angle=boundary,
-        boundary_index=k,
-        u=u,
-        accept_prob=accept,
-        flip_rule=strategy.flip_rule.value,
-        flip_semantics=strategy.flip_semantics.value,
-    )
+    return c_b, TrialRecord(a, normalize_angle(b), hidden.c, hidden.theta, msg, coin, hidden.c, c_b, branch, fired,
+                            fired, system, bob_slot, alice_slot, boundary, k, u, accept, *strategy._values)
 
 
 def bob_round(

@@ -1,4 +1,7 @@
-"""Test-only oracles for slot membership: the rank rule by sorting the boundary floats, and slot flips by bisection.
+"""Test-only oracles for slot membership: the rank rule by sorting the boundary floats, slot flips by bisection.
+
+:func:`sorted_decode` keeps Bob's earlier decode, which sorted the sixteen
+floats and then ranked the cell's lower edge over freshly built bounds.
 
 :func:`theta_breakpoints` gives the rounded shared angles near which a slot
 test flips; the bisection and the quadrature oracle start from them.
@@ -42,19 +45,32 @@ def oracle_cell(x: float, theta: float) -> int:
     return bisect_right(sorted(boundary_floats(theta)), g.normalize_angle(x)) - 1
 
 
-def sorted_decode(index: int, theta: float) -> tuple[int, int, int]:
-    """Slot triple of cell ``index``: the sixteen floats sorted, then ``slot_triple`` of the cell's lower edge.
+def cell_bounds(theta: float) -> list[float]:
+    """The sixteen boundary floats, ascending; the slot functions' sums, so ``normalize_angle(theta + offset)``."""
+    gamma = g._gamma_bounds(theta)
+    return sorted(g._ALPHA_BOUNDS + g._beta_bounds(theta) + (gamma[1:] if gamma[3] < g.TWO_PI else gamma[:3]))
 
-    Bob's decode before it ranked the edge directly; the same ``ValueError``
-    for an index outside 0..15, a theta outside [0, 3*pi/5) or an empty cell.
+
+def sorted_decode(index: int, theta: float) -> tuple[int, int, int]:
+    """Slot triple of cell ``index``: :func:`cell_bounds`, then the cell's lower edge ranked in each system.
+
+    Bob's decode before it sorted and ranked over one set of bound tuples:
+    the sixteen floats sorted first, then each system's bounds built again
+    and the edge ranked through ``geometry._rank``. The same ``ValueError``
+    for an index that is a bool or not an integer, one outside 0..15, a
+    theta outside [0, 3*pi/5) or an empty cell.
     """
     g._check_theta(theta)
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise ValueError(f"cell index must be an integer, got {index!r}")
     if not 0 <= index <= 15:
         raise ValueError(f"cell index must lie in 0..15, got {index}")
-    lo, hi = (sorted(boundary_floats(theta)) + [g.TWO_PI])[index:index + 2]
+    lo, hi = (cell_bounds(theta) + [g.TWO_PI])[index:index + 2]
     if not lo < hi:
         raise ValueError(f"cell {index} is empty for theta={theta!r}")
-    return g.slot_triple(lo, theta)
+    r_alpha, r_beta, r_gamma = (g._rank(lo, bounds) for bounds in
+                                (g._ALPHA_BOUNDS, g._beta_bounds(theta), g._gamma_bounds(theta)))
+    return int(r_alpha) - 1, (2 + int(r_beta)) % 3, int(r_gamma) % 3
 
 
 def theta_breakpoints(*angles: float) -> list[float]:

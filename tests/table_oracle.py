@@ -7,7 +7,9 @@ Bob's branch step once per axis over the start array, and
 slot-rule call over the stacked probes below, at and above. Both are kept here,
 unchanged, so the float build can be pinned to them field by field.
 :func:`keeps_c` runs a table's screen and resolve steps over one array, as the
-batch kernel runs them chunk by chunk.
+batch kernel runs them chunk by chunk. :func:`gauss_legendre_expectation`
+averages :func:`bctsim.protocol.evaluate_bob` over theta by quadrature, the
+route :meth:`bctsim.protocol.SegmentTable.expectation` sums in closed form.
 """
 
 import math
@@ -15,7 +17,8 @@ import math
 import numpy as np
 
 from bctsim import protocol as pr
-from bctsim.geometry import BETA_OFFSETS, GAMMA_OFFSETS, alpha_slot_of, beta_slot_of, gamma_slot_of, normalize_angle
+from bctsim.geometry import (BETA_OFFSETS, GAMMA_OFFSETS, THETA_SPAN, alpha_slot_of, beta_slot_of, gamma_slot_of,
+                             normalize_angle)
 
 
 def array_flip_points(tests) -> list[float]:
@@ -80,3 +83,55 @@ def keeps_c(table: pr.SegmentTable, theta: np.ndarray | None, coins) -> list[np.
             if part is not None:
                 table._resolve(j, kept[j], [part])
     return kept
+
+
+#: Gauss-Legendre nodes and weights on [-1, 1]; on a piece shorter than 3*pi/5 they integrate
+#: a product of two sines of theta to rounding
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per piece ``[lo, hi)``, its quadrature nodes and weights, one row each."""
+    half = (hi - lo)[:, None] / 2.0
+    return (lo + hi)[:, None] / 2.0 + half * _NODES, half * _WEIGHTS
+
+
+def _acceptances(a: float, axes, theta: np.ndarray, strategy: pr.Strategy) -> tuple[list[np.ndarray], bool]:
+    """Bob's acceptance per axis at each theta, by ``evaluate_bob``, and whether the two negations differ."""
+    alpha, beta_slots, gamma_slots = pr.alice_slot_arrays(a, theta.ravel())
+    evs = [pr.evaluate_bob(alpha, beta_slots, gamma_slots, b, theta.ravel(), strategy) for b in axes]
+    return [ev.accept_prob.reshape(theta.shape) for ev in evs], evs[0].negate != evs[1].negate
+
+
+def gauss_legendre_expectation(a: float, axes, strategy: pr.Strategy) -> dict[pr.CoinMode, float]:
+    """Per coin mode, P(both Bob outputs equal) averaged over theta, by quadrature over ``evaluate_bob``.
+
+    Each segment of the table is one piece, on which both acceptances are
+    smooth: 1, or ``1 - (3*pi/10)*sin`` of Bob's distance to a fixed
+    separator. So their gap ``q1 - q2`` is ``A*cos(theta) + B*sin(theta)``;
+    fitted at the nodes, it must match there to rounding, and its zeros
+    split the piece, since the shared coin's ``1 - |q1 - q2|`` has a kink
+    there. A sliver piece, at most 1e-9 wide, is neither fitted nor split:
+    it holds less than 1e-9 of the integral. Independent coins agree with
+    ``q1*q2 + (1 - q1)*(1 - q2)``; axes with opposite negations turn a value
+    ``p`` into ``1 - p``.
+    """
+    edges = pr.segment_table(a, axes, strategy).edges
+    lo, hi = np.concatenate(([0.0], edges)), np.concatenate((edges, [THETA_SPAN]))
+    theta, _ = _nodes(lo, hi)
+    (q1, q2), _ = _acceptances(a, axes, theta, strategy)
+    cuts = []
+    for t, gap, start, stop in zip(theta, q1 - q2, lo, hi):
+        if stop - start < 1e-9:  # a sliver between coinciding edges, whose nodes may round onto its ends
+            continue
+        basis = np.stack((np.cos(t), np.sin(t)), axis=1)
+        fit = np.linalg.lstsq(basis, gap, rcond=None)[0]
+        assert np.max(np.abs(basis @ fit - gap)) < 1e-12, (a, axes, strategy, start)
+        if np.any(fit):
+            zero = math.atan2(-fit[0], fit[1])
+            cuts += [z for z in zero + math.pi * np.arange(-2, 3) if start < z < stop]
+    pieces = np.sort(np.concatenate((lo, hi[-1:], cuts)))
+    theta, weight = _nodes(pieces[:-1], pieces[1:])
+    (q1, q2), opposite = _acceptances(a, axes, theta, strategy)
+    equal = {pr.CoinMode.INDEPENDENT: q1 * q2 + (1.0 - q1) * (1.0 - q2), pr.CoinMode.SHARED: 1.0 - np.abs(q1 - q2)}
+    return {mode: float(np.sum(weight * (1.0 - p if opposite else p))) / THETA_SPAN for mode, p in equal.items()}

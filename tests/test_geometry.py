@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bctsim import geometry as g
-from slot_oracle import WRAP_THETA, oracle_triple, sorted_decode, systems, theta_breakpoints
+from slot_oracle import (WRAP_THETA, bisect_flip_points, cell_bounds, oracle_triple, sorted_decode, systems,
+                         theta_breakpoints)
 
 TAU = 2.0 * math.pi
 
@@ -260,16 +261,28 @@ class TestCellIndex:
 
     def test_decode_empty_cell_rejected(self):
         # at theta = 0 the beta boundaries coincide with alpha ones
-        bounds = g._cell_bounds(0.0)
+        bounds = cell_bounds(0.0)
         empty = next(i for i in range(15) if bounds[i] == bounds[i + 1])
         with pytest.raises(ValueError):
             g.cell_to_triple(empty, 0.0)
 
 
+ALPHA_BOUNDS = [j * g.ALPHA_WIDTH for j in range(10)]
+#: the exact shared angles at which a beta or gamma bound reaches an alpha bound
+ALPHA_MEETS = bisect_flip_points([(x, system) for x in ALPHA_BOUNDS for system in ("beta", "gamma")]).tolist()
+
+
 def _decode_thetas() -> list[float]:
-    """Seeded thetas, each k*pi/5 (boundaries coincide), the gamma_1 wrap, and the float either side of each."""
+    """The shared angles at which Bob's decode is pinned to :func:`sorted_decode`, each with the float either side.
+
+    Seeded draws; theta = 0 and the last float below 3*pi/5; pi/5 and
+    2*pi/5 (boundaries coincide); every theta at which a beta or gamma bound
+    reaches an alpha bound, both the rounded breakpoint and the exact flip;
+    and the gamma_1 wrap, where ``theta + 8*pi/5`` reaches 2*pi.
+    """
     rng = np.random.default_rng(1919)
-    centres = [k * math.pi / 5 for k in range(4)] + [WRAP_THETA] + rng.uniform(0.0, g.THETA_SPAN, 40).tolist()
+    centres = [0.0, math.nextafter(g.THETA_SPAN, 0.0), math.pi / 5, 2 * math.pi / 5, *theta_breakpoints(*ALPHA_BOUNDS),
+               *ALPHA_MEETS, WRAP_THETA, *rng.uniform(0.0, g.THETA_SPAN, 40).tolist()]
     near = {x for t in centres for x in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))}
     return sorted(t for t in near if 0.0 <= t < g.THETA_SPAN)
 
@@ -284,18 +297,33 @@ def _decode_or_error(decode, index, theta):
         return f"ValueError: {exc}"
 
 
+def test_decode_thetas_hold_every_special_angle():
+    """Both ends of the range, the gamma wrap and its neighbours, and every exact alpha meeting.
+
+    Every offset is a multiple of pi/5, so the meetings sit within rounding
+    of 0, pi/5 and 2*pi/5: tiny thetas among them, where a bound rounds
+    onto an alpha bound.
+    """
+    assert {0.0, math.nextafter(g.THETA_SPAN, 0.0), math.nextafter(WRAP_THETA, 0.0), WRAP_THETA,
+            math.nextafter(WRAP_THETA, math.inf)} <= set(DECODE_THETAS)
+    assert set(ALPHA_MEETS) <= set(DECODE_THETAS)
+    assert {round(t / g.ALPHA_WIDTH) for t in ALPHA_MEETS} == {0, 1, 2}
+
+
 @pytest.mark.parametrize("cast", [float, np.float64])
 def test_decode_matches_the_sorted_decode_on_every_cell(cast):
-    """``cell_to_triple`` ranks the lower edge directly; it equals sorting then ``slot_triple``, errors included.
+    """``cell_to_triple`` sorts and ranks over one set of bound tuples; it equals the earlier decode, errors included.
 
-    All sixteen cells at every theta of :data:`DECODE_THETAS`: the same
-    triple of Python ints, or the same ``ValueError`` on an empty cell.
+    All sixteen cells, as ints and as ``np.int64``, at every theta of
+    :data:`DECODE_THETAS`: the same triple of Python ints, or the same
+    ``ValueError`` on an empty cell.
     """
     empty = 0
     for theta in map(cast, DECODE_THETAS):
         for index in range(16):
+            want = _decode_or_error(sorted_decode, index, theta)
             got = _decode_or_error(g.cell_to_triple, index, theta)
-            assert got == _decode_or_error(sorted_decode, index, theta), (index, theta)
+            assert got == want == _decode_or_error(g.cell_to_triple, np.int64(index), theta), (index, theta)
             if isinstance(got, str):
                 empty += 1
             else:
@@ -303,24 +331,16 @@ def test_decode_matches_the_sorted_decode_on_every_cell(cast):
     assert empty  # the multiples of pi/5 empty some cells
 
 
-@pytest.mark.parametrize("index,theta", [(-1, 0.5), (16, 0.5), (3, g.THETA_SPAN), (3, -5e-324), (3, math.nan)])
+@pytest.mark.parametrize("index,theta", [
+    (-1, 0.5), (16, 0.5), (np.int64(16), 0.5), (True, 0.5), (False, 0.5), (2.0, 0.5), (np.float64(3.0), 0.5),
+    ("3", 0.5), (None, 0.5), (3, g.THETA_SPAN), (3, -5e-324), (3, math.nan), (True, g.THETA_SPAN)])
 def test_decode_rejects_what_the_sorted_decode_rejects(index, theta):
+    # a bool would otherwise decode as cell 0 or 1, a float fail as a slice index
     with pytest.raises(ValueError) as got:
         g.cell_to_triple(index, theta)
     with pytest.raises(ValueError) as want:
         sorted_decode(index, theta)
     assert str(got.value) == str(want.value)
-
-
-@pytest.mark.parametrize("index", [True, False, 2.0, np.float64(3.0), "3", None])
-def test_decode_rejects_a_cell_that_is_not_an_integer(index):
-    # a bool would otherwise decode as cell 0 or 1, a float fail as a slice index
-    with pytest.raises(ValueError, match="must be an integer"):
-        g.cell_to_triple(index, 0.5)
-
-
-def test_decode_takes_a_numpy_integer_cell():
-    assert g.cell_to_triple(np.int64(5), 0.5) == g.cell_to_triple(5, 0.5)
 
 
 #: the shared angles at which _rank's float path is checked: both ends of

@@ -278,6 +278,8 @@ def _row_shapes():
         yield f"visibility-{coin.value}-one-terminated", two_bob(CYCLIC_TERMINATE, coin, visibility=0.7)
         # Alice on b1 shares its slot, and the reflection ends the round on b1 + pi: no axis is live
         yield f"two-axis-{coin.value}-constant", two_bob(CYCLIC_TERMINATE, coin, a=WALKTHROUGH_B1)
+        # as audit's constant-decision streams: conditioned, so nothing at all is drawn without signs
+        yield f"two-axis-{coin.value}-constant-conditioned", two_bob(CYCLIC_TERMINATE, coin, fixed, a=WALKTHROUGH_B1)
     for coin in COINS:
         yield f"two-axis-{coin.value}-no-windows", two_bob(strategy, coin, windows=False)
 
@@ -391,6 +393,8 @@ CONSTANT_ROWS = {
     "one-axis-constant-conditioned-on-the-separator": (("c", "coin"), set()),
     "two-axis-independent-constant": (("theta", "c", "coin1", "coin2"), {"theta"}),
     "two-axis-shared-constant": (("theta", "c", "coin"), {"theta"}),
+    "two-axis-independent-constant-conditioned": (("c", "coin1", "coin2"), set()),
+    "two-axis-shared-constant-conditioned": (("c", "coin"), set()),
 }
 
 
@@ -413,6 +417,24 @@ def test_rows_without_a_live_axis_generate_no_coin(shape, monkeypatch):
     kernel, reference = ROW_SHAPES[shape](signs=True)
     _both(kernel, reference, 23, hn._CHUNK + 7)
     assert {names[i] for i in calls} == generated
+
+
+#: the constant rows that, without signs, read no draw at all
+NO_DRAW_ROWS = [shape for shape, (_, generated) in CONSTANT_ROWS.items() if not generated]
+
+
+@pytest.mark.parametrize("n", SEAM_SIZES)
+@pytest.mark.parametrize("shape", NO_DRAW_ROWS)
+def test_a_row_that_reads_no_draw_takes_no_substream(shape, n, monkeypatch):
+    """Its batch tallies from ``n`` alone, as the whole-batch reference does; with signs it draws c again."""
+    substreams = hn._substreams
+    taken = []
+    monkeypatch.setattr(hn, "_substreams", lambda rng, draws: taken.append(draws) or substreams(rng, draws))
+    for signs in (False, True):
+        kernel, reference = ROW_SHAPES[shape](signs)
+        for seed in (21, 22):
+            _both(kernel, reference, seed, n)
+        assert len(taken) == 2 * signs, (shape, signs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 7_001, hn._CHUNK + 1, 3 * hn._CHUNK + 5])

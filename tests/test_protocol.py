@@ -353,7 +353,7 @@ class TestTrials:
         _, c_b, rec = pr.bct_trial(1.0, 2.0, np.random.default_rng(19), pr.CYCLIC_FLIP)
         built = []
         record = pr.TrialRecord
-        monkeypatch.setattr(pr, "TrialRecord", lambda **fields: built.append(1) or record(**fields))
+        monkeypatch.setattr(pr, "TrialRecord", lambda *args, **kwargs: built.append(1) or record(*args, **kwargs))
         assert pr.replay_bob(rec) == c_b
         assert built == []
 
@@ -369,7 +369,7 @@ class TestTrials:
     def test_black_box_builds_no_record(self, monkeypatch):
         built = []
         record = pr.TrialRecord
-        monkeypatch.setattr(pr, "TrialRecord", lambda **fields: built.append(1) or record(**fields))
+        monkeypatch.setattr(pr, "TrialRecord", lambda *args, **kwargs: built.append(1) or record(*args, **kwargs))
         rng = np.random.default_rng(18)
         for strategy in (pr.NO_FLIP, pr.CYCLIC_FLIP):
             for _ in range(50):

@@ -23,7 +23,7 @@ from bctsim import geometry as g
 from bctsim import harness as hn
 from bctsim import protocol as pr
 from bctsim.analysis import WALKTHROUGH_B1, alice_setting, interval_windows
-from slot_oracle import WRAP_THETA, boundary_floats, oracle_cell, oracle_triple
+from slot_oracle import WRAP_THETA, boundary_floats, cell_bounds, oracle_cell, oracle_triple
 from table_oracle import keeps_c
 
 PI = math.pi
@@ -37,7 +37,7 @@ AXES = (0.0, PI)
 def _neighbours(theta: float) -> list[float]:
     """Every boundary at ``theta`` and the float either side of it, in [0, 2*pi)."""
     xs = set()
-    for b in g._cell_bounds(theta):
+    for b in cell_bounds(theta):
         for x in (b, np.nextafter(b, math.inf), np.nextafter(b, -math.inf)):
             xs.add(g.normalize_angle(float(x)))
     return sorted(xs)
@@ -54,7 +54,7 @@ GRID = _grid()
 
 def _check_point(x: float, theta: float) -> None:
     cell = g.cell_index(x, theta)
-    bounds = g._cell_bounds(theta)
+    bounds = cell_bounds(theta)
     hi = bounds[cell + 1] if cell < 15 else g.TWO_PI
     assert bounds[cell] <= x < hi  # never an empty cell
     want = oracle_triple(x, theta)
@@ -144,7 +144,7 @@ def test_fused_alice_route_matches_the_sort_oracle():
     assert WRAP_THETA + g.GAMMA_OFFSETS[1] == g.TWO_PI
     rng = np.random.default_rng(31)
     for theta in FUSED_THETAS:
-        assert g._cell_bounds(theta) == sorted(boundary_floats(theta))
+        assert cell_bounds(theta) == sorted(boundary_floats(theta))
         hidden = pr.HiddenState.make(-1, theta)
         xs = {float(x) for b in boundary_floats(theta) for x in (b, np.nextafter(b, 9.0), np.nextafter(b, -9.0))}
         for x in sorted(xs) + rng.uniform(-2 * PI, 4 * PI, 8).tolist():
@@ -157,7 +157,7 @@ def test_fused_alice_route_matches_the_sort_oracle():
 
 def test_degenerate_theta_never_emits_an_empty_cell():
     for theta in (0.0, PI / 5, 2 * PI / 5):
-        bounds = g._cell_bounds(theta)
+        bounds = cell_bounds(theta)
         empty = {i for i in range(15) if bounds[i] == bounds[i + 1]}
         assert empty  # boundaries coincide at multiples of pi/5
         seen = {g.cell_index(x, theta) for x in _neighbours(theta)}
@@ -242,7 +242,7 @@ def test_record_json_keeps_its_bytes_on_every_branch():
        strategy=st.sampled_from(STRATEGIES), b=st.sampled_from(AXES + (0.9 * PI, 1.3)))
 @settings(max_examples=300, deadline=None)
 def test_boundary_neighbours_agree(theta, k, step, strategy, b):
-    x = g._cell_bounds(theta)[k]
+    x = cell_bounds(theta)[k]
     if step:
         x = g.normalize_angle(float(np.nextafter(x, math.copysign(math.inf, step))))
     _check_point(x, theta)

@@ -25,7 +25,7 @@ from bctsim import geometry as geo
 from bctsim import harness as hn
 from bctsim import protocol as pr
 from bctsim.analysis import WALKTHROUGH_B1, alice_setting
-from table_oracle import array_segment_table
+from table_oracle import array_segment_table, gauss_legendre_expectation
 from test_kernels import _table_cases
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "table_digests.json"
@@ -98,6 +98,21 @@ def test_tables_match_their_digests(name):
     assert len(want) == len(group)
     for case, got, pinned in zip(group, digests(group), want):
         assert got == pinned, case
+
+
+@pytest.mark.parametrize("name", ["curve", "table_cases", "seeded"])
+def test_two_axis_expectations_equal_quadrature_over_evaluate_bob(name):
+    """``SegmentTable.expectation`` in both coin modes, on every two-axis table of the fixture.
+
+    The closed form reads each segment's sine sign at its midpoint; the
+    quadrature reads only ``evaluate_bob``, at nodes inside the segments.
+    """
+    two_axis = [(a, axes, STRATEGIES[label]) for a, axes, label in cases()[name] if len(axes) == 2]
+    assert two_axis
+    for a, axes, strategy in two_axis:
+        table, want = pr.segment_table(a, axes, strategy), gauss_legendre_expectation(a, axes, strategy)
+        for mode in pr.CoinMode:
+            assert table.expectation(mode) == pytest.approx(want[mode], rel=0.0, abs=1e-13), (a, axes, strategy, mode)
 
 
 def oracle_cases() -> list[tuple[object, tuple, pr.Strategy]]:
