@@ -11,9 +11,7 @@ acceptance probability over each window gives the two components
 
 whose sum collapses to ``-2/3 + (cos(nu) + cos(pi/5 - nu))/2``. The components
 are primary here; the compact form is asserted as their sum so a transcription
-slip in either is caught. The full-range rate a sweep estimates, coincidences
-outside the windows included, is summed exactly over the segments of the
-same :class:`~bctsim.protocol.SegmentTable` the sampler looks trials up in.
+slip in either is caught.
 
 The module also hosts the per-theta conservation-law audit (the probability of
 equal outcomes along ``b`` must match the probability of opposite outcomes
@@ -35,6 +33,7 @@ from .protocol import (
     NO_FLIP,
     CoinMode,
     ProtocolError,
+    SegmentTable,
     Strategy,
     _record,
     _theta_arg,
@@ -76,6 +75,8 @@ NU_MAX = math.pi / 5.0
 THETA_DENSITY = 1.0 / THETA_SPAN
 #: frame convention of the two-Bob experiment
 WALKTHROUGH_B1 = 0.0
+#: the two Bob axes of the frame, b1 and b1 + pi
+_FRAME_AXES = (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi)
 #: tolerance of the per-theta conservation-law check
 AUDIT_TOL = 1e-9
 #: previously reported curve minimum at the endpoints; the formulas above give
@@ -192,8 +193,7 @@ def two_bob_equal_given_theta(
     """
     theta, vector = _theta_arg(theta)
     alpha, beta_slots, gamma_slots = alice_slot_arrays(alice_setting(nu), theta)
-    ev1, ev2 = (evaluate_bob(alpha, beta_slots, gamma_slots, b, theta, strategy)
-                for b in (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi))
+    ev1, ev2 = (evaluate_bob(alpha, beta_slots, gamma_slots, b, theta, strategy) for b in _FRAME_AXES)
     q1, q2 = ev1.accept_prob, ev2.accept_prob
     same_parity = ev1.negate == ev2.negate
     if CoinMode(coin_mode) is CoinMode.INDEPENDENT:
@@ -215,10 +215,14 @@ def two_bob_equal_quadrature(
     This is the quantity a Monte Carlo sweep actually estimates; it exceeds
     the window-only closed form whenever both axes roll coins at the same
     theta. It is :meth:`~bctsim.protocol.SegmentTable.expectation` of the
-    walkthrough frame's table, exact to rounding.
+    frame's table, the one the sampler looks trials up in, exact to rounding.
     """
-    table = segment_table(alice_setting(nu), (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi), strategy)
-    return table.expectation(coin_mode)
+    return _frame_table(nu, strategy).expectation(coin_mode)
+
+
+def _frame_table(nu: float, strategy: Strategy = NO_FLIP) -> SegmentTable:
+    """The segment table of the two-Bob frame at ``nu``: Alice at :func:`alice_setting`, Bob on b1 and b1 + pi."""
+    return segment_table(alice_setting(nu), _FRAME_AXES, strategy)
 
 
 @_record

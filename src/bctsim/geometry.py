@@ -14,13 +14,16 @@ Slot membership follows one rule, the rank rule, over the boundary floats
 slot opened by the largest boundary at or below it, and an angle below every
 boundary of a system lies in the slot of that system's largest boundary.
 Slots are therefore half-open ``[lo, hi)``, every angle lies in exactly one
-slot of each system, and a boundary belongs to the slot it opens.
-:func:`alpha_slot_of`, :func:`beta_slot_of` and :func:`gamma_slot_of` apply
-the rule to Python floats, which give Python ints, and to numpy arrays, which
-broadcast, and :func:`slot_triple` reads all three at one point.
-:func:`cell_index` returns the four-bit cell, the rank of an angle under the
-same rule over all sixteen floats: the sum of its ranks in the three
-systems, which also give the triple.
+slot of each system, and a boundary belongs to the slot it opens: the slot
+is the angle's rank (:func:`_rank`) among the system's boundaries less one,
+cyclically. :func:`alpha_slot_of`, :func:`beta_slot_of` and
+:func:`gamma_slot_of` apply the rule to Python floats, which give Python
+ints, and to numpy arrays, which broadcast, and :func:`slot_triple` reads
+all three at one point. :func:`cell_index` returns the four-bit cell, the
+rank of an angle under the same rule over all sixteen floats, less one: the
+sum of its ranks in the three systems, which also give the triple.
+Coinciding boundaries (``theta`` a multiple of ``pi/5``) leave empty cells,
+which no angle lands in.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ _ALPHA_BOUNDS = tuple(j * ALPHA_WIDTH for j in range(10))
 
 
 def _rank(x, bounds):
-    """How many of ``bounds`` lie at or below ``x`` (arrays broadcast).
+    """How many of ``bounds`` lie at or below ``x`` (arrays broadcast): the rank of the slot rule.
 
     A Python float ``x`` that is not NaN, against a tuple of Python floats
     whose first is not NaN, is counted by ``bisect_right``: the rule's count
@@ -112,9 +115,7 @@ def alpha_slot_of(x):
 def beta_slot_of(x, theta):
     """Beta slot index of ``x`` under offset ``theta`` in ``[0, 3*pi/5)`` (arrays broadcast).
 
-    The boundaries ``theta + BETA_OFFSETS[k]`` all lie below ``2*pi``,
-    ascending in ``k``, so the slot is the rank of ``x`` among them less one,
-    cyclically: an angle below ``theta`` is in slot 2.
+    Its boundaries ``theta + BETA_OFFSETS[k]`` ascend in ``k`` below ``2*pi``: an angle below ``theta`` is in slot 2.
     """
     return (2 + _rank(_normalize(x), _beta_bounds(theta))) % 3
 
@@ -146,10 +147,12 @@ _GAMMA_OFFSETS = np.array(GAMMA_OFFSETS)
 
 
 def _separator(theta, offset):
-    """The boundary ``normalize_angle(theta + offset)`` for ``theta`` in ``[0, 3*pi/5)``, floats or arrays.
+    """``normalize_angle(theta + offset)`` for non-negative floats or arrays whose sum is below ``4*pi``.
 
-    ``theta + offset < 4*pi``, so subtracting ``2*pi`` once at or above it
-    is exact (Sterbenz) and equals ``(theta + offset) % TWO_PI`` bit for bit.
+    Subtracting ``2*pi`` once at or above it is then exact (Sterbenz) and
+    equals ``(theta + offset) % TWO_PI`` bit for bit. It gives every
+    boundary (``theta`` in ``[0, 3*pi/5)``) and Bob's reflected axis
+    (``theta`` in ``[0, 2*pi)``, offset ``pi``).
     """
     b = theta + offset
     return b - TWO_PI * (b >= TWO_PI)
@@ -199,21 +202,15 @@ def _ranked(x: float, theta: float) -> tuple[int, tuple[int, int, int]]:
 def slot_triple(x: float, theta: float) -> tuple[int, int, int]:
     """Alpha, beta and gamma slot of ``x`` under offset ``theta`` in ``[0, 3*pi/5)``, as Python ints.
 
-    Raises ``ValueError`` for a ``theta`` outside that range, as :func:`cell_index` does.
+    Raises ``ValueError`` for a ``theta`` outside that range, as :func:`cell_index` and :func:`cell_to_triple` do.
     """
     return _cell_and_triple(x, theta)[1]
 
 
 def cell_index(x: float, theta: float) -> int:
-    """Rank of the combined-partition cell holding ``x``: Alice's four bits, as a Python int.
+    """Alice's four bits: the rank of the cell holding ``x`` among the sixteen cells, as a Python int.
 
-    Sorted ascending from 0, the sixteen boundaries (ten alpha, three beta,
-    three gamma) cut the cells; the rank is the number of boundaries at or
-    below ``x``, less one, which is the cell containing ``x`` under the
-    half-open convention. Coinciding boundaries (``theta`` a multiple of
-    ``pi/5``) produce empty cells, which no ``x`` lands in. The cell's slot
-    triple is :func:`slot_triple` of ``x``, or :func:`cell_to_triple` of the
-    rank.
+    Its slot triple is :func:`slot_triple` of ``x``, or :func:`cell_to_triple` of the rank.
     """
     return _cell_and_triple(x, theta)[0]
 
@@ -222,15 +219,13 @@ def cell_to_triple(index: int, theta: float) -> tuple[int, int, int]:
     """Slot triple of the cell with rank ``index``, as Python ints, decoded at its lower edge.
 
     Every boundary at or below the lower edge is at or below each angle of
-    the half-open cell, so the edge has the cell's triple: its ranks among
-    the three systems' bounds, read directly, since the edge is one of the
-    sixteen floats in ``[0, 2*pi)``. The beta and gamma bound tuples are
-    built once: sorted with the alpha bounds they give the edge, and
-    ``bisect_right`` ranks it in each. Raises ``ValueError`` for an index
-    that is a bool or not an integer, as
+    the half-open cell, so the edge, one of the sixteen floats in
+    ``[0, 2*pi)``, has the cell's triple: its ranks in the three systems.
+    The beta and gamma bound tuples are built once: sorted with the alpha
+    bounds they give the edge, and ``bisect_right`` ranks it in each.
+    Raises ``ValueError`` for an index that is a bool or not an integer, as
     :meth:`~bctsim.protocol.HiddenState.make` rejects such a sign, for one
-    outside 0..15, and for an empty cell (possible at degenerate
-    ``theta``): no setting can originate from it.
+    outside 0..15, and for an empty cell: no setting can originate from it.
     """
     _check_theta(theta)
     if isinstance(index, bool) or not isinstance(index, (int, np.integer)):

@@ -10,10 +10,8 @@ bit-identical tables and output files.
 Every row samples through one batch kernel, :func:`_kernel`, which decides
 each trial through the row's :class:`~bctsim.protocol.SegmentTable`; its
 docstring is the account of the draws, the decisions and the tally. Each
-experiment is one entry of :data:`EXPERIMENTS` (help, required grids with
-their command-line defaults, columns, a row generator naming each row's
-stream keys and kernels, a finishing step), and :func:`run_experiment` is
-the one loop that runs them all.
+experiment is one :class:`Experiment` of :data:`EXPERIMENTS`, and
+:func:`run_experiment` is the one loop that runs them all.
 
 Measured anomalies are data, never errors: runs fail only on bad
 configuration or I/O.
@@ -35,7 +33,8 @@ import numpy as np
 from . import qm
 from .analysis import (
     NU_MAX,
-    WALKTHROUGH_B1,
+    _FRAME_AXES,
+    _frame_table,
     alice_setting,
     interval_windows,
     p_equal_given_theta,
@@ -234,12 +233,10 @@ def _count(mask, n: int) -> int:
 
 
 def _substreams(rng: np.random.Generator, draws) -> list[np.random.Generator | None]:
-    """One generator per draw, each at the output where its draw starts in ``rng``'s stream.
+    """Per draw of :func:`_kernel`'s plan, listed in order as ``(outputs, read)``, its generator or None if not read.
 
-    ``draws`` lists each draw, in order, as ``(outputs, read)``: the 64-bit
-    outputs it takes, and whether it is generated. The first is ``rng``
-    itself; each later one is a ``PCG64`` at ``rng``'s state advanced past
-    the draws before it, read or not. One not read gets None.
+    The first is ``rng`` itself, each later one a ``PCG64`` at ``rng``'s
+    state advanced by the 64-bit outputs of the draws before it.
     """
     streams = [rng if draws[0][1] else None]
     for offset, (_, read) in zip(itertools.accumulate(outputs for outputs, _ in draws[:-1]), draws[1:]):
@@ -267,18 +264,17 @@ def _kernel(
     per axis (one for both under ``CoinMode.SHARED``), then, given a
     ``visibility``, erase1 and erase2: each side survives with probability
     ``visibility``. Nothing else draws, the table included, so the plan
-    fixes the stream. ``windows`` are the two windows a two-axis row that
-    draws theta counts; a conditioned row, or one without them, counts none.
+    fixes the stream.
 
     A batch is drawn in chunks of ``_CHUNK`` trials, from one substream per
-    draw (:func:`_substreams`): a float draw takes ``n`` outputs of the
-    batch stream and c ``(n + 1) // 2``, read off the raw outputs as NumPy's
-    ``integers(0, 2, n, dtype=np.int64)`` reads them (the top bit of each
-    32-bit half, low half first; ``_CHUNK`` is even). A conditioned row
-    decides by the acceptance at ``theta_fixed``
-    (:meth:`~bctsim.protocol.SegmentTable.at`), any other by the table's
-    screen, each live axis resolving its held trials after the last chunk
-    (:class:`~bctsim.protocol.SegmentTable` gives the screen's bound). Every
+    draw (:func:`_substreams`), each at its draw's offset in the batch
+    stream: a float draw takes ``n`` outputs and c ``(n + 1) // 2``, read
+    off the raw outputs as NumPy's ``integers(0, 2, n, dtype=np.int64)``
+    reads them (the top bit of each 32-bit half, low half first; ``_CHUNK``
+    is even). A conditioned row decides by the acceptance at
+    ``theta_fixed`` (:meth:`~bctsim.protocol.SegmentTable.at`), any other
+    by the table's screen (:attr:`~bctsim.protocol.SegmentTable._screen`),
+    each live axis resolving its held trials after the last chunk. Every
     step is per trial, so the chunks change no tally.
 
     A draw that nothing reads gets no substream and every other keeps its
@@ -307,7 +303,6 @@ def _kernel(
     walks = any(read for _, read in plan)  # else every axis is constant, and a batch takes no substream
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        # c takes one output per two trials, every other draw one per trial
         draws = (_substreams(rng, [((n + 1) // 2 if name == "c" else n, read) for name, read in plan]) if walks
                  else [None] * len(plan))
         theta_draw = draws.pop(0) if theta_fixed is None else None
@@ -362,12 +357,6 @@ def _kernel(
     return kernel
 
 
-def _antipodal(nu: float, strategy: Strategy, coin_mode: CoinMode, **options):
-    """The kernel of the walkthrough frame: Alice at ``alice_setting(nu)``, Bob on b1 and b1 + pi."""
-    table = segment_table(alice_setting(nu), (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi), strategy)
-    return _kernel(table, coin_mode, **options)
-
-
 # --- public estimators -----------------------------------------------------
 
 
@@ -386,9 +375,8 @@ def conditioned_two_bob_estimate(
     not a sample.
     """
     _check_run(trials, seed, batch_size)
-    tally = _run_batches(_antipodal(nu, strategy, coin_mode, theta_fixed=theta),
-                         trials, seed, (0,), batch_size, None)
-    return _rate(tally, EQUAL)
+    kernel = _kernel(_frame_table(nu, strategy), coin_mode, theta_fixed=theta)
+    return _rate(_run_batches(kernel, trials, seed, (0,), batch_size, None), EQUAL)
 
 
 def conditioned_pair_estimate(
@@ -460,7 +448,7 @@ def _opposite_axes_rows(config):
     """
     for i, nu in enumerate(config.nu_grid):
         yield (dict(nu=nu, closed_form=p_opposite_equal_closed(nu).p_total),
-               {(i,): _antipodal(nu, config.strategy, config.coin_mode, windows=interval_windows(nu))})
+               {(i,): _kernel(_frame_table(nu, config.strategy), config.coin_mode, windows=interval_windows(nu))})
 
 
 def _opposite_axes_finish(cells, tallies, est, se) -> dict:
@@ -483,7 +471,8 @@ def _visibility_rows(config):
     inside the two windows.
     """
     for i, (v, nu) in enumerate(itertools.product(config.visibility_grid, config.nu_grid)):
-        kernel = _antipodal(nu, config.strategy, config.coin_mode, visibility=v, windows=interval_windows(nu))
+        table = _frame_table(nu, config.strategy)
+        kernel = _kernel(table, config.coin_mode, visibility=v, windows=interval_windows(nu))
         yield asdict(visibility_report(v, nu)), {(i,): kernel}
 
 
@@ -499,12 +488,11 @@ def _audit_rows(config):
     replayed ``trials`` times at that fixed theta, in both axis directions,
     each through one table per direction that every grid point reuses.
     """
-    b = WALKTHROUGH_B1
     i = itertools.count()
     for nu in config.nu_grid or (math.pi / 10.0,):
         a = alice_setting(nu)
-        forward, reversed_ = (segment_table(a, (axis,), config.strategy) for axis in (b, b + math.pi))
-        for law in per_theta_consistency_audit(a, b, config.theta_grid, config.strategy):
+        forward, reversed_ = (segment_table(a, (axis,), config.strategy) for axis in _FRAME_AXES)
+        for law in per_theta_consistency_audit(a, _FRAME_AXES[0], config.theta_grid, config.strategy):
             k = next(i)
             cells = dict(nu=nu, theta=law.theta, p_same_forward=law.p_same_forward,
                          p_anti_reversed=law.p_anti_reversed, violation="true" if law.violation else "false")
@@ -540,12 +528,12 @@ def _remedy_rows(config):
     coin mode, so each nu builds one table per flip rule and one oracle per
     (flip rule, theta).
     """
-    b2 = WALKTHROUGH_B1 + math.pi
+    b2 = _FRAME_AXES[1]
     i = itertools.count()
     strategies = {rule: Strategy(rule, config.strategy.flip_semantics) for rule, _ in REMEDY_COMBOS}
     for nu in config.nu_grid:
         a = alice_setting(nu)
-        tables = {rule: segment_table(a, (WALKTHROUGH_B1, b2), s) for rule, s in strategies.items()}
+        tables = {rule: _frame_table(nu, s) for rule, s in strategies.items()}
         given = {(rule, theta): float(p_equal_given_theta(a, b2, theta, s))
                  for (rule, s), theta in itertools.product(strategies.items(), config.theta_grid)}
         for (rule, coin_mode), theta in itertools.product(REMEDY_COMBOS, (None, *config.theta_grid)):

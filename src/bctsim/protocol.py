@@ -347,30 +347,32 @@ class BobEvaluation:
 
 
 def _bob_axis(alice_alpha: int, b: float, strategy: Strategy) -> tuple[float, bool, str]:
-    """Bob's effective axis, whether the reflection fired, and his slot system.
+    """Bob's effective axis, whether the reflection fired, and his slot system, for an axis ``b`` in ``[0, 2*pi)``.
 
-    All three are theta-free. The system is ``"none"`` when a fired
-    reflection terminates the round: Bob outputs ``-c`` with no slot test,
-    so neither the branch step (:func:`_branch`) nor the acceptance runs.
-    Each form reads such an axis as an acceptance of 1, negated, with -1 for
-    the slots and the separator's index and nan for its angle and ``u``; a
-    :class:`SegmentTable` gives it no same-slot segment, zero offsets and
-    the constant decision ``False``.
-
-    Whether the reflection fires, and whether it terminates, come from the
-    strategy's fire table. An ``alice_alpha`` that is not an int in 0..9
-    takes :meth:`Strategy.flip_fires` itself, with its results and errors:
-    the cyclic rule raises ``ValueError`` there, the others do not.
+    All three are theta-free. Each caller normalizes ``b`` once, at its
+    entry; a reflection adds pi and wraps once (``geometry._separator``).
+    Whether it fires, and whether it terminates, come from the strategy's
+    fire table; an ``alice_alpha`` that is not an int in 0..9 takes
+    :meth:`Strategy.flip_fires` itself, with its results and errors (the
+    cyclic rule raises ``ValueError`` there, the others do not). A
+    terminating reflection gives the system ``"none"``: Bob outputs ``-c``
+    with no slot test, so neither the branch step (:func:`_branch`) nor the
+    acceptance runs. A step then reads the values of :data:`_NO_SEPARATOR`,
+    negated, and a table gives the axis no same-slot segment and zero offsets.
     """
-    b = normalize_angle(b)
     bob_alpha = int(alpha_slot_of(b))
     fired = (strategy._fires[alice_alpha][bob_alpha] if type(alice_alpha) is int and 0 <= alice_alpha <= 9
              else strategy.flip_fires(alice_alpha, bob_alpha))
     if fired and strategy._terminate:
         return b, True, "none"
     if fired:
-        b, bob_alpha = normalize_angle(b + math.pi), (bob_alpha + 5) % 10
+        b, bob_alpha = geometry._separator(b, math.pi), (bob_alpha + 5) % 10
     return b, fired, "gamma" if bob_alpha in GAMMA_ALPHA_SLOTS else "beta"
+
+
+#: Bob's step with no separator, ``(alice_slot, bob_slot, same, k, boundary, u, accept)``; a same-slot
+#: step reads the last four, a terminated axis, which reads no slot, all seven
+_NO_SEPARATOR = (-1, -1, False, -1, math.nan, math.nan, 1.0)
 
 
 def _acceptance(b_eff: float, boundary):
@@ -417,47 +419,29 @@ def evaluate_bob(
     theta,
     strategy: Strategy = NO_FLIP,
 ) -> BobEvaluation:
-    """Run Bob's branch logic against a slot message: the array form, vectorized over theta.
+    """Bob's step against a slot message, vectorized over theta: the axis, the branch step, the acceptance.
 
     ``alice_beta_slot``/``alice_gamma_slot`` are ints from one message or
-    per-theta arrays from :func:`alice_slot_arrays`; only slot information
-    about Alice's setting enters, never her angle. The axis is resolved once
-    (:func:`_bob_axis`), then come the branch step :func:`_branch` and the
-    acceptance :func:`_acceptance` on NumPy values.
+    per-theta arrays from :func:`alice_slot_arrays`. ``b`` is normalized and
+    resolved (:func:`_bob_axis`) once; :func:`_branch` and :func:`_acceptance`
+    then run on NumPy values.
     """
-    axis = b_eff, fired, system = _bob_axis(alice_alpha, b, strategy)
-    if system == "none":
+    axis = b_eff, fired, system = _bob_axis(alice_alpha, normalize_angle(b), strategy)
+    if system == "none":  # _NO_SEPARATOR at theta's shape, its ints as int64
         shape = np.shape(theta)
-        return BobEvaluation(
-            accept_prob=np.ones(shape),
-            negate=True,
-            system=system,
-            same_slot=np.zeros(shape, dtype=bool),
-            bob_slot=np.full(shape, -1, dtype=np.int64),
-            alice_slot=np.full(shape, -1, dtype=np.int64),
-            boundary_index=np.full(shape, -1, dtype=np.int64),
-            boundary_angle=np.full(shape, math.nan),
-            u=np.full(shape, math.nan),
-        )
-    alice_slot, bob_slot, same, k = _branch(axis, alice_beta_slot, alice_gamma_slot, theta)
-    bnd = (gamma_boundary if system == "gamma" else beta_boundary)(k, theta)
-    u, accept = _acceptance(b_eff, bnd)
-    return BobEvaluation(
-        accept_prob=np.where(same, 1.0, accept),
-        negate=fired,
-        system=system,
-        same_slot=same,
-        bob_slot=bob_slot,
-        alice_slot=alice_slot,
-        boundary_index=k,
-        boundary_angle=bnd,
-        u=u,
-    )
+        alice_slot, bob_slot, same, k, bnd, u, accept = (np.full(shape, v, np.int64 if type(v) is int else None)
+                                                         for v in _NO_SEPARATOR)
+    else:
+        alice_slot, bob_slot, same, k = _branch(axis, alice_beta_slot, alice_gamma_slot, theta)
+        bnd = (gamma_boundary if system == "gamma" else beta_boundary)(k, theta)
+        u, accept = _acceptance(b_eff, bnd)
+        accept = np.where(same, 1.0, accept)
+    return BobEvaluation(accept, fired, system, same, bob_slot, alice_slot, k, bnd, u)
 
 
 #: the largest shared angle a round can draw
 _LAST_THETA = float(np.nextafter(THETA_SPAN, 0.0))
-# the acceptance screen's constants; SegmentTable's docstring gives the bound they keep
+# the acceptance screen's constants; SegmentTable._screen gives the bound they keep
 #: equal theta bins of the screen
 _BINS = 4096
 #: ``int(theta * _BIN_SCALE)`` is the bin of a shared angle, or ``_BINS`` when it rounds up at the top
@@ -532,29 +516,12 @@ class SegmentTable:
     axis: the effective (possibly reflected) axis, ``negate`` and
     ``constant``, the decision that no theta or coin can change, else None
     (the axis is live). An acceptance of exactly 1 keeps ``c`` for every
-    coin in [0, 1), so it decides ``not negate``: on a terminated axis, on
-    one where ``same`` holds in every segment, and at one theta (:meth:`at`)
-    wherever the acceptance is 1. An acceptance is never 0 (its least value
-    is ``1 - 3*pi/10``), so no other decision is constant.
-
-    The screen: per live axis, an array ``lo`` over the bin indices with
-    ``lo[k] <= q <= lo[k] + _WIDTH`` for the exact acceptance ``q`` at every
-    float theta of bin ``k`` of ``_BINS``. Inside a segment the distance
-    ``u`` from Bob's axis to the separator is 1-Lipschitz in theta, so
-    ``1 - K*sin(u)`` is K-Lipschitz (K = 3*pi/10). A cross-slot bin's ``lo``
-    is therefore the exact acceptance at its centre less
-    ``_SLACK = K*_REACH + 1e-9``: the reach of two bin widths covers every
-    theta the index ``int(theta * _BIN_SCALE)`` sends there, rounding
-    included, and 1e-9 covers the rounding of both exact evaluations.
-    ``_WIDTH`` is twice that slack plus 1e-12, some thousand ulps, so
-    ``fl(lo + _WIDTH)`` lies at or above ``fl(q + _SLACK)``. A same-slot bin
-    holds 1.0. A bin within ``_REACH`` of an edge holds NaN, which fails both
-    comparisons, and so does the index ``_BINS``, a guard against the index
-    rounding up at the top. A coin below ``lo`` keeps ``c``, one at or above
-    ``lo + _WIDTH`` does not, and any other is held and decided exactly
-    (:meth:`_sift`, :meth:`_resolve`): the brackets are bounds, so every
-    decision is ``(coin < accept_prob) ^ negate`` of :func:`evaluate_bob`.
-    The screen is built on the first lookup, never by :func:`segment_table`,
+    coin in [0, 1), so it decides ``not negate``: on a terminated axis
+    (:func:`_bob_axis`), on one where ``same`` holds in every segment, and
+    at one theta (:meth:`at`) wherever the acceptance is 1. An acceptance is
+    never 0 (:func:`_acceptance`), so no other decision is constant. A
+    lookup over many thetas goes through the screen (:attr:`_screen`), built
+    on the first lookup, never by :func:`segment_table`,
     :meth:`expectation` or :meth:`at`.
     """
 
@@ -572,8 +539,24 @@ class SegmentTable:
 
     @functools.cached_property
     def _screen(self) -> tuple[np.ndarray | None, ...]:
-        """Per axis, the bracket's lower end ``lo`` over the ``_BINS + 1`` bin indices; None when constant.
+        """The screen: per axis, a bracket's lower end ``lo`` over the ``_BINS + 1`` bin indices; None when constant.
 
+        A live axis has ``lo[k] <= q <= lo[k] + _WIDTH`` for the exact
+        acceptance ``q`` at every float theta of bin ``k`` of ``_BINS``.
+        Inside a segment Bob's distance ``u`` to the separator is 1-Lipschitz
+        in theta, so ``1 - K*sin(u)`` is K-Lipschitz (K = 3*pi/10), and a
+        cross-slot bin's ``lo`` is the exact acceptance at its centre less
+        ``_SLACK = K*_REACH + 1e-9``: the reach of two bin widths covers every
+        theta the index ``int(theta * _BIN_SCALE)`` sends there, rounding
+        included, and 1e-9 the rounding of both exact evaluations. ``_WIDTH``
+        is twice that slack plus 1e-12, some thousand ulps, so
+        ``fl(lo + _WIDTH) >= fl(q + _SLACK)``. A same-slot bin holds 1.0; a
+        bin within ``_REACH`` of an edge, and the index ``_BINS`` (a guard
+        against the index rounding up at the top), hold NaN, which fails both
+        comparisons. A coin below ``lo`` keeps ``c``, one at or above
+        ``lo + _WIDTH`` does not, and any other is held and decided exactly
+        (:meth:`_sift`, :meth:`_resolve`): the brackets are bounds, so every
+        decision is ``(coin < accept_prob) ^ negate`` of :func:`evaluate_bob`.
         Two threads that build it at once build the same arrays.
         """
         centre = (np.arange(_BINS) + 0.5) * (THETA_SPAN / _BINS)
@@ -590,10 +573,10 @@ class SegmentTable:
         return tuple(screen)
 
     def _sift(self, theta: np.ndarray, coins, kept, start: int) -> list[tuple | None]:
-        """The screen step: per live axis ``j``, the screened decision into ``kept[j]`` and the held trials.
+        """Per live axis ``j``, the screened decision into ``kept[j]``, and the held trials :meth:`_resolve` reads.
 
-        The held trials are ``(index + start, theta, coin)`` arrays, as :meth:`_resolve` reads
-        them; a constant axis gets None, and its coin and ``kept[j]`` are not read.
+        Those are ``(index + start, theta, coin)`` arrays; a constant axis
+        gets None, and its coin and ``kept[j]`` are not read.
         """
         k = (theta * _BIN_SCALE).astype(np.intp)
         held = []
@@ -677,23 +660,24 @@ class SegmentTable:
 def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
     """Build the :class:`SegmentTable` of Alice's setting ``a`` against Bob's ``axes``; draws no random numbers.
 
-    Edges are the crossings of :func:`_flip_points` for each slot test that
-    matters (Alice's and each Bob's, in that Bob's system), sorted and
-    merged as Python floats; an angle on a boundary at theta = 0 leaves
-    that slot at the first float above 0, the first edge. The build runs on
-    Python floats, ``a`` made one first: at each segment's lowest theta,
-    Alice's beta and gamma slots come from the slot rule and each live
-    axis's entries from one call of Bob's branch step (:func:`_branch`), so
-    the branch logic has a single owner; no acceptance is computed. The
-    entries become arrays once, at the end. Each axis is resolved
-    (:func:`_bob_axis`) once.
+    The slot tests that matter are Alice's and each live Bob's, in that
+    Bob's system; their crossings merge as Python floats, and an angle on a
+    boundary at theta = 0 leaves that slot at the first float above 0, the
+    first edge. Each axis is normalized and resolved (:func:`_bob_axis`)
+    once. The build runs on Python floats, ``a`` made one first: at each
+    segment's lowest theta, Alice's slot in each system a live axis uses
+    comes from the slot rule, and each live axis's entries from one call of
+    Bob's branch step (:func:`_branch`), so the branch logic has a single
+    owner; no acceptance is computed. The entries become arrays at the end.
     """
     a = normalize_angle(float(a))
     alpha = alpha_slot_of(a)
-    bob_axes = [_bob_axis(alpha, b, strategy) for b in axes]
+    bob_axes = [_bob_axis(alpha, normalize_angle(b), strategy) for b in axes]
     tests = {(x, system) for b_eff, _, system in bob_axes if system != "none" for x in (a, b_eff)}
     starts = [0.0, *sorted(set(_flip_points(tests) if tests else ()))]
-    alice = [(beta_slot_of(a, t), gamma_slot_of(a, t)) for t in starts]
+    read = {system for _, system in tests}
+    alice = [(beta_slot_of(a, t) if "beta" in read else None, gamma_slot_of(a, t) if "gamma" in read else None)
+             for t in starts]
     fields = []  # per axis: its SegmentTable fields after edges, in order
     for axis in bob_axes:
         b_eff, fired, system = axis
@@ -729,30 +713,31 @@ def _bob_step(a: float, b: float, msg: SlotMessage, triple: tuple[int, int, int]
               coin: float, strategy: Strategy, record: bool = True) -> tuple[int, TrialRecord | None]:
     """Bob's output on axis ``b`` against the decoded ``triple``, and the round's record for ``a`` or None.
 
-    The branch step :func:`_branch`, then the acceptance :func:`_acceptance`,
-    on Python floats and ints: the values :func:`evaluate_bob` gives at
-    ``[theta]``, bit for bit, with no :class:`BobEvaluation` built.
+    :func:`evaluate_bob`'s steps on Python floats and ints, with its values
+    at ``[theta]`` bit for bit and no :class:`BobEvaluation` built; the
+    record holds ``b`` as it was normalized.
     """
     if coin is None or not 0.0 <= coin < 1.0:
         raise ProtocolError(f"coin must lie in [0, 1), got {coin!r}")
-    coin, b = float(coin), float(b)
+    coin, b = float(coin), normalize_angle(float(b))
     alpha, beta_slot, gamma_slot = triple
     axis = b_eff, fired, system = _bob_axis(alpha, b, strategy)
-    alice_slot, bob_slot, same, k = ((-1, -1, False, -1) if system == "none"
-                                     else _branch(axis, beta_slot, gamma_slot, hidden.theta))
-    cross = system != "none" and not same
-    if cross:
-        boundary = geometry._separator(hidden.theta, (GAMMA_OFFSETS if system == "gamma" else BETA_OFFSETS)[k])
-        u, accept = _acceptance(b_eff, boundary)
-    else:  # no separator: the record holds -1 and nan
-        k, boundary, u, accept = -1, math.nan, math.nan, 1.0
+    if system == "none":
+        alice_slot, bob_slot, same, k, boundary, u, accept = _NO_SEPARATOR
+    else:
+        alice_slot, bob_slot, same, k = _branch(axis, beta_slot, gamma_slot, hidden.theta)
+        if same:
+            k, boundary, u, accept = _NO_SEPARATOR[3:]
+        else:
+            boundary = geometry._separator(hidden.theta, (GAMMA_OFFSETS if system == "gamma" else BETA_OFFSETS)[k])
+            u, accept = _acceptance(b_eff, boundary)
     inner = hidden.c if coin < accept else -hidden.c
     c_b = -inner if fired else inner
     if not record:
         return c_b, None
-    slot = "cross-slot" if cross else "same-slot"
+    slot = "same-slot" if same else "cross-slot"
     branch = "flipped-terminated" if system == "none" else ("flipped-then-" if fired else "") + slot
-    return c_b, TrialRecord(a, normalize_angle(b), hidden.c, hidden.theta, msg, coin, hidden.c, c_b, branch, fired,
+    return c_b, TrialRecord(a, b, hidden.c, hidden.theta, msg, coin, hidden.c, c_b, branch, fired,
                             fired, system, bob_slot, alice_slot, boundary, k, u, accept, *strategy._values)
 
 

@@ -53,7 +53,7 @@ def array_flip_points(tests) -> list[float]:
 def array_segment_table(a: float, axes, strategy: pr.Strategy = pr.NO_FLIP) -> pr.SegmentTable:
     """The table of ``a`` against ``axes``: Alice's slots and each axis's branch step over the start array."""
     alpha = int(alpha_slot_of(a))
-    bob_axes = [pr._bob_axis(alpha, b, strategy) for b in axes]
+    bob_axes = [pr._bob_axis(alpha, normalize_angle(b), strategy) for b in axes]
     tests = {(x, system) for b_eff, _, system in bob_axes if system != "none" for x in (a, b_eff)}
     starts = np.array([0.0, *sorted(set(array_flip_points(tests) if tests else ()))])
     _, beta_slots, gamma_slots = pr.alice_slot_arrays(a, starts)

@@ -195,6 +195,37 @@ class TestSeparator:
             assert type(got) is float and got.hex() == ((t + offset) % TAU).hex()
 
 
+def reflection_axes() -> list[float]:
+    """Bob's axes in [0, 2*pi) at each ``j*pi/5`` and the three floats either side, 0, pi, the last float below 2*pi."""
+    axes = {0.0, math.pi, math.nextafter(TAU, 0.0)}
+    for j in range(10):
+        down = up = j * math.pi / 5
+        axes.add(up)
+        for _ in range(3):
+            down, up = math.nextafter(down, -math.inf), math.nextafter(up, math.inf)
+            axes |= {down, up}
+    return sorted(b for b in axes if 0.0 <= b < TAU)
+
+
+def test_reflection_adds_pi_and_wraps_once():
+    """Bob's reflection ``_separator(b, pi)`` equals ``normalize_angle(b + pi)`` bit for bit on every axis in [0, 2*pi).
+
+    ``b + pi < 3*pi``, so one subtraction of ``2*pi`` is exact. Pinned at the
+    special axes and 200,000 seeded ones, one Python float at a time (the
+    special axes and 20,000 seeded) and as one array.
+    """
+    special = reflection_axes()
+    assert len(special) == 68 and {j * g.ALPHA_WIDTH for j in range(10)} <= set(special)
+    seeded = np.random.default_rng(2818).random(200_000) * TAU
+    assert np.all(seeded < TAU)
+    for b in special + seeded[:20_000].tolist():
+        got = g._separator(b, math.pi)
+        assert type(got) is float and got.hex() == g.normalize_angle(b + math.pi).hex(), b
+    axes = np.concatenate((special, seeded))
+    want = np.array([g.normalize_angle(b + math.pi) for b in axes.tolist()])
+    assert g._separator(axes, math.pi).tobytes() == want.tobytes()
+
+
 class TestAlphaSlotCyclicDifference:
     @pytest.mark.parametrize("j1,j2,want", [(2, 0, 2), (2, 5, 3), (9, 0, 1), (7, 2, 5)])
     def test_values(self, j1, j2, want):

@@ -264,13 +264,17 @@ class TestKernelsAgainstOracles:
                 assert row["ab2_deviation"] < 5 * max(row["stderr"], 1e-3)
 
     def test_remedy_builds_one_table_per_nu_and_flip_rule(self, monkeypatch):
-        """A table does not depend on the coin mode: each nu builds one per flip rule, conditioned rows included."""
+        """A table does not depend on the coin mode: each nu builds one per flip rule, conditioned rows included.
+
+        The remedy's tables are the frame's, which ``analysis`` builds; the harness builds none itself.
+        """
         built = []
 
         def counted(*args, **kwargs):
             built.append(args)
             return pr.segment_table(*args, **kwargs)
 
+        monkeypatch.setattr(an, "segment_table", counted)
         monkeypatch.setattr(hn, "segment_table", counted)
         cfg = hn.ExperimentConfig(experiment="remedy", trials=100, seed=3, nu_grid=(0.0, PI / 10),
                                   theta_grid=(0.35 * PI, 0.45 * PI), batch_size=100)

@@ -539,7 +539,7 @@ def test_table_matches_evaluate_bob_around_every_edge(a, axes, strategy):
     assert np.all((table.edges > 0.0) & (table.edges <= LAST_THETA))
     probes = [0.0, LAST_THETA, *table.edges]
     alpha = int(geo.alpha_slot_of(a))
-    probes += [WRAP_THETA for b in axes if pr._bob_axis(alpha, b, strategy)[2] == "gamma"]
+    probes += [WRAP_THETA for b in axes if pr._bob_axis(alpha, geo.normalize_angle(b), strategy)[2] == "gamma"]
     theta = np.union1d(_near(probes), SPECIAL_THETAS)
     # the lookup counts the edges at or below theta, as a binary search would
     # (without edges the count is a plain 0, which broadcasts)
@@ -761,7 +761,11 @@ def test_table_build_calls_the_slot_rule_a_fixed_number_of_times(monkeypatch):
 
     Axis 0 is tested in gamma and axis pi in beta, so each segment start
     also costs one call of each system for Alice's slots and one in each
-    axis's system: no search loop, and no probe beyond the three.
+    axis's system: no search loop, and no probe beyond the three. Alice's
+    slot is read only in a system some live axis uses: in the frame under
+    the cyclic reading both axes are 0 in gamma below nu = pi/5 (Bob's pi
+    reflects) and pi in beta at it (Bob's 0 reflects), and a table whose
+    every axis is terminated reads no slot.
     """
     calls = {}
 
@@ -780,6 +784,17 @@ def test_table_build_calls_the_slot_rule_a_fixed_number_of_times(monkeypatch):
         want = {system: 3 * _probed_crossings({x, axis}, system) + starts * (1 + 1)
                 for system, axis in (("beta", PI), ("gamma", 0.0))}
         assert calls == want, a
+    for nu in NUS:
+        calls.update(beta=0, gamma=0)
+        starts = len(pr.segment_table(alice_setting(nu), AXES, pr.CYCLIC_FLIP).edges) + 1
+        system, axis = ("beta", PI) if nu == PI / 5 else ("gamma", 0.0)
+        want = dict(beta=0, gamma=0)
+        want[system] = 3 * _probed_crossings({geo.normalize_angle(alice_setting(nu)), axis}, system) + starts * (1 + 2)
+        assert calls == want, nu
+    calls.update(beta=0, gamma=0)
+    terminate = pr.Strategy(pr.FlipRule.CYCLIC, pr.FlipSemantics.TERMINATE)
+    terminated = pr.segment_table(0.1, (PI + 0.1, 0.7 * PI), terminate)  # Alice in alpha slot 0, Bob in 5 and 3
+    assert terminated.constant == (False, False) and calls == dict(beta=0, gamma=0)
 
 
 def test_table_build_computes_no_acceptance(monkeypatch):

@@ -12,6 +12,7 @@ from bctsim import analysis, geometry
 from bctsim import harness as hn
 from bctsim import protocol as pr
 from bctsim.geometry import THETA_SPAN, arc_distance, beta_boundary, gamma_boundary
+from test_geometry import reflection_axes
 
 PI = math.pi
 #: acceptance probability of the cross-slot branch at u = pi/20
@@ -584,7 +585,7 @@ class TestPerThetaProbability:
 
 def _unsplit_evaluate_bob(alice_alpha, alice_beta_slot, alice_gamma_slot, b, theta, strategy):
     """Bob's evaluation as one function, branch and acceptance together: the reference for the split."""
-    b_eff, fired, system = pr._bob_axis(alice_alpha, b, strategy)
+    b_eff, fired, system = pr._bob_axis(alice_alpha, geometry.normalize_angle(b), strategy)
     if system == "none":
         shape = np.shape(theta)
         minus = np.full(shape, -1, dtype=np.int64)
@@ -629,6 +630,65 @@ def test_evaluate_bob_equals_the_unsplit_reference(strategy):
                 assert type(g) is type(w), (field.name, a, b, theta)
                 assert np.asarray(g).dtype == np.asarray(w).dtype, field.name
                 assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), (field.name, a, b, theta)
+
+
+@pytest.mark.parametrize("theta", [0.3, np.array([0.0, 0.3, 1.8]), np.full((2, 3), 0.7)],
+                         ids=["float", "1-d", "2-d"])
+def test_evaluate_bob_on_a_terminated_axis(theta):
+    """Every field of a terminated evaluation at theta's shape: a fresh writable array of the stated dtype and value."""
+    ev = pr.evaluate_bob(0, 0, 0, PI + 0.1, theta, CYCLIC_TERMINATE)  # alpha slots 0 and 5 fire
+    assert ev.negate is True and ev.system == "none"
+    want = dict(accept_prob=(np.float64, 1.0), same_slot=(np.bool_, False), bob_slot=(np.int64, -1),
+                alice_slot=(np.int64, -1), boundary_index=(np.int64, -1), boundary_angle=(np.float64, math.nan),
+                u=(np.float64, math.nan))
+    fields = [getattr(ev, name) for name in want]
+    for got, (dtype, value) in zip(fields, want.values()):
+        assert type(got) is np.ndarray and got.dtype == dtype and got.shape == np.shape(theta)
+        assert got.flags.writeable and got.flags.owndata
+        assert np.array_equal(got, np.full(np.shape(theta), value, dtype), equal_nan=dtype is np.float64)
+    assert len({id(f) for f in fields}) == len(fields)
+
+
+def test_a_fired_reflection_is_the_normalized_half_turn():
+    """A fired reflection gives ``normalize_angle(b + pi)`` bit for bit, on the special axes and seeded ones."""
+    seeded = (np.random.default_rng(2819).random(5000) * 2 * PI).tolist()
+    for b in reflection_axes() + seeded:
+        alice = (int(geometry.alpha_slot_of(b)) + 5) % 10  # cyclic distance 5: both rules fire
+        for strategy in (pr.CYCLIC_FLIP, pr.ABS_FLIP):
+            b_eff, fired, _ = pr._bob_axis(alice, b, strategy)
+            assert fired and type(b_eff) is float and b_eff.hex() == geometry.normalize_angle(b + PI).hex(), b
+
+
+def test_each_caller_normalizes_bobs_axis_once(monkeypatch):
+    """``evaluate_bob``, ``segment_table`` and a Bob step read a raw axis as its normalized one, which a record holds.
+
+    A recorded step, and a replay, call ``normalize_angle`` once.
+    """
+    rng = np.random.default_rng(2820)
+    thetas = rng.uniform(0.0, THETA_SPAN, 7)
+    for a, b in rng.uniform(-20.0, 20.0, (40, 2)).tolist():
+        b_norm = geometry.normalize_angle(b)
+        for strategy in ALL_STRATEGIES:
+            slots = pr.alice_slot_arrays(a, thetas)
+            got, want = (pr.evaluate_bob(*slots, x, thetas, strategy) for x in (b, b_norm))
+            for field in dataclasses.fields(pr.BobEvaluation):
+                g, w = getattr(got, field.name), getattr(want, field.name)
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), (field.name, a, b, strategy)
+            got, want = (pr.segment_table(a, (x, x + PI), strategy) for x in (b, b_norm))
+            assert [x.hex() for x in got.axes] == [x.hex() for x in want.axes]
+            assert got.edges.tobytes() == want.edges.tobytes()
+    calls = []
+    normalize = pr.normalize_angle
+    monkeypatch.setattr(pr, "normalize_angle", lambda x: calls.append(x) or normalize(x))
+    hidden = pr.HiddenState.make(1, 0.4)
+    _, msg = pr.alice_round(1.0, hidden)
+    for b in (-7.5, 0.3, 9.0):
+        for strategy in ALL_STRATEGIES:
+            del calls[:]
+            _, record = pr.bob_round(b, msg, hidden, strategy=strategy, coin=0.5)
+            assert calls == [b] and record.b == geometry.normalize_angle(b)
+            del calls[:]
+            assert pr.replay_bob(record) == record.c_b and calls == [record.b]
 
 
 @pytest.mark.parametrize("rule", [pr.FlipRule.CYCLIC, pr.FlipRule.ABSOLUTE])
