@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import THETA_SPAN
+from .geometry import THETA_SPAN, _rank
 from .protocol import (
     ACCEPTANCE_COEFF,
     NO_FLIP,
@@ -39,7 +39,6 @@ from .protocol import (
     _theta_arg,
     alice_slot_arrays,
     evaluate_bob,
-    p_equal_given_theta,
     segment_table,
 )
 
@@ -250,12 +249,22 @@ def per_theta_consistency_audit(
     """Evaluate the conservation law on a grid of shared angles; ``ProtocolError`` outside [0, 3*pi/5).
 
     An ndarray grid is read as it is, a 0-d one as one theta; any other iterable is listed first; more than one dimension raises.
+    Both axes are read through one table, ``segment_table(a, (b, b + pi), strategy)``: the grid is ranked
+    once against its edges, and each axis's acceptance (1 on a constant axis, else
+    :meth:`~bctsim.protocol.SegmentTable._accept`), negated where its ``negate`` is set, is P(output equals c).
+    A row thus equals :func:`~bctsim.protocol.p_equal_given_theta` on ``b`` and ``b + pi`` bit for bit.
     """
     grid = np.atleast_1d(np.asarray(thetas if isinstance(thetas, np.ndarray) else list(thetas), dtype=float))
     if grid.ndim > 1:
         raise ProtocolError(f"a theta grid must have at most one dimension, got shape {grid.shape}")
-    fwd = p_equal_given_theta(a, b, grid, strategy)
-    rev = p_equal_given_theta(a, b + math.pi, grid, strategy)
+    grid, _ = _theta_arg(grid)
+    table = segment_table(a, (b, b + math.pi), strategy)
+    seg = _rank(grid, table.edges)
+    p_equal = []
+    for j, (constant, negate) in enumerate(zip(table.constant, table.negate)):
+        q = np.ones(grid.shape) if constant is not None else table._accept(j, grid, seg)
+        p_equal.append(1.0 - q if negate else q)
+    fwd, rev = p_equal
     anti = 1.0 - rev
     violation = np.abs(fwd - anti) > AUDIT_TOL
     return list(map(ConsistencyRow, grid.tolist(), fwd.tolist(), rev.tolist(), anti.tolist(), violation.tolist()))

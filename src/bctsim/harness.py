@@ -37,7 +37,6 @@ from .analysis import (
     _frame_table,
     alice_setting,
     interval_windows,
-    p_equal_given_theta,
     p_opposite_equal_closed,
     per_theta_consistency_audit,
     visibility_report,
@@ -50,6 +49,7 @@ from .protocol import (
     FlipSemantics,
     SegmentTable,
     Strategy,
+    p_equal_given_theta,
     segment_table,
 )
 

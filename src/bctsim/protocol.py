@@ -613,7 +613,7 @@ class SegmentTable:
         return accepts, tuple(not negate if q == 1.0 else None for q, negate in zip(accepts, self.negate))
 
     def expectation(self, coin_mode: CoinMode = CoinMode.INDEPENDENT) -> float:
-        """Exact P(both outputs equal) of a two-axis table, averaged over theta.
+        """Exact P(both outputs equal) of a two-axis table, averaged over theta; ``ProtocolError`` for other tables.
 
         In a segment, Bob's acceptance on a cross-slot axis ``j`` is
         ``q_j = 1 - (3*pi/10)*s_j*sin(phi_j - theta)`` with
@@ -627,34 +627,76 @@ class SegmentTable:
         ``1 - |q1 - q2|``, where ``q1 - q2 = P*cos(theta) + Q*sin(theta)``
         keeps its sign between its zeros ``atan2(-P, Q) + k*pi``. Opposite
         negations turn a segment's value into its length less that value.
+
+        The sum runs on Python floats, segment by segment, and equals the
+        same forms over NumPy arrays bit for bit: ``math.sin`` and
+        ``math.cos`` round as ``np.sin`` and ``np.cos`` do, the zeros come
+        from one ``np.arctan2`` call (``math.atan2`` may differ in the last
+        bit), and :func:`_ufunc_sum` adds in ``np.sum``'s order.
         """
-        lo = np.concatenate(([0.0], self.edges))
-        hi = np.concatenate((self.edges, [THETA_SPAN]))
-        length = hi - lo
-        mid = (lo + hi) / 2.0
-        phi = [b - off for b, off in zip(self.axes, self.offset)]
-        coeff = [np.where(same | (constant is not None), 0.0, ACCEPTANCE_COEFF * np.sign(np.sin(f - mid)))
-                 for f, same, constant in zip(phi, self.same, self.constant)]
-        (p1, p2), (c1, c2) = phi, coeff
+        if len(self.axes) != 2:
+            raise ProtocolError(f"an expectation needs a table of two axes, this one has {len(self.axes)}")
+        starts = [0.0, *self.edges.tolist()]
+        ends = [*starts[1:], THETA_SPAN]
+        phi, coeff = [], []
+        for b, same, offset, constant in zip(self.axes, self.same, self.offset, self.constant):
+            phi.append([b - off for off in offset.tolist()])
+            coeff.append([0.0 if s or constant is not None else ACCEPTANCE_COEFF * _sign(math.sin(f - (lo + hi) / 2.0))
+                          for f, s, lo, hi in zip(phi[-1], same.tolist(), starts, ends)])
+        segments = list(zip(starts, ends, *phi, *coeff))
         if CoinMode(coin_mode) is CoinMode.INDEPENDENT:
-            int_s1 = np.cos(p1 - hi) - np.cos(p1 - lo)
-            int_s2 = np.cos(p2 - hi) - np.cos(p2 - lo)
-            int_s1s2 = 0.5 * length * np.cos(p1 - p2) - 0.25 * (np.sin(p1 + p2 - 2.0 * lo)
-                                                                  - np.sin(p1 + p2 - 2.0 * hi))
-            equal = length - c1 * int_s1 - c2 * int_s2 + 2.0 * c1 * c2 * int_s1s2
+            equal = []
+            for lo, hi, p1, p2, c1, c2 in segments:
+                length = hi - lo
+                int_s1 = math.cos(p1 - hi) - math.cos(p1 - lo)
+                int_s2 = math.cos(p2 - hi) - math.cos(p2 - lo)
+                int_s1s2 = (0.5 * length * math.cos(p1 - p2)
+                            - 0.25 * (math.sin(p1 + p2 - 2.0 * lo) - math.sin(p1 + p2 - 2.0 * hi)))
+                equal.append(length - c1 * int_s1 - c2 * int_s2 + 2.0 * c1 * c2 * int_s1s2)
         else:
-            p = c2 * np.sin(p2) - c1 * np.sin(p1)
-            q = c1 * np.cos(p1) - c2 * np.cos(p2)
-            zero = np.arctan2(-p, q)
-            cut = np.clip(zero + math.pi * np.ceil((lo - zero) / math.pi), lo, hi)  # segments are < pi long
+            pq = [(c2 * math.sin(p2) - c1 * math.sin(p1), c1 * math.cos(p1) - c2 * math.cos(p2))
+                  for _, _, p1, p2, c1, c2 in segments]
+            zeros = np.arctan2([-p for p, _ in pq], [q for _, q in pq]).tolist()
 
-            def gap(t0, t1):
-                return np.abs(p * (np.sin(t1) - np.sin(t0)) - q * (np.cos(t1) - np.cos(t0)))
+            def gap(p, q, t0, t1):
+                return abs(p * (math.sin(t1) - math.sin(t0)) - q * (math.cos(t1) - math.cos(t0)))
 
-            equal = length - gap(lo, cut) - gap(cut, hi)
+            equal = []
+            for lo, hi, (p, q), zero in zip(starts, ends, pq, zeros):
+                cut = min(max(zero + math.pi * math.ceil((lo - zero) / math.pi), lo), hi)  # segments are < pi long
+                equal.append(hi - lo - gap(p, q, lo, cut) - gap(p, q, cut, hi))
         if self.negate[0] != self.negate[1]:
-            equal = length - equal
-        return float(np.sum(equal)) / THETA_SPAN
+            equal = [hi - lo - e for lo, hi, e in zip(starts, ends, equal)]
+        return _ufunc_sum(equal) / THETA_SPAN
+
+
+def _sign(x: float) -> int:
+    """``np.sign`` of a float that is not NaN, as an int: -1, 0 or 1."""
+    return (x > 0.0) - (x < 0.0)
+
+
+def _ufunc_sum(values: list[float]) -> float:
+    """``float(np.sum(values))`` bit for bit, added as Python floats in NumPy's pairwise order.
+
+    Below 8 terms that order adds them one by one. Up to 128 it keeps eight
+    running sums, the ``j``-th over terms ``j, j + 8, ...`` of the whole
+    blocks of eight, adds those in pairs, and then adds the rest one by
+    one. Above 128 it splits at a multiple of 8 near the middle.
+    """
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _ufunc_sum(values[:half]) + _ufunc_sum(values[half:])
+    total, whole = 0.0, 0
+    if n >= 8:
+        whole = n - n % 8
+        r = values[:8]
+        for i in range(8, whole, 8):
+            r = [s + v for s, v in zip(r, values[i:i + 8])]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[whole:]:
+        total += v
+    return total
 
 
 def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:

@@ -40,8 +40,13 @@ MUTANTS = (
            "the window tally leaves out theta at the upper end of window two"),
     Mutant("src/bctsim/protocol.py", "return s, (a - (s - bb)) + (b - bb)", "return s, 0.0",
            "TwoSum loses its error term, so a table edge can be one float off"),
-    Mutant("src/bctsim/protocol.py", "np.sign(np.sin(f - mid))", "np.sign(np.sin(f - lo))",
+    Mutant("src/bctsim/protocol.py", "_sign(math.sin(f - (lo + hi) / 2.0))", "_sign(math.sin(f - lo))",
            "the exact expectation reads the sine's sign at a segment's start, where it may vanish"),
+    Mutant("src/bctsim/protocol.py", "if self.negate[0] != self.negate[1]:", "if False:",
+           "the exact expectation ignores opposite negations of its two axes"),
+    Mutant("src/bctsim/analysis.py", "enumerate(zip(table.constant, table.negate))",
+           "enumerate(zip(table.constant, table.negate[:1] * 2))",
+           "the consistency audit applies the forward axis's negation to both axes"),
     Mutant("src/bctsim/protocol.py", "b, bob_alpha = geometry._separator(b, math.pi), (bob_alpha + 5) % 10",
            "b, bob_alpha = b + math.pi, (bob_alpha + 5) % 10",
            "a reflected axis is not wrapped back into [0, 2*pi)"),

@@ -7,9 +7,11 @@ Bob's branch step once per axis over the start array, and
 slot-rule call over the stacked probes below, at and above. Both are kept here,
 unchanged, so the float build can be pinned to them field by field.
 :func:`keeps_c` runs a table's screen and resolve steps over one array, as the
-batch kernel runs them chunk by chunk. :func:`gauss_legendre_expectation`
-averages :func:`bctsim.protocol.evaluate_bob` over theta by quadrature, the
-route :meth:`bctsim.protocol.SegmentTable.expectation` sums in closed form.
+batch kernel runs them chunk by chunk. :func:`array_expectation` is
+:meth:`bctsim.protocol.SegmentTable.expectation` as NumPy arrays, before it
+was summed on Python floats. :func:`gauss_legendre_expectation` averages
+:func:`bctsim.protocol.evaluate_bob` over theta by quadrature, the route that
+method sums in closed form.
 """
 
 import math
@@ -83,6 +85,41 @@ def keeps_c(table: pr.SegmentTable, theta: np.ndarray | None, coins) -> list[np.
             if part is not None:
                 table._resolve(j, kept[j], [part])
     return kept
+
+
+def array_expectation(table: pr.SegmentTable, coin_mode: pr.CoinMode = pr.CoinMode.INDEPENDENT) -> float:
+    """:meth:`bctsim.protocol.SegmentTable.expectation` as NumPy arrays over the segments, as it was summed before.
+
+    The same closed forms, one ufunc call per term over all segments of a
+    two-axis table, and ``np.sum`` over their values; the float route must
+    equal it bit for bit.
+    """
+    lo = np.concatenate(([0.0], table.edges))
+    hi = np.concatenate((table.edges, [THETA_SPAN]))
+    length = hi - lo
+    mid = (lo + hi) / 2.0
+    phi = [b - off for b, off in zip(table.axes, table.offset)]
+    coeff = [np.where(same | (constant is not None), 0.0, pr.ACCEPTANCE_COEFF * np.sign(np.sin(f - mid)))
+             for f, same, constant in zip(phi, table.same, table.constant)]
+    (p1, p2), (c1, c2) = phi, coeff
+    if pr.CoinMode(coin_mode) is pr.CoinMode.INDEPENDENT:
+        int_s1 = np.cos(p1 - hi) - np.cos(p1 - lo)
+        int_s2 = np.cos(p2 - hi) - np.cos(p2 - lo)
+        int_s1s2 = 0.5 * length * np.cos(p1 - p2) - 0.25 * (np.sin(p1 + p2 - 2.0 * lo) - np.sin(p1 + p2 - 2.0 * hi))
+        equal = length - c1 * int_s1 - c2 * int_s2 + 2.0 * c1 * c2 * int_s1s2
+    else:
+        p = c2 * np.sin(p2) - c1 * np.sin(p1)
+        q = c1 * np.cos(p1) - c2 * np.cos(p2)
+        zero = np.arctan2(-p, q)
+        cut = np.clip(zero + math.pi * np.ceil((lo - zero) / math.pi), lo, hi)  # segments are < pi long
+
+        def gap(t0, t1):
+            return np.abs(p * (np.sin(t1) - np.sin(t0)) - q * (np.cos(t1) - np.cos(t0)))
+
+        equal = length - gap(lo, cut) - gap(cut, hi)
+    if table.negate[0] != table.negate[1]:
+        equal = length - equal
+    return float(np.sum(equal)) / THETA_SPAN
 
 
 #: Gauss-Legendre nodes and weights on [-1, 1]; on a piece shorter than 3*pi/5 they integrate

@@ -31,7 +31,11 @@ V_TH_MAX = 0.5396160327593464  # threshold at nu = pi/10
 V_TH_END = 0.5835921350012618  # threshold at nu = 0
 P_EFF_99 = 0.2787304916208800  # 0.99^2 * total at nu = pi/10
 P_CROSS_SMALL = 0.8525639901584084  # 1 - (3pi/10) sin(pi/20)
-TWO_BOB_TOTAL_MAX = 0.6311673539730198  # full-range equal rate at nu = pi/10
+# full-range equal rate at nu = pi/10, in closed form:
+# 3*pi^2*(sqrt5 - 1)/200 + (3*pi/80)*((1 + sqrt5)*sin(2*pi/5) + (sqrt5 - 1)*sin(pi/5)) = 0.631167353972896592...
+TWO_BOB_TOTAL_MAX = (3 * PI**2 * (math.sqrt(5) - 1) / 200
+                     + (3 * PI / 80) * ((1 + math.sqrt(5)) * math.sin(2 * PI / 5)
+                                        + (math.sqrt(5) - 1) * math.sin(PI / 5)))
 
 
 class TestWindowProbability:
@@ -148,7 +152,7 @@ class TestTwoBobTotals:
 
     def test_full_range_exceeds_window_value(self):
         total = an.two_bob_equal_quadrature(PI / 10)
-        assert total == pytest.approx(TWO_BOB_TOTAL_MAX, abs=1e-8)
+        assert abs(total - TWO_BOB_TOTAL_MAX) <= math.ulp(TWO_BOB_TOTAL_MAX)
         assert total > an.p_opposite_equal_closed(PI / 10).p_total + 0.3
 
     def test_shared_coin_with_cyclic_flip_gives_zero_everywhere(self):
@@ -256,21 +260,37 @@ class TestConsistencyAudit:
         with pytest.raises(pr.ProtocolError, match=re.escape(str(shape))):
             an.per_theta_consistency_audit(PI / 2, 0.0, grid, pr.NO_FLIP)
 
-    @pytest.mark.parametrize("strategy", [pr.NO_FLIP, pr.CYCLIC_FLIP])
-    def test_rows_equal_a_loop_reference_field_for_field_and_type_for_type(self, strategy):
-        """Rows built from whole arrays equal rows built one NumPy scalar at a time, on a 2,048-point grid."""
-        grid = np.linspace(0.0, THETA_SPAN, 2048, endpoint=False)
+    @pytest.mark.parametrize("label, strategy", hn.CALIBRATION_VARIANTS)
+    def test_rows_equal_a_loop_reference_field_for_field_and_type_for_type(self, label, strategy):
+        """Rows read through the frame's table equal rows built from ``p_equal_given_theta`` one theta at a time.
+
+        The grid holds 2,048 even points, every edge of the table and the floats on either side of each edge.
+        """
+        even = np.linspace(0.0, THETA_SPAN, 2048, endpoint=False)
         for nu in (0.0, 0.0571, PI / 10, PI / 5):
             a = an.alice_setting(nu)
+            edges = pr.segment_table(a, (an.WALKTHROUGH_B1, an.WALKTHROUGH_B1 + PI), strategy).edges.tolist()
+            near = [t for e in edges for t in (math.nextafter(e, 0.0), e, math.nextafter(e, THETA_SPAN))]
+            grid = np.concatenate((even, near))
             fwd = pr.p_equal_given_theta(a, an.WALKTHROUGH_B1, grid, strategy)
             rev = pr.p_equal_given_theta(a, an.WALKTHROUGH_B1 + PI, grid, strategy)
             want = [an.ConsistencyRow(float(t), float(f), float(r), float(1.0 - r),
                                       bool(abs(f - (1.0 - r)) > an.AUDIT_TOL)) for t, f, r in zip(grid, fwd, rev)]
             rows = an.per_theta_consistency_audit(a, an.WALKTHROUGH_B1, grid, strategy)
-            assert rows == want
+            assert rows == want, (label, nu)
             for row, ref in zip(rows, want):
                 assert [type(v) for v in vars(row).values()] == [type(v) for v in vars(ref).values()]
             assert {type(v) for row in rows for v in vars(row).values()} == {float, bool}
+
+    @pytest.mark.parametrize("grid", [[math.nan], np.array([0.5, math.nan]), (t for t in (math.nan, 0.5))])
+    def test_a_nan_in_the_grid_raises(self, grid):
+        with pytest.raises(pr.ProtocolError, match="theta"):
+            an.per_theta_consistency_audit(PI / 2, 0.0, grid, pr.NO_FLIP)
+
+    @pytest.mark.parametrize("grid", [[], (), np.array([]), iter(())])
+    @pytest.mark.parametrize("label, strategy", hn.CALIBRATION_VARIANTS)
+    def test_an_empty_grid_gives_no_rows(self, grid, label, strategy):
+        assert an.per_theta_consistency_audit(PI / 2, 0.0, grid, strategy) == []
 
 
 class TestVisibility:

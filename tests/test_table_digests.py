@@ -25,7 +25,7 @@ from bctsim import geometry as geo
 from bctsim import harness as hn
 from bctsim import protocol as pr
 from bctsim.analysis import WALKTHROUGH_B1, alice_setting
-from table_oracle import array_segment_table, gauss_legendre_expectation
+from table_oracle import array_expectation, array_segment_table, gauss_legendre_expectation
 from test_kernels import _table_cases
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "table_digests.json"
@@ -113,6 +113,58 @@ def test_two_axis_expectations_equal_quadrature_over_evaluate_bob(name):
         table, want = pr.segment_table(a, axes, strategy), gauss_legendre_expectation(a, axes, strategy)
         for mode in pr.CoinMode:
             assert table.expectation(mode) == pytest.approx(want[mode], rel=0.0, abs=1e-13), (a, axes, strategy, mode)
+
+
+def _assert_expectation_is_the_array_form(table: pr.SegmentTable, case) -> None:
+    """Both coin modes, each as a member and as its string, equal :func:`array_expectation` with ``==``."""
+    for mode in pr.CoinMode:
+        want = array_expectation(table, mode)
+        assert table.expectation(mode) == want, (case, mode)
+        assert table.expectation(mode.value) == want, (case, mode)
+
+
+def test_two_axis_expectations_equal_the_array_form_bit_for_bit():
+    """The float route on every two-axis table of the fixture, against the NumPy form it replaced."""
+    two_axis = [(a, axes, label) for group in cases().values() for a, axes, label in group if len(axes) == 2]
+    assert len(two_axis) == 585
+    for a, axes, label in two_axis:
+        _assert_expectation_is_the_array_form(pr.segment_table(a, axes, STRATEGIES[label]), (a, axes, label))
+
+
+def seeded_frames() -> list[pr.SegmentTable]:
+    """Two-axis tables of seeded fields, 1 to 40 segments and a few above 128, so ``np.sum``'s order is exercised.
+
+    The fixture's built two-axis tables have at most five segments; these
+    are made directly, with random sorted edges, same-slot flags, offsets,
+    axes, negations and constant axes.
+    """
+    rng = np.random.default_rng(2296)
+    offsets = np.array(geo.BETA_OFFSETS + geo.GAMMA_OFFSETS)
+    frames = []
+    for n in [*range(1, 41), *range(1, 41), 129, 136, 200, 257]:
+        edges = np.sort(rng.uniform(0.0, geo.THETA_SPAN, n - 1))
+        same = tuple(rng.random(n) < 0.3 for _ in range(2))
+        offset = tuple(np.where(s, 0.0, rng.choice(offsets, n)) for s in same)
+        negate = tuple(bool(v) for v in rng.random(2) < 0.5)
+        constant = tuple(not k if v < 0.1 else None for k, v in zip(negate, rng.random(2)))
+        frames.append(pr.SegmentTable(edges, tuple(rng.uniform(0.0, 2 * PI, 2).tolist()), same, offset, negate,
+                                      constant))
+    return frames
+
+
+def test_seeded_frames_equal_the_array_form_bit_for_bit():
+    frames = seeded_frames()
+    assert {len(t.edges) + 1 for t in frames} >= set(range(1, 41)) | {129, 136, 200, 257}
+    for i, table in enumerate(frames):
+        _assert_expectation_is_the_array_form(table, i)
+
+
+@pytest.mark.parametrize("axes", [(0.3,), (0.3, 0.3 + PI, 1.0)])
+def test_an_expectation_of_one_or_three_axes_raises_naming_the_count(axes):
+    table = pr.segment_table(1.0, axes)
+    for mode in pr.CoinMode:
+        with pytest.raises(pr.ProtocolError, match=f"this one has {len(axes)}"):
+            table.expectation(mode)
 
 
 def oracle_cases() -> list[tuple[object, tuple, pr.Strategy]]:
