@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import THETA_SPAN, _rank
+from .geometry import THETA_SPAN, _rank, alpha_slot_of, normalize_angle
 from .protocol import (
     ACCEPTANCE_COEFF,
     NO_FLIP,
@@ -35,10 +35,11 @@ from .protocol import (
     ProtocolError,
     SegmentTable,
     Strategy,
+    _alice_slots,
+    _bob_axis,
+    _evaluate_axis,
     _record,
     _theta_arg,
-    alice_slot_arrays,
-    evaluate_bob,
     segment_table,
 )
 
@@ -188,11 +189,17 @@ def two_bob_equal_given_theta(
     With independent coins the two acceptance events are independent; with a
     shared coin they are maximally coupled and the probability reduces to
     ``1 - |q1 - q2|`` (same negation parity) or ``|q1 - q2|`` (opposite).
-    ``theta`` must lie in [0, 3*pi/5), else ``ProtocolError``.
+    ``theta`` must lie in [0, 3*pi/5), else ``ProtocolError``. Each frame
+    axis is resolved once, and Alice's slot array is computed only in the
+    systems its live axes use; her slot in another system is never read, so
+    :func:`~bctsim.protocol._evaluate_axis` takes ``None`` for it.
     """
     theta, vector = _theta_arg(theta)
-    alpha, beta_slots, gamma_slots = alice_slot_arrays(alice_setting(nu), theta)
-    ev1, ev2 = (evaluate_bob(alpha, beta_slots, gamma_slots, b, theta, strategy) for b in _FRAME_AXES)
+    a = alice_setting(nu)
+    alpha = int(alpha_slot_of(a))
+    axes = [_bob_axis(alpha, normalize_angle(b), strategy) for b in _FRAME_AXES]
+    slots = _alice_slots(a, theta, {system for _, _, system in axes})
+    ev1, ev2 = (_evaluate_axis(axis, *slots, theta) for axis in axes)
     q1, q2 = ev1.accept_prob, ev2.accept_prob
     same_parity = ev1.negate == ev2.negate
     if CoinMode(coin_mode) is CoinMode.INDEPENDENT:

@@ -419,14 +419,25 @@ def evaluate_bob(
     theta,
     strategy: Strategy = NO_FLIP,
 ) -> BobEvaluation:
-    """Bob's step against a slot message, vectorized over theta: the axis, the branch step, the acceptance.
+    """Bob's step against a slot message, vectorized over theta: the axis, then :func:`_evaluate_axis`.
 
     ``alice_beta_slot``/``alice_gamma_slot`` are ints from one message or
     per-theta arrays from :func:`alice_slot_arrays`. ``b`` is normalized and
-    resolved (:func:`_bob_axis`) once; :func:`_branch` and :func:`_acceptance`
-    then run on NumPy values.
+    resolved (:func:`_bob_axis`) once. Alice's slot in a system the axis does
+    not use is never read, so ``None`` may be passed for it.
     """
-    axis = b_eff, fired, system = _bob_axis(alice_alpha, normalize_angle(b), strategy)
+    return _evaluate_axis(_bob_axis(alice_alpha, normalize_angle(b), strategy), alice_beta_slot, alice_gamma_slot,
+                          theta)
+
+
+def _evaluate_axis(axis: tuple[float, bool, str], alice_beta_slot, alice_gamma_slot, theta) -> BobEvaluation:
+    """:func:`evaluate_bob` on an ``axis`` already resolved by :func:`_bob_axis`: the branch step, the acceptance.
+
+    :func:`_branch` and :func:`_acceptance` run on NumPy values. Alice's slot
+    is read only in the axis's system, and in none on a terminated axis, so
+    ``None`` may be passed for a slot the axis does not use.
+    """
+    b_eff, fired, system = axis
     if system == "none":  # _NO_SEPARATOR at theta's shape, its ints as int64
         shape = np.shape(theta)
         alice_slot, bob_slot, same, k, bnd, u, accept = (np.full(shape, v, np.int64 if type(v) is int else None)
@@ -437,6 +448,12 @@ def evaluate_bob(
         u, accept = _acceptance(b_eff, bnd)
         accept = np.where(same, 1.0, accept)
     return BobEvaluation(accept, fired, system, same, bob_slot, alice_slot, k, bnd, u)
+
+
+def _alice_slots(a: float, theta, systems) -> tuple:
+    """Alice's beta and gamma slots of ``a`` at ``theta``, each only if its system is in ``systems``, else None."""
+    return (beta_slot_of(a, theta) if "beta" in systems else None,
+            gamma_slot_of(a, theta) if "gamma" in systems else None)
 
 
 #: the largest shared angle a round can draw
@@ -718,8 +735,7 @@ def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
     tests = {(x, system) for b_eff, _, system in bob_axes if system != "none" for x in (a, b_eff)}
     starts = [0.0, *sorted(set(_flip_points(tests) if tests else ()))]
     read = {system for _, system in tests}
-    alice = [(beta_slot_of(a, t) if "beta" in read else None, gamma_slot_of(a, t) if "gamma" in read else None)
-             for t in starts]
+    alice = [_alice_slots(a, t, read) for t in starts]
     fields = []  # per axis: its SegmentTable fields after edges, in order
     for axis in bob_axes:
         b_eff, fired, system = axis
@@ -890,11 +906,17 @@ def p_equal_given_theta(a: float, b: float, theta, strategy: Strategy = NO_FLIP)
     """Analytic P(Bob's output equals the shared sign | theta), no sampling.
 
     ``theta`` may be a scalar or an array. This is the per-round conditional
-    the consistency audit and the sweep oracles are built on.
+    the sweep oracles are built on. ``theta`` is checked first
+    (``ProtocolError``), then ``a`` and ``b`` are normalized in that order
+    (``ValueError`` if not finite). Bob's axis is resolved once, and
+    Alice's slot array is computed only in that axis's system, in none on a
+    terminated axis; her slot in the other system is never read, so
+    :func:`_evaluate_axis` takes ``None`` for it.
     """
     theta, vector = _theta_arg(theta)
-    alpha, beta_slots, gamma_slots = alice_slot_arrays(a, theta)
-    ev = evaluate_bob(alpha, beta_slots, gamma_slots, b, theta, strategy)
+    normalize_angle(a)  # only a's finiteness check: the slot rule normalizes a itself
+    axis = _bob_axis(int(alpha_slot_of(a)), normalize_angle(b), strategy)
+    ev = _evaluate_axis(axis, *_alice_slots(a, theta, {axis[2]}), theta)
     p_equal = 1.0 - ev.accept_prob if ev.negate else ev.accept_prob
     return p_equal if vector else float(p_equal)
 

@@ -5,7 +5,10 @@ text that replaces it, and what the fault breaks. ``python tests/mutants.py``,
 from any directory, copies the repository (without ``.git``) to a temporary
 directory, checks that the unmutated copy passes Tier-1, and then, for each
 mutant, applies it to a fresh copy and runs Tier-1 there with ``-x``. The
-mutant is killed when the suite fails. The run fails, with exit status 1, if a
+mutant is killed when the suite fails. Tier-1's output is captured: for a
+killed mutant, and for an unmutated copy that fails, the runner prints the
+node id of the first failing test, from pytest's ``FAILED`` (or ``ERROR``)
+summary line. The run fails, with exit status 1, if a
 mutant survives that is not listed as equivalent, if one listed as equivalent
 is killed, or if an entry's text is not found exactly once. pytest does not
 collect this file, since its name does not start with ``test_``.
@@ -60,6 +63,22 @@ MUTANTS = (
     Mutant("src/bctsim/analysis.py", "_FRAME_AXES = (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi)",
            "_FRAME_AXES = (WALKTHROUGH_B1 + math.pi, WALKTHROUGH_B1)",
            "the frame's table holds its two axes in swapped order"),
+    Mutant("src/bctsim/protocol.py", "*_alice_slots(a, theta, {axis[2]})", '*_alice_slots(a, theta, ("beta", "gamma"))',
+           "p_equal_given_theta reads Alice's slot in both systems, whatever system its axis uses"),
+    Mutant("src/bctsim/protocol.py", "_branch(axis, alice_beta_slot, alice_gamma_slot, theta)",
+           "_branch(axis, alice_gamma_slot, alice_beta_slot, theta)",
+           "Bob's array step reads Alice's slot in the system its axis does not use"),
+    Mutant("src/bctsim/protocol.py", "flip = t if at != lo else up", "flip = t",
+           "a table edge is the candidate t whatever its certificate says, one float low where the flip is above t"),
+    Mutant("src/bctsim/protocol.py", "if not 0.0 <= t <= _LAST_THETA:", "if not 0.0 < t <= _LAST_THETA:",
+           "a table build drops theta = 0 as a crossing candidate",
+           equivalent="no setting makes t exactly 0: t is the least double at or above M - o = (y - o) - h, with h "
+                      "half the gap from y to the double below it, which is positive when y > o (then y - o >= 2h) "
+                      "and at most -h when y <= o, and h is far above the least subnormal for each offset o > 0"),
+    Mutant("src/bctsim/geometry.py", "(2 if gamma[3] < TWO_PI else 1)", "(2 if gamma[3] <= TWO_PI else 1)",
+           "Alice's cell counts gamma's s - 2*pi as below every angle when s is exactly 2*pi"),
+    Mutant("src/bctsim/protocol.py", '"_terminate", self.flip_semantics is FlipSemantics.TERMINATE)',
+           '"_terminate", False)', "a terminating reading continues on the reflected axis"),
     Mutant("src/bctsim/analysis.py", "_FRAME_AXES = (WALKTHROUGH_B1, WALKTHROUGH_B1 + math.pi)",
            "_FRAME_AXES = (WALKTHROUGH_B1, WALKTHROUGH_B1 - math.pi)",
            "the frame's second axis is spelled b1 - pi",
@@ -67,8 +86,21 @@ MUTANTS = (
 )
 
 
-def _run(mutant: Mutant | None) -> tuple[bool, float]:
-    """Tier-1 on a fresh copy of the repository with ``mutant`` applied, if any: whether it failed, and in what time."""
+def _first_failure(output: str) -> str:
+    """The node id on pytest's first ``FAILED`` or ``ERROR`` summary line, else the output's last line."""
+    lines = output.splitlines()
+    for line in lines:
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" ", 1)[1].split(" - ", 1)[0]
+    last = [line for line in lines if line.strip()]
+    return f"no FAILED line; the output ends with {last[-1] if last else 'nothing'!r}"
+
+
+def _run(mutant: Mutant | None) -> tuple[str | None, float]:
+    """Tier-1 on a fresh copy of the repository with ``mutant`` applied, if any.
+
+    Returns the first failing test (None when the suite passes) and the suite's time.
+    """
     with tempfile.TemporaryDirectory(prefix="bctsim-mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "*.egg-info"))
@@ -85,23 +117,27 @@ def _run(mutant: Mutant | None) -> tuple[bool, float]:
         if not Path(where).resolve().is_relative_to(copy.resolve()):
             raise SystemExit(f"the suite would import bctsim from {where}, not from the copy")
         start = time.perf_counter()
-        done = subprocess.run(TIER1, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        return done.returncode != 0, time.perf_counter() - start
+        done = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, text=True)
+        seconds = time.perf_counter() - start
+        return (_first_failure(done.stdout + done.stderr) if done.returncode != 0 else None), seconds
 
 
 def main() -> int:
-    failed, seconds = _run(None)
-    print(f"unmutated copy: Tier-1 {'FAILS' if failed else 'passes'} in {seconds:.1f} s", flush=True)
-    if failed:
+    failure, seconds = _run(None)
+    print(f"unmutated copy: Tier-1 {'FAILS' if failure else 'passes'} in {seconds:.1f} s", flush=True)
+    if failure:
+        print(f"    first failure: {failure}")
         return 1
     wrong = 0
     for mutant in MUTANTS:
-        killed, seconds = _run(mutant)
-        expected = mutant.equivalent is None
+        failure, seconds = _run(mutant)
+        killed, expected = failure is not None, mutant.equivalent is None
         wrong += killed != expected
         note = "" if expected else f" (listed as equivalent: {mutant.equivalent})"
         print(f"{'killed' if killed else 'survived'} in {seconds:.1f} s{'' if killed == expected else ' -- WRONG'}: "
               f"{mutant.path}: {mutant.why}{note}", flush=True)
+        if killed:
+            print(f"    first failure: {failure}", flush=True)
     print(f"{len(MUTANTS)} mutants, {wrong} with the wrong verdict")
     return 1 if wrong else 0
 
