@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import THETA_SPAN, _rank, alpha_slot_of, normalize_angle
+from .geometry import THETA_SPAN, alpha_slot_of, normalize_angle
 from .protocol import (
     ACCEPTANCE_COEFF,
     NO_FLIP,
@@ -256,9 +256,9 @@ def per_theta_consistency_audit(
     """Evaluate the conservation law on a grid of shared angles; ``ProtocolError`` outside [0, 3*pi/5).
 
     An ndarray grid is read as it is, a 0-d one as one theta; any other iterable is listed first; more than one dimension raises.
-    Both axes are read through one table, ``segment_table(a, (b, b + pi), strategy)``: the grid is ranked
-    once against its edges, and each axis's acceptance (1 on a constant axis, else
-    :meth:`~bctsim.protocol.SegmentTable._accept`), negated where its ``negate`` is set, is P(output equals c).
+    Both axes are read through one table, ``segment_table(a, (b, b + pi), strategy)``: each axis's acceptance over
+    the grid (:meth:`~bctsim.protocol.SegmentTable.accept`, 1 on a constant axis), negated where its ``negate`` is
+    set, is P(output equals c).
     A row thus equals :func:`~bctsim.protocol.p_equal_given_theta` on ``b`` and ``b + pi`` bit for bit.
     """
     grid = np.atleast_1d(np.asarray(thetas if isinstance(thetas, np.ndarray) else list(thetas), dtype=float))
@@ -266,12 +266,7 @@ def per_theta_consistency_audit(
         raise ProtocolError(f"a theta grid must have at most one dimension, got shape {grid.shape}")
     grid, _ = _theta_arg(grid)
     table = segment_table(a, (b, b + math.pi), strategy)
-    seg = _rank(grid, table.edges)
-    p_equal = []
-    for j, (constant, negate) in enumerate(zip(table.constant, table.negate)):
-        q = np.ones(grid.shape) if constant is not None else table._accept(j, grid, seg)
-        p_equal.append(1.0 - q if negate else q)
-    fwd, rev = p_equal
+    fwd, rev = (1.0 - q if negate else q for q, negate in zip(table.accept(grid), table.negate))
     anti = 1.0 - rev
     violation = np.abs(fwd - anti) > AUDIT_TOL
     return list(map(ConsistencyRow, grid.tolist(), fwd.tolist(), rev.tolist(), anti.tolist(), violation.tolist()))

@@ -23,6 +23,7 @@ import contextlib
 import itertools
 import json
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -83,14 +84,19 @@ class EmitError(OSError):
     """An output file could not be written."""
 
 
-def _check_run(trials: int, seed: int, batch_size: int) -> None:
-    """``ConfigError`` unless a run has positive trials and batch size and a non-negative 64-bit seed."""
-    if trials < 1:
-        raise ConfigError(f"trials must be positive, got {trials}")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be a non-negative 64-bit integer, got {seed}")
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be positive, got {batch_size}")
+def _check_run(trials: int, seed: int, batch_size: int, workers: int = 1) -> tuple[int, int, int, int]:
+    """The run's sizes as Python ints, by ``operator.index``; ``ConfigError`` for a bool, a non-integer or bad size."""
+    sizes = []
+    for name, value in (("trials", trials), ("seed", seed), ("batch size", batch_size), ("workers", workers)):
+        if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        value = operator.index(value)
+        if name == "seed" and not 0 <= value < 2**64:
+            raise ConfigError(f"seed must be a non-negative 64-bit integer, got {value}")
+        if name != "seed" and value < 1:
+            raise ConfigError(f"{name} must be positive, got {value}")
+        sizes.append(value)
+    return tuple(sizes)
 
 
 @dataclass
@@ -110,9 +116,8 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {tuple(EXPERIMENTS)}")
-        _check_run(self.trials, self.seed, self.batch_size)
-        if self.workers < 1:
-            raise ConfigError(f"workers must be positive, got {self.workers}")
+        self.trials, self.seed, self.batch_size, self.workers = _check_run(self.trials, self.seed, self.batch_size,
+                                                                          self.workers)
         if not isinstance(self.strategy, Strategy):
             raise ConfigError(f"strategy must be a Strategy, got {self.strategy!r}")
         try:
@@ -272,7 +277,7 @@ def _kernel(
     off the raw outputs as NumPy's ``integers(0, 2, n, dtype=np.int64)``
     reads them (the top bit of each 32-bit half, low half first; ``_CHUNK``
     is even). A conditioned row decides by the acceptance at
-    ``theta_fixed`` (:meth:`~bctsim.protocol.SegmentTable.at`), any other
+    ``theta_fixed`` (:meth:`~bctsim.protocol.SegmentTable.accept`), any other
     by the table's screen (:attr:`~bctsim.protocol.SegmentTable._screen`),
     each live axis resolving its held trials after the last chunk. Every
     step is per trial, so the chunks change no tally.
@@ -290,7 +295,8 @@ def _kernel(
     if theta_fixed is not None:
         if not (0.0 <= theta_fixed < THETA_SPAN):
             raise ConfigError(f"conditioned theta must lie in [0, 3*pi/5), got {theta_fixed!r}")
-        accepts, constant = table.at(theta_fixed)
+        accepts = table.accept(theta_fixed)
+        constant = tuple(not negate if q == 1.0 else None for q, negate in zip(accepts, table.negate))
 
     two = len(table.axes) == 2
     windowed = two and windows is not None and theta_fixed is None
@@ -374,7 +380,7 @@ def conditioned_two_bob_estimate(
     Returns (estimate, standard error). Rejection-free: theta is an input,
     not a sample.
     """
-    _check_run(trials, seed, batch_size)
+    trials, seed, batch_size, _ = _check_run(trials, seed, batch_size)
     kernel = _kernel(_frame_table(nu, strategy), coin_mode, theta_fixed=theta)
     return _rate(_run_batches(kernel, trials, seed, (0,), batch_size, None), EQUAL)
 
@@ -389,7 +395,7 @@ def conditioned_pair_estimate(
     batch_size: int = 250_000,
 ) -> tuple[float, float]:
     """Monte Carlo P(outputs equal) for one pair with the shared angle fixed."""
-    _check_run(trials, seed, batch_size)
+    trials, seed, batch_size, _ = _check_run(trials, seed, batch_size)
     kernel = _kernel(segment_table(a, (b,), strategy), theta_fixed=theta)
     return _rate(_run_batches(kernel, trials, seed, (0,), batch_size, None), KEPT_1)
 
@@ -408,7 +414,7 @@ def joint_outcome_table(
     :func:`~bctsim.protocol.nbct_trial` rounds, which play each round
     through Alice's message and Bob's scalar procedure.
     """
-    _check_run(trials, seed, batch_size)
+    trials, seed, batch_size, _ = _check_run(trials, seed, batch_size)
     kernel = _kernel(segment_table(a, (b,), strategy), signs=True)
     n, kept, b_plus, c_plus = _run_batches(kernel, trials, seed, (0,), batch_size, None)
     # b_plus counts kept & c+ plus ~kept & ~c+, so kept & c+ is (b_plus - n + kept + c_plus) / 2

@@ -496,8 +496,7 @@ def _flip_points(tests) -> list[float]:
     floats, or at the next float when ``theta + o = M`` rounds to even
     below. The slot rule itself certifies every crossing, in three calls on
     Python floats, below, at and above ``t``: the crossing is the first of
-    the floats whose slot differs from the float below it. The probe below
-    ``t = 0`` is the negative subnormal, whose bounds still ascend.
+    the floats whose slot differs from the float below it.
     """
     flips = []
     for system, slot_of in (("beta", beta_slot_of), ("gamma", gamma_slot_of)):
@@ -508,12 +507,15 @@ def _flip_points(tests) -> list[float]:
                 h, low = _two_sum(y, -o)
                 t, err = _two_sum(h, low - (y - math.nextafter(y, 0.0)) / 2.0)  # M = y - half an ulp
                 t = math.nextafter(t, math.inf) if err > 0.0 else t
-                if not 0.0 <= t <= _LAST_THETA:  # the flip, t or the float above it, is outside (0, 3*pi/5)
+                # t, the least double >= M - o = (y - o) - g (g half the gap below y), is never 0: if y > o,
+                # o is at most the double below y, so y - o >= 2g and t > 0; else o >= y > 0 is an offset of at
+                # least pi/5, and M - o is at most minus half the gap below o, a double, so t < 0
+                if not 0.0 < t <= _LAST_THETA:  # the flip, t or the float above it, is outside (0, 3*pi/5)
                     continue
                 up = math.nextafter(t, math.inf)
                 lo, at, hi = (slot_of(x, p) for p in (math.nextafter(t, -math.inf), t, up))
                 flip = t if at != lo else up
-                if 0.0 < flip <= _LAST_THETA:
+                if flip <= _LAST_THETA:
                     if at == lo and hi == at:
                         raise RuntimeError(f"slot crossing fails its certificate at theta={flip!r}")
                     flips.append(flip)
@@ -535,11 +537,11 @@ class SegmentTable:
     (the axis is live). An acceptance of exactly 1 keeps ``c`` for every
     coin in [0, 1), so it decides ``not negate``: on a terminated axis
     (:func:`_bob_axis`), on one where ``same`` holds in every segment, and
-    at one theta (:meth:`at`) wherever the acceptance is 1. An acceptance is
-    never 0 (:func:`_acceptance`), so no other decision is constant. A
-    lookup over many thetas goes through the screen (:attr:`_screen`), built
-    on the first lookup, never by :func:`segment_table`,
-    :meth:`expectation` or :meth:`at`.
+    at one theta wherever the acceptance (:meth:`accept`) is 1. An
+    acceptance is never 0 (:func:`_acceptance`), so no other decision is
+    constant. A lookup over many thetas goes through the screen
+    (:attr:`_screen`), built on the first lookup, never by
+    :func:`segment_table`, :meth:`expectation` or :meth:`accept`.
     """
 
     edges: np.ndarray
@@ -623,11 +625,12 @@ class SegmentTable:
             np.logical_not(keep, out=keep)
         return keep
 
-    def at(self, theta: float) -> tuple[list[float], tuple[bool | None, ...]]:
-        """Per axis, the acceptance at one ``theta`` (1.0 if constant) and the decision constant there, else None."""
+    def accept(self, theta) -> list:
+        """Per axis, Bob's acceptance at ``theta``, 1 on a constant axis: floats at a float ``theta``, else arrays."""
         seg = geometry._rank(theta, self.edges)
-        accepts = [1.0 if k is not None else float(self._accept(j, theta, seg)) for j, k in enumerate(self.constant)]
-        return accepts, tuple(not negate if q == 1.0 else None for q, negate in zip(accepts, self.negate))
+        accepts = [np.ones(np.shape(theta)) if k is not None else self._accept(j, theta, seg)
+                   for j, k in enumerate(self.constant)]
+        return accepts if np.ndim(theta) else [float(q) for q in accepts]
 
     def expectation(self, coin_mode: CoinMode = CoinMode.INDEPENDENT) -> float:
         """Exact P(both outputs equal) of a two-axis table, averaged over theta; ``ProtocolError`` for other tables.
@@ -645,11 +648,10 @@ class SegmentTable:
         keeps its sign between its zeros ``atan2(-P, Q) + k*pi``. Opposite
         negations turn a segment's value into its length less that value.
 
-        The sum runs on Python floats, segment by segment, and equals the
-        same forms over NumPy arrays bit for bit: ``math.sin`` and
-        ``math.cos`` round as ``np.sin`` and ``np.cos`` do, the zeros come
-        from one ``np.arctan2`` call (``math.atan2`` may differ in the last
-        bit), and :func:`_ufunc_sum` adds in ``np.sum``'s order.
+        Each segment's term, on Python floats, equals the same form over NumPy
+        arrays bit for bit (the zeros come from one ``np.arctan2`` call, as
+        ``math.atan2`` may differ in the last bit), and ``math.fsum`` adds the
+        terms exactly and rounds once.
         """
         if len(self.axes) != 2:
             raise ProtocolError(f"an expectation needs a table of two axes, this one has {len(self.axes)}")
@@ -684,36 +686,12 @@ class SegmentTable:
                 equal.append(hi - lo - gap(p, q, lo, cut) - gap(p, q, cut, hi))
         if self.negate[0] != self.negate[1]:
             equal = [hi - lo - e for lo, hi, e in zip(starts, ends, equal)]
-        return _ufunc_sum(equal) / THETA_SPAN
+        return math.fsum(equal) / THETA_SPAN
 
 
 def _sign(x: float) -> int:
     """``np.sign`` of a float that is not NaN, as an int: -1, 0 or 1."""
     return (x > 0.0) - (x < 0.0)
-
-
-def _ufunc_sum(values: list[float]) -> float:
-    """``float(np.sum(values))`` bit for bit, added as Python floats in NumPy's pairwise order.
-
-    Below 8 terms that order adds them one by one. Up to 128 it keeps eight
-    running sums, the ``j``-th over terms ``j, j + 8, ...`` of the whole
-    blocks of eight, adds those in pairs, and then adds the rest one by
-    one. Above 128 it splits at a multiple of 8 near the middle.
-    """
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _ufunc_sum(values[:half]) + _ufunc_sum(values[half:])
-    total, whole = 0.0, 0
-    if n >= 8:
-        whole = n - n % 8
-        r = values[:8]
-        for i in range(8, whole, 8):
-            r = [s + v for s, v in zip(r, values[i:i + 8])]
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in values[whole:]:
-        total += v
-    return total
 
 
 def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:

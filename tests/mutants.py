@@ -47,8 +47,10 @@ MUTANTS = (
            "the exact expectation reads the sine's sign at a segment's start, where it may vanish"),
     Mutant("src/bctsim/protocol.py", "if self.negate[0] != self.negate[1]:", "if False:",
            "the exact expectation ignores opposite negations of its two axes"),
-    Mutant("src/bctsim/analysis.py", "enumerate(zip(table.constant, table.negate))",
-           "enumerate(zip(table.constant, table.negate[:1] * 2))",
+    Mutant("src/bctsim/protocol.py", "math.fsum(equal)", "(math.fsum(equal[:-1]) + equal[-1])",
+           "the exact expectation rounds twice, adding its last segment after the others' correctly rounded sum"),
+    Mutant("src/bctsim/analysis.py", "zip(table.accept(grid), table.negate)",
+           "zip(table.accept(grid), table.negate[:1] * 2)",
            "the consistency audit applies the forward axis's negation to both axes"),
     Mutant("src/bctsim/protocol.py", "b, bob_alpha = geometry._separator(b, math.pi), (bob_alpha + 5) % 10",
            "b, bob_alpha = b + math.pi, (bob_alpha + 5) % 10",
@@ -70,11 +72,6 @@ MUTANTS = (
            "Bob's array step reads Alice's slot in the system its axis does not use"),
     Mutant("src/bctsim/protocol.py", "flip = t if at != lo else up", "flip = t",
            "a table edge is the candidate t whatever its certificate says, one float low where the flip is above t"),
-    Mutant("src/bctsim/protocol.py", "if not 0.0 <= t <= _LAST_THETA:", "if not 0.0 < t <= _LAST_THETA:",
-           "a table build drops theta = 0 as a crossing candidate",
-           equivalent="no setting makes t exactly 0: t is the least double at or above M - o = (y - o) - h, with h "
-                      "half the gap from y to the double below it, which is positive when y > o (then y - o >= 2h) "
-                      "and at most -h when y <= o, and h is far above the least subnormal for each offset o > 0"),
     Mutant("src/bctsim/geometry.py", "(2 if gamma[3] < TWO_PI else 1)", "(2 if gamma[3] <= TWO_PI else 1)",
            "Alice's cell counts gamma's s - 2*pi as below every angle when s is exactly 2*pi"),
     Mutant("src/bctsim/protocol.py", '"_terminate", self.flip_semantics is FlipSemantics.TERMINATE)',

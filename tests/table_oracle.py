@@ -8,13 +8,14 @@ slot-rule call over the stacked probes below, at and above. Both are kept here,
 unchanged, so the float build can be pinned to them field by field.
 :func:`keeps_c` runs a table's screen and resolve steps over one array, as the
 batch kernel runs them chunk by chunk. :func:`array_expectation` is
-:meth:`bctsim.protocol.SegmentTable.expectation` as NumPy arrays, before it
-was summed on Python floats. :func:`gauss_legendre_expectation` averages
+:meth:`bctsim.protocol.SegmentTable.expectation` as NumPy arrays, its terms
+added exactly as fractions. :func:`gauss_legendre_expectation` averages
 :func:`bctsim.protocol.evaluate_bob` over theta by quadrature, the route that
 method sums in closed form.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -88,11 +89,11 @@ def keeps_c(table: pr.SegmentTable, theta: np.ndarray | None, coins) -> list[np.
 
 
 def array_expectation(table: pr.SegmentTable, coin_mode: pr.CoinMode = pr.CoinMode.INDEPENDENT) -> float:
-    """:meth:`bctsim.protocol.SegmentTable.expectation` as NumPy arrays over the segments, as it was summed before.
+    """:meth:`bctsim.protocol.SegmentTable.expectation` as NumPy arrays over the segments, summed exactly.
 
     The same closed forms, one ufunc call per term over all segments of a
-    two-axis table, and ``np.sum`` over their values; the float route must
-    equal it bit for bit.
+    two-axis table; their values are added exactly as ``Fraction``s and
+    rounded once, so the float route must equal it bit for bit.
     """
     lo = np.concatenate(([0.0], table.edges))
     hi = np.concatenate((table.edges, [THETA_SPAN]))
@@ -119,7 +120,7 @@ def array_expectation(table: pr.SegmentTable, coin_mode: pr.CoinMode = pr.CoinMo
         equal = length - gap(lo, cut) - gap(cut, hi)
     if table.negate[0] != table.negate[1]:
         equal = length - equal
-    return float(np.sum(equal)) / THETA_SPAN
+    return float(sum(map(Fraction, equal.tolist()))) / THETA_SPAN
 
 
 #: Gauss-Legendre nodes and weights on [-1, 1]; on a piece shorter than 3*pi/5 they integrate

@@ -40,11 +40,32 @@ class TestConfigValidation:
             dict(coin_mode="bogus"),
             dict(strategy="cyclic-flip"),
             dict(strategy=None),
+            # run sizes that are not integers: a bool, a float, a string
+            dict(trials=True),
+            dict(trials=1000.0),
+            dict(trials="1000"),
+            dict(seed=1.5),
+            dict(seed=np.float64(3.0)),
+            dict(seed=False),
+            dict(batch_size=500.0),
+            dict(batch_size=np.True_),
+            dict(workers=2.0),
+            dict(workers=True),
         ],
     )
     def test_bad_configs_rejected(self, kw):
         with pytest.raises(hn.ConfigError):
             make_config(**kw).validate()
+
+    def test_run_sizes_are_stored_as_python_ints(self):
+        """NumPy integers run and emit as the Python ints they equal."""
+        sizes = dict(trials=np.int64(2000), seed=np.uint64(3), batch_size=np.int32(512), workers=np.int64(2))
+        config = make_config(**sizes).validate()
+        assert [(type(getattr(config, k)), getattr(config, k)) for k in sizes] == [(int, int(v)) for v in sizes.values()]
+        got = hn.run_experiment(make_config(**sizes))
+        want = hn.run_experiment(make_config(trials=2000, seed=3, batch_size=512))
+        for fmt in ("csv", "json"):
+            assert hn.render_text(got, fmt) == hn.render_text(want, fmt)
 
     def test_theta_and_visibility_domains(self):
         with pytest.raises(hn.ConfigError):
@@ -184,6 +205,10 @@ class TestKernelsAgainstOracles:
         (dict(batch_size=-4096), "batch size must be positive"),
         (dict(seed=-1), "seed must be a non-negative 64-bit integer"),
         (dict(seed=2**64), "seed must be a non-negative 64-bit integer"),
+        (dict(trials=True), "trials must be an integer"),
+        (dict(trials=1000.0), "trials must be an integer"),
+        (dict(batch_size=500.0), "batch size must be an integer"),
+        (dict(seed=1.5), "seed must be an integer"),
     ])
     def test_estimators_check_their_run_sizes_as_validate_does(self, estimator, bad, message):
         """Each public estimator raises ``validate``'s ``ConfigError`` for a run it cannot draw."""

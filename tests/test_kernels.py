@@ -550,6 +550,24 @@ def test_table_matches_evaluate_bob_around_every_edge(a, axes, strategy):
 
 
 @pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
+def test_accept_is_evaluate_bobs_acceptance_at_a_float_and_over_an_array(a, axes, strategy):
+    """Per axis, ``SegmentTable.accept`` equals ``evaluate_bob``'s acceptance bit for bit, 1 on a constant axis.
+
+    An array theta gives float64 arrays of its shape, a float theta Python floats.
+    """
+    table = pr.segment_table(a, axes, strategy)
+    theta = np.union1d(_near([0.0, LAST_THETA, *table.edges], ulps=2), SPECIAL_THETAS)
+    got = table.accept(theta)
+    for j, b in enumerate(axes):
+        want, _ = _accept(a, b, theta, strategy)
+        assert (got[j].dtype, got[j].shape, got[j].tobytes()) == (want.dtype, want.shape, want.tobytes()), (a, b)
+        assert table.constant[j] is None or np.all(got[j] == 1.0), (a, b, strategy)
+    for i, t in enumerate(theta.tolist()):
+        at = table.accept(t)
+        assert [type(q) for q in at] == [float] * len(axes) and at == [q[i] for q in got], (a, axes, strategy, t)
+
+
+@pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
 def test_screen_decides_like_evaluate_bob_at_every_bin_boundary(a, axes, strategy):
     """Thetas a rounded bin index can send to either neighbouring bin, or past the last one."""
     table = pr.segment_table(a, axes, strategy)

@@ -739,7 +739,7 @@ def test_every_separator_angle_comes_from_one_formula(monkeypatch):
     for reach in (lambda: beta_boundary(1, theta), lambda: gamma_boundary(1, np.array([theta])),
                   lambda: pr.bob_round(0.0, pr.alice_round(PI / 2, pr.HiddenState.make(1, theta))[1],
                                        pr.HiddenState.make(1, theta), coin=0.5),
-                  lambda: pr.segment_table(PI / 2, (0.0,)).at(theta)):
+                  lambda: pr.segment_table(PI / 2, (0.0,)).accept(theta)):
         before = len(calls)
         reach()
         assert len(calls) == before + 1

@@ -124,7 +124,7 @@ def _assert_expectation_is_the_array_form(table: pr.SegmentTable, case) -> None:
 
 
 def test_two_axis_expectations_equal_the_array_form_bit_for_bit():
-    """The float route on every two-axis table of the fixture, against the NumPy form it replaced."""
+    """The float route on every two-axis table of the fixture, against the NumPy form summed exactly."""
     two_axis = [(a, axes, label) for group in cases().values() for a, axes, label in group if len(axes) == 2]
     assert len(two_axis) == 585
     for a, axes, label in two_axis:
@@ -132,7 +132,7 @@ def test_two_axis_expectations_equal_the_array_form_bit_for_bit():
 
 
 def seeded_frames() -> list[pr.SegmentTable]:
-    """Two-axis tables of seeded fields, 1 to 40 segments and a few above 128, so ``np.sum``'s order is exercised.
+    """Two-axis tables of seeded fields, 1 to 40 segments and a few above 128.
 
     The fixture's built two-axis tables have at most five segments; these
     are made directly, with random sorted edges, same-slot flags, offsets,
