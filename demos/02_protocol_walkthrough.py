@@ -22,7 +22,7 @@ theta = 0.35 * PI
 hidden = pr.HiddenState.make(+1, theta)
 c_a, msg = pr.alice_round(PI / 2, hidden)
 print(f"shared sign c = {hidden.c:+d}, shared angle theta = 0.35*pi")
-print(f"Alice output {c_a:+d}; message cell {msg.to_wire()} decoding to slots {msg.triple}")
+print(f"Alice output {c_a:+d}; message cell {msg.cell} decoding to slots {msg.triple}")
 
 print("\nBob at 0 (gamma system, same slot as Alice):")
 c_b1, rec1 = pr.bob_round(0.0, msg, hidden, strategy=pr.NO_FLIP, coin=0.42)

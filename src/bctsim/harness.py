@@ -74,6 +74,8 @@ VERSION = "0.1.0"
 
 #: the grid fields of a config; each is one ``--*-grid`` command-line flag
 GRIDS = ("angle_grid", "nu_grid", "theta_grid", "visibility_grid")
+#: the other config fields an experiment may not read, each at the default every experiment accepts
+_OPTIONS = {"strategy": NO_FLIP, "coin_mode": CoinMode.INDEPENDENT}
 
 
 class ConfigError(ValueError):
@@ -125,11 +127,12 @@ class ExperimentConfig:
         except ValueError:
             raise ConfigError(f"unknown coin mode {self.coin_mode!r}") from None
         spec = EXPERIMENTS[self.experiment]
-        for name in GRIDS:
-            flag = name.replace("_", "-")
-            if name in spec.grids and not getattr(self, name):
+        for name in (*GRIDS, *_OPTIONS):
+            flag, value = name.replace("_", "-"), getattr(self, name)
+            if name in spec.grids and not value:
                 raise ConfigError(f"experiment {self.experiment!r} requires a nonempty {flag}")
-            if getattr(self, name) and name not in spec.grids and name not in spec.optional_grids:
+            given = value != _OPTIONS[name] if name in _OPTIONS else value
+            if given and name not in spec.grids and name not in spec.optional_grids:
                 raise ConfigError(f"experiment {self.experiment!r} does not use {flag}")
         for nu in self.nu_grid:
             if not (0.0 <= nu <= NU_MAX):
@@ -593,14 +596,17 @@ class Experiment:
 
     ``grids`` maps each grid the experiment requires to the command line's
     default for it; ``optional_grids`` names the grids it reads when given,
-    and validation rejects any other nonempty grid. ``rows(config)`` yields,
-    per table row, the cells known before sampling and the row's streams as
-    ``{stream key: kernel}``; row ``i`` draws on key ``(i,)``, or ``(i, s)``
-    when it has several streams. The row's estimate and its standard error
-    come from tally cell ``hits`` of its first stream (:func:`_rate`);
-    ``finish(cells, tallies, estimate, stderr)`` returns the remaining
-    cells, with the flags as a list. Every row gets ``trials``, ``estimate``
-    and ``stderr`` cells, which a table without those columns drops. ``finish_table`` fills cells that depend on the whole table.
+    and the options of ``_OPTIONS`` it reads. Validation rejects any other
+    nonempty grid, and any other option off its default. ``rows(config)``
+    yields, per table row, the cells known before sampling and the row's
+    streams as ``{stream key: kernel}``; row ``i`` draws on key ``(i,)``, or
+    ``(i, s)`` when it has several streams. The row's estimate and its
+    standard error come from tally cell ``hits`` of its first stream
+    (:func:`_rate`); ``finish(cells, tallies, estimate, stderr)`` returns
+    the remaining cells, with the flags as a list. Every row gets
+    ``trials``, ``estimate`` and ``stderr`` cells, which a table without
+    those columns drops. ``finish_table`` fills cells that depend on the
+    whole table.
     """
 
     name: str
@@ -621,26 +627,26 @@ EXPERIMENTS = {spec.name: spec for spec in (
     Experiment("correlation", "equal-outcome rate vs the cos^2 law over an angle grid",
                dict(angle_grid=_ANGLES),
                ("angle", "trials", "estimate", "stderr", "oracle", "deviation", "flags"),
-               KEPT_1, _correlation_rows, _cos2_finish),
+               KEPT_1, _correlation_rows, _cos2_finish, optional_grids=("strategy",)),
     Experiment("opposite-axes", "equal outputs on antipodal axes vs the closed form over a nu grid",
                dict(nu_grid="0:0.6283185307179586:11"),
                ("nu", "trials", "estimate", "stderr", "closed_form", "deviation", "flags"),
-               EQUAL, _opposite_axes_rows, _opposite_axes_finish),
+               EQUAL, _opposite_axes_rows, _opposite_axes_finish, optional_grids=("strategy", "coin_mode")),
     Experiment("visibility", "visibility arithmetic and its erasure simulation over a (V, nu) grid",
                dict(visibility_grid="0.5:1:6", nu_grid=_NU_MID),
                ("visibility", "nu", "trials", "estimate", "stderr", "p_effective", "p_peff1", "p_peff2",
                 "p_peff_total", "v_threshold", "deviation", "flags"),
-               EQUAL_IN_WINDOWS, _visibility_rows, _visibility_finish),
+               EQUAL_IN_WINDOWS, _visibility_rows, _visibility_finish, optional_grids=("strategy", "coin_mode")),
     Experiment("audit", "per-theta conservation-law audit with conditioned replays",
                dict(theta_grid="0.9424777960769379:1.5707963267948966:21"),
                ("nu", "theta", "trials", "p_same_forward", "p_anti_reversed", "mc_forward", "mc_forward_stderr",
                 "mc_anti_reversed", "mc_anti_reversed_stderr", "violation", "flags"),
-               KEPT_1, _audit_rows, _audit_finish, optional_grids=("nu_grid",)),
+               KEPT_1, _audit_rows, _audit_finish, optional_grids=("nu_grid", "strategy")),
     Experiment("remedy", "reflection remedies: anomaly rate and correlation damage per reading",
                dict(nu_grid=_NU_MID),
                ("nu", "theta", "flip_rule", "coin_mode", "trials", "estimate", "stderr",
                 "ab2_estimate", "ab2_oracle", "ab2_deviation", "flags"),
-               EQUAL, _remedy_rows, _remedy_finish, optional_grids=("theta_grid",)),
+               EQUAL, _remedy_rows, _remedy_finish, optional_grids=("theta_grid", "strategy")),
     Experiment("calibrate", "score every reflection reading against the cos^2 law",
                dict(angle_grid=_ANGLES),
                ("strategy", "flip_semantics", "angle", "trials", "estimate", "stderr",

@@ -116,7 +116,8 @@ class Strategy:
     Each strategy carries its rule's fire table ``_fires``, built once per
     rule when the module loads (a strategy is built in microseconds), and
     ``_terminate``, whether a fired reflection ends the round: what
-    :func:`_bob_axis` reads. ``_values`` holds the two value strings a
+    :func:`_bob_axis` reads. The table is the one route to whether the
+    reflection fires. ``_values`` holds the two value strings a
     :class:`TrialRecord` ends with. None is a field, so equality, hashing,
     ``repr`` and ``replace`` read only the rule and its semantics, and
     ``replace`` gives the new strategy its own rule's table.
@@ -134,20 +135,18 @@ class Strategy:
         object.__setattr__(self, "_values", (self.flip_rule.value, self.flip_semantics.value))
 
     def flip_fires(self, alice_alpha: int, bob_alpha: int) -> bool:
-        """Whether the reflection fires for the given alpha slot indices."""
-        return _flip_fires(self.flip_rule, alice_alpha, bob_alpha)
+        """The fire table's entry at these alpha slots; ``ValueError`` under every rule unless both are ints in 0..9."""
+        if not all(isinstance(j, (int, np.integer)) and 0 <= j <= 9 for j in (alice_alpha, bob_alpha)):
+            raise ValueError(f"alpha slot indices must lie in 0..9, got ({alice_alpha}, {bob_alpha})")
+        return self._fires[alice_alpha][bob_alpha]
 
 
-def _flip_fires(rule: FlipRule, alice_alpha: int, bob_alpha: int) -> bool:
-    """:meth:`Strategy.flip_fires` under ``rule``."""
-    if rule is FlipRule.DISABLED:
-        return False
-    d = abs(alice_alpha - bob_alpha)
-    return d > 2 if rule is FlipRule.ABSOLUTE else alpha_slot_cyclic_difference(alice_alpha, bob_alpha) > 2
-
-
-#: per rule, its fire table: :func:`_flip_fires` for Alice's alpha slot ``i`` and Bob's ``j``, both in 0..9
-_FIRES = {rule: tuple(tuple(_flip_fires(rule, i, j) for j in range(10)) for i in range(10)) for rule in FlipRule}
+#: per rule, its fire table: the rule's own test at Alice's alpha slot ``i`` and Bob's ``j``, both in 0..9
+_FIRES = {rule: tuple(tuple(fires(i, j) for j in range(10)) for i in range(10)) for rule, fires in (
+    (FlipRule.DISABLED, lambda i, j: False),
+    (FlipRule.ABSOLUTE, lambda i, j: abs(i - j) > 2),
+    (FlipRule.CYCLIC, lambda i, j: alpha_slot_cyclic_difference(i, j) > 2),
+)}
 #: no reflection; reproduces the two-Bob walkthrough geometry
 NO_FLIP = Strategy(FlipRule.DISABLED, FlipSemantics.CONTINUE)
 #: reflection on cyclic slot distance > 2, continuing on the reflected axis
@@ -236,14 +235,6 @@ class SlotMessage:
     beta_slot: int
     gamma_slot: int
 
-    def to_wire(self) -> int:
-        """The transmitted value: a single integer in 0..15."""
-        return self.cell
-
-    def to_debug(self) -> dict:
-        """Diagnostic serialization carrying the decoded slot triple."""
-        return dict(vars(self))  # fields in declaration order
-
     @property
     def triple(self) -> tuple[int, int, int]:
         return (self.alpha_slot, self.beta_slot, self.gamma_slot)
@@ -274,9 +265,6 @@ class TrialRecord:
     accept_prob: float  # pre-negation probability of keeping c
     flip_rule: str
     flip_semantics: str
-
-    def to_json_dict(self) -> dict:
-        return {**vars(self), "message": self.message.to_debug()}  # fields in declaration order
 
     def to_json(self) -> str:
         """The record as JSON: byte for byte ``json.dumps(dataclasses.asdict(self), allow_nan=True)``.
@@ -352,9 +340,8 @@ def _bob_axis(alice_alpha: int, b: float, strategy: Strategy) -> tuple[float, bo
     All three are theta-free. Each caller normalizes ``b`` once, at its
     entry; a reflection adds pi and wraps once (``geometry._separator``).
     Whether it fires, and whether it terminates, come from the strategy's
-    fire table; an ``alice_alpha`` that is not an int in 0..9 takes
-    :meth:`Strategy.flip_fires` itself, with its results and errors (the
-    cyclic rule raises ``ValueError`` there, the others do not). A
+    fire table, read directly for an int ``alice_alpha`` in 0..9 and else
+    through :meth:`Strategy.flip_fires`, which raises ``ValueError``. A
     terminating reflection gives the system ``"none"``: Bob outputs ``-c``
     with no slot test, so neither the branch step (:func:`_branch`) nor the
     acceptance runs. A step then reads the values of :data:`_NO_SEPARATOR`,

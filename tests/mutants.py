@@ -4,7 +4,9 @@ Each :class:`Mutant` names a file, a text that occurs in it exactly once, the
 text that replaces it, and what the fault breaks. ``python tests/mutants.py``,
 from any directory, copies the repository (without ``.git``) to a temporary
 directory, checks that the unmutated copy passes Tier-1, and then, for each
-mutant, applies it to a fresh copy and runs Tier-1 there with ``-x``. The
+mutant, applies it to a fresh copy and runs Tier-1 there with ``-x``.
+``python tests/mutants.py WORD ...`` runs only the mutants whose description
+(``why``) contains one of the words, still after the unmutated check. The
 mutant is killed when the suite fails. Tier-1's output is captured: for a
 killed mutant, and for an unmutated copy that fails, the runner prints the
 node id of the first failing test, from pytest's ``FAILED`` (or ``ERROR``)
@@ -80,6 +82,18 @@ MUTANTS = (
            "_FRAME_AXES = (WALKTHROUGH_B1, WALKTHROUGH_B1 - math.pi)",
            "the frame's second axis is spelled b1 - pi",
            equivalent="every caller normalizes Bob's axis at entry, and -pi normalizes to pi exactly"),
+    Mutant("src/bctsim/geometry.py", "map(operator.le, bounds", "map(operator.lt, bounds",
+           "the array slot rule ranks an angle on a bound below it (side='left')"),
+    Mutant("src/bctsim/geometry.py", "return bisect_right(bounds, x)",
+           "return bisect_right(bounds, x) - (x in bounds)",
+           "the float slot rule ranks an angle on a bound below it (side='left')"),
+    Mutant("src/bctsim/geometry.py", "return y - TWO_PI * (y >= TWO_PI)", "return y",
+           "normalizing leaves an angle that rounds up onto a full turn at 2*pi instead of folding it to 0"),
+    Mutant("src/bctsim/protocol.py", "y = big if low < 0.0 else math.nextafter(big, math.inf)",
+           "y = math.nextafter(big, math.inf)",
+           "a table edge's least double above x + 2*pi skips the rounded sum when that sum rounds up"),
+    Mutant("src/bctsim/protocol.py", "alpha_slot_cyclic_difference(i, j) > 2", "alpha_slot_cyclic_difference(i, j) >= 2",
+           "the cyclic reflection rule's fire table also fires at a cyclic distance of exactly 2"),
 )
 
 
@@ -119,14 +133,19 @@ def _run(mutant: Mutant | None) -> tuple[str | None, float]:
         return (_first_failure(done.stdout + done.stderr) if done.returncode != 0 else None), seconds
 
 
-def main() -> int:
+def main(words: list[str]) -> int:
+    """Check the unmutated copy, then run every mutant whose ``why`` contains one of ``words``, or all without words."""
+    mutants = [m for m in MUTANTS if not words or any(word in m.why for word in words)]
+    if not mutants:
+        print(f"no mutant's description contains any of {words}")
+        return 1
     failure, seconds = _run(None)
     print(f"unmutated copy: Tier-1 {'FAILS' if failure else 'passes'} in {seconds:.1f} s", flush=True)
     if failure:
         print(f"    first failure: {failure}")
         return 1
     wrong = 0
-    for mutant in MUTANTS:
+    for mutant in mutants:
         failure, seconds = _run(mutant)
         killed, expected = failure is not None, mutant.equivalent is None
         wrong += killed != expected
@@ -135,9 +154,9 @@ def main() -> int:
               f"{mutant.path}: {mutant.why}{note}", flush=True)
         if killed:
             print(f"    first failure: {failure}", flush=True)
-    print(f"{len(MUTANTS)} mutants, {wrong} with the wrong verdict")
+    print(f"{len(mutants)} mutants, {wrong} with the wrong verdict")
     return 1 if wrong else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

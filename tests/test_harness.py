@@ -40,6 +40,14 @@ class TestConfigValidation:
             dict(coin_mode="bogus"),
             dict(strategy="cyclic-flip"),
             dict(strategy=None),
+            # an option the experiment never reads: a coin mode off independent, a reflection reading on calibrate
+            dict(experiment="correlation", nu_grid=(), angle_grid=(0.1,), coin_mode="shared"),
+            dict(experiment="audit", theta_grid=(1.0,), coin_mode=pr.CoinMode.SHARED),
+            dict(experiment="remedy", coin_mode="shared"),
+            dict(experiment="calibrate", nu_grid=(), angle_grid=(0.1,), coin_mode="shared"),
+            dict(experiment="calibrate", nu_grid=(), angle_grid=(0.1,), strategy=pr.ABS_FLIP),
+            dict(experiment="calibrate", nu_grid=(), angle_grid=(0.1,),
+                 strategy=pr.Strategy(flip_semantics=pr.FlipSemantics.TERMINATE)),
             # run sizes that are not integers: a bool, a float, a string
             dict(trials=True),
             dict(trials=1000.0),
@@ -450,6 +458,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "does not use theta-grid" in captured.err
+
+    @pytest.mark.parametrize("argv", (["correlation", "--coin", "shared"], ["calibrate", "--strategy", "abs-flip"],
+                                      ["calibrate", "--flip-semantics", "terminate"], ["remedy", "--coin", "shared"]))
+    def test_unused_options_exit_2(self, argv, capsys):
+        code = cli.main([*argv, "--trials", "1000"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not use" in captured.err
 
     def test_bad_output_path_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "x.csv"
