@@ -182,17 +182,13 @@ def _check_theta(theta: float) -> None:
 
 
 def _cell_and_triple(x: float, theta: float) -> tuple[int, tuple[int, int, int]]:
-    """Cell index and slot triple of ``x``, as Python ints."""
-    _check_theta(theta)
-    return _ranked(normalize_angle(float(x)), theta)
+    """Cell index and slot triple of ``x``, as Python ints; the gamma rank counts ``s - 2*pi`` while < 0.
 
-
-def _ranked(x: float, theta: float) -> tuple[int, tuple[int, int, int]]:
-    """:func:`_cell_and_triple` of a Python float ``x`` in ``[0, 2*pi)``; the gamma rank counts ``s - 2*pi`` while < 0.
-
-    ``theta`` has passed ``_check_theta``, so the three bound tuples ascend
+    Once ``theta`` has passed ``_check_theta``, the three bound tuples ascend
     and hold no NaN, and ``bisect_right`` counts as :func:`_rank` does.
     """
+    _check_theta(theta)
+    x = normalize_angle(float(x))
     beta, gamma = _beta_bounds(theta), _gamma_bounds(theta)
     r_alpha, r_beta, r_gamma = bisect_right(_ALPHA_BOUNDS, x), bisect_right(beta, x), bisect_right(gamma, x)
     cell = r_alpha + r_beta + r_gamma - (2 if gamma[3] < TWO_PI else 1)  # 0.0 is a boundary, so >= 0

@@ -74,8 +74,10 @@ VERSION = "0.1.0"
 
 #: the grid fields of a config; each is one ``--*-grid`` command-line flag
 GRIDS = ("angle_grid", "nu_grid", "theta_grid", "visibility_grid")
-#: the other config fields an experiment may not read, each at the default every experiment accepts
-_OPTIONS = {"strategy": NO_FLIP, "coin_mode": CoinMode.INDEPENDENT}
+#: the option parts an experiment may not read, each by its flag: is it off the default every experiment accepts?
+_OPTIONS = {"strategy": lambda config: config.strategy.flip_rule != FlipRule.DISABLED,
+            "flip_semantics": lambda config: config.strategy.flip_semantics != FlipSemantics.CONTINUE,
+            "coin": lambda config: config.coin_mode != CoinMode.INDEPENDENT}
 
 
 class ConfigError(ValueError):
@@ -128,10 +130,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown coin mode {self.coin_mode!r}") from None
         spec = EXPERIMENTS[self.experiment]
         for name in (*GRIDS, *_OPTIONS):
-            flag, value = name.replace("_", "-"), getattr(self, name)
-            if name in spec.grids and not value:
+            flag, given = name.replace("_", "-"), _OPTIONS[name](self) if name in _OPTIONS else getattr(self, name)
+            if name in spec.grids and not given:
                 raise ConfigError(f"experiment {self.experiment!r} requires a nonempty {flag}")
-            given = value != _OPTIONS[name] if name in _OPTIONS else value
             if given and name not in spec.grids and name not in spec.optional_grids:
                 raise ConfigError(f"experiment {self.experiment!r} does not use {flag}")
         for nu in self.nu_grid:
@@ -434,34 +435,43 @@ def _cos2_finish(cells, tallies, est, se) -> dict:
     return dict(deviation=dev, flags=["deviates-from-oracle-4se"] if se > 0 and dev > 4 * se else [])
 
 
-def _correlation_rows(config):
-    """Equal-outcome rate versus the exact cos^2 law over an angle grid.
+def _cos2_rows(config, readings):
+    """Equal-outcome rate versus the exact cos^2 law, per ``(label, strategy)`` of ``readings`` and angle of the grid.
 
     The second setting is pinned at 0 (the frame convention); the grid values
     are the first party's angles, so the separation equals the grid value up
     to the shorter-arc fold.
     """
-    for i, ang in enumerate(config.angle_grid):
+    for i, ((label, strategy), ang) in enumerate(itertools.product(readings, config.angle_grid)):
         a = normalize_angle(ang)
-        yield (dict(angle=a, oracle=qm.prob_equal(a, 0.0)),
-               {(i,): _kernel(segment_table(a, (0.0,), config.strategy))})
+        cells = dict(strategy=label, flip_semantics=strategy.flip_semantics.value, angle=a,
+                     oracle=qm.prob_equal(a, 0.0))
+        yield cells, {(i,): _kernel(segment_table(a, (0.0,), strategy))}
 
 
-def _opposite_axes_rows(config):
-    """Antipodal-pair equal-output rate versus the window-only closed form.
+def _frame_rows(config, visibilities):
+    """Equal outputs on the frame's two antipodal axes, per visibility of ``visibilities`` and nu of the grid.
 
-    The raw estimate includes coincidences from shared angles outside the two
-    deterministic windows, so it generically exceeds the closed form; the
-    flags column carries the in-window estimate and the outside-window excess
-    whenever the gap is significant.
+    Each row also counts those with the shared angle inside the two
+    deterministic windows. A visibility of None erases nothing; any other
+    counts only the trials in which both sides survived erasure.
     """
-    for i, nu in enumerate(config.nu_grid):
-        yield (dict(nu=nu, closed_form=p_opposite_equal_closed(nu).p_total),
-               {(i,): _kernel(_frame_table(nu, config.strategy), config.coin_mode, windows=interval_windows(nu))})
+    for i, (v, nu) in enumerate(itertools.product(visibilities, config.nu_grid)):
+        kernel = _kernel(_frame_table(nu, config.strategy), config.coin_mode, visibility=v,
+                         windows=interval_windows(nu))
+        yield dict(visibility=v, nu=nu), {(i,): kernel}
 
 
 def _opposite_axes_finish(cells, tallies, est, se) -> dict:
-    tally, nu, closed = tallies[0], cells["nu"], cells["closed_form"]
+    """The window-only closed form and the deviation from it.
+
+    The raw estimate includes coincidences from shared angles outside the two
+    deterministic windows, so it generically exceeds the closed form; the
+    flags carry the in-window estimate and the outside-window excess
+    whenever the gap is significant.
+    """
+    tally, nu = tallies[0], cells["nu"]
+    closed = p_opposite_equal_closed(nu).p_total
     flags = []
     if se > 0 and est - closed > 4 * se:
         in_win = _rate(tally, EQUAL_IN_WINDOWS)[0]
@@ -470,24 +480,14 @@ def _opposite_axes_finish(cells, tallies, est, se) -> dict:
                   f"outside-windows-excess={outside:.6g}"]
     if min(abs(nu), abs(nu - NU_MAX)) < 1e-12:
         flags += ["endpoint-minimum-reported=0.071", f"endpoint-formula={closed:.6g}"]
-    return dict(deviation=abs(est - closed), flags=flags)
-
-
-def _visibility_rows(config):
-    """Visibility arithmetic and its erasure-model simulation over a (V, nu) grid.
-
-    The estimate counts trials that survived erasure with equal outputs
-    inside the two windows.
-    """
-    for i, (v, nu) in enumerate(itertools.product(config.visibility_grid, config.nu_grid)):
-        table = _frame_table(nu, config.strategy)
-        kernel = _kernel(table, config.coin_mode, visibility=v, windows=interval_windows(nu))
-        yield asdict(visibility_report(v, nu)), {(i,): kernel}
+    return dict(closed_form=closed, deviation=abs(est - closed), flags=flags)
 
 
 def _visibility_finish(cells, tallies, est, se) -> dict:
-    return dict(deviation=abs(est - cells["p_effective"]),
-                flags=["below-threshold"] if cells["visibility"] < cells["v_threshold"] else [])
+    """The visibility arithmetic of the row's (V, nu) point, against the surviving equal outputs inside the windows."""
+    report = visibility_report(cells["visibility"], cells["nu"])
+    return dict(asdict(report), deviation=abs(est - report.p_effective),
+                flags=["below-threshold"] if report.visibility < report.v_threshold else [])
 
 
 def _audit_rows(config):
@@ -568,21 +568,8 @@ CALIBRATION_VARIANTS = (
 )
 
 
-def _calibration_rows(config):
-    """Which reading of the reflection step best matches the cos^2 law?
-
-    Sweeps every strategy variant over the angle grid; each row is stamped
-    with its variant's maximum deviation, so the winner is read off the
-    table directly.
-    """
-    for i, ((label, strategy), ang) in enumerate(itertools.product(CALIBRATION_VARIANTS, config.angle_grid)):
-        a = normalize_angle(ang)
-        cells = dict(strategy=label, flip_semantics=strategy.flip_semantics.value, angle=a,
-                     oracle=qm.prob_equal(a, 0.0))
-        yield cells, {(i,): _kernel(segment_table(a, (0.0,), strategy))}
-
-
 def _stamp_max_deviation(rows: list[dict]) -> None:
+    """Stamp each row with its variant's maximum deviation, so the reading that best matches cos^2 is read off."""
     worst = {}
     for r in rows:
         worst[r["strategy"]] = max(worst.get(r["strategy"], r["deviation"]), r["deviation"])
@@ -596,17 +583,18 @@ class Experiment:
 
     ``grids`` maps each grid the experiment requires to the command line's
     default for it; ``optional_grids`` names the grids it reads when given,
-    and the options of ``_OPTIONS`` it reads. Validation rejects any other
-    nonempty grid, and any other option off its default. ``rows(config)``
-    yields, per table row, the cells known before sampling and the row's
-    streams as ``{stream key: kernel}``; row ``i`` draws on key ``(i,)``, or
-    ``(i, s)`` when it has several streams. The row's estimate and its
-    standard error come from tally cell ``hits`` of its first stream
-    (:func:`_rate`); ``finish(cells, tallies, estimate, stderr)`` returns
-    the remaining cells, with the flags as a list. Every row gets
-    ``trials``, ``estimate`` and ``stderr`` cells, which a table without
-    those columns drops. ``finish_table`` fills cells that depend on the
-    whole table.
+    and the option parts of ``_OPTIONS`` it reads, each by its flag.
+    Validation rejects any other nonempty grid, and any other option part
+    off its default. ``rows(config)`` yields, per table row, the cells known
+    before sampling and the row's streams as ``{stream key: kernel}``; row
+    ``i`` draws on key ``(i,)``, or ``(i, s)`` when it has several streams.
+    The row's estimate and its standard error come from tally cell ``hits``
+    of its first stream (:func:`_rate`); ``finish(cells, tallies, estimate,
+    stderr)`` returns the remaining cells, the experiment's reference
+    columns among them, with the flags as a list. Every row gets ``trials``,
+    ``estimate`` and ``stderr`` cells, and a table drops every cell it has
+    no column for. ``finish_table`` fills cells that depend on the whole
+    table.
     """
 
     name: str
@@ -627,31 +615,34 @@ EXPERIMENTS = {spec.name: spec for spec in (
     Experiment("correlation", "equal-outcome rate vs the cos^2 law over an angle grid",
                dict(angle_grid=_ANGLES),
                ("angle", "trials", "estimate", "stderr", "oracle", "deviation", "flags"),
-               KEPT_1, _correlation_rows, _cos2_finish, optional_grids=("strategy",)),
+               KEPT_1, lambda config: _cos2_rows(config, ((None, config.strategy),)), _cos2_finish,
+               optional_grids=("strategy", "flip_semantics")),
     Experiment("opposite-axes", "equal outputs on antipodal axes vs the closed form over a nu grid",
                dict(nu_grid="0:0.6283185307179586:11"),
                ("nu", "trials", "estimate", "stderr", "closed_form", "deviation", "flags"),
-               EQUAL, _opposite_axes_rows, _opposite_axes_finish, optional_grids=("strategy", "coin_mode")),
+               EQUAL, lambda config: _frame_rows(config, (None,)), _opposite_axes_finish,
+               optional_grids=("strategy", "flip_semantics", "coin")),
     Experiment("visibility", "visibility arithmetic and its erasure simulation over a (V, nu) grid",
                dict(visibility_grid="0.5:1:6", nu_grid=_NU_MID),
                ("visibility", "nu", "trials", "estimate", "stderr", "p_effective", "p_peff1", "p_peff2",
                 "p_peff_total", "v_threshold", "deviation", "flags"),
-               EQUAL_IN_WINDOWS, _visibility_rows, _visibility_finish, optional_grids=("strategy", "coin_mode")),
+               EQUAL_IN_WINDOWS, lambda config: _frame_rows(config, config.visibility_grid), _visibility_finish,
+               optional_grids=("strategy", "flip_semantics", "coin")),
     Experiment("audit", "per-theta conservation-law audit with conditioned replays",
                dict(theta_grid="0.9424777960769379:1.5707963267948966:21"),
                ("nu", "theta", "trials", "p_same_forward", "p_anti_reversed", "mc_forward", "mc_forward_stderr",
                 "mc_anti_reversed", "mc_anti_reversed_stderr", "violation", "flags"),
-               KEPT_1, _audit_rows, _audit_finish, optional_grids=("nu_grid", "strategy")),
+               KEPT_1, _audit_rows, _audit_finish, optional_grids=("nu_grid", "strategy", "flip_semantics")),
     Experiment("remedy", "reflection remedies: anomaly rate and correlation damage per reading",
                dict(nu_grid=_NU_MID),
                ("nu", "theta", "flip_rule", "coin_mode", "trials", "estimate", "stderr",
                 "ab2_estimate", "ab2_oracle", "ab2_deviation", "flags"),
-               EQUAL, _remedy_rows, _remedy_finish, optional_grids=("theta_grid", "strategy")),
+               EQUAL, _remedy_rows, _remedy_finish, optional_grids=("theta_grid", "flip_semantics")),
     Experiment("calibrate", "score every reflection reading against the cos^2 law",
                dict(angle_grid=_ANGLES),
                ("strategy", "flip_semantics", "angle", "trials", "estimate", "stderr",
                 "oracle", "deviation", "strategy_max_deviation", "flags"),
-               KEPT_1, _calibration_rows, _cos2_finish, _stamp_max_deviation),
+               KEPT_1, lambda config: _cos2_rows(config, CALIBRATION_VARIANTS), _cos2_finish, _stamp_max_deviation),
 )}
 
 

@@ -94,6 +94,13 @@ MUTANTS = (
            "a table edge's least double above x + 2*pi skips the rounded sum when that sum rounds up"),
     Mutant("src/bctsim/protocol.py", "alpha_slot_cyclic_difference(i, j) > 2", "alpha_slot_cyclic_difference(i, j) >= 2",
            "the cyclic reflection rule's fire table also fires at a cyclic distance of exactly 2"),
+    Mutant("src/bctsim/harness.py", "_cos2_rows(config, ((None, config.strategy),))",
+           "_cos2_rows(config, ((None, NO_FLIP),))", "the correlation experiment samples NO_FLIP whatever its strategy"),
+    Mutant("src/bctsim/harness.py", 'optional_grids=("theta_grid", "flip_semantics")',
+           'optional_grids=("theta_grid", "strategy", "flip_semantics")',
+           "remedy's declaration also names the reflection rule, which its rows sweep themselves"),
+    Mutant("src/bctsim/harness.py", "config.coin_mode, visibility=v,", "config.coin_mode, visibility=None,",
+           "the visibility experiment's rows are sampled without erasure"),
 )
 
 

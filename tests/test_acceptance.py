@@ -184,8 +184,7 @@ def test_criterion_09_remedy_analysis():
     )
     assert est_shared == 0.0
     cfg = hn.ExperimentConfig(
-        experiment="remedy", trials=1_000_000, seed=209,
-        strategy=pr.CYCLIC_FLIP, nu_grid=(PI / 10,),
+        experiment="remedy", trials=1_000_000, seed=209, nu_grid=(PI / 10,),
     )
     shared_row = next(
         r for r in hn.run_experiment(cfg).rows

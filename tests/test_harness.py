@@ -59,11 +59,19 @@ class TestConfigValidation:
             dict(batch_size=np.True_),
             dict(workers=2.0),
             dict(workers=True),
+            # remedy sweeps the reflection rules itself, so it reads no rule off the default
+            dict(experiment="remedy", strategy=pr.CYCLIC_FLIP),
+            dict(experiment="remedy", strategy=pr.ABS_FLIP),
         ],
     )
     def test_bad_configs_rejected(self, kw):
         with pytest.raises(hn.ConfigError):
             make_config(**kw).validate()
+
+    def test_remedy_reads_the_flip_semantics(self):
+        """Remedy plays every reflection rule under the config's semantics, so a terminating reading validates."""
+        terminate = pr.Strategy(pr.FlipRule.DISABLED, pr.FlipSemantics.TERMINATE)
+        make_config(experiment="remedy", strategy=terminate).validate()
 
     def test_run_sizes_are_stored_as_python_ints(self):
         """NumPy integers run and emit as the Python ints they equal."""
@@ -460,13 +468,15 @@ class TestCli:
         assert "does not use theta-grid" in captured.err
 
     @pytest.mark.parametrize("argv", (["correlation", "--coin", "shared"], ["calibrate", "--strategy", "abs-flip"],
-                                      ["calibrate", "--flip-semantics", "terminate"], ["remedy", "--coin", "shared"]))
+                                      ["calibrate", "--flip-semantics", "terminate"], ["remedy", "--coin", "shared"],
+                                      ["remedy", "--strategy", "cyclic-flip"], ["remedy", "--strategy", "abs-flip"]))
     def test_unused_options_exit_2(self, argv, capsys):
+        """The message names the option as its flag spells it, without the dashes."""
         code = cli.main([*argv, "--trials", "1000"])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "does not use" in captured.err
+        assert f"does not use {argv[1].lstrip('-')}" in captured.err
 
     def test_bad_output_path_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "x.csv"
