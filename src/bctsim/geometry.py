@@ -24,6 +24,10 @@ rank of an angle under the same rule over all sixteen floats, less one: the
 sum of its ranks in the three systems, which also give the triple.
 Coinciding boundaries (``theta`` a multiple of ``pi/5``) leave empty cells,
 which no angle lands in.
+
+Only this module knows where the beta and gamma boundaries sit: ``_OFFSETS``
+holds each system's offsets, and :func:`_flip_points` finds the shared
+angles at which an angle's slot changes, the edges of a segment table.
 """
 
 from __future__ import annotations
@@ -46,8 +50,6 @@ __all__ = [
     "alpha_slot_of",
     "beta_slot_of",
     "gamma_slot_of",
-    "beta_boundary",
-    "gamma_boundary",
     "alpha_slot_cyclic_difference",
     "slot_triple",
     "cell_index",
@@ -62,6 +64,10 @@ THETA_SPAN = 3.0 * math.pi / 5.0
 BETA_OFFSETS = (0.0, 3.0 * math.pi / 5.0, 6.0 * math.pi / 5.0)
 #: gamma_k = theta + GAMMA_OFFSETS[k]; each equals the beta offset plus pi (mod 2*pi)
 GAMMA_OFFSETS = (math.pi, 8.0 * math.pi / 5.0, math.pi / 5.0)
+#: each system's boundary offsets, by the system's name
+_OFFSETS = {"beta": BETA_OFFSETS, "gamma": GAMMA_OFFSETS}
+#: the largest shared angle a round can draw
+_LAST_THETA = float(np.nextafter(THETA_SPAN, 0.0))
 
 
 def _normalize(x):
@@ -142,10 +148,6 @@ def _gamma_bounds(theta):  # the four values of gamma_slot_of; the three in [0, 
     return s - TWO_PI, theta + GAMMA_OFFSETS[2], theta + GAMMA_OFFSETS[0], s
 
 
-_BETA_OFFSETS = np.array(BETA_OFFSETS)
-_GAMMA_OFFSETS = np.array(GAMMA_OFFSETS)
-
-
 def _separator(theta, offset):
     """``normalize_angle(theta + offset)`` for non-negative floats or arrays whose sum is below ``4*pi``.
 
@@ -158,14 +160,57 @@ def _separator(theta, offset):
     return b - TWO_PI * (b >= TWO_PI)
 
 
-def beta_boundary(k, theta):
-    """Angle of boundary ``beta_k`` for offset ``theta`` (arrays broadcast)."""
-    return _separator(theta, _BETA_OFFSETS[k])
+#: per system, each bound of its slot function as ``(offset, shift)``: the bound
+#: ``theta + offset - shift``, where the shift 2*pi makes gamma's wrapped ``s - 2*pi``
+_SLOT_BOUNDS = {
+    "beta": ((0.0, 0.0), (BETA_OFFSETS[1], 0.0), (BETA_OFFSETS[2], 0.0)),
+    "gamma": ((GAMMA_OFFSETS[1], TWO_PI), (GAMMA_OFFSETS[2], 0.0), (GAMMA_OFFSETS[0], 0.0), (GAMMA_OFFSETS[1], 0.0)),
+}
 
 
-def gamma_boundary(k, theta):
-    """Angle of boundary ``gamma_k`` for offset ``theta`` (arrays broadcast)."""
-    return _separator(theta, _GAMMA_OFFSETS[k])
+def _two_sum(a, b):
+    """``(s, e)`` with ``s = fl(a + b)`` and ``s + e == a + b`` exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _flip_points(tests) -> list[float]:
+    """Exact shared angles in ``(0, 3*pi/5)`` where the slot of ``x`` in ``system`` changes, per ``(x, system)``.
+
+    The slot is the rank of the normalized ``x`` among the system's bound
+    floats, each nondecreasing in theta, so it changes exactly where one
+    bound ``fl(theta + o)`` first exceeds ``X``: ``X = x``, or the real
+    ``x + 2*pi`` for the wrapped ``s - 2*pi`` (exact by Sterbenz). With ``Y``
+    the least double above ``X`` and ``M`` the midpoint below ``Y``, that
+    happens at the least double ``t >= M - o``, found by TwoSum on Python
+    floats, or at the next float when ``theta + o = M`` rounds to even
+    below. The slot rule itself certifies every crossing, in three calls on
+    Python floats, below, at and above ``t``: the crossing is the first of
+    the floats whose slot differs from the float below it.
+    """
+    flips = []
+    for system, slot_of in (("beta", beta_slot_of), ("gamma", gamma_slot_of)):
+        for x in {normalize_angle(float(x)) for x, s in tests if s == system}:
+            for o, shift in _SLOT_BOUNDS[system]:
+                big, low = _two_sum(x, shift)  # X = big + low
+                y = big if low < 0.0 else math.nextafter(big, math.inf)
+                h, low = _two_sum(y, -o)
+                t, err = _two_sum(h, low - (y - math.nextafter(y, 0.0)) / 2.0)  # M = y - half an ulp
+                t = math.nextafter(t, math.inf) if err > 0.0 else t
+                # t, the least double >= M - o = (y - o) - g (g half the gap below y), is never 0: if y > o,
+                # o is at most the double below y, so y - o >= 2g and t > 0; else o >= y > 0 is an offset of at
+                # least pi/5, and M - o is at most minus half the gap below o, a double, so t < 0
+                if not 0.0 < t <= _LAST_THETA:  # the flip, t or the float above it, is outside (0, 3*pi/5)
+                    continue
+                up = math.nextafter(t, math.inf)
+                lo, at, hi = (slot_of(x, p) for p in (math.nextafter(t, -math.inf), t, up))
+                flip = t if at != lo else up
+                if flip <= _LAST_THETA:
+                    if at == lo and hi == at:
+                        raise RuntimeError(f"slot crossing fails its certificate at theta={flip!r}")
+                    flips.append(flip)
+    return flips
 
 
 def alpha_slot_cyclic_difference(j1: int, j2: int) -> int:

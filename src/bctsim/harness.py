@@ -50,7 +50,6 @@ from .protocol import (
     FlipSemantics,
     SegmentTable,
     Strategy,
-    p_equal_given_theta,
     segment_table,
 )
 
@@ -133,7 +132,7 @@ class ExperimentConfig:
             flag, given = name.replace("_", "-"), _OPTIONS[name](self) if name in _OPTIONS else getattr(self, name)
             if name in spec.grids and not given:
                 raise ConfigError(f"experiment {self.experiment!r} requires a nonempty {flag}")
-            if given and name not in spec.grids and name not in spec.optional_grids:
+            if given and name not in spec.grids and name not in spec.optional:
                 raise ConfigError(f"experiment {self.experiment!r} does not use {flag}")
         for nu in self.nu_grid:
             if not (0.0 <= nu <= NU_MAX):
@@ -534,8 +533,9 @@ def _remedy_rows(config):
     equal-output rate and the induced deviation of the second-axis
     correlation from the cos^2 law, plus a conditioned row (fixed theta) per
     theta grid value. Neither a table nor a conditioned oracle depends on the
-    coin mode, so each nu builds one table per flip rule and one oracle per
-    (flip rule, theta).
+    coin mode, so each nu builds one table per flip rule and reads one
+    oracle per (flip rule, theta) off it: Bob's acceptance on the second
+    axis, complemented where that axis negates.
     """
     b2 = _FRAME_AXES[1]
     i = itertools.count()
@@ -543,8 +543,10 @@ def _remedy_rows(config):
     for nu in config.nu_grid:
         a = alice_setting(nu)
         tables = {rule: _frame_table(nu, s) for rule, s in strategies.items()}
-        given = {(rule, theta): float(p_equal_given_theta(a, b2, theta, s))
-                 for (rule, s), theta in itertools.product(strategies.items(), config.theta_grid)}
+        given = {}
+        for rule, theta in itertools.product(strategies, config.theta_grid):
+            q = tables[rule].accept(theta)[1]
+            given[rule, theta] = 1.0 - q if tables[rule].negate[1] else q
         for (rule, coin_mode), theta in itertools.product(REMEDY_COMBOS, (None, *config.theta_grid)):
             oracle = qm.prob_equal(a, b2) if theta is None else given[rule, theta]
             cells = dict(nu=nu, theta=theta, flip_rule=rule.value, coin_mode=coin_mode.value, ab2_oracle=oracle)
@@ -582,8 +584,8 @@ class Experiment:
     """One experiment: its subcommand, grids, table columns and rows.
 
     ``grids`` maps each grid the experiment requires to the command line's
-    default for it; ``optional_grids`` names the grids it reads when given,
-    and the option parts of ``_OPTIONS`` it reads, each by its flag.
+    default for it; ``optional`` names the grids it reads when given, and
+    the option parts of ``_OPTIONS`` it reads, each by its flag.
     Validation rejects any other nonempty grid, and any other option part
     off its default. ``rows(config)`` yields, per table row, the cells known
     before sampling and the row's streams as ``{stream key: kernel}``; row
@@ -605,7 +607,7 @@ class Experiment:
     rows: Callable
     finish: Callable
     finish_table: Callable[[list[dict]], None] = lambda rows: None
-    optional_grids: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
 
 
 _NU_MID = "0.3141592653589793:0.3141592653589793:1"
@@ -616,28 +618,28 @@ EXPERIMENTS = {spec.name: spec for spec in (
                dict(angle_grid=_ANGLES),
                ("angle", "trials", "estimate", "stderr", "oracle", "deviation", "flags"),
                KEPT_1, lambda config: _cos2_rows(config, ((None, config.strategy),)), _cos2_finish,
-               optional_grids=("strategy", "flip_semantics")),
+               optional=("strategy", "flip_semantics")),
     Experiment("opposite-axes", "equal outputs on antipodal axes vs the closed form over a nu grid",
                dict(nu_grid="0:0.6283185307179586:11"),
                ("nu", "trials", "estimate", "stderr", "closed_form", "deviation", "flags"),
                EQUAL, lambda config: _frame_rows(config, (None,)), _opposite_axes_finish,
-               optional_grids=("strategy", "flip_semantics", "coin")),
+               optional=("strategy", "flip_semantics", "coin")),
     Experiment("visibility", "visibility arithmetic and its erasure simulation over a (V, nu) grid",
                dict(visibility_grid="0.5:1:6", nu_grid=_NU_MID),
                ("visibility", "nu", "trials", "estimate", "stderr", "p_effective", "p_peff1", "p_peff2",
                 "p_peff_total", "v_threshold", "deviation", "flags"),
                EQUAL_IN_WINDOWS, lambda config: _frame_rows(config, config.visibility_grid), _visibility_finish,
-               optional_grids=("strategy", "flip_semantics", "coin")),
+               optional=("strategy", "flip_semantics", "coin")),
     Experiment("audit", "per-theta conservation-law audit with conditioned replays",
                dict(theta_grid="0.9424777960769379:1.5707963267948966:21"),
                ("nu", "theta", "trials", "p_same_forward", "p_anti_reversed", "mc_forward", "mc_forward_stderr",
                 "mc_anti_reversed", "mc_anti_reversed_stderr", "violation", "flags"),
-               KEPT_1, _audit_rows, _audit_finish, optional_grids=("nu_grid", "strategy", "flip_semantics")),
+               KEPT_1, _audit_rows, _audit_finish, optional=("nu_grid", "strategy", "flip_semantics")),
     Experiment("remedy", "reflection remedies: anomaly rate and correlation damage per reading",
                dict(nu_grid=_NU_MID),
                ("nu", "theta", "flip_rule", "coin_mode", "trials", "estimate", "stderr",
                 "ab2_estimate", "ab2_oracle", "ab2_deviation", "flags"),
-               EQUAL, _remedy_rows, _remedy_finish, optional_grids=("theta_grid", "flip_semantics")),
+               EQUAL, _remedy_rows, _remedy_finish, optional=("theta_grid", "flip_semantics")),
     Experiment("calibrate", "score every reflection reading against the cos^2 law",
                dict(angle_grid=_ANGLES),
                ("strategy", "flip_semantics", "angle", "trials", "estimate", "stderr",

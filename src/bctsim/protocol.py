@@ -34,15 +34,11 @@ import numpy as np
 
 from . import geometry
 from .geometry import (
-    BETA_OFFSETS,
-    GAMMA_OFFSETS,
     THETA_SPAN,
     TWO_PI,
     alpha_slot_cyclic_difference,
     alpha_slot_of,
-    beta_boundary,
     beta_slot_of,
-    gamma_boundary,
     gamma_slot_of,
     normalize_angle,
 )
@@ -431,7 +427,7 @@ def _evaluate_axis(axis: tuple[float, bool, str], alice_beta_slot, alice_gamma_s
                                                          for v in _NO_SEPARATOR)
     else:
         alice_slot, bob_slot, same, k = _branch(axis, alice_beta_slot, alice_gamma_slot, theta)
-        bnd = (gamma_boundary if system == "gamma" else beta_boundary)(k, theta)
+        bnd = geometry._separator(theta, np.array(geometry._OFFSETS[system])[k])
         u, accept = _acceptance(b_eff, bnd)
         accept = np.where(same, 1.0, accept)
     return BobEvaluation(accept, fired, system, same, bob_slot, alice_slot, k, bnd, u)
@@ -443,8 +439,6 @@ def _alice_slots(a: float, theta, systems) -> tuple:
             gamma_slot_of(a, theta) if "gamma" in systems else None)
 
 
-#: the largest shared angle a round can draw
-_LAST_THETA = float(np.nextafter(THETA_SPAN, 0.0))
 # the acceptance screen's constants; SegmentTable._screen gives the bound they keep
 #: equal theta bins of the screen
 _BINS = 4096
@@ -456,57 +450,6 @@ _REACH = 2.0 * THETA_SPAN / _BINS
 _SLACK = ACCEPTANCE_COEFF * _REACH + 1e-9
 #: width of a cross-slot bracket from its lower end
 _WIDTH = 2.0 * _SLACK + 1e-12
-#: per system, each bound of its slot function as ``(offset, shift)``: the bound
-#: ``theta + offset - shift``, where the shift 2*pi makes gamma's wrapped ``s - 2*pi``
-_SLOT_BOUNDS = {
-    "beta": ((0.0, 0.0), (BETA_OFFSETS[1], 0.0), (BETA_OFFSETS[2], 0.0)),
-    "gamma": ((GAMMA_OFFSETS[1], TWO_PI), (GAMMA_OFFSETS[2], 0.0), (GAMMA_OFFSETS[0], 0.0), (GAMMA_OFFSETS[1], 0.0)),
-}
-
-
-def _two_sum(a, b):
-    """``(s, e)`` with ``s = fl(a + b)`` and ``s + e == a + b`` exactly (Knuth's TwoSum)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _flip_points(tests) -> list[float]:
-    """Exact shared angles in ``(0, 3*pi/5)`` where the slot of ``x`` in ``system`` changes, per ``(x, system)``.
-
-    The slot is the rank of the normalized ``x`` among the system's bound
-    floats, each nondecreasing in theta, so it changes exactly where one
-    bound ``fl(theta + o)`` first exceeds ``X``: ``X = x``, or the real
-    ``x + 2*pi`` for the wrapped ``s - 2*pi`` (exact by Sterbenz). With ``Y``
-    the least double above ``X`` and ``M`` the midpoint below ``Y``, that
-    happens at the least double ``t >= M - o``, found by TwoSum on Python
-    floats, or at the next float when ``theta + o = M`` rounds to even
-    below. The slot rule itself certifies every crossing, in three calls on
-    Python floats, below, at and above ``t``: the crossing is the first of
-    the floats whose slot differs from the float below it.
-    """
-    flips = []
-    for system, slot_of in (("beta", beta_slot_of), ("gamma", gamma_slot_of)):
-        for x in {normalize_angle(float(x)) for x, s in tests if s == system}:
-            for o, shift in _SLOT_BOUNDS[system]:
-                big, low = _two_sum(x, shift)  # X = big + low
-                y = big if low < 0.0 else math.nextafter(big, math.inf)
-                h, low = _two_sum(y, -o)
-                t, err = _two_sum(h, low - (y - math.nextafter(y, 0.0)) / 2.0)  # M = y - half an ulp
-                t = math.nextafter(t, math.inf) if err > 0.0 else t
-                # t, the least double >= M - o = (y - o) - g (g half the gap below y), is never 0: if y > o,
-                # o is at most the double below y, so y - o >= 2g and t > 0; else o >= y > 0 is an offset of at
-                # least pi/5, and M - o is at most minus half the gap below o, a double, so t < 0
-                if not 0.0 < t <= _LAST_THETA:  # the flip, t or the float above it, is outside (0, 3*pi/5)
-                    continue
-                up = math.nextafter(t, math.inf)
-                lo, at, hi = (slot_of(x, p) for p in (math.nextafter(t, -math.inf), t, up))
-                flip = t if at != lo else up
-                if flip <= _LAST_THETA:
-                    if at == lo and hi == at:
-                        raise RuntimeError(f"slot crossing fails its certificate at theta={flip!r}")
-                    flips.append(flip)
-    return flips
 
 
 @dataclass(frozen=True, eq=False)
@@ -514,11 +457,12 @@ class SegmentTable:
     """Bob's branch outcome on several axes against one setting, as a lookup over theta.
 
     For fixed settings and strategy every slot test that decides Bob's
-    branch is constant between consecutive ``edges``, the crossings of
-    :func:`_flip_points`: segment ``i`` is ``[edges[i-1], edges[i])``, from
-    0 up to 3*pi/5, so a lookup agrees with :func:`evaluate_bob` at every
-    theta. Per axis ``j`` and segment: ``same[j]`` (Bob shares Alice's
-    active slot) and ``offset[j]``, the separator's offset above theta; per
+    branch is constant between consecutive ``edges``, the crossings that
+    :func:`bctsim.geometry._flip_points` finds: segment ``i`` is
+    ``[edges[i-1], edges[i])``, from 0 up to 3*pi/5, so a lookup agrees with
+    :func:`evaluate_bob` at every theta. Per axis ``j`` and segment:
+    ``same[j]`` (Bob shares Alice's active slot) and ``offset[j]``, the
+    separator's offset above theta, one of ``geometry``'s offsets; per
     axis: the effective (possibly reflected) axis, ``negate`` and
     ``constant``, the decision that no theta or coin can change, else None
     (the axis is live). An acceptance of exactly 1 keeps ``c`` for every
@@ -685,20 +629,22 @@ def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
     """Build the :class:`SegmentTable` of Alice's setting ``a`` against Bob's ``axes``; draws no random numbers.
 
     The slot tests that matter are Alice's and each live Bob's, in that
-    Bob's system; their crossings merge as Python floats, and an angle on a
-    boundary at theta = 0 leaves that slot at the first float above 0, the
-    first edge. Each axis is normalized and resolved (:func:`_bob_axis`)
-    once. The build runs on Python floats, ``a`` made one first: at each
-    segment's lowest theta, Alice's slot in each system a live axis uses
-    comes from the slot rule, and each live axis's entries from one call of
-    Bob's branch step (:func:`_branch`), so the branch logic has a single
-    owner; no acceptance is computed. The entries become arrays at the end.
+    Bob's system; their crossings come from ``geometry._flip_points`` and
+    merge as Python floats, and an angle on a boundary at theta = 0 leaves
+    that slot at the first float above 0, the first edge. Each axis is
+    normalized and resolved (:func:`_bob_axis`) once. The build runs on
+    Python floats, ``a`` made one first: at each segment's lowest theta,
+    Alice's slot in each system a live axis uses comes from the slot rule,
+    and each live axis's entries from one call of Bob's branch step
+    (:func:`_branch`), so the branch logic has a single owner; a cross-slot
+    entry's offset is read from ``geometry``'s table of its system. No
+    acceptance is computed. The entries become arrays at the end.
     """
     a = normalize_angle(float(a))
     alpha = alpha_slot_of(a)
     bob_axes = [_bob_axis(alpha, normalize_angle(b), strategy) for b in axes]
     tests = {(x, system) for b_eff, _, system in bob_axes if system != "none" for x in (a, b_eff)}
-    starts = [0.0, *sorted(set(_flip_points(tests) if tests else ()))]
+    starts = [0.0, *sorted(set(geometry._flip_points(tests) if tests else ()))]
     read = {system for _, system in tests}
     alice = [_alice_slots(a, t, read) for t in starts]
     fields = []  # per axis: its SegmentTable fields after edges, in order
@@ -707,7 +653,7 @@ def segment_table(a: float, axes, strategy: Strategy = NO_FLIP) -> SegmentTable:
         if system == "none":
             same, offset = [False] * len(starts), [0.0] * len(starts)
         else:
-            offsets = GAMMA_OFFSETS if system == "gamma" else BETA_OFFSETS
+            offsets = geometry._OFFSETS[system]
             same, k = zip(*(_branch(axis, beta, gamma, t)[2:] for t, (beta, gamma) in zip(starts, alice)))
             offset = [0.0 if s else offsets[i] for s, i in zip(same, k)]
         constant = not fired if system == "none" or all(same) else None
@@ -752,7 +698,7 @@ def _bob_step(a: float, b: float, msg: SlotMessage, triple: tuple[int, int, int]
         if same:
             k, boundary, u, accept = _NO_SEPARATOR[3:]
         else:
-            boundary = geometry._separator(hidden.theta, (GAMMA_OFFSETS if system == "gamma" else BETA_OFFSETS)[k])
+            boundary = geometry._separator(hidden.theta, geometry._OFFSETS[system][k])
             u, accept = _acceptance(b_eff, boundary)
     inner = hidden.c if coin < accept else -hidden.c
     c_b = -inner if fired else inner

@@ -43,7 +43,7 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant("src/bctsim/harness.py", "(theta >= lo) & (theta <= hi)", "(theta >= lo) & (theta < hi)",
            "the window tally leaves out theta at the upper end of window two"),
-    Mutant("src/bctsim/protocol.py", "return s, (a - (s - bb)) + (b - bb)", "return s, 0.0",
+    Mutant("src/bctsim/geometry.py", "return s, (a - (s - bb)) + (b - bb)", "return s, 0.0",
            "TwoSum loses its error term, so a table edge can be one float off"),
     Mutant("src/bctsim/protocol.py", "_sign(math.sin(f - (lo + hi) / 2.0))", "_sign(math.sin(f - lo))",
            "the exact expectation reads the sine's sign at a segment's start, where it may vanish"),
@@ -72,7 +72,7 @@ MUTANTS = (
     Mutant("src/bctsim/protocol.py", "_branch(axis, alice_beta_slot, alice_gamma_slot, theta)",
            "_branch(axis, alice_gamma_slot, alice_beta_slot, theta)",
            "Bob's array step reads Alice's slot in the system its axis does not use"),
-    Mutant("src/bctsim/protocol.py", "flip = t if at != lo else up", "flip = t",
+    Mutant("src/bctsim/geometry.py", "flip = t if at != lo else up", "flip = t",
            "a table edge is the candidate t whatever its certificate says, one float low where the flip is above t"),
     Mutant("src/bctsim/geometry.py", "(2 if gamma[3] < TWO_PI else 1)", "(2 if gamma[3] <= TWO_PI else 1)",
            "Alice's cell counts gamma's s - 2*pi as below every angle when s is exactly 2*pi"),
@@ -89,18 +89,22 @@ MUTANTS = (
            "the float slot rule ranks an angle on a bound below it (side='left')"),
     Mutant("src/bctsim/geometry.py", "return y - TWO_PI * (y >= TWO_PI)", "return y",
            "normalizing leaves an angle that rounds up onto a full turn at 2*pi instead of folding it to 0"),
-    Mutant("src/bctsim/protocol.py", "y = big if low < 0.0 else math.nextafter(big, math.inf)",
+    Mutant("src/bctsim/geometry.py", "y = big if low < 0.0 else math.nextafter(big, math.inf)",
            "y = math.nextafter(big, math.inf)",
            "a table edge's least double above x + 2*pi skips the rounded sum when that sum rounds up"),
     Mutant("src/bctsim/protocol.py", "alpha_slot_cyclic_difference(i, j) > 2", "alpha_slot_cyclic_difference(i, j) >= 2",
            "the cyclic reflection rule's fire table also fires at a cyclic distance of exactly 2"),
     Mutant("src/bctsim/harness.py", "_cos2_rows(config, ((None, config.strategy),))",
            "_cos2_rows(config, ((None, NO_FLIP),))", "the correlation experiment samples NO_FLIP whatever its strategy"),
-    Mutant("src/bctsim/harness.py", 'optional_grids=("theta_grid", "flip_semantics")',
-           'optional_grids=("theta_grid", "strategy", "flip_semantics")',
+    Mutant("src/bctsim/harness.py", 'optional=("theta_grid", "flip_semantics")',
+           'optional=("theta_grid", "strategy", "flip_semantics")',
            "remedy's declaration also names the reflection rule, which its rows sweep themselves"),
     Mutant("src/bctsim/harness.py", "config.coin_mode, visibility=v,", "config.coin_mode, visibility=None,",
            "the visibility experiment's rows are sampled without erasure"),
+    Mutant("src/bctsim/geometry.py", "((GAMMA_OFFSETS[1], TWO_PI),", "((GAMMA_OFFSETS[1], 0.0),",
+           "the crossing search reads gamma's wrapped bound s - 2*pi as s"),
+    Mutant("src/bctsim/geometry.py", '"gamma": GAMMA_OFFSETS}', '"gamma": BETA_OFFSETS}',
+           "a gamma separator's offset is read from the beta system's offsets"),
 )
 
 

@@ -3,9 +3,11 @@
 Before tables were built on Python floats, :func:`bctsim.protocol.segment_table`
 read Alice's slots at all segment starts through ``alice_slot_arrays`` and ran
 Bob's branch step once per axis over the start array, and
-:func:`bctsim.protocol._flip_points` certified every crossing of a system in one
+:func:`bctsim.geometry._flip_points` certified every crossing of a system in one
 slot-rule call over the stacked probes below, at and above. Both are kept here,
-unchanged, so the float build can be pinned to them field by field.
+so the float build can be pinned to them field by field; the crossing search
+spells its own table of slot bounds, so a wrong entry in the package's cannot
+hide in both.
 :func:`keeps_c` runs a table's screen and resolve steps over one array, as the
 batch kernel runs them chunk by chunk. :func:`array_expectation` is
 :meth:`bctsim.protocol.SegmentTable.expectation` as NumPy arrays, its terms
@@ -19,9 +21,17 @@ from fractions import Fraction
 
 import numpy as np
 
+from bctsim import geometry as geo
 from bctsim import protocol as pr
-from bctsim.geometry import (BETA_OFFSETS, GAMMA_OFFSETS, THETA_SPAN, alpha_slot_of, beta_slot_of, gamma_slot_of,
-                             normalize_angle)
+from bctsim.geometry import (BETA_OFFSETS, GAMMA_OFFSETS, THETA_SPAN, TWO_PI, alpha_slot_of, beta_slot_of,
+                             gamma_slot_of, normalize_angle)
+
+#: per system, each bound its slot rule ranks an angle among, as ``(offset, shift)``: the bound
+#: ``theta + offset - shift``; gamma's ``theta + 8*pi/5 - 2*pi`` is the bound below every angle until it wraps
+BOUNDS = {
+    "beta": tuple((o, 0.0) for o in BETA_OFFSETS),
+    "gamma": ((GAMMA_OFFSETS[1], TWO_PI), *((o, 0.0) for o in GAMMA_OFFSETS)),
+}
 
 
 def array_flip_points(tests) -> list[float]:
@@ -30,13 +40,13 @@ def array_flip_points(tests) -> list[float]:
     for system, slot_of in (("beta", beta_slot_of), ("gamma", gamma_slot_of)):
         xs, ts = [], []
         for x in {normalize_angle(x) for x, s in tests if s == system}:
-            for o, shift in pr._SLOT_BOUNDS[system]:
-                big, low = pr._two_sum(x, shift)
+            for o, shift in BOUNDS[system]:
+                big, low = geo._two_sum(x, shift)
                 y = big if low < 0.0 else math.nextafter(big, math.inf)
-                h, low = pr._two_sum(y, -o)
-                t, err = pr._two_sum(h, low - (y - math.nextafter(y, 0.0)) / 2.0)
+                h, low = geo._two_sum(y, -o)
+                t, err = geo._two_sum(h, low - (y - math.nextafter(y, 0.0)) / 2.0)
                 t = math.nextafter(t, math.inf) if err > 0.0 else t
-                if 0.0 <= t <= pr._LAST_THETA:
+                if 0.0 <= t <= geo._LAST_THETA:
                     xs.append(x)
                     ts.append(t)
         if not ts:
@@ -46,7 +56,7 @@ def array_flip_points(tests) -> list[float]:
         below_slot, t_slot, above_slot = slot_of(np.array(xs * 3), probes).reshape(3, -1).tolist()
         for t, up, lo, at, hi in zip(ts, above, below_slot, t_slot, above_slot):
             flip = t if at != lo else up
-            if 0.0 < flip <= pr._LAST_THETA:
+            if 0.0 < flip <= geo._LAST_THETA:
                 if at == lo and hi == at:
                     raise RuntimeError(f"slot crossing fails its certificate at theta={flip!r}")
                 flips.append(flip)

@@ -85,8 +85,22 @@ class TestSlotSystems:
     def test_gamma_is_half_turn_of_beta(self):
         for theta in np.linspace(0.0, g.THETA_SPAN, 37, endpoint=False):
             for k in range(3):
-                b_k, g_k = g.beta_boundary(k, theta), g.gamma_boundary(k, theta)
+                b_k, g_k = g._separator(theta, g.BETA_OFFSETS[k]), g._separator(theta, g.GAMMA_OFFSETS[k])
                 assert g.arc_distance(float(g_k), float(b_k) + math.pi) < 1e-12
+
+    def test_crossing_search_bounds_are_the_slot_rules_bounds(self):
+        """Each ``(offset, shift)`` the crossing search reads gives ``theta + offset - shift``, the slot rule's bound.
+
+        Bit for bit and in order, at seeded thetas, at both ends of the span,
+        and at the gamma wrap and the floats on either side of it.
+        """
+        thetas = np.random.default_rng(35).uniform(0.0, g.THETA_SPAN, 200).tolist()
+        thetas += [0.0, g._LAST_THETA, math.nextafter(WRAP_THETA, 0.0), WRAP_THETA,
+                   math.nextafter(WRAP_THETA, math.inf)]
+        for theta in thetas:
+            for system, bounds in (("beta", g._beta_bounds), ("gamma", g._gamma_bounds)):
+                got = [theta + offset - shift for offset, shift in g._SLOT_BOUNDS[system]]
+                assert [v.hex() for v in got] == [v.hex() for v in bounds(theta)], (system, theta)
 
     def test_slot_index_quarter_turn_in_alpha(self):
         assert int(g.alpha_slot_of(math.pi / 2)) == 2

@@ -96,7 +96,7 @@ class TestConfigValidation:
         hn.ExperimentConfig(experiment=name, **required).validate()
         for grid in hn.GRIDS:
             config = hn.ExperimentConfig(experiment=name, **{**required, grid: (0.1,)})  # 0.1 is in every domain
-            if grid in spec.grids or grid in spec.optional_grids:
+            if grid in spec.grids or grid in spec.optional:
                 config.validate()
             else:
                 with pytest.raises(hn.ConfigError, match="does not use"):
@@ -324,19 +324,24 @@ class TestKernelsAgainstOracles:
         assert len(built) == 2 * 3  # per nu: the disabled, cyclic and absolute rules
 
     def test_remedy_computes_each_conditioned_oracle_once_per_flip_rule_and_theta(self, monkeypatch):
-        """The conditioned ``ab2_oracle`` does not depend on the coin mode: one nu, two thetas, three rules."""
+        """The conditioned ``ab2_oracle`` does not depend on the coin mode: one nu, two thetas, three rules.
+
+        It is read off the table each row samples, bit for bit ``p_equal_given_theta``.
+        """
         calls = []
+        accept = pr.SegmentTable.accept
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return pr.p_equal_given_theta(*args, **kwargs)
+        def counted(table, theta):
+            calls.append(theta)
+            return accept(table, theta)
 
-        monkeypatch.setattr(hn, "p_equal_given_theta", counted)
+        monkeypatch.setattr(pr.SegmentTable, "accept", counted)
         cfg = hn.ExperimentConfig(experiment="remedy", trials=100, seed=3, nu_grid=(PI / 10,),
                                   theta_grid=(0.35 * PI, 0.45 * PI), batch_size=100)
         table = hn.run_experiment(cfg)
         assert len(table.rows) == len(hn.REMEDY_COMBOS) * 3
-        assert len(calls) == 3 * 2  # the disabled, cyclic and absolute rules, at each theta
+        # the disabled, cyclic and absolute rules' oracles at each theta, then each conditioned row's kernel
+        assert len(calls) == 3 * 2 + len(hn.REMEDY_COMBOS) * 2
         a, b2 = an.alice_setting(PI / 10), an.WALKTHROUGH_B1 + PI
         for row in table.rows:
             if row["theta"] is not None:

@@ -733,7 +733,7 @@ BOUND_SETTINGS = sorted({geo.normalize_angle(x) for theta in (0.0, LAST_THETA)
 @pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
 def test_table_edges_equal_the_bisection_oracle(a, axes, strategy, monkeypatch):
     edges = pr.segment_table(a, axes, strategy).edges
-    monkeypatch.setattr(pr, "_flip_points", bisect_flip_points)
+    monkeypatch.setattr(geo, "_flip_points", bisect_flip_points)
     assert edges.tobytes() == pr.segment_table(a, axes, strategy).edges.tobytes()
 
 
@@ -743,10 +743,10 @@ def test_flip_points_equal_the_bisection_oracle(system):
     random = np.random.default_rng(13).uniform(0.0, 2 * PI, 300).tolist()
     settings_ = BOUND_SETTINGS + [0.0, math.nextafter(geo.TWO_PI, 0.0)] + random
     for x in settings_:
-        got, want = np.unique(pr._flip_points({(x, system)})), np.unique(bisect_flip_points({(x, system)}))
+        got, want = np.unique(geo._flip_points({(x, system)})), np.unique(bisect_flip_points({(x, system)}))
         assert got.tobytes() == want.tobytes(), (x, system, got, want)
     tests = {(x, s) for x in settings_ for s in ("beta", "gamma")}
-    assert np.unique(pr._flip_points(tests)).tobytes() == np.unique(bisect_flip_points(tests)).tobytes()
+    assert np.unique(geo._flip_points(tests)).tobytes() == np.unique(bisect_flip_points(tests)).tobytes()
 
 
 def _double_above(r: Fraction, strict: bool) -> float:
@@ -793,8 +793,10 @@ def test_table_build_calls_the_slot_rule_a_fixed_number_of_times(monkeypatch):
             return slot_of(x, theta)
         return counted
 
-    monkeypatch.setattr(pr, "beta_slot_of", counting("beta", geo.beta_slot_of))
-    monkeypatch.setattr(pr, "gamma_slot_of", counting("gamma", geo.gamma_slot_of))
+    beta, gamma = counting("beta", geo.beta_slot_of), counting("gamma", geo.gamma_slot_of)
+    for module in (pr, geo):  # Alice's slots and Bob's branch step, and the crossing search
+        monkeypatch.setattr(module, "beta_slot_of", beta)
+        monkeypatch.setattr(module, "gamma_slot_of", gamma)
     for a in _bound_values(0.0)[:-1] + [1.0, 0.123, LAST_THETA] + BOUND_SETTINGS:
         calls.update(beta=0, gamma=0)
         starts = len(pr.segment_table(a, AXES, pr.NO_FLIP).edges) + 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bctsim import analysis, geometry
 from bctsim import harness as hn
 from bctsim import protocol as pr
-from bctsim.geometry import THETA_SPAN, arc_distance, beta_boundary, gamma_boundary
+from bctsim.geometry import BETA_OFFSETS, GAMMA_OFFSETS, THETA_SPAN, arc_distance
 from test_geometry import reflection_axes
 
 PI = math.pi
@@ -94,8 +94,9 @@ class TestHiddenState:
 
     def test_derived_systems_match_theta(self):
         h = pr.HiddenState.make(-1, 1.0)
-        assert beta_boundary(0, h.theta) == pytest.approx(1.0)
-        assert arc_distance(float(gamma_boundary(0, h.theta)), float(beta_boundary(0, h.theta)) + PI) < 1e-12
+        beta_0, gamma_0 = (geometry._separator(h.theta, offsets[0]) for offsets in (BETA_OFFSETS, GAMMA_OFFSETS))
+        assert beta_0 == pytest.approx(1.0)
+        assert arc_distance(gamma_0, beta_0 + PI) < 1e-12
 
     def test_rejects_bad_sign_and_angle(self):
         with pytest.raises(pr.ProtocolError):
@@ -587,7 +588,7 @@ def _unsplit_evaluate_bob(alice_alpha, alice_beta_slot, alice_gamma_slot, b, the
     bob_slot = (geometry.gamma_slot_of if gamma else geometry.beta_slot_of)(b_eff, theta)
     same = alice_slot == bob_slot
     k = (bob_slot + ((alice_slot - bob_slot) % 3 == 1)) % 3
-    bnd = (gamma_boundary if gamma else beta_boundary)(k, theta)
+    bnd = geometry._separator(theta, np.asarray(GAMMA_OFFSETS if gamma else BETA_OFFSETS)[k])
     d = np.abs(b_eff - bnd)
     u = np.minimum(d, geometry.TWO_PI - d)
     accept = np.where(same, 1.0, 1.0 - pr.ACCEPTANCE_COEFF * np.sin(u))
@@ -722,12 +723,13 @@ def test_no_terminated_axis_reaches_the_branch_step(monkeypatch, rule):
 
 
 def test_every_separator_angle_comes_from_one_formula(monkeypatch):
-    """Both boundary functions, a round's cross-slot Bob step and a table's acceptance call ``geometry._separator``."""
+    """Bob's array step, a round's cross-slot Bob step and a table's acceptance each call ``geometry._separator``."""
     calls = []
     separator = geometry._separator
     monkeypatch.setattr(geometry, "_separator", lambda *args: calls.append(args) or separator(*args))
     theta = 0.45 * PI  # Bob at 0 is cross-slot to Alice at pi/2 here
-    for reach in (lambda: beta_boundary(1, theta), lambda: gamma_boundary(1, np.array([theta])),
+    thetas = np.array([theta])
+    for reach in (lambda: pr.evaluate_bob(*pr.alice_slot_arrays(PI / 2, thetas), 0.0, thetas),
                   lambda: pr.bob_round(0.0, pr.alice_round(PI / 2, pr.HiddenState.make(1, theta))[1],
                                        pr.HiddenState.make(1, theta), coin=0.5),
                   lambda: pr.segment_table(PI / 2, (0.0,)).accept(theta)):
