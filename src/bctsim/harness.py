@@ -19,6 +19,7 @@ configuration or I/O.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import itertools
 import json
@@ -50,6 +51,7 @@ from .protocol import (
     FlipSemantics,
     SegmentTable,
     Strategy,
+    _THETA_STEP,
     segment_table,
 )
 
@@ -219,16 +221,23 @@ def _rate(tally: np.ndarray, hits: int) -> tuple[float, float]:
     return est, _stderr(est, int(tally[N]))
 
 
-def _in_windows(theta, windows) -> np.ndarray:
-    """Whether each shared angle lies in one of the two deterministic windows.
+def _window_outputs(windows) -> tuple[np.uint64, np.uint64]:
+    """The least and the greatest raw theta output (:func:`_kernel`) whose theta lies in the two windows.
 
-    Window one is closed, window two open below, and window one ends where
-    window two starts (:func:`~bctsim.analysis.interval_windows` gives
-    ``w1_hi == w2_lo == 2*pi/5`` and ``w1_lo <= 2*pi/5`` for every nu), so
-    their union is the closed interval ``[w1_lo, w2_hi]``.
+    Window one is closed and ends where window two, open below, starts, so
+    their union is ``[w1_lo, w2_hi]``; as theta ``(x >> 11) * _THETA_STEP``
+    never falls with ``x``, bisection finds the least top 53 bits whose
+    theta is ``>= w1_lo``, and ``> w2_hi`` (``2**53`` if none is).
     """
     (lo, _), (_, hi) = windows
-    return (theta >= lo) & (theta <= hi)
+    first = bisect.bisect_left(range(2**53), True, key=lambda m: lo <= m * _THETA_STEP)
+    past = bisect.bisect_left(range(2**53), True, key=lambda m: hi < m * _THETA_STEP)
+    return np.uint64(first << 11), np.uint64((past << 11) - 1)
+
+
+def _in_windows(raw: np.ndarray, outputs) -> np.ndarray:
+    """Whether each raw theta output lies from the first of ``outputs`` (:func:`_window_outputs`) to the second."""
+    return (raw >= outputs[0]) & (raw <= outputs[1])
 
 
 #: trials per chunk of a batch: small enough for a chunk's arrays to stay in cache, and even
@@ -265,6 +274,7 @@ def _kernel(
     windows=None,
     *,
     signs: bool = False,
+    accepts: list | None = None,
 ):
     """Batch kernel for Alice against the one or two Bob axes of ``table``; tallies as laid out above.
 
@@ -279,9 +289,10 @@ def _kernel(
     stream: a float draw takes ``n`` outputs and c ``(n + 1) // 2``, read
     off the raw outputs as NumPy's ``integers(0, 2, n, dtype=np.int64)``
     reads them (the top bit of each 32-bit half, low half first; ``_CHUNK``
-    is even). A conditioned row decides by the acceptance at
-    ``theta_fixed`` (:meth:`~bctsim.protocol.SegmentTable.accept`), any other
-    by the table's screen (:attr:`~bctsim.protocol.SegmentTable._screen`),
+    is even); theta's outputs stay raw for the screen bin and window tally. A
+    conditioned row decides by the acceptances at ``theta_fixed``
+    (``accepts``, else :meth:`~bctsim.protocol.SegmentTable.accept`), any
+    other by the table's screen (:attr:`~bctsim.protocol.SegmentTable._screen`),
     each live axis resolving its held trials after the last chunk. Every
     step is per trial, so the chunks change no tally.
 
@@ -298,7 +309,7 @@ def _kernel(
     if theta_fixed is not None:
         if not (0.0 <= theta_fixed < THETA_SPAN):
             raise ConfigError(f"conditioned theta must lie in [0, 3*pi/5), got {theta_fixed!r}")
-        accepts = table.accept(theta_fixed)
+        accepts = table.accept(theta_fixed) if accepts is None else accepts
         constant = tuple(not negate if q == 1.0 else None for q, negate in zip(accepts, table.negate))
 
     two = len(table.axes) == 2
@@ -310,7 +321,9 @@ def _kernel(
     plan += [("c", signs)] + ([("coin", any(live))] if shared else [("coin", is_live) for is_live in live])
     plan += [] if visibility is None else [("erase1", True), ("erase2", True)]
     walks = any(read for _, read in plan)  # else every axis is constant, and a batch takes no substream
+    outputs = _window_outputs(windows) if windowed else None
 
+    @np.errstate(invalid="ignore")  # some NumPy builds flag a comparison with a NaN bin of the screen
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
         draws = (_substreams(rng, [((n + 1) // 2 if name == "c" else n, read) for name, read in plan]) if walks
                  else [None] * len(plan))
@@ -325,11 +338,7 @@ def _kernel(
         for start in range(0, n if walks else 0, _CHUNK):
             rows = slice(start, min(start + _CHUNK, n))
             m = rows.stop - start
-            theta = None
-            if theta_draw is not None:
-                # bit for bit rng.uniform(0.0, THETA_SPAN, m), which computes 0.0 + THETA_SPAN * draw
-                theta = theta_draw.random(m)
-                theta *= THETA_SPAN
+            raw = None if theta_draw is None else theta_draw.bit_generator.random_raw(m)
             if c_plus is not None:
                 np.greater_equal(sign_draw.bit_generator.random_raw((m + 1) // 2).view(np.uint32)[:m], 2**31,
                                  out=c_plus[rows])
@@ -341,11 +350,11 @@ def _kernel(
                     if out is not None:
                         np.less(coin, q, out=out)
             elif any(live):
-                for j, part in enumerate(table._sift(theta, coins, outs, start)):
+                for j, part in enumerate(table._sift(raw, coins, outs, start)):
                     if part is not None:
                         held[j].append(part)
             if in_win is not None:
-                in_win[rows] = _in_windows(theta, windows)
+                in_win[rows] = _in_windows(raw, outputs)
             if survived is not None:
                 survived[rows] = (u[-2] < visibility) & (u[-1] < visibility)
         for j, is_live in enumerate(live):
@@ -532,10 +541,10 @@ def _remedy_rows(config):
     For every (flip rule x coin mode) combination and each nu, reports the
     equal-output rate and the induced deviation of the second-axis
     correlation from the cos^2 law, plus a conditioned row (fixed theta) per
-    theta grid value. Neither a table nor a conditioned oracle depends on the
-    coin mode, so each nu builds one table per flip rule and reads one
-    oracle per (flip rule, theta) off it: Bob's acceptance on the second
-    axis, complemented where that axis negates.
+    theta grid value. Neither a table nor its acceptances depend on the coin
+    mode, so each nu builds one table per flip rule and reads its
+    acceptances once per (flip rule, theta) for that pair's kernels; the
+    oracle is the second axis's, complemented where that axis negates.
     """
     b2 = _FRAME_AXES[1]
     i = itertools.count()
@@ -543,14 +552,13 @@ def _remedy_rows(config):
     for nu in config.nu_grid:
         a = alice_setting(nu)
         tables = {rule: _frame_table(nu, s) for rule, s in strategies.items()}
-        given = {}
-        for rule, theta in itertools.product(strategies, config.theta_grid):
-            q = tables[rule].accept(theta)[1]
-            given[rule, theta] = 1.0 - q if tables[rule].negate[1] else q
+        accepts = {(rule, theta): tables[rule].accept(theta)
+                   for rule, theta in itertools.product(strategies, config.theta_grid)}
         for (rule, coin_mode), theta in itertools.product(REMEDY_COMBOS, (None, *config.theta_grid)):
-            oracle = qm.prob_equal(a, b2) if theta is None else given[rule, theta]
+            q = None if theta is None else accepts[rule, theta]
+            oracle = qm.prob_equal(a, b2) if q is None else (1.0 - q[1] if tables[rule].negate[1] else q[1])
             cells = dict(nu=nu, theta=theta, flip_rule=rule.value, coin_mode=coin_mode.value, ab2_oracle=oracle)
-            yield cells, {(next(i),): _kernel(tables[rule], coin_mode, theta)}
+            yield cells, {(next(i),): _kernel(tables[rule], coin_mode, theta, accepts=q)}
 
 
 def _remedy_finish(cells, tallies, est, se) -> dict:

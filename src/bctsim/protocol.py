@@ -440,10 +440,10 @@ def _alice_slots(a: float, theta, systems) -> tuple:
 
 
 # the acceptance screen's constants; SegmentTable._screen gives the bound they keep
-#: equal theta bins of the screen
+#: equal theta bins of the screen; a raw theta output ``x`` falls in bin ``x >> 52``
 _BINS = 4096
-#: ``int(theta * _BIN_SCALE)`` is the bin of a shared angle, or ``_BINS`` when it rounds up at the top
-_BIN_SCALE = _BINS / THETA_SPAN
+#: a raw theta output ``x``'s theta is ``(x >> 11) * _THETA_STEP``, bit for bit ``THETA_SPAN * random()``
+_THETA_STEP = THETA_SPAN * 2.0**-53
 #: reach of a bin's bracket around its centre
 _REACH = 2.0 * THETA_SPAN / _BINS
 #: half-width of a cross-slot bracket
@@ -489,22 +489,23 @@ class SegmentTable:
 
     @functools.cached_property
     def _screen(self) -> tuple[np.ndarray | None, ...]:
-        """The screen: per axis, a bracket's lower end ``lo`` over the ``_BINS + 1`` bin indices; None when constant.
+        """The screen: per axis, a bracket's lower end ``lo`` over the ``_BINS`` bins; None when constant.
 
         A live axis has ``lo[k] <= q <= lo[k] + _WIDTH`` for the exact
-        acceptance ``q`` at every float theta of bin ``k`` of ``_BINS``.
-        Inside a segment Bob's distance ``u`` to the separator is 1-Lipschitz
-        in theta, so ``1 - K*sin(u)`` is K-Lipschitz (K = 3*pi/10), and a
-        cross-slot bin's ``lo`` is the exact acceptance at its centre less
-        ``_SLACK = K*_REACH + 1e-9``: the reach of two bin widths covers every
-        theta the index ``int(theta * _BIN_SCALE)`` sends there, rounding
-        included, and 1e-9 the rounding of both exact evaluations. ``_WIDTH``
-        is twice that slack plus 1e-12, some thousand ulps, so
-        ``fl(lo + _WIDTH) >= fl(q + _SLACK)``. A same-slot bin holds 1.0; a
-        bin within ``_REACH`` of an edge, and the index ``_BINS`` (a guard
-        against the index rounding up at the top), hold NaN, which fails both
-        comparisons. A coin below ``lo`` keeps ``c``, one at or above
-        ``lo + _WIDTH`` does not, and any other is held and decided exactly
+        acceptance ``q`` at every theta of bin ``k``. PCG64's ``random()`` is
+        ``v = (x >> 11) * 2**-53`` of a raw output ``x`` (O'Neill, *PCG*,
+        HMC-CS-2014-0905), so bin ``k = x >> 52`` holds ``fl(v * THETA_SPAN)``
+        for ``v`` in ``[k/_BINS, (k+1)/_BINS)``, one rounding from the nominal
+        bin. Inside a segment Bob's distance ``u`` to the separator is
+        1-Lipschitz in theta, so ``1 - K*sin(u)`` is K-Lipschitz (K = 3*pi/10),
+        and a cross-slot bin's ``lo`` is the exact acceptance at its centre
+        less ``_SLACK = K*_REACH + 1e-9``: two bin widths reach past the bin,
+        rounding included, and 1e-9 covers the rounding of both exact
+        evaluations. ``_WIDTH`` is twice that slack plus 1e-12, some thousand
+        ulps, so ``fl(lo + _WIDTH) >= fl(q + _SLACK)``. A same-slot bin holds
+        1.0, one within ``_REACH`` of an edge NaN, which fails both
+        comparisons. A coin below ``lo`` keeps ``c``, one at or above ``lo +
+        _WIDTH`` does not, and any other is held and decided exactly
         (:meth:`_sift`, :meth:`_resolve`): the brackets are bounds, so every
         decision is ``(coin < accept_prob) ^ negate`` of :func:`evaluate_bob`.
         Two threads that build it at once build the same arrays.
@@ -519,29 +520,29 @@ class SegmentTable:
                 continue
             q = self._accept(j, centre, seg)  # exactly 1.0 on a same-slot bin
             slack = np.where(self.same[j][seg], 0.0, _SLACK)
-            screen.append(np.append(np.where(near, np.nan, q - slack), np.nan))
+            screen.append(np.where(near, np.nan, q - slack))
         return tuple(screen)
 
-    def _sift(self, theta: np.ndarray, coins, kept, start: int) -> list[tuple | None]:
+    def _sift(self, raw: np.ndarray, coins, kept, start: int) -> list[tuple | None]:
         """Per live axis ``j``, the screened decision into ``kept[j]``, and the held trials :meth:`_resolve` reads.
 
-        Those are ``(index + start, theta, coin)`` arrays; a constant axis
-        gets None, and its coin and ``kept[j]`` are not read.
+        Those are ``(index + start, raw, coin)`` arrays of raw theta outputs,
+        whose top 12 bits are their bins; a constant axis gets None, and its
+        coin and ``kept[j]`` are not read. Callers ignore NumPy's invalid flag.
         """
-        k = (theta * _BIN_SCALE).astype(np.intp)
+        k = (raw >> 52).view(np.intp)
         held = []
-        with np.errstate(invalid="ignore"):  # some NumPy builds flag a comparison with NaN
-            for j, coin in enumerate(coins):
-                if self.constant[j] is not None:
-                    held.append(None)
-                    continue
-                lo = self._screen[j].take(k)
-                np.less(coin, lo, out=kept[j])
-                lo += _WIDTH
-                decided = coin >= lo
-                decided |= kept[j]
-                at = np.flatnonzero(~decided)
-                held.append((at + start, theta[at], coin[at]))
+        for j, coin in enumerate(coins):
+            if self.constant[j] is not None:
+                held.append(None)
+                continue
+            lo = self._screen[j].take(k)
+            np.less(coin, lo, out=kept[j])
+            lo += _WIDTH
+            decided = coin >= lo
+            decided |= kept[j]
+            at = np.flatnonzero(~decided)
+            held.append((at + start, raw[at], coin[at]))
         return held
 
     def _resolve(self, j: int, keep: np.ndarray, held) -> np.ndarray:
@@ -550,7 +551,8 @@ class SegmentTable:
         ``held`` lists parts as :meth:`_sift` returns them.
         """
         if held:
-            at, theta, coin = (np.concatenate(part) for part in zip(*held))
+            at, raw, coin = (np.concatenate(part) for part in zip(*held))
+            theta = (raw >> 11) * _THETA_STEP  # the only thetas a sampled batch makes
             keep[at] = coin < self._accept(j, theta, geometry._rank(theta, self.edges))
         if self.negate[j]:
             np.logical_not(keep, out=keep)

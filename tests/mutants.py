@@ -41,8 +41,11 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("src/bctsim/harness.py", "(theta >= lo) & (theta <= hi)", "(theta >= lo) & (theta < hi)",
-           "the window tally leaves out theta at the upper end of window two"),
+    Mutant("src/bctsim/harness.py", "(raw >= outputs[0]) & (raw <= outputs[1])",
+           "(raw >= outputs[0]) & (raw < outputs[1])",
+           "the window tally leaves out the last raw output whose theta is in window two"),
+    Mutant("src/bctsim/protocol.py", "k = (raw >> 52).view(np.intp)", "k = (raw >> 53).view(np.intp)",
+           "the screen reads a raw theta output's bin off its top 11 bits, not its top 12"),
     Mutant("src/bctsim/geometry.py", "return s, (a - (s - bb)) + (b - bb)", "return s, 0.0",
            "TwoSum loses its error term, so a table edge can be one float off"),
     Mutant("src/bctsim/protocol.py", "_sign(math.sin(f - (lo + hi) / 2.0))", "_sign(math.sin(f - lo))",

@@ -8,8 +8,10 @@ slot-rule call over the stacked probes below, at and above. Both are kept here,
 so the float build can be pinned to them field by field; the crossing search
 spells its own table of slot bounds, so a wrong entry in the package's cannot
 hide in both.
-:func:`keeps_c` runs a table's screen and resolve steps over one array, as the
-batch kernel runs them chunk by chunk. :func:`array_expectation` is
+:func:`keeps_c` runs a table's screen and resolve steps over one array of raw
+theta outputs, as the batch kernel runs them chunk by chunk; :func:`theta_of`
+gives those outputs' thetas, and :func:`outputs_near` the outputs whose thetas
+lie nearest given values. :func:`array_expectation` is
 :meth:`bctsim.protocol.SegmentTable.expectation` as NumPy arrays, its terms
 added exactly as fractions. :func:`gauss_legendre_expectation` averages
 :func:`bctsim.protocol.evaluate_bob` over theta by quadrature, the route that
@@ -82,19 +84,46 @@ def array_segment_table(a: float, axes, strategy: pr.Strategy = pr.NO_FLIP) -> p
     return pr.SegmentTable(starts[1:], *map(tuple, zip(*fields)))
 
 
-def keeps_c(table: pr.SegmentTable, theta: np.ndarray | None, coins) -> list[np.ndarray]:
+def theta_of(raw) -> np.ndarray:
+    """The theta of each raw theta output, as NumPy's ``uniform(0.0, THETA_SPAN)`` computes it from that output."""
+    return (np.asarray(raw, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53 * THETA_SPAN
+
+
+def outputs_near(values, steps: int) -> np.ndarray:
+    """Per value, the raw outputs ``m << 11`` of the least reachable theta at or above it and ``steps`` either side.
+
+    ``m`` is an output's top 53 bits; an ``m`` past either end of the
+    thetas is clipped to that end, and a theta near two values is listed
+    for each.
+    """
+    least = []
+    for v in values:
+        m = min(max(math.ceil(v / THETA_SPAN * 2.0**53), 0), 2**53)  # within a few steps of the least
+        while m < 2**53 and float(theta_of(m << 11)) < v:
+            m += 1
+        while m > 0 and float(theta_of((m - 1) << 11)) >= v:
+            m -= 1
+        least.append(m)
+    m = (np.array(least, dtype=np.int64)[:, None] + np.arange(-steps, steps + 1)).ravel()
+    return m.clip(0, 2**53 - 1).astype(np.uint64) << np.uint64(11)
+
+
+def keeps_c(table: pr.SegmentTable, raw: np.ndarray | None, coins) -> list[np.ndarray]:
     """Per axis, whether Bob's output equals ``c`` in each trial, by the screen over the whole array.
 
-    ``coins[j]`` holds axis ``j``'s acceptance draws. A constant axis gets
-    its constant, shaped like ``theta``, and reads no coin; with no live
-    axis ``theta`` may be None (the decisions are then 0-d).
+    ``raw`` holds the trials' raw theta outputs (:func:`theta_of` gives
+    their thetas) and ``coins[j]`` axis ``j``'s acceptance draws. A constant
+    axis gets its constant, shaped like ``raw``, and reads no coin; with no
+    live axis ``raw`` may be None (the decisions are then 0-d). The screen
+    runs under the batch kernel's ``np.errstate``.
     """
-    shape = np.shape(theta)
+    shape = np.shape(raw)
     kept = [np.empty(shape, dtype=bool) if k is None else np.full(shape, k) for k in table.constant]
     if None in table.constant:  # some axis is live
-        for j, part in enumerate(table._sift(theta, coins, kept, 0)):
-            if part is not None:
-                table._resolve(j, kept[j], [part])
+        with np.errstate(invalid="ignore"):
+            for j, part in enumerate(table._sift(raw, coins, kept, 0)):
+                if part is not None:
+                    table._resolve(j, kept[j], [part])
     return kept
 
 

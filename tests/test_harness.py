@@ -12,6 +12,7 @@ from bctsim import cli
 from bctsim import harness as hn
 from bctsim import protocol as pr
 from bctsim.geometry import THETA_SPAN
+from table_oracle import outputs_near, theta_of
 
 PI = math.pi
 
@@ -324,9 +325,11 @@ class TestKernelsAgainstOracles:
         assert len(built) == 2 * 3  # per nu: the disabled, cyclic and absolute rules
 
     def test_remedy_computes_each_conditioned_oracle_once_per_flip_rule_and_theta(self, monkeypatch):
-        """The conditioned ``ab2_oracle`` does not depend on the coin mode: one nu, two thetas, three rules.
+        """The conditioned acceptances do not depend on the coin mode: one nu, two thetas, three rules, one read each.
 
-        It is read off the table each row samples, bit for bit ``p_equal_given_theta``.
+        The ``ab2_oracle`` is read off the table each row samples, bit for bit
+        ``p_equal_given_theta``, and every conditioned kernel of that rule and
+        theta takes the same read.
         """
         calls = []
         accept = pr.SegmentTable.accept
@@ -340,8 +343,8 @@ class TestKernelsAgainstOracles:
                                   theta_grid=(0.35 * PI, 0.45 * PI), batch_size=100)
         table = hn.run_experiment(cfg)
         assert len(table.rows) == len(hn.REMEDY_COMBOS) * 3
-        # the disabled, cyclic and absolute rules' oracles at each theta, then each conditioned row's kernel
-        assert len(calls) == 3 * 2 + len(hn.REMEDY_COMBOS) * 2
+        # the disabled, cyclic and absolute rules' acceptances at each theta, which the kernels reuse
+        assert len(calls) == 3 * 2
         a, b2 = an.alice_setting(PI / 10), an.WALKTHROUGH_B1 + PI
         for row in table.rows:
             if row["theta"] is not None:
@@ -593,19 +596,30 @@ def _two_windows(theta, windows):
 
 @pytest.mark.parametrize("nu", WINDOW_NUS + np.random.default_rng(41).uniform(0.0, PI / 5, 20).tolist())
 def test_window_test_is_the_union_of_the_two_windows(nu):
-    """``_in_windows`` tests one closed interval; it equals the two-window test at and beside every window end.
+    """``_in_windows`` tests raw theta outputs against two thresholds; it equals the two-window test beside them.
 
-    The ends are checked at an array theta and at a float theta.
+    The lower threshold's output passes and the output below it fails; the
+    upper one's passes and the output above it, where there is one, fails.
+    At the reachable thetas nearest each window end, two either side, and
+    at and one output beside both thresholds, the raw test equals the
+    two-window test of the outputs' thetas, as an array and one output at a
+    time.
     """
     windows = an.interval_windows(nu)
     (w1_lo, w1_hi), (w2_lo, w2_hi) = windows
     assert w1_hi == w2_lo and w1_lo <= w1_hi <= w2_hi
-    ends = {x for end in (w1_lo, w1_hi, w2_lo, w2_hi)
-            for x in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf))}
-    thetas = np.array(sorted(ends))
-    assert hn._in_windows(thetas, windows).tolist() == _two_windows(thetas, windows).tolist()
-    for theta in thetas.tolist():
-        assert bool(hn._in_windows(theta, windows)) is bool(_two_windows(theta, windows)), theta
+    outputs = hn._window_outputs(windows)
+    lo, top = (int(x) for x in outputs)
+    assert lo % 2**11 == 0 and top % 2**11 == 2**11 - 1
+    assert hn._in_windows(np.array([lo, top], dtype=np.uint64), outputs).all()
+    outside = [x for x in (lo - 1, top + 1) if x < 2**64]
+    assert not hn._in_windows(np.array(outside, dtype=np.uint64), outputs).any()
+    beside = [x + d for x in (lo, top) for d in (-1, 0, 1) if x + d < 2**64]
+    raw = np.union1d(outputs_near([w1_lo, w1_hi, w2_hi], 2), np.array(beside, dtype=np.uint64))
+    theta = theta_of(raw)
+    assert hn._in_windows(raw, outputs).tolist() == _two_windows(theta, windows).tolist()
+    for x, t in zip(raw, theta.tolist()):
+        assert bool(hn._in_windows(x, outputs)) is bool(_two_windows(t, windows)), (nu, int(x))
 
 
 def test_every_estimate_is_a_tally_rate(monkeypatch):

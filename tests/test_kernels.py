@@ -32,7 +32,7 @@ from bctsim import harness as hn
 from bctsim import protocol as pr
 from bctsim.analysis import WALKTHROUGH_B1, alice_setting, interval_windows, two_bob_equal_quadrature
 from slot_oracle import WRAP_THETA, bisect_flip_points
-from table_oracle import keeps_c
+from table_oracle import keeps_c, outputs_near, theta_of
 
 PI = math.pi
 LAST_THETA = float(np.nextafter(geo.THETA_SPAN, 0.0))
@@ -375,15 +375,19 @@ def test_a_two_axis_visibility_batch_peaks_under_four_megabytes():
 
 
 class _SpiedGenerator:
-    """A substream that records each ``random`` call under its draw's index."""
+    """A substream, its own bit generator too, that records each ``random`` and ``random_raw`` call by draw index."""
 
     def __init__(self, generator, index, calls):
         self._generator, self._index, self._calls = generator, index, calls
-        self.bit_generator = generator.bit_generator
+        self.bit_generator = self
 
     def random(self, size):
         self._calls.add(self._index)
         return self._generator.random(size)
+
+    def random_raw(self, size):
+        self._calls.add(self._index)
+        return self._generator.bit_generator.random_raw(size)
 
 
 #: per row shape with no live axis: its draws in order, and the float draws a batch generates
@@ -402,9 +406,10 @@ CONSTANT_ROWS = {
 def test_rows_without_a_live_axis_generate_no_coin(shape, monkeypatch):
     """No coin of a row whose every decision is constant is drawn, nor theta unless the window tally reads it.
 
-    Every float draw goes through ``random``; the sign c, read from raw
-    outputs, does not. Skipping a draw moves no other draw, so the tallies
-    still equal the whole-batch reference.
+    Every draw goes through ``random`` or its bit generator's
+    ``random_raw``, and the sign c, which these kernels tally, is drawn.
+    Skipping a draw moves no other draw, so the tallies still equal the
+    whole-batch reference.
     """
     names, generated = CONSTANT_ROWS[shape]
     calls = set()
@@ -416,7 +421,7 @@ def test_rows_without_a_live_axis_generate_no_coin(shape, monkeypatch):
     monkeypatch.setattr(hn, "_substreams", spied)
     kernel, reference = ROW_SHAPES[shape](signs=True)
     _both(kernel, reference, 23, hn._CHUNK + 7)
-    assert {names[i] for i in calls} == generated
+    assert {names[i] for i in calls} == generated | {"c"}
 
 
 #: the constant rows that, without signs, read no draw at all
@@ -498,24 +503,30 @@ def _near(values, ulps: int = 64) -> np.ndarray:
     return theta
 
 
-def _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, theta):
+def _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, raw):
     """The table's acceptance threshold and negation equal evaluate_bob's bit for bit.
 
-    Probing each theta with coin = q and coin = nextafter(q, 0) (where valid)
-    separates any two thresholds that differ by even one ulp.
+    Probing the theta of each raw theta output with coin = q and coin =
+    nextafter(q, 0) (where valid) separates any two thresholds that differ
+    by even one ulp.
     """
+    theta = theta_of(raw)
     for j, b in enumerate(axes):
         q, negate = _accept(a, b, theta, strategy)
         for coin in (q, np.nextafter(q, 0.0)):
             valid = coin < 1.0
             want = (coin < q) ^ negate
-            got = keeps_c(table, theta, [coin] * len(axes))[j]
+            got = keeps_c(table, raw, [coin] * len(axes))[j]
             assert np.array_equal(got[valid], want[valid]), (a, b, strategy)
 
 
-def _bin_index(theta) -> np.ndarray:
-    """The screen bin of each theta, computed as the kernel computes it."""
-    return (np.asarray(theta) * pr._BIN_SCALE).astype(np.intp)
+def _spread(m) -> np.ndarray:
+    """The raw theta outputs ``m << 11`` of the top 53 bits ``m``, clipped to those of a theta, once each."""
+    return np.unique(np.asarray(m, dtype=np.int64).clip(0, 2**53 - 1)).astype(np.uint64) << np.uint64(11)
+
+
+#: the raw outputs of 2,001 evenly spaced reachable thetas from 0 to the last, ``LAST_THETA``
+SWEEP = _spread(np.linspace(0.0, 2**53 - 1, 2001))
 
 
 @pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
@@ -540,13 +551,15 @@ def test_table_matches_evaluate_bob_around_every_edge(a, axes, strategy):
     probes = [0.0, LAST_THETA, *table.edges]
     alpha = int(geo.alpha_slot_of(a))
     probes += [WRAP_THETA for b in axes if pr._bob_axis(alpha, geo.normalize_angle(b), strategy)[2] == "gamma"]
-    theta = np.union1d(_near(probes), SPECIAL_THETAS)
+    # the first 256 reachable thetas, to 5e-14, hold those nearest SPECIAL_THETAS and any tiny edge
+    raw = np.union1d(outputs_near(probes, 64), _spread(np.arange(256)))
+    theta = theta_of(raw)
     # the lookup counts the edges at or below theta, as a binary search would
     # (without edges the count is a plain 0, which broadcasts)
     assert np.all(geo._rank(theta, table.edges) == np.searchsorted(table.edges, theta, side="right"))
-    _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, theta)
+    _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, raw)
     # and on a uniform sweep of the whole range
-    _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, np.linspace(0.0, LAST_THETA, 2001))
+    _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, SWEEP)
 
 
 @pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
@@ -569,12 +582,17 @@ def test_accept_is_evaluate_bobs_acceptance_at_a_float_and_over_an_array(a, axes
 
 @pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
 def test_screen_decides_like_evaluate_bob_at_every_bin_boundary(a, axes, strategy):
-    """Thetas a rounded bin index can send to either neighbouring bin, or past the last one."""
+    """Each raw bin boundary ``k << 52`` and the outputs up to three ``2**11`` steps either side, the top end too.
+
+    An output's top 12 bits are its bin and its top 53 its theta, so a step
+    of ``2**11`` is the next theta. Rounding puts some bin's last theta on
+    or past its nominal end, which the screen's bracket must reach.
+    """
     table = pr.segment_table(a, axes, strategy)
-    bounds = np.arange(pr._BINS + 1) * (geo.THETA_SPAN / pr._BINS)
-    theta = _near(np.clip(bounds, 0.0, LAST_THETA), ulps=2)
-    assert np.any(_bin_index(bounds) != np.arange(pr._BINS + 1))  # the index rounds across some boundaries
-    _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, theta)
+    raw = _spread((np.arange(pr._BINS + 1, dtype=np.int64) << 41)[:, None] + np.arange(-3, 4))
+    assert len(raw) == 7 * (pr._BINS + 1) - 7  # none below the first boundary, and none at or above the top end
+    assert np.any(theta_of(raw) >= ((raw >> np.uint64(52)) + 1) * (geo.THETA_SPAN / pr._BINS))
+    _assert_table_decides_like_evaluate_bob(table, a, axes, strategy, raw)
 
 
 @pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
@@ -587,8 +605,8 @@ def test_screen_decides_like_evaluate_bob_at_its_bracket_ends(a, axes, strategy)
     nothing; the coins on the acceptance test those bins.
     """
     table = pr.segment_table(a, axes, strategy)
-    theta = np.random.default_rng(1010).random(20_000) * geo.THETA_SPAN  # about five per bin
-    k = _bin_index(theta)
+    raw = np.random.default_rng(1010).bit_generator.random_raw(20_000)  # about five per bin
+    theta, k = theta_of(raw), (raw >> np.uint64(52)).astype(np.intp)
     alice = pr.alice_slot_arrays(a, theta)
     accepts = [(ev.accept_prob, ev.negate) for ev in (pr.evaluate_bob(*alice, b, theta, strategy) for b in axes)]
     probes = [[q, np.nextafter(q, 0.0), np.nextafter(q, 2.0)] for q, _ in accepts]
@@ -598,7 +616,7 @@ def test_screen_decides_like_evaluate_bob_at_its_bracket_ends(a, axes, strategy)
         else:  # a constant axis has no screen; probe it at q again
             probes[j] += probes[j][:2]
     for coins in zip(*probes):
-        got = keeps_c(table, theta, list(coins))
+        got = keeps_c(table, raw, list(coins))
         for j, (coin, (q, negate)) in enumerate(zip(coins, accepts)):
             below_one = coin < 1.0  # a terminated axis is decided for coins in [0, 1) only
             want = (coin < q) ^ negate
@@ -608,18 +626,15 @@ def test_screen_decides_like_evaluate_bob_at_its_bracket_ends(a, axes, strategy)
 def _two_array_brackets(table, j):
     """Axis ``j``'s brackets ``(lo, hi)`` as the screen held them in two arrays, and the bins near an edge.
 
-    A near bin held ``[0, 2]``, a same-slot bin ``[1, 1]``, a cross-slot bin
-    the centre's acceptance less and plus the slack, and the guard index
-    ``[0, 2]``.
+    A near bin held ``[0, 2]``, a same-slot bin ``[1, 1]``, and a cross-slot
+    bin the centre's acceptance less and plus the slack.
     """
     centre = (np.arange(pr._BINS) + 0.5) * (geo.THETA_SPAN / pr._BINS)
     seg = geo._rank(centre, table.edges)
     near = geo._rank(centre - pr._REACH, table.edges) != geo._rank(centre + pr._REACH, table.edges)
     q = table._accept(j, centre, seg)
     slack = np.where(table.same[j][seg], 0.0, pr._SLACK)
-    lo = np.append(np.where(near, 0.0, q - slack), 0.0)
-    hi = np.append(np.where(near, 2.0, q + slack), 2.0)
-    return lo, hi, np.append(near, True), np.append(table.same[j][seg], False)
+    return np.where(near, 0.0, q - slack), np.where(near, 2.0, q + slack), near, table.same[j][seg]
 
 
 @pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
@@ -637,7 +652,7 @@ def test_one_array_screen_keeps_the_two_array_brackets(a, axes, strategy):
             continue
         old_lo, old_hi, undecided, same = _two_array_brackets(table, j)
         cross = ~undecided & ~same
-        assert lo.shape == (pr._BINS + 1,)
+        assert lo.shape == (pr._BINS,)
         assert np.array_equal(np.isnan(lo), undecided)
         assert np.all(lo[same & ~undecided] == 1.0)
         assert lo[cross].tobytes() == old_lo[cross].tobytes()
@@ -656,7 +671,7 @@ def test_summing_a_table_never_builds_its_screen(monkeypatch):
         for strategy in (pr.NO_FLIP, pr.ABS_FLIP):
             two_bob_equal_quadrature(PI / 10, strategy, coin_mode)
     with pytest.raises(AssertionError, match="screen built"):
-        keeps_c(table, np.zeros(1), [np.zeros(1), np.zeros(1)])
+        keeps_c(table, np.zeros(1, dtype=np.uint64), [np.zeros(1), np.zeros(1)])
 
 
 def test_threads_that_build_one_screen_at_once_decide_alike():
@@ -664,16 +679,16 @@ def test_threads_that_build_one_screen_at_once_decide_alike():
 
     ``keeps_c`` calls ``_sift`` as a kernel does.
     """
-    theta = np.random.default_rng(3).random(50_000) * geo.THETA_SPAN
+    raw = np.random.default_rng(3).bit_generator.random_raw(50_000)
     coins = [np.random.default_rng(4).random(50_000), np.random.default_rng(5).random(50_000)]
-    want = keeps_c(pr.segment_table(1.0, AXES, pr.CYCLIC_FLIP), theta, coins)
+    want = keeps_c(pr.segment_table(1.0, AXES, pr.CYCLIC_FLIP), raw, coins)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             table = pr.segment_table(1.0, AXES, pr.CYCLIC_FLIP)
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(keeps_c, table, theta, coins) for _ in range(8)]
+                futures = [pool.submit(keeps_c, table, raw, coins) for _ in range(8)]
                 results = [f.result(timeout=60) for f in futures]
             assert all(np.array_equal(g, w) for got in results for g, w in zip(got, want))
     finally:
@@ -682,19 +697,26 @@ def test_threads_that_build_one_screen_at_once_decide_alike():
 
 @pytest.mark.parametrize("n", [1, 7, 7_000, 250_000])
 def test_kernel_theta_draw_equals_uniform_draw(n):
-    """The kernel scales ``rng.random(n)`` by 3*pi/5; NumPy's ``uniform(0, 3*pi/5, n)`` gives the same bits.
+    """The kernel reads theta off ``random_raw(n)``; NumPy's ``uniform(0, 3*pi/5, n)`` gives the same bits.
 
-    ``uniform`` computes ``low + (high - low) * draw``, and ``0.0 + x == x``
-    for ``x >= 0``. Both consume the same draws, so the generators end in
-    the same state. A NumPy that computes ``uniform`` otherwise fails here.
+    PCG64's ``random()`` is ``(x >> 11) * 2**-53`` of a raw output ``x``,
+    and ``uniform`` computes ``low + (high - low) * random()``, where
+    ``0.0 + y == y`` for ``y >= 0``. Scaling by ``2**-53`` is exact, so
+    ``(x >> 11) * (THETA_SPAN * 2**-53)`` rounds once, as ``uniform`` does.
+    The screen's bin ``x >> 52`` is ``floor(random() * 4096)``, and both
+    routes consume the same outputs, so the generators end in the same
+    state. A NumPy that computes ``random`` or ``uniform`` otherwise fails
+    here.
     """
     for seed in range(20):
-        uniform, scaled = np.random.default_rng(seed), np.random.default_rng(seed)
+        uniform, unit, raw_draw = (np.random.default_rng(seed) for _ in range(3))
+        raw = raw_draw.bit_generator.random_raw(n)
         want = uniform.uniform(0.0, geo.THETA_SPAN, n)
-        got = scaled.random(n)
-        got *= geo.THETA_SPAN
+        got = (raw >> np.uint64(11)) * pr._THETA_STEP
+        assert pr._THETA_STEP == geo.THETA_SPAN * 2.0**-53
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert scaled.bit_generator.state == uniform.bit_generator.state
+        assert np.array_equal(raw >> np.uint64(52), np.floor(unit.random(n) * pr._BINS).astype(np.uint64))
+        assert raw_draw.bit_generator.state == uniform.bit_generator.state == unit.bit_generator.state
 
 
 @pytest.mark.parametrize("a,axes,strategy", list(_table_cases()))
@@ -841,7 +863,7 @@ def test_table_matches_evaluate_bob_at_the_gamma_wrap(b):
         table = pr.segment_table(a, (b,), pr.NO_FLIP)
         seg = int(np.searchsorted(table.edges, WRAP_THETA, side="right"))
         separated += not table.same[0][seg] and table.offset[0][seg] == offset
-        _assert_table_decides_like_evaluate_bob(table, a, (b,), pr.NO_FLIP, _near([WRAP_THETA]))
+        _assert_table_decides_like_evaluate_bob(table, a, (b,), pr.NO_FLIP, outputs_near([WRAP_THETA], 64))
     assert separated
 
 
@@ -854,7 +876,7 @@ def test_coinciding_breakpoints_split_one_float_apart():
     close = table.edges[:-1][np.diff(table.edges.view(np.int64)) == 1]
     assert len(close) >= 1
     assert abs(close[0] - 2 * PI / 5) < 1e-15
-    _assert_table_decides_like_evaluate_bob(table, a, AXES, pr.NO_FLIP, _near(close, 8))
+    _assert_table_decides_like_evaluate_bob(table, a, AXES, pr.NO_FLIP, outputs_near(close, 8))
 
 
 def test_tiny_theta_flip_gets_its_own_edge():
@@ -918,8 +940,8 @@ def test_terminated_axis_never_keeps_c():
     strategy = pr.Strategy(pr.FlipRule.ABSOLUTE, pr.FlipSemantics.TERMINATE)
     table = pr.segment_table(2 * PI / 5, (PI,), strategy)  # alpha slots 2 and 5: fires
     assert table.constant == (False,)
-    theta = np.linspace(0.0, LAST_THETA, 101)
-    (kept,) = keeps_c(table, theta, [np.zeros_like(theta)])
+    raw = _spread(np.linspace(0.0, 2**53 - 1, 101))
+    (kept,) = keeps_c(table, raw, [np.zeros(len(raw))])
     assert not kept.any()
 
 

@@ -24,7 +24,7 @@ from bctsim import harness as hn
 from bctsim import protocol as pr
 from bctsim.analysis import WALKTHROUGH_B1, alice_setting, interval_windows
 from slot_oracle import WRAP_THETA, boundary_floats, cell_bounds, oracle_cell, oracle_triple
-from table_oracle import keeps_c
+from table_oracle import keeps_c, outputs_near, theta_of
 
 PI = math.pi
 LAST_THETA = float(np.nextafter(g.THETA_SPAN, 0.0))
@@ -278,24 +278,26 @@ def test_replayed_rounds_reproduce_every_kernel_bit(a, b, strategy):
     """``alice_round`` then ``bob_round`` with the kernel's ``c``, theta and coin gives its every bit.
 
     The batch is drawn in the batch kernel's order for one axis (theta, c,
-    coin), and the tallies of a kernel built with signs are checked against it; thetas one float either side of
-    every segment-table edge are appended, so the wire cell and its decoding
+    coin), theta as the raw outputs the kernel reads, and the tallies of a
+    kernel built with signs are checked against it; the raw outputs of the
+    least reachable theta at or above every segment-table edge and of the
+    one either side of it are appended, so the wire cell and its decoding
     are compared with the table next to each slot flip.
     """
     n = 120
     rng = np.random.default_rng(11)
-    theta = rng.uniform(0.0, g.THETA_SPAN, n)
+    raw = rng.bit_generator.random_raw(n)
     c_plus = rng.integers(0, 2, n, dtype=np.int64).astype(bool)
     coin = rng.random(n)
     table = pr.segment_table(a, (b,), strategy)
-    near = np.concatenate([np.nextafter(table.edges, 0.0), table.edges, np.nextafter(table.edges, 9.0)])
-    near = near[near < g.THETA_SPAN]
+    near = outputs_near(table.edges, 1)
     extra = np.random.default_rng(12)
-    theta = np.concatenate([theta, near])
+    raw = np.concatenate([raw, near])
+    theta = theta_of(raw)
     c_plus = np.concatenate([c_plus, extra.integers(0, 2, len(near)).astype(bool)])
     coin = np.concatenate([coin, extra.random(len(near))])
 
-    (keeps,) = keeps_c(table, theta, [coin])
+    (keeps,) = keeps_c(table, raw, [coin])
     tally = hn._kernel(table, signs=True)(np.random.default_rng(11), n)
     assert len(tally) == 4
     assert [tally[hn.N], tally[hn.C_PLUS], tally[hn.KEPT_1], tally[hn.B_PLUS_1]] == \
@@ -319,30 +321,32 @@ def _two_axis_cases():
 def test_replayed_two_axis_rounds_reproduce_every_kernel_bit(nu, strategy, coin_mode):
     """The two-axis kernel's every decision and its ``EQUAL`` tally, replayed round by round.
 
-    The batch is drawn in the two-axis kernel's order (theta, c, then the
-    coin of each axis, one coin under ``CoinMode.SHARED``); thetas one float
-    either side of every table edge are appended. Each trial goes through
-    ``alice_round`` and ``bob_round`` on ``b1`` and ``b1 + pi`` with its own
-    coins, and must match ``keeps_c`` trial for trial.
+    The batch is drawn in the two-axis kernel's order (theta as raw
+    outputs, c, then the coin of each axis, one coin under
+    ``CoinMode.SHARED``); the raw outputs of the least reachable theta at or
+    above every table edge and of the one either side of it are appended.
+    Each trial goes through ``alice_round`` and ``bob_round`` on ``b1`` and
+    ``b1 + pi`` with its own coins, and must match ``keeps_c`` trial for
+    trial.
     """
     n = 120
     a, axes = alice_setting(nu), (WALKTHROUGH_B1, WALKTHROUGH_B1 + PI)
     rng = np.random.default_rng(17)
-    theta = rng.uniform(0.0, g.THETA_SPAN, n)
+    raw = rng.bit_generator.random_raw(n)
     c_plus = rng.integers(0, 2, n, dtype=np.int64).astype(bool)
     coins = [rng.random(n)]
     coins.append(coins[0] if coin_mode is pr.CoinMode.SHARED else rng.random(n))
     table = pr.segment_table(a, axes, strategy)
-    near = np.concatenate([np.nextafter(table.edges, 0.0), table.edges, np.nextafter(table.edges, 9.0)])
-    near = near[near < g.THETA_SPAN]
+    near = outputs_near(table.edges, 1)
     extra = np.random.default_rng(18)
-    theta = np.concatenate([theta, near])
+    raw = np.concatenate([raw, near])
+    theta = theta_of(raw)
     c_plus = np.concatenate([c_plus, extra.integers(0, 2, len(near)).astype(bool)])
     coins = [np.concatenate([u, extra.random(len(near))]) for u in coins]
     if coin_mode is pr.CoinMode.SHARED:
         coins[1] = coins[0]
 
-    keeps = keeps_c(table, theta, coins)
+    keeps = keeps_c(table, raw, coins)
     tally = hn._kernel(table, coin_mode, windows=interval_windows(nu))(np.random.default_rng(17), n)
     equal = 0
     for i, (t, cp) in enumerate(zip(theta.tolist(), c_plus.tolist())):
