@@ -13,9 +13,9 @@ The package splits into five layers:
 * :mod:`bctsim.analysis` -- closed forms for the equal-output anomaly and
   its exact full-range rate, the per-theta conservation-law audit, and the
   visibility arithmetic;
-* :mod:`bctsim.harness` -- seeded, worker-count-invariant Monte Carlo sweeps
-  with CSV/JSON emission, driven programmatically or through the ``bctsim``
-  command line (:mod:`bctsim.cli`).
+* :mod:`bctsim.harness` -- seeded Monte Carlo sweeps with CSV/JSON
+  emission, driven programmatically or through the ``bctsim`` command line
+  (:mod:`bctsim.cli`).
 """
 
 from .analysis import (

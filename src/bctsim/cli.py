@@ -81,7 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--visibility-grid", metavar="LO:HI:STEPS", help="visibility factors in [0, 1]")
     common.add_argument("--format", choices=["csv", "json"], default="csv")
     common.add_argument("--out", metavar="PATH", help="output file; stdout when omitted")
-    common.add_argument("--workers", type=int, default=1, metavar="K")
+    common.add_argument(
+        "--workers", type=int, default=1, metavar="K",
+        help="ignored, as batches run in turn; K must be at least 1, and the flag goes once perfbench stops passing it",
+    )
     common.add_argument("--batch-size", type=int, default=250_000, metavar="B")
 
     sub = parser.add_subparsers(dest="experiment", required=True)
@@ -91,6 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    if args.workers < 1:  # checked, then dropped: batches run in turn
+        raise ConfigError(f"workers must be positive, got {args.workers}")
     grids = {}
     for name in GRIDS:
         spec = getattr(args, name)
@@ -103,7 +108,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         seed=args.seed,
         strategy=Strategy(STRATEGY_TOKENS[args.strategy], _SEMANTICS_TOKENS[args.flip_semantics]),
         coin_mode=CoinMode(args.coin),
-        workers=args.workers,
         batch_size=args.batch_size,
         **grids,
     )

@@ -1,11 +1,11 @@
-"""Seeded, worker-count-invariant Monte Carlo sweeps with CSV/JSON emission.
+"""Seeded Monte Carlo sweeps with CSV/JSON emission.
 
-Trials are split into fixed-size batches. Batch ``i`` of the stream with key
-``key`` draws from ``default_rng(SeedSequence(seed, spawn_key=(*key, i)))``,
-so estimates depend only on ``(seed, key, batch_size)``, never on how many
-workers ran the batches. Tallies are integer vectors summed per batch index;
-merging is commutative and associative, so identical configurations produce
-bit-identical tables and output files.
+Trials are split into fixed-size batches, run in turn. Batch ``i`` of the
+stream with key ``key`` draws from
+``default_rng(SeedSequence(seed, spawn_key=(*key, i)))``, so estimates depend
+only on ``(seed, key, batch_size)``. Tallies are integer vectors summed over
+the batches, so identical configurations produce bit-identical tables and
+output files.
 
 Every row samples through one batch kernel, :func:`_kernel`, which decides
 each trial through the row's :class:`~bctsim.protocol.SegmentTable`; its
@@ -20,12 +20,10 @@ configuration or I/O.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import itertools
 import json
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -89,10 +87,10 @@ class EmitError(OSError):
     """An output file could not be written."""
 
 
-def _check_run(trials: int, seed: int, batch_size: int, workers: int = 1) -> tuple[int, int, int, int]:
+def _check_run(trials: int, seed: int, batch_size: int) -> tuple[int, int, int]:
     """The run's sizes as Python ints, by ``operator.index``; ``ConfigError`` for a bool, a non-integer or bad size."""
     sizes = []
-    for name, value in (("trials", trials), ("seed", seed), ("batch size", batch_size), ("workers", workers)):
+    for name, value in (("trials", trials), ("seed", seed), ("batch size", batch_size)):
         if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         value = operator.index(value)
@@ -115,14 +113,12 @@ class ExperimentConfig:
     nu_grid: tuple[float, ...] = ()
     theta_grid: tuple[float, ...] = ()
     visibility_grid: tuple[float, ...] = ()
-    workers: int = 1
     batch_size: int = 250_000
 
     def validate(self) -> "ExperimentConfig":
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {tuple(EXPERIMENTS)}")
-        self.trials, self.seed, self.batch_size, self.workers = _check_run(self.trials, self.seed, self.batch_size,
-                                                                          self.workers)
+        self.trials, self.seed, self.batch_size = _check_run(self.trials, self.seed, self.batch_size)
         if not isinstance(self.strategy, Strategy):
             raise ConfigError(f"strategy must be a Strategy, got {self.strategy!r}")
         try:
@@ -151,8 +147,7 @@ class ExperimentConfig:
         return self
 
     def manifest(self) -> dict:
-        # worker count is excluded: it cannot affect results. batch_size is
-        # included because it fixes the substream layout.
+        # batch_size is included because it fixes the substream layout
         return {
             "experiment": self.experiment,
             "seed": self.seed,
@@ -192,15 +187,10 @@ def _run_batches(
     seed: int,
     key: tuple[int, ...],
     batch_size: int,
-    pool: ThreadPoolExecutor | None,
 ) -> np.ndarray:
-    sizes = [min(batch_size, trials - start) for start in range(0, trials, batch_size)]
-
-    def one(idx: int, n: int) -> np.ndarray:
-        return kernel(_batch_rng(seed, key + (idx,)), n)
-
-    parts = list((pool.map if pool else map)(one, range(len(sizes)), sizes))
-    return np.sum(np.stack(parts), axis=0)
+    """``kernel``'s tally summed over batches of ``batch_size`` run in turn, batch ``i`` on key ``key + (i,)``."""
+    return sum(kernel(_batch_rng(seed, key + (i,)), min(batch_size, trials - start))
+               for i, start in enumerate(range(0, trials, batch_size)))
 
 
 # --- the batch kernel -------------------------------------------------------
@@ -392,9 +382,9 @@ def conditioned_two_bob_estimate(
     Returns (estimate, standard error). Rejection-free: theta is an input,
     not a sample.
     """
-    trials, seed, batch_size, _ = _check_run(trials, seed, batch_size)
+    trials, seed, batch_size = _check_run(trials, seed, batch_size)
     kernel = _kernel(_frame_table(nu, strategy), coin_mode, theta_fixed=theta)
-    return _rate(_run_batches(kernel, trials, seed, (0,), batch_size, None), EQUAL)
+    return _rate(_run_batches(kernel, trials, seed, (0,), batch_size), EQUAL)
 
 
 def conditioned_pair_estimate(
@@ -407,9 +397,9 @@ def conditioned_pair_estimate(
     batch_size: int = 250_000,
 ) -> tuple[float, float]:
     """Monte Carlo P(outputs equal) for one pair with the shared angle fixed."""
-    trials, seed, batch_size, _ = _check_run(trials, seed, batch_size)
+    trials, seed, batch_size = _check_run(trials, seed, batch_size)
     kernel = _kernel(segment_table(a, (b,), strategy), theta_fixed=theta)
-    return _rate(_run_batches(kernel, trials, seed, (0,), batch_size, None), KEPT_1)
+    return _rate(_run_batches(kernel, trials, seed, (0,), batch_size), KEPT_1)
 
 
 def joint_outcome_table(
@@ -426,9 +416,9 @@ def joint_outcome_table(
     :func:`~bctsim.protocol.nbct_trial` rounds, which play each round
     through Alice's message and Bob's scalar procedure.
     """
-    trials, seed, batch_size, _ = _check_run(trials, seed, batch_size)
+    trials, seed, batch_size = _check_run(trials, seed, batch_size)
     kernel = _kernel(segment_table(a, (b,), strategy), signs=True)
-    n, kept, b_plus, c_plus = _run_batches(kernel, trials, seed, (0,), batch_size, None)
+    n, kept, b_plus, c_plus = _run_batches(kernel, trials, seed, (0,), batch_size)
     # b_plus counts kept & c+ plus ~kept & ~c+, so kept & c+ is (b_plus - n + kept + c_plus) / 2
     pp = (b_plus - n + kept + c_plus) // 2
     mm = kept - pp
@@ -660,17 +650,13 @@ def run_experiment(config: ExperimentConfig) -> SweepTable:
     """Validate ``config`` once, then sample and finish every row of its experiment's table."""
     spec = EXPERIMENTS[config.validate().experiment]
     rows = []
-    # a thread pool for more than one worker, else None: batches then run in turn
-    workers = config.workers
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
-        for cells, streams in spec.rows(config):
-            tallies = [_run_batches(kernel, config.trials, config.seed, key, config.batch_size, pool)
-                       for key, kernel in streams.items()]
-            est, se = _rate(tallies[0], spec.hits)
-            row = dict(cells, trials=int(tallies[0][N]), estimate=est, stderr=se,
-                       **spec.finish(cells, tallies, est, se))
-            row["flags"] = ";".join(row["flags"])
-            rows.append(row)
+    for cells, streams in spec.rows(config):
+        tallies = [_run_batches(kernel, config.trials, config.seed, key, config.batch_size)
+                   for key, kernel in streams.items()]
+        est, se = _rate(tallies[0], spec.hits)
+        row = dict(cells, trials=int(tallies[0][N]), estimate=est, stderr=se, **spec.finish(cells, tallies, est, se))
+        row["flags"] = ";".join(row["flags"])
+        rows.append(row)
     spec.finish_table(rows)
     table = SweepTable(columns=list(spec.columns), manifest=config.manifest())
     for row in rows:

@@ -444,10 +444,8 @@ def _alice_slots(a: float, theta, systems) -> tuple:
 _BINS = 4096
 #: a raw theta output ``x``'s theta is ``(x >> 11) * _THETA_STEP``, bit for bit ``THETA_SPAN * random()``
 _THETA_STEP = THETA_SPAN * 2.0**-53
-#: reach of a bin's bracket around its centre
-_REACH = 2.0 * THETA_SPAN / _BINS
-#: half-width of a cross-slot bracket
-_SLACK = ACCEPTANCE_COEFF * _REACH + 1e-9
+#: half-width of a cross-slot bracket: K times half a bin's nominal width, plus rounding
+_SLACK = ACCEPTANCE_COEFF * (THETA_SPAN / (2 * _BINS)) + 1e-9
 #: width of a cross-slot bracket from its lower end
 _WIDTH = 2.0 * _SLACK + 1e-12
 
@@ -492,27 +490,34 @@ class SegmentTable:
         """The screen: per axis, a bracket's lower end ``lo`` over the ``_BINS`` bins; None when constant.
 
         A live axis has ``lo[k] <= q <= lo[k] + _WIDTH`` for the exact
-        acceptance ``q`` at every theta of bin ``k``. PCG64's ``random()`` is
-        ``v = (x >> 11) * 2**-53`` of a raw output ``x`` (O'Neill, *PCG*,
-        HMC-CS-2014-0905), so bin ``k = x >> 52`` holds ``fl(v * THETA_SPAN)``
-        for ``v`` in ``[k/_BINS, (k+1)/_BINS)``, one rounding from the nominal
-        bin. Inside a segment Bob's distance ``u`` to the separator is
-        1-Lipschitz in theta, so ``1 - K*sin(u)`` is K-Lipschitz (K = 3*pi/10),
-        and a cross-slot bin's ``lo`` is the exact acceptance at its centre
-        less ``_SLACK = K*_REACH + 1e-9``: two bin widths reach past the bin,
-        rounding included, and 1e-9 covers the rounding of both exact
+        acceptance ``q`` at every theta of bin ``k``. Bin ``k = x >> 52`` holds
+        the raw theta outputs ``x`` whose top 53 bits ``m = x >> 11`` run from
+        ``k << 41`` to ``((k + 1) << 41) - 1``, and theta
+        ``fl(m * _THETA_STEP)`` never falls with ``m``, so every theta of the
+        bin lies from the theta of the first ``m`` to that of the last. The
+        bin is near an edge exactly when those two rank into different
+        segments; a near bin holds NaN, which fails both comparisons, and any
+        other bin's thetas share one segment. Inside a segment Bob's distance
+        ``u`` to the separator is 1-Lipschitz in theta, so ``1 - K*sin(u)`` is
+        K-Lipschitz (K = 3*pi/10). The last theta lies ``2**41 - 1`` steps,
+        less than the nominal width ``THETA_SPAN / _BINS``, above the first,
+        up to their two roundings, and the centre, their rounded mean, adds
+        one more, so every theta of the bin lies within half that width plus
+        1e-15 of it. A cross-slot bin's ``lo`` is the exact acceptance at its
+        centre less ``_SLACK = K*THETA_SPAN/(2*_BINS) + 1e-9``, where 1e-9
+        covers K times those roundings and the rounding of both exact
         evaluations. ``_WIDTH`` is twice that slack plus 1e-12, some thousand
         ulps, so ``fl(lo + _WIDTH) >= fl(q + _SLACK)``. A same-slot bin holds
-        1.0, one within ``_REACH`` of an edge NaN, which fails both
-        comparisons. A coin below ``lo`` keeps ``c``, one at or above ``lo +
-        _WIDTH`` does not, and any other is held and decided exactly
-        (:meth:`_sift`, :meth:`_resolve`): the brackets are bounds, so every
-        decision is ``(coin < accept_prob) ^ negate`` of :func:`evaluate_bob`.
-        Two threads that build it at once build the same arrays.
+        1.0. A coin below ``lo`` keeps ``c``, one at or above ``lo + _WIDTH``
+        does not, and any other is held and decided exactly (:meth:`_sift`,
+        :meth:`_resolve`): the brackets are bounds, so every decision is
+        ``(coin < accept_prob) ^ negate`` of :func:`evaluate_bob`.
         """
-        centre = (np.arange(_BINS) + 0.5) * (THETA_SPAN / _BINS)
+        m = np.arange(_BINS + 1, dtype=np.int64) << 41  # each bin's first top 53 bits, then the end of the last
+        first, last = m[:-1] * _THETA_STEP, (m[1:] - 1) * _THETA_STEP
+        centre = (first + last) / 2.0
         seg = geometry._rank(centre, self.edges)
-        near = geometry._rank(centre - _REACH, self.edges) != geometry._rank(centre + _REACH, self.edges)
+        near = geometry._rank(first, self.edges) != geometry._rank(last, self.edges)
         screen = []
         for j, constant in enumerate(self.constant):
             if constant is not None:

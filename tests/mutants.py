@@ -108,6 +108,9 @@ MUTANTS = (
            "the crossing search reads gamma's wrapped bound s - 2*pi as s"),
     Mutant("src/bctsim/geometry.py", '"gamma": GAMMA_OFFSETS}', '"gamma": BETA_OFFSETS}',
            "a gamma separator's offset is read from the beta system's offsets"),
+    Mutant("src/bctsim/protocol.py", "_SLACK = ACCEPTANCE_COEFF * (THETA_SPAN / (2 * _BINS))",
+           "_SLACK = ACCEPTANCE_COEFF * (THETA_SPAN / (8 * _BINS))",
+           "a cross-slot bracket reaches a quarter of the way from a bin's centre to its ends"),
 )
 
 

@@ -1,7 +1,7 @@
 import json
 import math
 import shlex
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,6 @@ class TestConfigValidation:
             dict(trials=0),
             dict(seed=-1),
             dict(seed=2**64),
-            dict(workers=0),
             dict(batch_size=0),
             dict(nu_grid=()),
             dict(nu_grid=(PI,)),  # outside [0, pi/5]
@@ -58,8 +57,10 @@ class TestConfigValidation:
             dict(seed=False),
             dict(batch_size=500.0),
             dict(batch_size=np.True_),
-            dict(workers=2.0),
-            dict(workers=True),
+            dict(batch_size="512"),
+            # negative sizes, not only zero
+            dict(trials=-1),
+            dict(batch_size=-1),
             # remedy sweeps the reflection rules itself, so it reads no rule off the default
             dict(experiment="remedy", strategy=pr.CYCLIC_FLIP),
             dict(experiment="remedy", strategy=pr.ABS_FLIP),
@@ -76,7 +77,7 @@ class TestConfigValidation:
 
     def test_run_sizes_are_stored_as_python_ints(self):
         """NumPy integers run and emit as the Python ints they equal."""
-        sizes = dict(trials=np.int64(2000), seed=np.uint64(3), batch_size=np.int32(512), workers=np.int64(2))
+        sizes = dict(trials=np.int64(2000), seed=np.uint64(3), batch_size=np.int32(512))
         config = make_config(**sizes).validate()
         assert [(type(getattr(config, k)), getattr(config, k)) for k in sizes] == [(int, int(v)) for v in sizes.values()]
         got = hn.run_experiment(make_config(**sizes))
@@ -125,35 +126,37 @@ class TestDeterminism:
         t3 = hn.run_experiment(make_config(seed=8))
         assert t3.rows != t1.rows
 
-    def test_worker_count_invariance(self, tmp_path):
-        paths = []
-        for workers in (1, 4):
-            cfg = make_config(workers=workers, trials=50_000)
-            table = hn.run_experiment(cfg)
-            p = tmp_path / f"w{workers}.csv"
-            hn.emit(table, "csv", p)
-            paths.append(p.read_bytes())
-        assert paths[0] == paths[1]
-
-    def test_one_thread_pool_per_run(self, monkeypatch):
-        pools = []
-
-        class CountingPool(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(hn, "ThreadPoolExecutor", CountingPool)
-        audit = dict(experiment="audit", nu_grid=(), theta_grid=(0.35 * PI, 0.45 * PI), trials=2000, batch_size=500)
-        hn.run_experiment(make_config(**audit, workers=2))  # two rows, two streams each
-        assert len(pools) == 1
-        hn.run_experiment(make_config(**audit, workers=1))
-        assert len(pools) == 1
-
     def test_batch_partition_independent_of_remainder(self):
         # a trailing short batch draws its own substream; totals stay exact
         t1 = hn.run_experiment(make_config(trials=10_000, batch_size=3000))
         assert t1.rows[0]["trials"] == 10_000
+
+    def test_batches_run_in_turn_on_their_own_substreams(self):
+        """Batch ``i`` runs ``i``-th on key ``key + (i,)``, the last one short, and the tallies are summed."""
+        sizes = []
+
+        def kernel(rng, n):
+            sizes.append(n)
+            return np.array([n, rng.integers(1 << 30)])
+
+        got = hn._run_batches(kernel, 10_000, 11, (2, 5), 3000)
+        assert sizes == [3000, 3000, 3000, 1000]
+        draws = sum(int(hn._batch_rng(11, (2, 5, i)).integers(1 << 30)) for i in range(4))
+        assert got.tolist() == [10_000, draws]
+
+    def test_a_run_starts_no_thread(self, monkeypatch):
+        """Batches run in turn on the calling thread, whatever the experiment."""
+        started, start = [], threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        hn.run_experiment(make_config(trials=5000, batch_size=1000))
+        hn.run_experiment(make_config(experiment="audit", nu_grid=(), theta_grid=(0.35 * PI, 0.45 * PI),
+                                      trials=2000, batch_size=500))
+        assert started == []
 
 
 class TestKernelsAgainstOracles:
@@ -466,6 +469,19 @@ class TestCli:
         code = cli.main(["opposite-axes", "--trials", "0", "--nu-grid", "0.1:0.1:1"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_workers_token_is_checked_and_ignored(self, capsys):
+        """Batches run in turn, so ``--workers 2`` prints the bytes of no flag; ``--workers 0`` is still an error."""
+        argv = ["opposite-axes", "--trials", "30000", "--batch-size", "7000", "--seed", "3", "--nu-grid", "0:0.6283:3"]
+        printed = []
+        for flag in ([], ["--workers", "2"]):
+            assert cli.main(argv + flag) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert cli.main(argv + ["--workers", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "workers must be positive" in captured.err
 
     def test_unused_grid_flags_exit_2(self, capsys):
         code = cli.main(["correlation", "--trials", "2000", "--angle-grid", "0:1:2",

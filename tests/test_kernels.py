@@ -17,7 +17,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -626,12 +625,16 @@ def test_screen_decides_like_evaluate_bob_at_its_bracket_ends(a, axes, strategy)
 def _two_array_brackets(table, j):
     """Axis ``j``'s brackets ``(lo, hi)`` as the screen held them in two arrays, and the bins near an edge.
 
-    A near bin held ``[0, 2]``, a same-slot bin ``[1, 1]``, and a cross-slot
-    bin the centre's acceptance less and plus the slack.
+    A bin runs from the theta of its least raw output to that of its
+    greatest. A bin whose two ends rank into different segments held
+    ``[0, 2]``, a same-slot bin ``[1, 1]``, and a cross-slot bin the
+    acceptance at the mean of its ends less and plus the slack.
     """
-    centre = (np.arange(pr._BINS) + 0.5) * (geo.THETA_SPAN / pr._BINS)
+    first = theta_of(np.arange(pr._BINS, dtype=np.uint64) << np.uint64(52))
+    last = theta_of((np.arange(1, pr._BINS + 1, dtype=np.uint64) << np.uint64(52)) - np.uint64(1))
+    centre = (first + last) / 2.0
     seg = geo._rank(centre, table.edges)
-    near = geo._rank(centre - pr._REACH, table.edges) != geo._rank(centre + pr._REACH, table.edges)
+    near = geo._rank(first, table.edges) != geo._rank(last, table.edges)
     q = table._accept(j, centre, seg)
     slack = np.where(table.same[j][seg], 0.0, pr._SLACK)
     return np.where(near, 0.0, q - slack), np.where(near, 2.0, q + slack), near, table.same[j][seg]
@@ -672,27 +675,6 @@ def test_summing_a_table_never_builds_its_screen(monkeypatch):
             two_bob_equal_quadrature(PI / 10, strategy, coin_mode)
     with pytest.raises(AssertionError, match="screen built"):
         keeps_c(table, np.zeros(1, dtype=np.uint64), [np.zeros(1), np.zeros(1)])
-
-
-def test_threads_that_build_one_screen_at_once_decide_alike():
-    """The worker pool runs kernels on one table from several threads; the first ``_sift`` calls build its screen.
-
-    ``keeps_c`` calls ``_sift`` as a kernel does.
-    """
-    raw = np.random.default_rng(3).bit_generator.random_raw(50_000)
-    coins = [np.random.default_rng(4).random(50_000), np.random.default_rng(5).random(50_000)]
-    want = keeps_c(pr.segment_table(1.0, AXES, pr.CYCLIC_FLIP), raw, coins)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            table = pr.segment_table(1.0, AXES, pr.CYCLIC_FLIP)
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(keeps_c, table, raw, coins) for _ in range(8)]
-                results = [f.result(timeout=60) for f in futures]
-            assert all(np.array_equal(g, w) for got in results for g, w in zip(got, want))
-    finally:
-        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("n", [1, 7, 7_000, 250_000])
@@ -997,7 +979,7 @@ def test_acceptance_needs_no_clip(u, b):
     assert 0.0 <= float(accept) <= 1.0
 
 
-# --- worker invariance through the command line -------------------------------
+# --- the ignored --workers token through the command line ----------------------
 
 
 @pytest.mark.parametrize("argv", [
@@ -1010,6 +992,7 @@ def test_acceptance_needs_no_clip(u, b):
     ["calibrate", "--angle-grid", "0:6.2832:3"],
 ])
 def test_one_and_two_workers_emit_identical_csv(tmp_path, argv):
+    """Every experiment accepts ``--workers`` and ignores it: batches run in turn."""
     blobs = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}.csv"
