@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--trials", type=int, default=100_000, metavar="N")
     common.add_argument(
         "--seed", type=int, default=0, metavar="S",
-        help="master seed; batches derive deterministic substreams from it",
+        help="master seed; each draw of each row derives its own generator from it",
     )
     common.add_argument(
         "--strategy", choices=sorted(STRATEGY_TOKENS), default="paper-iic",
@@ -83,9 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", help="output file; stdout when omitted")
     common.add_argument(
         "--workers", type=int, default=1, metavar="K",
-        help="ignored, as batches run in turn; K must be at least 1, and the flag goes once perfbench stops passing it",
+        help="ignored, as rows run in turn; K must be at least 1, and the flag goes once perfbench stops passing it",
     )
-    common.add_argument("--batch-size", type=int, default=250_000, metavar="B")
 
     sub = parser.add_subparsers(dest="experiment", required=True)
     for spec in EXPERIMENTS.values():
@@ -94,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if args.workers < 1:  # checked, then dropped: batches run in turn
+    if args.workers < 1:  # checked, then dropped: rows run in turn
         raise ConfigError(f"workers must be positive, got {args.workers}")
     grids = {}
     for name in GRIDS:
@@ -108,7 +107,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         seed=args.seed,
         strategy=Strategy(STRATEGY_TOKENS[args.strategy], _SEMANTICS_TOKENS[args.flip_semantics]),
         coin_mode=CoinMode(args.coin),
-        batch_size=args.batch_size,
         **grids,
     )
 

@@ -1,13 +1,14 @@
 """Seeded Monte Carlo sweeps with CSV/JSON emission.
 
-Trials are split into fixed-size batches, run in turn. Batch ``i`` of the
-stream with key ``key`` draws from
-``default_rng(SeedSequence(seed, spawn_key=(*key, i)))``, so estimates depend
-only on ``(seed, key, batch_size)``. Tallies are integer vectors summed over
-the batches, so identical configurations produce bit-identical tables and
+Each draw of a row has its own generator: draw ``d`` of the stream with key
+``key`` reads ``default_rng(SeedSequence(seed, spawn_key=(*key, d)))``
+straight through, ``d`` fixed by the draw's name (:data:`THETA` ...
+:data:`ERASE_2`); a public estimator's stream has the empty key. So
+estimates depend only on ``(seed, key)``, whether one draw is read never
+moves another, and identical configurations produce bit-identical tables and
 output files.
 
-Every row samples through one batch kernel, :func:`_kernel`, which decides
+Every row samples through one kernel, :func:`_kernel`, which decides
 each trial through the row's :class:`~bctsim.protocol.SegmentTable`; its
 docstring is the account of the draws, the decisions and the tally. Each
 experiment is one :class:`Experiment` of :data:`EXPERIMENTS`, and
@@ -69,7 +70,7 @@ __all__ = [
     "read_csv_table",
 ]
 
-VERSION = "0.1.0"
+VERSION = "0.2.0"
 
 #: the grid fields of a config; each is one ``--*-grid`` command-line flag
 GRIDS = ("angle_grid", "nu_grid", "theta_grid", "visibility_grid")
@@ -87,16 +88,16 @@ class EmitError(OSError):
     """An output file could not be written."""
 
 
-def _check_run(trials: int, seed: int, batch_size: int) -> tuple[int, int, int]:
+def _check_run(trials: int, seed: int) -> tuple[int, int]:
     """The run's sizes as Python ints, by ``operator.index``; ``ConfigError`` for a bool, a non-integer or bad size."""
     sizes = []
-    for name, value in (("trials", trials), ("seed", seed), ("batch size", batch_size)):
+    for name, value in (("trials", trials), ("seed", seed)):
         if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         value = operator.index(value)
         if name == "seed" and not 0 <= value < 2**64:
             raise ConfigError(f"seed must be a non-negative 64-bit integer, got {value}")
-        if name != "seed" and value < 1:
+        if name == "trials" and value < 1:
             raise ConfigError(f"{name} must be positive, got {value}")
         sizes.append(value)
     return tuple(sizes)
@@ -113,12 +114,11 @@ class ExperimentConfig:
     nu_grid: tuple[float, ...] = ()
     theta_grid: tuple[float, ...] = ()
     visibility_grid: tuple[float, ...] = ()
-    batch_size: int = 250_000
 
     def validate(self) -> "ExperimentConfig":
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {tuple(EXPERIMENTS)}")
-        self.trials, self.seed, self.batch_size = _check_run(self.trials, self.seed, self.batch_size)
+        self.trials, self.seed = _check_run(self.trials, self.seed)
         if not isinstance(self.strategy, Strategy):
             raise ConfigError(f"strategy must be a Strategy, got {self.strategy!r}")
         try:
@@ -147,17 +147,13 @@ class ExperimentConfig:
         return self
 
     def manifest(self) -> dict:
-        # batch_size is included because it fixes the substream layout
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "trials": self.trials,
-            "strategy": self.strategy.flip_rule.value,
-            "flip_semantics": self.strategy.flip_semantics.value,
-            "coin_mode": self.coin_mode.value,
-            "batch_size": self.batch_size,
-            "version": VERSION,
-        }
+        """The run's header: each option part only where the experiment reads it (:attr:`Experiment.optional`)."""
+        optional = EXPERIMENTS[self.experiment].optional
+        options = {"strategy": ("strategy", self.strategy.flip_rule.value),
+                   "flip_semantics": ("flip_semantics", self.strategy.flip_semantics.value),
+                   "coin": ("coin_mode", self.coin_mode.value)}
+        return {"experiment": self.experiment, "seed": self.seed, "trials": self.trials,
+                **dict(cell for part, cell in options.items() if part in optional), "version": VERSION}
 
 
 @dataclass
@@ -177,23 +173,16 @@ def _stderr(p_hat: float, n: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
-def _batch_rng(seed: int, key: tuple[int, ...]) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+#: each draw's index ``d`` in its generator's key, fixed by its name; a shared coin is ``COIN_1``
+THETA, SIGN, COIN_1, COIN_2, ERASE_1, ERASE_2 = range(6)
 
 
-def _run_batches(
-    kernel: Callable[[np.random.Generator, int], np.ndarray],
-    trials: int,
-    seed: int,
-    key: tuple[int, ...],
-    batch_size: int,
-) -> np.ndarray:
-    """``kernel``'s tally summed over batches of ``batch_size`` run in turn, batch ``i`` on key ``key + (i,)``."""
-    return sum(kernel(_batch_rng(seed, key + (i,)), min(batch_size, trials - start))
-               for i, start in enumerate(range(0, trials, batch_size)))
+def _draw_rng(seed: int, key: tuple[int, ...], draw: int) -> np.random.Generator:
+    """The generator of draw ``draw`` of the row stream with key ``key``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, draw)))
 
 
-# --- the batch kernel -------------------------------------------------------
+# --- the kernel -------------------------------------------------------------
 
 #: Tally layout: a prefix of these cells. Every row counts trials, then per
 #: Bob axis the trials where his output equals c ("kept"). Two-axis rows add
@@ -230,30 +219,18 @@ def _in_windows(raw: np.ndarray, outputs) -> np.ndarray:
     return (raw >= outputs[0]) & (raw <= outputs[1])
 
 
-#: trials per chunk of a batch: small enough for a chunk's arrays to stay in cache, and even
+# NumPy draws 32 bools off each 32-bit half of an output and keeps an unused half for its next call, so
+# the sign draw read in calls of a multiple of 32 trials (the last call aside) equals one read: both
+# sizes below must stay multiples of 32, and then no tally depends on them
+#: trials per chunk: small enough for a chunk's arrays to stay in cache
 _CHUNK = 16384
+#: trials per block, whose decisions are resolved and tallied before the next block draws
+_BLOCK = 16 * _CHUNK
 
 
 def _count(mask, n: int) -> int:
-    """How many of a batch's ``n`` trials ``mask`` holds; a 0-d mask, a decision no draw changes, holds all or none."""
+    """How many of a block's ``n`` trials ``mask`` holds; a 0-d mask, a decision no draw changes, holds all or none."""
     return int(np.count_nonzero(mask)) if np.ndim(mask) else n * bool(mask)
-
-
-def _substreams(rng: np.random.Generator, draws) -> list[np.random.Generator | None]:
-    """Per draw of :func:`_kernel`'s plan, listed in order as ``(outputs, read)``, its generator or None if not read.
-
-    The first is ``rng`` itself, each later one a ``PCG64`` at ``rng``'s
-    state advanced by the 64-bit outputs of the draws before it.
-    """
-    streams = [rng if draws[0][1] else None]
-    for offset, (_, read) in zip(itertools.accumulate(outputs for outputs, _ in draws[:-1]), draws[1:]):
-        if not read:
-            streams.append(None)
-            continue
-        bits = np.random.PCG64(0)
-        bits.state = rng.bit_generator.state
-        streams.append(np.random.Generator(bits.advance(offset)))
-    return streams
 
 
 def _kernel(
@@ -266,34 +243,29 @@ def _kernel(
     signs: bool = False,
     accepts: list | None = None,
 ):
-    """Batch kernel for Alice against the one or two Bob axes of ``table``; tallies as laid out above.
+    """Kernel for Alice against the one or two Bob axes of ``table``: ``kernel(seed, key, n)``, tallied as above.
 
-    The draw plan, in stream order: theta (unless conditioned), c, one coin
-    per axis (one for both under ``CoinMode.SHARED``), then, given a
-    ``visibility``, erase1 and erase2: each side survives with probability
-    ``visibility``. Nothing else draws, the table included, so the plan
-    fixes the stream.
+    The draws: theta (unless conditioned), c, one coin per axis (one for
+    both under ``CoinMode.SHARED``), then, given a ``visibility``, erase1
+    and erase2: each side survives with probability ``visibility``. Each
+    read draw takes its generator, :func:`_draw_rng` at its index, and reads
+    it straight through: theta as raw outputs, kept raw for the screen bin
+    and window tally, c as ``integers(0, 2, m, dtype=bool)``, the others as
+    ``random(m)``. Nothing else draws, the table included.
 
-    A batch is drawn in chunks of ``_CHUNK`` trials, from one substream per
-    draw (:func:`_substreams`), each at its draw's offset in the batch
-    stream: a float draw takes ``n`` outputs and c ``(n + 1) // 2``, read
-    off the raw outputs as NumPy's ``integers(0, 2, n, dtype=np.int64)``
-    reads them (the top bit of each 32-bit half, low half first; ``_CHUNK``
-    is even); theta's outputs stay raw for the screen bin and window tally. A
-    conditioned row decides by the acceptances at ``theta_fixed``
+    Trials run in blocks of ``_BLOCK``, each drawn in chunks of ``_CHUNK``.
+    A conditioned row decides by the acceptances at ``theta_fixed``
     (``accepts``, else :meth:`~bctsim.protocol.SegmentTable.accept`), any
     other by the table's screen (:attr:`~bctsim.protocol.SegmentTable._screen`),
-    each live axis resolving its held trials after the last chunk. Every
-    step is per trial, so the chunks change no tally.
+    each live axis resolving its held trials after the block's last chunk.
+    Every step is per trial, so neither size changes a tally.
 
-    A draw that nothing reads gets no substream and every other keeps its
-    offset, so skipping one changes no tally. c is drawn only with
-    ``signs``, which only :func:`joint_outcome_table` reads; an axis with a
-    constant decision draws no coin and is tallied from ``n``; theta is
-    drawn only when a live axis or the window tally reads it. A plan that
-    reads nothing takes no substream and walks no chunk. A
-    ``theta_fixed`` outside [0, 3*pi/5), which no round draws, raises
-    ``ConfigError``.
+    c is drawn only with ``signs``, which only :func:`joint_outcome_table`
+    reads; an axis with a constant decision draws no coin and is tallied
+    from ``n``; theta is drawn only when a live axis or the window tally
+    reads it. A kernel that reads nothing takes no generator and walks no
+    chunk. A ``theta_fixed`` outside [0, 3*pi/5), which no round draws,
+    raises ``ConfigError``.
     """
     constant = table.constant
     if theta_fixed is not None:
@@ -306,34 +278,32 @@ def _kernel(
     windowed = two and windows is not None and theta_fixed is None
     shared = two and CoinMode(coin_mode) is CoinMode.SHARED
     live = [k is None for k in constant]
-    # the draw plan, in stream order: per draw, its name and whether it is generated
-    plan = [("theta", windowed or any(live))] if theta_fixed is None else []
-    plan += [("c", signs)] + ([("coin", any(live))] if shared else [("coin", is_live) for is_live in live])
-    plan += [] if visibility is None else [("erase1", True), ("erase2", True)]
-    walks = any(read for _, read in plan)  # else every axis is constant, and a batch takes no substream
+    coin_of = [COIN_1 if shared else COIN_1 + j for j in range(len(live))]  # per axis, its coin's draw
+    reads = sorted({coin for coin, is_live in zip(coin_of, live) if is_live}
+                   | ({THETA} if theta_fixed is None and (windowed or any(live)) else set())
+                   | ({SIGN} if signs else set()) | (set() if visibility is None else {ERASE_1, ERASE_2}))
     outputs = _window_outputs(windows) if windowed else None
 
+    def kernel(seed: int, key: tuple[int, ...], n: int) -> np.ndarray:
+        rngs = {d: _draw_rng(seed, key, d) for d in reads}
+        return sum(block(rngs, min(_BLOCK, n - first)) for first in range(0, n, _BLOCK))
+
     @np.errstate(invalid="ignore")  # some NumPy builds flag a comparison with a NaN bin of the screen
-    def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        draws = (_substreams(rng, [((n + 1) // 2 if name == "c" else n, read) for name, read in plan]) if walks
-                 else [None] * len(plan))
-        theta_draw = draws.pop(0) if theta_fixed is None else None
-        sign_draw, *uniform = draws  # the coins, then the erasures
-        c_plus = None if sign_draw is None else np.empty(n, dtype=bool)
+    def block(rngs: dict, n: int) -> np.ndarray:
+        c_plus = np.empty(n, dtype=bool) if signs else None
         # per axis: the decisions of a live axis, or the constant of one that has no coin
         kept = [np.empty(n, dtype=bool) if is_live else k for is_live, k in zip(live, constant)]
         held = [[] for _ in live]  # per axis, each chunk's held trials
         in_win = np.empty(n, dtype=bool) if windowed else None
         survived = None if visibility is None else np.empty(n, dtype=bool)
-        for start in range(0, n if walks else 0, _CHUNK):
+        for start in range(0, n if rngs else 0, _CHUNK):
             rows = slice(start, min(start + _CHUNK, n))
             m = rows.stop - start
-            raw = None if theta_draw is None else theta_draw.bit_generator.random_raw(m)
-            if c_plus is not None:
-                np.greater_equal(sign_draw.bit_generator.random_raw((m + 1) // 2).view(np.uint32)[:m], 2**31,
-                                 out=c_plus[rows])
-            u = [None if draw is None else draw.random(m) for draw in uniform]
-            coins = [u[0], u[0]] if shared else u[:len(live)]
+            raw = rngs[THETA].bit_generator.random_raw(m) if THETA in rngs else None
+            if signs:
+                c_plus[rows] = rngs[SIGN].integers(0, 2, m, dtype=bool)
+            u = {d: rng.random(m) for d, rng in rngs.items() if d >= COIN_1}  # the coins and the erasures
+            coins = [u.get(coin) for coin in coin_of]
             outs = [k[rows] if is_live else None for k, is_live in zip(kept, live)]
             if theta_fixed is not None:
                 for coin, q, out in zip(coins, accepts, outs):
@@ -346,7 +316,7 @@ def _kernel(
             if in_win is not None:
                 in_win[rows] = _in_windows(raw, outputs)
             if survived is not None:
-                survived[rows] = (u[-2] < visibility) & (u[-1] < visibility)
+                survived[rows] = (u[ERASE_1] < visibility) & (u[ERASE_2] < visibility)
         for j, is_live in enumerate(live):
             if is_live:
                 table._resolve(j, kept[j], held[j])
@@ -358,7 +328,7 @@ def _kernel(
             counts.append(_count(eq, n))
             if in_win is not None:
                 counts.append(_count(eq & in_win, n))
-        if c_plus is not None:  # c_b > 0 exactly when kept == (c > 0), for a constant axis too
+        if signs:  # c_b > 0 exactly when kept == (c > 0), for a constant axis too
             counts += [_count(np.equal(k, c_plus), n) for k in reversed(kept)] + [_count(c_plus, n)]
         return np.array(counts, dtype=np.int64)
 
@@ -375,16 +345,15 @@ def conditioned_two_bob_estimate(
     seed: int,
     strategy: Strategy = NO_FLIP,
     coin_mode: CoinMode = CoinMode.INDEPENDENT,
-    batch_size: int = 250_000,
 ) -> tuple[float, float]:
     """Monte Carlo P(both Bob outputs equal) with the shared angle held fixed.
 
     Returns (estimate, standard error). Rejection-free: theta is an input,
     not a sample.
     """
-    trials, seed, batch_size = _check_run(trials, seed, batch_size)
+    trials, seed = _check_run(trials, seed)
     kernel = _kernel(_frame_table(nu, strategy), coin_mode, theta_fixed=theta)
-    return _rate(_run_batches(kernel, trials, seed, (0,), batch_size), EQUAL)
+    return _rate(kernel(seed, (), trials), EQUAL)
 
 
 def conditioned_pair_estimate(
@@ -394,12 +363,11 @@ def conditioned_pair_estimate(
     trials: int,
     seed: int,
     strategy: Strategy = NO_FLIP,
-    batch_size: int = 250_000,
 ) -> tuple[float, float]:
     """Monte Carlo P(outputs equal) for one pair with the shared angle fixed."""
-    trials, seed, batch_size = _check_run(trials, seed, batch_size)
+    trials, seed = _check_run(trials, seed)
     kernel = _kernel(segment_table(a, (b,), strategy), theta_fixed=theta)
-    return _rate(_run_batches(kernel, trials, seed, (0,), batch_size), KEPT_1)
+    return _rate(kernel(seed, (), trials), KEPT_1)
 
 
 def joint_outcome_table(
@@ -408,7 +376,6 @@ def joint_outcome_table(
     trials: int,
     seed: int,
     strategy: Strategy = NO_FLIP,
-    batch_size: int = 250_000,
 ) -> np.ndarray:
     """2x2 joint outcome counts, rows = first party's sign, cols = second's.
 
@@ -416,9 +383,9 @@ def joint_outcome_table(
     :func:`~bctsim.protocol.nbct_trial` rounds, which play each round
     through Alice's message and Bob's scalar procedure.
     """
-    trials, seed, batch_size = _check_run(trials, seed, batch_size)
+    trials, seed = _check_run(trials, seed)
     kernel = _kernel(segment_table(a, (b,), strategy), signs=True)
-    n, kept, b_plus, c_plus = _run_batches(kernel, trials, seed, (0,), batch_size)
+    n, kept, b_plus, c_plus = kernel(seed, (), trials)
     # b_plus counts kept & c+ plus ~kept & ~c+, so kept & c+ is (b_plus - n + kept + c_plus) / 2
     pp = (b_plus - n + kept + c_plus) // 2
     mm = kept - pp
@@ -651,8 +618,7 @@ def run_experiment(config: ExperimentConfig) -> SweepTable:
     spec = EXPERIMENTS[config.validate().experiment]
     rows = []
     for cells, streams in spec.rows(config):
-        tallies = [_run_batches(kernel, config.trials, config.seed, key, config.batch_size)
-                   for key, kernel in streams.items()]
+        tallies = [kernel(config.seed, key, config.trials) for key, kernel in streams.items()]
         est, se = _rate(tallies[0], spec.hits)
         row = dict(cells, trials=int(tallies[0][N]), estimate=est, stderr=se, **spec.finish(cells, tallies, est, se))
         row["flags"] = ";".join(row["flags"])

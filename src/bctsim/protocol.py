@@ -557,7 +557,7 @@ class SegmentTable:
         """
         if held:
             at, raw, coin = (np.concatenate(part) for part in zip(*held))
-            theta = (raw >> 11) * _THETA_STEP  # the only thetas a sampled batch makes
+            theta = (raw >> 11) * _THETA_STEP  # the only thetas a sampled block makes
             keep[at] = coin < self._accept(j, theta, geometry._rank(theta, self.edges))
         if self.negate[j]:
             np.logical_not(keep, out=keep)

@@ -111,6 +111,10 @@ MUTANTS = (
     Mutant("src/bctsim/protocol.py", "_SLACK = ACCEPTANCE_COEFF * (THETA_SPAN / (2 * _BINS))",
            "_SLACK = ACCEPTANCE_COEFF * (THETA_SPAN / (8 * _BINS))",
            "a cross-slot bracket reaches a quarter of the way from a bin's centre to its ends"),
+    Mutant("src/bctsim/harness.py", "[COIN_1 if shared else COIN_1 + j for j", "[COIN_1 for j",
+           "the second axis's independent coin is keyed as the first's, draw 2 instead of 3"),
+    Mutant("src/bctsim/harness.py", "_BLOCK = 16 * _CHUNK", "_BLOCK = 16 * _CHUNK + 1",
+           "a block size that is not a multiple of 32 starts the next block's sign draw on a fresh 32-bit half"),
 )
 
 

@@ -21,7 +21,7 @@ from bctsim.analysis import (
     two_bob_equal_given_theta,
 )
 from bctsim.geometry import THETA_SPAN
-from bctsim.protocol import ACCEPTANCE_COEFF, NO_FLIP, CoinMode
+from bctsim.protocol import ACCEPTANCE_COEFF, NO_FLIP, CoinMode, p_equal_given_theta, segment_table
 from slot_oracle import theta_breakpoints
 
 #: absolute and relative tolerance of the reference two-Bob quadrature
@@ -79,6 +79,21 @@ def two_bob_equal_reference(
             val, _ = integrate.quad(lambda t: two_bob_equal_given_theta(nu, t, strategy, coin_mode), lo, hi,
                                     epsabs=REFERENCE_TOL, epsrel=REFERENCE_TOL, limit=200)
             total += val
+    return THETA_DENSITY * total
+
+
+def pair_equal_reference(a: float, b: float, strategy=NO_FLIP) -> float:
+    """Mean of :func:`p_equal_given_theta` over the shared angle, by adaptive quadrature between the table's edges.
+
+    The integrand is smooth between consecutive edges of
+    ``segment_table(a, (b,), strategy)``, where no slot test flips.
+    """
+    pts = [0.0, *segment_table(a, (b,), strategy).edges.tolist(), THETA_SPAN]
+    total = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        val, _ = integrate.quad(lambda t: p_equal_given_theta(a, b, t, strategy), lo, hi,
+                                epsabs=REFERENCE_TOL, epsrel=REFERENCE_TOL, limit=200)
+        total += val
     return THETA_DENSITY * total
 
 

@@ -9,7 +9,7 @@ so the float build can be pinned to them field by field; the crossing search
 spells its own table of slot bounds, so a wrong entry in the package's cannot
 hide in both.
 :func:`keeps_c` runs a table's screen and resolve steps over one array of raw
-theta outputs, as the batch kernel runs them chunk by chunk; :func:`theta_of`
+theta outputs, as the kernel runs them chunk by chunk; :func:`theta_of`
 gives those outputs' thetas, and :func:`outputs_near` the outputs whose thetas
 lie nearest given values. :func:`array_expectation` is
 :meth:`bctsim.protocol.SegmentTable.expectation` as NumPy arrays, its terms
@@ -115,7 +115,7 @@ def keeps_c(table: pr.SegmentTable, raw: np.ndarray | None, coins) -> list[np.nd
     their thetas) and ``coins[j]`` axis ``j``'s acceptance draws. A constant
     axis gets its constant, shaped like ``raw``, and reads no coin; with no
     live axis ``raw`` may be None (the decisions are then 0-d). The screen
-    runs under the batch kernel's ``np.errstate``.
+    runs under the kernel's ``np.errstate``.
     """
     shape = np.shape(raw)
     kept = [np.empty(shape, dtype=bool) if k is None else np.full(shape, k) for k in table.constant]

@@ -154,7 +154,7 @@ def _nbct_table(a: float, b: float, rounds: int, seed: int, strategy) -> np.ndar
 
 def test_criterion_08_black_box_equivalence():
     # ten fixed pairs covering small, medium, wraparound and reflected
-    # separations; the batch kernel's segment-table path against black-box
+    # separations; the kernel's segment-table path against black-box
     # rounds played through Alice's message and Bob's scalar procedure.
     # Seeds fixed so the 1%-level test is deterministic. The same pairs are
     # replayed draw for draw, bit for bit, in tests/test_slot_rule.py.

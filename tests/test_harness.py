@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import shlex
@@ -12,13 +13,14 @@ from bctsim import cli
 from bctsim import harness as hn
 from bctsim import protocol as pr
 from bctsim.geometry import THETA_SPAN
+from quad_oracle import pair_equal_reference
 from table_oracle import outputs_near, theta_of
 
 PI = math.pi
 
 
 def make_config(**kw):
-    base = dict(experiment="opposite-axes", trials=20_000, seed=7, nu_grid=(PI / 10,), batch_size=4096)
+    base = dict(experiment="opposite-axes", trials=20_000, seed=7, nu_grid=(PI / 10,))
     base.update(kw)
     return hn.ExperimentConfig(**base)
 
@@ -34,7 +36,6 @@ class TestConfigValidation:
             dict(trials=0),
             dict(seed=-1),
             dict(seed=2**64),
-            dict(batch_size=0),
             dict(nu_grid=()),
             dict(nu_grid=(PI,)),  # outside [0, pi/5]
             dict(coin_mode="bogus"),
@@ -55,12 +56,10 @@ class TestConfigValidation:
             dict(seed=1.5),
             dict(seed=np.float64(3.0)),
             dict(seed=False),
-            dict(batch_size=500.0),
-            dict(batch_size=np.True_),
-            dict(batch_size="512"),
+            dict(seed=np.True_),
+            dict(seed="3"),
             # negative sizes, not only zero
             dict(trials=-1),
-            dict(batch_size=-1),
             # remedy sweeps the reflection rules itself, so it reads no rule off the default
             dict(experiment="remedy", strategy=pr.CYCLIC_FLIP),
             dict(experiment="remedy", strategy=pr.ABS_FLIP),
@@ -77,11 +76,11 @@ class TestConfigValidation:
 
     def test_run_sizes_are_stored_as_python_ints(self):
         """NumPy integers run and emit as the Python ints they equal."""
-        sizes = dict(trials=np.int64(2000), seed=np.uint64(3), batch_size=np.int32(512))
+        sizes = dict(trials=np.int64(2000), seed=np.uint64(3))
         config = make_config(**sizes).validate()
         assert [(type(getattr(config, k)), getattr(config, k)) for k in sizes] == [(int, int(v)) for v in sizes.values()]
         got = hn.run_experiment(make_config(**sizes))
-        want = hn.run_experiment(make_config(trials=2000, seed=3, batch_size=512))
+        want = hn.run_experiment(make_config(trials=2000, seed=3))
         for fmt in ("csv", "json"):
             assert hn.render_text(got, fmt) == hn.render_text(want, fmt)
 
@@ -116,6 +115,20 @@ class TestConfigValidation:
         assert m["strategy"] == "disabled"
         assert m["version"] == hn.VERSION
 
+    @pytest.mark.parametrize("name", list(hn.EXPERIMENTS))
+    def test_manifest_names_only_the_option_parts_the_experiment_reads(self, name):
+        """``strategy``, ``flip_semantics`` and ``coin_mode`` head a table only where ``optional`` names their part."""
+        spec = hn.EXPERIMENTS[name]
+        config = hn.ExperimentConfig(experiment=name, **{g: cli.parse_grid(d) for g, d in spec.grids.items()})
+        parts = {"strategy": "strategy", "flip_semantics": "flip_semantics", "coin": "coin_mode"}
+        want = ["experiment", "seed", "trials", *(cell for part, cell in parts.items() if part in spec.optional),
+                "version"]
+        assert list(config.validate().manifest()) == want
+        table = hn.run_experiment(dataclasses.replace(config, trials=10))
+        csv_lines = hn.render_text(table, "csv").splitlines()
+        assert [line[2:].partition("=")[0] for line in csv_lines if line.startswith("# ")] == want
+        assert list(json.loads(hn.render_text(table, "json"))["manifest"]) == want
+
 
 class TestDeterminism:
     def test_same_seed_same_table(self):
@@ -126,26 +139,23 @@ class TestDeterminism:
         t3 = hn.run_experiment(make_config(seed=8))
         assert t3.rows != t1.rows
 
-    def test_batch_partition_independent_of_remainder(self):
-        # a trailing short batch draws its own substream; totals stay exact
-        t1 = hn.run_experiment(make_config(trials=10_000, batch_size=3000))
-        assert t1.rows[0]["trials"] == 10_000
+    def test_rows_run_in_turn_on_their_own_keys(self, monkeypatch):
+        """Each stream runs all its trials on the run's seed and its key: ``(i,)``, or ``(i, s)`` for the audit's."""
+        calls, kernel_of = [], hn._kernel
 
-    def test_batches_run_in_turn_on_their_own_substreams(self):
-        """Batch ``i`` runs ``i``-th on key ``key + (i,)``, the last one short, and the tallies are summed."""
-        sizes = []
+        def recorded(*args, **kwargs):
+            kernel = kernel_of(*args, **kwargs)
+            return lambda seed, key, n: calls.append((seed, key, n)) or kernel(seed, key, n)
 
-        def kernel(rng, n):
-            sizes.append(n)
-            return np.array([n, rng.integers(1 << 30)])
-
-        got = hn._run_batches(kernel, 10_000, 11, (2, 5), 3000)
-        assert sizes == [3000, 3000, 3000, 1000]
-        draws = sum(int(hn._batch_rng(11, (2, 5, i)).integers(1 << 30)) for i in range(4))
-        assert got.tolist() == [10_000, draws]
+        monkeypatch.setattr(hn, "_kernel", recorded)
+        hn.run_experiment(make_config(trials=3000, seed=11, nu_grid=(0.0, PI / 10, PI / 5)))
+        assert calls == [(11, (i,), 3000) for i in range(3)]
+        calls.clear()
+        hn.run_experiment(make_config(experiment="audit", nu_grid=(), theta_grid=(1.0, 1.2), trials=500, seed=2))
+        assert calls == [(2, (i, s), 500) for i in range(2) for s in range(2)]
 
     def test_a_run_starts_no_thread(self, monkeypatch):
-        """Batches run in turn on the calling thread, whatever the experiment."""
+        """Rows run in turn on the calling thread, whatever the experiment."""
         started, start = [], threading.Thread.start
 
         def counting_start(thread):
@@ -153,9 +163,9 @@ class TestDeterminism:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
-        hn.run_experiment(make_config(trials=5000, batch_size=1000))
+        hn.run_experiment(make_config(trials=5000))
         hn.run_experiment(make_config(experiment="audit", nu_grid=(), theta_grid=(0.35 * PI, 0.45 * PI),
-                                      trials=2000, batch_size=500))
+                                      trials=2000))
         assert started == []
 
 
@@ -167,7 +177,6 @@ class TestKernelsAgainstOracles:
             seed=3,
             strategy=pr.CYCLIC_FLIP,
             angle_grid=tuple(np.linspace(0, 2 * PI, 9, endpoint=False)),
-            batch_size=30_000,
         )
         table = hn.run_experiment(cfg)
         for row in table.rows:
@@ -221,13 +230,10 @@ class TestKernelsAgainstOracles:
     @pytest.mark.parametrize("bad,message", [
         (dict(trials=0), "trials must be positive"),
         (dict(trials=-5), "trials must be positive"),
-        (dict(batch_size=0), "batch size must be positive"),
-        (dict(batch_size=-4096), "batch size must be positive"),
         (dict(seed=-1), "seed must be a non-negative 64-bit integer"),
         (dict(seed=2**64), "seed must be a non-negative 64-bit integer"),
         (dict(trials=True), "trials must be an integer"),
         (dict(trials=1000.0), "trials must be an integer"),
-        (dict(batch_size=500.0), "batch size must be an integer"),
         (dict(seed=1.5), "seed must be an integer"),
     ])
     def test_estimators_check_their_run_sizes_as_validate_does(self, estimator, bad, message):
@@ -236,7 +242,7 @@ class TestKernelsAgainstOracles:
                     conditioned_pair_estimate=dict(a=PI / 2, b=PI, theta=0.35 * PI),
                     joint_outcome_table=dict(a=0.0, b=PI / 2))[estimator]
         with pytest.raises(hn.ConfigError, match=message):
-            getattr(hn, estimator)(**args, **{"trials": 1000, "seed": 3, "batch_size": 256, **bad})
+            getattr(hn, estimator)(**args, **{"trials": 1000, "seed": 3, **bad})
         with pytest.raises(hn.ConfigError, match=message):
             make_config(**bad).validate()
 
@@ -254,7 +260,6 @@ class TestKernelsAgainstOracles:
             seed=5,
             visibility_grid=(1.0, 0.99),
             nu_grid=(PI / 10,),
-            batch_size=50_000,
         )
         table = hn.run_experiment(cfg)
         full = table.rows[0]
@@ -270,7 +275,6 @@ class TestKernelsAgainstOracles:
             trials=20_000,
             seed=9,
             theta_grid=(0.35 * PI, 0.45 * PI),
-            batch_size=20_000,
         )
         table = hn.run_experiment(cfg)
         assert [r["violation"] for r in table.rows] == ["true", "true"]
@@ -286,7 +290,6 @@ class TestKernelsAgainstOracles:
             seed=15,
             nu_grid=(PI / 10,),
             theta_grid=(0.45 * PI,),
-            batch_size=30_000,
         )
         table = hn.run_experiment(cfg)
         combos = {(r["flip_rule"], r["coin_mode"], r["theta"]) for r in table.rows}
@@ -303,10 +306,13 @@ class TestKernelsAgainstOracles:
         )
         p = 1 - (3 * PI / 10) * math.sin(PI / 20)
         assert conditioned["estimate"] == pytest.approx(2 * p * (1 - p), abs=0.015)
-        # every remedy keeps the second-axis correlation at the reference law
+        # every remedy keeps the second axis's equal-output rate at its exact value, 1/2 under every rule
+        a, b2 = an.alice_setting(PI / 10), an.WALKTHROUGH_B1 + PI
         for row in table.rows:
             if row["theta"] is None:
-                assert row["ab2_deviation"] < 5 * max(row["stderr"], 1e-3)
+                p = pair_equal_reference(a, b2, pr.Strategy(pr.FlipRule(row["flip_rule"])))
+                assert p == pytest.approx(0.5, abs=1e-12)
+                assert abs(row["ab2_estimate"] - p) < 4 * math.sqrt(p * (1 - p) / row["trials"])
 
     def test_remedy_builds_one_table_per_nu_and_flip_rule(self, monkeypatch):
         """A table does not depend on the coin mode: each nu builds one per flip rule, conditioned rows included.
@@ -322,7 +328,7 @@ class TestKernelsAgainstOracles:
         monkeypatch.setattr(an, "segment_table", counted)
         monkeypatch.setattr(hn, "segment_table", counted)
         cfg = hn.ExperimentConfig(experiment="remedy", trials=100, seed=3, nu_grid=(0.0, PI / 10),
-                                  theta_grid=(0.35 * PI, 0.45 * PI), batch_size=100)
+                                  theta_grid=(0.35 * PI, 0.45 * PI))
         table = hn.run_experiment(cfg)
         assert len(table.rows) == 2 * len(hn.REMEDY_COMBOS) * 3
         assert len(built) == 2 * 3  # per nu: the disabled, cyclic and absolute rules
@@ -343,7 +349,7 @@ class TestKernelsAgainstOracles:
 
         monkeypatch.setattr(pr.SegmentTable, "accept", counted)
         cfg = hn.ExperimentConfig(experiment="remedy", trials=100, seed=3, nu_grid=(PI / 10,),
-                                  theta_grid=(0.35 * PI, 0.45 * PI), batch_size=100)
+                                  theta_grid=(0.35 * PI, 0.45 * PI))
         table = hn.run_experiment(cfg)
         assert len(table.rows) == len(hn.REMEDY_COMBOS) * 3
         # the disabled, cyclic and absolute rules' acceptances at each theta, which the kernels reuse
@@ -370,7 +376,6 @@ class TestKernelsAgainstOracles:
             trials=40_000,
             seed=19,
             angle_grid=tuple(np.linspace(0, 2 * PI, 13, endpoint=False)),
-            batch_size=40_000,
         )
         table = hn.run_experiment(cfg)
         best = min(table.rows, key=lambda r: r["strategy_max_deviation"])
@@ -471,8 +476,8 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_workers_token_is_checked_and_ignored(self, capsys):
-        """Batches run in turn, so ``--workers 2`` prints the bytes of no flag; ``--workers 0`` is still an error."""
-        argv = ["opposite-axes", "--trials", "30000", "--batch-size", "7000", "--seed", "3", "--nu-grid", "0:0.6283:3"]
+        """Rows run in turn, so ``--workers 2`` prints the bytes of no flag; ``--workers 0`` is still an error."""
+        argv = ["opposite-axes", "--trials", "30000", "--seed", "3", "--nu-grid", "0:0.6283:3"]
         printed = []
         for flag in ([], ["--workers", "2"]):
             assert cli.main(argv + flag) == 0
@@ -568,34 +573,29 @@ TALLY_CELLS = {"correlation": 2, "opposite-axes": 5, "visibility": 5, "audit": 2
 def test_no_experiment_row_reads_a_draw_it_does_not_use(experiment, tmp_path, monkeypatch):
     """No row generates the sign c, which none reads, tests the windows unless it reads them, or tallies a spare cell.
 
-    Every plan still lists c, so each later draw keeps its offset: with
-    1,000 trials a batch, c is the one draw of 500 outputs, every other one
-    of 1,000. The one-axis experiments tally ``N`` and ``KEPT_1``;
+    Every generator a row takes is one of a draw it reads, so none is c's
+    (draw 1). The one-axis experiments tally ``N`` and ``KEPT_1``;
     ``remedy`` reads ``EQUAL`` and ``KEPT_2``, and
     :func:`~bctsim.harness.conditioned_two_bob_estimate` ``EQUAL``, so
     neither calls ``_in_windows`` and both tally up to ``EQUAL``. Only
     ``opposite-axes`` and ``visibility`` read ``EQUAL_IN_WINDOWS``.
     """
-    plans, window_tests, lengths = [], [], set()
-    substreams, in_windows, run_batches = hn._substreams, hn._in_windows, hn._run_batches
+    taken, window_tests, lengths = [], [], set()
+    draw_rng, in_windows, kernel_of = hn._draw_rng, hn._in_windows, hn._kernel
 
-    def tallied(*args):
-        tally = run_batches(*args)
-        lengths.add(len(tally))
-        return tally
+    def tallied(*args, **kwargs):
+        kernel = kernel_of(*args, **kwargs)
+        return lambda *run: lengths.add(len(tally := kernel(*run))) or tally
 
-    monkeypatch.setattr(hn, "_substreams", lambda rng, draws: plans.append(draws) or substreams(rng, draws))
+    monkeypatch.setattr(hn, "_draw_rng", lambda seed, key, d: taken.append(d) or draw_rng(seed, key, d))
     monkeypatch.setattr(hn, "_in_windows", lambda *args: window_tests.append(args) or in_windows(*args))
-    monkeypatch.setattr(hn, "_run_batches", tallied)
+    monkeypatch.setattr(hn, "_kernel", tallied)
     if experiment == "conditioned_two_bob_estimate":
         hn.conditioned_two_bob_estimate(PI / 10, 1.1, 1000, 0)
     else:
         argv = [experiment, "--trials", "1000", *SMALL_RUNS[experiment], "--out", str(tmp_path / "out.csv")]
         assert cli.main(argv) == 0
-    assert plans
-    for draws in plans:
-        assert [read for outputs, read in draws if outputs == 500] == [False]
-        assert {outputs for outputs, _ in draws} <= {500, 1000}
+    assert taken and hn.SIGN not in taken
     assert (window_tests == []) is (experiment not in ("opposite-axes", "visibility"))
     assert lengths == {TALLY_CELLS[experiment]}
 

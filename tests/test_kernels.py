@@ -1,7 +1,8 @@
 """The segment-table kernel against per-trial references built on ``evaluate_bob``.
 
 The reference kernels below evaluate Alice's slots and Bob's branch logic on
-every trial, with the same draws in the same order; the batch kernel decides
+every trial, with the same draws, each read whole from its own generator
+(:func:`draws`); the kernel decides
 most trials from its table's acceptance screen and looks only the rest up by
 theta segment. Each reference names the cells of the kernel's tally; the
 kernel must carry those cells and no other, each integer for integer, with
@@ -10,7 +11,6 @@ agree with ``evaluate_bob`` bit for bit next to every edge, at every screen
 bin boundary and at both ends of every bin's bracket.
 """
 
-import itertools
 import math
 import os
 import subprocess
@@ -42,6 +42,15 @@ STRATEGIES = tuple(s for _, s in hn.CALIBRATION_VARIANTS)
 COINS = (pr.CoinMode.INDEPENDENT, pr.CoinMode.SHARED)
 SPECIAL_THETAS = (0.0, 5e-324, 1e-17, 4.4e-16, 4.5e-16, LAST_THETA)
 TRIALS = 3000
+#: the stream key the same-path tests run their kernels on
+KEY = (3, 1)
+#: each draw's index in its generator's key: theta, c, the coin of each axis (a shared coin is the first), erasures
+THETA, SIGN, COIN_1, COIN_2, ERASE_1, ERASE_2 = range(6)
+
+
+def draws(seed, key=KEY):
+    """Per draw index, the generator a kernel run on ``(seed, key)`` reads it from."""
+    return lambda d: np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, d)))
 
 
 # --- per-trial reference kernels -----------------------------------------
@@ -53,8 +62,12 @@ def _accept(a, b, theta, strategy):
     return ev.accept_prob, ev.negate
 
 
-def _theta(rng, n, theta_fixed):
-    return np.full(n, theta_fixed) if theta_fixed is not None else rng.uniform(0.0, geo.THETA_SPAN, n)
+def _theta(draw, n, theta_fixed):
+    return np.full(n, theta_fixed) if theta_fixed is not None else draw(THETA).uniform(0.0, geo.THETA_SPAN, n)
+
+
+def _sign(draw, n):
+    return np.where(draw(SIGN).integers(0, 2, n, dtype=bool), 1, -1)
 
 
 def _in_win(theta, nu):
@@ -62,10 +75,10 @@ def _in_win(theta, nu):
     return ((theta >= w1_lo) & (theta <= w1_hi)) | ((theta > w2_lo) & (theta <= w2_hi))
 
 
-def ref_pair(a, b, strategy, theta_fixed, rng, n):
-    theta = _theta(rng, n, theta_fixed)
-    c = rng.integers(0, 2, n, dtype=np.int64) * 2 - 1
-    coin = rng.random(n)
+def ref_pair(a, b, strategy, theta_fixed, draw, n):
+    theta = _theta(draw, n, theta_fixed)
+    c = _sign(draw, n)
+    coin = draw(COIN_1).random(n)
     q, negate = _accept(a, b, theta, strategy)
     eq = (coin < q) ^ negate
     c_b = np.where(eq, c, -c)
@@ -87,34 +100,34 @@ def _two_bob_cells(nu, theta, c, b1_eq_c, b2_eq_c, survived=None, conditioned=Fa
                         B_PLUS_2=(np.where(b2_eq_c, c, -c) > 0).sum())
 
 
-def ref_two_bob(nu, strategy, coin_mode, theta_fixed, rng, n, a=None):
+def ref_two_bob(nu, strategy, coin_mode, theta_fixed, draw, n, a=None):
     a = alice_setting(nu) if a is None else a
-    theta = _theta(rng, n, theta_fixed)
-    c = rng.integers(0, 2, n, dtype=np.int64) * 2 - 1
-    coin1 = rng.random(n)
-    coin2 = coin1 if coin_mode is pr.CoinMode.SHARED else rng.random(n)
+    theta = _theta(draw, n, theta_fixed)
+    c = _sign(draw, n)
+    coin1 = draw(COIN_1).random(n)
+    coin2 = coin1 if coin_mode is pr.CoinMode.SHARED else draw(COIN_2).random(n)
     q1, neg1 = _accept(a, WALKTHROUGH_B1, theta, strategy)
     q2, neg2 = _accept(a, WALKTHROUGH_B1 + PI, theta, strategy)
     return _two_bob_cells(nu, theta, c, (coin1 < q1) ^ neg1, (coin2 < q2) ^ neg2, conditioned=theta_fixed is not None)
 
 
-def ref_visibility(nu, visibility, strategy, coin_mode, rng, n):
+def ref_visibility(nu, visibility, strategy, coin_mode, draw, n):
     a = alice_setting(nu)
-    theta = rng.uniform(0.0, geo.THETA_SPAN, n)
-    c = rng.integers(0, 2, n, dtype=np.int64) * 2 - 1
-    coin1 = rng.random(n)
-    coin2 = coin1 if coin_mode is pr.CoinMode.SHARED else rng.random(n)
-    keep1 = rng.random(n) < visibility
-    keep2 = rng.random(n) < visibility
+    theta = _theta(draw, n, None)
+    c = _sign(draw, n)
+    coin1 = draw(COIN_1).random(n)
+    coin2 = coin1 if coin_mode is pr.CoinMode.SHARED else draw(COIN_2).random(n)
+    keep1 = draw(ERASE_1).random(n) < visibility
+    keep2 = draw(ERASE_2).random(n) < visibility
     q1, neg1 = _accept(a, WALKTHROUGH_B1, theta, strategy)
     q2, neg2 = _accept(a, WALKTHROUGH_B1 + PI, theta, strategy)
     return _two_bob_cells(nu, theta, c, (coin1 < q1) ^ neg1, (coin2 < q2) ^ neg2, keep1 & keep2)
 
 
-def ref_joint(a, b, strategy, rng, n):
-    theta = rng.uniform(0.0, geo.THETA_SPAN, n)
-    c = rng.integers(0, 2, n, dtype=np.int64) * 2 - 1
-    coin = rng.random(n)
+def ref_joint(a, b, strategy, draw, n):
+    theta = _theta(draw, n, None)
+    c = _sign(draw, n)
+    coin = draw(COIN_1).random(n)
     q, negate = _accept(a, b, theta, strategy)
     c_b = np.where((coin < q) ^ negate, c, -c)
     return [n, ((c > 0) & (c_b > 0)).sum(), ((c > 0) & (c_b < 0)).sum(),
@@ -142,13 +155,13 @@ def two_bob_kernel(nu, strategy, coin_mode, theta_fixed=None, visibility=None, a
 def carried(reference, signs=True, windows=True):
     """``reference`` without the cells a kernel built without signs, or without windows, does not carry."""
     dropped = (() if signs else SIGN_CELLS) + (() if windows else WINDOW_CELLS)
-    return lambda rng, n: {cell: v for cell, v in reference(rng, n).items() if cell not in dropped}
+    return lambda draw, n: {cell: v for cell, v in reference(draw, n).items() if cell not in dropped}
 
 
 def _both(kernel, reference, seed, n=TRIALS):
     """The kernel's tally carries the reference's cells and no other, each at its index, with equal counts."""
-    got = kernel(np.random.default_rng(seed), n)
-    want = reference(np.random.default_rng(seed), n)
+    got = kernel(seed, KEY, n)
+    want = reference(draws(seed), n)
     assert got.dtype == np.int64
     assert len(got) == len(want)
     assert {cell: int(got[getattr(hn, cell)]) for cell in want} == {cell: int(v) for cell, v in want.items()}
@@ -169,7 +182,7 @@ def test_two_bob_kernel_matches_reference(nu, strategy, coin_mode):
             continue
         for seed in (1, 2):
             _both(two_bob_kernel(nu, strategy, coin_mode, theta_fixed),
-                  lambda rng, n: ref_two_bob(nu, strategy, coin_mode, theta_fixed, rng, n), seed)
+                  lambda draw, n: ref_two_bob(nu, strategy, coin_mode, theta_fixed, draw, n), seed)
 
 
 def test_kernel_rejects_a_conditioned_theta_no_round_draws():
@@ -196,10 +209,10 @@ def test_pair_and_joint_kernels_match_reference(a, b, strategy):
     for theta_fixed in (None,) + SPECIAL_THETAS[:4]:
         for seed in (3, 4):
             _both(pair_kernel(a, b, strategy, theta_fixed),
-                  lambda rng, n: ref_pair(a, b, strategy, theta_fixed, rng, n), seed)
-    # the joint cells are derived from the pair counts; one batch, so one stream
-    joint = hn.joint_outcome_table(a, b, TRIALS, 5, strategy, batch_size=TRIALS)
-    want = ref_joint(a, b, strategy, hn._batch_rng(5, (0, 0)), TRIALS)
+                  lambda draw, n: ref_pair(a, b, strategy, theta_fixed, draw, n), seed)
+    # the joint cells are derived from the pair counts, drawn on the empty key
+    joint = hn.joint_outcome_table(a, b, TRIALS, 5, strategy)
+    want = ref_joint(a, b, strategy, draws(5, ()), TRIALS)
     assert joint.dtype == np.int64
     assert [TRIALS] + joint.ravel().tolist() == [int(v) for v in want]
 
@@ -210,16 +223,28 @@ def test_visibility_kernel_matches_reference(nu, coin_mode):
     for strategy in STRATEGIES:
         for visibility in (0.5, 1.0):
             _both(two_bob_kernel(nu, strategy, coin_mode, visibility=visibility),
-                  lambda rng, n: ref_visibility(nu, visibility, strategy, coin_mode, rng, n), 6)
+                  lambda draw, n: ref_visibility(nu, visibility, strategy, coin_mode, draw, n), 6)
 
 
-def test_batches_longer_than_a_lookup_chunk():
+def test_rows_longer_than_a_lookup_chunk():
     nu, strategy, coin = PI / 10, pr.CYCLIC_FLIP, pr.CoinMode.INDEPENDENT
     n = 2 * hn._CHUNK + 1234
     _both(two_bob_kernel(nu, strategy, coin),
-          lambda rng, n: ref_two_bob(nu, strategy, coin, None, rng, n), 7, n)
+          lambda draw, n: ref_two_bob(nu, strategy, coin, None, draw, n), 7, n)
     _both(pair_kernel(1.0, PI, pr.ABS_FLIP),
-          lambda rng, n: ref_pair(1.0, PI, pr.ABS_FLIP, None, rng, n), 8, n)
+          lambda draw, n: ref_pair(1.0, PI, pr.ABS_FLIP, None, draw, n), 8, n)
+
+
+def test_rows_longer_than_a_block_match_the_whole_row_reference():
+    """Past a block seam, at the package's own sizes, a row still tallies as its whole-row draws do, c included.
+
+    A block whose size is not a multiple of 32 would start the next block's
+    sign draw on a fresh 32-bit half, so the sign cells would differ here.
+    """
+    n = hn._BLOCK + 37
+    _both(pair_kernel(1.0, PI, pr.ABS_FLIP), lambda draw, n: ref_pair(1.0, PI, pr.ABS_FLIP, None, draw, n), 9, n)
+    _both(two_bob_kernel(PI / 10, pr.CYCLIC_FLIP, pr.CoinMode.INDEPENDENT, visibility=0.7),
+          lambda draw, n: ref_visibility(PI / 10, 0.7, pr.CYCLIC_FLIP, pr.CoinMode.INDEPENDENT, draw, n), 10, n)
 
 
 SEAM_SIZES = (1, 7, hn._CHUNK - 1, hn._CHUNK, hn._CHUNK + 1, 3 * hn._CHUNK + 5)
@@ -233,7 +258,7 @@ SEPARATOR_B = SEPARATOR_THETA + geo.BETA_OFFSETS[1]
 
 
 def _row_shapes():
-    """Every row shape the kernel runs, as its id and a builder of (kernel, whole-batch reference).
+    """Every row shape the kernel runs, as its id and a builder of (kernel, whole-row reference).
 
     A builder takes ``signs``: whether the kernel draws c and tallies the
     sign cells; the reference then carries just the cells that kernel
@@ -250,13 +275,13 @@ def _row_shapes():
 
     def pair(a, b, strategy, theta_fixed=None):
         return lambda signs: (pair_kernel(a, b, strategy, theta_fixed, signs),
-                              carried(lambda rng, n: ref_pair(a, b, strategy, theta_fixed, rng, n), signs))
+                              carried(lambda draw, n: ref_pair(a, b, strategy, theta_fixed, draw, n), signs))
 
     def two_bob(strategy, coin, theta_fixed=None, visibility=None, a=None, windows=True):
-        def reference(rng, n):
+        def reference(draw, n):
             if visibility is None:
-                return ref_two_bob(nu, strategy, coin, theta_fixed, rng, n, a=a)
-            return ref_visibility(nu, visibility, strategy, coin, rng, n)
+                return ref_two_bob(nu, strategy, coin, theta_fixed, draw, n, a=a)
+            return ref_visibility(nu, visibility, strategy, coin, draw, n)
 
         return lambda signs: (two_bob_kernel(nu, strategy, coin, theta_fixed, visibility, a, signs, windows),
                               carried(reference, signs, windows))
@@ -289,11 +314,11 @@ ROW_SHAPES = dict(_row_shapes())
 @pytest.mark.parametrize("n", SEAM_SIZES)
 @pytest.mark.parametrize("shape", list(ROW_SHAPES))
 def test_chunk_seams_match_the_whole_batch_reference(shape, n):
-    """Batches ending before, at and after a chunk seam tally as the whole-batch draws do, sign cells included.
+    """Rows ending before, at and after a chunk seam tally as the whole-row draws do, sign cells included.
 
-    The references draw each whole array in the documented order from one
-    generator; the kernel draws chunk by chunk from one substream per draw.
-    Odd sizes leave half of the last output of the sign draw unused.
+    The references read each draw's whole array from its own generator; the
+    kernel reads it chunk by chunk. Sizes that are not a multiple of 32 leave
+    bits of the sign draw's last 32-bit half unused.
     """
     kernel, reference = ROW_SHAPES[shape](signs=True)
     for seed in (21, 22):
@@ -303,10 +328,9 @@ def test_chunk_seams_match_the_whole_batch_reference(shape, n):
 @pytest.mark.parametrize("n", SEAM_SIZES)
 @pytest.mark.parametrize("shape", list(ROW_SHAPES))
 def test_default_path_chunk_seams_match_the_whole_batch_reference(shape, n):
-    """Without signs, a kernel carries every other cell of its shape and tallies each as the whole-batch draws do.
+    """Without signs, a kernel carries every other cell of its shape and tallies each as the whole-row draws do.
 
-    It draws no c, so every later draw must still start at its own offset
-    of the batch stream for the counts to match.
+    It draws no c, and every other draw keeps its own generator.
     """
     kernel, reference = ROW_SHAPES[shape](signs=False)
     for seed in (21, 22):
@@ -315,18 +339,18 @@ def test_default_path_chunk_seams_match_the_whole_batch_reference(shape, n):
 
 @pytest.mark.parametrize("shape", list(ROW_SHAPES))
 def test_every_row_shape_runs_one_batch_without_a_warning(shape):
-    """A batch under warnings as errors: a NumPy that flags comparing a coin with a NaN screen bin fails here.
+    """A row under warnings as errors: a NumPy that flags comparing a coin with a NaN screen bin fails here.
 
-    The batch spans a chunk seam and still tallies as the whole-batch
-    reference does, with signs and without.
+    The row spans a chunk seam and still tallies as the whole-row reference
+    does, with signs and without.
     """
     n = hn._CHUNK + 7
     for signs in (True, False):
         kernel, reference = ROW_SHAPES[shape](signs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = kernel(np.random.default_rng(24), n)
-        _both(lambda rng, n: got, reference, 24, n)
+            got = kernel(24, KEY, n)
+        _both(lambda seed, key, n: got, reference, 24, n)
 
 
 @pytest.mark.parametrize("n", SEAM_SIZES)
@@ -334,7 +358,7 @@ def test_every_row_shape_runs_one_batch_without_a_warning(shape):
 def test_windows_change_no_cell_of_a_conditioned_two_axis_kernel(coin, n):
     """A conditioned two-axis kernel given windows tallies as one given none, cell for cell, signs or not.
 
-    Its batches run under warnings as errors, across the chunk seams.
+    Its rows run under warnings as errors, across the chunk seams.
     """
     for signs in (True, False):
         given, without = (two_bob_kernel(PI / 10, pr.CYCLIC_FLIP, coin, 1.2, signs=signs, windows=windows)
@@ -342,7 +366,7 @@ def test_windows_change_no_cell_of_a_conditioned_two_axis_kernel(coin, n):
         for seed in (21, 22):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got, want = (kernel(np.random.default_rng(seed), n) for kernel in (given, without))
+                got, want = (kernel(seed, KEY, n) for kernel in (given, without))
             assert got.dtype == want.dtype == np.int64
             assert got.tolist() == want.tolist()
 
@@ -352,137 +376,148 @@ def test_a_coin_mode_string_samples_and_sums_as_its_member():
     table = pr.segment_table(alice_setting(PI / 10), (WALKTHROUGH_B1, WALKTHROUGH_B1 + PI), pr.CYCLIC_FLIP)
     for coin_mode in COINS:
         assert table.expectation(coin_mode.value) == table.expectation(coin_mode)
-        got, want = (hn._kernel(table, mode)(np.random.default_rng(27), 1000) for mode in (coin_mode.value, coin_mode))
+        got, want = (hn._kernel(table, mode)(27, KEY, 1000) for mode in (coin_mode.value, coin_mode))
         assert got.tolist() == want.tolist()
     for call in (table.expectation, lambda mode: hn._kernel(table, mode)):
         with pytest.raises(ValueError, match="bogus"):
             call("bogus")
 
 
-def test_a_two_axis_visibility_batch_peaks_under_four_megabytes():
-    """A 250k batch holds bool arrays of the batch and float arrays of one chunk; a float batch array is 2 MB."""
+def test_a_two_axis_visibility_row_peaks_under_four_megabytes():
+    """A block holds bool arrays of the block and float arrays of one chunk; a float block array is 2 MB.
+
+    The row runs four blocks, a million trials, and peaks as one block does.
+    """
     for coin_mode in COINS:
         kernel = two_bob_kernel(PI / 10, pr.CYCLIC_FLIP, coin_mode, visibility=0.7)
-        kernel(np.random.default_rng(25), 1000)  # builds the table's screen
+        kernel(25, KEY, 1000)  # builds the table's screen
         tracemalloc.start()
         try:
-            kernel(np.random.default_rng(26), 250_000)
+            kernel(26, KEY, 4 * hn._BLOCK)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000, (coin_mode, peak)
 
 
-class _SpiedGenerator:
-    """A substream, its own bit generator too, that records each ``random`` and ``random_raw`` call by draw index."""
-
-    def __init__(self, generator, index, calls):
-        self._generator, self._index, self._calls = generator, index, calls
-        self.bit_generator = self
-
-    def random(self, size):
-        self._calls.add(self._index)
-        return self._generator.random(size)
-
-    def random_raw(self, size):
-        self._calls.add(self._index)
-        return self._generator.bit_generator.random_raw(size)
+@pytest.mark.parametrize("shape", list(ROW_SHAPES))
+def test_chunk_and_block_sizes_change_no_tally(shape, monkeypatch):
+    """Under other chunk and block sizes, each a multiple of 32, every row shape tallies as at the package's own."""
+    n = 1000
+    kernel, _ = ROW_SHAPES[shape](signs=True)
+    want = kernel(28, KEY, n).tolist()
+    for chunk, block in ((32, 32), (32, 96), (64, 96), (96, 960), (2048, 4096)):
+        monkeypatch.setattr(hn, "_CHUNK", chunk)
+        monkeypatch.setattr(hn, "_BLOCK", block)
+        assert kernel(28, KEY, n).tolist() == want, (chunk, block)
 
 
-#: per row shape with no live axis: its draws in order, and the float draws a batch generates
-CONSTANT_ROWS = {
-    "one-axis-constant-same-setting": (("theta", "c", "coin"), set()),
-    "one-axis-constant-terminated": (("theta", "c", "coin"), set()),
-    "one-axis-constant-conditioned-on-the-separator": (("c", "coin"), set()),
-    "two-axis-independent-constant": (("theta", "c", "coin1", "coin2"), {"theta"}),
-    "two-axis-shared-constant": (("theta", "c", "coin"), {"theta"}),
-    "two-axis-independent-constant-conditioned": (("c", "coin1", "coin2"), set()),
-    "two-axis-shared-constant-conditioned": (("c", "coin"), set()),
+#: per row shape, the draws its kernel reads with signs; without signs it reads the same less c
+READS = {
+    "one-axis": {THETA, SIGN, COIN_1},
+    "one-axis-conditioned": {SIGN},
+    "one-axis-conditioned-live": {SIGN, COIN_1},
+    "two-axis-independent": {THETA, SIGN, COIN_1, COIN_2},
+    "two-axis-independent-conditioned": {SIGN},  # both acceptances are 1 at theta = 1.2
+    "visibility-independent": {THETA, SIGN, COIN_1, COIN_2, ERASE_1, ERASE_2},
+    "two-axis-shared": {THETA, SIGN, COIN_1},
+    "two-axis-shared-conditioned": {SIGN},
+    "visibility-shared": {THETA, SIGN, COIN_1, ERASE_1, ERASE_2},
+    "one-axis-constant-same-setting": {SIGN},
+    "one-axis-constant-terminated": {SIGN},
+    "one-axis-constant-conditioned-on-the-separator": {SIGN},
+    "two-axis-independent-one-terminated": {THETA, SIGN, COIN_1},
+    "visibility-independent-one-terminated": {THETA, SIGN, COIN_1, ERASE_1, ERASE_2},
+    "two-axis-independent-constant": {THETA, SIGN},
+    "two-axis-independent-constant-conditioned": {SIGN},
+    "two-axis-shared-one-terminated": {THETA, SIGN, COIN_1},
+    "visibility-shared-one-terminated": {THETA, SIGN, COIN_1, ERASE_1, ERASE_2},
+    "two-axis-shared-constant": {THETA, SIGN},
+    "two-axis-shared-constant-conditioned": {SIGN},
+    "two-axis-independent-no-windows": {THETA, SIGN, COIN_1, COIN_2},
+    "two-axis-shared-no-windows": {THETA, SIGN, COIN_1},
 }
 
 
-@pytest.mark.parametrize("shape", list(CONSTANT_ROWS))
-def test_rows_without_a_live_axis_generate_no_coin(shape, monkeypatch):
-    """No coin of a row whose every decision is constant is drawn, nor theta unless the window tally reads it.
+def _taken(monkeypatch) -> list:
+    """The ``(seed, key, draw)`` of each generator the kernels take from now on."""
+    taken, draw_rng = [], hn._draw_rng
+    monkeypatch.setattr(hn, "_draw_rng", lambda seed, key, d: taken.append((seed, key, d)) or draw_rng(seed, key, d))
+    return taken
 
-    Every draw goes through ``random`` or its bit generator's
-    ``random_raw``, and the sign c, which these kernels tally, is drawn.
-    Skipping a draw moves no other draw, so the tallies still equal the
-    whole-batch reference.
+
+def test_read_draws_cover_every_row_shape():
+    assert set(READS) == set(ROW_SHAPES)
+
+
+@pytest.mark.parametrize("shape", list(ROW_SHAPES))
+def test_each_read_draw_takes_the_generator_of_its_key(shape, monkeypatch):
+    """A row takes one generator per draw it reads, on its own key and that draw's index, and none for another draw.
+
+    A constant axis reads no coin, theta is read only when a live axis or
+    the window tally reads it, and c only with signs; the shared coin is
+    draw 2. The tallies still equal the whole-row reference's, so an unread
+    draw moves no other.
     """
-    names, generated = CONSTANT_ROWS[shape]
-    calls = set()
-    substreams = hn._substreams
-
-    def spied(rng, draws):
-        return [g and _SpiedGenerator(g, i, calls) for i, g in enumerate(substreams(rng, draws))]
-
-    monkeypatch.setattr(hn, "_substreams", spied)
-    kernel, reference = ROW_SHAPES[shape](signs=True)
-    _both(kernel, reference, 23, hn._CHUNK + 7)
-    assert {names[i] for i in calls} == generated | {"c"}
+    taken = _taken(monkeypatch)
+    for signs in (True, False):
+        kernel, reference = ROW_SHAPES[shape](signs)
+        taken.clear()
+        _both(kernel, reference, 23, hn._CHUNK + 7)
+        assert sorted(taken) == [(23, KEY, d) for d in sorted(READS[shape] - ({SIGN} if not signs else set()))]
 
 
-#: the constant rows that, without signs, read no draw at all
-NO_DRAW_ROWS = [shape for shape, (_, generated) in CONSTANT_ROWS.items() if not generated]
+def test_a_draw_generator_is_seeded_by_the_row_key_and_the_draw_index():
+    for seed, key in ((11, (0,)), (0, (3, 1)), (2**64 - 1, (7, 0))):
+        for d in range(6):
+            want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, d)))
+            assert hn._draw_rng(seed, key, d).bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", list(ROW_SHAPES))
+def test_an_unread_sign_draw_moves_no_other_cell(shape):
+    """Without signs a kernel tallies every cell it shares with the kernel built with them, count for count."""
+    with_signs, without = (ROW_SHAPES[shape](signs)[0] for signs in (True, False))
+    for n in (1, hn._CHUNK + 7):
+        got, want = without(30, KEY, n), with_signs(30, KEY, n)
+        assert got.tolist() == want[:len(got)].tolist()
+
+
+#: the row shapes that, without signs, read no draw at all
+NO_DRAW_ROWS = [shape for shape, reads in READS.items() if reads == {SIGN}]
 
 
 @pytest.mark.parametrize("n", SEAM_SIZES)
 @pytest.mark.parametrize("shape", NO_DRAW_ROWS)
-def test_a_row_that_reads_no_draw_takes_no_substream(shape, n, monkeypatch):
-    """Its batch tallies from ``n`` alone, as the whole-batch reference does; with signs it draws c again."""
-    substreams = hn._substreams
-    taken = []
-    monkeypatch.setattr(hn, "_substreams", lambda rng, draws: taken.append(draws) or substreams(rng, draws))
+def test_a_row_that_reads_no_draw_takes_no_generator(shape, n, monkeypatch):
+    """Its row tallies from ``n`` alone, as the whole-row reference does; with signs it draws c again."""
+    taken = _taken(monkeypatch)
     for signs in (False, True):
         kernel, reference = ROW_SHAPES[shape](signs)
         for seed in (21, 22):
             _both(kernel, reference, seed, n)
-        assert len(taken) == 2 * signs, (shape, signs)
+        assert [d for _, _, d in taken] == [SIGN] * 2 * signs, (shape, signs)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 7_001, hn._CHUNK + 1, 3 * hn._CHUNK + 5])
-def test_kernel_sign_draw_equals_integer_draw(n):
-    """The kernel's raw-bits c is NumPy's ``integers(0, 2, n, dtype=np.int64)`` cast to bool.
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 7_001, hn._CHUNK + 1, 3 * hn._CHUNK + 5])
+def test_sign_draw_read_in_calls_of_multiples_of_32_equals_one_read(n):
+    """NumPy's ``integers(0, 2, m, dtype=bool)`` read in calls of a multiple of 32, the last aside, is one read.
 
-    NumPy draws a 0/1 integer from the top bit of a 32-bit draw, and takes
-    two 32-bit draws from each 64-bit output, low half first. The kernel
-    reads those bits chunk by chunk from the raw outputs, so a NumPy that
-    consumes its draws otherwise fails here.
+    NumPy takes 32 bools off each 32-bit half of an output and keeps an
+    unused half for its next call, so the kernel's chunked c is the whole-row
+    c because its chunk and block sizes are multiples of 32. A call of 33
+    drops the rest of its last half, so the next call starts on a fresh one.
+    A NumPy that consumes its draws otherwise fails here.
     """
     for seed in range(20):
-        want = np.random.default_rng(seed).integers(0, 2, n, dtype=np.int64).astype(bool)
-        signs = hn._substreams(np.random.default_rng(seed), [((n + 1) // 2, True)])[0].bit_generator
-        got = np.concatenate([signs.random_raw((m + 1) // 2).view(np.uint32)[:m] >= 2**31
-                              for m in [min(hn._CHUNK, n - s) for s in range(0, n, hn._CHUNK)]])
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("sizes", [[1], [3, 2, 3], [7, 4, 7, 7, 7, 7], [250_000, 125_000, 250_000, 250_000],
-                                   [hn._CHUNK + 1, hn._CHUNK // 2 + 1, hn._CHUNK + 1]])
-def test_each_substream_starts_at_its_offset_in_the_batch_stream(sizes):
-    """Each substream's first output, raw and as a double, is the batch stream's output at its offset."""
-    offsets = np.cumsum([0, *sizes[:-1]])
-    for seed in range(20):
-        whole = np.random.default_rng(seed).bit_generator.random_raw(sum(sizes))
-        draws = [(size, True) for size in sizes]
-        first_raw = [int(g.bit_generator.random_raw())
-                     for g in hn._substreams(np.random.default_rng(seed), draws)]
-        assert first_raw == whole[offsets].tolist()
-        first_double = [g.random() for g in hn._substreams(np.random.default_rng(seed), draws)]
-        assert first_double == [float(x >> 11) * 2.0**-53 for x in whole[offsets].tolist()]
-
-
-@pytest.mark.parametrize("sizes", [[3, 2, 3], [7, 4, 7, 7, 7, 7]])
-def test_an_unread_draw_gets_no_substream_and_moves_no_other(sizes):
-    """Under every choice of unread draws, those get None and each read one starts at its own offset."""
-    offsets = np.cumsum([0, *sizes[:-1]])
-    whole = np.random.default_rng(9).bit_generator.random_raw(sum(sizes))
-    for reads in itertools.product([False, True], repeat=len(sizes)):
-        streams = hn._substreams(np.random.default_rng(9), list(zip(sizes, reads)))
-        assert [g is not None for g in streams] == list(reads)
-        first_raw = [int(g.bit_generator.random_raw()) for g in streams if g is not None]
-        assert first_raw == whole[offsets[list(reads)]].tolist()
+        want = np.random.default_rng(seed).integers(0, 2, n, dtype=bool)
+        for size in (32, hn._CHUNK):
+            rng = np.random.default_rng(seed)
+            got = np.concatenate([rng.integers(0, 2, min(size, n - s), dtype=bool) for s in range(0, n, size)])
+            assert np.array_equal(got, want)
+    rng = np.random.default_rng(0)
+    split = np.concatenate([rng.integers(0, 2, 33, dtype=bool), rng.integers(0, 2, 64, dtype=bool)])
+    assert not np.array_equal(split, np.random.default_rng(0).integers(0, 2, 97, dtype=bool))
 
 
 # --- the table next to its edges -------------------------------------------
@@ -992,11 +1027,11 @@ def test_acceptance_needs_no_clip(u, b):
     ["calibrate", "--angle-grid", "0:6.2832:3"],
 ])
 def test_one_and_two_workers_emit_identical_csv(tmp_path, argv):
-    """Every experiment accepts ``--workers`` and ignores it: batches run in turn."""
+    """Every experiment accepts ``--workers`` and ignores it: rows run in turn."""
     blobs = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}.csv"
-        assert cli.main(argv + ["--trials", "30000", "--batch-size", "7000", "--seed", "3",
+        assert cli.main(argv + ["--trials", "30000", "--seed", "3",
                                 "--workers", str(workers), "--out", str(out)]) == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]

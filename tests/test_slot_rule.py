@@ -3,7 +3,7 @@
 The points sit on each of the sixteen boundaries and one float either side
 of it. There the slot functions, the four-bit cell and its decoding, the
 sorted-boundary oracle, the scalar round and the analytic per-theta
-probability must all agree exactly, and a batch replayed round by round
+probability must all agree exactly, and a row replayed round by round
 through Alice's message must reproduce every kernel decision. Floats and
 one-element arrays take the same path through the slot functions and
 ``evaluate_bob`` and must give the same values, and a round's JSON record
@@ -273,22 +273,27 @@ def _replay_cases():
         yield a, b, pr.CYCLIC_FLIP
 
 
+def _draw(seed: int, d: int) -> np.random.Generator:
+    """The generator of draw ``d`` (theta 0, c 1, the coins 2 and 3) of a kernel run on ``(seed, (0,))``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, d)))
+
+
 @pytest.mark.parametrize("a,b,strategy", list(_replay_cases()))
 def test_replayed_rounds_reproduce_every_kernel_bit(a, b, strategy):
     """``alice_round`` then ``bob_round`` with the kernel's ``c``, theta and coin gives its every bit.
 
-    The batch is drawn in the batch kernel's order for one axis (theta, c,
-    coin), theta as the raw outputs the kernel reads, and the tallies of a
-    kernel built with signs are checked against it; the raw outputs of the
+    The row is drawn as the kernel draws one axis, theta, c and the coin
+    each from its own generator (:func:`_draw`), theta as the raw outputs
+    the kernel reads, and the tallies of a kernel built with signs are
+    checked against it; the raw outputs of the
     least reachable theta at or above every segment-table edge and of the
     one either side of it are appended, so the wire cell and its decoding
     are compared with the table next to each slot flip.
     """
     n = 120
-    rng = np.random.default_rng(11)
-    raw = rng.bit_generator.random_raw(n)
-    c_plus = rng.integers(0, 2, n, dtype=np.int64).astype(bool)
-    coin = rng.random(n)
+    raw = _draw(11, 0).bit_generator.random_raw(n)
+    c_plus = _draw(11, 1).integers(0, 2, n, dtype=bool)
+    coin = _draw(11, 2).random(n)
     table = pr.segment_table(a, (b,), strategy)
     near = outputs_near(table.edges, 1)
     extra = np.random.default_rng(12)
@@ -298,7 +303,7 @@ def test_replayed_rounds_reproduce_every_kernel_bit(a, b, strategy):
     coin = np.concatenate([coin, extra.random(len(near))])
 
     (keeps,) = keeps_c(table, raw, [coin])
-    tally = hn._kernel(table, signs=True)(np.random.default_rng(11), n)
+    tally = hn._kernel(table, signs=True)(11, (0,), n)
     assert len(tally) == 4
     assert [tally[hn.N], tally[hn.C_PLUS], tally[hn.KEPT_1], tally[hn.B_PLUS_1]] == \
         [n, int(c_plus[:n].sum()), int(keeps[:n].sum()), int((keeps[:n] == c_plus[:n]).sum())]
@@ -321,9 +326,9 @@ def _two_axis_cases():
 def test_replayed_two_axis_rounds_reproduce_every_kernel_bit(nu, strategy, coin_mode):
     """The two-axis kernel's every decision and its ``EQUAL`` tally, replayed round by round.
 
-    The batch is drawn in the two-axis kernel's order (theta as raw
-    outputs, c, then the coin of each axis, one coin under
-    ``CoinMode.SHARED``); the raw outputs of the least reachable theta at or
+    The row is drawn as the two-axis kernel draws it (theta as raw outputs,
+    c, then the coin of each axis, one coin under ``CoinMode.SHARED``, each
+    from its own generator); the raw outputs of the least reachable theta at or
     above every table edge and of the one either side of it are appended.
     Each trial goes through ``alice_round`` and ``bob_round`` on ``b1`` and
     ``b1 + pi`` with its own coins, and must match ``keeps_c`` trial for
@@ -331,23 +336,21 @@ def test_replayed_two_axis_rounds_reproduce_every_kernel_bit(nu, strategy, coin_
     """
     n = 120
     a, axes = alice_setting(nu), (WALKTHROUGH_B1, WALKTHROUGH_B1 + PI)
-    rng = np.random.default_rng(17)
-    raw = rng.bit_generator.random_raw(n)
-    c_plus = rng.integers(0, 2, n, dtype=np.int64).astype(bool)
-    coins = [rng.random(n)]
-    coins.append(coins[0] if coin_mode is pr.CoinMode.SHARED else rng.random(n))
+    raw = _draw(17, 0).bit_generator.random_raw(n)
+    coins = [_draw(17, 2).random(n)]
+    coins.append(coins[0] if coin_mode is pr.CoinMode.SHARED else _draw(17, 3).random(n))
     table = pr.segment_table(a, axes, strategy)
     near = outputs_near(table.edges, 1)
     extra = np.random.default_rng(18)
     raw = np.concatenate([raw, near])
     theta = theta_of(raw)
-    c_plus = np.concatenate([c_plus, extra.integers(0, 2, len(near)).astype(bool)])
+    c_plus = np.concatenate([_draw(17, 1).integers(0, 2, n, dtype=bool), extra.integers(0, 2, len(near)).astype(bool)])
     coins = [np.concatenate([u, extra.random(len(near))]) for u in coins]
     if coin_mode is pr.CoinMode.SHARED:
         coins[1] = coins[0]
 
     keeps = keeps_c(table, raw, coins)
-    tally = hn._kernel(table, coin_mode, windows=interval_windows(nu))(np.random.default_rng(17), n)
+    tally = hn._kernel(table, coin_mode, windows=interval_windows(nu))(17, (0,), n)
     equal = 0
     for i, (t, cp) in enumerate(zip(theta.tolist(), c_plus.tolist())):
         hidden = pr.HiddenState.make(1 if cp else -1, t)
